@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -49,7 +50,10 @@ def _parse_start(text: str) -> tuple[int, ...]:
 
 
 def _parse_lambda_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",")) if text else ()
+    grid = tuple(float(v) for v in text.split(",")) if text else ()
+    if not all(math.isfinite(lam) for lam in grid):
+        raise ValueError(f"--lambda values must be finite, got {text!r}")
+    return grid
 
 
 def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
@@ -212,14 +216,14 @@ def _request_echo(args, **extra) -> dict:
 
 def _engine_exit_distribution(params, query):
     """Closed-form exit splits where the case studies provide them."""
-    kind = query.target.kind
-    targets = query.target_states
+    descriptor = query.target
     if query.start_in_target():
-        return {t: Fraction(1 if t == query.start else 0) for t in targets}
+        return {t: Fraction(1 if t == query.start else 0) for t in descriptor.materialize(params)}
+    kind = descriptor.kind
     if kind == "singleton":
-        return {targets[0]: Fraction(1)}
+        return {params.check_state(descriptor.states[0]): Fraction(1)}
     if kind == "pair":
-        y, z = targets
+        y, z = sorted(params.check_state(s) for s in descriptor.states)
         stats = closedforms.two_point_stats_for(params, query.start, y, z)
         return {y: stats.exit_prob_first, z: 1 - stats.exit_prob_first}
     if kind == "diagonal":
@@ -288,18 +292,14 @@ def cmd_oracle(args) -> int:
     u_grid = _parse_u_grid(args.u_grid)
     lambda_grid = _parse_lambda_grid(args.lambda_grid)
     m = params.balls
-    u_samples = []
-    for u in u_grid:
-        z = Fraction(m, 1) / (u + m)
-        u_samples.append((u, oracle.solve_transform(chain, targets, start, z, cap=cap)))
+    u_samples = [(u, oracle.solve_transform_u(chain, targets, start, u, cap=cap)) for u in u_grid]
     lam_samples = []
     for lam in lambda_grid:
         if lam == 0:
             lam_samples.append((lam, Fraction(1)))
             continue
         u = m * expm1_rational(Fraction(lam), Fraction(1, 10 ** (args.digits + 6)))
-        z = Fraction(m, 1) / (u + m)
-        lam_samples.append((lam, oracle.solve_transform(chain, targets, start, z, cap=cap)))
+        lam_samples.append((lam, oracle.solve_transform_u(chain, targets, start, u, cap=cap)))
     exits = oracle.exit_distribution(chain, targets, start, cap=cap)
 
     summary = hitting.HittingSummary(
@@ -366,7 +366,7 @@ def cmd_compare(args) -> int:
     descriptor = parse_set(args.set_text)
     start = params.check_state(_parse_start(args.start))
     query = hitting.HittingQuery(params, start, descriptor)
-    targets = list(query.target_states)
+    targets = descriptor.materialize(params)
     order = max(args.order, 2)
 
     engine_moments = hitting.raw_moments(query, order)
@@ -408,8 +408,7 @@ def cmd_compare(args) -> int:
     m = params.balls
     for u in u_grid:
         lhs = hitting.laplace_u(query, u)
-        z = Fraction(m, 1) / (u + m)
-        rhs = oracle.solve_transform(chain, targets, start, z, cap=cap)
+        rhs = oracle.solve_transform_u(chain, targets, start, u, cap=cap)
         verdicts.append(
             _verdict(
                 f"transform_u_{format_rational(u)}",
@@ -633,6 +632,9 @@ def main(argv=None) -> int:
     except oracle.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_EXCEEDED
+    except OverflowError as exc:
+        print(f"error: a result is outside the float range of the report ({exc})", file=sys.stderr)
+        return USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -22,24 +22,6 @@ from .model import ModelParams, overlap
 from .resolvent import centered_kernel
 
 
-def singleton_mean(params: ModelParams, k: int) -> Fraction:
-    """Mean steps to hit a fixed state from a start with overlap ``k``.
-
-    Telescopes the kernel increments from ``k`` up to full overlap:
-
-        sum_{j=k}^{balls-1} ((urns-1)**(j+1) / C(balls-1, j))
-            * sum_{l=0}^{j} C(balls, l) / (urns-1)**l
-    """
-    n, m = params.urns, params.balls
-    if not 0 <= k <= m:
-        raise ValueError(f"overlap {k} outside 0..{m}")
-    total = Fraction(0)
-    for j in range(k, m):
-        inner = sum(Fraction(binomial(m, l), (n - 1) ** l) for l in range(j + 1))
-        total += Fraction((n - 1) ** (j + 1), binomial(m - 1, j)) * inner
-    return total
-
-
 def singleton_variance_disjoint(params: ModelParams) -> Fraction:
     """Variance of the hitting time of a state sharing no ball placement.
 
@@ -182,7 +164,8 @@ def count_set_mean(params: ModelParams, k: int, h: int) -> Fraction:
     """Mean steps until exactly ``h`` balls occupy the reference urn.
 
     Depends only on the start count ``k``; one explicit sum per direction
-    (filling up when ``k < h``, emptying out when ``k > h``).
+    (filling up when ``k < h``, emptying out when ``k > h``).  At
+    ``h = balls`` the slice is one state and ``k`` the start's overlap with it.
     """
     n, m = params.urns, params.balls
     if not (0 <= k <= m and 0 <= h <= m):

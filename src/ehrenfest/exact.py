@@ -22,10 +22,6 @@ from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
-#: Default truncation order for jets; enough to read off 4th moments with a
-#: guard coefficient to spare.
-DEFAULT_JET_ORDER = 5
-
 
 def binomial(n: int, m: int) -> int:
     """Binomial coefficient ``n choose m``, zero outside ``0 <= m <= n``."""

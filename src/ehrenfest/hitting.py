@@ -6,11 +6,15 @@ transform of the hitting time factors into a ratio of resolvent-kernel sums:
     E_x[exp(-u * T_A_continuous)] = sum_z kernel(s(x,z), u)
                                     / sum_z kernel(s(y,z), u)
 
-with ``z`` running over ``A`` and ``y`` any fixed element of ``A`` (overlap
-symmetry makes the denominator independent of that choice; we fix the
-lexicographically smallest element and assert the independence in tests).
-The discrete-time transform is the same ratio evaluated at
-``u = balls * (e**lambda - 1)``.
+with ``z`` running over ``A`` and ``y`` any fixed element of ``A``.  Each
+summand depends on ``z`` only through an overlap, so ``A`` enters only
+through two overlap histograms of length ``balls + 1``: ``start_hist[k]``
+counts the elements of ``A`` at overlap ``k`` from ``x``, and ``ref_hist[k]``
+those at overlap ``k`` from ``y`` (overlap symmetry makes ``ref_hist`` the
+same for every ``y``; we take the lexicographically smallest element).
+Every sum over ``A`` below is therefore a sum over ``k`` of
+``hist[k] * f(k)``, and ``|A| = sum(ref_hist)``.  The discrete-time
+transform is the same ratio evaluated at ``u = balls * (e**lambda - 1)``.
 
 Means, variances and arbitrary raw moments come out of the centered kernel:
 the mean and variance by direct closed forms in the kernel values and first
@@ -23,9 +27,10 @@ rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .exact import Jet, Rational, expm1_rational
 from .model import (
@@ -44,40 +49,52 @@ from .resolvent import (
 )
 
 
+def _histogram(y: State, states: Sequence[State], balls: int) -> tuple[int, ...]:
+    hist = [0] * (balls + 1)
+    for z in states:
+        hist[overlap(y, z)] += 1
+    return tuple(hist)
+
+
+def _weigh(hist: Sequence[int], f: Callable, zero=Fraction(0)):
+    """``sum_k hist[k] * f(k)`` over the overlaps that occur."""
+    return sum((c * f(k) for k, c in enumerate(hist) if c), zero)
+
+
 @dataclass(frozen=True)
 class HittingQuery:
-    """A start state and a symmetric target set, validated on construction."""
+    """A start state and a symmetric target set, reduced to overlap histograms.
+
+    Only ``explicit`` sets are tested for symmetry: every symbolic kind is
+    the orbit of one state under overlap-preserving maps (per-ball swaps of
+    the two urns for a pair, global urn relabelings for the diagonal and the
+    distinct set, ball permutations plus relabelings fixing the reference
+    urn for a count slice), so it is symmetric by construction.
+    """
 
     params: ModelParams
     start: State
     target: SetDescriptor
+    start_hist: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ref_hist: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", self.params.check_state(self.start))
         states = self.target.materialize(self.params)
-        defect = symmetry_defect(states)
-        if defect is not None:
-            raise SetNotSymmetricError(*defect)
-        object.__setattr__(self, "_states", tuple(states))
+        if self.target.kind == "explicit":
+            defect = symmetry_defect(states)
+            if defect is not None:
+                raise SetNotSymmetricError(*defect)
+        m = self.params.balls
+        object.__setattr__(self, "start_hist", _histogram(self.start, states, m))
+        object.__setattr__(self, "ref_hist", _histogram(states[0], states, m))
 
     @property
-    def target_states(self) -> tuple[State, ...]:
-        return self._states  # type: ignore[attr-defined]
-
-    @property
-    def reference(self) -> State:
-        """The fixed denominator element: lexicographically smallest target."""
-        return self.target_states[0]
-
-    def start_overlaps(self) -> list[int]:
-        return [overlap(self.start, z) for z in self.target_states]
-
-    def reference_overlaps(self) -> list[int]:
-        y = self.reference
-        return [overlap(y, z) for z in self.target_states]
+    def target_size(self) -> int:
+        return sum(self.ref_hist)
 
     def start_in_target(self) -> bool:
-        return self.start in self.target_states
+        return self.start_hist[-1] > 0
 
 
 def laplace_u(query: HittingQuery, u: Rational) -> Fraction:
@@ -87,10 +104,8 @@ def laplace_u(query: HittingQuery, u: Rational) -> Fraction:
         raise ValueError("transform argument must be positive")
     if query.start_in_target():
         return Fraction(1)
-    p = query.params
-    num = sum((resolvent_kernel(p, k, u) for k in query.start_overlaps()), Fraction(0))
-    den = sum((resolvent_kernel(p, k, u) for k in query.reference_overlaps()), Fraction(0))
-    return num / den
+    kernel = partial(resolvent_kernel, query.params, u=u)
+    return _weigh(query.start_hist, kernel) / _weigh(query.ref_hist, kernel)
 
 
 def laplace_lambda(query: HittingQuery, lam: float, digits: int = 20) -> Fraction:
@@ -131,15 +146,9 @@ def mean(query: HittingQuery) -> Fraction:
         return Fraction(0)
     p = query.params
     n, m = p.urns, p.balls
-    size = len(query.target_states)
-    total = sum(
-        (
-            centered_kernel(p, ky) - centered_kernel(p, kx)
-            for ky, kx in zip(query.reference_overlaps(), query.start_overlaps())
-        ),
-        Fraction(0),
-    )
-    return Fraction(m * (n - 1), size) * total
+    g = partial(centered_kernel, p)
+    total = _weigh(query.ref_hist, g) - _weigh(query.start_hist, g)
+    return Fraction(m * (n - 1), query.target_size) * total
 
 
 def variance(query: HittingQuery) -> Fraction:
@@ -148,16 +157,14 @@ def variance(query: HittingQuery) -> Fraction:
         return Fraction(0)
     p = query.params
     n, m = p.urns, p.balls
-    size = len(query.target_states)
     expected = mean(query)
-    total = Fraction(0)
-    for ky, kx in zip(query.reference_overlaps(), query.start_overlaps()):
-        total += (
-            m * centered_kernel_derivative(p, kx, 1)
-            - m * centered_kernel_derivative(p, ky, 1)
-            + expected * centered_kernel(p, kx)
-        )
-    return Fraction(2 * m * (n - 1), size) * total + expected**2 - expected
+    g = partial(centered_kernel, p)
+    dg = partial(centered_kernel_derivative, p)
+    total = (
+        m * (_weigh(query.start_hist, dg) - _weigh(query.ref_hist, dg))
+        + expected * _weigh(query.start_hist, g)
+    )
+    return Fraction(2 * m * (n - 1), query.target_size) * total + expected**2 - expected
 
 
 def raw_moments(query: HittingQuery, order: int) -> list[Fraction]:
@@ -175,18 +182,16 @@ def raw_moments(query: HittingQuery, order: int) -> list[Fraction]:
     p = query.params
     n, m = p.urns, p.balls
     jet_order = max(order, 2) + 1  # one guard coefficient past the top moment
-
-    def ratio_side(overlaps: Sequence[int]) -> Jet:
-        acc = Jet.constant(0, jet_order)
-        for k in overlaps:
-            acc = acc + centered_kernel_jet(p, k, jet_order)
-        shifted = Jet.variable(jet_order) * acc
-        return Jet.constant(len(query.target_states), jet_order) + (n - 1) * shifted
-
+    jet = partial(centered_kernel_jet, p, order=jet_order)
+    size = Jet.constant(query.target_size, jet_order)
+    shift = (n - 1) * Jet.variable(jet_order)
     substitution = Jet.scaled_expm1(m, jet_order)
-    num = ratio_side(query.start_overlaps()).compose(substitution)
-    den = ratio_side(query.reference_overlaps()).compose(substitution)
-    transform = num / den
+
+    def ratio_side(hist: Sequence[int]) -> Jet:
+        acc = _weigh(hist, jet, Jet.constant(0, jet_order))
+        return (size + shift * acc).compose(substitution)
+
+    transform = ratio_side(query.start_hist) / ratio_side(query.ref_hist)
     return [
         Fraction((-1) ** r * math.factorial(r)) * transform.coeffs[r]
         for r in range(1, order + 1)

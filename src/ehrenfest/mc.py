@@ -245,7 +245,7 @@ def sample_hitting(
             stacklevel=2,
         )
     if kept.size == 0:
-        raise RuntimeError("every replica was truncated; raise max_steps")
+        raise ValueError("every replica was truncated; raise max_steps")
 
     mean = float(kept.mean())
     var = float(kept.var(ddof=1)) if kept.size > 1 else 0.0

@@ -11,7 +11,8 @@ structure looks the same from every one of their elements; those sets are
 recognized by :func:`is_symmetric_family`.  The standard constructions
 (singletons, pairs, the all-in-one-urn diagonal, fixed-count slices, and the
 all-distinct set) are available as :class:`SetDescriptor` kinds, together
-with a small textual grammar used by the command-line tools.
+with a small textual grammar used by the command-line tools.  Each of them
+is symmetric by construction; only ``explicit`` sets need the test.
 """
 
 from __future__ import annotations

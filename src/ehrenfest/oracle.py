@@ -8,8 +8,7 @@ those systems exactly (fraction-free Bareiss elimination over big integers,
 rational back-substitution) without using any of the kernel formulas, so an
 agreement between the two paths is a genuine two-sided check.
 
-Exact solves are capped by state-space size (default 2000); a float
-value-iteration fallback covers larger spaces up to 200000 states.
+Solves are capped by state-space size (default 2000).
 """
 
 from __future__ import annotations
@@ -19,13 +18,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .exact import binomial
 from .model import ModelParams, State
 
 DEFAULT_EXACT_CAP = 2000
-FLOAT_CAP = 200_000
 
 _CAP_ENV = "EHRENFEST_CAP"
 
@@ -282,6 +278,19 @@ def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: Sta
     return transform_vector(chain, targets, z, cap)[chain.params.check_state(start)]
 
 
+def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: State, u: Fraction, cap: int | None = None) -> Fraction:
+    """Continuous-time transform ``E[exp(-u * T)]`` at rational ``u > 0``.
+
+    Jumps come at rate ``balls``, so each step contributes the factor
+    ``balls / (u + balls)``: the generating function at that ``z``.
+    """
+    u = Fraction(u)
+    if u <= 0:
+        raise ValueError(f"transform argument u must be positive, got {u}")
+    m = chain.params.balls
+    return solve_transform(chain, targets, start, Fraction(m) / (u + m), cap)
+
+
 def exit_distribution(
     chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int | None = None
 ) -> dict[State, Fraction]:
@@ -337,52 +346,3 @@ def lumped_count_oracle(params: ModelParams, k: int, h: int, reference_urn: int 
         rows.append(row)
     (sol,) = solve_exact_system(rows, [[Fraction(1)] * len(levels)])
     return sol[idx[k]]
-
-
-# ---------------------------------------------------------------------------
-# float fallback for larger spaces
-
-
-def mean_vector_float(
-    params: ModelParams,
-    targets: Sequence[State],
-    tol: float = 1e-13,
-    max_sweeps: int = 2_000_000,
-) -> dict[State, float]:
-    """Value-iteration hitting means in floats, for spaces beyond the exact cap."""
-    n, m = params.urns, params.balls
-    size = params.state_count
-    if size > FLOAT_CAP:
-        raise CapExceededError(size, FLOAT_CAP)
-    weights = n ** np.arange(m, dtype=np.int64)
-    target_codes = np.array(
-        sorted(int(np.dot(np.array(params.check_state(t)) - 1, weights)) for t in targets),
-        dtype=np.int64,
-    )
-    if target_codes.size == 0:
-        raise ValueError("target set must be nonempty")
-
-    codes = np.arange(size, dtype=np.int64)
-    digits = (codes[:, None] // weights[None, :]) % n  # 0-based urn per ball
-    deg = m * (n - 1)
-    nbr = np.empty((size, deg), dtype=np.int64)
-    col = 0
-    for i in range(m):
-        for d in range(1, n):
-            nbr[:, col] = codes + ((digits[:, i] + d) % n - digits[:, i]) * weights[i]
-            col += 1
-
-    is_target = np.zeros(size, dtype=bool)
-    is_target[target_codes] = True
-    h = np.zeros(size, dtype=np.float64)
-    for _ in range(max_sweeps):
-        hn = 1.0 + h[nbr].mean(axis=1)
-        hn[is_target] = 0.0
-        delta = np.max(np.abs(hn - h))
-        h = hn
-        if delta <= tol * max(1.0, float(np.max(np.abs(h)))):
-            break
-    else:
-        raise RuntimeError("value iteration failed to converge")
-    chain_states = [tuple(int(d) + 1 for d in digits[c]) for c in codes]
-    return {x: float(h[c]) for c, x in enumerate(chain_states)}

@@ -15,7 +15,6 @@ from ehrenfest.closedforms import (
     network_commute_check,
     same_urn_from_spread,
     same_urn_stats,
-    singleton_mean,
     singleton_variance_disjoint,
 )
 from ehrenfest.exact import expm1_rational
@@ -165,10 +164,10 @@ def test_criterion_4_closed_form_consistency():
             for k in range(m + 1):
                 start = tuple(2 if i < k else 1 for i in range(m))
                 q = HittingQuery(params, start, SetDescriptor.singleton(target))
-                assert singleton_mean(params, k) == mean(q)
+                assert count_set_mean(params, k, m) == mean(q)
             q0 = HittingQuery(params, (1,) * m, SetDescriptor.singleton(target))
             assert singleton_variance_disjoint(params) == variance(q0)
-            assert singleton_mean(params, 0) == F(m * (n - 1), n) * sum(
+            assert count_set_mean(params, 0, m) == F(m * (n - 1), n) * sum(
                 F(n**i, i) for i in range(1, m + 1)
             )
 
@@ -330,7 +329,7 @@ def test_criterion_9_permutation_symmetry():
             moved = HittingQuery(
                 params,
                 tau.apply_state(start),
-                SetDescriptor.explicit(tau.apply_set(query.target_states)),
+                SetDescriptor.explicit(tau.apply_set(descriptor.materialize(params))),
             )
             assert (mean(moved), variance(moved), laplace_u(moved, F(1))) == base
     _report(9, "permutation symmetry of engine outputs", True, started, "50 maps x 5 cases")

@@ -225,3 +225,33 @@ def test_usage_errors_exit_two(capsys):
     )
     assert code == 2
     assert "urns" in err
+
+
+_ONES = ",".join(["1"] * 200)
+_TWOS = ",".join(["2"] * 200)
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--lambda", "inf"], "--lambda"),
+        (["exact", "--N", "3", "--M", "200", "--start", _ONES, "--set", f"singleton:{_TWOS}",
+          "--order", "4"], "float"),
+        pytest.param(
+            ["simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+             "--max-steps", "1", "--replicas", "100"], "truncated",
+            marks=pytest.mark.filterwarnings("ignore:.*step cap"),
+        ),
+        (["oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--u", "-1"], "u must be positive"),
+    ],
+    ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u"],
+)
+def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and needle in errors[0]

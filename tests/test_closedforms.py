@@ -13,7 +13,6 @@ from ehrenfest.closedforms import (
     rencontres_profile,
     same_urn_from_spread,
     same_urn_stats,
-    singleton_mean,
     singleton_variance_disjoint,
     two_point_stats,
     two_point_stats_for,
@@ -24,11 +23,12 @@ from ehrenfest.oracle import EnumeratedChain, exit_distribution, mean_vector, so
 
 
 def test_singleton_mean_values():
-    assert singleton_mean(ModelParams(3, 2), 0) == 10
-    assert singleton_mean(ModelParams(2, 3), 0) == 10
-    assert singleton_mean(ModelParams(4, 3), 3) == 0
+    # a singleton is the full count slice h = balls; k is the start's overlap
+    assert count_set_mean(ModelParams(3, 2), 0, 2) == 10
+    assert count_set_mean(ModelParams(2, 3), 0, 3) == 10
+    assert count_set_mean(ModelParams(4, 3), 3, 3) == 0
     with pytest.raises(ValueError):
-        singleton_mean(ModelParams(3, 2), 3)
+        count_set_mean(ModelParams(3, 2), 3, 2)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -40,7 +40,7 @@ def test_singleton_mean_matches_engine(n, m):
         # build a start with exactly k matching coordinates
         start = tuple(2 if i < k else 1 for i in range(m))
         q = HittingQuery(p, start, SetDescriptor.singleton(target))
-        assert singleton_mean(p, k) == mean(q)
+        assert count_set_mean(p, k, m) == mean(q)
 
 
 def test_singleton_variance_values():

@@ -37,6 +37,25 @@ def test_query_rejects_asymmetric_target():
         _query(3, 2, (1, 1), SetDescriptor.explicit([(1, 1), (2, 2), (1, 2)]))
 
 
+def test_symmetry_test_runs_only_on_explicit_sets(monkeypatch):
+    import ehrenfest.hitting as hitting
+
+    calls = []
+    monkeypatch.setattr(hitting, "symmetry_defect", lambda states: calls.append(states))
+    p = ModelParams(3, 3)
+    for d in (
+        SetDescriptor.singleton((2, 2, 2)),
+        SetDescriptor.pair((2, 2, 2), (1, 2, 3)),
+        SetDescriptor.diagonal(),
+        SetDescriptor.count(1),
+        SetDescriptor.distinct(),
+    ):
+        HittingQuery(p, (1, 1, 2), d)
+    assert calls == []
+    HittingQuery(p, (1, 1, 2), SetDescriptor.explicit([(1, 1, 1), (2, 2, 2)]))
+    assert calls == [[(1, 1, 1), (2, 2, 2)]]
+
+
 def test_laplace_u_single_ball():
     q = _query(3, 1, (1,), SetDescriptor.singleton((2,)))
     assert laplace_u(q, 1) == F(1, 3)
@@ -196,7 +215,7 @@ def test_ctmc_discrete_consistency(n, m, start, descriptor):
 def test_reference_element_choice_is_irrelevant():
     p = ModelParams(3, 2)
     q = _query(3, 2, (1, 2), SetDescriptor.diagonal())
-    targets = q.target_states
+    targets = q.target.materialize(p)
     u = F(1)
     num = sum(resolvent_kernel(p, overlap(q.start, z), u) for z in targets)
     ratios = {
@@ -252,7 +271,7 @@ def test_permutation_invariance_exact():
             moved = HittingQuery(
                 p,
                 tau.apply_state(start),
-                SetDescriptor.explicit(tau.apply_set(q.target_states)),
+                SetDescriptor.explicit(tau.apply_set(descriptor.materialize(p))),
             )
             assert (mean(moved), variance(moved), laplace_u(moved, F(1, 2))) == base
 

@@ -125,7 +125,7 @@ def test_truncation_is_counted_and_warned():
 def test_all_truncated_raises():
     p = ModelParams(3, 2)
     far = SetDescriptor.singleton((3, 3))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sample_hitting(p, (1, 1), far, SimConfig(replicas=50, seed=2, max_steps=1))

@@ -1,16 +1,19 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrenfest.hitting import HittingQuery
 from ehrenfest.model import (
     ModelParams,
     ProductPermutation,
     SetDescriptor,
+    SetNotSymmetricError,
     is_symmetric_family,
     neighbor_states,
     overlap,
@@ -200,9 +203,7 @@ def _grid():
     return out
 
 
-@pytest.mark.parametrize("n,m", _grid())
-def test_all_descriptor_kinds_are_symmetric(n, m):
-    params = ModelParams(n, m)
+def _descriptors(n, m):
     rng = random.Random(11 * n + m)
     y = tuple(rng.randrange(1, n + 1) for _ in range(m))
     kinds = [SetDescriptor.singleton(y), SetDescriptor.diagonal()]
@@ -213,8 +214,51 @@ def test_all_descriptor_kinds_are_symmetric(n, m):
         kinds.append(SetDescriptor.count(h))
     if m <= n:
         kinds.append(SetDescriptor.distinct())
-    for d in kinds:
+    return kinds
+
+
+@pytest.mark.parametrize("n,m", _grid())
+def test_all_descriptor_kinds_are_symmetric(n, m):
+    params = ModelParams(n, m)
+    for d in _descriptors(n, m):
         assert is_symmetric_family(d.materialize(params)), d
+
+
+def _brute_hist(y, states, m):
+    counts = Counter(overlap(y, z) for z in states)
+    return tuple(counts[k] for k in range(m + 1))
+
+
+@pytest.mark.parametrize("n,m", _grid())
+def test_query_histograms_match_brute_force(n, m):
+    params = ModelParams(n, m)
+    rng = random.Random(7 * n + m)
+    x = tuple(rng.randrange(1, n + 1) for _ in range(m))
+    kinds = _descriptors(n, m)
+    tau = ProductPermutation.random(params, rng)
+    kinds.append(SetDescriptor.explicit(tau.apply_set(kinds[-1].materialize(params))))
+    for d in kinds:
+        states = d.materialize(params)
+        inside = states[rng.randrange(len(states))]
+        for start in (x, inside):
+            q = HittingQuery(params, start, d)
+            assert q.start_hist == _brute_hist(start, states, m), d
+            assert q.start_in_target() == (start in states)
+            assert q.target_size == len(states)
+        for y in states:
+            assert _brute_hist(y, states, m) == q.ref_hist, d
+
+
+def test_query_rejects_asymmetric_explicit_set_with_witnesses():
+    params = ModelParams(3, 2)
+    with pytest.raises(SetNotSymmetricError) as err:
+        HittingQuery(params, (1, 1), SetDescriptor.explicit([(2, 2), (1, 2), (1, 1)]))
+    assert str(err.value) == (
+        "target set is not overlap-symmetric: "
+        "state (1, 1) has profile (0, 1, 2) but state (1, 2) has profile (1, 1, 2)"
+    )
+    assert err.value.first == ((1, 1), (0, 1, 2))
+    assert err.value.second == ((1, 2), (1, 1, 2))
 
 
 # --- permutations ----------------------------------------------------------

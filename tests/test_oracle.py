@@ -11,12 +11,12 @@ from ehrenfest.oracle import (
     exit_distribution,
     lumped_count_oracle,
     mean_vector,
-    mean_vector_float,
     raw_moment_vectors,
     solve_exact_system,
     solve_mean,
     solve_second_moment,
     solve_transform,
+    solve_transform_u,
     transform_vector,
 )
 
@@ -78,6 +78,16 @@ def test_transform_closed_form_single_ball():
         for z in (F(1, 3), F(1, 2), F(9, 10)):
             got = solve_transform(chain, [(2,)], (1,), z)
             assert got == z / (n - 1 - z * (n - 2))
+
+
+def test_transform_u_single_ball():
+    # one ball: the continuous walk hits a fixed other urn with transform 1/(1+u*(n-1))
+    chain = EnumeratedChain(ModelParams(3, 1))
+    for u in (F(1, 2), F(1), F(3)):
+        assert solve_transform_u(chain, [(2,)], (1,), u) == 1 / (1 + 2 * u)
+    for bad in (F(0), F(-1), F(-2)):  # -1 is the pole of z = balls / (u + balls)
+        with pytest.raises(ValueError, match="u must be positive"):
+            solve_transform_u(chain, [(2,)], (1,), bad)
 
 
 def test_exit_distribution_examples():
@@ -172,17 +182,3 @@ def test_empty_target_rejected():
     chain = EnumeratedChain(ModelParams(2, 2))
     with pytest.raises(ValueError):
         mean_vector(chain, [])
-
-
-@pytest.mark.parametrize("n,m", [(3, 3), (2, 6)])
-def test_float_fallback_agrees_with_exact(n, m):
-    p = ModelParams(n, m)
-    chain = EnumeratedChain(p)
-    target = SetDescriptor.diagonal().materialize(p)
-    exact = mean_vector(chain, target)
-    approx = mean_vector_float(p, target)
-    for x, value in exact.items():
-        if value:
-            assert abs(approx[x] - float(value)) / float(value) < 1e-9
-        else:
-            assert approx[x] == 0.0
