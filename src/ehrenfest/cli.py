@@ -21,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -49,10 +48,14 @@ def _parse_start(text: str) -> tuple[int, ...]:
     return tuple(int(c) for c in text.split(","))
 
 
+# e**700 is still a float, and the exact Taylor sum for it takes a fraction of a second
+LAMBDA_MAX = 700
+
+
 def _parse_lambda_grid(text: str) -> tuple[float, ...]:
     grid = tuple(float(v) for v in text.split(",")) if text else ()
-    if not all(math.isfinite(lam) for lam in grid):
-        raise ValueError(f"--lambda values must be finite, got {text!r}")
+    if not all(0 <= lam <= LAMBDA_MAX for lam in grid):
+        raise ValueError(f"--lambda values must lie in [0, {LAMBDA_MAX}], got {text!r}")
     return grid
 
 
@@ -503,6 +506,8 @@ def cmd_compare(args) -> int:
 
 def cmd_identities(args) -> int:
     started = time.perf_counter()
+    if args.max_urns < 2 or args.max_balls < 1:
+        raise ValueError("identities needs --max-urns >= 2 and --max-balls >= 1")
     from .resolvent import (
         binomial_increment_mean,
         centered_kernel,

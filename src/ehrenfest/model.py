@@ -25,6 +25,8 @@ from fractions import Fraction
 from itertools import combinations, permutations as _permutations, product
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 State = tuple[int, ...]
 
 
@@ -145,15 +147,24 @@ def overlap_profile(y: State, states: Sequence[State]) -> tuple[int, ...]:
 
 
 def symmetry_defect(states: Sequence[State]):
-    """Return two differing (state, profile) witnesses, or None if symmetric."""
+    """Return two differing (state, profile) witnesses, or None if symmetric.
+
+    The witnesses are the first element and the first element, in list
+    order, whose overlap counts against the whole set differ from it.
+    """
     if not states:
         raise ValueError("empty target set")
-    ref = states[0]
-    ref_profile = overlap_profile(ref, states)
-    for y in states[1:]:
-        prof = overlap_profile(y, states)
-        if prof != ref_profile:
-            return (ref, ref_profile), (y, prof)
+    table = np.asarray(states)
+    width = table.shape[1] + 1
+
+    def counts(row):
+        return np.bincount((table == row).sum(axis=1), minlength=width)
+
+    ref_counts = counts(table[0])
+    for idx in range(1, len(table)):
+        if not np.array_equal(counts(table[idx]), ref_counts):
+            ref, y = states[0], states[idx]
+            return (ref, overlap_profile(ref, states)), (y, overlap_profile(y, states))
     return None
 
 

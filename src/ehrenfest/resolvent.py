@@ -4,19 +4,23 @@ The Green potential of the continuous-time chain factors through a single
 family of scalar functions indexed by the overlap ``k`` between the start
 and the target state:
 
-    kernel(k, u) = sum over 0<=i<=k, 0<=j<=balls-k of
-        C(k,i) * C(balls-k,j) * (urns-1)**i * (-1)**j
-        / (urns*(i+j) + u*(urns-1))
+    kernel(k, u) = sum over 0<=t<=balls of  c_t / (urns*t + u*(urns-1))
 
-evaluated as an exact rational for rational ``u > 0``.  Its only singularity
-is the simple pole ``1/(u*(urns-1))`` coming from the ``i = j = 0`` term;
-removing that term yields the *centered* kernel, finite at ``u = 0``, whose
-values and derivatives at zero drive every mean/variance/moment formula in
-the package.
+where ``c_0..c_balls`` are the integer coefficients of the polynomial
 
-The alternating sums cancel catastrophically in floating point (individual
-terms grow like ``(urns-1)**balls`` while the result stays O(1)), which is
-why everything here is computed over :class:`fractions.Fraction`.  The
+    (1 + (urns-1)x)**k * (1 - x)**(balls-k).
+
+:func:`kernel_coefficients` multiplies the two binomial rows once per
+``(params, k)`` and caches the result, so every kernel value, at any ``u``,
+costs at most ``balls + 1`` rational terms.  The value is exact for rational
+``u > 0``.  Its only singularity is the simple pole ``1/(u*(urns-1))`` of
+the ``t = 0`` term (``c_0 = 1``); removing that term yields the *centered*
+kernel, finite at ``u = 0``, whose values and derivatives at zero drive
+every mean/variance/moment formula in the package.
+
+The alternating sums cancel catastrophically in floating point (the
+coefficients grow like ``urns**balls`` while the result stays O(1)), which
+is why everything here is computed over :class:`fractions.Fraction`.  The
 independent integral representation (:func:`resolvent_kernel_quadrature`)
 exists purely as a cross-check and never feeds downstream computations.
 """
@@ -35,15 +39,19 @@ from .exact import Jet, Rational, binomial, jet_from_derivatives
 from .model import ModelParams
 
 
-def _terms(params: ModelParams, k: int):
-    """Signed weights of the double sum, keyed by the index total ``i + j``."""
+@lru_cache(maxsize=None)
+def kernel_coefficients(params: ModelParams, k: int) -> tuple[int, ...]:
+    """Integer coefficients ``c_0..c_balls`` of ``(1 + (urns-1)x)**k * (1 - x)**(balls-k)``."""
     n, m = params.urns, params.balls
     if not 0 <= k <= m:
         raise ValueError(f"overlap {k} outside 0..{m}")
+    right = [binomial(m - k, j) * (-1) ** j for j in range(m - k + 1)]
+    coeffs = [0] * (m + 1)
     for i in range(k + 1):
         left = binomial(k, i) * (n - 1) ** i
-        for j in range(m - k + 1):
-            yield i + j, left * binomial(m - k, j) * (-1) ** j
+        for j, w in enumerate(right):
+            coeffs[i + j] += left * w
+    return tuple(coeffs)
 
 
 def resolvent_kernel(params: ModelParams, k: int, u: Rational) -> Fraction:
@@ -52,8 +60,9 @@ def resolvent_kernel(params: ModelParams, k: int, u: Rational) -> Fraction:
     if u <= 0:
         raise ValueError("resolvent kernel needs u > 0; use the centered kernel at u = 0")
     n = params.urns
+    shift = u * (n - 1)
     return sum(
-        (Fraction(w, 1) / (n * t + u * (n - 1)) for t, w in _terms(params, k)),
+        (c / (n * t + shift) for t, c in enumerate(kernel_coefficients(params, k)) if c),
         Fraction(0),
     )
 
@@ -66,8 +75,9 @@ def centered_kernel(params: ModelParams, k: int, u: Rational = 0) -> Fraction:
     if u == 0:
         return _centered_at_zero(params, k)
     n = params.urns
+    shift = u * (n - 1)
     return sum(
-        (Fraction(w, 1) / (n * t + u * (n - 1)) for t, w in _terms(params, k) if t > 0),
+        (c / (n * t + shift) for t, c in enumerate(kernel_coefficients(params, k)) if t and c),
         Fraction(0),
     )
 
@@ -76,7 +86,7 @@ def centered_kernel(params: ModelParams, k: int, u: Rational = 0) -> Fraction:
 def _centered_at_zero(params: ModelParams, k: int) -> Fraction:
     n = params.urns
     return sum(
-        (Fraction(w, n * t) for t, w in _terms(params, k) if t > 0),
+        (Fraction(c, n * t) for t, c in enumerate(kernel_coefficients(params, k)) if t and c),
         Fraction(0),
     )
 
@@ -85,14 +95,14 @@ def _centered_at_zero(params: ModelParams, k: int) -> Fraction:
 def centered_kernel_derivative(params: ModelParams, k: int, order: int = 1) -> Fraction:
     """Exact ``order``-th derivative of the centered kernel at ``u = 0``.
 
-    Termwise differentiation of ``1/(urns*(i+j) + u*(urns-1))`` gives the
-    factor ``(-1)**order * order! * (urns-1)**order / (urns*(i+j))**(order+1)``.
+    Termwise differentiation of ``1/(urns*t + u*(urns-1))`` gives the
+    factor ``(-1)**order * order! * (urns-1)**order / (urns*t)**(order+1)``.
     """
     if order < 1:
         raise ValueError("derivative order must be >= 1")
     n = params.urns
     total = sum(
-        (Fraction(w, (n * t) ** (order + 1)) for t, w in _terms(params, k) if t > 0),
+        (Fraction(c, (n * t) ** (order + 1)) for t, c in enumerate(kernel_coefficients(params, k)) if t and c),
         Fraction(0),
     )
     return Fraction((-1) ** order * math.factorial(order) * (n - 1) ** order) * total

@@ -245,8 +245,17 @@ _TWOS = ",".join(["2"] * 200)
         ),
         (["oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
           "--u", "-1"], "u must be positive"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--lambda", "1e5"], "--lambda"),
+        (["oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--lambda", "-1"], "--lambda"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--lambda", "-1"], "--lambda"),
+        (["identities", "--max-urns", "1"], "--max-urns"),
+        (["identities", "--max-balls", "0"], "--max-balls"),
     ],
-    ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u"],
+    ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
+         "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)

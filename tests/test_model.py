@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from itertools import product
 from fractions import Fraction as F
 
 import pytest
@@ -247,6 +248,32 @@ def test_query_histograms_match_brute_force(n, m):
             assert q.target_size == len(states)
         for y in states:
             assert _brute_hist(y, states, m) == q.ref_hist, d
+
+
+def _loop_symmetry_defect(states):
+    """Reference: compare sorted overlap profiles element by element."""
+    ref_profile = overlap_profile(states[0], states)
+    for y in states[1:]:
+        prof = overlap_profile(y, states)
+        if prof != ref_profile:
+            return (states[0], ref_profile), (y, prof)
+    return None
+
+
+@pytest.mark.parametrize("n,m,h", [(3, 4, 2), (3, 5, 1), (4, 3, 0)])
+def test_symmetry_defect_matches_profile_loop(n, m, h):
+    params = ModelParams(n, m)
+    rng = random.Random(n + m + h)
+    tau = ProductPermutation.random(params, rng)
+    permuted = tau.apply_set(SetDescriptor.count(h).materialize(params))
+    rng.shuffle(permuted)
+    assert symmetry_defect(permuted) is None
+    outside = next(x for x in product(range(1, n + 1), repeat=m) if x not in permuted)
+    for pos in (0, len(permuted) // 2, len(permuted) - 1):
+        swapped = permuted[:pos] + [outside] + permuted[pos + 1:]
+        defect = symmetry_defect(swapped)
+        assert defect is not None
+        assert defect == _loop_symmetry_defect(swapped)
 
 
 def test_query_rejects_asymmetric_explicit_set_with_witnesses():

@@ -1,15 +1,18 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrenfest.exact import expm1_rational
 from ehrenfest.model import ModelParams
 from ehrenfest.resolvent import (
     binomial_increment_mean,
     centered_kernel,
     centered_kernel_derivative,
     centered_kernel_jet,
+    kernel_coefficients,
     kernel_increments,
     overlap_increment_distribution,
     resolvent_kernel,
@@ -121,6 +124,58 @@ def test_kernel_difference_limit_is_increment(n, m):
     for k in range(m):
         diff = resolvent_kernel(p, k + 1, u) - resolvent_kernel(p, k, u)
         assert abs(diff - table.increments[k]) <= table.increments[k] * F(1, 10**6)
+
+
+# --- coefficient collapse against the double sum ---------------------------
+
+
+def _double_sum(n, m, k):
+    """The kernel's defining double sum, as (i + j, weight) pairs."""
+    for i in range(k + 1):
+        for j in range(m - k + 1):
+            yield i + j, math.comb(k, i) * (n - 1) ** i * math.comb(m - k, j) * (-1) ** j
+
+
+def _reference_kernel(n, m, k, u, centered=False):
+    return sum(
+        (F(w) / (n * t + u * (n - 1)) for t, w in _double_sum(n, m, k) if t or not centered),
+        F(0),
+    )
+
+
+def _reference_derivative(n, m, k, order):
+    total = sum((F(w, (n * t) ** (order + 1)) for t, w in _double_sum(n, m, k) if t), F(0))
+    return (-1) ** order * math.factorial(order) * (n - 1) ** order * total
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", range(1, 9))
+def test_kernel_coefficients_match_double_sum(n, m):
+    p = ModelParams(n, m)
+    for k in range(m + 1):
+        expected = [0] * (m + 1)
+        for t, w in _double_sum(n, m, k):
+            expected[t] += w
+        coeffs = kernel_coefficients(p, k)
+        assert coeffs == tuple(expected)
+        # the polynomial at x = 1 is n**k * 0**(m-k)
+        assert sum(coeffs) == (n**m if k == m else 0)
+    with pytest.raises(ValueError):
+        kernel_coefficients(p, m + 1)
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (3, 5), (4, 3), (2, 30), (3, 30)])
+def test_kernels_equal_double_sum_exactly(n, m):
+    p = ModelParams(n, m)
+    # small and large plain rationals, and the u that laplace_lambda builds at lambda = 1/2
+    us = (F(1, 7), F(5, 2), m * expm1_rational(F(1, 2), F(1, 10**26)))
+    for k in range(m + 1):
+        assert centered_kernel(p, k) == _reference_kernel(n, m, k, 0, centered=True)
+        for u in us:
+            assert resolvent_kernel(p, k, u) == _reference_kernel(n, m, k, u)
+            assert centered_kernel(p, k, u) == _reference_kernel(n, m, k, u, centered=True)
+        for order in range(1, 5):
+            assert centered_kernel_derivative(p, k, order) == _reference_derivative(n, m, k, order)
 
 
 def test_derivatives_match_jet_coefficients():
