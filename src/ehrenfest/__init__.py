@@ -5,164 +5,28 @@ moments of hitting times for overlap-symmetric target sets in exact rational
 arithmetic, cross-checks every formula against an independent linear-algebra
 oracle on the enumerated chain, and samples the same quantities by Monte
 Carlo (discrete steps or the continuous-time chain they embed into).
+
+The top level re-exports the names the README and the demos use; everything
+else is imported from its submodule (``ehrenfest.oracle``, ``ehrenfest.mc``, ...).
 """
 
-from .exact import (
-    Jet,
-    binomial,
-    expm1_rational,
-    format_rational,
-    format_significant,
-    parse_rational,
-)
-from .model import (
-    ModelParams,
-    ProductPermutation,
-    SetDescriptor,
-    SetNotSymmetricError,
-    State,
-    is_symmetric_family,
-    neighbor_states,
-    overlap,
-    overlap_profile,
-    parse_set,
-    product_semigroup,
-    single_ball_generator,
-    single_ball_semigroup,
-    symmetry_defect,
-    transition_prob,
-)
-from .resolvent import (
-    KernelIncrements,
-    binomial_increment_mean,
-    centered_kernel,
-    centered_kernel_derivative,
-    centered_kernel_jet,
-    kernel_increments,
-    resolvent_kernel,
-    resolvent_kernel_quadrature,
-    series_identity_checks,
-)
+from .model import ModelParams, SetDescriptor, overlap
 from .hitting import (
-    CtmcStats,
     HittingQuery,
-    HittingSummary,
     ctmc_stats,
-    green_potential,
     laplace_lambda,
     laplace_u,
     mean,
     raw_moments,
-    summarize,
     variance,
 )
 from .closedforms import (
-    CommuteCheck,
     CountChain,
-    SameUrnStats,
-    TwoPointStats,
-    all_distinct_mean,
     count_set_mean,
     network_commute_check,
-    rencontres_profile,
-    same_urn_from_spread,
     same_urn_stats,
-    singleton_variance_disjoint,
-    two_point_stats,
-    two_point_stats_for,
 )
-from .oracle import (
-    CapExceededError,
-    EnumeratedChain,
-    exit_distribution,
-    lumped_count_oracle,
-    mean_vector,
-    raw_moment_vectors,
-    solve_mean,
-    solve_second_moment,
-    solve_transform,
-    transform_vector,
-)
-from .mc import (
-    SimConfig,
-    SimSummary,
-    TransformEstimate,
-    empirical_transform,
-    first_step_frequencies,
-    sample_hitting,
-)
+from .oracle import EnumeratedChain, lumped_count_oracle, solve_mean, solve_transform
+from .mc import SimConfig, sample_hitting
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Jet",
-    "binomial",
-    "expm1_rational",
-    "format_rational",
-    "format_significant",
-    "parse_rational",
-    "ModelParams",
-    "ProductPermutation",
-    "SetDescriptor",
-    "SetNotSymmetricError",
-    "State",
-    "is_symmetric_family",
-    "neighbor_states",
-    "overlap",
-    "overlap_profile",
-    "parse_set",
-    "product_semigroup",
-    "single_ball_generator",
-    "single_ball_semigroup",
-    "symmetry_defect",
-    "transition_prob",
-    "KernelIncrements",
-    "binomial_increment_mean",
-    "centered_kernel",
-    "centered_kernel_derivative",
-    "centered_kernel_jet",
-    "kernel_increments",
-    "resolvent_kernel",
-    "resolvent_kernel_quadrature",
-    "series_identity_checks",
-    "CtmcStats",
-    "HittingQuery",
-    "HittingSummary",
-    "ctmc_stats",
-    "green_potential",
-    "laplace_lambda",
-    "laplace_u",
-    "mean",
-    "raw_moments",
-    "summarize",
-    "variance",
-    "CommuteCheck",
-    "CountChain",
-    "SameUrnStats",
-    "TwoPointStats",
-    "all_distinct_mean",
-    "count_set_mean",
-    "network_commute_check",
-    "rencontres_profile",
-    "same_urn_from_spread",
-    "same_urn_stats",
-    "singleton_variance_disjoint",
-    "two_point_stats",
-    "two_point_stats_for",
-    "CapExceededError",
-    "EnumeratedChain",
-    "exit_distribution",
-    "lumped_count_oracle",
-    "mean_vector",
-    "raw_moment_vectors",
-    "solve_mean",
-    "solve_second_moment",
-    "solve_transform",
-    "transform_vector",
-    "SimConfig",
-    "SimSummary",
-    "TransformEstimate",
-    "empirical_transform",
-    "first_step_frequencies",
-    "sample_hitting",
-]

@@ -23,9 +23,11 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
-from .exact import expm1_rational, format_rational, format_significant, parse_rational
+from .exact import format_rational, format_significant, lambda_to_u, parse_rational
 from .model import ModelParams, SetNotSymmetricError, overlap, parse_set
 from . import closedforms, hitting, oracle
 from .mc import SimConfig, sample_hitting
@@ -60,7 +62,26 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in text.split(",")) if text else ()
+    try:
+        return tuple(parse_rational(v) for v in text.split(",")) if text else ()
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--u values must be rationals such as 1/2 or 3, got {text!r}") from None
+
+
+#: (argument, flag, least value) of the integer flags checked before any command runs
+_INT_BOUNDS = (
+    ("order", "--order", 1),
+    ("digits", "--digits", 1),
+    ("max_urns", "--max-urns", 2),
+    ("max_balls", "--max-balls", 1),
+)
+
+
+def _check_bounds(args) -> None:
+    for dest, flag, least in _INT_BOUNDS:
+        value = getattr(args, dest, least)
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p_oracle)
     add_grids(p_oracle)
     p_oracle.add_argument("--order", type=int, default=2)
-    p_oracle.add_argument("--cap", type=int, default=None, help="state-space cap for exact solves")
+    p_oracle.add_argument("--cap", type=int, default=oracle.DEFAULT_EXACT_CAP, help="state-space cap for exact solves")
     add_output(p_oracle)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo hitting-time sampling")
@@ -107,18 +128,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--mode", choices=("discrete", "ctmc"), default="discrete")
     p_sim.add_argument("--max-steps", type=int, default=10_000_000)
-    p_sim.add_argument("--workers", type=int, default=1)
     add_output(p_sim)
 
     p_cmp = sub.add_parser("compare", help="exact vs oracle vs Monte Carlo with verdicts")
     add_model(p_cmp)
     add_grids(p_cmp)
     p_cmp.add_argument("--order", type=int, default=2)
-    p_cmp.add_argument("--cap", type=int, default=None)
+    p_cmp.add_argument("--cap", type=int, default=oracle.DEFAULT_EXACT_CAP)
     p_cmp.add_argument("--replicas", type=int, default=20_000)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--max-steps", type=int, default=10_000_000)
-    p_cmp.add_argument("--workers", type=int, default=1)
     p_cmp.add_argument("--corrupt-engine", action="store_true", help=argparse.SUPPRESS)
     add_output(p_cmp)
 
@@ -190,7 +209,7 @@ def _case_label(args) -> str:
     return " ".join(bits)
 
 
-def _request_echo(args, **extra) -> dict:
+def _request_echo(args) -> dict:
     req = {"command": args.command, "case": _case_label(args)}
     for key in (
         "urns",
@@ -203,7 +222,6 @@ def _request_echo(args, **extra) -> dict:
         "seed",
         "mode",
         "max_steps",
-        "workers",
         "cap",
         "format",
         "out",
@@ -213,7 +231,6 @@ def _request_echo(args, **extra) -> dict:
     if hasattr(args, "lambda_grid"):
         req["lambda_grid"] = list(_parse_lambda_grid(args.lambda_grid))
         req["u_grid"] = [format_rational(u) for u in _parse_u_grid(args.u_grid)]
-    req.update(extra)
     return req
 
 
@@ -283,38 +300,26 @@ def cmd_exact(args) -> int:
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
     params = ModelParams(args.urns, args.balls)
-    cap = args.cap if args.cap is not None else oracle.effective_cap()
-    descriptor = parse_set(args.set_text)
-    targets = descriptor.materialize(params)
+    targets = parse_set(args.set_text).materialize(params)
     start = params.check_state(_parse_start(args.start))
     chain = oracle.EnumeratedChain(params)
 
-    moments = oracle.raw_moment_vectors(chain, targets, max(args.order, 2), cap=cap)
-    mean = moments[0][start]
-    variance = moments[1][start] - mean**2
-    u_grid = _parse_u_grid(args.u_grid)
-    lambda_grid = _parse_lambda_grid(args.lambda_grid)
-    m = params.balls
-    u_samples = [(u, oracle.solve_transform_u(chain, targets, start, u, cap=cap)) for u in u_grid]
-    lam_samples = []
-    for lam in lambda_grid:
-        if lam == 0:
-            lam_samples.append((lam, Fraction(1)))
-            continue
-        u = m * expm1_rational(Fraction(lam), Fraction(1, 10 ** (args.digits + 6)))
-        lam_samples.append((lam, oracle.solve_transform_u(chain, targets, start, u, cap=cap)))
-    exits = oracle.exit_distribution(chain, targets, start, cap=cap)
-
-    summary = hitting.HittingSummary(
-        mean=mean,
-        variance=variance,
-        raw_moments=tuple(vec[start] for vec in moments[: args.order]),
-        u_samples=tuple(u_samples),
-        lambda_samples=tuple(lam_samples),
-        exit_distribution=exits,
+    moments = oracle.raw_moment_vectors(chain, targets, max(args.order, 2), cap=args.cap)
+    transform = partial(oracle.solve_transform_u, chain, targets, start, cap=args.cap)
+    u_samples = tuple((u, transform(u)) for u in _parse_u_grid(args.u_grid))
+    lambda_samples = tuple(
+        (lam, transform(lambda_to_u(params.balls, lam, args.digits)) if lam else Fraction(1))
+        for lam in _parse_lambda_grid(args.lambda_grid)
+    )
+    summary = hitting.HittingSummary.from_moments(
+        [vec[start] for vec in moments],
+        args.order,
+        u_samples=u_samples,
+        lambda_samples=lambda_samples,
+        exit_distribution=oracle.exit_distribution(chain, targets, start, cap=args.cap),
     )
     report = {
-        "request": _request_echo(args, cap=cap),
+        "request": _request_echo(args),
         "results": _summary_results(summary, args.digits),
     }
     _emit(args, report, started)
@@ -332,7 +337,6 @@ def cmd_simulate(args) -> int:
         max_steps=args.max_steps,
         lambda_grid=_parse_lambda_grid(args.lambda_grid),
         u_grid=tuple(float(u) for u in _parse_u_grid(args.u_grid)),
-        workers=args.workers,
     )
     summary = sample_hitting(params, _parse_start(args.start), descriptor, cfg)
     report = {
@@ -362,70 +366,50 @@ def _verdict(name: str, ok: bool, **detail) -> dict:
     return v
 
 
+def _csv_row(case: str, name: str, verdict: dict, *values) -> list:
+    """A CSV line: ``values`` fill exact, oracle, mc_mean, mc_stderr in turn."""
+    return [case, name, *values, *[""] * (4 - len(values)), "pass" if verdict["pass"] else "fail"]
+
+
 def cmd_compare(args) -> int:
     started = time.perf_counter()
     params = ModelParams(args.urns, args.balls)
-    cap = args.cap if args.cap is not None else oracle.effective_cap()
     descriptor = parse_set(args.set_text)
     start = params.check_state(_parse_start(args.start))
     query = hitting.HittingQuery(params, start, descriptor)
     targets = descriptor.materialize(params)
     order = max(args.order, 2)
+    m = params.balls
 
-    engine_moments = hitting.raw_moments(query, order)
-    engine_mean = engine_moments[0]
+    engine = hitting.HittingSummary.from_moments(hitting.raw_moments(query, order), order)
     if args.corrupt_engine:
-        engine_mean += 1  # test hook: prove the harness catches a broken engine
-    engine_var = engine_moments[1] - engine_moments[0] ** 2
-
+        engine = replace(engine, mean=engine.mean + 1)  # test hook: prove the harness catches a broken engine
     chain = oracle.EnumeratedChain(params)
-    oracle_moments = [vec[start] for vec in oracle.raw_moment_vectors(chain, targets, order, cap=cap)]
-    oracle_mean = oracle_moments[0]
-    oracle_var = oracle_moments[1] - oracle_moments[0] ** 2
-
-    verdicts = [
-        _verdict(
-            "mean_exact_vs_oracle",
-            engine_mean == oracle_mean,
-            exact=format_rational(engine_mean),
-            oracle=format_rational(oracle_mean),
-        ),
-        _verdict(
-            "variance_exact_vs_oracle",
-            engine_var == oracle_var,
-            exact=format_rational(engine_var),
-            oracle=format_rational(oracle_var),
-        ),
-    ]
-    for r in range(3, order + 1):
-        verdicts.append(
-            _verdict(
-                f"moment{r}_exact_vs_oracle",
-                engine_moments[r - 1] == oracle_moments[r - 1],
-                exact=format_rational(engine_moments[r - 1]),
-                oracle=format_rational(oracle_moments[r - 1]),
-            )
-        )
+    truth = hitting.HittingSummary.from_moments(
+        [vec[start] for vec in oracle.raw_moment_vectors(chain, targets, order, cap=args.cap)], order
+    )
+    transform = partial(oracle.solve_transform_u, chain, targets, start, cap=args.cap)
 
     u_grid = _parse_u_grid(args.u_grid) or (Fraction(1, 2), Fraction(1), Fraction(2))
-    m = params.balls
-    for u in u_grid:
-        lhs = hitting.laplace_u(query, u)
-        rhs = oracle.solve_transform_u(chain, targets, start, u, cap=cap)
-        verdicts.append(
-            _verdict(
-                f"transform_u_{format_rational(u)}",
-                lhs == rhs,
-                exact=format_rational(lhs),
-                oracle=format_rational(rhs),
-            )
-        )
+    # (verdict name, engine value, oracle value): equal to the last digit or the check fails
+    triples = [
+        ("mean_exact_vs_oracle", engine.mean, truth.mean),
+        ("variance_exact_vs_oracle", engine.variance, truth.variance),
+    ]
+    triples += [
+        (f"moment{r}_exact_vs_oracle", engine.raw_moments[r - 1], truth.raw_moments[r - 1])
+        for r in range(3, order + 1)
+    ]
+    triples += [(f"transform_u_{format_rational(u)}", hitting.laplace_u(query, u), transform(u)) for u in u_grid]
+    verdicts = [
+        _verdict(name, lhs == rhs, exact=format_rational(lhs), oracle=format_rational(rhs))
+        for name, lhs, rhs in triples
+    ]
 
     lambda_grid = _parse_lambda_grid(args.lambda_grid) or (0.1, 0.5, 1.0, 2.0)
     for lam in lambda_grid:
         lhs = hitting.laplace_lambda(query, lam, digits=args.digits)
-        u_hi = m * expm1_rational(Fraction(lam), Fraction(1, 10 ** (args.digits + 12)))
-        rhs = hitting.laplace_u(query, u_hi)
+        rhs = hitting.laplace_u(query, lambda_to_u(m, lam, args.digits + 6))
         rel = abs(lhs - rhs) / rhs if rhs else Fraction(0)
         verdicts.append(
             _verdict(
@@ -442,11 +426,10 @@ def cmd_compare(args) -> int:
             seed=args.seed,
             mode=mode,
             max_steps=args.max_steps,
-            workers=args.workers,
         )
         summary = sample_hitting(params, start, descriptor, cfg)
         mc[mode] = summary
-        reference = engine_mean if mode == "discrete" else engine_mean / m
+        reference = engine.mean if mode == "discrete" else engine.mean / m
         gap = abs(summary.sample_mean - float(reference))
         verdicts.append(
             _verdict(
@@ -459,8 +442,8 @@ def cmd_compare(args) -> int:
         )
 
     if descriptor.kind == "count":
-        k = overlap(start, (descriptor.reference_urn,) * m)
-        h = descriptor.count_overlap
+        ref, h = descriptor.count_level(params)
+        k = overlap(start, (ref,) * m)
         if h != k:
             low, high = sorted((h, k))
             check = closedforms.network_commute_check(params, low, high)
@@ -475,18 +458,17 @@ def cmd_compare(args) -> int:
 
     all_pass = all(v["pass"] for v in verdicts)
     case = _case_label(args)
+    mean_verdict, variance_verdict = verdicts[:2]
     csv_rows = [
-        [case, "mean", format_rational(engine_mean), format_rational(oracle_mean),
-         mc["discrete"].sample_mean, mc["discrete"].stderr,
-         "pass" if verdicts[0]["pass"] else "fail"],
-        [case, "variance", format_rational(engine_var), format_rational(oracle_var), "", "",
-         "pass" if verdicts[1]["pass"] else "fail"],
+        _csv_row(case, "mean", mean_verdict, *mean_verdict["detail"].values(),
+                 mc["discrete"].sample_mean, mc["discrete"].stderr),
+        _csv_row(case, "variance", variance_verdict, *variance_verdict["detail"].values()),
     ]
     report = {
-        "request": _request_echo(args, cap=cap),
+        "request": _request_echo(args),
         "results": {
-            "exact": {"mean": _rat(engine_mean), "variance": _rat(engine_var)},
-            "oracle": {"mean": _rat(oracle_mean), "variance": _rat(oracle_var)},
+            "exact": {"mean": _rat(engine.mean), "variance": _rat(engine.variance)},
+            "oracle": {"mean": _rat(truth.mean), "variance": _rat(truth.variance)},
             "mc": {
                 mode: {
                     "sample_mean": s.sample_mean,
@@ -506,8 +488,6 @@ def cmd_compare(args) -> int:
 
 def cmd_identities(args) -> int:
     started = time.perf_counter()
-    if args.max_urns < 2 or args.max_balls < 1:
-        raise ValueError("identities needs --max-urns >= 2 and --max-balls >= 1")
     from .resolvent import (
         binomial_increment_mean,
         centered_kernel,
@@ -572,7 +552,7 @@ def cmd_identities(args) -> int:
         "request": {"command": "identities", "max_urns": args.max_urns, "max_balls": args.max_balls},
         "results": {"checks": len(verdicts), "failures": sum(1 for v in verdicts if not v["pass"])},
         "verdicts": verdicts,
-        "csv_rows": [["identities", v["name"], "", "", "", "", "pass" if v["pass"] else "fail"] for v in verdicts],
+        "csv_rows": [_csv_row("identities", v["name"], v) for v in verdicts],
     }
     _emit(args, report, started)
     return 0 if all_pass else VERDICT_FAILURE
@@ -582,7 +562,6 @@ def cmd_network_check(args) -> int:
     started = time.perf_counter()
     params = ModelParams(args.urns, args.balls)
     verdicts = []
-    rows = []
     for h in range(params.balls + 1):
         for k in range(h + 1, params.balls + 1):
             check = closedforms.network_commute_check(params, h, k)
@@ -594,23 +573,13 @@ def cmd_network_check(args) -> int:
                     rhs=format_rational(check.rhs),
                 )
             )
-            rows.append(
-                [
-                    _case_label(args),
-                    f"commute_h{h}_k{k}",
-                    format_rational(check.lhs),
-                    format_rational(check.rhs),
-                    "",
-                    "",
-                    "pass" if check.equal else "fail",
-                ]
-            )
     all_pass = all(v["pass"] for v in verdicts)
+    case = _case_label(args)
     report = {
         "request": _request_echo(args),
         "results": {"pairs": len(verdicts)},
         "verdicts": verdicts,
-        "csv_rows": rows,
+        "csv_rows": [_csv_row(case, v["name"], v, v["detail"]["lhs"], v["detail"]["rhs"]) for v in verdicts],
     }
     _emit(args, report, started)
     return 0 if all_pass else VERDICT_FAILURE
@@ -630,6 +599,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return _COMMANDS[args.command](args)
     except SetNotSymmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

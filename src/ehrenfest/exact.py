@@ -84,6 +84,14 @@ def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Frac
         n += 1
 
 
+def lambda_to_u(balls: int, lam: float, digits: int) -> Fraction:
+    """The continuous-time argument ``u = balls * (e**lam - 1)`` of a discrete
+    transform at ``lam``, as a rational lower bound with relative error below
+    ``10**-(digits + 6)``: comfortably inside ``digits`` rendered digits.
+    """
+    return balls * expm1_rational(lam, Fraction(1, 10 ** (digits + 6)))
+
+
 class Jet:
     """Truncated power series with exact rational coefficients.
 

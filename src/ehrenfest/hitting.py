@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
-from .exact import Jet, Rational, expm1_rational
+from .exact import Jet, Rational, lambda_to_u
 from .model import (
     ModelParams,
     SetDescriptor,
@@ -111,18 +111,15 @@ def laplace_u(query: HittingQuery, u: Rational) -> Fraction:
 def laplace_lambda(query: HittingQuery, lam: float, digits: int = 20) -> Fraction:
     """Transform of the discrete hitting time at ``lambda >= 0``.
 
-    Evaluates the exact u-domain ratio at a rational approximation of
-    ``balls * (e**lambda - 1)`` whose relative error is below
-    ``10**-(digits + 6)``, comfortably inside the rendering precision.
-    Returns exactly 1 at ``lambda = 0``.
+    Evaluates the exact u-domain ratio at :func:`~ehrenfest.exact.lambda_to_u`,
+    a rational approximation of ``balls * (e**lambda - 1)`` accurate well past
+    ``digits`` significant digits.  Returns exactly 1 at ``lambda = 0``.
     """
     if lam < 0:
         raise ValueError("transform argument must be non-negative")
     if lam == 0 or query.start_in_target():
         return Fraction(1)
-    rel = Fraction(1, 10 ** (digits + 6))
-    u = query.params.balls * expm1_rational(Fraction(lam), rel)
-    return laplace_u(query, u)
+    return laplace_u(query, lambda_to_u(query.params.balls, lam, digits))
 
 
 def green_potential(params: ModelParams, x: Sequence[int], z: Sequence[int], u: Rational) -> Fraction:
@@ -230,6 +227,17 @@ class HittingSummary:
     lambda_samples: tuple[tuple[float, Fraction], ...] = ()
     exit_distribution: dict[State, Fraction] | None = None
 
+    @classmethod
+    def from_moments(cls, moments: Sequence[Fraction], order: int, **samples) -> "HittingSummary":
+        """Read mean and variance off the first two raw ``moments`` and report
+        the first ``order`` of them."""
+        return cls(
+            mean=moments[0],
+            variance=moments[1] - moments[0] ** 2,
+            raw_moments=tuple(moments[:order]),
+            **samples,
+        )
+
 
 def summarize(
     query: HittingQuery,
@@ -240,13 +248,11 @@ def summarize(
     exit_distribution: dict[State, Fraction] | None = None,
 ) -> HittingSummary:
     """Bundle the exact statistics and transform samples for one query."""
-    moments = tuple(raw_moments(query, order)) if order >= 1 else ()
-    e = moments[0] if moments else mean(query)
-    v = moments[1] - e**2 if len(moments) >= 2 else variance(query)
-    return HittingSummary(
-        mean=e,
-        variance=v,
-        raw_moments=moments,
+    if order < 1:
+        raise ValueError("moment order must be >= 1")
+    return HittingSummary.from_moments(
+        raw_moments(query, max(order, 2)),
+        order,
         u_samples=tuple((Fraction(u), laplace_u(query, u)) for u in u_grid),
         lambda_samples=tuple((float(l), laplace_lambda(query, l, digits)) for l in lambda_grid),
         exit_distribution=exit_distribution,

@@ -2,8 +2,7 @@
 
 Replicas are split into fixed-size chunks; chunk ``c`` draws from its own
 counter-based Philox stream keyed by ``(seed, c)``, and chunk results are
-folded in chunk order.  Output therefore depends only on the configuration,
-never on scheduling: the worker-pool size is a pure throughput knob.
+folded in chunk order.  Output therefore depends only on the configuration.
 
 Within a chunk the replicas advance in lockstep with numpy: one uniformly
 chosen ball and one uniformly chosen displacement per active replica per
@@ -17,7 +16,6 @@ silently).
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,7 +36,6 @@ class SimConfig:
     max_steps: int = 10_000_000
     lambda_grid: tuple[float, ...] = ()
     u_grid: tuple[float, ...] = ()
-    workers: int = 1
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -47,8 +44,6 @@ class SimConfig:
             raise ValueError("need max_steps >= 1")
         if self.mode not in ("discrete", "ctmc"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
 
 
 @dataclass(frozen=True)
@@ -85,6 +80,12 @@ def empirical_transform(samples: np.ndarray, arguments: Sequence[float]) -> list
             se = 0.0
         out.append(TransformEstimate(argument=float(a), estimate=est, stderr=se))
     return out
+
+
+def _chunks(replicas: int):
+    """``(index, size)`` of each chunk, in chunk order."""
+    for index, offset in enumerate(range(0, replicas, CHUNK)):
+        yield index, min(CHUNK, replicas - offset)
 
 
 def _target_codes(params: ModelParams, states: Sequence[State], weights: np.ndarray) -> np.ndarray:
@@ -163,10 +164,7 @@ def first_step_frequencies(
     start = params.check_state(start)
     n, m = params.urns, params.balls
     counts: dict[State, int] = {}
-    offset = 0
-    index = 0
-    while offset < replicas:
-        size = min(CHUNK, replicas - offset)
+    for index, size in _chunks(replicas):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=index << 64))
         balls = rng.integers(0, m, size=size)
         shifts = rng.integers(1, n, size=size)
@@ -177,8 +175,6 @@ def first_step_frequencies(
             b, u = divmod(int(code), n + 1)
             y = start[:b] + (int(u),) + start[b + 1 :]
             counts[y] = counts.get(y, 0) + int(c)
-        offset += size
-        index += 1
     return counts
 
 
@@ -204,7 +200,7 @@ def sample_hitting(
     count_target = None
     if isinstance(target, SetDescriptor):
         if target.kind == "count":
-            count_target = (target.reference_urn, target.count_overlap)
+            count_target = target.count_level(params)
             target_codes = np.empty(0, dtype=np.int64)
         else:
             target_codes = _target_codes(params, target.materialize(params), weights)
@@ -214,24 +210,10 @@ def sample_hitting(
             raise ValueError("target set must be nonempty")
         target_codes = _target_codes(params, states, weights)
 
-    chunks = []
-    offset = 0
-    index = 0
-    while offset < cfg.replicas:
-        size = min(CHUNK, cfg.replicas - offset)
-        chunks.append((index, size))
-        offset += size
-        index += 1
-
-    def run(task):
-        idx, size = task
-        return _simulate_chunk(params, start, cfg, idx, size, weights, target_codes, count_target)
-
-    if cfg.workers == 1 or len(chunks) == 1:
-        results = [run(task) for task in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run, chunks))
+    results = [
+        _simulate_chunk(params, start, cfg, index, size, weights, target_codes, count_target)
+        for index, size in _chunks(cfg.replicas)
+    ]
 
     samples = np.concatenate([r[0] for r in results])
     truncated = np.concatenate([r[1] for r in results])

@@ -215,6 +215,15 @@ class SetDescriptor:
     def explicit(cls, states: Iterable[Sequence[int]]) -> "SetDescriptor":
         return cls("explicit", states=tuple(tuple(int(c) for c in s) for s in states))
 
+    def count_level(self, params: ModelParams) -> tuple[int, int]:
+        """``(reference_urn, count_overlap)`` of a count set, checked against ``params``."""
+        h = self.count_overlap
+        if h is None or not 0 <= h <= params.balls:
+            raise ValueError(f"count target {h} outside 0..{params.balls}")
+        if not 1 <= self.reference_urn <= params.urns:
+            raise ValueError(f"reference urn {self.reference_urn} outside 1..{params.urns}")
+        return self.reference_urn, h
+
     def materialize(self, params: ModelParams) -> list[State]:
         """Expand to the sorted list of member states, validating as we go."""
         n, m = params.urns, params.balls
@@ -228,12 +237,7 @@ class SetDescriptor:
         elif self.kind == "diagonal":
             out = [(i,) * m for i in range(1, n + 1)]
         elif self.kind == "count":
-            h = self.count_overlap
-            if h is None or not 0 <= h <= m:
-                raise ValueError(f"count target {h} outside 0..{m}")
-            if not 1 <= self.reference_urn <= n:
-                raise ValueError(f"reference urn {self.reference_urn} outside 1..{n}")
-            ref = self.reference_urn
+            ref, h = self.count_level(params)
             others = [u for u in range(1, n + 1) if u != ref]
             out = []
             for pos in combinations(range(m), h):
@@ -315,7 +319,10 @@ def parse_set(text: str) -> SetDescriptor:
             raise ValueError("explicit descriptor expects @path.json")
         with open(rest[1:], "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return SetDescriptor.explicit(data)
+        try:
+            return SetDescriptor.explicit(data)
+        except TypeError:
+            raise ValueError(f"{rest[1:]} must hold a JSON array of states, got {data!r:.60}") from None
     raise ValueError(f"unknown set descriptor kind {head!r}")
 
 

@@ -13,7 +13,6 @@ Solves are capped by state-space size (default 2000).
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -23,8 +22,6 @@ from .model import ModelParams, State
 
 DEFAULT_EXACT_CAP = 2000
 
-_CAP_ENV = "EHRENFEST_CAP"
-
 
 class CapExceededError(RuntimeError):
     """State space too large for the requested solve mode."""
@@ -33,16 +30,6 @@ class CapExceededError(RuntimeError):
         self.size = size
         self.cap = cap
         super().__init__(f"state space has {size} states, exceeding the cap of {cap}")
-
-
-def effective_cap(cap: int | None = None) -> int:
-    """Resolve the exact-solve cap: explicit argument, else env override, else default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(_CAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_EXACT_CAP
 
 
 class EnumeratedChain:
@@ -178,17 +165,16 @@ def _restricted_rows(chain: EnumeratedChain, transient, t_index):
     return rows
 
 
-def _ensure_cap(chain: EnumeratedChain, cap: int | None):
-    limit = effective_cap(cap)
-    if chain.params.state_count > limit:
-        raise CapExceededError(chain.params.state_count, limit)
+def _ensure_cap(chain: EnumeratedChain, cap: int):
+    if chain.params.state_count > cap:
+        raise CapExceededError(chain.params.state_count, cap)
 
 
 # ---------------------------------------------------------------------------
 # hitting-time solves
 
 
-def mean_vector(chain: EnumeratedChain, targets: Sequence[State], cap: int | None = None) -> dict[State, Fraction]:
+def mean_vector(chain: EnumeratedChain, targets: Sequence[State], cap: int = DEFAULT_EXACT_CAP) -> dict[State, Fraction]:
     """Expected steps to reach the target set, for every start state."""
     _ensure_cap(chain, cap)
     target_set, transient, t_index = _transient_layout(chain, targets)
@@ -199,12 +185,12 @@ def mean_vector(chain: EnumeratedChain, targets: Sequence[State], cap: int | Non
     return out
 
 
-def solve_mean(chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int | None = None) -> Fraction:
+def solve_mean(chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
     return mean_vector(chain, targets, cap)[chain.params.check_state(start)]
 
 
 def raw_moment_vectors(
-    chain: EnumeratedChain, targets: Sequence[State], order: int, cap: int | None = None
+    chain: EnumeratedChain, targets: Sequence[State], order: int, cap: int = DEFAULT_EXACT_CAP
 ) -> list[dict[State, Fraction]]:
     """Raw moments ``E[T**r]`` for ``r = 1..order``, every start state.
 
@@ -238,14 +224,14 @@ def raw_moment_vectors(
     return results
 
 
-def solve_second_moment(chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int | None = None) -> Fraction:
+def solve_second_moment(chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
     """Exact ``E[T**2]`` from the coupled first/second-moment systems."""
     vecs = raw_moment_vectors(chain, targets, 2, cap)
     return vecs[1][chain.params.check_state(start)]
 
 
 def transform_vector(
-    chain: EnumeratedChain, targets: Sequence[State], z: Fraction, cap: int | None = None
+    chain: EnumeratedChain, targets: Sequence[State], z: Fraction, cap: int = DEFAULT_EXACT_CAP
 ) -> dict[State, Fraction]:
     """Probability generating function ``E[z**T]`` for every start state."""
     z = Fraction(z)
@@ -274,11 +260,11 @@ def transform_vector(
     return out
 
 
-def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: State, z: Fraction, cap: int | None = None) -> Fraction:
+def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: State, z: Fraction, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
     return transform_vector(chain, targets, z, cap)[chain.params.check_state(start)]
 
 
-def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: State, u: Fraction, cap: int | None = None) -> Fraction:
+def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: State, u: Fraction, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
     """Continuous-time transform ``E[exp(-u * T)]`` at rational ``u > 0``.
 
     Jumps come at rate ``balls``, so each step contributes the factor
@@ -292,7 +278,7 @@ def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: S
 
 
 def exit_distribution(
-    chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int | None = None
+    chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int = DEFAULT_EXACT_CAP
 ) -> dict[State, Fraction]:
     """Absorption probabilities into each element of the target set."""
     _ensure_cap(chain, cap)

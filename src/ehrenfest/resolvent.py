@@ -33,8 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from scipy import integrate
-
 from .exact import Jet, Rational, binomial, jet_from_derivatives
 from .model import ModelParams
 
@@ -178,6 +176,9 @@ def resolvent_kernel_quadrature(params: ModelParams, k: int, u: float, tol: floa
         raise ValueError("quadrature form needs u > 0")
     if not 0 <= k <= params.balls:
         raise ValueError(f"overlap {k} outside 0..{params.balls}")
+    # the package's only scipy use, imported here: it would be most of the CLI's import time
+    from scipy import integrate
+
     n, m = params.urns, params.balls
     a = (n - 1) * u / n
 

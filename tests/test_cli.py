@@ -106,10 +106,9 @@ def test_oracle_cap_exceeded(capsys):
     assert "1048576" in err and "2000" in err
 
 
-def test_oracle_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("EHRENFEST_CAP", "5")
+def test_oracle_cap_flag_override(capsys):
     code, out, err = run_cli(
-        capsys, "oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "diagonal"
+        capsys, "oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "diagonal", "--cap", "5"
     )
     assert code == 4
     assert "9" in err and "5" in err
@@ -253,9 +252,23 @@ _TWOS = ",".join(["2"] * 200)
           "--lambda", "-1"], "--lambda"),
         (["identities", "--max-urns", "1"], "--max-urns"),
         (["identities", "--max-balls", "0"], "--max-balls"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--lambda", "1", "--digits", "-7"], "--digits"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--order", "0"], "--order"),
+        (["oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--order", "0"], "--order"),
+        (["oracle", "--N", "3", "--M", "4", "--start", "3,2,3,2", "--set", "diagonal",
+          "--u", "2,1/0"], "--u"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--u", "1/0"], "--u"),
+        (["simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "count:5",
+          "--replicas", "10"], "count target"),
     ],
     ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
-         "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls"],
+         "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
+         "negative-digits", "exact-order-zero", "oracle-order-zero", "oracle-u-zero-denominator",
+         "exact-u-zero-denominator", "simulate-count-level-outside"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)
@@ -264,3 +277,14 @@ def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and needle in errors[0]
+
+
+@pytest.mark.parametrize("content", ["5", "[1, 2]", "null"])
+def test_explicit_file_not_a_list_of_states_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "set.json"
+    path.write_text(content)
+    code, out, err = run_cli(
+        capsys, "exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", f"explicit:@{path}"
+    )
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "JSON array of states" in err

@@ -7,7 +7,6 @@ from ehrenfest.model import ModelParams, SetDescriptor, overlap
 from ehrenfest.oracle import (
     CapExceededError,
     EnumeratedChain,
-    effective_cap,
     exit_distribution,
     lumped_count_oracle,
     mean_vector,
@@ -161,7 +160,7 @@ def test_lumped_examples():
     assert lumped_count_oracle(ModelParams(3, 2), 1, 1) == 0
 
 
-def test_cap_enforcement(monkeypatch):
+def test_cap_enforcement():
     p = ModelParams(4, 10)
     chain = EnumeratedChain.__new__(EnumeratedChain)  # avoid enumerating 4**10 states
     chain.params = p
@@ -170,12 +169,10 @@ def test_cap_enforcement(monkeypatch):
     assert err.value.size == 4**10
     assert err.value.cap == 2000
 
-    monkeypatch.setenv("EHRENFEST_CAP", "50")
-    assert effective_cap() == 50
     small = EnumeratedChain(ModelParams(3, 4))
     with pytest.raises(CapExceededError):
-        mean_vector(small, [(1, 1, 1, 1)])
-    assert effective_cap(cap=100) == 100
+        mean_vector(small, [(1, 1, 1, 1)], cap=50)
+    assert len(mean_vector(small, [(1, 1, 1, 1)], cap=100)) == 81
 
 
 def test_empty_target_rejected():
