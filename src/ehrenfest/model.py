@@ -319,10 +319,12 @@ def parse_set(text: str) -> SetDescriptor:
             raise ValueError("explicit descriptor expects @path.json")
         with open(rest[1:], "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        try:
-            return SetDescriptor.explicit(data)
-        except TypeError:
-            raise ValueError(f"{rest[1:]} must hold a JSON array of states, got {data!r:.60}") from None
+        # type(c) is int: int() would round 1.7 down and accept true and "2"
+        if not isinstance(data, list) or not all(
+            isinstance(s, list) and all(type(c) is int for c in s) for s in data
+        ):
+            raise ValueError(f"{rest[1:]} must hold a JSON array of states of integers, got {data!r:.60}")
+        return SetDescriptor.explicit(data)
     raise ValueError(f"unknown set descriptor kind {head!r}")
 
 

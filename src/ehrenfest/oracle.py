@@ -1,12 +1,21 @@
 """Independent ground truth by exact linear algebra on the enumerated chain.
 
 Every closed-form quantity in this package is re-derivable from first-step
-analysis on the full ``urns**balls`` state space: hitting means, higher
-moments, probability-generating-function values, and exit distributions all
-solve small linear systems with rational coefficients.  This module solves
-those systems exactly (fraction-free Bareiss elimination over big integers,
-rational back-substitution) without using any of the kernel formulas, so an
-agreement between the two paths is a genuine two-sided check.
+analysis on the ``urns**balls`` state space: hitting means, higher moments,
+probability-generating-function values, and exit distributions all solve
+linear systems with rational coefficients.  No system here is solved on the
+full chain.  The states are enumerated with a table of neighbour positions,
+and the partition {target set, rest} is refined by signatures (a state's own
+block plus the sorted blocks of its neighbours) until no block splits.  That
+is the coarsest strongly lumpable partition keeping the target set apart
+(Kemeny & Snell, *Finite Markov Chains*, 1960, §6.3): all moves are
+equiprobable and every state of a block has the same number of neighbours in
+each block, so every first-step solution is constant on blocks.  Each system
+is assembled from the block-to-block neighbour counts and solved exactly
+(fraction-free Bareiss elimination over big integers, rational
+back-substitution), then expanded back to every state.  The refinement reads
+only the transition structure, never overlaps or kernel formulas, so an
+agreement with the engine is still a genuine two-sided check.
 
 Solves are capped by state-space size (default 2000).
 """
@@ -15,7 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .exact import binomial
 from .model import ModelParams, State
@@ -32,45 +43,42 @@ class CapExceededError(RuntimeError):
         super().__init__(f"state space has {size} states, exceeding the cap of {cap}")
 
 
+def check_cap(params: ModelParams, cap: int = DEFAULT_EXACT_CAP) -> None:
+    """Raise :class:`CapExceededError` before a chain of ``params`` is enumerated."""
+    if params.state_count > cap:
+        raise CapExceededError(params.state_count, cap)
+
+
 class EnumeratedChain:
-    """The fully enumerated chain with its sparse one-step structure.
+    """The fully enumerated chain with its table of neighbour positions.
 
     States are listed in mixed-radix order with ball 1 varying fastest, so
     ``state_index(x) = sum_i (x_i - 1) * urns**(i-1)``.  Tests may pass a
     permutation of ``range(urns**balls)`` as ``order`` to verify that solves
-    do not depend on the enumeration order.
+    do not depend on the enumeration order.  Row ``r`` of ``neighbor_table``
+    holds the positions of the ``balls * (urns - 1)`` states one move away
+    from ``states[r]``: moving ball ``i`` on by ``d = 1..urns-1`` urns changes
+    the code by ``((digit_i + d) mod urns - digit_i) * urns**(i-1)``.
     """
 
     def __init__(self, params: ModelParams, order: Sequence[int] | None = None):
         self.params = params
-        n, m = params.urns, params.balls
-        codes = range(params.state_count)
-        if order is None:
-            positions = list(codes)
-        else:
-            positions = list(order)
-            if sorted(positions) != list(codes):
-                raise ValueError("order must be a permutation of all state codes")
-        self.states: list[State] = [self._decode(c) for c in positions]
+        n, m, size = params.urns, params.balls, params.state_count
+        codes = np.arange(size) if order is None else np.array(list(order), dtype=np.int64)
+        if codes.shape != (size,) or not np.array_equal(np.sort(codes), np.arange(size)):
+            raise ValueError("order must be a permutation of all state codes")
+        radix = n ** np.arange(m, dtype=np.int64)
+        digits = codes[:, None] // radix % n
+        moved = (digits[:, :, None] + np.arange(1, n)) % n
+        shifts = ((moved - digits[:, :, None]) * radix[:, None]).reshape(size, -1)
+        position = np.empty(size, dtype=np.intp)
+        position[codes] = np.arange(size)
+        self.neighbor_table = position[codes[:, None] + shifts]
+        self.states: list[State] = [tuple(row) for row in (digits + 1).tolist()]
         self.index: dict[State, int] = {x: i for i, x in enumerate(self.states)}
-        self.step_prob = Fraction(1, m * (n - 1))
-
-    def _decode(self, code: int) -> State:
-        n, m = self.params.urns, self.params.balls
-        out = []
-        for _ in range(m):
-            out.append(code % n + 1)
-            code //= n
-        return tuple(out)
 
     def neighbors(self, x: State) -> list[State]:
-        n = self.params.urns
-        out = []
-        for i, c in enumerate(x):
-            for u in range(1, n + 1):
-                if u != c:
-                    out.append(x[:i] + (u,) + x[i + 1 :])
-        return out
+        return [self.states[j] for j in self.neighbor_table[self.index[x]].tolist()]
 
     def degree(self) -> int:
         return self.params.balls * (self.params.urns - 1)
@@ -141,33 +149,46 @@ def solve_exact_system(
     return solutions
 
 
-def _transient_layout(chain: EnumeratedChain, targets: Iterable[State]):
-    target_set = {chain.params.check_state(t) for t in targets}
-    if not target_set:
+# ---------------------------------------------------------------------------
+# quotient by partition refinement
+
+
+def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):
+    """Coarsest strongly lumpable partition refining {rest, {start}, targets}.
+
+    Returns ``(labels, counts, transient)``: the block of every state, the
+    neighbour count ``counts[b][c]`` from any state of block ``b`` into block
+    ``c``, and the number of blocks outside the target set.  A block keeps
+    the order of the block it split from, so those come first.
+    """
+    positions = [chain.index[chain.params.check_state(t)] for t in targets]
+    if not positions:
         raise ValueError("target set must be nonempty")
-    transient = [x for x in chain.states if x not in target_set]
-    t_index = {x: i for i, x in enumerate(transient)}
-    return target_set, transient, t_index
+    labels = np.zeros(len(chain.states), dtype=np.intp)
+    labels[positions] = 2
+    if start is not None:
+        labels[chain.index[start]] = 1
+    neighbors = chain.neighbor_table
+    blocks = 0
+    while True:
+        signature = np.column_stack((labels, np.sort(labels[neighbors], axis=1)))
+        _, first, labels = np.unique(signature, axis=0, return_index=True, return_inverse=True)
+        labels = labels.reshape(-1)
+        if len(first) == blocks:
+            break
+        blocks = len(first)
+    counts = [np.bincount(labels[neighbors[r]], minlength=blocks).tolist() for r in first]
+    return labels, counts, int(labels[positions].min())
 
 
-def _restricted_rows(chain: EnumeratedChain, transient, t_index):
-    """Rows of ``I - P`` restricted to transient states, as Fractions."""
-    p = chain.step_prob
-    rows = []
-    for x in transient:
-        row = [Fraction(0)] * len(transient)
-        row[t_index[x]] = Fraction(1)
-        for y in chain.neighbors(x):
-            j = t_index.get(y)
-            if j is not None:
-                row[j] -= p
-        rows.append(row)
-    return rows
+def _rows(chain: EnumeratedChain, counts, transient: int, z: Fraction | int = 1):
+    """Quotient rows of ``degree * (I - z P)`` on the transient blocks."""
+    d = chain.degree()
+    return [[(d if b == c else 0) - z * counts[b][c] for c in range(transient)] for b in range(transient)]
 
 
-def _ensure_cap(chain: EnumeratedChain, cap: int):
-    if chain.params.state_count > cap:
-        raise CapExceededError(chain.params.state_count, cap)
+def _expand(chain: EnumeratedChain, labels, values) -> dict[State, Fraction]:
+    return dict(zip(chain.states, map(values.__getitem__, labels.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +197,7 @@ def _ensure_cap(chain: EnumeratedChain, cap: int):
 
 def mean_vector(chain: EnumeratedChain, targets: Sequence[State], cap: int = DEFAULT_EXACT_CAP) -> dict[State, Fraction]:
     """Expected steps to reach the target set, for every start state."""
-    _ensure_cap(chain, cap)
-    target_set, transient, t_index = _transient_layout(chain, targets)
-    rows = _restricted_rows(chain, transient, t_index)
-    (sol,) = solve_exact_system(rows, [[Fraction(1)] * len(transient)])
-    out = {x: Fraction(0) for x in target_set}
-    out.update({x: sol[t_index[x]] for x in transient})
-    return out
+    return raw_moment_vectors(chain, targets, 1, cap)[0]
 
 
 def solve_mean(chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
@@ -195,33 +210,22 @@ def raw_moment_vectors(
     """Raw moments ``E[T**r]`` for ``r = 1..order``, every start state.
 
     Uses the first-step recursion ``E[T**r] = E[(1 + T')**r]`` expanded by the
-    binomial theorem: each order solves the same restricted system with a
+    binomial theorem: each order solves the same quotient system with a
     right-hand side assembled from the lower-order solutions.
     """
-    _ensure_cap(chain, cap)
+    check_cap(chain.params, cap)
     if order < 1:
         raise ValueError("moment order must be >= 1")
-    target_set, transient, t_index = _transient_layout(chain, targets)
-    rows = _restricted_rows(chain, transient, t_index)
-    p = chain.step_prob
-
-    # full-state-space vectors; moment 0 is identically one
-    full: list[dict[State, Fraction]] = [{x: Fraction(1) for x in chain.states}]
-    results = []
+    labels, counts, transient = _lump(chain, targets)
+    rows = _rows(chain, counts, transient)
+    absorbed = [Fraction(0)] * (len(counts) - transient)
+    full: list[list] = [[1] * len(counts)]  # moment 0 is identically one
     for r in range(1, order + 1):
-        rhs = []
-        for x in transient:
-            acc = Fraction(0)
-            for y in chain.neighbors(x):
-                for j in range(r):
-                    acc += binomial(r, j) * full[j][y]
-            rhs.append(p * acc)
+        weights = [sum(binomial(r, j) * vec[c] for j, vec in enumerate(full)) for c in range(len(counts))]
+        rhs = [sum(k * w for k, w in zip(counts[b], weights)) for b in range(transient)]
         (sol,) = solve_exact_system(rows, [rhs])
-        vec = {x: Fraction(0) for x in target_set}
-        vec.update({x: sol[t_index[x]] for x in transient})
-        full.append(vec)
-        results.append(vec)
-    return results
+        full.append(sol + absorbed)
+    return [_expand(chain, labels, vec) for vec in full[1:]]
 
 
 def solve_second_moment(chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
@@ -237,27 +241,11 @@ def transform_vector(
     z = Fraction(z)
     if not 0 < z < 1:
         raise ValueError("transform argument must lie strictly between 0 and 1")
-    _ensure_cap(chain, cap)
-    target_set, transient, t_index = _transient_layout(chain, targets)
-    p = chain.step_prob
-    rows = []
-    rhs = []
-    for x in transient:
-        row = [Fraction(0)] * len(transient)
-        row[t_index[x]] = Fraction(1)
-        b = Fraction(0)
-        for y in chain.neighbors(x):
-            j = t_index.get(y)
-            if j is not None:
-                row[j] -= z * p
-            else:
-                b += z * p
-        rows.append(row)
-        rhs.append(b)
-    (sol,) = solve_exact_system(rows, [rhs])
-    out = {x: Fraction(1) for x in target_set}
-    out.update({x: sol[t_index[x]] for x in transient})
-    return out
+    check_cap(chain.params, cap)
+    labels, counts, transient = _lump(chain, targets)
+    rhs = [z * sum(counts[b][transient:]) for b in range(transient)]
+    (sol,) = solve_exact_system(_rows(chain, counts, transient, z), [rhs])
+    return _expand(chain, labels, sol + [Fraction(1)] * (len(counts) - transient))
 
 
 def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: State, z: Fraction, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
@@ -280,24 +268,28 @@ def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: S
 def exit_distribution(
     chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int = DEFAULT_EXACT_CAP
 ) -> dict[State, Fraction]:
-    """Absorption probabilities into each element of the target set."""
-    _ensure_cap(chain, cap)
-    target_set, transient, t_index = _transient_layout(chain, targets)
+    """Absorption probabilities into each element of the target set.
+
+    Moves are equiprobable, so the Green function ``G`` of the chain killed
+    on the target set is symmetric: ``G(start, y) = G(y, start)``, the
+    expected visits to ``start`` from ``y``.  One solve on the partition that
+    also keeps ``start`` apart gives those visits, and the exit probability
+    at ``t`` is ``G(start, y) / degree`` summed over t's transient neighbours.
+    """
+    check_cap(chain.params, cap)
+    ordered_targets = sorted({chain.params.check_state(t) for t in targets})
     start = chain.params.check_state(start)
-    ordered_targets = sorted(target_set)
-    if start in target_set:
+    if start in ordered_targets:
         return {t: Fraction(1 if t == start else 0) for t in ordered_targets}
-    rows = _restricted_rows(chain, transient, t_index)
-    p = chain.step_prob
-    rhs_cols = []
-    for t in ordered_targets:
-        col = []
-        for x in transient:
-            col.append(p * sum(1 for y in chain.neighbors(x) if y == t))
-        rhs_cols.append(col)
-    sols = solve_exact_system(rows, rhs_cols)
-    row = t_index[start]
-    return {t: sols[c][row] for c, t in enumerate(ordered_targets)}
+    labels, counts, transient = _lump(chain, ordered_targets, start)
+    d = chain.degree()
+    home = int(labels[chain.index[start]])
+    (visits,) = solve_exact_system(_rows(chain, counts, transient), [[d * (b == home) for b in range(transient)]])
+    visits += [Fraction(0)] * (len(counts) - transient)
+    return {
+        t: sum(map(visits.__getitem__, labels[chain.neighbor_table[chain.index[t]]].tolist()), Fraction(0)) / d
+        for t in ordered_targets
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +299,9 @@ def lumped_count_oracle(params: ModelParams, k: int, h: int, reference_urn: int 
     """Mean hitting time of count level ``h`` from level ``k``.
 
     Solves the ``balls + 1`` level birth-death chain that tracks how many
-    balls sit in the reference urn; transition rows are down ``i/balls``,
-    up ``(balls-i)/(balls*(urns-1))``, stay the rest.
+    balls sit in the reference urn; of the ``balls*(urns-1)`` equiprobable
+    moves from level ``i``, ``i*(urns-1)`` go down, ``balls-i`` go up and
+    the rest stay.
     """
     n, m = params.urns, params.balls
     if not (0 <= k <= m and 0 <= h <= m):
@@ -319,16 +312,14 @@ def lumped_count_oracle(params: ModelParams, k: int, h: int, reference_urn: int 
         return Fraction(0)
     levels = [i for i in range(m + 1) if i != h]
     idx = {lvl: r for r, lvl in enumerate(levels)}
+    d = m * (n - 1)  # rows are scaled by the number of moves out of a state
     rows = []
     for lvl in levels:
-        row = [Fraction(0)] * len(levels)
-        row[idx[lvl]] += Fraction(1)
-        down = Fraction(lvl, m)
-        up = Fraction(m - lvl, m * (n - 1))
-        stay = Fraction((m - lvl) * (n - 2), m * (n - 1))
-        for nxt, pr in ((lvl - 1, down), (lvl + 1, up), (lvl, stay)):
-            if pr and nxt in idx:
-                row[idx[nxt]] -= pr
+        row = [0] * len(levels)
+        row[idx[lvl]] = d
+        for nxt, moves in ((lvl - 1, lvl * (n - 1)), (lvl + 1, m - lvl), (lvl, (m - lvl) * (n - 2))):
+            if moves and nxt in idx:
+                row[idx[nxt]] -= moves
         rows.append(row)
-    (sol,) = solve_exact_system(rows, [[Fraction(1)] * len(levels)])
+    (sol,) = solve_exact_system(rows, [[d] * len(levels)])
     return sol[idx[k]]

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -106,6 +107,18 @@ def test_oracle_cap_exceeded(capsys):
     assert "1048576" in err and "2000" in err
 
 
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_cap_checked_before_enumeration(capsys, command):
+    # 10**12 states and a count set of ~8.5e10 members: either enumeration would exhaust memory
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, command, "--N", "10", "--M", "12", "--start", ",".join(["1"] * 12), "--set", "count:3"
+    )
+    assert code == 4 and out == ""
+    assert "1000000000000" in err and "Traceback" not in err
+    assert time.perf_counter() - started < 1
+
+
 def test_oracle_cap_flag_override(capsys):
     code, out, err = run_cli(
         capsys, "oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "diagonal", "--cap", "5"
@@ -163,6 +176,18 @@ def test_compare_detects_corrupted_engine(capsys):
     assert code == 5
     failing = [v["name"] for v in report["verdicts"] if not v["pass"]]
     assert "mean_exact_vs_oracle" in failing
+
+
+def test_compare_lambda_verdicts_follow_requested_digits(capsys):
+    # at --digits 8 the lambda transforms agree to ~1e-15, far inside the precision asked for
+    code, report, _ = run_json(
+        capsys,
+        "compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+        "--digits", "8", "--replicas", "2000",
+    )
+    assert code == 0
+    lambdas = [v for v in report["verdicts"] if v["name"].startswith("transform_lambda_")]
+    assert len(lambdas) == 4 and all(v["pass"] for v in lambdas)
 
 
 def test_identities_subcommand(capsys):
@@ -279,7 +304,11 @@ def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
     assert len(errors) == 1 and needle in errors[0]
 
 
-@pytest.mark.parametrize("content", ["5", "[1, 2]", "null"])
+@pytest.mark.parametrize(
+    "content",
+    ["5", "[1, 2]", "null", "[[1.7, 1.2], [2.9, 2.2]]", "[[1, 1], [2, 2.0]]", "[[true, 1], [2, 2]]",
+     '[["1", 1]]', '{"a": [1]}'],
+)
 def test_explicit_file_not_a_list_of_states_exits_two(tmp_path, capsys, content):
     path = tmp_path / "set.json"
     path.write_text(content)
@@ -287,4 +316,4 @@ def test_explicit_file_not_a_list_of_states_exits_two(tmp_path, capsys, content)
         capsys, "exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", f"explicit:@{path}"
     )
     assert code == 2 and out == ""
-    assert "Traceback" not in err and "JSON array of states" in err
+    assert "Traceback" not in err and "JSON array of states" in err and str(path) in err

@@ -1,9 +1,14 @@
+import json
 import random
+import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from ehrenfest.model import ModelParams, SetDescriptor, overlap
+from ehrenfest import cli
+from ehrenfest.exact import binomial
+from ehrenfest.model import ModelParams, SetDescriptor, neighbor_states, overlap
 from ehrenfest.oracle import (
     CapExceededError,
     EnumeratedChain,
@@ -179,3 +184,121 @@ def test_empty_target_rejected():
     chain = EnumeratedChain(ModelParams(2, 2))
     with pytest.raises(ValueError):
         mean_vector(chain, [])
+
+
+def _dense_reference(chain, targets, order, z):
+    """Every oracle answer from the rows of ``I - Q`` on the full transient set.
+
+    This is the full-chain path the quotient replaced: neighbours come from
+    ``model.neighbor_states``, not from the chain's table, and each target's
+    exit probabilities get their own right-hand side.  Returns the raw moment
+    vectors up to ``order``, the generating function at ``z`` and the exit
+    distribution from every state.
+    """
+    target_set = set(targets)
+    transient = [x for x in chain.states if x not in target_set]
+    col = {x: i for i, x in enumerate(transient)}
+    p = F(1, chain.degree())
+    steps = {x: list(neighbor_states(chain.params, x)) for x in transient}
+
+    def rows(w):
+        out = []
+        for x in transient:
+            row = [F(0)] * len(transient)
+            row[col[x]] = F(1)
+            for y in steps[x]:
+                if y in col:
+                    row[col[y]] -= w * p
+            out.append(row)
+        return out
+
+    plain = rows(1)
+    full = [{x: F(1) for x in chain.states}]
+    for r in range(1, order + 1):
+        rhs = [p * sum(binomial(r, j) * full[j][y] for y in steps[x] for j in range(r)) for x in transient]
+        (sol,) = solve_exact_system(plain, [rhs])
+        full.append({x: sol[col[x]] if x in col else F(0) for x in chain.states})
+    (sol,) = solve_exact_system(rows(z), [[z * p * sum(y in target_set for y in steps[x]) for x in transient]])
+    pgf = {x: sol[col[x]] if x in col else F(1) for x in chain.states}
+    ordered = sorted(target_set)
+    cols = solve_exact_system(plain, [[p * steps[x].count(t) for x in transient] for t in ordered])
+    exits = {
+        x: {t: cols[c][col[x]] if x in col else F(int(t == x)) for c, t in enumerate(ordered)}
+        for x in chain.states
+    }
+    return full[1:], pgf, exits
+
+
+def _quotient_cases(n, m):
+    """Every descriptor kind plus random, mostly asymmetric, explicit sets."""
+    p = ModelParams(n, m)
+    rng = random.Random(31 * n + m)
+    every = EnumeratedChain(p).states
+    y, z = rng.sample(every, 2)
+    kinds = [SetDescriptor.singleton(y), SetDescriptor.pair(y, z), SetDescriptor.diagonal()]
+    kinds += [SetDescriptor.count(h, rng.randint(1, n)) for h in sorted({0, m // 2, m})]
+    if m <= n:
+        kinds.append(SetDescriptor.distinct())
+    for size in (2, max(3, len(every) // 4)):
+        kinds.append(SetDescriptor.explicit(rng.sample(every, size)))
+    return [d.materialize(p) for d in kinds]
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (5, 2), (2, 5)])
+def test_quotient_matches_dense_full_chain(n, m):
+    p = ModelParams(n, m)
+    rng = random.Random(n * m)
+    order = list(range(p.state_count))
+    rng.shuffle(order)
+    for case, targets in enumerate(_quotient_cases(n, m)):
+        chain = EnumeratedChain(p, order=order if case % 2 else None)
+        z = F(2, 3) if case % 3 else F(999, 1000)
+        moments, pgf, exits = _dense_reference(chain, targets, 4, z)
+        assert mean_vector(chain, targets) == moments[0]
+        assert raw_moment_vectors(chain, targets, 4) == moments
+        assert transform_vector(chain, targets, z) == pgf
+        for x in chain.states:  # starts inside the target set included
+            assert exit_distribution(chain, targets, x) == exits[x]
+
+
+@pytest.mark.parametrize("n,m,shuffle", [(2, 4, False), (3, 3, True), (4, 2, True), (5, 3, False)])
+def test_neighbor_table_is_the_symmetric_one_move_relation(n, m, shuffle):
+    p = ModelParams(n, m)
+    order = list(range(p.state_count))
+    if shuffle:
+        random.Random(n + m).shuffle(order)
+    chain = EnumeratedChain(p, order=order)
+    table = chain.neighbor_table
+    assert table.shape == (p.state_count, chain.degree())
+    for i, x in enumerate(chain.states):
+        assert sorted(chain.states[j] for j in table[i]) == sorted(neighbor_states(p, x))
+    adjacency = np.zeros((p.state_count, p.state_count), dtype=int)
+    np.add.at(adjacency, (np.repeat(np.arange(p.state_count), chain.degree()), table.ravel()), 1)
+    assert (adjacency == adjacency.T).all() and adjacency.max() == 1 and not adjacency.diagonal().any()
+
+
+def _timed_cli(capsys, *argv):
+    started = time.perf_counter()
+    code = cli.main(list(argv))
+    elapsed = time.perf_counter() - started
+    out = capsys.readouterr().out
+    assert code == 0
+    return json.loads(out)["results"], elapsed
+
+
+def test_lambda_sample_at_81_states_is_fast(capsys):
+    # the rational image of e**0.5 made this one full-chain solve take ~4 s
+    results, elapsed = _timed_cli(
+        capsys, "oracle", "--N", "3", "--M", "4", "--start", "1,1,1,1", "--set", "singleton:2,2,2,2",
+        "--lambda", "0.5",
+    )
+    assert elapsed < 1
+    assert results["lambda_samples"][0]["decimal"].startswith("0.")
+
+
+def test_oracle_at_1024_states_matches_engine(capsys):
+    args = ["--N", "2", "--M", "10", "--start", ",".join(["1"] * 10), "--set", "count:3", "--order", "4"]
+    exact, _ = _timed_cli(capsys, "exact", *args)
+    truth, elapsed = _timed_cli(capsys, "oracle", *args)
+    assert truth["raw_moments"] == exact["raw_moments"]
+    assert elapsed < 5
