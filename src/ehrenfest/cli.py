@@ -31,6 +31,7 @@ from .exact import format_rational, format_significant, lambda_to_u, parse_ratio
 from .model import ModelParams, SetNotSymmetricError, overlap, parse_set
 from . import closedforms, hitting, oracle
 from .mc import SimConfig, sample_hitting
+from .resolvent import identity_suite_holds, quadrature_error
 
 USAGE_ERROR = 2
 NOT_SYMMETRIC = 3
@@ -77,11 +78,15 @@ _INT_BOUNDS = (
 )
 
 
-def _check_bounds(args) -> None:
+def _check_args(args) -> None:
+    """Check the integer flags and parse the grids, before any command runs."""
     for dest, flag, least in _INT_BOUNDS:
         value = getattr(args, dest, least)
         if value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
+    if hasattr(args, "u_grid"):
+        args.u_grid = _parse_u_grid(args.u_grid)
+        args.lambda_grid = _parse_lambda_grid(args.lambda_grid)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,12 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model(p, start_required=True):
+    def add_size(p):
         p.add_argument("--N", type=int, required=True, dest="urns", help="number of urns (>= 2)")
         p.add_argument("--M", type=int, required=True, dest="balls", help="number of balls (>= 1)")
-        if start_required:
-            p.add_argument("--start", type=str, required=True, help="start state i1,...,iM")
-            p.add_argument("--set", type=str, required=True, dest="set_text", help="target set descriptor")
+
+    def add_model(p):
+        add_size(p)
+        p.add_argument("--start", type=str, required=True, help="start state i1,...,iM")
+        p.add_argument("--set", type=str, required=True, dest="set_text", help="target set descriptor")
 
     def add_output(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -138,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--replicas", type=int, default=20_000)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--max-steps", type=int, default=10_000_000)
-    p_cmp.add_argument("--corrupt-engine", action="store_true", help=argparse.SUPPRESS)
     add_output(p_cmp)
 
     p_id = sub.add_parser("identities", help="exact identity suite and quadrature cross-check")
@@ -147,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_id)
 
     p_net = sub.add_parser("network-check", help="commute-time identity sweep")
-    p_net.add_argument("--N", type=int, required=True, dest="urns")
-    p_net.add_argument("--M", type=int, required=True, dest="balls")
+    add_size(p_net)
     add_output(p_net)
 
     return parser
@@ -180,20 +185,40 @@ def _csv_value(entry) -> str:
     return str(entry)
 
 
+def _csv_row(case: str, name: str, verdict: dict, *values) -> list:
+    """A CSV line: ``values`` fill exact, oracle, mc_mean, mc_stderr in turn."""
+    return [case, name, *values, *[""] * (4 - len(values)), "pass" if verdict["pass"] else "fail"]
+
+
+def _csv_rows(report: dict) -> list[list]:
+    """compare's mean and variance lines, one line per verdict of the other
+    checks, or one line per scalar result."""
+    request, results, verdicts = report["request"], report["results"], report.get("verdicts")
+    command = request["command"]
+    case = request.get("case", command)
+    if command == "compare":
+        mean, variance = verdicts[:2]
+        mc = results["mc"]["discrete"]
+        return [
+            _csv_row(case, "mean", mean, *mean["detail"].values(), mc["sample_mean"], mc["stderr"]),
+            _csv_row(case, "variance", variance, *variance["detail"].values()),
+        ]
+    if command == "network-check":
+        return [_csv_row(case, v["name"], v, v["detail"]["lhs"], v["detail"]["rhs"]) for v in verdicts]
+    if command == "identities":
+        return [_csv_row(case, v["name"], v) for v in verdicts]
+    return [
+        [case, name, value, "", "", "", ""]
+        for name, value in results.items()
+        if isinstance(value, (int, float, str)) or (isinstance(value, dict) and "rational" in value)
+    ]
+
+
 def _to_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["case", "quantity", "exact", "oracle", "mc_mean", "mc_stderr", "verdict"])
-    case = report.get("request", {}).get("case", "")
-    rows = report.get("csv_rows")
-    if rows is None:
-        rows = []
-        for name, value in report.get("results", {}).items():
-            if isinstance(value, dict) and "rational" in value:
-                rows.append([case, name, value["rational"], "", "", "", ""])
-            elif isinstance(value, (int, float, str)):
-                rows.append([case, name, value, "", "", "", ""])
-    for row in rows:
+    for row in _csv_rows(report):
         writer.writerow([_csv_value(v) for v in row])
     return buf.getvalue()
 
@@ -229,27 +254,9 @@ def _request_echo(args) -> dict:
         if hasattr(args, key):
             req[key] = getattr(args, key)
     if hasattr(args, "lambda_grid"):
-        req["lambda_grid"] = list(_parse_lambda_grid(args.lambda_grid))
-        req["u_grid"] = [format_rational(u) for u in _parse_u_grid(args.u_grid)]
+        req["lambda_grid"] = list(args.lambda_grid)
+        req["u_grid"] = [format_rational(u) for u in args.u_grid]
     return req
-
-
-def _engine_exit_distribution(params, query):
-    """Closed-form exit splits where the case studies provide them."""
-    descriptor = query.target
-    if query.start_in_target():
-        return {t: Fraction(1 if t == query.start else 0) for t in descriptor.materialize(params)}
-    kind = descriptor.kind
-    if kind == "singleton":
-        return {params.check_state(descriptor.states[0]): Fraction(1)}
-    if kind == "pair":
-        y, z = sorted(params.check_state(s) for s in descriptor.states)
-        stats = closedforms.two_point_stats_for(params, query.start, y, z)
-        return {y: stats.exit_prob_first, z: 1 - stats.exit_prob_first}
-    if kind == "diagonal":
-        stats = closedforms.same_urn_stats(params, query.start)
-        return {(i,) * params.balls: p for i, p in enumerate(stats.exit_probs, start=1)}
-    return None
 
 
 def _summary_results(summary, digits: int) -> dict:
@@ -276,72 +283,84 @@ def _summary_results(summary, digits: int) -> dict:
     return results
 
 
-def cmd_exact(args) -> int:
-    started = time.perf_counter()
-    params = ModelParams(args.urns, args.balls)
-    descriptor = parse_set(args.set_text)
+def _verdict(name: str, ok: bool, **detail) -> dict:
+    v = {"name": name, "pass": bool(ok)}
+    if detail:
+        v["detail"] = detail
+    return v
+
+
+def _commute_verdict(name: str, params: ModelParams, h: int, k: int) -> dict:
+    check = closedforms.network_commute_check(params, h, k)
+    return _verdict(name, check.equal, lhs=format_rational(check.lhs), rhs=format_rational(check.rhs))
+
+
+# ---------------------------------------------------------------------------
+# the three routes, each shared by its own subcommand and by compare
+
+
+def _engine(args, params, descriptor, u_grid, lambda_grid):
+    """The kernel engine: the query and its exact summary."""
     query = hitting.HittingQuery(params, _parse_start(args.start), descriptor)
-    summary = hitting.summarize(
-        query,
-        order=args.order,
-        u_grid=_parse_u_grid(args.u_grid),
-        lambda_grid=_parse_lambda_grid(args.lambda_grid),
-        digits=args.digits,
-        exit_distribution=_engine_exit_distribution(params, query),
-    )
-    report = {
-        "request": _request_echo(args),
-        "results": _summary_results(summary, args.digits),
-    }
-    _emit(args, report, started)
-    return 0
+    return query, hitting.summarize(query, args.order, u_grid, lambda_grid, args.digits)
 
 
-def cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    params = ModelParams(args.urns, args.balls)
-    descriptor = parse_set(args.set_text)
-    oracle.check_cap(params, args.cap)
+def _oracle(args, chain, descriptor, u_grid, lambda_grid):
+    """First-step solves on the enumerated chain: the target states, the start
+    and the summary, without the exit law."""
+    params = chain.params
     targets = descriptor.materialize(params)
     start = params.check_state(_parse_start(args.start))
-    chain = oracle.EnumeratedChain(params)
-
-    moments = oracle.raw_moment_vectors(chain, targets, max(args.order, 2), cap=args.cap)
-    transform = partial(oracle.solve_transform_u, chain, targets, start, cap=args.cap)
-    u_samples = tuple((u, transform(u)) for u in _parse_u_grid(args.u_grid))
-    lambda_samples = tuple(
-        (lam, transform(lambda_to_u(params.balls, lam, args.digits)) if lam else Fraction(1))
-        for lam in _parse_lambda_grid(args.lambda_grid)
-    )
+    moments = oracle.raw_moment_vectors(chain, targets, max(args.order, 2))
+    transform = partial(oracle.solve_transform_u, chain, targets, start)
     summary = hitting.HittingSummary.from_moments(
         [vec[start] for vec in moments],
         args.order,
-        u_samples=u_samples,
-        lambda_samples=lambda_samples,
-        exit_distribution=oracle.exit_distribution(chain, targets, start, cap=args.cap),
+        u_samples=tuple((u, transform(u)) for u in u_grid),
+        lambda_samples=tuple(
+            (lam, transform(lambda_to_u(params.balls, lam, args.digits)) if lam else Fraction(1))
+            for lam in lambda_grid
+        ),
     )
-    report = {
-        "request": _request_echo(args),
-        "results": _summary_results(summary, args.digits),
-    }
-    _emit(args, report, started)
-    return 0
+    return targets, start, summary
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    params = ModelParams(args.urns, args.balls)
-    descriptor = parse_set(args.set_text)
+def _simulate(args, params, descriptor, mode, u_grid=(), lambda_grid=()):
+    """Monte Carlo sampling in ``mode``, with transform estimates on the grids."""
     cfg = SimConfig(
         replicas=args.replicas,
         seed=args.seed,
-        mode=args.mode,
+        mode=mode,
         max_steps=args.max_steps,
-        lambda_grid=_parse_lambda_grid(args.lambda_grid),
-        u_grid=tuple(float(u) for u in _parse_u_grid(args.u_grid)),
+        lambda_grid=lambda_grid,
+        u_grid=tuple(float(u) for u in u_grid),
     )
-    summary = sample_hitting(params, _parse_start(args.start), descriptor, cfg)
-    report = {
+    return sample_hitting(params, _parse_start(args.start), descriptor, cfg)
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each returns its report
+
+
+def cmd_exact(args) -> dict:
+    params = ModelParams(args.urns, args.balls)
+    _, summary = _engine(args, params, parse_set(args.set_text), args.u_grid, args.lambda_grid)
+    return {"request": _request_echo(args), "results": _summary_results(summary, args.digits)}
+
+
+def cmd_oracle(args) -> dict:
+    params = ModelParams(args.urns, args.balls)
+    descriptor = parse_set(args.set_text)
+    chain = oracle.EnumeratedChain(params, cap=args.cap)
+    targets, start, summary = _oracle(args, chain, descriptor, args.u_grid, args.lambda_grid)
+    summary = replace(summary, exit_distribution=oracle.exit_distribution(chain, targets, start))
+    return {"request": _request_echo(args), "results": _summary_results(summary, args.digits)}
+
+
+def cmd_simulate(args) -> dict:
+    params = ModelParams(args.urns, args.balls)
+    summary = _simulate(args, params, parse_set(args.set_text), args.mode, args.u_grid, args.lambda_grid)
+    return {
         "request": _request_echo(args),
         "results": {
             "sample_mean": summary.sample_mean,
@@ -357,43 +376,18 @@ def cmd_simulate(args) -> int:
             ],
         },
     }
-    _emit(args, report, started)
-    return 0
 
 
-def _verdict(name: str, ok: bool, **detail) -> dict:
-    v = {"name": name, "pass": bool(ok)}
-    if detail:
-        v["detail"] = detail
-    return v
-
-
-def _csv_row(case: str, name: str, verdict: dict, *values) -> list:
-    """A CSV line: ``values`` fill exact, oracle, mc_mean, mc_stderr in turn."""
-    return [case, name, *values, *[""] * (4 - len(values)), "pass" if verdict["pass"] else "fail"]
-
-
-def cmd_compare(args) -> int:
-    started = time.perf_counter()
+def cmd_compare(args) -> dict:
     params = ModelParams(args.urns, args.balls)
     descriptor = parse_set(args.set_text)
-    oracle.check_cap(params, args.cap)
-    start = params.check_state(_parse_start(args.start))
-    query = hitting.HittingQuery(params, start, descriptor)
-    targets = descriptor.materialize(params)
-    order = max(args.order, 2)
+    chain = oracle.EnumeratedChain(params, cap=args.cap)
     m = params.balls
+    u_grid = args.u_grid or (Fraction(1, 2), Fraction(1), Fraction(2))
+    lambda_grid = args.lambda_grid or (0.1, 0.5, 1.0, 2.0)
+    query, engine = _engine(args, params, descriptor, u_grid, lambda_grid)
+    _, _, truth = _oracle(args, chain, descriptor, u_grid, ())
 
-    engine = hitting.HittingSummary.from_moments(hitting.raw_moments(query, order), order)
-    if args.corrupt_engine:
-        engine = replace(engine, mean=engine.mean + 1)  # test hook: prove the harness catches a broken engine
-    chain = oracle.EnumeratedChain(params)
-    truth = hitting.HittingSummary.from_moments(
-        [vec[start] for vec in oracle.raw_moment_vectors(chain, targets, order, cap=args.cap)], order
-    )
-    transform = partial(oracle.solve_transform_u, chain, targets, start, cap=args.cap)
-
-    u_grid = _parse_u_grid(args.u_grid) or (Fraction(1, 2), Fraction(1), Fraction(2))
     # (verdict name, engine value, oracle value): equal to the last digit or the check fails
     triples = [
         ("mean_exact_vs_oracle", engine.mean, truth.mean),
@@ -401,18 +395,19 @@ def cmd_compare(args) -> int:
     ]
     triples += [
         (f"moment{r}_exact_vs_oracle", engine.raw_moments[r - 1], truth.raw_moments[r - 1])
-        for r in range(3, order + 1)
+        for r in range(3, args.order + 1)
     ]
-    triples += [(f"transform_u_{format_rational(u)}", hitting.laplace_u(query, u), transform(u)) for u in u_grid]
+    triples += [
+        (f"transform_u_{format_rational(u)}", lhs, rhs)
+        for (u, lhs), (_, rhs) in zip(engine.u_samples, truth.u_samples)
+    ]
     verdicts = [
         _verdict(name, lhs == rhs, exact=format_rational(lhs), oracle=format_rational(rhs))
         for name, lhs, rhs in triples
     ]
 
-    lambda_grid = _parse_lambda_grid(args.lambda_grid) or (0.1, 0.5, 1.0, 2.0)
-    for lam in lambda_grid:
-        lhs = hitting.laplace_lambda(query, lam, digits=args.digits)
-        rhs = hitting.laplace_u(query, lambda_to_u(m, lam, args.digits + 6))
+    for lam, lhs in engine.lambda_samples:
+        rhs = hitting.laplace_lambda(query, lam, args.digits + 6)
         rel = abs(lhs - rhs) / rhs if rhs else Fraction(0)
         # laplace_lambda is only asked for --digits digits: hold it to those, and to 1e-15 at most
         verdicts.append(
@@ -423,22 +418,13 @@ def cmd_compare(args) -> int:
             )
         )
 
-    mc = {}
-    for mode in ("discrete", "ctmc"):
-        cfg = SimConfig(
-            replicas=args.replicas,
-            seed=args.seed,
-            mode=mode,
-            max_steps=args.max_steps,
-        )
-        summary = sample_hitting(params, start, descriptor, cfg)
-        mc[mode] = summary
+    mc = {mode: _simulate(args, params, descriptor, mode) for mode in ("discrete", "ctmc")}
+    for mode, summary in mc.items():
         reference = engine.mean if mode == "discrete" else engine.mean / m
-        gap = abs(summary.sample_mean - float(reference))
         verdicts.append(
             _verdict(
                 f"mc_mean_{mode}",
-                gap <= 4 * summary.stderr,
+                abs(summary.sample_mean - float(reference)) <= 4 * summary.stderr,
                 exact=float(reference),
                 mc_mean=summary.sample_mean,
                 mc_stderr=summary.stderr,
@@ -447,28 +433,12 @@ def cmd_compare(args) -> int:
 
     if descriptor.kind == "count":
         ref, h = descriptor.count_level(params)
-        k = overlap(start, (ref,) * m)
+        k = overlap(query.start, (ref,) * m)
         if h != k:
             low, high = sorted((h, k))
-            check = closedforms.network_commute_check(params, low, high)
-            verdicts.append(
-                _verdict(
-                    f"network_identity_h{low}_k{high}",
-                    check.equal,
-                    lhs=format_rational(check.lhs),
-                    rhs=format_rational(check.rhs),
-                )
-            )
+            verdicts.append(_commute_verdict(f"network_identity_h{low}_k{high}", params, low, high))
 
-    all_pass = all(v["pass"] for v in verdicts)
-    case = _case_label(args)
-    mean_verdict, variance_verdict = verdicts[:2]
-    csv_rows = [
-        _csv_row(case, "mean", mean_verdict, *mean_verdict["detail"].values(),
-                 mc["discrete"].sample_mean, mc["discrete"].stderr),
-        _csv_row(case, "variance", variance_verdict, *variance_verdict["detail"].values()),
-    ]
-    report = {
+    return {
         "request": _request_echo(args),
         "results": {
             "exact": {"mean": _rat(engine.mean), "variance": _rat(engine.variance)},
@@ -484,109 +454,33 @@ def cmd_compare(args) -> int:
             },
         },
         "verdicts": verdicts,
-        "csv_rows": csv_rows,
     }
-    _emit(args, report, started)
-    return 0 if all_pass else VERDICT_FAILURE
 
 
-def cmd_identities(args) -> int:
-    started = time.perf_counter()
-    from .resolvent import (
-        binomial_increment_mean,
-        centered_kernel,
-        centered_kernel_derivative,
-        kernel_increments,
-        overlap_increment_distribution,
-        resolvent_kernel,
-        resolvent_kernel_quadrature,
-        series_identity_checks,
-    )
-
-    verdicts = []
-    for n in range(2, args.max_urns + 1):
-        for m in range(1, args.max_balls + 1):
-            params = ModelParams(n, m)
-            ok_series = all(
-                series_identity_checks(params, a)
-                for a in (Fraction(0), Fraction(n - 1), Fraction(-1))
-            )
-            table = kernel_increments(params)
-            ok_tel = table.zero_overlap + sum(table.increments) == table.full_overlap
-            ok_ends = (
-                table.zero_overlap == centered_kernel(params, 0)
-                and table.full_overlap == centered_kernel(params, m)
-            )
-            ok_gaps = all(
-                centered_kernel(params, k + 1) - centered_kernel(params, k) == table.increments[k]
-                for k in range(m)
-            )
-            ok_first = table.increments[0] == Fraction(1, m)
-            deriv_gap = centered_kernel_derivative(params, 0) - centered_kernel_derivative(params, m)
-            closed = Fraction(n - 1, n**2) * sum(
-                Fraction(1, i) * sum(Fraction(n**j, j) for j in range(1, i + 1))
-                for i in range(1, m + 1)
-            )
-            ok_deriv = deriv_gap == closed
-            ok_binom = all(
-                binomial_increment_mean(params, mm)
-                == sum(
-                    (p * table.increments[j] for j, p in overlap_increment_distribution(params, mm)),
-                    Fraction(0),
-                )
-                for mm in range(0, m)
-            )
-            ok = ok_series and ok_tel and ok_ends and ok_gaps and ok_first and ok_deriv and ok_binom
-            verdicts.append(_verdict(f"identities_N{n}_M{m}", ok))
-
+def cmd_identities(args) -> dict:
+    verdicts = [
+        _verdict(f"identities_N{n}_M{m}", identity_suite_holds(ModelParams(n, m)))
+        for n in range(2, args.max_urns + 1)
+        for m in range(1, args.max_balls + 1)
+    ]
     for n, m in ((2, 3), (3, 2), (4, 3)):
-        params = ModelParams(n, m)
-        ok = True
-        worst = 0.0
-        for k in range(m + 1):
-            for u in (Fraction(1, 4), Fraction(1), Fraction(4)):
-                approx = resolvent_kernel_quadrature(params, k, float(u))
-                exact_val = float(resolvent_kernel(params, k, u))
-                worst = max(worst, abs(approx - exact_val))
-                ok = ok and abs(approx - exact_val) <= 1e-8
-        verdicts.append(_verdict(f"quadrature_N{n}_M{m}", ok, max_abs_error=worst))
-
-    all_pass = all(v["pass"] for v in verdicts)
-    report = {
+        worst = quadrature_error(ModelParams(n, m))
+        verdicts.append(_verdict(f"quadrature_N{n}_M{m}", worst <= 1e-8, max_abs_error=worst))
+    return {
         "request": {"command": "identities", "max_urns": args.max_urns, "max_balls": args.max_balls},
-        "results": {"checks": len(verdicts), "failures": sum(1 for v in verdicts if not v["pass"])},
+        "results": {"checks": len(verdicts), "failures": sum(not v["pass"] for v in verdicts)},
         "verdicts": verdicts,
-        "csv_rows": [_csv_row("identities", v["name"], v) for v in verdicts],
     }
-    _emit(args, report, started)
-    return 0 if all_pass else VERDICT_FAILURE
 
 
-def cmd_network_check(args) -> int:
-    started = time.perf_counter()
+def cmd_network_check(args) -> dict:
     params = ModelParams(args.urns, args.balls)
-    verdicts = []
-    for h in range(params.balls + 1):
-        for k in range(h + 1, params.balls + 1):
-            check = closedforms.network_commute_check(params, h, k)
-            verdicts.append(
-                _verdict(
-                    f"commute_h{h}_k{k}",
-                    check.equal,
-                    lhs=format_rational(check.lhs),
-                    rhs=format_rational(check.rhs),
-                )
-            )
-    all_pass = all(v["pass"] for v in verdicts)
-    case = _case_label(args)
-    report = {
-        "request": _request_echo(args),
-        "results": {"pairs": len(verdicts)},
-        "verdicts": verdicts,
-        "csv_rows": [_csv_row(case, v["name"], v, v["detail"]["lhs"], v["detail"]["rhs"]) for v in verdicts],
-    }
-    _emit(args, report, started)
-    return 0 if all_pass else VERDICT_FAILURE
+    verdicts = [
+        _commute_verdict(f"commute_h{h}_k{k}", params, h, k)
+        for h in range(params.balls + 1)
+        for k in range(h + 1, params.balls + 1)
+    ]
+    return {"request": _request_echo(args), "results": {"pairs": len(verdicts)}, "verdicts": verdicts}
 
 
 _COMMANDS = {
@@ -600,11 +494,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        _check_bounds(args)
-        return _COMMANDS[args.command](args)
+        _check_args(args)
+        report = _COMMANDS[args.command](args)
+        _emit(args, report, started)
     except SetNotSymmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NOT_SYMMETRIC
@@ -617,6 +512,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return 0 if all(v["pass"] for v in report.get("verdicts", ())) else VERDICT_FAILURE
 
 
 def entry() -> None:

@@ -199,11 +199,6 @@ class CountChain:
     """
 
     params: ModelParams
-    reference_urn: int = 2
-
-    def __post_init__(self):
-        if not 1 <= self.reference_urn <= self.params.urns:
-            raise ValueError("reference urn out of range")
 
     def conductance_up(self, i: int) -> Fraction:
         """Edge weight between levels ``i`` and ``i + 1`` (zero past the top)."""

@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
+from .closedforms import same_urn_stats, two_point_stats_for
 from .exact import Jet, Rational, lambda_to_u
 from .model import (
     ModelParams,
@@ -195,6 +196,27 @@ def raw_moments(query: HittingQuery, order: int) -> list[Fraction]:
     ]
 
 
+def exit_distribution(query: HittingQuery) -> dict[State, Fraction] | None:
+    """Law of the state where the target set is first hit, where a closed form gives it.
+
+    A start inside the set is its own exit state.  Otherwise singletons,
+    pairs and the diagonal have closed forms; other kinds give ``None``.
+    """
+    params, target = query.params, query.target
+    if query.start_in_target():
+        return {t: Fraction(t == query.start) for t in target.materialize(params)}
+    if target.kind == "singleton":
+        return {params.check_state(target.states[0]): Fraction(1)}
+    if target.kind == "pair":
+        y, z = sorted(params.check_state(s) for s in target.states)
+        first = two_point_stats_for(params, query.start, y, z).exit_prob_first
+        return {y: first, z: 1 - first}
+    if target.kind == "diagonal":
+        probs = same_urn_stats(params, query.start).exit_probs
+        return {(i,) * params.balls: p for i, p in enumerate(probs, start=1)}
+    return None
+
+
 @dataclass(frozen=True)
 class CtmcStats:
     """Mean and variance of the continuous-time hitting time."""
@@ -245,9 +267,8 @@ def summarize(
     u_grid: Sequence[Rational] = (),
     lambda_grid: Sequence[float] = (),
     digits: int = 20,
-    exit_distribution: dict[State, Fraction] | None = None,
 ) -> HittingSummary:
-    """Bundle the exact statistics and transform samples for one query."""
+    """Bundle the exact statistics, transform samples and exit law of one query."""
     if order < 1:
         raise ValueError("moment order must be >= 1")
     return HittingSummary.from_moments(
@@ -255,5 +276,5 @@ def summarize(
         order,
         u_samples=tuple((Fraction(u), laplace_u(query, u)) for u in u_grid),
         lambda_samples=tuple((float(l), laplace_lambda(query, l, digits)) for l in lambda_grid),
-        exit_distribution=exit_distribution,
+        exit_distribution=exit_distribution(query),
     )

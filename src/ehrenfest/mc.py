@@ -82,12 +82,6 @@ def empirical_transform(samples: np.ndarray, arguments: Sequence[float]) -> list
     return out
 
 
-def _chunks(replicas: int):
-    """``(index, size)`` of each chunk, in chunk order."""
-    for index, offset in enumerate(range(0, replicas, CHUNK)):
-        yield index, min(CHUNK, replicas - offset)
-
-
 def _target_codes(params: ModelParams, states: Sequence[State], weights: np.ndarray) -> np.ndarray:
     arr = np.array([params.check_state(s) for s in states], dtype=np.int64) - 1
     return np.sort(arr @ weights)
@@ -152,44 +146,18 @@ def _simulate_chunk(
     return samples, truncated
 
 
-def first_step_frequencies(
-    params: ModelParams, start: Sequence[int], replicas: int, seed: int
-) -> dict[State, int]:
-    """Tally of the first jump's destination state across replicas.
-
-    Draws with the same per-chunk substreams and the same (ball, shift)
-    layout as the walkers, so the tally reflects exactly the one-step
-    distribution the simulator realizes.  Diagnostic only.
-    """
-    start = params.check_state(start)
-    n, m = params.urns, params.balls
-    counts: dict[State, int] = {}
-    for index, size in _chunks(replicas):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=index << 64))
-        balls = rng.integers(0, m, size=size)
-        shifts = rng.integers(1, n, size=size)
-        old = np.array(start, dtype=np.int64)[balls]
-        new = (old - 1 + shifts) % n + 1
-        pair, tally = np.unique(balls * (n + 1) + new, return_counts=True)
-        for code, c in zip(pair, tally):
-            b, u = divmod(int(code), n + 1)
-            y = start[:b] + (int(u),) + start[b + 1 :]
-            counts[y] = counts.get(y, 0) + int(c)
-    return counts
-
-
 def sample_hitting(
     params: ModelParams,
     start: Sequence[int],
-    target: SetDescriptor | Sequence[State],
+    target: SetDescriptor,
     cfg: SimConfig,
 ) -> SimSummary:
     """Sample hitting times of ``target`` from ``start`` under ``cfg``.
 
-    ``target`` may be a descriptor (count targets then use an O(1) running
-    occupancy counter for membership) or an explicit list of states (hashed
-    into integer codes).  Returns moment and transform summaries; see the
-    module docstring for the determinism contract.
+    Count targets use an O(1) running occupancy counter for membership; every
+    other kind is materialized and hashed into integer state codes.  Returns
+    moment and transform summaries; see the module docstring for the
+    determinism contract.
     """
     start = params.check_state(start)
     n, m = params.urns, params.balls
@@ -198,21 +166,17 @@ def sample_hitting(
     weights = n ** np.arange(m, dtype=np.int64)
 
     count_target = None
-    if isinstance(target, SetDescriptor):
-        if target.kind == "count":
-            count_target = target.count_level(params)
-            target_codes = np.empty(0, dtype=np.int64)
-        else:
-            target_codes = _target_codes(params, target.materialize(params), weights)
+    if target.kind == "count":
+        count_target = target.count_level(params)
+        target_codes = np.empty(0, dtype=np.int64)
     else:
-        states = list(target)
-        if not states:
-            raise ValueError("target set must be nonempty")
-        target_codes = _target_codes(params, states, weights)
+        target_codes = _target_codes(params, target.materialize(params), weights)
 
     results = [
-        _simulate_chunk(params, start, cfg, index, size, weights, target_codes, count_target)
-        for index, size in _chunks(cfg.replicas)
+        _simulate_chunk(
+            params, start, cfg, index, min(CHUNK, cfg.replicas - offset), weights, target_codes, count_target
+        )
+        for index, offset in enumerate(range(0, cfg.replicas, CHUNK))
     ]
 
     samples = np.concatenate([r[0] for r in results])

@@ -17,7 +17,8 @@ back-substitution), then expanded back to every state.  The refinement reads
 only the transition structure, never overlaps or kernel formulas, so an
 agreement with the engine is still a genuine two-sided check.
 
-Solves are capped by state-space size (default 2000).
+A chain is refused at construction when it has more states than its cap
+(default 2000).
 """
 
 from __future__ import annotations
@@ -43,12 +44,6 @@ class CapExceededError(RuntimeError):
         super().__init__(f"state space has {size} states, exceeding the cap of {cap}")
 
 
-def check_cap(params: ModelParams, cap: int = DEFAULT_EXACT_CAP) -> None:
-    """Raise :class:`CapExceededError` before a chain of ``params`` is enumerated."""
-    if params.state_count > cap:
-        raise CapExceededError(params.state_count, cap)
-
-
 class EnumeratedChain:
     """The fully enumerated chain with its table of neighbour positions.
 
@@ -59,9 +54,13 @@ class EnumeratedChain:
     holds the positions of the ``balls * (urns - 1)`` states one move away
     from ``states[r]``: moving ball ``i`` on by ``d = 1..urns-1`` urns changes
     the code by ``((digit_i + d) mod urns - digit_i) * urns**(i-1)``.
+    A chain of more than ``cap`` states is refused before anything is
+    enumerated, so every solve on a chain is within the cap.
     """
 
-    def __init__(self, params: ModelParams, order: Sequence[int] | None = None):
+    def __init__(self, params: ModelParams, order: Sequence[int] | None = None, cap: int = DEFAULT_EXACT_CAP):
+        if params.state_count > cap:
+            raise CapExceededError(params.state_count, cap)
         self.params = params
         n, m, size = params.urns, params.balls, params.state_count
         codes = np.arange(size) if order is None else np.array(list(order), dtype=np.int64)
@@ -195,17 +194,17 @@ def _expand(chain: EnumeratedChain, labels, values) -> dict[State, Fraction]:
 # hitting-time solves
 
 
-def mean_vector(chain: EnumeratedChain, targets: Sequence[State], cap: int = DEFAULT_EXACT_CAP) -> dict[State, Fraction]:
+def mean_vector(chain: EnumeratedChain, targets: Sequence[State]) -> dict[State, Fraction]:
     """Expected steps to reach the target set, for every start state."""
-    return raw_moment_vectors(chain, targets, 1, cap)[0]
+    return raw_moment_vectors(chain, targets, 1)[0]
 
 
-def solve_mean(chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
-    return mean_vector(chain, targets, cap)[chain.params.check_state(start)]
+def solve_mean(chain: EnumeratedChain, targets: Sequence[State], start: State) -> Fraction:
+    return mean_vector(chain, targets)[chain.params.check_state(start)]
 
 
 def raw_moment_vectors(
-    chain: EnumeratedChain, targets: Sequence[State], order: int, cap: int = DEFAULT_EXACT_CAP
+    chain: EnumeratedChain, targets: Sequence[State], order: int
 ) -> list[dict[State, Fraction]]:
     """Raw moments ``E[T**r]`` for ``r = 1..order``, every start state.
 
@@ -213,7 +212,6 @@ def raw_moment_vectors(
     binomial theorem: each order solves the same quotient system with a
     right-hand side assembled from the lower-order solutions.
     """
-    check_cap(chain.params, cap)
     if order < 1:
         raise ValueError("moment order must be >= 1")
     labels, counts, transient = _lump(chain, targets)
@@ -228,31 +226,30 @@ def raw_moment_vectors(
     return [_expand(chain, labels, vec) for vec in full[1:]]
 
 
-def solve_second_moment(chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
+def solve_second_moment(chain: EnumeratedChain, targets: Sequence[State], start: State) -> Fraction:
     """Exact ``E[T**2]`` from the coupled first/second-moment systems."""
-    vecs = raw_moment_vectors(chain, targets, 2, cap)
+    vecs = raw_moment_vectors(chain, targets, 2)
     return vecs[1][chain.params.check_state(start)]
 
 
 def transform_vector(
-    chain: EnumeratedChain, targets: Sequence[State], z: Fraction, cap: int = DEFAULT_EXACT_CAP
+    chain: EnumeratedChain, targets: Sequence[State], z: Fraction
 ) -> dict[State, Fraction]:
     """Probability generating function ``E[z**T]`` for every start state."""
     z = Fraction(z)
     if not 0 < z < 1:
         raise ValueError("transform argument must lie strictly between 0 and 1")
-    check_cap(chain.params, cap)
     labels, counts, transient = _lump(chain, targets)
     rhs = [z * sum(counts[b][transient:]) for b in range(transient)]
     (sol,) = solve_exact_system(_rows(chain, counts, transient, z), [rhs])
     return _expand(chain, labels, sol + [Fraction(1)] * (len(counts) - transient))
 
 
-def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: State, z: Fraction, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
-    return transform_vector(chain, targets, z, cap)[chain.params.check_state(start)]
+def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: State, z: Fraction) -> Fraction:
+    return transform_vector(chain, targets, z)[chain.params.check_state(start)]
 
 
-def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: State, u: Fraction, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
+def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: State, u: Fraction) -> Fraction:
     """Continuous-time transform ``E[exp(-u * T)]`` at rational ``u > 0``.
 
     Jumps come at rate ``balls``, so each step contributes the factor
@@ -262,11 +259,11 @@ def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: S
     if u <= 0:
         raise ValueError(f"transform argument u must be positive, got {u}")
     m = chain.params.balls
-    return solve_transform(chain, targets, start, Fraction(m) / (u + m), cap)
+    return solve_transform(chain, targets, start, Fraction(m) / (u + m))
 
 
 def exit_distribution(
-    chain: EnumeratedChain, targets: Sequence[State], start: State, cap: int = DEFAULT_EXACT_CAP
+    chain: EnumeratedChain, targets: Sequence[State], start: State
 ) -> dict[State, Fraction]:
     """Absorption probabilities into each element of the target set.
 
@@ -276,7 +273,6 @@ def exit_distribution(
     also keeps ``start`` apart gives those visits, and the exit probability
     at ``t`` is ``G(start, y) / degree`` summed over t's transient neighbours.
     """
-    check_cap(chain.params, cap)
     ordered_targets = sorted({chain.params.check_state(t) for t in targets})
     start = chain.params.check_state(start)
     if start in ordered_targets:
@@ -295,7 +291,7 @@ def exit_distribution(
 # ---------------------------------------------------------------------------
 # lumped count chain
 
-def lumped_count_oracle(params: ModelParams, k: int, h: int, reference_urn: int = 2) -> Fraction:
+def lumped_count_oracle(params: ModelParams, k: int, h: int) -> Fraction:
     """Mean hitting time of count level ``h`` from level ``k``.
 
     Solves the ``balls + 1`` level birth-death chain that tracks how many
@@ -306,8 +302,6 @@ def lumped_count_oracle(params: ModelParams, k: int, h: int, reference_urn: int 
     n, m = params.urns, params.balls
     if not (0 <= k <= m and 0 <= h <= m):
         raise ValueError(f"levels must lie in 0..{m}")
-    if not 1 <= reference_urn <= n:
-        raise ValueError(f"reference urn {reference_urn} outside 1..{n}")
     if k == h:
         return Fraction(0)
     levels = [i for i in range(m + 1) if i != h]

@@ -225,3 +225,47 @@ def overlap_increment_distribution(params: ModelParams, m: int) -> Sequence[tupl
         (j, Fraction(binomial(m, j)) * p**j * (1 - p) ** (m - j))
         for j in range(m + 1)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the identity suite
+
+
+def identity_suite_holds(params: ModelParams) -> bool:
+    """Every exact identity among the closed forms above, at one ``params``.
+
+    The series reductions at ``a = 0, urns-1, -1``; the increments against
+    the centered kernel (endpoints, telescoping, each gap, the first gap
+    ``1/balls``); the derivative gap ``g'(0) - g'(balls)`` against its double
+    sum; and the binomial increment means against direct enumeration.
+    """
+    n, m = params.urns, params.balls
+    table = kernel_increments(params)
+    g = [centered_kernel(params, k) for k in range(m + 1)]
+    deriv_gap = centered_kernel_derivative(params, 0) - centered_kernel_derivative(params, m)
+    closed = Fraction(n - 1, n**2) * sum(
+        Fraction(1, i) * sum(Fraction(n**j, j) for j in range(1, i + 1)) for i in range(1, m + 1)
+    )
+    return (
+        all(series_identity_checks(params, a) for a in (Fraction(0), Fraction(n - 1), Fraction(-1)))
+        and table.zero_overlap + sum(table.increments) == table.full_overlap
+        and (table.zero_overlap, table.full_overlap) == (g[0], g[m])
+        and all(g[k + 1] - g[k] == table.increments[k] for k in range(m))
+        and table.increments[0] == Fraction(1, m)
+        and deriv_gap == closed
+        and all(
+            binomial_increment_mean(params, j)
+            == sum((p * table.increments[i] for i, p in overlap_increment_distribution(params, j)), Fraction(0))
+            for j in range(m)
+        )
+    )
+
+
+def quadrature_error(params: ModelParams) -> float:
+    """Largest gap between :func:`resolvent_kernel_quadrature` and the exact
+    kernel, over every overlap and ``u = 1/4, 1, 4``."""
+    return max(
+        abs(resolvent_kernel_quadrature(params, k, float(u)) - float(resolvent_kernel(params, k, u)))
+        for k in range(params.balls + 1)
+        for u in (Fraction(1, 4), Fraction(1), Fraction(4))
+    )

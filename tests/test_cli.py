@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ehrenfest import cli
+from ehrenfest import cli, hitting
 
 
 def run_cli(capsys, *argv):
@@ -167,15 +167,37 @@ def test_compare_passes_and_reports_verdicts(capsys):
     assert net["detail"]["lhs"] == "27/2" and net["detail"]["rhs"] == "27/2"
 
 
-def test_compare_detects_corrupted_engine(capsys):
+def test_compare_detects_corrupted_engine(capsys, monkeypatch):
+    real = hitting.raw_moments
+
+    def corrupted(query, order):  # a broken engine: the first moment is off by one
+        first, *rest = real(query, order)
+        return [first + 1, *rest]
+
+    monkeypatch.setattr(hitting, "raw_moments", corrupted)
     code, report, _ = run_json(
         capsys,
         "compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
-        "--replicas", "2000", "--seed", "3", "--corrupt-engine",
+        "--replicas", "2000", "--seed", "3",
     )
     assert code == 5
     failing = [v["name"] for v in report["verdicts"] if not v["pass"]]
     assert "mean_exact_vs_oracle" in failing
+
+
+def test_compare_checks_what_exact_and_oracle_print(capsys):
+    args = ["--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2", "--order", "4", "--u", "1/2,2"]
+    _, exact_report, _ = run_json(capsys, "exact", *args)
+    _, oracle_report, _ = run_json(capsys, "oracle", *args)
+    code, report, _ = run_json(capsys, "compare", *args, "--replicas", "2000")
+    assert code == 0
+    details = {v["name"]: v["detail"] for v in report["verdicts"]}
+    names = ["mean_exact_vs_oracle", "variance_exact_vs_oracle", "moment3_exact_vs_oracle",
+             "moment4_exact_vs_oracle", "transform_u_1/2", "transform_u_2"]
+    for side, printed in (("exact", exact_report["results"]), ("oracle", oracle_report["results"])):
+        values = [printed["mean"], printed["variance"], *printed["raw_moments"][2:],
+                  *(s["value"] for s in printed["u_samples"])]
+        assert [details[name][side] for name in names] == [v["rational"] for v in values]
 
 
 def test_compare_lambda_verdicts_follow_requested_digits(capsys):
@@ -188,6 +210,18 @@ def test_compare_lambda_verdicts_follow_requested_digits(capsys):
     assert code == 0
     lambdas = [v for v in report["verdicts"] if v["name"].startswith("transform_lambda_")]
     assert len(lambdas) == 4 and all(v["pass"] for v in lambdas)
+
+
+def test_compare_accepts_lambda_zero(capsys):
+    # exact and oracle print the transform 1 at lambda = 0; compare checks it instead of exiting 2
+    code, report, _ = run_json(
+        capsys,
+        "compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+        "--lambda", "0", "--replicas", "200",
+    )
+    assert code == 0
+    (verdict,) = [v for v in report["verdicts"] if v["name"].startswith("transform_lambda_")]
+    assert verdict == {"name": "transform_lambda_0.0", "pass": True, "detail": {"relative_error": 0.0}}
 
 
 def test_identities_subcommand(capsys):
@@ -237,6 +271,24 @@ def test_timing_flag_adds_field(capsys):
     )
     assert code == 0
     assert report["timing"]["seconds"] >= 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--N", "3", "--M", "2", "--start", "1,2", "--set", "diagonal", "--timing"],
+        ["oracle", "--N", "3", "--M", "2", "--start", "1,2", "--set", "diagonal"],
+        ["simulate", "--N", "3", "--M", "2", "--start", "1,2", "--set", "diagonal", "--replicas", "100"],
+        ["compare", "--N", "3", "--M", "2", "--start", "2,2", "--set", "count:0", "--replicas", "1000"],
+        ["identities", "--max-urns", "3", "--max-balls", "2"],
+        ["network-check", "--N", "3", "--M", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_report_keys(capsys, argv):
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert set(report) <= {"request", "results", "verdicts", "timing"}
 
 
 def test_usage_errors_exit_two(capsys):

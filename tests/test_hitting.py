@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ehrenfest.hitting import (
     HittingQuery,
     ctmc_stats,
+    exit_distribution,
     green_potential,
     laplace_lambda,
     laplace_u,
@@ -24,6 +25,7 @@ from ehrenfest.model import (
     SetNotSymmetricError,
     overlap,
 )
+from ehrenfest import oracle
 from ehrenfest.oracle import EnumeratedChain, mean_vector, raw_moment_vectors, solve_transform
 from ehrenfest.resolvent import centered_kernel, resolvent_kernel
 
@@ -290,6 +292,23 @@ def test_engine_matches_oracle_spot_checks():
         for u in (F(1, 2), F(2)):
             z = F(p.balls, 1) / (u + p.balls)
             assert laplace_u(q, u) == solve_transform(chain, targets, x, z)
+
+
+def test_exit_distribution_matches_oracle():
+    p = ModelParams(3, 3)
+    chain = EnumeratedChain(p)
+    closed = [
+        SetDescriptor.singleton((2, 2, 1)),
+        SetDescriptor.pair((2, 2, 1), (3, 1, 1)),
+        SetDescriptor.diagonal(),
+    ]
+    for descriptor in closed:
+        targets = descriptor.materialize(p)
+        for x in [(1, 2, 3), (1, 1, 2), targets[-1]]:  # the last start lies inside the set
+            want = oracle.exit_distribution(chain, targets, x)
+            assert exit_distribution(HittingQuery(p, x, descriptor)) == want
+    for descriptor in (SetDescriptor.count(1), SetDescriptor.distinct(), SetDescriptor.explicit([(2, 2, 3)])):
+        assert exit_distribution(HittingQuery(p, (1, 1, 1), descriptor)) is None
 
 
 def test_concurrent_queries_share_memo_safely():

@@ -3,15 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
 
 from ehrenfest.mc import (
     SimConfig,
     empirical_transform,
-    first_step_frequencies,
     sample_hitting,
 )
-from ehrenfest.model import ModelParams, SetDescriptor, neighbor_states
+from ehrenfest.model import ModelParams, SetDescriptor
 
 
 P32 = ModelParams(3, 2)
@@ -66,10 +64,10 @@ def test_count_target_uses_running_counter():
 def test_explicit_state_list_target():
     cfg = SimConfig(replicas=5000, seed=13)
     via_descriptor = sample_hitting(P32, (1, 1), SINGLETON, cfg)
-    via_list = sample_hitting(P32, (1, 1), [(2, 2)], cfg)
+    via_list = sample_hitting(P32, (1, 1), SetDescriptor.explicit([(2, 2)]), cfg)
     assert via_list == via_descriptor
     with pytest.raises(ValueError):
-        sample_hitting(P32, (1, 1), [], cfg)
+        sample_hitting(P32, (1, 1), SetDescriptor.explicit([]), cfg)
 
 
 def test_empirical_transform_basics():
@@ -119,24 +117,6 @@ def test_all_truncated_raises():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sample_hitting(p, (1, 1), far, SimConfig(replicas=50, seed=2, max_steps=1))
-
-
-def test_first_step_frequencies_match_kernel():
-    # embedded one-step law is uniform over the m*(n-1) neighbors;
-    # a low chi-square p-value is flagged as a warning, not a failure
-    p = ModelParams(3, 2)
-    start = (1, 2)
-    replicas = 40_000
-    counts = first_step_frequencies(p, start, replicas, seed=11)
-    neighbors = list(neighbor_states(p, start))
-    assert set(counts) <= set(neighbors)
-    assert sum(counts.values()) == replicas
-    observed = [counts.get(y, 0) for y in neighbors]
-    result = scipy_stats.chisquare(observed)
-    if result.pvalue < 1e-4:
-        warnings.warn(
-            f"first-step frequencies look skewed (p={result.pvalue:.2e})", RuntimeWarning
-        )
 
 
 def test_meta_seeds_mostly_within_band():

@@ -166,18 +166,14 @@ def test_lumped_examples():
 
 
 def test_cap_enforcement():
-    p = ModelParams(4, 10)
-    chain = EnumeratedChain.__new__(EnumeratedChain)  # avoid enumerating 4**10 states
-    chain.params = p
     with pytest.raises(CapExceededError) as err:
-        mean_vector(chain, [(1,) * 10])
+        EnumeratedChain(ModelParams(4, 10))  # refused before any of the 4**10 states is enumerated
     assert err.value.size == 4**10
     assert err.value.cap == 2000
 
-    small = EnumeratedChain(ModelParams(3, 4))
     with pytest.raises(CapExceededError):
-        mean_vector(small, [(1, 1, 1, 1)], cap=50)
-    assert len(mean_vector(small, [(1, 1, 1, 1)], cap=100)) == 81
+        EnumeratedChain(ModelParams(3, 4), cap=50)
+    assert len(mean_vector(EnumeratedChain(ModelParams(3, 4), cap=100), [(1, 1, 1, 1)])) == 81
 
 
 def test_empty_target_rejected():
