@@ -110,10 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="write the report to this path")
         p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
 
-    def add_grids(p):
+    def add_grids(p, digits=True):
         p.add_argument("--lambda", dest="lambda_grid", type=str, default="", help="comma list of lambda arguments")
         p.add_argument("--u", dest="u_grid", type=str, default="", help="comma list of rational u arguments, e.g. 1/2,1,2")
-        p.add_argument("--digits", type=int, default=20, help="significant digits for lambda-domain rendering")
+        if digits:
+            p.add_argument("--digits", type=int, default=20, help="significant digits for lambda-domain rendering")
 
     p_exact = sub.add_parser("exact", help="exact engine statistics")
     add_model(p_exact)
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo hitting-time sampling")
     add_model(p_sim)
-    add_grids(p_sim)
+    add_grids(p_sim, digits=False)
     p_sim.add_argument("--replicas", type=int, default=10_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--mode", choices=("discrete", "ctmc"), default="discrete")
@@ -325,15 +326,15 @@ def _oracle(args, chain, descriptor, u_grid, lambda_grid):
     return targets, start, summary
 
 
-def _simulate(args, params, descriptor, mode, u_grid=(), lambda_grid=()):
-    """Monte Carlo sampling in ``mode``, with transform estimates on the grids."""
+def _simulate(args, params, descriptor, mode, grid=()):
+    """Monte Carlo sampling in ``mode``, with transform estimates on ``grid``
+    (lambda values in discrete mode, u values in ctmc mode)."""
     cfg = SimConfig(
         replicas=args.replicas,
         seed=args.seed,
         mode=mode,
         max_steps=args.max_steps,
-        lambda_grid=lambda_grid,
-        u_grid=tuple(float(u) for u in u_grid),
+        grid=tuple(float(a) for a in grid),
     )
     return sample_hitting(params, _parse_start(args.start), descriptor, cfg)
 
@@ -359,7 +360,11 @@ def cmd_oracle(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     params = ModelParams(args.urns, args.balls)
-    summary = _simulate(args, params, parse_set(args.set_text), args.mode, args.u_grid, args.lambda_grid)
+    grids = {"--lambda": args.lambda_grid, "--u": args.u_grid}
+    own, other = ("--u", "--lambda") if args.mode == "ctmc" else ("--lambda", "--u")
+    if grids[other]:
+        raise ValueError(f"simulate --mode {args.mode} reads its transform grid from {own}, not {other}")
+    summary = _simulate(args, params, parse_set(args.set_text), args.mode, grids[own])
     return {
         "request": _request_echo(args),
         "results": {
@@ -432,8 +437,8 @@ def cmd_compare(args) -> dict:
         )
 
     if descriptor.kind == "count":
-        ref, h = descriptor.count_level(params)
-        k = overlap(query.start, (ref,) * m)
+        center, h = descriptor.sphere(params)
+        k = overlap(query.start, center)
         if h != k:
             low, high = sorted((h, k))
             verdicts.append(_commute_verdict(f"network_identity_h{low}_k{high}", params, low, high))

@@ -4,13 +4,18 @@ Replicas are split into fixed-size chunks; chunk ``c`` draws from its own
 counter-based Philox stream keyed by ``(seed, c)``, and chunk results are
 folded in chunk order.  Output therefore depends only on the configuration.
 
-Within a chunk the replicas advance in lockstep with numpy: one uniformly
-chosen ball and one uniformly chosen displacement per active replica per
-step.  Continuous-time mode runs the identical embedded walk and adds an
-independent Exponential(balls) holding time per completed jump.  Replicas
-that exceed the step cap are counted as truncated and excluded from the
-moment estimates (loudly: a warning is emitted, nothing is dropped
-silently).
+Within a chunk the replicas walk the embedded jump chain in lockstep with
+numpy: one uniformly chosen ball and one uniformly chosen displacement per
+active replica per step.  Both modes walk alike.  The continuous-time chain
+holds an Exponential(balls) time before each jump, so a replica absorbed
+after ``T`` steps hits at time Gamma(T)/balls, drawn once per replica from
+the chunk's stream after the walk.  Each replica carries one membership key:
+singletons and count slices are Hamming spheres (the states agreeing with a
+center in exactly ``h`` coordinates), keyed by a running agreement count;
+every other kind is materialized and keyed by integer state codes, which
+needs ``urns**balls`` below ``2**62``.  Replicas that exceed the step cap
+are counted as truncated and excluded from the moment estimates (loudly: a
+warning is emitted, nothing is dropped silently).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelParams, SetDescriptor, State
+from .model import ModelParams, SetDescriptor, State, overlap
 
 #: Replicas per RNG substream.  Part of the reproducibility contract: results
 #: are a pure function of (seed, replicas, mode, case) at fixed chunking.
@@ -34,8 +39,7 @@ class SimConfig:
     seed: int
     mode: str = "discrete"  # or "ctmc"
     max_steps: int = 10_000_000
-    lambda_grid: tuple[float, ...] = ()
-    u_grid: tuple[float, ...] = ()
+    grid: tuple[float, ...] = ()  # transform arguments: lambda if discrete, u if ctmc
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -82,67 +86,58 @@ def empirical_transform(samples: np.ndarray, arguments: Sequence[float]) -> list
     return out
 
 
-def _target_codes(params: ModelParams, states: Sequence[State], weights: np.ndarray) -> np.ndarray:
-    arr = np.array([params.check_state(s) for s in states], dtype=np.int64) - 1
-    return np.sort(arr @ weights)
+def _membership(params: ModelParams, start: State, target: SetDescriptor):
+    """``(key of start, key change of a move, hit test on keys)`` for ``target``."""
+    sphere = target.sphere(params)
+    if sphere is not None:
+        center, level = np.array(sphere[0]), sphere[1]
+        return (
+            overlap(start, sphere[0]),
+            lambda balls, old, new: (new == center[balls]).astype(np.int64) - (old == center[balls]),
+            lambda keys: keys == level,
+        )
+    n, m = params.urns, params.balls
+    if m * np.log2(n) > 62:
+        raise ValueError("state space too large to encode states in 64-bit codes")
+    weights = n ** np.arange(m, dtype=np.int64)
+    codes = np.sort((np.array(target.materialize(params), dtype=np.int64) - 1) @ weights)
+    return (
+        int((np.array(start) - 1) @ weights),
+        lambda balls, old, new: (new - old) * weights[balls],
+        lambda keys: np.isin(keys, codes),
+    )
 
 
-def _simulate_chunk(
-    params: ModelParams,
-    start: State,
-    cfg: SimConfig,
-    chunk_index: int,
-    count: int,
-    weights: np.ndarray,
-    target_codes: np.ndarray,
-    count_target: tuple[int, int] | None,
-):
+def _simulate_chunk(params: ModelParams, start: State, cfg: SimConfig, chunk_index: int, count: int, member):
     """Walk ``count`` replicas to absorption; returns (samples, truncated mask)."""
     n, m = params.urns, params.balls
+    key0, delta, is_hit = member
     rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=chunk_index << 64))
-    ctmc = cfg.mode == "ctmc"
 
     positions = np.tile(np.array(start, dtype=np.int64), (count, 1))
-    codes = np.full(count, int((np.array(start) - 1) @ weights), dtype=np.int64)
+    keys = np.full(count, key0, dtype=np.int64)
     steps = np.zeros(count, dtype=np.int64)
-    times = np.zeros(count, dtype=np.float64) if ctmc else None
-    samples = np.zeros(count, dtype=np.float64)
-    truncated = np.zeros(count, dtype=bool)
+    active = np.flatnonzero(~is_hit(keys))  # replicas starting inside the target keep 0 steps
 
-    if count_target is not None:
-        ref, level = count_target
-        in_ref = np.sum(positions == ref, axis=1)
-        hit0 = in_ref == level
-    else:
-        hit0 = np.isin(codes, target_codes)
-    active = np.flatnonzero(~hit0)  # replicas starting inside the target keep sample 0
-
-    while active.size:
+    # every active replica has taken exactly t steps
+    t = 0
+    while active.size and t < cfg.max_steps:
+        t += 1
         k = active.size
         balls = rng.integers(0, m, size=k)
         shifts = rng.integers(1, n, size=k)
         old = positions[active, balls]
         new = (old - 1 + shifts) % n + 1
         positions[active, balls] = new
-        codes[active] += (new - old) * weights[balls]
-        steps[active] += 1
-        if ctmc:
-            times[active] += rng.standard_exponential(k) / m
+        keys[active] += delta(balls, old, new)
+        hit = is_hit(keys[active])
+        if hit.any():
+            steps[active[hit]] = t
+            active = active[~hit]
 
-        if count_target is not None:
-            ref, level = count_target
-            in_ref[active] += (new == ref).astype(np.int64) - (old == ref).astype(np.int64)
-            hit = in_ref[active] == level
-        else:
-            hit = np.isin(codes[active], target_codes)
-        out_of_budget = ~hit & (steps[active] >= cfg.max_steps)
-
-        done = hit | out_of_budget
-        if done.any():
-            finished = active[done]
-            samples[finished] = times[finished] if ctmc else steps[finished]
-            truncated[active[out_of_budget]] = True
-            active = active[~done]
+    truncated = np.zeros(count, dtype=bool)
+    truncated[active] = True
+    samples = steps.astype(np.float64) if cfg.mode == "discrete" else rng.standard_gamma(steps) / m
     return samples, truncated
 
 
@@ -154,28 +149,13 @@ def sample_hitting(
 ) -> SimSummary:
     """Sample hitting times of ``target`` from ``start`` under ``cfg``.
 
-    Count targets use an O(1) running occupancy counter for membership; every
-    other kind is materialized and hashed into integer state codes.  Returns
-    moment and transform summaries; see the module docstring for the
-    determinism contract.
+    Returns moment and transform summaries; see the module docstring for the
+    membership keys and the determinism contract.
     """
     start = params.check_state(start)
-    n, m = params.urns, params.balls
-    if m * np.log2(n) > 62:
-        raise ValueError("state space too large to encode states in 64-bit codes")
-    weights = n ** np.arange(m, dtype=np.int64)
-
-    count_target = None
-    if target.kind == "count":
-        count_target = target.count_level(params)
-        target_codes = np.empty(0, dtype=np.int64)
-    else:
-        target_codes = _target_codes(params, target.materialize(params), weights)
-
+    member = _membership(params, start, target)
     results = [
-        _simulate_chunk(
-            params, start, cfg, index, min(CHUNK, cfg.replicas - offset), weights, target_codes, count_target
-        )
+        _simulate_chunk(params, start, cfg, index, min(CHUNK, cfg.replicas - offset), member)
         for index, offset in enumerate(range(0, cfg.replicas, CHUNK))
     ]
 
@@ -196,8 +176,7 @@ def sample_hitting(
     mean = float(kept.mean())
     var = float(kept.var(ddof=1)) if kept.size > 1 else 0.0
     se = float(np.sqrt(var / kept.size))
-    grid = cfg.u_grid if cfg.mode == "ctmc" else cfg.lambda_grid
-    transforms = tuple(empirical_transform(kept, grid)) if grid else ()
+    transforms = tuple(empirical_transform(kept, cfg.grid)) if cfg.grid else ()
     return SimSummary(
         replicas=cfg.replicas,
         truncated=n_trunc,

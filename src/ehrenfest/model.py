@@ -215,20 +215,32 @@ class SetDescriptor:
     def explicit(cls, states: Iterable[Sequence[int]]) -> "SetDescriptor":
         return cls("explicit", states=tuple(tuple(int(c) for c in s) for s in states))
 
-    def count_level(self, params: ModelParams) -> tuple[int, int]:
-        """``(reference_urn, count_overlap)`` of a count set, checked against ``params``."""
+    def sphere(self, params: ModelParams) -> tuple[State, int] | None:
+        """``(center, h)`` when the set is the Hamming sphere of the states that
+        agree with ``center`` in exactly ``h`` coordinates, checked against
+        ``params``: ``(y, balls)`` for a singleton, ``((urn,) * balls, h)`` for a
+        count set.  None for every other kind."""
+        if self.kind == "singleton":
+            return params.check_state(self.states[0]), params.balls
+        if self.kind != "count":
+            return None
         h = self.count_overlap
         if h is None or not 0 <= h <= params.balls:
             raise ValueError(f"count target {h} outside 0..{params.balls}")
         if not 1 <= self.reference_urn <= params.urns:
             raise ValueError(f"reference urn {self.reference_urn} outside 1..{params.urns}")
-        return self.reference_urn, h
+        return (self.reference_urn,) * params.balls, h
 
     def materialize(self, params: ModelParams) -> list[State]:
         """Expand to the sorted list of member states, validating as we go."""
         n, m = params.urns, params.balls
-        if self.kind == "singleton":
-            out = [params.check_state(self.states[0])]
+        sphere = self.sphere(params)
+        if sphere is not None:
+            center, h = sphere
+            others = [[u for u in range(1, n + 1) if u != c] for c in center]
+            out = []
+            for agree in combinations(range(m), h):
+                out.extend(product(*(center[i : i + 1] if i in agree else others[i] for i in range(m))))
         elif self.kind == "pair":
             y, z = (params.check_state(s) for s in self.states)
             if y == z:
@@ -236,18 +248,6 @@ class SetDescriptor:
             out = [y, z]
         elif self.kind == "diagonal":
             out = [(i,) * m for i in range(1, n + 1)]
-        elif self.kind == "count":
-            ref, h = self.count_level(params)
-            others = [u for u in range(1, n + 1) if u != ref]
-            out = []
-            for pos in combinations(range(m), h):
-                pos_set = set(pos)
-                free = [i for i in range(m) if i not in pos_set]
-                for fill in product(others, repeat=m - h):
-                    x = [ref] * m
-                    for i, u in zip(free, fill):
-                        x[i] = u
-                    out.append(tuple(x))
         elif self.kind == "distinct":
             if m > n:
                 raise ValueError(f"distinct descriptor needs balls <= urns, got {m} > {n}")

@@ -13,9 +13,11 @@ equiprobable and every state of a block has the same number of neighbours in
 each block, so every first-step solution is constant on blocks.  Each system
 is assembled from the block-to-block neighbour counts and solved exactly
 (fraction-free Bareiss elimination over big integers, rational
-back-substitution), then expanded back to every state.  The refinement reads
-only the transition structure, never overlaps or kernel formulas, so an
-agreement with the engine is still a genuine two-sided check.
+back-substitution), then expanded back to every state.  A chain refines each
+partition once and keeps it for every later solve on the same target set
+(and start, for the exit law).  The refinement reads only the transition
+structure, never overlaps or kernel formulas, so an agreement with the
+engine is still a genuine two-sided check.
 
 A chain is refused at construction when it has more states than its cap
 (default 2000).
@@ -75,6 +77,7 @@ class EnumeratedChain:
         self.neighbor_table = position[codes[:, None] + shifts]
         self.states: list[State] = [tuple(row) for row in (digits + 1).tolist()]
         self.index: dict[State, int] = {x: i for i, x in enumerate(self.states)}
+        self.quotients: dict = {}  # (target set, start) -> _lump's partition, see _quotient
 
     def neighbors(self, x: State) -> list[State]:
         return [self.states[j] for j in self.neighbor_table[self.index[x]].tolist()]
@@ -180,6 +183,14 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
     return labels, counts, int(labels[positions].min())
 
 
+def _quotient(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):
+    """:func:`_lump`, refined once per (target set, start) on each chain."""
+    key = (frozenset(map(chain.params.check_state, targets)), start)
+    if key not in chain.quotients:
+        chain.quotients[key] = _lump(chain, targets, start)
+    return chain.quotients[key]
+
+
 def _rows(chain: EnumeratedChain, counts, transient: int, z: Fraction | int = 1):
     """Quotient rows of ``degree * (I - z P)`` on the transient blocks."""
     d = chain.degree()
@@ -214,7 +225,7 @@ def raw_moment_vectors(
     """
     if order < 1:
         raise ValueError("moment order must be >= 1")
-    labels, counts, transient = _lump(chain, targets)
+    labels, counts, transient = _quotient(chain, targets)
     rows = _rows(chain, counts, transient)
     absorbed = [Fraction(0)] * (len(counts) - transient)
     full: list[list] = [[1] * len(counts)]  # moment 0 is identically one
@@ -239,7 +250,7 @@ def transform_vector(
     z = Fraction(z)
     if not 0 < z < 1:
         raise ValueError("transform argument must lie strictly between 0 and 1")
-    labels, counts, transient = _lump(chain, targets)
+    labels, counts, transient = _quotient(chain, targets)
     rhs = [z * sum(counts[b][transient:]) for b in range(transient)]
     (sol,) = solve_exact_system(_rows(chain, counts, transient, z), [rhs])
     return _expand(chain, labels, sol + [Fraction(1)] * (len(counts) - transient))
@@ -277,7 +288,7 @@ def exit_distribution(
     start = chain.params.check_state(start)
     if start in ordered_targets:
         return {t: Fraction(1 if t == start else 0) for t in ordered_targets}
-    labels, counts, transient = _lump(chain, ordered_targets, start)
+    labels, counts, transient = _quotient(chain, ordered_targets, start)
     d = chain.degree()
     home = int(labels[chain.index[start]])
     (visits,) = solve_exact_system(_rows(chain, counts, transient), [[d * (b == home) for b in range(transient)]])

@@ -153,6 +153,17 @@ def test_simulate_ctmc_mean_scales(capsys):
     assert abs(results["sample_mean"] - 5.0) <= 4 * results["stderr"]
 
 
+def test_simulate_sphere_needs_no_state_codes(capsys):
+    # 10**20 states do not fit 64-bit codes; a count sphere keeps an agreement counter instead
+    base = ["simulate", "--N", "10", "--M", "20", "--start", ",".join(["1"] * 20), "--replicas", "100"]
+    code, report, _ = run_json(capsys, *base, "--set", "count:19:1")
+    assert code == 0
+    assert report["results"]["sample_mean"] == 1.0  # any first move leaves 19 balls in urn 1
+    code, out, err = run_cli(capsys, *base, "--set", "diagonal")
+    assert code == 2 and out == ""
+    assert "64-bit" in err
+
+
 def test_compare_passes_and_reports_verdicts(capsys):
     code, report, _ = run_json(
         capsys,
@@ -341,11 +352,16 @@ _TWOS = ",".join(["2"] * 200)
           "--u", "1/0"], "--u"),
         (["simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "count:5",
           "--replicas", "10"], "count target"),
+        (["simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--u", "1/2", "--replicas", "10"], "from --lambda, not --u"),
+        (["simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--mode", "ctmc", "--lambda", "0.5", "--replicas", "10"], "from --u, not --lambda"),
     ],
     ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
          "negative-digits", "exact-order-zero", "oracle-order-zero", "oracle-u-zero-denominator",
-         "exact-u-zero-denominator", "simulate-count-level-outside"],
+         "exact-u-zero-denominator", "simulate-count-level-outside", "simulate-discrete-u",
+         "simulate-ctmc-lambda"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)

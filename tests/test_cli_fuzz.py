@@ -67,18 +67,23 @@ def command_lines(draw):
         st.sampled_from(["diagonal", "distinct", "explicit:@{dir}/symmetric.json",
                          "explicit:@{dir}/asymmetric.json"]),
     )
-    argv += [
-        f"--start={_pick(draw, state, _junk_state)}",
-        f"--set={_pick(draw, valid_set, _junk_set)}",
-        "--u=" + ",".join(_pick(draw, st.lists(st.sampled_from(_U), max_size=3),
-                                st.lists(st.sampled_from(["0", "-1", "1/0", "abc", ""]), min_size=1, max_size=2))),
-        "--lambda=" + ",".join(_pick(draw, st.lists(st.sampled_from(_LAMBDA), max_size=3),
-                                     st.lists(st.sampled_from(["-1", "inf", "nan", "701", "1e5", "x"]),
-                                              min_size=1, max_size=2))),
-        "--digits", str(_pick(draw, st.integers(1, 40), st.sampled_from([-8, -7, -1, 0]))),
-    ]
-    if command != "simulate":
-        argv += ["--order", str(_pick(draw, st.integers(1, 5), st.integers(-1, 0)))]
+    argv += [f"--start={_pick(draw, state, _junk_state)}", f"--set={_pick(draw, valid_set, _junk_set)}"]
+    grids = {
+        "--u": ",".join(_pick(draw, st.lists(st.sampled_from(_U), max_size=3),
+                              st.lists(st.sampled_from(["0", "-1", "1/0", "abc", ""]), min_size=1, max_size=2))),
+        "--lambda": ",".join(_pick(draw, st.lists(st.sampled_from(_LAMBDA), max_size=3),
+                                   st.lists(st.sampled_from(["-1", "inf", "nan", "701", "1e5", "x"]),
+                                            min_size=1, max_size=2))),
+    }
+    if command == "simulate":
+        # simulate reads one grid, its mode's own; the other one is a junk draw
+        mode = draw(st.sampled_from(["discrete", "ctmc"]))
+        own, other = ("--u", "--lambda") if mode == "ctmc" else ("--lambda", "--u")
+        argv += ["--mode", mode, f"{own}={grids[own]}", *_pick(draw, st.just([]), st.just([f"{other}={grids[other]}"]))]
+    else:
+        argv += [f"{flag}={grid}" for flag, grid in grids.items()]
+        argv += ["--digits", str(_pick(draw, st.integers(1, 40), st.sampled_from([-8, -7, -1, 0]))),
+                 "--order", str(_pick(draw, st.integers(1, 5), st.integers(-1, 0)))]
     if command in ("oracle", "compare"):
         # 256 >= 4**4, so every valid chain reaches the oracle's quotient solves
         argv += ["--cap", str(_pick(draw, st.just(256), st.integers(-1, 255)))]
@@ -86,8 +91,7 @@ def command_lines(draw):
         argv += ["--replicas", str(_pick(draw, st.integers(1, 200), st.integers(-1, 0))),
                  "--seed", str(draw(st.integers(0, 3)))]
     if command == "simulate":
-        argv += ["--mode", draw(st.sampled_from(["discrete", "ctmc"])),
-                 "--max-steps", str(_pick(draw, st.sampled_from([50, 10_000_000]), st.sampled_from([0, 1])))]
+        argv += ["--max-steps", str(_pick(draw, st.sampled_from([50, 10_000_000]), st.sampled_from([0, 1])))]
     return argv
 
 

@@ -9,6 +9,7 @@ from ehrenfest.mc import (
     empirical_transform,
     sample_hitting,
 )
+from ehrenfest.hitting import HittingQuery, ctmc_stats
 from ehrenfest.model import ModelParams, SetDescriptor
 
 
@@ -33,7 +34,7 @@ def test_start_inside_target():
 
 
 def test_deterministic_across_runs():
-    cfg = SimConfig(replicas=30_000, seed=123, lambda_grid=(0.3, 1.0))
+    cfg = SimConfig(replicas=30_000, seed=123, grid=(0.3, 1.0))
     first = sample_hitting(P32, (1, 1), SINGLETON, cfg)
     second = sample_hitting(P32, (1, 1), SINGLETON, cfg)
     assert first == second
@@ -55,6 +56,14 @@ def test_ctmc_mean_within_four_stderr():
     assert abs(summary.sample_mean - 5.0) <= 4 * summary.stderr  # discrete mean / balls
 
 
+def test_ctmc_variance_matches_exact():
+    # Gamma(T)/M holding times: Var = (Var T + E T) / M**2 = (74 + 10) / 4
+    exact = ctmc_stats(HittingQuery(P32, (1, 1), SINGLETON)).variance
+    assert exact == 21
+    summary = sample_hitting(P32, (1, 1), SINGLETON, SimConfig(replicas=100_000, seed=7, mode="ctmc"))
+    assert abs(summary.sample_variance - 21) <= 0.05 * 21
+
+
 def test_count_target_uses_running_counter():
     p = ModelParams(3, 2)
     summary = sample_hitting(p, (2, 2), SetDescriptor.count(0), SimConfig(replicas=60_000, seed=3))
@@ -62,12 +71,18 @@ def test_count_target_uses_running_counter():
 
 
 def test_explicit_state_list_target():
-    cfg = SimConfig(replicas=5000, seed=13)
-    via_descriptor = sample_hitting(P32, (1, 1), SINGLETON, cfg)
-    via_list = sample_hitting(P32, (1, 1), SetDescriptor.explicit([(2, 2)]), cfg)
-    assert via_list == via_descriptor
-    with pytest.raises(ValueError):
-        sample_hitting(P32, (1, 1), SetDescriptor.explicit([]), cfg)
+    # spheres (singleton, count) keep an agreement counter, explicit sets state codes: same walks
+    p = ModelParams(3, 3)
+    for mode in ("discrete", "ctmc"):
+        cfg = SimConfig(replicas=5000, seed=13, mode=mode)
+        via_descriptor = sample_hitting(P32, (1, 1), SINGLETON, cfg)
+        via_list = sample_hitting(P32, (1, 1), SetDescriptor.explicit([(2, 2)]), cfg)
+        assert via_list == via_descriptor
+        for sphere in (SetDescriptor.count(1), SetDescriptor.singleton((2, 3, 1))):
+            explicit = SetDescriptor.explicit(sphere.materialize(p))
+            assert sample_hitting(p, (1, 1, 1), sphere, cfg) == sample_hitting(p, (1, 1, 1), explicit, cfg)
+        with pytest.raises(ValueError):
+            sample_hitting(P32, (1, 1), SetDescriptor.explicit([]), cfg)
 
 
 def test_empirical_transform_basics():
@@ -80,7 +95,7 @@ def test_empirical_transform_basics():
 
 def test_ctmc_transform_matches_exact():
     p = ModelParams(3, 1)
-    cfg = SimConfig(replicas=100_000, seed=21, mode="ctmc", u_grid=(1.0,))
+    cfg = SimConfig(replicas=100_000, seed=21, mode="ctmc", grid=(1.0,))
     summary = sample_hitting(p, (1,), SetDescriptor.singleton((2,)), cfg)
     (est,) = summary.transforms
     assert abs(est.estimate - 1 / 3) <= 4 * est.stderr
@@ -90,9 +105,9 @@ def test_paired_transform_discrete_vs_ctmc():
     # E[e^{-lam T}] (discrete) equals E[e^{-u Y}] (ctmc) at u = balls*(e^lam - 1)
     lam = 0.4
     u = P32.balls * math.expm1(lam)
-    d = sample_hitting(P32, (1, 1), SINGLETON, SimConfig(replicas=60_000, seed=31, lambda_grid=(lam,)))
+    d = sample_hitting(P32, (1, 1), SINGLETON, SimConfig(replicas=60_000, seed=31, grid=(lam,)))
     c = sample_hitting(
-        P32, (1, 1), SINGLETON, SimConfig(replicas=60_000, seed=97, mode="ctmc", u_grid=(u,))
+        P32, (1, 1), SINGLETON, SimConfig(replicas=60_000, seed=97, mode="ctmc", grid=(u,))
     )
     (de,) = d.transforms
     (ce,) = c.transforms
@@ -108,6 +123,16 @@ def test_truncation_is_counted_and_warned():
     assert summary.replicas == 2000
     # kept samples are all <= max_steps and hit the target
     assert summary.sample_mean <= 3.0
+
+
+def test_both_clocks_walk_alike():
+    # the ctmc clock is drawn after the walk, so the same seed truncates the same replicas
+    truncated = []
+    for mode in ("discrete", "ctmc"):
+        with pytest.warns(RuntimeWarning, match="step cap"):
+            summary = sample_hitting(P32, (1, 1), SINGLETON, SimConfig(replicas=2000, seed=5, mode=mode, max_steps=3))
+        truncated.append(summary.truncated)
+    assert truncated[0] == truncated[1] > 0
 
 
 def test_all_truncated_raises():

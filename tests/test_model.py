@@ -174,6 +174,20 @@ def test_materialize_errors():
         SetDescriptor.singleton((1, 9)).materialize(ModelParams(3, 2))
 
 
+def test_sphere_of_each_kind():
+    p = ModelParams(3, 4)
+    assert SetDescriptor.singleton((1, 2, 3, 1)).sphere(p) == ((1, 2, 3, 1), 4)
+    assert SetDescriptor.count(2).sphere(p) == ((2, 2, 2, 2), 2)
+    assert SetDescriptor.count(0, 3).sphere(p) == ((3, 3, 3, 3), 0)
+    others = [SetDescriptor.pair((1, 1, 1, 1), (2, 2, 2, 2)), SetDescriptor.diagonal(),
+              SetDescriptor.distinct(), SetDescriptor.explicit([(1, 1, 1, 1)])]
+    assert [d.sphere(p) for d in others] == [None] * 4
+    for bad in (SetDescriptor.count(5), SetDescriptor.count(-1), SetDescriptor.count(1, 4),
+                SetDescriptor.count(1, 0), SetDescriptor.singleton((1, 2, 3)), SetDescriptor.singleton((1, 2, 3, 4))):
+        with pytest.raises(ValueError):
+            bad.sphere(p)
+
+
 # --- symmetry test ---------------------------------------------------------
 
 

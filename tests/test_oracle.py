@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ehrenfest import cli
+from ehrenfest import cli, oracle
 from ehrenfest.exact import binomial
 from ehrenfest.model import ModelParams, SetDescriptor, neighbor_states, overlap
 from ehrenfest.oracle import (
@@ -290,6 +290,23 @@ def test_lambda_sample_at_81_states_is_fast(capsys):
     )
     assert elapsed < 1
     assert results["lambda_samples"][0]["decimal"].startswith("0.")
+
+
+def test_oracle_refines_once_per_target_and_start(capsys, monkeypatch):
+    # moments and every u/lambda point share one partition; the exit law keeps the start apart
+    starts = []
+    real = oracle._lump
+
+    def counting(chain, targets, start=None):
+        starts.append(start)
+        return real(chain, targets, start)
+
+    monkeypatch.setattr(oracle, "_lump", counting)
+    _timed_cli(
+        capsys, "oracle", "--N", "3", "--M", "4", "--start", "1,1,1,1", "--set", "singleton:2,2,2,2",
+        "--order", "4", "--u", "1/2,1,2", "--lambda", "0.5",
+    )
+    assert starts == [None, (1, 1, 1, 1)]
 
 
 def test_oracle_at_1024_states_matches_engine(capsys):
