@@ -30,7 +30,7 @@ from functools import partial
 from .exact import format_rational, format_significant, lambda_to_u, parse_rational
 from .model import ModelParams, SetNotSymmetricError, overlap, parse_set
 from . import closedforms, hitting, oracle
-from .mc import SimConfig, sample_hitting
+from .mc import SimConfig, sample_clocks, sample_hitting
 from .resolvent import identity_suite_holds, quadrature_error
 
 USAGE_ERROR = 2
@@ -64,9 +64,12 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
 
 def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(parse_rational(v) for v in text.split(",")) if text else ()
+        grid = tuple(parse_rational(v) for v in text.split(",")) if text else ()
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--u values must be rationals such as 1/2 or 3, got {text!r}") from None
+    if not all(u > 0 for u in grid):
+        raise ValueError(f"--u must be positive, got {text!r}")
+    return grid
 
 
 #: (argument, flag, least value) of the integer flags checked before any command runs
@@ -166,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, report: dict, started: float) -> None:
     if args.timing:
-        report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+        report["timing"] = {"seconds": round(time.perf_counter() - started, 6), **report.get("timing", {})}
     if args.format == "csv":
         text = _to_csv(report)
     else:
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -326,17 +329,29 @@ def _oracle(args, chain, descriptor, u_grid, lambda_grid):
     return targets, start, summary
 
 
-def _simulate(args, params, descriptor, mode, grid=()):
+def _simulate(args, params, descriptor, mode=None, grid=()):
     """Monte Carlo sampling in ``mode``, with transform estimates on ``grid``
-    (lambda values in discrete mode, u values in ctmc mode)."""
+    (lambda values in discrete mode, u values in ctmc mode), or in both modes
+    from one walk when ``mode`` is None.  Returns ``{mode: summary}`` and,
+    under ``--timing``, the walk's replica-steps and their rate."""
     cfg = SimConfig(
         replicas=args.replicas,
         seed=args.seed,
-        mode=mode,
+        mode=mode or "discrete",
         max_steps=args.max_steps,
         grid=tuple(float(a) for a in grid),
     )
-    return sample_hitting(params, _parse_start(args.start), descriptor, cfg)
+    start = _parse_start(args.start)
+    started = time.perf_counter()
+    if mode:
+        summaries = {mode: sample_hitting(params, start, descriptor, cfg)}
+    else:
+        summaries = sample_clocks(params, start, descriptor, cfg)
+    seconds = time.perf_counter() - started
+    if not args.timing:
+        return summaries, {}
+    steps = next(iter(summaries.values())).replica_steps
+    return summaries, {"timing": {"replica_steps": steps, "replica_steps_per_s": round(steps / seconds)}}
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +379,8 @@ def cmd_simulate(args) -> dict:
     own, other = ("--u", "--lambda") if args.mode == "ctmc" else ("--lambda", "--u")
     if grids[other]:
         raise ValueError(f"simulate --mode {args.mode} reads its transform grid from {own}, not {other}")
-    summary = _simulate(args, params, parse_set(args.set_text), args.mode, grids[own])
+    summaries, timing = _simulate(args, params, parse_set(args.set_text), args.mode, grids[own])
+    summary = summaries[args.mode]
     return {
         "request": _request_echo(args),
         "results": {
@@ -380,6 +396,7 @@ def cmd_simulate(args) -> dict:
                 for t in summary.transforms
             ],
         },
+        **timing,
     }
 
 
@@ -423,7 +440,7 @@ def cmd_compare(args) -> dict:
             )
         )
 
-    mc = {mode: _simulate(args, params, descriptor, mode) for mode in ("discrete", "ctmc")}
+    mc, timing = _simulate(args, params, descriptor)
     for mode, summary in mc.items():
         reference = engine.mean if mode == "discrete" else engine.mean / m
         verdicts.append(
@@ -459,6 +476,7 @@ def cmd_compare(args) -> dict:
             },
         },
         "verdicts": verdicts,
+        **timing,
     }
 
 

@@ -1,21 +1,33 @@
 """Monte Carlo sampling of hitting times, discrete and continuous-time.
 
 Replicas are split into fixed-size chunks; chunk ``c`` draws from its own
-counter-based Philox stream keyed by ``(seed, c)``, and chunk results are
-folded in chunk order.  Output therefore depends only on the configuration.
+counter-based Philox stream keyed by ``(seed, c)``.  Output therefore
+depends only on the configuration.
 
-Within a chunk the replicas walk the embedded jump chain in lockstep with
-numpy: one uniformly chosen ball and one uniformly chosen displacement per
-active replica per step.  Both modes walk alike.  The continuous-time chain
-holds an Exponential(balls) time before each jump, so a replica absorbed
-after ``T`` steps hits at time Gamma(T)/balls, drawn once per replica from
-the chunk's stream after the walk.  Each replica carries one membership key:
-singletons and count slices are Hamming spheres (the states agreeing with a
-center in exactly ``h`` coordinates), keyed by a running agreement count;
-every other kind is materialized and keyed by integer state codes, which
-needs ``urns**balls`` below ``2**62``.  Replicas that exceed the step cap
-are counted as truncated and excluded from the moment estimates (loudly: a
-warning is emitted, nothing is dropped silently).
+All replicas of all chunks walk the embedded jump chain in lockstep with
+numpy, one Python iteration per step for every live replica.  The moves
+come in blocks drawn ahead: at a block start each chunk with live replicas
+draws one integer per live replica and step from its own stream, for at
+most ``BLOCK_MOVES`` moves in all, and a draw ``r`` moves ball
+``r // (urns-1)`` forward by ``1 + r % (urns-1)`` urns (mod ``urns``).  A
+replica absorbed inside a block drops the rest of its draws, so every move
+is a fresh uniform draw and the law is exact; the sparse tail advances many
+steps per draw.  Both modes walk alike.  The continuous-time chain holds an
+Exponential(balls) time before each jump, so a replica absorbed after
+``T`` steps hits at time Gamma(T)/balls, drawn once per replica from its
+chunk's stream after the walk.
+
+Every ball's urn is tracked (nothing is lumped), stored as an offset
+``(urn - reference) % urns`` in the smallest unsigned type with room for
+``2*(urns-1)``.  Each replica carries one membership key.  Singletons and
+count slices are Hamming spheres (the states agreeing with a center in
+exactly ``h`` coordinates): the reference is the center and the key is the
+number of zero offsets.  Every other kind is materialized into sorted
+integer state codes, the reference is urn 1, and the hit test is a binary
+search of the key among the codes, which needs ``urns**balls`` below
+``2**62``.  Replicas that exceed the step cap are counted as truncated and
+excluded from the moment estimates (loudly: a warning is emitted, nothing
+is dropped silently).
 """
 
 from __future__ import annotations
@@ -29,8 +41,15 @@ import numpy as np
 from .model import ModelParams, SetDescriptor, State, overlap
 
 #: Replicas per RNG substream.  Part of the reproducibility contract: results
-#: are a pure function of (seed, replicas, mode, case) at fixed chunking.
+#: are a pure function of (seed, replicas, mode, case) at fixed chunking and
+#: block size.
 CHUNK = 8192
+
+#: Moves drawn per block over all live replicas: bounds the block's memory
+#: and sets how many steps the sparse tail takes per RNG call.
+BLOCK_MOVES = 1 << 15
+
+MODES = ("discrete", "ctmc")
 
 
 @dataclass(frozen=True)
@@ -46,7 +65,7 @@ class SimConfig:
             raise ValueError("need at least one replica")
         if self.max_steps < 1:
             raise ValueError("need max_steps >= 1")
-        if self.mode not in ("discrete", "ctmc"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -67,6 +86,7 @@ class SimSummary:
     sample_variance: float
     stderr: float
     transforms: tuple[TransformEstimate, ...] = field(default_factory=tuple)
+    replica_steps: int = 0  # steps walked, truncated replicas included
 
 
 def empirical_transform(samples: np.ndarray, arguments: Sequence[float]) -> list[TransformEstimate]:
@@ -87,58 +107,123 @@ def empirical_transform(samples: np.ndarray, arguments: Sequence[float]) -> list
 
 
 def _membership(params: ModelParams, start: State, target: SetDescriptor):
-    """``(key of start, key change of a move, hit test on keys)`` for ``target``."""
+    """``(reference state, key of start, key change of a move, hit test on keys)``
+    for ``target``; a move takes a ball from offset ``old`` to offset ``new``.
+    The start key's type is the keys' type."""
+    n, m = params.urns, params.balls
     sphere = target.sphere(params)
     if sphere is not None:
-        center, level = np.array(sphere[0]), sphere[1]
-        return (
-            overlap(start, sphere[0]),
-            lambda balls, old, new: (new == center[balls]).astype(np.int64) - (old == center[balls]),
-            lambda keys: keys == level,
-        )
-    n, m = params.urns, params.balls
+        level = sphere[1]
+
+        def delta(keys, balls, old, new):
+            keys += new == 0
+            keys -= old == 0
+
+        key0 = np.array(overlap(start, sphere[0]), dtype=np.min_scalar_type(-m - 1))
+        return sphere[0], key0, delta, lambda keys: keys == level
     if m * np.log2(n) > 62:
         raise ValueError("state space too large to encode states in 64-bit codes")
     weights = n ** np.arange(m, dtype=np.int64)
     codes = np.sort((np.array(target.materialize(params), dtype=np.int64) - 1) @ weights)
-    return (
-        int((np.array(start) - 1) @ weights),
-        lambda balls, old, new: (new - old) * weights[balls],
-        lambda keys: np.isin(keys, codes),
-    )
+
+    def delta(keys, balls, old, new):
+        keys += (new.astype(np.int64) - old) * weights[balls]
+
+    def is_hit(keys):
+        return codes[np.minimum(np.searchsorted(codes, keys), codes.size - 1)] == keys
+
+    return (1,) * m, (np.array(start) - 1) @ weights, delta, is_hit
 
 
-def _simulate_chunk(params: ModelParams, start: State, cfg: SimConfig, chunk_index: int, count: int, member):
-    """Walk ``count`` replicas to absorption; returns (samples, truncated mask)."""
+def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
+    """Walk every replica to absorption or the step cap, all chunks in lockstep.
+
+    Returns the steps each replica took to absorption (0 if truncated), the
+    truncated mask and the chunk generators, positioned after the walk.
+    """
     n, m = params.urns, params.balls
-    key0, delta, is_hit = member
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=chunk_index << 64))
+    reference, key0, delta, is_hit = member
+    firsts = np.arange(0, cfg.replicas, CHUNK)
+    rngs = [np.random.Generator(np.random.Philox(key=cfg.seed, counter=c << 64)) for c in range(firsts.size)]
+    bounds = np.append(firsts, cfg.replicas)
 
-    positions = np.tile(np.array(start, dtype=np.int64), (count, 1))
-    keys = np.full(count, key0, dtype=np.int64)
-    steps = np.zeros(count, dtype=np.int64)
-    active = np.flatnonzero(~is_hit(keys))  # replicas starting inside the target keep 0 steps
+    # offsets leave room for old + shift, up to 2*(urns-1), before the wrap
+    offsets = (np.array(start) - np.array(reference)) % n
+    positions = np.tile(offsets.astype(np.min_scalar_type(2 * n - 2)), cfg.replicas)
+    steps = np.zeros(cfg.replicas, dtype=np.int64)
+    # the live replicas, by the slot of their first ball; replicas starting inside the target keep 0 steps
+    base = np.arange(0, cfg.replicas * m, m) if not is_hit(key0) else np.arange(0)
+    keys = np.full(base.size, key0)
 
-    # every active replica has taken exactly t steps
-    t = 0
-    while active.size and t < cfg.max_steps:
-        t += 1
-        k = active.size
-        balls = rng.integers(0, m, size=k)
-        shifts = rng.integers(1, n, size=k)
-        old = positions[active, balls]
-        new = (old - 1 + shifts) % n + 1
-        positions[active, balls] = new
-        keys[active] += delta(balls, old, new)
-        hit = is_hit(keys[active])
-        if hit.any():
-            steps[active[hit]] = t
-            active = active[~hit]
+    draw_type = np.min_scalar_type(m * (n - 1) - 1)
+    t = 0  # every live replica has taken exactly t steps
+    while base.size and t < cfg.max_steps:
+        span = min(max(1, BLOCK_MOVES // base.size), cfg.max_steps - t)
+        per_chunk = np.diff(np.searchsorted(base, bounds * m))
+        block = np.concatenate(
+            [rng.integers(0, m * (n - 1), size=(span, k), dtype=draw_type) for rng, k in zip(rngs, per_chunk) if k],
+            axis=1,
+        )
+        cols = np.arange(base.size)  # each live replica's column of the block
+        for row in block:
+            t += 1
+            draws = row[cols]
+            balls = draws // (n - 1)
+            slots = base + balls
+            old = positions[slots]
+            new = old + (draws - balls * (n - 1) + 1)
+            new -= new // n * n  # numpy's % is slow on small integer types
+            positions[slots] = new
+            delta(keys, balls, old, new)
+            hit = is_hit(keys)
+            if hit.any():
+                steps[base[hit] // m] = t
+                keep = ~hit
+                base, keys, cols = base[keep], keys[keep], cols[keep]
+                if not base.size:
+                    break
 
-    truncated = np.zeros(count, dtype=bool)
-    truncated[active] = True
-    samples = steps.astype(np.float64) if cfg.mode == "discrete" else rng.standard_gamma(steps) / m
-    return samples, truncated
+    truncated = np.zeros(cfg.replicas, dtype=bool)
+    truncated[base // m] = True
+    return steps, truncated, rngs
+
+
+def _sample(params, start, target, cfg: SimConfig, modes: Sequence[str]) -> dict[str, SimSummary]:
+    """One walk under ``cfg``, summarised in each of ``modes`` in turn."""
+    start = params.check_state(start)
+    steps, truncated, rngs = _walk(params, start, cfg, _membership(params, start, target))
+    n_trunc = int(truncated.sum())
+    if n_trunc:
+        warnings.warn(
+            f"{n_trunc} of {cfg.replicas} replicas hit the step cap and were "
+            "excluded from moment estimates",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if n_trunc == cfg.replicas:
+        raise ValueError("every replica was truncated; raise max_steps")
+
+    out = {}
+    for mode in modes:
+        if mode == "discrete":
+            samples = steps.astype(np.float64)
+        else:
+            chunks = np.split(steps, np.arange(CHUNK, cfg.replicas, CHUNK))
+            samples = np.concatenate([rng.standard_gamma(s) for rng, s in zip(rngs, chunks)]) / params.balls
+        kept = samples[~truncated]
+        var = float(kept.var(ddof=1)) if kept.size > 1 else 0.0
+        out[mode] = SimSummary(
+            replicas=cfg.replicas,
+            truncated=n_trunc,
+            mode=mode,
+            seed=cfg.seed,
+            sample_mean=float(kept.mean()),
+            sample_variance=var,
+            stderr=float(np.sqrt(var / kept.size)),
+            transforms=tuple(empirical_transform(kept, cfg.grid)) if cfg.grid else (),
+            replica_steps=int(steps.sum()) + n_trunc * cfg.max_steps,
+        )
+    return out
 
 
 def sample_hitting(
@@ -152,38 +237,15 @@ def sample_hitting(
     Returns moment and transform summaries; see the module docstring for the
     membership keys and the determinism contract.
     """
-    start = params.check_state(start)
-    member = _membership(params, start, target)
-    results = [
-        _simulate_chunk(params, start, cfg, index, min(CHUNK, cfg.replicas - offset), member)
-        for index, offset in enumerate(range(0, cfg.replicas, CHUNK))
-    ]
+    return _sample(params, start, target, cfg, (cfg.mode,))[cfg.mode]
 
-    samples = np.concatenate([r[0] for r in results])
-    truncated = np.concatenate([r[1] for r in results])
-    kept = samples[~truncated]
-    n_trunc = int(truncated.sum())
-    if n_trunc:
-        warnings.warn(
-            f"{n_trunc} of {cfg.replicas} replicas hit the step cap and were "
-            "excluded from moment estimates",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if kept.size == 0:
-        raise ValueError("every replica was truncated; raise max_steps")
 
-    mean = float(kept.mean())
-    var = float(kept.var(ddof=1)) if kept.size > 1 else 0.0
-    se = float(np.sqrt(var / kept.size))
-    transforms = tuple(empirical_transform(kept, cfg.grid)) if cfg.grid else ()
-    return SimSummary(
-        replicas=cfg.replicas,
-        truncated=n_trunc,
-        mode=cfg.mode,
-        seed=cfg.seed,
-        sample_mean=mean,
-        sample_variance=var,
-        stderr=se,
-        transforms=transforms,
-    )
+def sample_clocks(
+    params: ModelParams,
+    start: Sequence[int],
+    target: SetDescriptor,
+    cfg: SimConfig,
+) -> dict[str, SimSummary]:
+    """Both clocks from one walk: entry ``mode`` equals
+    ``sample_hitting(params, start, target, replace(cfg, mode=mode))``."""
+    return _sample(params, start, target, cfg, MODES)

@@ -1,9 +1,10 @@
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
-from ehrenfest import cli, hitting
+from ehrenfest import cli, hitting, mc
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +143,18 @@ def test_simulate_reproducible_output(capsys):
     assert len(report["results"]["transforms"]) == 2
 
 
+def test_simulate_readme_example_is_pinned(capsys):
+    # the fixed-seed contract: changing the random stream layout must change this test too
+    code, report, _ = run_json(
+        capsys,
+        "simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+        "--mode", "ctmc", "--replicas", "100000", "--seed", "7",
+    )
+    assert code == 0
+    assert report["results"]["sample_mean"] == 5.027068532596823
+    assert report["results"]["stderr"] == 0.014568583623971931
+
+
 def test_simulate_ctmc_mean_scales(capsys):
     code, report, _ = run_json(
         capsys,
@@ -176,6 +189,18 @@ def test_compare_passes_and_reports_verdicts(capsys):
     assert verdicts["mean_exact_vs_oracle"]["detail"]["exact"] == "7/2"
     net = verdicts["network_identity_h0_k2"]
     assert net["detail"]["lhs"] == "27/2" and net["detail"]["rhs"] == "27/2"
+
+
+def test_compare_walks_once_and_matches_simulate(capsys, monkeypatch):
+    calls = []
+    real = mc._walk
+    monkeypatch.setattr(mc, "_walk", lambda *a: calls.append(1) or real(*a))
+    args = ["--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2", "--replicas", "9000", "--seed", "8"]
+    code, report, _ = run_json(capsys, "compare", *args)
+    assert code == 0 and len(calls) == 1
+    for mode in ("discrete", "ctmc"):
+        _, alone, _ = run_json(capsys, "simulate", *args, "--mode", mode)
+        assert report["results"]["mc"][mode] == {key: alone["results"][key] for key in report["results"]["mc"][mode]}
 
 
 def test_compare_detects_corrupted_engine(capsys, monkeypatch):
@@ -284,6 +309,33 @@ def test_timing_flag_adds_field(capsys):
     assert report["timing"]["seconds"] >= 0
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_timing_flag_adds_replica_steps(capsys, command):
+    argv = [command, "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2", "--replicas", "3000"]
+    code, report, _ = run_json(capsys, *argv, "--timing")
+    assert code == 0
+    timing = report["timing"]
+    assert list(timing) == ["seconds", "replica_steps", "replica_steps_per_s"]
+    results = report["results"]["mc"]["discrete"] if command == "compare" else report["results"]
+    assert timing["replica_steps"] == round(results["sample_mean"] * 3000)  # discrete, nothing truncated
+    assert timing["replica_steps_per_s"] > 0
+    _, first, _ = run_cli(capsys, *argv)
+    _, second, _ = run_cli(capsys, *argv)
+    assert first == second and "timing" not in json.loads(first)
+
+
+def test_non_finite_result_exits_two_instead_of_invalid_json(capsys, monkeypatch):
+    real = mc.sample_hitting
+    monkeypatch.setattr(
+        cli, "sample_hitting", lambda *a: replace(real(*a), sample_mean=float("nan"))
+    )
+    code, out, err = run_cli(
+        capsys, "simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2", "--replicas", "10"
+    )
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "JSON" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -356,12 +408,16 @@ _TWOS = ",".join(["2"] * 200)
           "--u", "1/2", "--replicas", "10"], "from --lambda, not --u"),
         (["simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
           "--mode", "ctmc", "--lambda", "0.5", "--replicas", "10"], "from --u, not --lambda"),
+        (["simulate", "--N", "3", "--M", "3", "--start", "1,1,1", "--set", "singleton:2,2,2",
+          "--mode", "ctmc", "--u", "-1000", "--replicas", "10"], "--u"),
+        (["simulate", "--N", "3", "--M", "3", "--start", "1,1,1", "--set", "singleton:2,2,2",
+          "--mode", "ctmc", "--u", "-1", "--replicas", "10"], "--u"),
     ],
     ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
          "negative-digits", "exact-order-zero", "oracle-order-zero", "oracle-u-zero-denominator",
          "exact-u-zero-denominator", "simulate-count-level-outside", "simulate-discrete-u",
-         "simulate-ctmc-lambda"],
+         "simulate-ctmc-lambda", "simulate-ctmc-u-very-negative", "simulate-ctmc-u-negative"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)

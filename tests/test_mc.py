@@ -1,12 +1,17 @@
+import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ehrenfest import mc
 from ehrenfest.mc import (
+    CHUNK,
     SimConfig,
     empirical_transform,
+    sample_clocks,
     sample_hitting,
 )
 from ehrenfest.hitting import HittingQuery, ctmc_stats
@@ -158,3 +163,81 @@ def test_meta_seeds_mostly_within_band():
             checks += 1
             ok += abs(summary.sample_mean - truth) <= 4 * summary.stderr
     assert ok / checks >= 0.95
+
+
+def _killed_chain_cdf(params, start, targets, horizon):
+    """P(T <= t) for t = 0..horizon: the dense full chain, killed on ``targets``."""
+    n, m = params.urns, params.balls
+    states = list(itertools.product(range(1, n + 1), repeat=m))
+    index = {s: i for i, s in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    for s in states:
+        for ball in range(m):
+            for urn in range(1, n + 1):
+                if urn != s[ball]:
+                    P[index[s], index[s[:ball] + (urn,) + s[ball + 1 :]]] += 1 / (m * (n - 1))
+    alive = np.ones(len(states))
+    alive[[index[a] for a in targets]] = 0
+    dist = np.zeros(len(states))
+    dist[index[start]] = 1
+    cdf = []
+    for _ in range(horizon + 1):
+        dist *= alive
+        cdf.append(1 - dist.sum())
+        dist = dist @ P
+    return np.array(cdf)
+
+
+def _walk_steps(params, start, target, cfg):
+    steps, truncated, _ = mc._walk(params, start, cfg, mc._membership(params, start, target))
+    return steps, truncated
+
+
+@pytest.mark.parametrize(
+    "start,sphere",
+    [((1, 1), SINGLETON), ((2, 2), SetDescriptor.count(0)), ((2, 3), SetDescriptor.count(1, 1))],
+    ids=["singleton", "count-0", "count-1-urn-1"],
+)
+def test_walk_law_matches_killed_chain(start, sphere):
+    # Dvoretzky-Kiefer-Wolfowitz with Massart's constant: sup |F_n - F| > eps with probability <= alpha
+    replicas, alpha = 3 * CHUNK + 5, 1e-6
+    eps = math.sqrt(math.log(2 / alpha) / (2 * replicas))
+    cfg = SimConfig(replicas=replicas, seed=2024)
+    explicit = SetDescriptor.explicit(sphere.materialize(P32))
+    steps, truncated = _walk_steps(P32, start, sphere, cfg)
+    via_codes, _ = _walk_steps(P32, start, explicit, cfg)
+    assert steps.min() > 0 and not truncated.any()
+    assert np.array_equal(steps, via_codes)  # offsets around the center and around urn 1 walk alike
+    assert sample_hitting(P32, start, sphere, cfg) == sample_hitting(P32, start, explicit, cfg)
+
+    exact = _killed_chain_cdf(P32, start, sphere.materialize(P32), int(steps.max()))
+    empirical = np.searchsorted(np.sort(steps), np.arange(exact.size), side="right") / replicas
+    assert np.abs(empirical - exact).max() <= eps
+    assert 1 - exact[-1] <= eps  # beyond the largest sample the empirical CDF is 1
+
+
+def test_truncation_cuts_the_same_walks():
+    # a block cut short by the step cap reads the first rows of the block the uncapped walk draws
+    cfg = SimConfig(replicas=3 * CHUNK + 5, seed=11)
+    full, _ = _walk_steps(P32, (1, 1), SINGLETON, cfg)
+    capped, truncated = _walk_steps(P32, (1, 1), SINGLETON, replace(cfg, max_steps=7))
+    assert capped[~truncated].max() <= 7
+    assert np.array_equal(truncated, full > 7)
+    assert np.array_equal(capped[~truncated], full[~truncated])
+    with pytest.warns(RuntimeWarning, match="step cap"):
+        summary = sample_hitting(P32, (1, 1), SINGLETON, replace(cfg, max_steps=7))
+    assert summary.truncated == int((full > 7).sum())
+    assert summary.replica_steps == int(full[full <= 7].sum()) + 7 * summary.truncated
+
+
+def test_both_clocks_from_one_walk(monkeypatch):
+    calls = []
+    real = mc._walk
+    monkeypatch.setattr(mc, "_walk", lambda *a: calls.append(1) or real(*a))
+    cfg = SimConfig(replicas=CHUNK + 100, seed=4, grid=(0.5,))
+    both = sample_clocks(P32, (1, 1), SINGLETON, cfg)
+    assert len(calls) == 1
+    for mode in ("discrete", "ctmc"):
+        assert both[mode] == sample_hitting(P32, (1, 1), SINGLETON, replace(cfg, mode=mode))
+    steps, _ = _walk_steps(P32, (1, 1), SINGLETON, cfg)
+    assert both["ctmc"].replica_steps == both["discrete"].replica_steps == int(steps.sum())
