@@ -10,24 +10,40 @@ come in blocks drawn ahead: at a block start each chunk with live replicas
 draws one integer per live replica and step from its own stream, for at
 most ``BLOCK_MOVES`` moves in all, and a draw ``r`` moves ball
 ``r // (urns-1)`` forward by ``1 + r % (urns-1)`` urns (mod ``urns``).  A
-replica absorbed inside a block drops the rest of its draws, so every move
-is a fresh uniform draw and the law is exact; the sparse tail advances many
-steps per draw.  Both modes walk alike.  The continuous-time chain holds an
+replica absorbed inside a block wastes the rest of its draws: it keeps
+moving, masked out of the hit test, until the block ends and it is
+compacted away.  So every move of a live replica is a fresh uniform draw
+and the law is exact, each block is drawn for exactly the live replicas,
+and a block costs no more moves than it draws; the sparse tail advances
+many steps per draw.  Both modes walk alike.  The continuous-time chain holds an
 Exponential(balls) time before each jump, so a replica absorbed after
 ``T`` steps hits at time Gamma(T)/balls, drawn once per replica from its
 chunk's stream after the walk.
 
 Every ball's urn is tracked (nothing is lumped), stored as an offset
 ``(urn - reference) % urns`` in the smallest unsigned type with room for
-``2*(urns-1)``.  Each replica carries one membership key.  Singletons and
-count slices are Hamming spheres (the states agreeing with a center in
-exactly ``h`` coordinates): the reference is the center and the key is the
-number of zero offsets.  Every other kind is materialized into sorted
-integer state codes, the reference is urn 1, and the hit test is a binary
-search of the key among the codes, which needs ``urns**balls`` below
-``2**62``.  Replicas that exceed the step cap are counted as truncated and
-excluded from the moment estimates (loudly: a warning is emitted, nothing
-is dropped silently).
+``2*(urns-1)``.  Each replica carries one scalar membership key, changed
+by each move from the ball and its old and new offsets; no symbolic set is
+listed.
+
+* Singletons and count slices are Hamming spheres (the states agreeing
+  with a center in exactly ``h`` coordinates): the reference is the center
+  and the key is the number of zero offsets, a hit when it equals ``h``.
+* ``pair:(y);(z)`` takes ``y`` as reference and packs two such counters,
+  ``a + (balls+1)*b``: ``a`` balls agree with ``y`` and ``b`` with ``z``.
+  A hit is one of the two keys of ``y`` and ``z``.
+* ``diagonal`` and ``distinct`` key on the colliding ball pairs,
+  ``sum over urns of C(occupancy, 2)``, kept from per-replica urn
+  occupancies: moving a ball from urn ``a`` to urn ``b`` adds
+  ``occ[b] - occ[a] + 1``.  The diagonal is the level ``C(balls, 2)``,
+  ``distinct`` the level 0.
+* ``explicit`` sets are encoded as sorted integer state codes around urn
+  1, and the hit test is a binary search of the key among them, which needs
+  ``urns**balls`` below ``2**62``.
+
+Replicas that exceed the step cap are counted as truncated and excluded
+from the moment estimates (loudly: a warning is emitted, nothing is
+dropped silently).
 """
 
 from __future__ import annotations
@@ -106,33 +122,78 @@ def empirical_transform(samples: np.ndarray, arguments: Sequence[float]) -> list
     return out
 
 
-def _membership(params: ModelParams, start: State, target: SetDescriptor):
-    """``(reference state, key of start, key change of a move, hit test on keys)``
-    for ``target``; a move takes a ball from offset ``old`` to offset ``new``.
-    The start key's type is the keys' type."""
+def _membership(params: ModelParams, start: State, target: SetDescriptor, replicas: int):
+    """How the walk tests membership in ``target``: ``(reference state, slots
+    per replica, key of start, key update, hit test on keys)``.
+
+    Ball ``i`` of the replica whose first slot is ``base`` sits at slot
+    ``base + i``; ``update(keys, base, balls, old, new)`` changes the keys in
+    place for a move of ball ``balls`` from offset ``old`` to offset ``new``.
+    The start key's type is the keys' type.
+    """
     n, m = params.urns, params.balls
+    states = target.validate(params)
     sphere = target.sphere(params)
     if sphere is not None:
-        level = sphere[1]
+        center, level = sphere
 
-        def delta(keys, balls, old, new):
+        def update(keys, base, balls, old, new):
             keys += new == 0
             keys -= old == 0
 
-        key0 = np.array(overlap(start, sphere[0]), dtype=np.min_scalar_type(-m - 1))
-        return sphere[0], key0, delta, lambda keys: keys == level
+        key0 = np.array(overlap(start, center), dtype=np.min_scalar_type(-m - 1))
+        return center, m, key0, update, lambda keys: keys == level
+
+    if target.kind == "pair":
+        # a + (m+1)*b, where a balls agree with y (offset 0) and b with z (offset (z - y) % n)
+        y, z = states
+        at_z = ((np.array(z) - y) % n).astype(np.min_scalar_type(2 * n - 2))
+        scale = np.array(m + 1, dtype=np.min_scalar_type(-m * (m + 2)))
+
+        def update(keys, base, balls, old, new):
+            at = at_z[balls]
+            z_new, z_old = new == at, old == at
+            keys += new == 0
+            keys -= old == 0
+            keys += scale * z_new
+            keys -= scale * z_old
+
+        def key(x):
+            return overlap(x, y) + scale * overlap(x, z)
+
+        key_y, key_z = key(y), key(z)
+        return y, m, key(start), update, lambda keys: (keys == key_y) | (keys == key_z)
+
+    if target.kind in ("diagonal", "distinct"):
+        # colliding ball pairs, the sum over urns of C(occupancy, 2), from per-replica occupancies
+        stride = max(m, n)  # room for one count per urn at the replica's slots
+        row = np.bincount(np.array(start) - 1, minlength=stride)
+        occupancy = np.tile(row.astype(np.min_scalar_type(-m - 1)), replicas)
+        most = m * (m - 1) // 2
+        level = most if target.kind == "diagonal" else 0
+
+        def update(keys, base, balls, old, new):
+            src, dst = base + old, base + new
+            leaving, arriving = occupancy[src], occupancy[dst]
+            keys += arriving - leaving + 1
+            occupancy[src] = leaving - 1
+            occupancy[dst] = arriving + 1
+
+        key0 = np.array(row @ (row - 1) // 2, dtype=np.min_scalar_type(-most))
+        return (1,) * m, stride, key0, update, lambda keys: keys == level
+
     if m * np.log2(n) > 62:
         raise ValueError("state space too large to encode states in 64-bit codes")
     weights = n ** np.arange(m, dtype=np.int64)
-    codes = np.sort((np.array(target.materialize(params), dtype=np.int64) - 1) @ weights)
+    codes = np.sort((np.array(states, dtype=np.int64) - 1) @ weights)
 
-    def delta(keys, balls, old, new):
+    def update(keys, base, balls, old, new):
         keys += (new.astype(np.int64) - old) * weights[balls]
 
     def is_hit(keys):
         return codes[np.minimum(np.searchsorted(codes, keys), codes.size - 1)] == keys
 
-    return (1,) * m, (np.array(start) - 1) @ weights, delta, is_hit
+    return (1,) * m, m, (np.array(start) - 1) @ weights, update, is_hit
 
 
 def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
@@ -142,56 +203,64 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     truncated mask and the chunk generators, positioned after the walk.
     """
     n, m = params.urns, params.balls
-    reference, key0, delta, is_hit = member
+    reference, stride, key0, update, is_hit = member
     firsts = np.arange(0, cfg.replicas, CHUNK)
     rngs = [np.random.Generator(np.random.Philox(key=cfg.seed, counter=c << 64)) for c in range(firsts.size)]
-    bounds = np.append(firsts, cfg.replicas)
+    bounds = np.append(firsts, cfg.replicas) * stride
 
     # offsets leave room for old + shift, up to 2*(urns-1), before the wrap
-    offsets = (np.array(start) - np.array(reference)) % n
-    positions = np.tile(offsets.astype(np.min_scalar_type(2 * n - 2)), cfg.replicas)
+    row = np.zeros(stride, dtype=np.min_scalar_type(2 * n - 2))
+    row[:m] = (np.array(start) - np.array(reference)) % n
+    positions = np.tile(row, cfg.replicas)
     steps = np.zeros(cfg.replicas, dtype=np.int64)
-    # the live replicas, by the slot of their first ball; replicas starting inside the target keep 0 steps
-    base = np.arange(0, cfg.replicas * m, m) if not is_hit(key0) else np.arange(0)
+    # the live replicas, by their first slot; replicas starting inside the target keep 0 steps
+    base = np.arange(0, cfg.replicas * stride, stride) if not is_hit(key0) else np.arange(0)
     keys = np.full(base.size, key0)
 
     draw_type = np.min_scalar_type(m * (n - 1) - 1)
     t = 0  # every live replica has taken exactly t steps
     while base.size and t < cfg.max_steps:
         span = min(max(1, BLOCK_MOVES // base.size), cfg.max_steps - t)
-        per_chunk = np.diff(np.searchsorted(base, bounds * m))
+        per_chunk = np.diff(np.searchsorted(base, bounds))
         block = np.concatenate(
             [rng.integers(0, m * (n - 1), size=(span, k), dtype=draw_type) for rng, k in zip(rngs, per_chunk) if k],
             axis=1,
         )
-        cols = np.arange(base.size)  # each live replica's column of the block
-        for row in block:
+        balls_ahead = block // (n - 1)  # np.divmod is slower than the two passes
+        shifts_ahead = block - balls_ahead * (n - 1)
+        shifts_ahead += 1
+        # absorbed replicas keep moving, masked out of hits, until the block ends
+        alive = np.ones(base.size, dtype=bool)
+        dead = 0
+        for balls, shifts in zip(balls_ahead, shifts_ahead):
             t += 1
-            draws = row[cols]
-            balls = draws // (n - 1)
             slots = base + balls
             old = positions[slots]
-            new = old + (draws - balls * (n - 1) + 1)
+            new = old + shifts
             new -= new // n * n  # numpy's % is slow on small integer types
             positions[slots] = new
-            delta(keys, balls, old, new)
+            update(keys, base, balls, old, new)
             hit = is_hit(keys)
+            if dead:
+                hit &= alive
             if hit.any():
-                steps[base[hit] // m] = t
-                keep = ~hit
-                base, keys, cols = base[keep], keys[keep], cols[keep]
-                if not base.size:
+                steps[base[hit] // stride] = t
+                alive ^= hit
+                dead += np.count_nonzero(hit)
+                if dead == base.size:
                     break
+        if dead:
+            base, keys = base[alive], keys[alive]
 
     truncated = np.zeros(cfg.replicas, dtype=bool)
-    truncated[base // m] = True
+    truncated[base // stride] = True
     return steps, truncated, rngs
 
 
 def _sample(params, start, target, cfg: SimConfig, modes: Sequence[str]) -> dict[str, SimSummary]:
     """One walk under ``cfg``, summarised in each of ``modes`` in turn."""
     start = params.check_state(start)
-    steps, truncated, rngs = _walk(params, start, cfg, _membership(params, start, target))
+    steps, truncated, rngs = _walk(params, start, cfg, _membership(params, start, target, cfg.replicas))
     n_trunc = int(truncated.sum())
     if n_trunc:
         warnings.warn(

@@ -231,9 +231,30 @@ class SetDescriptor:
             raise ValueError(f"reference urn {self.reference_urn} outside 1..{params.urns}")
         return (self.reference_urn,) * params.balls, h
 
+    def validate(self, params: ModelParams) -> tuple[State, ...]:
+        """Check the descriptor against ``params`` without listing its members.
+        Returns the payload states, normalized; raises ValueError naming the
+        first fault."""
+        if self.kind not in ("singleton", "pair", "diagonal", "count", "distinct", "explicit"):
+            raise ValueError(f"unknown set descriptor kind {self.kind!r}")
+        states = tuple(params.check_state(s) for s in self.states)
+        if self.kind == "count":
+            self.sphere(params)
+        elif self.kind == "pair" and states[0] == states[1]:
+            raise ValueError("pair descriptor needs two distinct states")
+        elif self.kind == "distinct" and params.balls > params.urns:
+            raise ValueError(f"distinct descriptor needs balls <= urns, got {params.balls} > {params.urns}")
+        elif self.kind == "explicit":
+            if not states:
+                raise ValueError("explicit descriptor with empty state list")
+            if len(set(states)) != len(states):
+                raise ValueError("explicit descriptor contains duplicate states")
+        return states
+
     def materialize(self, params: ModelParams) -> list[State]:
-        """Expand to the sorted list of member states, validating as we go."""
+        """Expand to the sorted list of member states, validated first."""
         n, m = params.urns, params.balls
+        out = self.validate(params)  # pair and explicit sets list their members
         sphere = self.sphere(params)
         if sphere is not None:
             center, h = sphere
@@ -241,25 +262,10 @@ class SetDescriptor:
             out = []
             for agree in combinations(range(m), h):
                 out.extend(product(*(center[i : i + 1] if i in agree else others[i] for i in range(m))))
-        elif self.kind == "pair":
-            y, z = (params.check_state(s) for s in self.states)
-            if y == z:
-                raise ValueError("pair descriptor needs two distinct states")
-            out = [y, z]
         elif self.kind == "diagonal":
             out = [(i,) * m for i in range(1, n + 1)]
         elif self.kind == "distinct":
-            if m > n:
-                raise ValueError(f"distinct descriptor needs balls <= urns, got {m} > {n}")
-            out = [p for p in _permutations(range(1, n + 1), m)]
-        elif self.kind == "explicit":
-            if not self.states:
-                raise ValueError("explicit descriptor with empty state list")
-            out = [params.check_state(s) for s in self.states]
-            if len(set(out)) != len(out):
-                raise ValueError("explicit descriptor contains duplicate states")
-        else:
-            raise ValueError(f"unknown set descriptor kind {self.kind!r}")
+            out = _permutations(range(1, n + 1), m)
         return sorted(set(out))
 
     def describe(self) -> str:

@@ -155,6 +155,26 @@ def test_simulate_readme_example_is_pinned(capsys):
     assert report["results"]["stderr"] == 0.014568583623971931
 
 
+@pytest.mark.parametrize(
+    "argv,pinned",
+    [
+        (["--N", "3", "--M", "3", "--start", "1,1,1", "--set", "pair:(2,2,2);(3,1,2)", "--mode", "discrete"],
+         (16.4588, 211.8853968298415, 0.10292846953827729)),
+        (["--N", "3", "--M", "4", "--start", "1,2,3,1", "--set", "diagonal", "--mode", "ctmc"],
+         (7.317429771925062, 50.243599160833575, 0.05012165158932493)),
+        (["--N", "4", "--M", "3", "--start", "1,1,1", "--set", "distinct", "--mode", "ctmc"],
+         (1.1585965839612182, 0.849110871679719, 0.0065157918616224955)),
+    ],
+    ids=["pair-discrete", "diagonal-ctmc", "distinct-ctmc"],
+)
+def test_simulate_non_sphere_kinds_are_pinned(capsys, argv, pinned):
+    # fixed-seed outputs of every membership key that is not a sphere's agreement counter
+    code, report, _ = run_json(capsys, "simulate", *argv, "--replicas", "20000", "--seed", "7")
+    assert code == 0
+    results = report["results"]
+    assert (results["sample_mean"], results["sample_variance"], results["stderr"]) == pinned
+
+
 def test_simulate_ctmc_mean_scales(capsys):
     code, report, _ = run_json(
         capsys,
@@ -166,15 +186,39 @@ def test_simulate_ctmc_mean_scales(capsys):
     assert abs(results["sample_mean"] - 5.0) <= 4 * results["stderr"]
 
 
-def test_simulate_sphere_needs_no_state_codes(capsys):
-    # 10**20 states do not fit 64-bit codes; a count sphere keeps an agreement counter instead
-    base = ["simulate", "--N", "10", "--M", "20", "--start", ",".join(["1"] * 20), "--replicas", "100"]
+def test_simulate_sphere_needs_no_state_codes(capsys, tmp_path):
+    # 10**20 states do not fit 64-bit codes; symbolic sets keep structural keys instead
+    ones, twos = ",".join(["1"] * 20), ",".join(["2"] * 20)
+    base = ["simulate", "--N", "10", "--M", "20", "--start", ones, "--replicas", "100"]
     code, report, _ = run_json(capsys, *base, "--set", "count:19:1")
     assert code == 0
     assert report["results"]["sample_mean"] == 1.0  # any first move leaves 19 balls in urn 1
-    code, out, err = run_cli(capsys, *base, "--set", "diagonal")
+    for target in ("diagonal", f"pair:({twos});({ones})"):  # the start is a member
+        code, report, _ = run_json(capsys, *base, "--set", target)
+        assert code == 0 and report["results"]["sample_mean"] == 0.0
+    code, report, _ = run_json(
+        capsys, "simulate", "--N", "20", "--M", "20", "--start", ",".join(map(str, range(20, 0, -1))),
+        "--set", "distinct", "--replicas", "100",
+    )
+    assert code == 0 and report["results"]["sample_mean"] == 0.0
+    code, out, err = run_cli(capsys, *base, "--set", "distinct")
+    assert code == 2 and out == "" and "balls <= urns" in err
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps([[2] * 20]))
+    code, out, err = run_cli(capsys, *base, "--set", f"explicit:@{path}")
     assert code == 2 and out == ""
     assert "64-bit" in err
+
+
+def test_simulate_distinct_lists_no_permutations(capsys):
+    # 12!/3! members: listing them to test membership ran out of memory
+    started = time.perf_counter()
+    code, report, _ = run_json(
+        capsys, "simulate", "--N", "12", "--M", "9", "--start", "1,1,2,3,4,5,6,7,8", "--set", "distinct",
+    )
+    assert time.perf_counter() - started < 2
+    assert code == 0 and report["results"]["truncated"] == 0
+    assert report["results"]["sample_mean"] >= 1
 
 
 def test_compare_passes_and_reports_verdicts(capsys):
@@ -412,12 +456,19 @@ _TWOS = ",".join(["2"] * 200)
           "--mode", "ctmc", "--u", "-1000", "--replicas", "10"], "--u"),
         (["simulate", "--N", "3", "--M", "3", "--start", "1,1,1", "--set", "singleton:2,2,2",
           "--mode", "ctmc", "--u", "-1", "--replicas", "10"], "--u"),
+        (["simulate", "--N", "3", "--M", "4", "--start", "1,1,1,1", "--set", "distinct",
+          "--replicas", "10"], "balls <= urns"),
+        (["simulate", "--N", "3", "--M", "2", "--start", "1,2", "--set", "pair:(1,1);(1,1)",
+          "--replicas", "10"], "two distinct states"),
+        (["simulate", "--N", "3", "--M", "2", "--start", "1,2", "--set", "pair:(1,1);(1,4)",
+          "--replicas", "10"], "outside 1..3"),
     ],
     ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
          "negative-digits", "exact-order-zero", "oracle-order-zero", "oracle-u-zero-denominator",
          "exact-u-zero-denominator", "simulate-count-level-outside", "simulate-discrete-u",
-         "simulate-ctmc-lambda", "simulate-ctmc-u-very-negative", "simulate-ctmc-u-negative"],
+         "simulate-ctmc-lambda", "simulate-ctmc-u-very-negative", "simulate-ctmc-u-negative",
+         "simulate-distinct-too-many-balls", "simulate-pair-equal-states", "simulate-pair-outside"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)

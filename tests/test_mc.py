@@ -20,6 +20,7 @@ from ehrenfest.model import ModelParams, SetDescriptor
 
 P32 = ModelParams(3, 2)
 SINGLETON = SetDescriptor.singleton((2, 2))
+PAIR33 = SetDescriptor.pair((2, 2, 2), (3, 1, 2))  # the two states agree on the last ball
 
 
 def test_config_validation():
@@ -76,16 +77,22 @@ def test_count_target_uses_running_counter():
 
 
 def test_explicit_state_list_target():
-    # spheres (singleton, count) keep an agreement counter, explicit sets state codes: same walks
+    # symbolic kinds keep structural keys, explicit sets state codes: same walks
     p = ModelParams(3, 3)
     for mode in ("discrete", "ctmc"):
         cfg = SimConfig(replicas=5000, seed=13, mode=mode)
         via_descriptor = sample_hitting(P32, (1, 1), SINGLETON, cfg)
         via_list = sample_hitting(P32, (1, 1), SetDescriptor.explicit([(2, 2)]), cfg)
         assert via_list == via_descriptor
-        for sphere in (SetDescriptor.count(1), SetDescriptor.singleton((2, 3, 1))):
-            explicit = SetDescriptor.explicit(sphere.materialize(p))
-            assert sample_hitting(p, (1, 1, 1), sphere, cfg) == sample_hitting(p, (1, 1, 1), explicit, cfg)
+        for start, symbolic in (
+            ((1, 1, 1), SetDescriptor.count(1)),
+            ((1, 1, 1), SetDescriptor.singleton((2, 3, 1))),
+            ((1, 1, 1), PAIR33),
+            ((1, 1, 2), SetDescriptor.diagonal()),
+            ((1, 1, 2), SetDescriptor.distinct()),
+        ):
+            explicit = SetDescriptor.explicit(symbolic.materialize(p))
+            assert sample_hitting(p, start, symbolic, cfg) == sample_hitting(p, start, explicit, cfg)
         with pytest.raises(ValueError):
             sample_hitting(P32, (1, 1), SetDescriptor.explicit([]), cfg)
 
@@ -189,45 +196,54 @@ def _killed_chain_cdf(params, start, targets, horizon):
 
 
 def _walk_steps(params, start, target, cfg):
-    steps, truncated, _ = mc._walk(params, start, cfg, mc._membership(params, start, target))
+    steps, truncated, _ = mc._walk(params, start, cfg, mc._membership(params, start, target, cfg.replicas))
     return steps, truncated
 
 
 @pytest.mark.parametrize(
-    "start,sphere",
-    [((1, 1), SINGLETON), ((2, 2), SetDescriptor.count(0)), ((2, 3), SetDescriptor.count(1, 1))],
-    ids=["singleton", "count-0", "count-1-urn-1"],
+    "start,target",
+    [
+        ((1, 1), SINGLETON),
+        ((2, 2), SetDescriptor.count(0)),
+        ((2, 3), SetDescriptor.count(1, 1)),
+        ((2, 1), SetDescriptor.pair((1, 2), (3, 2))),
+        ((1, 2), SetDescriptor.diagonal()),
+        ((3, 3), SetDescriptor.distinct()),
+    ],
+    ids=["singleton", "count-0", "count-1-urn-1", "pair", "diagonal", "distinct"],
 )
-def test_walk_law_matches_killed_chain(start, sphere):
+def test_walk_law_matches_killed_chain(start, target):
     # Dvoretzky-Kiefer-Wolfowitz with Massart's constant: sup |F_n - F| > eps with probability <= alpha
     replicas, alpha = 3 * CHUNK + 5, 1e-6
     eps = math.sqrt(math.log(2 / alpha) / (2 * replicas))
     cfg = SimConfig(replicas=replicas, seed=2024)
-    explicit = SetDescriptor.explicit(sphere.materialize(P32))
-    steps, truncated = _walk_steps(P32, start, sphere, cfg)
+    explicit = SetDescriptor.explicit(target.materialize(P32))
+    steps, truncated = _walk_steps(P32, start, target, cfg)
     via_codes, _ = _walk_steps(P32, start, explicit, cfg)
     assert steps.min() > 0 and not truncated.any()
-    assert np.array_equal(steps, via_codes)  # offsets around the center and around urn 1 walk alike
-    assert sample_hitting(P32, start, sphere, cfg) == sample_hitting(P32, start, explicit, cfg)
+    assert np.array_equal(steps, via_codes)  # structural keys and state codes walk alike
+    assert sample_hitting(P32, start, target, cfg) == sample_hitting(P32, start, explicit, cfg)
 
-    exact = _killed_chain_cdf(P32, start, sphere.materialize(P32), int(steps.max()))
+    exact = _killed_chain_cdf(P32, start, target.materialize(P32), int(steps.max()))
     empirical = np.searchsorted(np.sort(steps), np.arange(exact.size), side="right") / replicas
     assert np.abs(empirical - exact).max() <= eps
     assert 1 - exact[-1] <= eps  # beyond the largest sample the empirical CDF is 1
 
 
 def test_truncation_cuts_the_same_walks():
-    # a block cut short by the step cap reads the first rows of the block the uncapped walk draws
+    # a block cut short by the step cap reads the first rows of the block the uncapped walk draws;
+    # the pair's cap falls inside multi-step blocks whose absorbed columns are not yet compacted
     cfg = SimConfig(replicas=3 * CHUNK + 5, seed=11)
-    full, _ = _walk_steps(P32, (1, 1), SINGLETON, cfg)
-    capped, truncated = _walk_steps(P32, (1, 1), SINGLETON, replace(cfg, max_steps=7))
-    assert capped[~truncated].max() <= 7
-    assert np.array_equal(truncated, full > 7)
-    assert np.array_equal(capped[~truncated], full[~truncated])
-    with pytest.warns(RuntimeWarning, match="step cap"):
-        summary = sample_hitting(P32, (1, 1), SINGLETON, replace(cfg, max_steps=7))
-    assert summary.truncated == int((full > 7).sum())
-    assert summary.replica_steps == int(full[full <= 7].sum()) + 7 * summary.truncated
+    for params, start, target, cap in ((P32, (1, 1), SINGLETON, 7), (ModelParams(3, 3), (1, 1, 1), PAIR33, 40)):
+        full, _ = _walk_steps(params, start, target, cfg)
+        capped, truncated = _walk_steps(params, start, target, replace(cfg, max_steps=cap))
+        assert capped[~truncated].max() <= cap
+        assert np.array_equal(truncated, full > cap)
+        assert np.array_equal(capped[~truncated], full[~truncated])
+        with pytest.warns(RuntimeWarning, match="step cap"):
+            summary = sample_hitting(params, start, target, replace(cfg, max_steps=cap))
+        assert summary.truncated == int((full > cap).sum())
+        assert summary.replica_steps == int(full[full <= cap].sum()) + cap * summary.truncated
 
 
 def test_both_clocks_from_one_walk(monkeypatch):
