@@ -72,21 +72,22 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
     return grid
 
 
-#: (argument, flag, least value) of the integer flags checked before any command runs
+#: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
-    ("order", "--order", 1),
-    ("digits", "--digits", 1),
-    ("max_urns", "--max-urns", 2),
-    ("max_balls", "--max-balls", 1),
+    ("order", "--order", 1, 32),
+    ("digits", "--digits", 1, 1000),
+    ("replicas", "--replicas", 1, 10**7),
+    ("max_urns", "--max-urns", 2, 16),
+    ("max_balls", "--max-balls", 1, 24),
 )
 
 
 def _check_args(args) -> None:
     """Check the integer flags and parse the grids, before any command runs."""
-    for dest, flag, least in _INT_BOUNDS:
+    for dest, flag, least, greatest in _INT_BOUNDS:
         value = getattr(args, dest, least)
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
+        if not least <= value <= greatest:
+            raise ValueError(f"{flag} must lie in {least}..{greatest}, got {value}")
     if hasattr(args, "u_grid"):
         args.u_grid = _parse_u_grid(args.u_grid)
         args.lambda_grid = _parse_lambda_grid(args.lambda_grid)

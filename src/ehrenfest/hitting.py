@@ -11,7 +11,8 @@ summand depends on ``z`` only through an overlap, so ``A`` enters only
 through two overlap histograms of length ``balls + 1``: ``start_hist[k]``
 counts the elements of ``A`` at overlap ``k`` from ``x``, and ``ref_hist[k]``
 those at overlap ``k`` from ``y`` (overlap symmetry makes ``ref_hist`` the
-same for every ``y``; we take the lexicographically smallest element).
+same for every ``y``; we take the first member the descriptor yields), and
+the descriptor counts both itself, without listing a symbolic set.
 Every sum over ``A`` below is therefore a sum over ``k`` of
 ``hist[k] * f(k)``, and ``|A| = sum(ref_hist)``.  The discrete-time
 transform is the same ratio evaluated at ``u = balls * (e**lambda - 1)``.
@@ -50,13 +51,6 @@ from .resolvent import (
 )
 
 
-def _histogram(y: State, states: Sequence[State], balls: int) -> tuple[int, ...]:
-    hist = [0] * (balls + 1)
-    for z in states:
-        hist[overlap(y, z)] += 1
-    return tuple(hist)
-
-
 def _weigh(hist: Sequence[int], f: Callable, zero=Fraction(0)):
     """``sum_k hist[k] * f(k)`` over the overlaps that occur."""
     return sum((c * f(k) for k, c in enumerate(hist) if c), zero)
@@ -81,14 +75,13 @@ class HittingQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "start", self.params.check_state(self.start))
-        states = self.target.materialize(self.params)
         if self.target.kind == "explicit":
-            defect = symmetry_defect(states)
+            defect = symmetry_defect(self.target.materialize(self.params))
             if defect is not None:
                 raise SetNotSymmetricError(*defect)
-        m = self.params.balls
-        object.__setattr__(self, "start_hist", _histogram(self.start, states, m))
-        object.__setattr__(self, "ref_hist", _histogram(states[0], states, m))
+        histogram = partial(self.target.overlap_histogram, self.params)
+        object.__setattr__(self, "start_hist", histogram(self.start))
+        object.__setattr__(self, "ref_hist", histogram(next(self.target.members(self.params))))
 
     @property
     def target_size(self) -> int:
@@ -199,22 +192,22 @@ def raw_moments(query: HittingQuery, order: int) -> list[Fraction]:
 def exit_distribution(query: HittingQuery) -> dict[State, Fraction] | None:
     """Law of the state where the target set is first hit, where a closed form gives it.
 
-    A start inside the set is its own exit state.  Otherwise singletons,
-    pairs and the diagonal have closed forms; other kinds give ``None``.
+    Singletons, pairs and the diagonal have one, and at most ``urns`` members,
+    so a start inside one is listed as its own exit state; other kinds give ``None``.
     """
     params, target = query.params, query.target
+    if target.kind not in ("singleton", "pair", "diagonal"):
+        return None
     if query.start_in_target():
-        return {t: Fraction(t == query.start) for t in target.materialize(params)}
+        return {t: Fraction(t == query.start) for t in target.members(params)}
     if target.kind == "singleton":
         return {params.check_state(target.states[0]): Fraction(1)}
     if target.kind == "pair":
         y, z = sorted(params.check_state(s) for s in target.states)
         first = two_point_stats_for(params, query.start, y, z).exit_prob_first
         return {y: first, z: 1 - first}
-    if target.kind == "diagonal":
-        probs = same_urn_stats(params, query.start).exit_probs
-        return {(i,) * params.balls: p for i, p in enumerate(probs, start=1)}
-    return None
+    probs = same_urn_stats(params, query.start).exit_probs
+    return {(i,) * params.balls: p for i, p in enumerate(probs, start=1)}
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,18 @@ uniformly and moves it to a uniformly chosen *different* urn.  The central
 combinatorial statistic is the overlap ``s(x, y)``: the number of balls
 occupying the same urn in both configurations.
 
+The paper's identities: :func:`transition_prob` is the walk's one-step law;
+each ball of its auxiliary chain jumps at rate 1 (:func:`single_ball_generator`,
+:func:`single_ball_semigroup`), and the product law :func:`product_semigroup`
+transforms in time to :func:`ehrenfest.hitting.green_potential`.
+
 Closed-form hitting-time analysis only applies to target sets whose overlap
-structure looks the same from every one of their elements; those sets are
-recognized by :func:`is_symmetric_family`.  The standard constructions
-(singletons, pairs, the all-in-one-urn diagonal, fixed-count slices, and the
-all-distinct set) are available as :class:`SetDescriptor` kinds, together
-with a small textual grammar used by the command-line tools.  Each of them
-is symmetric by construction; only ``explicit`` sets need the test.
+structure looks the same from every one of their elements.  The standard
+constructions (singletons, pairs, the all-in-one-urn diagonal, fixed-count
+slices, and the all-distinct set) are :class:`SetDescriptor` kinds, with a
+textual grammar for the command-line tools.  Each is symmetric by
+construction, so only ``explicit`` sets need :func:`symmetry_defect`, and
+each counts its overlap histograms without listing a symbolic set.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations as _permutations, product
@@ -168,11 +174,6 @@ def symmetry_defect(states: Sequence[State]):
     return None
 
 
-def is_symmetric_family(states: Sequence[State]) -> bool:
-    """True iff every element sees the same sorted overlap profile."""
-    return symmetry_defect(states) is None
-
-
 _PAIR_RE = re.compile(r"^\(([^()]*)\);\(([^()]*)\)$")
 
 
@@ -251,22 +252,62 @@ class SetDescriptor:
                 raise ValueError("explicit descriptor contains duplicate states")
         return states
 
-    def materialize(self, params: ModelParams) -> list[State]:
-        """Expand to the sorted list of member states, validated first."""
+    def members(self, params: ModelParams) -> Iterator[State]:
+        """Yield the member states one by one, each once, validated first."""
         n, m = params.urns, params.balls
-        out = self.validate(params)  # pair and explicit sets list their members
+        states = self.validate(params)
         sphere = self.sphere(params)
         if sphere is not None:
             center, h = sphere
             others = [[u for u in range(1, n + 1) if u != c] for c in center]
-            out = []
             for agree in combinations(range(m), h):
-                out.extend(product(*(center[i : i + 1] if i in agree else others[i] for i in range(m))))
+                yield from product(*(center[i : i + 1] if i in agree else others[i] for i in range(m)))
         elif self.kind == "diagonal":
-            out = [(i,) * m for i in range(1, n + 1)]
+            yield from ((i,) * m for i in range(1, n + 1))
         elif self.kind == "distinct":
-            out = _permutations(range(1, n + 1), m)
-        return sorted(set(out))
+            yield from _permutations(range(1, n + 1), m)
+        else:  # pair and explicit sets list their members
+            yield from states
+
+    def materialize(self, params: ModelParams) -> list[State]:
+        """The sorted list of member states, validated first."""
+        return sorted(self.members(params))
+
+    def overlap_histogram(self, params: ModelParams, x: Sequence[int]) -> tuple[int, ...]:
+        """``hist[k]``: the number of members that agree with ``x`` in exactly
+        ``k`` coordinates.  Symbolic sets are counted, never listed."""
+        n, m = params.urns, params.balls
+        x = params.check_state(x)
+        states = self.validate(params)
+        hist = [0] * (m + 1)
+        sphere = self.sphere(params)
+        if sphere is not None:
+            # keep j of the a balls where x meets the center there (the rest of those in n - 1 urns),
+            # put h - j others on the center, and of the free rest k - j as in x, the others in n - 2 urns
+            center, h = sphere
+            a = overlap(x, center)
+            for j in range(max(0, h - m + a), min(a, h) + 1):
+                free = m - a - h + j
+                ways = math.comb(a, j) * (n - 1) ** (a - j) * math.comb(m - a, h - j)
+                for k in range(j, j + free + 1):
+                    hist[k] += ways * math.comb(free, k - j) * (n - 2) ** (free - k + j)
+        elif self.kind == "diagonal":
+            for u in range(1, n + 1):
+                hist[x.count(u)] += 1
+        elif self.kind == "distinct":
+            # e[j]: ways to pick j balls of x in j different urns; each pick extends to
+            # (n-j)!/(n-m)! members, and inclusion-exclusion turns "at least" into "exactly"
+            e = [1] + [0] * m
+            for c in Counter(x).values():
+                for j in range(m, 0, -1):
+                    e[j] += c * e[j - 1]
+            for k in range(m + 1):
+                hist[k] = sum((-1) ** (j - k) * math.comb(j, k) * e[j] * math.perm(n - j, m - j)
+                              for j in range(k, m + 1))
+        else:
+            for z in states:
+                hist[overlap(x, z)] += 1
+        return tuple(hist)
 
     def describe(self) -> str:
         """Grammar form of the descriptor (inverse of :func:`parse_set`)."""

@@ -5,6 +5,9 @@ from dataclasses import replace
 import pytest
 
 from ehrenfest import cli, hitting, mc
+from ehrenfest.closedforms import count_set_mean
+from ehrenfest.exact import format_rational
+from ehrenfest.model import ModelParams
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +222,31 @@ def test_simulate_distinct_lists_no_permutations(capsys):
     assert time.perf_counter() - started < 2
     assert code == 0 and report["results"]["truncated"] == 0
     assert report["results"]["sample_mean"] >= 1
+
+
+@pytest.mark.parametrize(
+    "size,target,outside,inside",
+    [
+        (("12", "9"), "distinct", "1,1,2,3,4,5,6,7,8", "1,2,3,4,5,6,7,8,9"),
+        (("10", "12"), "count:3", ",".join(["1"] * 12), ",".join(["2"] * 3 + ["1"] * 9)),
+    ],
+    ids=["distinct-N12-M9", "count3-N10-M12"],
+)
+def test_exact_counts_large_symbolic_sets(capsys, size, target, outside, inside):
+    # 12!/3! and C(12,3) * 9**9 members: listing them to count two histograms ran out of memory
+    base = ["exact", "--N", size[0], "--M", size[1], "--set", target, "--order", "3"]
+    for start in (outside, inside):
+        started = time.perf_counter()
+        code, report, _ = run_json(capsys, *base, "--start", start)
+        assert time.perf_counter() - started < 2
+        assert code == 0
+        results = report["results"]
+        assert (results["mean"]["rational"] == "0") == (start == inside)
+        # no closed form gives the exit law of these kinds, not even from inside the set
+        assert "exit_distribution" not in results
+        if target.startswith("count") and start == outside:
+            want = count_set_mean(ModelParams(10, 12), 0, 3)
+            assert results["mean"]["rational"] == format_rational(want)
 
 
 def test_compare_passes_and_reports_verdicts(capsys):
@@ -462,13 +490,25 @@ _TWOS = ",".join(["2"] * 200)
           "--replicas", "10"], "two distinct states"),
         (["simulate", "--N", "3", "--M", "2", "--start", "1,2", "--set", "pair:(1,1);(1,4)",
           "--replicas", "10"], "outside 1..3"),
+        (["exact", "--N", "2", "--M", "1", "--start", "1", "--set", "singleton:2",
+          "--order", "33"], "--order"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--lambda", "1", "--digits", "1001"], "--digits"),
+        (["simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--replicas", str(10**12)], "--replicas"),
+        (["compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--replicas", str(10**7 + 1)], "--replicas"),
+        (["identities", "--max-urns", "17"], "--max-urns"),
+        (["identities", "--max-balls", "25"], "--max-balls"),
     ],
     ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
          "negative-digits", "exact-order-zero", "oracle-order-zero", "oracle-u-zero-denominator",
          "exact-u-zero-denominator", "simulate-count-level-outside", "simulate-discrete-u",
          "simulate-ctmc-lambda", "simulate-ctmc-u-very-negative", "simulate-ctmc-u-negative",
-         "simulate-distinct-too-many-balls", "simulate-pair-equal-states", "simulate-pair-outside"],
+         "simulate-distinct-too-many-balls", "simulate-pair-equal-states", "simulate-pair-outside",
+         "order-above-bound", "digits-above-bound", "simulate-replicas-above-bound",
+         "compare-replicas-above-bound", "identities-urns-above-bound", "identities-balls-above-bound"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)

@@ -50,7 +50,10 @@ def _pick(draw, valid, junk):
 def command_lines(draw):
     command = draw(st.sampled_from(["exact", "oracle", "simulate", "compare", "network-check", "identities"]))
     if command == "identities":
-        return [command, "--max-urns", str(draw(st.integers(-1, 3))), "--max-balls", str(draw(st.integers(-1, 2)))]
+        # the upper bounds are 16 urns and 24 balls: a valid draw stays small, a junk one lies outside
+        urns = _pick(draw, st.integers(2, 3), st.one_of(st.integers(-1, 1), st.integers(17, 10**6)))
+        balls = _pick(draw, st.integers(1, 2), st.one_of(st.integers(-1, 0), st.integers(25, 10**6)))
+        return [command, "--max-urns", str(urns), "--max-balls", str(balls)]
     n = _pick(draw, st.integers(2, 4), st.integers(-1, 1))
     m = _pick(draw, st.integers(1, 4), st.integers(-1, 0))
     argv = [command, "--N", str(n), "--M", str(m)]
@@ -82,13 +85,14 @@ def command_lines(draw):
         argv += ["--mode", mode, f"{own}={grids[own]}", *_pick(draw, st.just([]), st.just([f"{other}={grids[other]}"]))]
     else:
         argv += [f"{flag}={grid}" for flag, grid in grids.items()]
-        argv += ["--digits", str(_pick(draw, st.integers(1, 40), st.sampled_from([-8, -7, -1, 0]))),
-                 "--order", str(_pick(draw, st.integers(1, 5), st.integers(-1, 0)))]
+        argv += ["--digits", str(_pick(draw, st.integers(1, 40),
+                                       st.sampled_from([-8, -7, -1, 0, 1001, 20_000, 10**9]))),
+                 "--order", str(_pick(draw, st.integers(1, 5), st.sampled_from([-1, 0, 33, 300, 10**6])))]
     if command in ("oracle", "compare"):
         # 256 >= 4**4, so every valid chain reaches the oracle's quotient solves
         argv += ["--cap", str(_pick(draw, st.just(256), st.integers(-1, 255)))]
     if command in ("simulate", "compare"):
-        argv += ["--replicas", str(_pick(draw, st.integers(1, 200), st.integers(-1, 0))),
+        argv += ["--replicas", str(_pick(draw, st.integers(1, 200), st.sampled_from([-1, 0, 10**7 + 1, 10**12]))),
                  "--seed", str(draw(st.integers(0, 3)))]
     if command == "simulate":
         argv += ["--max-steps", str(_pick(draw, st.sampled_from([50, 10_000_000]), st.sampled_from([0, 1])))]

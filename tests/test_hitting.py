@@ -18,12 +18,14 @@ from ehrenfest.hitting import (
     summarize,
     variance,
 )
+from ehrenfest.closedforms import all_distinct_mean, count_set_mean
 from ehrenfest.model import (
     ModelParams,
     ProductPermutation,
     SetDescriptor,
     SetNotSymmetricError,
     overlap,
+    product_semigroup,
 )
 from ehrenfest import oracle
 from ehrenfest.oracle import EnumeratedChain, mean_vector, raw_moment_vectors, solve_transform
@@ -134,6 +136,26 @@ def test_green_potential_total_mass(n, m):
     for u in (F(1, 2), F(1), F(3)):
         total = sum(green_potential(p, x, z, u) for z in chain.states)
         assert total == 1 / u
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (4, 3), (3, 5)])
+def test_green_potential_is_the_time_transform_of_the_product_semigroup(n, m):
+    """The paper's auxiliary chain: integral_0^inf e^(-u t) p_t(x, z) dt is the
+    Green potential, which is (n-1)/n**m times the resolvent kernel."""
+    from scipy import integrate
+
+    p = ModelParams(n, m)
+    x = (1,) * m
+    for k in range(m + 1):
+        z = (1,) * k + (2,) * (m - k)
+        for u in (F(1, 4), F(1), F(3)):
+            exact = green_potential(p, x, z, u)
+            assert exact == F(n - 1, n**m) * resolvent_kernel(p, k, u)
+            value, _ = integrate.quad(
+                lambda t: math.exp(-float(u) * t) * product_semigroup(p, t, x, z),
+                0, math.inf, epsabs=1e-15, epsrel=1e-13, limit=200,
+            )
+            assert abs(value - float(exact)) <= 1e-12, (k, u)
 
 
 def test_green_potential_depends_only_on_overlap():
@@ -309,6 +331,60 @@ def test_exit_distribution_matches_oracle():
             assert exit_distribution(HittingQuery(p, x, descriptor)) == want
     for descriptor in (SetDescriptor.count(1), SetDescriptor.distinct(), SetDescriptor.explicit([(2, 2, 3)])):
         assert exit_distribution(HittingQuery(p, (1, 1, 1), descriptor)) is None
+
+
+def test_exit_law_only_from_closed_forms_wherever_the_start_lies():
+    p = ModelParams(3, 3)
+    closed = [
+        (SetDescriptor.singleton((2, 2, 1)), (2, 2, 1)),
+        (SetDescriptor.pair((2, 2, 1), (3, 1, 1)), (3, 1, 1)),
+        (SetDescriptor.diagonal(), (3, 3, 3)),
+    ]
+    for descriptor, x in closed:
+        assert exit_distribution(HittingQuery(p, x, descriptor)) == {
+            t: F(t == x) for t in descriptor.materialize(p)
+        }
+    for descriptor, x in [
+        (SetDescriptor.count(1), (2, 1, 1)),
+        (SetDescriptor.distinct(), (1, 2, 3)),
+        (SetDescriptor.explicit([(2, 2, 3)]), (2, 2, 3)),
+    ]:
+        q = HittingQuery(p, x, descriptor)
+        assert q.start_in_target() and exit_distribution(q) is None
+
+
+def test_engine_lists_no_symbolic_set(monkeypatch):
+    p = ModelParams(4, 3)
+    symbolic = [
+        SetDescriptor.singleton((2, 2, 1)),
+        SetDescriptor.pair((2, 2, 1), (3, 1, 1)),
+        SetDescriptor.diagonal(),
+        SetDescriptor.count(1),
+        SetDescriptor.count(2, 4),
+        SetDescriptor.distinct(),
+    ]
+    starts = [(1, 2, 3), (1, 1, 2), (2, 2, 1), (3, 1, 1), (4, 4, 4), (2, 4, 4)]
+
+    def summaries():
+        return [
+            summarize(HittingQuery(p, x, d), order=3, u_grid=(F(1),), lambda_grid=(0.5,))
+            for d in symbolic
+            for x in starts
+        ]
+
+    listed = summaries()
+
+    def refuse(self, params):
+        raise AssertionError(f"the engine listed a {self.kind} set")
+
+    monkeypatch.setattr(SetDescriptor, "materialize", refuse)
+    assert summaries() == listed
+    # sets of C(12, 3) * 9**9 and 10! members
+    count_chain, distinct_chain = ModelParams(10, 12), ModelParams(10, 10)
+    q = HittingQuery(count_chain, (1,) * 12, SetDescriptor.count(3))
+    assert summarize(q).mean == count_set_mean(count_chain, 0, 3)
+    q = HittingQuery(distinct_chain, (1,) * 10, SetDescriptor.distinct())
+    assert summarize(q).mean == all_distinct_mean(distinct_chain)
 
 
 def test_concurrent_queries_share_memo_safely():

@@ -15,7 +15,6 @@ from ehrenfest.model import (
     ProductPermutation,
     SetDescriptor,
     SetNotSymmetricError,
-    is_symmetric_family,
     neighbor_states,
     overlap,
     overlap_profile,
@@ -192,13 +191,13 @@ def test_sphere_of_each_kind():
 
 
 def test_symmetric_family_examples():
-    assert is_symmetric_family([(1, 1), (2, 2), (3, 3)])
-    assert not is_symmetric_family([(1, 1), (2, 2), (1, 2)])
+    assert symmetry_defect([(1, 1), (2, 2), (3, 3)]) is None
+    assert symmetry_defect([(1, 1), (2, 2), (1, 2)]) is not None
     defect = symmetry_defect([(1, 1), (2, 2), (1, 2)])
     (y1, prof1), (y2, prof2) = defect
     assert {prof1, prof2} == {(0, 1, 2), (1, 1, 2)}
     with pytest.raises(ValueError):
-        is_symmetric_family([])
+        symmetry_defect([])
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=4), st.data())
@@ -206,7 +205,7 @@ def test_any_two_point_set_is_symmetric(n, m, data):
     state = st.tuples(*[st.integers(min_value=1, max_value=n) for _ in range(m)])
     a = data.draw(state)
     b = data.draw(state.filter(lambda s: s != a))
-    assert is_symmetric_family([a, b])
+    assert symmetry_defect([a, b]) is None
 
 
 def _grid():
@@ -236,7 +235,7 @@ def _descriptors(n, m):
 def test_all_descriptor_kinds_are_symmetric(n, m):
     params = ModelParams(n, m)
     for d in _descriptors(n, m):
-        assert is_symmetric_family(d.materialize(params)), d
+        assert symmetry_defect(d.materialize(params)) is None, d
 
 
 def _brute_hist(y, states, m):
@@ -252,16 +251,44 @@ def test_query_histograms_match_brute_force(n, m):
     kinds = _descriptors(n, m)
     tau = ProductPermutation.random(params, rng)
     kinds.append(SetDescriptor.explicit(tau.apply_set(kinds[-1].materialize(params))))
-    for d in kinds:
+    counts = [SetDescriptor.count(h, r) for h in range(m + 1) for r in range(1, n + 1)]
+    for d in kinds + counts:
         states = d.materialize(params)
-        inside = states[rng.randrange(len(states))]
-        for start in (x, inside):
+        starts = [x] + [tuple(rng.randrange(1, n + 1) for _ in range(m)) for _ in range(3)]
+        starts.append(states[rng.randrange(len(states))])
+        for start in starts:
             q = HittingQuery(params, start, d)
-            assert q.start_hist == _brute_hist(start, states, m), d
+            assert q.start_hist == _brute_hist(start, states, m), (d, start)
             assert q.start_in_target() == (start in states)
             assert q.target_size == len(states)
-        for y in states:
-            assert _brute_hist(y, states, m) == q.ref_hist, d
+        assert q.ref_hist == _brute_hist(states[rng.randrange(len(states))], states, m), d
+        if d in kinds:
+            for y in states:
+                assert _brute_hist(y, states, m) == q.ref_hist, d
+
+
+@st.composite
+def _descriptor_and_start(draw):
+    """A chain with N, M <= 5, a target set of any kind on it, and a start."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    state = st.tuples(*[st.integers(1, n) for _ in range(m)])
+    kinds = [
+        state.map(SetDescriptor.singleton),
+        st.tuples(state, state).filter(lambda p: p[0] != p[1]).map(lambda p: SetDescriptor.pair(*p)),
+        st.just(SetDescriptor.diagonal()),
+        st.builds(SetDescriptor.count, st.integers(0, m), st.integers(1, n)),
+        st.lists(state, min_size=1, max_size=8, unique=True).map(SetDescriptor.explicit),
+    ]
+    if m <= n:
+        kinds.append(st.just(SetDescriptor.distinct()))
+    return ModelParams(n, m), draw(st.one_of(kinds)), draw(state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_descriptor_and_start())
+def test_overlap_histogram_counts_what_materialize_lists(case):
+    params, d, x = case
+    assert d.overlap_histogram(params, x) == _brute_hist(x, d.materialize(params), params.balls)
 
 
 def _loop_symmetry_defect(states):
@@ -334,8 +361,8 @@ def test_permutation_preserves_symmetry():
     lopsided = [(1, 1), (2, 2), (1, 2)]
     for _ in range(20):
         tau = ProductPermutation.random(params, rng)
-        assert is_symmetric_family(tau.apply_set(diagonal))
-        assert not is_symmetric_family(tau.apply_set(lopsided))
+        assert symmetry_defect(tau.apply_set(diagonal)) is None
+        assert symmetry_defect(tau.apply_set(lopsided)) is not None
 
 
 def test_profile_includes_self_overlap():
