@@ -79,6 +79,7 @@ _INT_BOUNDS = (
     ("replicas", "--replicas", 1, 10**7),
     ("max_urns", "--max-urns", 2, 16),
     ("max_balls", "--max-balls", 1, 24),
+    ("cap", "--cap", 1, 2**18),  # at most 2**18 unknowns keeps the oracle's primes below 2**22
 )
 
 

@@ -11,9 +11,16 @@ is the coarsest strongly lumpable partition keeping the target set apart
 (Kemeny & Snell, *Finite Markov Chains*, 1960, §6.3): all moves are
 equiprobable and every state of a block has the same number of neighbours in
 each block, so every first-step solution is constant on blocks.  Each system
-is assembled from the block-to-block neighbour counts and solved exactly
-(fraction-free Bareiss elimination over big integers, rational
-back-substitution), then expanded back to every state.  A chain refines each
+is assembled in integers from the block-to-block neighbour counts (at
+``z = a/q`` its rows are ``q * degree * I - a * counts``: row scaling leaves
+the solution unchanged) and solved by Dixon's p-adic lifting (*Numer. Math.*
+40, 1982).  The matrix is inverted once mod a word-size prime, the solution
+is lifted one p-adic digit per step and recovered as integer numerators over
+one common denominator (Wang, Guy & Davenport, *ACM SIGSAM Bull.* 16(2),
+1982), and it is returned only once substituting it back into the integer
+rows holds exactly, so exactness never rests on the modular step.  One
+inverse serves every moment order.  Values become rationals only when they
+are expanded back to every state.  A chain refines each
 partition once and keeps it for every later solve on the same target set
 (and start, for the exit law).  The refinement reads only the transition
 structure, never overlaps or kernel formulas, so an agreement with the
@@ -26,7 +33,8 @@ A chain is refused at construction when it has more states than its cap
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import isqrt, lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -87,7 +95,157 @@ class EnumeratedChain:
 
 
 # ---------------------------------------------------------------------------
-# exact dense solver
+# exact solver: Dixon p-adic lifting, certified by substitution
+
+
+@lru_cache(maxsize=None)
+def _prime_before(bound: int) -> int:
+    """The largest prime below ``bound``, by trial division (a few ms below 2**31, once per bound)."""
+    return next(p for p in range(bound - 1, 1, -1) if all(p % q for q in range(2, isqrt(p) + 1)))
+
+
+def _sparse(matrix: np.ndarray):
+    """Row-compressed ``(columns, values, row starts)`` of an integer matrix with no zero row."""
+    rows, cols = np.nonzero(matrix)
+    return cols, matrix[rows, cols], np.searchsorted(rows, np.arange(len(matrix)))
+
+
+def _times(sparse, x: np.ndarray) -> np.ndarray:
+    """Exact product of a :func:`_sparse` matrix with an integer vector, as Python ints."""
+    cols, vals, starts = sparse
+    return np.add.reduceat(vals * x[cols].astype(object), starts)
+
+
+def _inverse_mod(matrix: np.ndarray, p: int) -> np.ndarray | None:
+    """``matrix**-1 mod p`` by Gauss-Jordan on ``[matrix | I]``, or None when a pivot vanishes.
+
+    Row swaps also swap the matching identity columns, so at step ``k`` the
+    only columns that can be nonzero are ``k..n-1`` on the left and
+    ``0..k`` on the right: one contiguous slice of width ``n + 1``.  The
+    identity columns' order is undone at the end.  Only the pivot column and
+    the pivot row are reduced mod ``p`` at each step; every other entry takes
+    at most ``n`` updates of at most ``(p - 1)**2``, which
+    ``n * (p - 1)**2 < 2**63`` keeps exact in int64.
+    """
+    n = len(matrix)
+    work = np.zeros((n, 2 * n), dtype=np.int64)
+    work[:, :n] = matrix
+    work[:, n:] = np.eye(n, dtype=np.int64)
+    perm = np.arange(n)
+    for k in range(n):
+        work[:, k] %= p
+        if not work[k, k]:
+            nonzero = np.flatnonzero(work[k:, k])
+            if not nonzero.size:
+                return None
+            r = k + int(nonzero[0])
+            work[[k, r]] = work[[r, k]]
+            work[:, [n + k, n + r]] = work[:, [n + r, n + k]]
+            perm[[k, r]] = perm[[r, k]]
+        live = work[:, k:n + k + 1]
+        pivot = live[k] % p * pow(int(live[k, 0]), -1, p) % p
+        live -= live[:, :1] * pivot
+        live[k] = pivot
+    inverse = np.empty((n, n), dtype=np.int64)
+    inverse[:, perm] = work[:, n:] % p
+    return inverse
+
+
+def _ratrec(u: int, m: int, nbound: int, dbound: int) -> tuple[int, int] | None:
+    """Wang's rational reconstruction: ``n/d = u (mod m)`` with ``|n| <= nbound``, ``0 < d <= dbound``."""
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > nbound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= dbound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(residues: np.ndarray, m: int) -> tuple[np.ndarray, int] | None:
+    """Numerators over one common denominator, both at most ``sqrt(m/2)``, from residues mod ``m``.
+
+    The denominator found so far maps each residue to a small symmetric
+    remainder; only an entry that stays large gets its own reconstruction,
+    which multiplies the denominator (Wang, Guy & Davenport 1982).
+    """
+    bound = isqrt(m // 2)
+    den, nums = 1, []
+    for u in residues.tolist():
+        v = den * u % m
+        if v > m // 2:
+            v -= m
+        if abs(v) > bound:
+            found = _ratrec(v, m, bound, bound // den)
+            if found is None:
+                return None
+            v, factor = found
+            den *= factor
+            nums = [w * factor for w in nums]
+        nums.append(v)
+    return np.array(nums, dtype=object), den
+
+
+class _Factored:
+    """A nonsingular integer matrix inverted once mod a prime, for certified solves.
+
+    The prime is the largest with ``n * (p - 1)**2 < 2**63``.  If a pivot
+    vanishes mod ``p`` the next smaller prime is tried; once the rejected
+    primes multiply past the Hadamard bound, they all divide the determinant,
+    which must then be zero.
+    """
+
+    def __init__(self, matrix):
+        n = len(matrix)
+        matrix = np.array(matrix, dtype=object).reshape(n, n)
+        cols, vals, starts = self.sparse = _sparse(matrix)
+        lengths = np.diff(starts, append=len(cols))
+        if not lengths.all():
+            raise ZeroDivisionError("singular system")
+        rows = np.repeat(np.arange(n), lengths)
+        self.norms = np.add.reduceat(vals * vals, starts)  # squared row norms
+        hadamard = prod(self.norms.tolist())  # bounds the squared determinant
+        p, rejected = 1 << ((63 - n.bit_length()) // 2), 1
+        while True:
+            p = _prime_before(p)
+            reduced = np.zeros((n, n), dtype=np.int64)
+            reduced[rows, cols] = (vals % p).astype(np.int64)
+            self.inverse = _inverse_mod(reduced, p)
+            if self.inverse is not None:
+                break
+            rejected *= p
+            if rejected**2 > hadamard:
+                raise ZeroDivisionError("singular system")
+        self.prime = p
+
+    def solve(self, rhs) -> tuple[list[int], int]:
+        """``(numerators, denominator)`` of ``matrix**-1 @ rhs`` for an integer ``rhs``.
+
+        Dixon lifting (Numer. Math. 40, 1982): ``x_i = A^-1 r_i mod p`` and
+        ``r_{i+1} = (r_i - A x_i) / p`` give ``sum_i x_i p**i``, the solution
+        mod ``p**k``.  Reconstruction is tried after 1, 2, 4, ... steps, and an
+        answer is returned only once ``A num == den rhs`` holds exactly.  By
+        Cramer's rule and Hadamard's bound every numerator and the denominator
+        are at most ``sqrt(prod(|row|**2 + rhs**2))``, so past twice that
+        product the reconstruction cannot fail on a correct inverse; it raises
+        instead of returning anything uncertified.
+        """
+        b = np.array(rhs, dtype=object)
+        p, n = self.prime, len(b)
+        limit = 2 * prod((self.norms + b * b).tolist())
+        residue, digits, modulus, steps, check = b, np.zeros(n, dtype=object), 1, 0, 1
+        while True:
+            x = self.inverse @ (residue % p).astype(np.int64) % p
+            residue = (residue - _times(self.sparse, x)) // p
+            digits += modulus * x.astype(object)
+            modulus, steps = modulus * p, steps + 1
+            if steps == check or modulus > limit:
+                found = _reconstruct(digits, modulus)
+                if found is not None and (_times(self.sparse, found[0]) == found[1] * b).all():
+                    return found[0].tolist(), found[1]
+                if modulus > limit:
+                    raise ArithmeticError("p-adic lifting found no certified solution")
+                check *= 2
 
 
 def solve_exact_system(
@@ -97,57 +255,21 @@ def solve_exact_system(
     """Solve ``A X = B`` exactly; returns the solution columns.
 
     Rows are scaled to integers (row scaling leaves solutions unchanged),
-    eliminated fraction-free with exact divisions, and back-substituted in
-    rational arithmetic.  Raises on singular systems.
+    the matrix is inverted once mod a prime, and every column is lifted and
+    certified by :class:`_Factored`.  Raises ``ZeroDivisionError`` on
+    singular systems.
     """
     size = len(rows)
-    ncols = len(rhs_columns)
-    if size == 0:
-        return [[] for _ in range(ncols)]
-    aug: list[list[int]] = []
+    scaled = []
     for r in range(size):
-        entries = [Fraction(v) for v in rows[r]] + [Fraction(col[r]) for col in rhs_columns]
+        entries = [*rows[r], *(col[r] for col in rhs_columns)]
         scale = lcm(*(e.denominator for e in entries))
-        aug.append([int(e * scale) for e in entries])
-    width = size + ncols
-
-    prev = 1
-    for k in range(size - 1):
-        if aug[k][k] == 0:
-            for r in range(k + 1, size):
-                if aug[r][k] != 0:
-                    aug[k], aug[r] = aug[r], aug[k]
-                    break
-            else:
-                raise ZeroDivisionError("singular system")
-        pivot = aug[k][k]
-        row_k = aug[k]
-        for i in range(k + 1, size):
-            row_i = aug[i]
-            factor = row_i[k]
-            if factor == 0:
-                if pivot != prev:
-                    for j in range(k + 1, width):
-                        row_i[j] = row_i[j] * pivot // prev
-            else:
-                for j in range(k + 1, width):
-                    row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-                row_i[k] = 0
-        prev = pivot
-    if aug[size - 1][size - 1] == 0:
-        raise ZeroDivisionError("singular system")
-
-    solutions: list[list[Fraction]] = []
-    for c in range(ncols):
-        xs = [Fraction(0)] * size
-        for i in range(size - 1, -1, -1):
-            acc = Fraction(aug[i][size + c])
-            row = aug[i]
-            for j in range(i + 1, size):
-                if row[j]:
-                    acc -= row[j] * xs[j]
-            xs[i] = acc / row[i]
-        solutions.append(xs)
+        scaled.append([e.numerator * (scale // e.denominator) for e in entries])
+    solver = _Factored([row[:size] for row in scaled])
+    solutions = []
+    for c in range(len(rhs_columns)):
+        nums, den = solver.solve([row[size + c] for row in scaled])
+        solutions.append([Fraction(v, den) for v in nums])
     return solutions
 
 
@@ -191,13 +313,16 @@ def _quotient(chain: EnumeratedChain, targets: Sequence[State], start: State | N
     return chain.quotients[key]
 
 
-def _rows(chain: EnumeratedChain, counts, transient: int, z: Fraction | int = 1):
-    """Quotient rows of ``degree * (I - z P)`` on the transient blocks."""
-    d = chain.degree()
-    return [[(d if b == c else 0) - z * counts[b][c] for c in range(transient)] for b in range(transient)]
+def _rows(chain: EnumeratedChain, counts, transient: int, z: Fraction = Fraction(1)) -> np.ndarray:
+    """Integer quotient rows of ``q * degree * (I - z P)`` on the transient blocks, for ``z = a/q``."""
+    rows = -z.numerator * np.array(counts, dtype=object)[:transient, :transient]
+    rows[np.diag_indices(transient)] += z.denominator * chain.degree()
+    return rows
 
 
-def _expand(chain: EnumeratedChain, labels, values) -> dict[State, Fraction]:
+def _expand(chain: EnumeratedChain, labels, nums, den: int) -> dict[State, Fraction]:
+    """Every state's value from its block's numerator over the common denominator."""
+    values = [Fraction(v, den) for v in nums]
     return dict(zip(chain.states, map(values.__getitem__, labels.tolist())))
 
 
@@ -220,21 +345,24 @@ def raw_moment_vectors(
     """Raw moments ``E[T**r]`` for ``r = 1..order``, every start state.
 
     Uses the first-step recursion ``E[T**r] = E[(1 + T')**r]`` expanded by the
-    binomial theorem: each order solves the same quotient system with a
-    right-hand side assembled from the lower-order solutions.
+    binomial theorem: every order solves the same quotient system, factored
+    once, with a right-hand side assembled from the lower-order solutions.
+    Each moment is kept as integer numerators over one denominator.
     """
     if order < 1:
         raise ValueError("moment order must be >= 1")
     labels, counts, transient = _quotient(chain, targets)
-    rows = _rows(chain, counts, transient)
-    absorbed = [Fraction(0)] * (len(counts) - transient)
-    full: list[list] = [[1] * len(counts)]  # moment 0 is identically one
+    solver = _Factored(_rows(chain, counts, transient))
+    moves = _sparse(np.array(counts, dtype=object)[:transient])
+    absorbed = [0] * (len(counts) - transient)
+    nums, dens = [np.ones(len(counts), dtype=object)], [1]  # moment 0 is identically one
     for r in range(1, order + 1):
-        weights = [sum(binomial(r, j) * vec[c] for j, vec in enumerate(full)) for c in range(len(counts))]
-        rhs = [sum(k * w for k, w in zip(counts[b], weights)) for b in range(transient)]
-        (sol,) = solve_exact_system(rows, [rhs])
-        full.append(sol + absorbed)
-    return [_expand(chain, labels, vec) for vec in full[1:]]
+        common = lcm(*dens)
+        weights = sum(binomial(r, j) * (common // den) * vec for j, (vec, den) in enumerate(zip(nums, dens)))
+        sol, den = solver.solve(_times(moves, weights))
+        nums.append(np.array(sol + absorbed, dtype=object))
+        dens.append(den * common)
+    return [_expand(chain, labels, vec, den) for vec, den in zip(nums[1:], dens[1:])]
 
 
 def solve_second_moment(chain: EnumeratedChain, targets: Sequence[State], start: State) -> Fraction:
@@ -251,9 +379,9 @@ def transform_vector(
     if not 0 < z < 1:
         raise ValueError("transform argument must lie strictly between 0 and 1")
     labels, counts, transient = _quotient(chain, targets)
-    rhs = [z * sum(counts[b][transient:]) for b in range(transient)]
-    (sol,) = solve_exact_system(_rows(chain, counts, transient, z), [rhs])
-    return _expand(chain, labels, sol + [Fraction(1)] * (len(counts) - transient))
+    rhs = [z.numerator * sum(counts[b][transient:]) for b in range(transient)]
+    sol, den = _Factored(_rows(chain, counts, transient, z)).solve(rhs)
+    return _expand(chain, labels, sol + [den] * (len(counts) - transient), den)
 
 
 def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: State, z: Fraction) -> Fraction:
@@ -281,20 +409,19 @@ def exit_distribution(
     Moves are equiprobable, so the Green function ``G`` of the chain killed
     on the target set is symmetric: ``G(start, y) = G(y, start)``, the
     expected visits to ``start`` from ``y``.  One solve on the partition that
-    also keeps ``start`` apart gives those visits, and the exit probability
-    at ``t`` is ``G(start, y) / degree`` summed over t's transient neighbours.
+    also keeps ``start`` apart gives ``G(start, y) / degree``, and the exit
+    probability at ``t`` is that summed over t's transient neighbours.
     """
     ordered_targets = sorted({chain.params.check_state(t) for t in targets})
     start = chain.params.check_state(start)
     if start in ordered_targets:
         return {t: Fraction(1 if t == start else 0) for t in ordered_targets}
     labels, counts, transient = _quotient(chain, ordered_targets, start)
-    d = chain.degree()
     home = int(labels[chain.index[start]])
-    (visits,) = solve_exact_system(_rows(chain, counts, transient), [[d * (b == home) for b in range(transient)]])
-    visits += [Fraction(0)] * (len(counts) - transient)
+    visits, den = _Factored(_rows(chain, counts, transient)).solve([int(b == home) for b in range(transient)])
+    visits += [0] * (len(counts) - transient)
     return {
-        t: sum(map(visits.__getitem__, labels[chain.neighbor_table[chain.index[t]]].tolist()), Fraction(0)) / d
+        t: Fraction(sum(map(visits.__getitem__, labels[chain.neighbor_table[chain.index[t]]].tolist())), den)
         for t in ordered_targets
     }
 

@@ -500,6 +500,10 @@ _TWOS = ",".join(["2"] * 200)
           "--replicas", str(10**7 + 1)], "--replicas"),
         (["identities", "--max-urns", "17"], "--max-urns"),
         (["identities", "--max-balls", "25"], "--max-balls"),
+        (["oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--cap", "0"], "--cap"),
+        (["compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--cap", str(2**18 + 1)], "--cap"),
     ],
     ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
@@ -508,7 +512,8 @@ _TWOS = ",".join(["2"] * 200)
          "simulate-ctmc-lambda", "simulate-ctmc-u-very-negative", "simulate-ctmc-u-negative",
          "simulate-distinct-too-many-balls", "simulate-pair-equal-states", "simulate-pair-outside",
          "order-above-bound", "digits-above-bound", "simulate-replicas-above-bound",
-         "compare-replicas-above-bound", "identities-urns-above-bound", "identities-balls-above-bound"],
+         "compare-replicas-above-bound", "identities-urns-above-bound", "identities-balls-above-bound",
+         "oracle-cap-zero", "compare-cap-above-bound"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)

@@ -89,8 +89,9 @@ def command_lines(draw):
                                        st.sampled_from([-8, -7, -1, 0, 1001, 20_000, 10**9]))),
                  "--order", str(_pick(draw, st.integers(1, 5), st.sampled_from([-1, 0, 33, 300, 10**6])))]
     if command in ("oracle", "compare"):
-        # 256 >= 4**4, so every valid chain reaches the oracle's quotient solves
-        argv += ["--cap", str(_pick(draw, st.just(256), st.integers(-1, 255)))]
+        # 256 >= 4**4, so every valid chain reaches the oracle's quotient solves; the cap's bound is 2**18
+        argv += ["--cap", str(_pick(draw, st.just(256), st.one_of(st.integers(-1, 255),
+                                                                  st.integers(2**18 + 1, 10**12))))]
     if command in ("simulate", "compare"):
         argv += ["--replicas", str(_pick(draw, st.integers(1, 200), st.sampled_from([-1, 0, 10**7 + 1, 10**12]))),
                  "--seed", str(draw(st.integers(0, 3)))]

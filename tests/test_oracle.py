@@ -1,10 +1,12 @@
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehrenfest import cli, oracle
 from ehrenfest.exact import binomial
@@ -32,6 +34,177 @@ def test_solver_on_small_dense_system():
     assert sol == [F(2), F(3)]
     with pytest.raises(ZeroDivisionError):
         solve_exact_system([[F(1), F(1)], [F(2), F(2)]], [[F(0), F(0)]])
+
+
+def _bareiss_solve(rows, rhs_columns):
+    """Fraction-free Bareiss elimination and rational back-substitution: the small-system reference.
+
+    This was the oracle's solver before Dixon lifting.
+    """
+    size = len(rows)
+    aug = []
+    for r in range(size):
+        entries = [F(v) for v in rows[r]] + [F(col[r]) for col in rhs_columns]
+        scale = math.lcm(*(e.denominator for e in entries))
+        aug.append([int(e * scale) for e in entries])
+    width = size + len(rhs_columns)
+    prev = 1
+    for k in range(size):
+        if aug[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if aug[r][k] != 0), None)
+            if swap is None:
+                raise ZeroDivisionError("singular system")
+            aug[k], aug[swap] = aug[swap], aug[k]
+        pivot = aug[k][k]
+        for i in range(k + 1, size):
+            factor = aug[i][k]
+            aug[i] = [(aug[i][j] * pivot - factor * aug[k][j]) // prev for j in range(width)]
+        prev = pivot
+    solutions = []
+    for c in range(len(rhs_columns)):
+        xs = [F(0)] * size
+        for i in range(size - 1, -1, -1):
+            acc = aug[i][size + c] - sum(aug[i][j] * xs[j] for j in range(i + 1, size))
+            xs[i] = F(acc, aug[i][i])
+        solutions.append(xs)
+    return solutions
+
+
+_entries = st.integers(-(2**40), 2**40)
+_fractions = st.builds(F, _entries, st.integers(1, 2**20))
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(1, 12))
+    entry = draw(st.sampled_from([_entries, _fractions, st.integers(-3, 3)]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    columns = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
+    return rows, columns
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(system=_systems())
+def test_solver_equals_the_bareiss_reference(system):
+    rows, columns = system
+    try:
+        want = _bareiss_solve(rows, columns)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            solve_exact_system(rows, columns)
+        return
+    assert solve_exact_system(rows, columns) == want
+
+
+def _unimodular(n, rng):
+    """A random integer matrix of determinant 1, from elementary row operations on I."""
+    m = np.eye(n, dtype=object)
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        m[i] += rng.randint(-3, 3) * m[j]
+    return m
+
+
+def test_determinant_equal_to_the_first_prime_still_solves():
+    rng = random.Random(5)
+    for n in (2, 5, 9):
+        p = oracle._Factored(np.eye(n, dtype=object)).prime
+        diagonal = np.eye(n, dtype=object)
+        diagonal[0, 0] = p
+        matrix = _unimodular(n, rng).dot(diagonal).dot(_unimodular(n, rng))
+        rows = matrix.tolist()
+        rhs = [[rng.randint(-(10**9), 10**9) for _ in range(n)]]
+        assert oracle._Factored(rows).prime != p
+        assert solve_exact_system(rows, rhs) == _bareiss_solve(rows, rhs)
+
+
+def _spy_on_inverses(monkeypatch):
+    """The primes of every modular inverse taken from now on."""
+    primes = []
+    real = oracle._inverse_mod
+    monkeypatch.setattr(oracle, "_inverse_mod", lambda matrix, p: primes.append(p) or real(matrix, p))
+    return primes
+
+
+def test_singular_system_raises_only_after_the_hadamard_bound(monkeypatch):
+    # every pivot vanishes mod every prime: the rejected primes must outgrow the bound first
+    calls = _spy_on_inverses(monkeypatch)
+    a, b = [2**40 + 3, -(2**39), 7], [5, 2**41 - 1, -(2**38)]
+    with pytest.raises(ZeroDivisionError):
+        solve_exact_system([a, b, [x + y for x, y in zip(a, b)]], [[1, 2, 3]])
+    assert len(calls) >= 3 and len(set(calls)) == len(calls)
+
+
+def test_wrong_modular_inverse_never_returns(monkeypatch):
+    real = oracle._inverse_mod
+    monkeypatch.setattr(oracle, "_inverse_mod", lambda matrix, p: (real(matrix, p) + 1) % p)
+    rng = random.Random(8)
+    for n in (2, 4, 7):
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        rows = (np.array(rows, dtype=object) + 200 * np.eye(n, dtype=object)).tolist()  # nonsingular
+        with pytest.raises(ArithmeticError, match="no certified solution"):
+            solve_exact_system(rows, [[rng.randint(-9, 9) for _ in range(n)]])
+    chain = EnumeratedChain(ModelParams(3, 2))
+    with pytest.raises(ArithmeticError):
+        raw_moment_vectors(chain, [(2, 2)], 2)
+
+
+def test_every_moment_order_shares_one_factorization(monkeypatch):
+    chain = EnumeratedChain(ModelParams(4, 3))
+    targets = random.Random(2).sample(chain.states, 6)
+    want = raw_moment_vectors(chain, targets, 4)
+    calls = _spy_on_inverses(monkeypatch)
+    chain.quotients.clear()
+    assert raw_moment_vectors(chain, targets, 4) == want
+    assert len(calls) == 1
+    transform_vector(chain, targets, F(1, 2))
+    exit_distribution(chain, targets, chain.states[0])
+    assert len(calls) == 3
+
+
+def _bareiss_quotient_answers(chain, targets, order, zs, start):
+    """Moments, transforms and exit law from Fraction quotient rows of ``degree * (I - z P)``, by Bareiss."""
+
+    def solve(partition, z, rhs_of):
+        labels, counts, transient = partition
+        d = chain.degree()
+        rows = [[(d if b == c else 0) - z * counts[b][c] for c in range(transient)] for b in range(transient)]
+        (sol,) = _bareiss_solve(rows, [[rhs_of(b) for b in range(transient)]])
+        return sol
+
+    labels, counts, transient = partition = oracle._quotient(chain, targets)
+    blocks = range(len(counts))
+    full = [[1] * len(counts)]
+    for r in range(1, order + 1):
+        weights = [sum(binomial(r, j) * vec[c] for j, vec in enumerate(full)) for c in blocks]
+        sol = solve(partition, 1, lambda b: sum(k * w for k, w in zip(counts[b], weights)))
+        full.append(sol + [F(0)] * (len(counts) - transient))
+    transforms = [solve(partition, z, lambda b: z * sum(counts[b][transient:])) + [F(1)] * (len(counts) - transient)
+                  for z in zs]
+    by_state = [dict(zip(chain.states, map(vec.__getitem__, labels.tolist()))) for vec in full[1:] + transforms]
+    labels, counts, transient = partition = oracle._quotient(chain, targets, start)
+    home = labels[chain.index[start]]
+    visits = solve(partition, 1, lambda b: F(int(b == home))) + [F(0)] * (len(counts) - transient)
+    exits = {t: sum(visits[c] for c in labels[chain.neighbor_table[chain.index[t]]].tolist()) for t in sorted(targets)}
+    return by_state[:order], by_state[order:], exits
+
+
+@pytest.mark.parametrize("n,m,size", [(4, 3, 7), (2, 6, 5)])
+def test_non_lumping_explicit_quotient_matches_bareiss(n, m, size):
+    # the oracle's answers on a 36-to-64-block quotient are pinned to the solver it replaced
+    p = ModelParams(n, m)
+    rng = random.Random(10 * n + m)
+    order = list(range(p.state_count))
+    rng.shuffle(order)
+    chain = EnumeratedChain(p, order=order)
+    targets = sorted(rng.sample(chain.states, size))
+    start = next(x for x in chain.states if x not in targets)
+    assert 36 <= len(oracle._quotient(chain, targets)[1]) <= 64
+    zs = (F(1, 2), F(999, 1000))
+    moments, transforms, exits = _bareiss_quotient_answers(chain, targets, 4, zs, start)
+    assert raw_moment_vectors(chain, targets, 4) == moments
+    assert [transform_vector(chain, targets, z) for z in zs] == transforms
+    assert exit_distribution(chain, targets, start) == exits
 
 
 def test_chain_enumeration_order():
