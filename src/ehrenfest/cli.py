@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 from dataclasses import replace
@@ -83,12 +84,24 @@ _INT_BOUNDS = (
 )
 
 
+#: (argument, flag) of the text flags that hold integers
+_TEXT_FLAGS = (("start", "--start"), ("set_text", "--set"), ("u_grid", "--u"))
+
+
 def _check_args(args) -> None:
-    """Check the integer flags and parse the grids, before any command runs."""
+    """Check the integer flags and parse the grids, before any command runs.
+
+    A number longer than Python's integer-digit limit is refused here, by
+    flag: ``int()`` would refuse it too, but with a message that names no flag.
+    """
     for dest, flag, least, greatest in _INT_BOUNDS:
         value = getattr(args, dest, least)
         if not least <= value <= greatest:
             raise ValueError(f"{flag} must lie in {least}..{greatest}, got {value}")
+    limit = sys.get_int_max_str_digits()
+    for dest, flag in _TEXT_FLAGS:
+        if limit and re.search(rf"\d{{{limit + 1}}}", getattr(args, dest, "")):
+            raise ValueError(f"{flag} holds a number of more than {limit} digits")
     if hasattr(args, "u_grid"):
         args.u_grid = _parse_u_grid(args.u_grid)
         args.lambda_grid = _parse_lambda_grid(args.lambda_grid)
@@ -296,8 +309,7 @@ def _verdict(name: str, ok: bool, **detail) -> dict:
     return v
 
 
-def _commute_verdict(name: str, params: ModelParams, h: int, k: int) -> dict:
-    check = closedforms.network_commute_check(params, h, k)
+def _commute_verdict(name: str, check: closedforms.CommuteCheck) -> dict:
     return _verdict(name, check.equal, lhs=format_rational(check.lhs), rhs=format_rational(check.rhs))
 
 
@@ -460,7 +472,8 @@ def cmd_compare(args) -> dict:
         k = overlap(query.start, center)
         if h != k:
             low, high = sorted((h, k))
-            verdicts.append(_commute_verdict(f"network_identity_h{low}_k{high}", params, low, high))
+            check = closedforms.network_commute_check(params, low, high)
+            verdicts.append(_commute_verdict(f"network_identity_h{low}_k{high}", check))
 
     return {
         "request": _request_echo(args),
@@ -499,12 +512,8 @@ def cmd_identities(args) -> dict:
 
 
 def cmd_network_check(args) -> dict:
-    params = ModelParams(args.urns, args.balls)
-    verdicts = [
-        _commute_verdict(f"commute_h{h}_k{k}", params, h, k)
-        for h in range(params.balls + 1)
-        for k in range(h + 1, params.balls + 1)
-    ]
+    checks = closedforms.network_commute_sweep(ModelParams(args.urns, args.balls))
+    verdicts = [_commute_verdict(f"commute_h{h}_k{k}", check) for (h, k), check in checks.items()]
     return {"request": _request_echo(args), "results": {"pairs": len(verdicts)}, "verdicts": verdicts}
 
 

@@ -15,6 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 from .exact import binomial
@@ -160,28 +163,45 @@ def all_distinct_mean(params: ModelParams) -> Fraction:
     return m * (m - 1) * (body - g(1)) + g(m) / math.factorial(m - 2)
 
 
+@lru_cache(maxsize=None)
+def count_level_means(params: ModelParams) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Mean steps between adjacent counts of the reference urn, ``(up, down)``.
+
+    ``up[i]`` is the mean passage from ``i`` to ``i + 1`` balls and
+    ``down[i]`` the one from ``i + 1`` to ``i``:
+
+        up[i]   = (urns-1)**(i+1) / C(balls-1, i) * sum_{j<=i} C(balls,j) / (urns-1)**j
+        down[i] = (urns-1)**(i+1) / C(balls-1, i) * sum_{j>i}  C(balls,j) / (urns-1)**j
+
+    The inner sums are prefix and suffix sums of one series, so all
+    ``2 * balls`` terms cost O(balls) rational operations.
+    """
+    n, m = params.urns, params.balls
+    series = [Fraction(binomial(m, j), (n - 1) ** j) for j in range(m + 1)]
+    total = sum(series, Fraction(0))
+    up, down = [], []
+    prefix = Fraction(0)
+    for i in range(m):
+        prefix += series[i]
+        scale = Fraction((n - 1) ** (i + 1), binomial(m - 1, i))
+        up.append(scale * prefix)
+        down.append(scale * (total - prefix))
+    return tuple(up), tuple(down)
+
+
 def count_set_mean(params: ModelParams, k: int, h: int) -> Fraction:
     """Mean steps until exactly ``h`` balls occupy the reference urn.
 
-    Depends only on the start count ``k``; one explicit sum per direction
-    (filling up when ``k < h``, emptying out when ``k > h``).  At
-    ``h = balls`` the slice is one state and ``k`` the start's overlap with it.
+    Depends only on the start count ``k``: the sum of the one-way level means
+    of :func:`count_level_means` between ``k`` and ``h`` (filling up when
+    ``k < h``, emptying out when ``k > h``).  At ``h = balls`` the slice is
+    one state and ``k`` the start's overlap with it.
     """
-    n, m = params.urns, params.balls
+    m = params.balls
     if not (0 <= k <= m and 0 <= h <= m):
         raise ValueError(f"counts must lie in 0..{m}")
-    if k == h:
-        return Fraction(0)
-    total = Fraction(0)
-    if k < h:
-        for i in range(k, h):
-            inner = sum(Fraction(binomial(m, j), (n - 1) ** j) for j in range(i + 1))
-            total += Fraction((n - 1) ** (i + 1), binomial(m - 1, i)) * inner
-    else:
-        for i in range(h, k):
-            inner = sum(Fraction(binomial(m, j), (n - 1) ** j) for j in range(i + 1, m + 1))
-            total += Fraction((n - 1) ** (i + 1), binomial(m - 1, i)) * inner
-    return total
+    up, down = count_level_means(params)
+    return sum(up[k:h] if k < h else down[h:k], Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +237,9 @@ class CountChain:
             raise ValueError(f"level {i} outside 0..{m}")
         return Fraction(binomial(m, i), (n - 1) ** i)
 
+    def total_weight(self) -> Fraction:
+        return sum((self.vertex_weight(i) for i in range(self.params.balls + 1)), Fraction(0))
+
     def transition_row(self, i: int) -> tuple[Fraction, Fraction, Fraction]:
         """(down, stay, up) step probabilities out of level ``i``."""
         n, m = self.params.urns, self.params.balls
@@ -249,7 +272,25 @@ def network_commute_check(params: ModelParams, h: int, k: int) -> CommuteCheck:
         raise ValueError("need levels 0 <= h < k <= balls")
     chain = CountChain(params)
     lhs = count_set_mean(params, k, h) + count_set_mean(params, h, k)
-    total_weight = sum((chain.vertex_weight(i) for i in range(params.balls + 1)), Fraction(0))
     resistance = sum((1 / chain.conductance_up(j) for j in range(h, k)), Fraction(0))
-    rhs = total_weight * resistance
-    return CommuteCheck(lhs=lhs, rhs=rhs)
+    return CommuteCheck(lhs=lhs, rhs=chain.total_weight() * resistance)
+
+
+def network_commute_sweep(params: ModelParams) -> dict[tuple[int, int], CommuteCheck]:
+    """:func:`network_commute_check` for every level pair ``h < k``.
+
+    Each side is summed once along the path, from its own formula: the
+    commute times from :func:`count_level_means`, the resistances from the
+    conductances.  Every pair then reads both sides as differences of prefix
+    sums, O(balls) rational operations per side plus one difference per pair.
+    """
+    m = params.balls
+    chain = CountChain(params)
+    commute = list(accumulate(map(add, *count_level_means(params)), initial=Fraction(0)))
+    resistance = list(accumulate((1 / chain.conductance_up(j) for j in range(m)), initial=Fraction(0)))
+    total_weight = chain.total_weight()
+    return {
+        (h, k): CommuteCheck(lhs=commute[k] - commute[h], rhs=total_weight * (resistance[k] - resistance[h]))
+        for h in range(m + 1)
+        for k in range(h + 1, m + 1)
+    }

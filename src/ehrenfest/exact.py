@@ -33,8 +33,15 @@ def binomial(n: int, m: int) -> int:
 
 
 def format_rational(value: Rational) -> str:
-    """Serialize a rational as ``num/den`` (``/1`` omitted for integers)."""
-    return str(Fraction(value))
+    """Serialize a rational as ``num/den`` (``/1`` omitted for integers).
+
+    Renders through :class:`~decimal.Decimal`, exact for integers, which is
+    not bound by ``sys.get_int_max_str_digits()``: that guard protects
+    parsers of untrusted text, and a result may well run past it.
+    """
+    q = Fraction(value)
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -14,7 +14,11 @@ those at overlap ``k`` from ``y`` (overlap symmetry makes ``ref_hist`` the
 same for every ``y``; we take the first member the descriptor yields), and
 the descriptor counts both itself, without listing a symbolic set.
 Every sum over ``A`` below is therefore a sum over ``k`` of
-``hist[k] * f(k)``, and ``|A| = sum(ref_hist)``.  The discrete-time
+``hist[k] * f(k)``, and ``|A| = sum(ref_hist)``.  For the transform each
+side folds further, into the integer row ``a_t = sum_k hist[k] * c_{k,t}``
+of :func:`~ehrenfest.resolvent.kernel_row`; both rows are summed over one
+shared, unreduced denominator product, so the ratio is the quotient of the
+two integer numerators and is reduced exactly once.  The discrete-time
 transform is the same ratio evaluated at ``u = balls * (e**lambda - 1)``.
 
 Means, variances and arbitrary raw moments come out of the centered kernel:
@@ -47,6 +51,8 @@ from .resolvent import (
     centered_kernel,
     centered_kernel_derivative,
     centered_kernel_jet,
+    kernel_row,
+    kernel_sums,
     resolvent_kernel,
 )
 
@@ -98,8 +104,9 @@ def laplace_u(query: HittingQuery, u: Rational) -> Fraction:
         raise ValueError("transform argument must be positive")
     if query.start_in_target():
         return Fraction(1)
-    kernel = partial(resolvent_kernel, query.params, u=u)
-    return _weigh(query.start_hist, kernel) / _weigh(query.ref_hist, kernel)
+    rows = [kernel_row(query.params, hist) for hist in (query.start_hist, query.ref_hist)]
+    (start, ref), _ = kernel_sums(query.params, rows, u)
+    return Fraction(start, ref)
 
 
 def laplace_lambda(query: HittingQuery, lam: float, digits: int = 20) -> Fraction:

@@ -11,10 +11,15 @@ where ``c_0..c_balls`` are the integer coefficients of the polynomial
     (1 + (urns-1)x)**k * (1 - x)**(balls-k).
 
 :func:`kernel_coefficients` multiplies the two binomial rows once per
-``(params, k)`` and caches the result, so every kernel value, at any ``u``,
-costs at most ``balls + 1`` rational terms.  The value is exact for rational
-``u > 0``.  Its only singularity is the simple pole ``1/(u*(urns-1))`` of
-the ``t = 0`` term (``c_0 = 1``); removing that term yields the *centered*
+``(params, k)`` and caches the result.  A histogram-weighted sum of kernels,
+``sum_k hist[k] * kernel(k, u)``, folds into one integer row
+``a_t = sum_k hist[k] * c_{k,t}`` (:func:`kernel_row`), and at ``u = p/q``
+:func:`kernel_sums` adds ``a_t / (urns*t*q + (urns-1)*p)`` by binary
+splitting over unreduced integer fractions: at most ``balls + 1`` terms and
+no gcd, for several rows over one shared denominator.  A single kernel value
+is the one-hot row ``c_{k,.}``.  The value is exact for rational ``u > 0``.
+Its only singularity is the simple pole ``1/(u*(urns-1))`` of the ``t = 0``
+term (``c_0 = 1``); removing that term yields the *centered*
 kernel, finite at ``u = 0``, whose values and derivatives at zero drive
 every mean/variance/moment formula in the package.
 
@@ -52,17 +57,52 @@ def kernel_coefficients(params: ModelParams, k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def resolvent_kernel(params: ModelParams, k: int, u: Rational) -> Fraction:
-    """Exact kernel value for rational ``u > 0`` (pole at ``u = 0``)."""
+def kernel_row(params: ModelParams, hist: Sequence[int]) -> tuple[int, ...]:
+    """Integer row ``a_t = sum_k hist[k] * c_{k,t}`` of ``sum_k hist[k] * kernel(k, u)``."""
+    row = [0] * (params.balls + 1)
+    for k, count in enumerate(hist):
+        if count:
+            for t, c in enumerate(kernel_coefficients(params, k)):
+                row[t] += count * c
+    return tuple(row)
+
+
+def kernel_sums(params: ModelParams, rows: Sequence[Sequence[int]], u: Rational) -> tuple[list[int], int]:
+    """Kernel sums of integer ``rows`` at rational ``u > 0``, unreduced.
+
+    Returns numerators ``nums`` and one denominator ``den`` with
+    ``nums[i] / den == sum_t rows[i][t] / (urns*t + u*(urns-1))``.  With
+    ``u = p/q`` that sum is ``q * sum_t a_t / (urns*t*q + (urns-1)*p)``;
+    binary splitting adds its terms as integer pairs, so no gcd is taken, and
+    the rows share every denominator: a ratio of two sums is ``nums[0] / nums[1]``.
+    """
     u = Fraction(u)
     if u <= 0:
         raise ValueError("resolvent kernel needs u > 0; use the centered kernel at u = 0")
-    n = params.urns
-    shift = u * (n - 1)
-    return sum(
-        (c / (n * t + shift) for t, c in enumerate(kernel_coefficients(params, k)) if c),
-        Fraction(0),
-    )
+    n, p, q = params.urns, u.numerator, u.denominator
+    terms = [
+        ([row[t] for row in rows], n * t * q + (n - 1) * p)
+        for t in range(params.balls + 1)
+        if any(row[t] for row in rows)
+    ]
+    if not terms:
+        return [0] * len(rows), 1
+
+    def split(lo: int, hi: int) -> tuple[list[int], int]:
+        if hi - lo == 1:
+            return terms[lo]
+        mid = (lo + hi) // 2
+        (left, dl), (right, dr) = split(lo, mid), split(mid, hi)
+        return [a * dr + b * dl for a, b in zip(left, right)], dl * dr
+
+    nums, den = split(0, len(terms))
+    return [q * a for a in nums], den
+
+
+def resolvent_kernel(params: ModelParams, k: int, u: Rational) -> Fraction:
+    """Exact kernel value for rational ``u > 0`` (pole at ``u = 0``)."""
+    (num,), den = kernel_sums(params, [kernel_coefficients(params, k)], u)
+    return Fraction(num, den)
 
 
 def centered_kernel(params: ModelParams, k: int, u: Rational = 0) -> Fraction:
@@ -72,12 +112,8 @@ def centered_kernel(params: ModelParams, k: int, u: Rational = 0) -> Fraction:
         raise ValueError("centered kernel needs u >= 0")
     if u == 0:
         return _centered_at_zero(params, k)
-    n = params.urns
-    shift = u * (n - 1)
-    return sum(
-        (c / (n * t + shift) for t, c in enumerate(kernel_coefficients(params, k)) if t and c),
-        Fraction(0),
-    )
+    # the pole term is c_0 / (u*(urns-1)) with c_0 = 1
+    return resolvent_kernel(params, k, u) - 1 / (u * (params.urns - 1))
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ehrenfest import cli, hitting, mc
 from ehrenfest.closedforms import count_set_mean
 from ehrenfest.exact import format_rational
-from ehrenfest.model import ModelParams
+from ehrenfest.model import ModelParams, parse_set
 
 
 def run_cli(capsys, *argv):
@@ -344,6 +350,20 @@ def test_network_check_subcommand(capsys):
     assert all(v["pass"] for v in report["verdicts"])
 
 
+def test_network_check_at_large_m_is_bounded():
+    # O(M) per side plus one difference per pair: about a second at M=200
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "ehrenfest.cli", "network-check", "--N", "3", "--M", "200"],
+        capture_output=True, text=True, timeout=15, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["results"]["pairs"] == 200 * 201 // 2
+    assert all(v["pass"] for v in report["verdicts"])
+
+
 def test_csv_output(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -522,6 +542,31 @@ def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and needle in errors[0]
+
+
+def test_result_past_the_int_digit_limit_is_rendered(capsys):
+    # the transform's numerator and denominator run to thousands of digits
+    u = "123456789012345678901234567890123/7"
+    code, report, err = run_json(
+        capsys, "exact", "--N", "3", "--M", "200", "--start", _ONES, "--set", f"singleton:{_TWOS}",
+        "--u", u,
+    )
+    assert code == 0, err
+    value = report["results"]["u_samples"][0]["value"]["rational"]
+    assert len(value) > sys.get_int_max_str_digits()
+    # Decimal reads and converts integers without the digit limit
+    num, den = (int(Decimal(part)) for part in value.split("/"))
+    query = hitting.HittingQuery(ModelParams(3, 200), (1,) * 200, parse_set(f"singleton:{_TWOS}"))
+    assert hitting.laplace_u(query, Fraction(u)) == Fraction(num, den)
+
+
+@pytest.mark.parametrize("flag", ["--u", "--set", "--start"])
+def test_number_past_the_int_digit_limit_exits_two_naming_the_flag(capsys, flag):
+    argv = {"--u": "1/2", "--set": "singleton:2,2", "--start": "1,1"}
+    argv[flag] = argv[flag][:-1] + "1" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run_cli(capsys, "exact", "--N", "3", "--M", "2", *[a for kv in argv.items() for a in kv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} holds a number of more than") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

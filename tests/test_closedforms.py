@@ -10,6 +10,7 @@ from ehrenfest.closedforms import (
     all_distinct_mean,
     count_set_mean,
     network_commute_check,
+    network_commute_sweep,
     rencontres_profile,
     same_urn_from_spread,
     same_urn_stats,
@@ -280,6 +281,16 @@ def test_commute_check_sweep(n, m):
             assert network_commute_check(p, h, k).equal
     with pytest.raises(ValueError):
         network_commute_check(p, 1, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", range(1, 21))
+def test_commute_prefix_sweep_equals_each_pair(n, m):
+    p = ModelParams(n, m)
+    sweep = network_commute_sweep(p)
+    assert list(sweep) == [(h, k) for h in range(m + 1) for k in range(h + 1, m + 1)]
+    for (h, k), check in sweep.items():
+        assert check == network_commute_check(p, h, k) and check.equal
 
 
 # --- lumping consistency ---------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,8 @@ from ehrenfest.model import (
 )
 from ehrenfest import oracle
 from ehrenfest.oracle import EnumeratedChain, mean_vector, raw_moment_vectors, solve_transform
-from ehrenfest.resolvent import centered_kernel, resolvent_kernel
+from ehrenfest.exact import lambda_to_u
+from ehrenfest.resolvent import centered_kernel, kernel_coefficients, resolvent_kernel
 
 
 def _query(n, m, start, descriptor):
@@ -100,6 +102,47 @@ def test_laplace_u_in_unit_interval_and_decreasing(n, m, start, descriptor):
     values = [laplace_u(q, u) for u in grid]
     assert all(0 < v <= 1 for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def _reference_kernel(params, k, u):
+    """The kernel as a sum of reduced Fractions, one per coefficient."""
+    n = params.urns
+    shift = u * (n - 1)
+    return sum((c / (n * t + shift) for t, c in enumerate(kernel_coefficients(params, k)) if c), F(0))
+
+
+def _reference_transform(params, start_hist, ref_hist, u):
+    """The transform as a ratio of histogram-weighted per-overlap kernels."""
+
+    def weigh(hist):
+        return sum((c * _reference_kernel(params, k, u) for k, c in enumerate(hist) if c), F(0))
+
+    return weigh(start_hist) / weigh(ref_hist)
+
+
+@st.composite
+def _transform_cases(draw):
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 40))
+    hist = st.lists(st.integers(0, 10**9), min_size=m + 1, max_size=m + 1)
+    start_hist, ref_hist = draw(hist), draw(hist.filter(any))
+    if draw(st.booleans()):
+        u = draw(st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6))
+    else:
+        # dyadic lambdas: a float such as 0.3 carries a 2**54 denominator into
+        # every Taylor term, and the reference then takes seconds per case
+        u = lambda_to_u(m, draw(st.integers(1, 32)) / 8, draw(st.integers(1, 200)))
+    return ModelParams(n, m), tuple(start_hist), tuple(ref_hist), u
+
+
+@settings(max_examples=30, deadline=None)
+@given(_transform_cases())
+def test_laplace_u_equals_ratio_of_per_overlap_kernels(case):
+    params, start_hist, ref_hist, u = case
+    # any two histograms, not only those a target set realizes
+    query = SimpleNamespace(
+        params=params, start_hist=start_hist, ref_hist=ref_hist, start_in_target=lambda: False
+    )
+    assert laplace_u(query, u) == _reference_transform(params, start_hist, ref_hist, u)
 
 
 def test_laplace_lambda_at_zero_and_log2():

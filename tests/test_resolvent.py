@@ -14,6 +14,8 @@ from ehrenfest.resolvent import (
     centered_kernel_jet,
     kernel_coefficients,
     kernel_increments,
+    kernel_row,
+    kernel_sums,
     overlap_increment_distribution,
     resolvent_kernel,
     resolvent_kernel_quadrature,
@@ -176,6 +178,17 @@ def test_kernels_equal_double_sum_exactly(n, m):
             assert centered_kernel(p, k, u) == _reference_kernel(n, m, k, u, centered=True)
         for order in range(1, 5):
             assert centered_kernel_derivative(p, k, order) == _reference_derivative(n, m, k, order)
+
+
+def test_kernel_row_folds_histograms():
+    p = ModelParams(3, 4)
+    assert kernel_row(p, [0, 0, 1, 0, 0]) == kernel_coefficients(p, 2)
+    both = [a + 2 * b for a, b in zip(kernel_coefficients(p, 1), kernel_coefficients(p, 4))]
+    assert kernel_row(p, [0, 1, 0, 0, 2]) == tuple(both)
+    # a row with no term sums to zero over the empty product
+    assert kernel_sums(p, [kernel_row(p, [0] * 5)], F(1, 2)) == ([0], 1)
+    with pytest.raises(ValueError):
+        kernel_sums(p, [kernel_row(p, [1, 0, 0, 0, 0])], 0)
 
 
 def test_derivatives_match_jet_coefficients():
