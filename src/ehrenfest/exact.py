@@ -7,10 +7,9 @@ binomial coefficients with the out-of-range-is-zero convention, and a small
 truncated-power-series type (:class:`Jet`) with exact rational coefficients.
 
 Jets carry the first ``order + 1`` Taylor coefficients of a function and
-support ring arithmetic, division and composition.  They are the mechanism
-by which Laplace transforms get differentiated at zero: compose the exact
-coefficient data with the series of the argument substitution, divide, and
-read moments off the result, never touching floating point.
+support ring arithmetic, division and composition.  Dividing the two sides
+of a Laplace transform, each expanded as a jet, is how moments get read off
+it exactly, never touching floating point.
 """
 
 from __future__ import annotations
@@ -69,26 +68,39 @@ def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Frac
     """Rational approximation of ``e**x - 1`` for ``x >= 0``.
 
     Sums the Taylor series of the exponential in exact arithmetic until the
-    (geometrically bounded) tail drops below ``rel_err`` relative to the
-    partial sum.  The returned value is a lower bound of the true value with
-    relative error below ``rel_err``.
+    (geometrically bounded) tail drops below ``rel_err / 2`` relative to the
+    partial sum, then floors that sum to a multiple of the largest power of
+    two at most ``rel_err / 2`` of it, so the result's size follows
+    ``rel_err`` and not the binary expansion of ``x``.  Where the floor does
+    not shrink the denominator (a dyadic ``x`` such as 1/2), the first partial
+    sum within ``rel_err`` is returned instead.  Either way the value is a
+    lower bound of the true value with relative error below ``rel_err``.
     """
     x = Fraction(x)
     if x < 0:
         raise ValueError("expm1_rational() requires x >= 0")
     if x == 0:
         return Fraction(0)
-    total = Fraction(0)
+    total, first = Fraction(0), None
     term = x  # x**n / n!
     n = 1
     while True:
         total += term
         nxt = term * x / (n + 1)
         # once the term ratio x/(n+2) is at most 1/2 the tail is < 2*nxt
-        if 2 * x <= n + 2 and 2 * nxt <= rel_err * total:
-            return total
+        if 2 * x <= n + 2:
+            if first is None and 2 * nxt <= rel_err * total:
+                first = total
+            if 4 * nxt <= rel_err * total:
+                break
         term = nxt
         n += 1
+    slack = rel_err * total / 2
+    step = Fraction(2) ** (slack.numerator.bit_length() - slack.denominator.bit_length())
+    if step > slack:
+        step /= 2
+    rounded = math.floor(total / step) * step
+    return rounded if rounded.denominator < first.denominator else first
 
 
 def lambda_to_u(balls: int, lam: float, digits: int) -> Fraction:
@@ -123,19 +135,6 @@ class Jet:
     @classmethod
     def constant(cls, value: Rational, order: int) -> "Jet":
         return cls((Fraction(value),) + (Fraction(0),) * order)
-
-    @classmethod
-    def variable(cls, order: int) -> "Jet":
-        """The series of the independent variable ``t`` itself."""
-        if order < 1:
-            raise ValueError("variable jet needs order >= 1")
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
-
-    @classmethod
-    def scaled_expm1(cls, scale: Rational, order: int) -> "Jet":
-        """Series of ``scale * (e**t - 1)``: zero constant term by design."""
-        s = Fraction(scale)
-        return cls([Fraction(0)] + [s / math.factorial(j) for j in range(1, order + 1)])
 
     def derivative_at_zero(self, m: int) -> Fraction:
         """m-th derivative at the expansion point, ``m! * coeffs[m]``."""

@@ -21,12 +21,13 @@ shared, unreduced denominator product, so the ratio is the quotient of the
 two integer numerators and is reduced exactly once.  The discrete-time
 transform is the same ratio evaluated at ``u = balls * (e**lambda - 1)``.
 
-Means, variances and arbitrary raw moments come out of the centered kernel:
-the mean and variance by direct closed forms in the kernel values and first
-derivatives at zero, higher moments by carrying the full Taylor jets of
-numerator and denominator through the argument substitution and reading
-coefficients off the quotient.  Everything on this analytic path is exact
-rational arithmetic.
+Moments are read off the same two integer rows.  In ``w = 1 - z`` each side
+of the ratio is an integer power series over one denominator
+(:func:`~ehrenfest.resolvent.kernel_series`); their quotient is the series of
+``E[(1 - w)**T]``, whose coefficients are the factorial moments up to sign
+and factorials, and Stirling numbers turn those into raw moments.  The mean,
+the variance and the continuous-time summaries are the first two of them.
+Everything on this analytic path is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .closedforms import same_urn_stats, two_point_stats_for
 from .exact import Jet, Rational, lambda_to_u
@@ -47,19 +48,7 @@ from .model import (
     overlap,
     symmetry_defect,
 )
-from .resolvent import (
-    centered_kernel,
-    centered_kernel_derivative,
-    centered_kernel_jet,
-    kernel_row,
-    kernel_sums,
-    resolvent_kernel,
-)
-
-
-def _weigh(hist: Sequence[int], f: Callable, zero=Fraction(0)):
-    """``sum_k hist[k] * f(k)`` over the overlaps that occur."""
-    return sum((c * f(k) for k, c in enumerate(hist) if c), zero)
+from .resolvent import kernel_row, kernel_series, kernel_sums, resolvent_kernel
 
 
 @dataclass(frozen=True)
@@ -139,61 +128,38 @@ def green_potential(params: ModelParams, x: Sequence[int], z: Sequence[int], u: 
 
 
 def mean(query: HittingQuery) -> Fraction:
-    """Exact expected number of steps to reach the target set."""
-    if query.start_in_target():
-        return Fraction(0)
-    p = query.params
-    n, m = p.urns, p.balls
-    g = partial(centered_kernel, p)
-    total = _weigh(query.ref_hist, g) - _weigh(query.start_hist, g)
-    return Fraction(m * (n - 1), query.target_size) * total
+    """Exact expected number of steps to reach the target set: minus the
+    ``w`` coefficient of the transform, the first of :func:`raw_moments`."""
+    return raw_moments(query, 1)[0]
 
 
 def variance(query: HittingQuery) -> Fraction:
-    """Exact variance of the number of steps to reach the target set."""
-    if query.start_in_target():
-        return Fraction(0)
-    p = query.params
-    n, m = p.urns, p.balls
-    expected = mean(query)
-    g = partial(centered_kernel, p)
-    dg = partial(centered_kernel_derivative, p)
-    total = (
-        m * (_weigh(query.start_hist, dg) - _weigh(query.ref_hist, dg))
-        + expected * _weigh(query.start_hist, g)
-    )
-    return Fraction(2 * m * (n - 1), query.target_size) * total + expected**2 - expected
+    """Exact variance of the number of steps, from the first two :func:`raw_moments`."""
+    first, second = raw_moments(query, 2)
+    return second - first**2
 
 
 def raw_moments(query: HittingQuery, order: int) -> list[Fraction]:
     """Exact raw moments ``E[T**r]`` for ``r = 1..order``.
 
-    Builds the u-domain Taylor jets of the transform's numerator and
-    denominator from centered-kernel derivatives, substitutes the series of
-    ``balls * (e**lambda - 1)``, divides, and converts coefficients to
-    moments via ``E[T**r] = (-1)**r * r! * [lambda**r]``.
+    Divides the two sides' series in ``w = 1 - z`` into the series of
+    ``E[(1 - w)**T] = sum_r (-1)**r * E[(T)_r] / r! * w**r``, reads the
+    factorial moments ``E[(T)_r]`` off it and converts them with Stirling
+    numbers of the second kind: ``E[T**r] = sum_k S(r, k) * E[(T)_k]``.
     """
     if order < 1:
         raise ValueError("moment order must be >= 1")
     if query.start_in_target():
         return [Fraction(0)] * order
-    p = query.params
-    n, m = p.urns, p.balls
-    jet_order = max(order, 2) + 1  # one guard coefficient past the top moment
-    jet = partial(centered_kernel_jet, p, order=jet_order)
-    size = Jet.constant(query.target_size, jet_order)
-    shift = (n - 1) * Jet.variable(jet_order)
-    substitution = Jet.scaled_expm1(m, jet_order)
-
-    def ratio_side(hist: Sequence[int]) -> Jet:
-        acc = _weigh(hist, jet, Jet.constant(0, jet_order))
-        return (size + shift * acc).compose(substitution)
-
-    transform = ratio_side(query.start_hist) / ratio_side(query.ref_hist)
-    return [
-        Fraction((-1) ** r * math.factorial(r)) * transform.coeffs[r]
-        for r in range(1, order + 1)
-    ]
+    rows = [kernel_row(query.params, hist) for hist in (query.start_hist, query.ref_hist)]
+    (start, ref), scale = kernel_series(query.params, rows, order)
+    ratio = (Jet(start) / Jet(ref)).coeffs
+    factorial = [(-1) ** r * math.factorial(r) * ratio[r] / scale**r for r in range(order + 1)]
+    moments, stirling = [], [1]  # stirling[k] = S(r, k), from S(0, 0) = 1
+    for _ in range(order):  # S(r, k) = S(r-1, k-1) + k * S(r-1, k)
+        stirling = [a + k * b for k, (a, b) in enumerate(zip([0] + stirling, stirling + [0]))]
+        moments.append(sum(s * f for s, f in zip(stirling, factorial)))
+    return moments
 
 
 def exit_distribution(query: HittingQuery) -> dict[State, Fraction] | None:
@@ -233,8 +199,8 @@ def ctmc_stats(query: HittingQuery) -> CtmcStats:
     ``mean = balls * mean_Y`` and ``variance = balls**2 * variance_Y - mean``.
     """
     m = query.params.balls
-    e = mean(query)
-    v = variance(query)
+    e, second = raw_moments(query, 2)
+    v = second - e**2
     return CtmcStats(mean=e / m, variance=(v + e) / Fraction(m**2))
 
 

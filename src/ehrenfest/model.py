@@ -364,13 +364,17 @@ def parse_set(text: str) -> SetDescriptor:
     if head == "explicit":
         if not rest.startswith("@"):
             raise ValueError("explicit descriptor expects @path.json")
-        with open(rest[1:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        path = rest[1:]
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or an integer past the int-str digit limit
+                raise ValueError(f"{path} is not a readable JSON array of states: {exc}") from None
         # type(c) is int: int() would round 1.7 down and accept true and "2"
         if not isinstance(data, list) or not all(
             isinstance(s, list) and all(type(c) is int for c in s) for s in data
         ):
-            raise ValueError(f"{rest[1:]} must hold a JSON array of states of integers, got {data!r:.60}")
+            raise ValueError(f"{path} must hold a JSON array of states of integers, got {data!r:.60}")
         return SetDescriptor.explicit(data)
     raise ValueError(f"unknown set descriptor kind {head!r}")
 

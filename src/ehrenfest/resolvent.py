@@ -20,8 +20,11 @@ no gcd, for several rows over one shared denominator.  A single kernel value
 is the one-hot row ``c_{k,.}``.  The value is exact for rational ``u > 0``.
 Its only singularity is the simple pole ``1/(u*(urns-1))`` of the ``t = 0``
 term (``c_0 = 1``); removing that term yields the *centered*
-kernel, finite at ``u = 0``, whose values and derivatives at zero drive
-every mean/variance/moment formula in the package.
+kernel, finite at ``u = 0``, whose values and derivatives at zero give the
+closed forms of :mod:`~ehrenfest.closedforms` and the identity suite below.
+The engine's moments come from the same integer rows instead:
+:func:`kernel_series` expands each side of the transform in powers of
+``w = 1 - z`` over one integer denominator.
 
 The alternating sums cancel catastrophically in floating point (the
 coefficients grow like ``urns**balls`` while the result stays O(1)), which
@@ -97,6 +100,33 @@ def kernel_sums(params: ModelParams, rows: Sequence[Sequence[int]], u: Rational)
 
     nums, den = split(0, len(terms))
     return [q * a for a in nums], den
+
+
+def kernel_series(params: ModelParams, rows: Sequence[Sequence[int]], order: int) -> tuple[list[list[int]], int]:
+    """Each row's side of the transform as a power series in ``w = 1 - z``, to ``w**order``.
+
+    At ``u = balls*(1-z)/z`` a side ``(urns-1)*u * sum_t a_t / (urns*t + u*(urns-1))``
+    is ``a_0 + sum_{t>=1} a_t * D*w / (urns*t + mu_t*w)``, with ``D = balls*(urns-1)``
+    and ``mu_t = D - urns*t``, so its ``w**(j+1)`` coefficient is
+    ``(-1)**j * sum_{t>=1} a_t * D * mu_t**j / (urns*t)**(j+1)``.  Returns integer
+    ``coeffs`` and a ``scale = urns * lcm(1..balls)`` with ``[w**j]`` of row ``i``
+    equal to ``coeffs[i][j] / scale**j``: every term is summed in integers.
+    """
+    n, m = params.urns, params.balls
+    scale = n * math.lcm(*range(1, m + 1))
+    d = m * (n - 1)
+    out = []
+    for row in rows:
+        coeffs = [row[0]] + [0] * order
+        for t in range(1, m + 1):
+            if row[t]:
+                step = scale // (n * t)  # scale / (urns*t), an integer
+                term, factor = row[t] * d * step, (n * t - d) * step
+                for j in range(1, order + 1):
+                    coeffs[j] += term
+                    term *= factor
+        out.append(coeffs)
+    return out, scale
 
 
 def resolvent_kernel(params: ModelParams, k: int, u: Rational) -> Fraction:

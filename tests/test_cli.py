@@ -582,3 +582,14 @@ def test_explicit_file_not_a_list_of_states_exits_two(tmp_path, capsys, content)
     )
     assert code == 2 and out == ""
     assert "Traceback" not in err and "JSON array of states" in err and str(path) in err
+
+
+@pytest.mark.parametrize("content", ["[[1, 2], [2", "[[1, " + "1" * (sys.get_int_max_str_digits() + 1) + "]]"])
+def test_explicit_file_that_json_cannot_read_exits_two_naming_it(tmp_path, capsys, content):
+    path = tmp_path / "set.json"
+    path.write_text(content)
+    code, out, err = run_cli(
+        capsys, "exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", f"explicit:@{path}"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} is not a readable JSON array of states") and "Traceback" not in err

@@ -12,6 +12,7 @@ from ehrenfest.exact import (
     format_rational,
     format_significant,
     jet_from_derivatives,
+    lambda_to_u,
     parse_rational,
 )
 
@@ -98,8 +99,8 @@ def test_jet_mul_div_roundtrip(a_coeffs, b_coeffs):
 
 
 def test_compose_scaled_expm1():
-    outer = Jet.variable(3)
-    inner = Jet.scaled_expm1(2, 3)
+    outer = Jet((0, 1, 0, 0))  # the variable t itself
+    inner = Jet((0, 2, 1, F(1, 3)))  # 2 * (e**t - 1)
     assert outer.compose(inner) == Jet((0, 2, 1, F(1, 3)))
 
 
@@ -110,8 +111,7 @@ def test_compose_constant_outer():
 
 
 def test_compose_square_outer():
-    order = 3
-    outer = Jet.variable(order) * Jet.variable(order)
+    outer = Jet((0, 0, 1, 0))  # t**2
     inner = Jet((0, 1, 1, 0))
     assert outer.compose(inner) == Jet((0, 0, 1, 2))
 
@@ -143,7 +143,7 @@ def test_compose_monomial_matches_expansion(power, inner_coeffs):
 
 def test_compose_requires_zero_inner_constant():
     with pytest.raises(ValueError):
-        Jet.variable(2).compose(Jet((1, 1, 0)))
+        Jet((0, 1, 0)).compose(Jet((1, 1, 0)))
 
 
 def test_order_mismatch_rejected():
@@ -174,3 +174,31 @@ def test_expm1_rational_precision_budget():
     assert expm1_rational(F(0)) == 0
     with pytest.raises(ValueError):
         expm1_rational(F(-1))
+
+
+def test_lambda_to_u_size_follows_the_requested_precision():
+    # the float 0.3 has a 2**54 denominator; the raw partial sum carried 5743 bits
+    u = lambda_to_u(40, 0.3, 200)
+    assert max(u.numerator.bit_length(), u.denominator.bit_length()) < 720
+    fine = 40 * expm1_rational(F(0.3), F(1, 10**260))
+    assert 0 <= fine - u < fine / 10**206
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=30, max_denominator=2**60),
+    st.integers(min_value=1, max_value=80),
+)
+def test_expm1_rational_is_a_lower_bound_within_rel_err(x, digits):
+    rel, eps = F(1, 10**digits), F(1, 10 ** (digits + 30))
+    value = expm1_rational(x, rel)
+    upper = expm1_rational(x, eps) / (1 - eps)  # at least e**x - 1
+    assert value <= upper
+    assert upper - value <= (rel + eps) * upper
+
+
+def test_expm1_rational_keeps_the_partial_sum_of_a_dyadic_argument():
+    x = F(1, 2)
+    value = expm1_rational(x, F(1, 10**26))
+    partial_sums = [sum(x**k / math.factorial(k) for k in range(1, n + 1)) for n in range(1, 40)]
+    assert value in partial_sums

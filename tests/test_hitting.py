@@ -30,8 +30,8 @@ from ehrenfest.model import (
 )
 from ehrenfest import oracle
 from ehrenfest.oracle import EnumeratedChain, mean_vector, raw_moment_vectors, solve_transform
-from ehrenfest.exact import lambda_to_u
-from ehrenfest.resolvent import centered_kernel, kernel_coefficients, resolvent_kernel
+from ehrenfest.exact import Jet, lambda_to_u
+from ehrenfest.resolvent import centered_kernel, centered_kernel_jet, kernel_coefficients, resolvent_kernel
 
 
 def _query(n, m, start, descriptor):
@@ -235,6 +235,45 @@ def test_raw_moments_geometric_case():
     assert raw_moments(inside, 4) == [0, 0, 0, 0]
     with pytest.raises(ValueError):
         raw_moments(q, 0)
+
+
+def _reference_moments(params, start_hist, ref_hist, order):
+    """Raw moments from per-overlap centered-kernel jets in ``u``: each side
+    ``|A| + (urns-1)*u * sum_k hist[k] * jet_k`` composed with the series of
+    ``u = balls * (e**lambda - 1)``, then divided, then read off."""
+    n, m = params.urns, params.balls
+    top = max(order, 2) + 1
+    size = Jet.constant(sum(ref_hist), top)
+    shift = Jet((0, n - 1) + (0,) * (top - 1))
+    substitution = Jet([0] + [F(m, math.factorial(j)) for j in range(1, top + 1)])
+
+    def side(hist):
+        acc = sum((c * centered_kernel_jet(params, k, top) for k, c in enumerate(hist) if c), Jet.constant(0, top))
+        return (size + shift * acc).compose(substitution)
+
+    transform = side(start_hist) / side(ref_hist)
+    return [(-1) ** r * math.factorial(r) * transform.coeffs[r] for r in range(1, order + 1)]
+
+
+@st.composite
+def _moment_cases(draw):
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 40))
+    ref_hist = draw(st.lists(st.integers(0, 10**9), min_size=m + 1, max_size=m + 1).filter(any))
+    # any start histogram with the same total: the reference puts |A| on both sides
+    total = sum(ref_hist)
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=m, max_size=m)))
+    start_hist = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    return ModelParams(n, m), tuple(start_hist), tuple(ref_hist), draw(st.integers(1, 8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_moment_cases())
+def test_raw_moments_equal_composed_centered_kernel_jets(case):
+    params, start_hist, ref_hist, order = case
+    query = SimpleNamespace(
+        params=params, start_hist=start_hist, ref_hist=ref_hist, start_in_target=lambda: False
+    )
+    assert raw_moments(query, order) == _reference_moments(params, start_hist, ref_hist, order)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrenfest.exact import expm1_rational
+from ehrenfest.exact import Jet, expm1_rational
 from ehrenfest.model import ModelParams
 from ehrenfest.resolvent import (
     binomial_increment_mean,
@@ -15,6 +15,7 @@ from ehrenfest.resolvent import (
     kernel_coefficients,
     kernel_increments,
     kernel_row,
+    kernel_series,
     kernel_sums,
     overlap_increment_distribution,
     resolvent_kernel,
@@ -189,6 +190,21 @@ def test_kernel_row_folds_histograms():
     assert kernel_sums(p, [kernel_row(p, [0] * 5)], F(1, 2)) == ([0], 1)
     with pytest.raises(ValueError):
         kernel_sums(p, [kernel_row(p, [1, 0, 0, 0, 0])], 0)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 5), (3, 4), (5, 3), (4, 7)])
+def test_kernel_series_expands_each_side_in_w(n, m):
+    p = ModelParams(n, m)
+    order, big = 6, m * (n - 1)
+    pad = (0,) * (order - 1)
+    rows = [kernel_coefficients(p, k) for k in range(m + 1)] + [kernel_row(p, [3] + [0] * (m - 1) + [5])]
+    coeffs, scale = kernel_series(p, rows, order)
+    assert scale == n * math.lcm(*range(1, m + 1))
+    for row, got in zip(rows, coeffs):
+        # a_0 + sum_t a_t * D*w / (urns*t + mu_t*w), one jet quotient per term
+        terms = (Jet((0, a * big) + pad) / Jet((n * t, big - n * t) + pad) for t, a in enumerate(row) if t and a)
+        want = sum(terms, Jet.constant(row[0], order))
+        assert [F(c, scale**j) for j, c in enumerate(got)] == list(want.coeffs)
 
 
 def test_derivatives_match_jet_coefficients():
