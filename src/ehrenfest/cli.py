@@ -3,7 +3,7 @@
 Subcommands::
 
     exact          engine statistics for a symmetric target set
-    oracle         linear-algebra ground truth (any target set, capped size)
+    oracle         linear-algebra ground truth (any target set, bounded work)
     simulate       Monte Carlo sampling, discrete or continuous-time
     compare        run exact vs oracle vs Monte Carlo and render verdicts
     identities     exact identity suite + quadrature cross-check
@@ -11,8 +11,8 @@ Subcommands::
 
 All reports share the shape ``{request, results, verdicts?, timing?}`` with
 rational values as canonical strings plus float renderings.  Exit codes:
-0 success, 2 usage error, 3 target set not overlap-symmetric, 4 state-space
-cap exceeded, 5 verdict failure.
+0 success, 2 usage error, 3 target set not overlap-symmetric, 4 oracle work
+bound (``MAX_STATES`` or ``MAX_BLOCKS``) exceeded, 5 verdict failure.
 """
 
 from __future__ import annotations
@@ -75,12 +75,13 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
 
 #: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
+    ("urns", "--N", 2, 10**5),  # at N=10**5 and M=200, exact and network-check answer in about 7 s
+    ("balls", "--M", 1, 200),
     ("order", "--order", 1, 32),
     ("digits", "--digits", 1, 1000),
     ("replicas", "--replicas", 1, 10**7),
     ("max_urns", "--max-urns", 2, 16),
     ("max_balls", "--max-balls", 1, 24),
-    ("cap", "--cap", 1, 2**18),  # at most 2**18 unknowns keeps the oracle's primes below 2**22
 )
 
 
@@ -144,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p_oracle)
     add_grids(p_oracle)
     p_oracle.add_argument("--order", type=int, default=2)
-    p_oracle.add_argument("--cap", type=int, default=oracle.DEFAULT_EXACT_CAP, help="state-space cap for exact solves")
     add_output(p_oracle)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo hitting-time sampling")
@@ -153,17 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replicas", type=int, default=10_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--mode", choices=("discrete", "ctmc"), default="discrete")
-    p_sim.add_argument("--max-steps", type=int, default=10_000_000)
     add_output(p_sim)
 
     p_cmp = sub.add_parser("compare", help="exact vs oracle vs Monte Carlo with verdicts")
     add_model(p_cmp)
     add_grids(p_cmp)
     p_cmp.add_argument("--order", type=int, default=2)
-    p_cmp.add_argument("--cap", type=int, default=oracle.DEFAULT_EXACT_CAP)
     p_cmp.add_argument("--replicas", type=int, default=20_000)
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--max-steps", type=int, default=10_000_000)
     add_output(p_cmp)
 
     p_id = sub.add_parser("identities", help="exact identity suite and quadrature cross-check")
@@ -265,8 +262,6 @@ def _request_echo(args) -> dict:
         "replicas",
         "seed",
         "mode",
-        "max_steps",
-        "cap",
         "format",
         "out",
     ):
@@ -352,7 +347,6 @@ def _simulate(args, params, descriptor, mode=None, grid=()):
         replicas=args.replicas,
         seed=args.seed,
         mode=mode or "discrete",
-        max_steps=args.max_steps,
         grid=tuple(float(a) for a in grid),
     )
     start = _parse_start(args.start)
@@ -381,7 +375,7 @@ def cmd_exact(args) -> dict:
 def cmd_oracle(args) -> dict:
     params = ModelParams(args.urns, args.balls)
     descriptor = parse_set(args.set_text)
-    chain = oracle.EnumeratedChain(params, cap=args.cap)
+    chain = oracle.EnumeratedChain(params)
     targets, start, summary = _oracle(args, chain, descriptor, args.u_grid, args.lambda_grid)
     summary = replace(summary, exit_distribution=oracle.exit_distribution(chain, targets, start))
     return {"request": _request_echo(args), "results": _summary_results(summary, args.digits)}
@@ -417,7 +411,7 @@ def cmd_simulate(args) -> dict:
 def cmd_compare(args) -> dict:
     params = ModelParams(args.urns, args.balls)
     descriptor = parse_set(args.set_text)
-    chain = oracle.EnumeratedChain(params, cap=args.cap)
+    chain = oracle.EnumeratedChain(params)
     m = params.balls
     u_grid = args.u_grid or (Fraction(1, 2), Fraction(1), Fraction(2))
     lambda_grid = args.lambda_grid or (0.1, 0.5, 1.0, 2.0)

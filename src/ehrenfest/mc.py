@@ -41,9 +41,9 @@ listed.
   1, and the hit test is a binary search of the key among them, which needs
   ``urns**balls`` below ``2**62``.
 
-Replicas that exceed the step cap are counted as truncated and excluded
-from the moment estimates (loudly: a warning is emitted, nothing is
-dropped silently).
+Each lockstep step is charged its live replicas plus ``STEP_CHARGE``.  Replicas
+still walking when ``WALK_BUDGET`` is spent are truncated and excluded from the
+moment estimates (loudly: a warning is emitted, nothing is dropped silently).
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ CHUNK = 8192
 #: and sets how many steps the sparse tail takes per RNG call.
 BLOCK_MOVES = 1 << 15
 
+#: Replica-steps a walk may spend, 6-8 s at the 20-56 ns one costs on 2 vCPUs;
+#: each step also costs a Python iteration, about 22 us or 550 replica-steps.
+WALK_BUDGET = 15 * 10**7
+STEP_CHARGE = 550
+
+#: Most urn slots a walk allocates: replicas times balls, or times max(balls, urns) for occupancies.
+MAX_SLOTS = 1 << 26
+
 MODES = ("discrete", "ctmc")
 
 
@@ -73,14 +81,11 @@ class SimConfig:
     replicas: int
     seed: int
     mode: str = "discrete"  # or "ctmc"
-    max_steps: int = 10_000_000
     grid: tuple[float, ...] = ()  # transform arguments: lambda if discrete, u if ctmc
 
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        if self.max_steps < 1:
-            raise ValueError("need max_steps >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -133,6 +138,9 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
     """
     n, m = params.urns, params.balls
     states = target.validate(params)
+    stride = max(m, n) if target.kind in ("diagonal", "distinct") else m
+    if replicas * stride > MAX_SLOTS:
+        raise ValueError(f"the walk needs {replicas * stride} urn slots ({replicas} replicas x {stride}) > {MAX_SLOTS}")
     sphere = target.sphere(params)
     if sphere is not None:
         center, level = sphere
@@ -165,8 +173,7 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
         return y, m, key(start), update, lambda keys: (keys == key_y) | (keys == key_z)
 
     if target.kind in ("diagonal", "distinct"):
-        # colliding ball pairs, the sum over urns of C(occupancy, 2), from per-replica occupancies
-        stride = max(m, n)  # room for one count per urn at the replica's slots
+        # colliding ball pairs, the sum over urns of C(occupancy, 2), from one count per urn and replica
         row = np.bincount(np.array(start) - 1, minlength=stride)
         occupancy = np.tile(row.astype(np.min_scalar_type(-m - 1)), replicas)
         most = m * (m - 1) // 2
@@ -197,10 +204,10 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
 
 
 def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
-    """Walk every replica to absorption or the step cap, all chunks in lockstep.
+    """Walk every replica to absorption or the end of the budget, all chunks in lockstep.
 
-    Returns the steps each replica took to absorption (0 if truncated), the
-    truncated mask and the chunk generators, positioned after the walk.
+    Returns the steps to absorption (0 if truncated), the truncated mask, the
+    step the walk stopped at and the chunk generators, positioned after it.
     """
     n, m = params.urns, params.balls
     reference, stride, key0, update, is_hit = member
@@ -218,9 +225,10 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     keys = np.full(base.size, key0)
 
     draw_type = np.min_scalar_type(m * (n - 1) - 1)
-    t = 0  # every live replica has taken exactly t steps
-    while base.size and t < cfg.max_steps:
-        span = min(max(1, BLOCK_MOVES // base.size), cfg.max_steps - t)
+    t = spent = 0  # every live replica has taken exactly t steps, and the walk has spent this much budget
+    while base.size and (affordable := (WALK_BUDGET - spent) // (base.size + STEP_CHARGE)):
+        span = min(max(1, BLOCK_MOVES // base.size), affordable)
+        spent += span * (base.size + STEP_CHARGE)
         per_chunk = np.diff(np.searchsorted(base, bounds))
         block = np.concatenate(
             [rng.integers(0, m * (n - 1), size=(span, k), dtype=draw_type) for rng, k in zip(rngs, per_chunk) if k],
@@ -254,23 +262,23 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
 
     truncated = np.zeros(cfg.replicas, dtype=bool)
     truncated[base // stride] = True
-    return steps, truncated, rngs
+    return steps, truncated, t, rngs
 
 
 def _sample(params, start, target, cfg: SimConfig, modes: Sequence[str]) -> dict[str, SimSummary]:
     """One walk under ``cfg``, summarised in each of ``modes`` in turn."""
     start = params.check_state(start)
-    steps, truncated, rngs = _walk(params, start, cfg, _membership(params, start, target, cfg.replicas))
+    steps, truncated, stop, rngs = _walk(params, start, cfg, _membership(params, start, target, cfg.replicas))
     n_trunc = int(truncated.sum())
     if n_trunc:
         warnings.warn(
-            f"{n_trunc} of {cfg.replicas} replicas hit the step cap and were "
-            "excluded from moment estimates",
+            f"{n_trunc} of {cfg.replicas} replicas were still walking when the walk budget ran out "
+            f"at step {stop} and were excluded from moment estimates",
             RuntimeWarning,
             stacklevel=3,
         )
     if n_trunc == cfg.replicas:
-        raise ValueError("every replica was truncated; raise max_steps")
+        raise ValueError(f"every replica was truncated at step {stop}, when the walk budget ran out")
 
     out = {}
     for mode in modes:
@@ -290,7 +298,7 @@ def _sample(params, start, target, cfg: SimConfig, modes: Sequence[str]) -> dict
             sample_variance=var,
             stderr=float(np.sqrt(var / kept.size)),
             transforms=tuple(empirical_transform(kept, cfg.grid)) if cfg.grid else (),
-            replica_steps=int(steps.sum()) + n_trunc * cfg.max_steps,
+            replica_steps=int(steps.sum()) + n_trunc * stop,
         )
     return out
 

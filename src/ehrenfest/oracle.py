@@ -26,8 +26,8 @@ partition once and keeps it for every later solve on the same target set
 structure, never overlaps or kernel formulas, so an agreement with the
 engine is still a genuine two-sided check.
 
-A chain is refused at construction when it has more states than its cap
-(default 2000).
+A chain of more than ``MAX_STATES`` states, or a quotient of more than
+``MAX_BLOCKS`` transient blocks, is refused before any system is built.
 """
 
 from __future__ import annotations
@@ -42,16 +42,18 @@ import numpy as np
 from .exact import binomial
 from .model import ModelParams, State
 
-DEFAULT_EXACT_CAP = 2000
+#: Work bounds: a whole singleton ``oracle`` request at 2**15 states, and one
+#: dense inverse of a 1024-block quotient, each take about 3 s on 2 vCPUs.
+MAX_STATES = 2**15
+MAX_BLOCKS = 1024
 
 
 class CapExceededError(RuntimeError):
-    """State space too large for the requested solve mode."""
+    """A request past one of the oracle's work bounds, ``MAX_STATES`` or ``MAX_BLOCKS``."""
 
-    def __init__(self, size: int, cap: int):
-        self.size = size
-        self.cap = cap
-        super().__init__(f"state space has {size} states, exceeding the cap of {cap}")
+    def __init__(self, bound: str, size: int, limit: int, unit: str = "transient blocks"):
+        self.bound, self.size, self.limit = bound, size, limit
+        super().__init__(f"the oracle needs {size} {unit}, more than {bound} = {limit}")
 
 
 class EnumeratedChain:
@@ -64,13 +66,13 @@ class EnumeratedChain:
     holds the positions of the ``balls * (urns - 1)`` states one move away
     from ``states[r]``: moving ball ``i`` on by ``d = 1..urns-1`` urns changes
     the code by ``((digit_i + d) mod urns - digit_i) * urns**(i-1)``.
-    A chain of more than ``cap`` states is refused before anything is
-    enumerated, so every solve on a chain is within the cap.
+    A chain of more than ``MAX_STATES`` states is refused before anything
+    is enumerated.
     """
 
-    def __init__(self, params: ModelParams, order: Sequence[int] | None = None, cap: int = DEFAULT_EXACT_CAP):
-        if params.state_count > cap:
-            raise CapExceededError(params.state_count, cap)
+    def __init__(self, params: ModelParams, order: Sequence[int] | None = None):
+        if params.state_count > MAX_STATES:
+            raise CapExceededError("MAX_STATES", params.state_count, MAX_STATES, "states")
         self.params = params
         n, m, size = params.urns, params.balls, params.state_count
         codes = np.arange(size) if order is None else np.array(list(order), dtype=np.int64)
@@ -301,8 +303,11 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
         if len(first) == blocks:
             break
         blocks = len(first)
+    transient = int(labels[positions].min())
+    if transient > MAX_BLOCKS:
+        raise CapExceededError("MAX_BLOCKS", transient, MAX_BLOCKS)
     counts = [np.bincount(labels[neighbors[r]], minlength=blocks).tolist() for r in first]
-    return labels, counts, int(labels[positions].min())
+    return labels, counts, transient
 
 
 def _quotient(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ehrenfest import cli, hitting, mc
+from ehrenfest import cli, hitting, mc, oracle
 from ehrenfest.closedforms import count_set_mean
 from ehrenfest.exact import format_rational
 from ehrenfest.model import ModelParams, parse_set
@@ -114,7 +114,7 @@ def test_oracle_cap_exceeded(capsys):
         "oracle", "--N", "4", "--M", "10", "--start", "1,1,1,1,1,1,1,1,1,1", "--set", "diagonal",
     )
     assert code == 4
-    assert "1048576" in err and "2000" in err
+    assert "1048576 states" in err and f"MAX_STATES = {oracle.MAX_STATES}" in err
 
 
 @pytest.mark.parametrize("command", ["oracle", "compare"])
@@ -129,12 +129,27 @@ def test_cap_checked_before_enumeration(capsys, command):
     assert time.perf_counter() - started < 1
 
 
-def test_oracle_cap_flag_override(capsys):
+@pytest.mark.parametrize("bound,size", [("MAX_STATES", 9), ("MAX_BLOCKS", 4)], ids=["MAX_STATES", "MAX_BLOCKS"])
+def test_oracle_bound_names_itself(capsys, monkeypatch, bound, size):
+    # N=3 M=2 has 9 states; from (1,2) the diagonal's moments need 1 transient block, its exit law 4
+    monkeypatch.setattr(oracle, bound, size - 1)
+    code, out, err = run_cli(capsys, "oracle", "--N", "3", "--M", "2", "--start", "1,2", "--set", "diagonal")
+    assert code == 4 and out == ""
+    assert f"needs {size} " in err and f"{bound} = {size - 1}" in err
+
+
+def test_barely_lumping_set_exits_four_at_once(tmp_path, capsys):
+    # five random states at N=3 M=7: every one of the other 2182 states is a block of its own
+    path = tmp_path / "barely.json"
+    path.write_text(json.dumps([[2, 1, 1, 3, 2, 3, 3], [2, 2, 1, 2, 3, 2, 2], [2, 2, 2, 3, 1, 3, 1],
+                                [2, 2, 3, 1, 2, 2, 2], [3, 1, 2, 1, 3, 1, 3]]))
+    started = time.perf_counter()
     code, out, err = run_cli(
-        capsys, "oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "diagonal", "--cap", "5"
+        capsys, "oracle", "--N", "3", "--M", "7", "--start", "1,1,1,1,1,1,1", "--set", f"explicit:@{path}"
     )
-    assert code == 4
-    assert "9" in err and "5" in err
+    assert code == 4 and out == ""
+    assert "2182 transient blocks" in err and f"MAX_BLOCKS = {oracle.MAX_BLOCKS}" in err
+    assert time.perf_counter() - started < 2
 
 
 def test_simulate_reproducible_output(capsys):
@@ -350,18 +365,31 @@ def test_network_check_subcommand(capsys):
     assert all(v["pass"] for v in report["verdicts"])
 
 
-def test_network_check_at_large_m_is_bounded():
-    # O(M) per side plus one difference per pair: about a second at M=200
+def _run_subprocess(*argv):
+    """The CLI in a fresh interpreter, killed after 15 s."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "ehrenfest.cli", "network-check", "--N", "3", "--M", "200"],
-        capture_output=True, text=True, timeout=15, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "ehrenfest.cli", *argv], capture_output=True, text=True, timeout=15, env=env
     )
+
+
+def test_network_check_at_large_m_is_bounded():
+    # O(M) per side plus one difference per pair: about a second at M=200
+    done = _run_subprocess("network-check", "--N", "3", "--M", "200")
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["results"]["pairs"] == 200 * 201 // 2
     assert all(v["pass"] for v in report["verdicts"])
+
+
+def test_unreachable_target_exits_two_within_the_walk_budget():
+    # from one ball off the all-ones state the diagonal is practically never reached
+    done = _run_subprocess("simulate", "--N", "10", "--M", "20", "--start", "2," + ",".join(["1"] * 19),
+                           "--set", "diagonal", "--replicas", "100")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "every replica was truncated" in done.stderr
 
 
 def test_csv_output(capsys):
@@ -455,7 +483,7 @@ def test_usage_errors_exit_two(capsys):
         capsys, "exact", "--N", "1", "--M", "2", "--start", "1,1", "--set", "diagonal"
     )
     assert code == 2
-    assert "urns" in err
+    assert "--N must lie in" in err
 
 
 _ONES = ",".join(["1"] * 200)
@@ -470,9 +498,9 @@ _TWOS = ",".join(["2"] * 200)
         (["exact", "--N", "3", "--M", "200", "--start", _ONES, "--set", f"singleton:{_TWOS}",
           "--order", "4"], "float"),
         pytest.param(
-            ["simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
-             "--max-steps", "1", "--replicas", "100"], "truncated",
-            marks=pytest.mark.filterwarnings("ignore:.*step cap"),
+            ["simulate", "--N", "10", "--M", "20", "--start", "2," + ",".join(["1"] * 19), "--set", "diagonal",
+             "--replicas", "100"], "truncated",
+            marks=pytest.mark.filterwarnings("ignore:.*walk budget"),
         ),
         (["oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
           "--u", "-1"], "u must be positive"),
@@ -520,10 +548,12 @@ _TWOS = ",".join(["2"] * 200)
           "--replicas", str(10**7 + 1)], "--replicas"),
         (["identities", "--max-urns", "17"], "--max-urns"),
         (["identities", "--max-balls", "25"], "--max-balls"),
-        (["oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
-          "--cap", "0"], "--cap"),
-        (["compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
-          "--cap", str(2**18 + 1)], "--cap"),
+        (["exact", "--N", str(10**5 + 1), "--M", "2", "--start", "1,2", "--set", "diagonal"], "--N"),
+        (["network-check", "--N", "3", "--M", "201"], "--M"),
+        (["simulate", "--N", str(10**5), "--M", "2", "--start", "1,2", "--set", "diagonal",
+          "--replicas", "10000"], "1000000000 urn slots"),
+        (["simulate", "--N", "2", "--M", "200", "--start", _ONES, "--set", "count:100:2",
+          "--replicas", str(10**7)], "2000000000 urn slots"),
     ],
     ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
@@ -533,9 +563,12 @@ _TWOS = ",".join(["2"] * 200)
          "simulate-distinct-too-many-balls", "simulate-pair-equal-states", "simulate-pair-outside",
          "order-above-bound", "digits-above-bound", "simulate-replicas-above-bound",
          "compare-replicas-above-bound", "identities-urns-above-bound", "identities-balls-above-bound",
-         "oracle-cap-zero", "compare-cap-above-bound"],
+         "exact-urns-above-bound", "network-check-balls-above-bound", "simulate-occupancy-slots",
+         "simulate-offset-slots"],
 )
-def test_bad_inputs_exit_two_without_traceback(capsys, argv, needle):
+def test_bad_inputs_exit_two_without_traceback(capsys, monkeypatch, argv, needle):
+    # a small walk budget makes the all-truncated row's walk end at once; no other row walks
+    monkeypatch.setattr(mc, "WALK_BUDGET", 10**5)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

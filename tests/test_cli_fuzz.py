@@ -54,8 +54,9 @@ def command_lines(draw):
         urns = _pick(draw, st.integers(2, 3), st.one_of(st.integers(-1, 1), st.integers(17, 10**6)))
         balls = _pick(draw, st.integers(1, 2), st.one_of(st.integers(-1, 0), st.integers(25, 10**6)))
         return [command, "--max-urns", str(urns), "--max-balls", str(balls)]
-    n = _pick(draw, st.integers(2, 4), st.integers(-1, 1))
-    m = _pick(draw, st.integers(1, 4), st.integers(-1, 0))
+    # the upper bounds are 10**5 urns and 200 balls; a junk ball count stays small, since states list it
+    n = _pick(draw, st.integers(2, 4), st.one_of(st.integers(-1, 1), st.integers(10**5 + 1, 10**12)))
+    m = _pick(draw, st.integers(1, 4), st.one_of(st.integers(-1, 0), st.integers(201, 203)))
     argv = [command, "--N", str(n), "--M", str(m)]
     if command == "network-check":
         return argv
@@ -88,15 +89,9 @@ def command_lines(draw):
         argv += ["--digits", str(_pick(draw, st.integers(1, 40),
                                        st.sampled_from([-8, -7, -1, 0, 1001, 20_000, 10**9]))),
                  "--order", str(_pick(draw, st.integers(1, 5), st.sampled_from([-1, 0, 33, 300, 10**6])))]
-    if command in ("oracle", "compare"):
-        # 256 >= 4**4, so every valid chain reaches the oracle's quotient solves; the cap's bound is 2**18
-        argv += ["--cap", str(_pick(draw, st.just(256), st.one_of(st.integers(-1, 255),
-                                                                  st.integers(2**18 + 1, 10**12))))]
     if command in ("simulate", "compare"):
         argv += ["--replicas", str(_pick(draw, st.integers(1, 200), st.sampled_from([-1, 0, 10**7 + 1, 10**12]))),
                  "--seed", str(draw(st.integers(0, 3)))]
-    if command == "simulate":
-        argv += ["--max-steps", str(_pick(draw, st.sampled_from([50, 10_000_000]), st.sampled_from([0, 1])))]
     return argv
 
 
@@ -116,7 +111,7 @@ def _overtime(signum, frame):
     raise Overtime(f"call ran longer than {SECONDS} s")
 
 
-@pytest.mark.filterwarnings("ignore:.*step cap")
+@pytest.mark.filterwarnings("ignore:.*walk budget")
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(argv=command_lines())

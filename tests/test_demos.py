@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ehrenfest import cli
+from ehrenfest import cli, mc, oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +41,28 @@ def _readme_cli_lines():
 def test_readme_cli_line_runs(line, capsys):
     assert cli.main(shlex.split(line)[1:]) == 0
     assert capsys.readouterr().out
+
+
+def _renderings(value: int) -> set[str]:
+    """The ways the README may write an integer: plainly, as a power of two,
+    or as a mantissa times a power of ten (``10^7``, ``1.5*10^8``)."""
+    forms = {str(value)}
+    if value > 1 and value & (value - 1) == 0:
+        forms.add(f"2^{value.bit_length() - 1}")
+    exponent = len(str(value)) - 1
+    if exponent >= 3 and value % 10 ** (exponent - 1) == 0:
+        mantissa = f"{value / 10**exponent:g}"
+        forms.add(f"10^{exponent}" if mantissa == "1" else f"{mantissa}*10^{exponent}")
+    return forms
+
+
+def test_readme_states_every_bound():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (paragraph,) = [p for p in readme.split("\n\n") if p.startswith("Bounds.")]
+    text = " ".join(paragraph.split())
+    for _, flag, least, greatest in cli._INT_BOUNDS:
+        assert any(f"`{flag}` in `{least}..{form}`" in text for form in _renderings(greatest)), flag
+    for module, name in ((oracle, "MAX_STATES"), (oracle, "MAX_BLOCKS"), (mc, "WALK_BUDGET"),
+                         (mc, "STEP_CHARGE"), (mc, "MAX_SLOTS")):
+        value = getattr(module, name)
+        assert any(f"`{module.__name__.rsplit('.')[-1]}.{name}` = `{form}`" in text for form in _renderings(value)), name

@@ -28,8 +28,6 @@ def test_config_validation():
         SimConfig(replicas=0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(replicas=10, seed=1, mode="jump")
-    with pytest.raises(ValueError):
-        SimConfig(replicas=10, seed=1, max_steps=0)
 
 
 def test_start_inside_target():
@@ -127,33 +125,47 @@ def test_paired_transform_discrete_vs_ctmc():
     assert abs(de.estimate - ce.estimate) <= 4 * combined
 
 
-def test_truncation_is_counted_and_warned():
-    cfg = SimConfig(replicas=2000, seed=5, max_steps=3)
-    with pytest.warns(RuntimeWarning, match="step cap"):
+def test_truncation_is_counted_and_warned(monkeypatch):
+    # the budget pays for three steps of all 2000 replicas: the first block spans them
+    monkeypatch.setattr(mc, "WALK_BUDGET", 3 * (2000 + mc.STEP_CHARGE))
+    cfg = SimConfig(replicas=2000, seed=5)
+    with pytest.warns(RuntimeWarning, match="walk budget ran out at step 3"):
         summary = sample_hitting(P32, (1, 1), SINGLETON, cfg)
     assert summary.truncated > 0
     assert summary.replicas == 2000
-    # kept samples are all <= max_steps and hit the target
+    # kept samples are all <= 3 steps and hit the target
     assert summary.sample_mean <= 3.0
 
 
-def test_both_clocks_walk_alike():
+def test_both_clocks_walk_alike(monkeypatch):
     # the ctmc clock is drawn after the walk, so the same seed truncates the same replicas
+    monkeypatch.setattr(mc, "WALK_BUDGET", 3 * (2000 + mc.STEP_CHARGE))
     truncated = []
     for mode in ("discrete", "ctmc"):
-        with pytest.warns(RuntimeWarning, match="step cap"):
-            summary = sample_hitting(P32, (1, 1), SINGLETON, SimConfig(replicas=2000, seed=5, mode=mode, max_steps=3))
+        with pytest.warns(RuntimeWarning, match="walk budget"):
+            summary = sample_hitting(P32, (1, 1), SINGLETON, SimConfig(replicas=2000, seed=5, mode=mode))
         truncated.append(summary.truncated)
     assert truncated[0] == truncated[1] > 0
 
 
-def test_all_truncated_raises():
+def test_all_truncated_raises(monkeypatch):
+    # one step of 50 replicas, and the target is two moves away
+    monkeypatch.setattr(mc, "WALK_BUDGET", 50 + mc.STEP_CHARGE)
     p = ModelParams(3, 2)
     far = SetDescriptor.singleton((3, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every replica was truncated at step 1"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sample_hitting(p, (1, 1), far, SimConfig(replicas=50, seed=2, max_steps=1))
+            sample_hitting(p, (1, 1), far, SimConfig(replicas=50, seed=2))
+
+
+def test_walk_slots_are_bounded(monkeypatch):
+    monkeypatch.setattr(mc, "MAX_SLOTS", 100)
+    assert mc._membership(ModelParams(3, 2), (1, 1), SINGLETON, 50)[1] == 2  # 50 x 2 slots
+    with pytest.raises(ValueError, match="102 urn slots"):
+        mc._membership(ModelParams(3, 2), (1, 1), SINGLETON, 51)
+    with pytest.raises(ValueError, match="120 urn slots"):
+        mc._membership(ModelParams(3, 2), (1, 2), SetDescriptor.diagonal(), 40)  # occupancies: 40 x 3 urns
 
 
 def test_meta_seeds_mostly_within_band():
@@ -196,8 +208,9 @@ def _killed_chain_cdf(params, start, targets, horizon):
 
 
 def _walk_steps(params, start, target, cfg):
-    steps, truncated, _ = mc._walk(params, start, cfg, mc._membership(params, start, target, cfg.replicas))
-    return steps, truncated
+    """Steps to absorption, the truncated mask and the step the walk stopped at."""
+    steps, truncated, stop, _ = mc._walk(params, start, cfg, mc._membership(params, start, target, cfg.replicas))
+    return steps, truncated, stop
 
 
 @pytest.mark.parametrize(
@@ -218,8 +231,8 @@ def test_walk_law_matches_killed_chain(start, target):
     eps = math.sqrt(math.log(2 / alpha) / (2 * replicas))
     cfg = SimConfig(replicas=replicas, seed=2024)
     explicit = SetDescriptor.explicit(target.materialize(P32))
-    steps, truncated = _walk_steps(P32, start, target, cfg)
-    via_codes, _ = _walk_steps(P32, start, explicit, cfg)
+    steps, truncated, _ = _walk_steps(P32, start, target, cfg)
+    via_codes, _, _ = _walk_steps(P32, start, explicit, cfg)
     assert steps.min() > 0 and not truncated.any()
     assert np.array_equal(steps, via_codes)  # structural keys and state codes walk alike
     assert sample_hitting(P32, start, target, cfg) == sample_hitting(P32, start, explicit, cfg)
@@ -230,20 +243,27 @@ def test_walk_law_matches_killed_chain(start, target):
     assert 1 - exact[-1] <= eps  # beyond the largest sample the empirical CDF is 1
 
 
-def test_truncation_cuts_the_same_walks():
-    # a block cut short by the step cap reads the first rows of the block the uncapped walk draws;
-    # the pair's cap falls inside multi-step blocks whose absorbed columns are not yet compacted
+def test_truncation_cuts_the_same_walks(monkeypatch):
+    # a block cut short by the budget reads the first rows of the block the unbounded walk draws;
+    # the pair's budget runs out inside multi-step blocks whose absorbed columns are not yet compacted
     cfg = SimConfig(replicas=3 * CHUNK + 5, seed=11)
-    for params, start, target, cap in ((P32, (1, 1), SINGLETON, 7), (ModelParams(3, 3), (1, 1, 1), PAIR33, 40)):
-        full, _ = _walk_steps(params, start, target, cfg)
-        capped, truncated = _walk_steps(params, start, target, replace(cfg, max_steps=cap))
-        assert capped[~truncated].max() <= cap
-        assert np.array_equal(truncated, full > cap)
+    for params, start, target, budget in ((P32, (1, 1), SINGLETON, 150_000),
+                                          (ModelParams(3, 3), (1, 1, 1), PAIR33, 400_000)):
+        monkeypatch.undo()
+        full, never, _ = _walk_steps(params, start, target, cfg)
+        assert not never.any()
+        monkeypatch.setattr(mc, "WALK_BUDGET", budget)
+        capped, truncated, stop = _walk_steps(params, start, target, cfg)
+        assert 0 < stop < full.max()
+        assert capped[~truncated].max() <= stop
+        assert np.array_equal(truncated, full > stop)
         assert np.array_equal(capped[~truncated], full[~truncated])
-        with pytest.warns(RuntimeWarning, match="step cap"):
-            summary = sample_hitting(params, start, target, replace(cfg, max_steps=cap))
-        assert summary.truncated == int((full > cap).sum())
-        assert summary.replica_steps == int(full[full <= cap].sum()) + cap * summary.truncated
+        with pytest.warns(RuntimeWarning, match=f"walk budget ran out at step {stop} "):
+            summary = sample_hitting(params, start, target, cfg)
+        assert summary.truncated == int((full > stop).sum())
+        assert summary.replica_steps == int(full[full <= stop].sum()) + stop * summary.truncated
+        # every step was charged at least its live replicas and STEP_CHARGE
+        assert summary.replica_steps + stop * mc.STEP_CHARGE <= budget
 
 
 def test_both_clocks_from_one_walk(monkeypatch):
@@ -255,5 +275,5 @@ def test_both_clocks_from_one_walk(monkeypatch):
     assert len(calls) == 1
     for mode in ("discrete", "ctmc"):
         assert both[mode] == sample_hitting(P32, (1, 1), SINGLETON, replace(cfg, mode=mode))
-    steps, _ = _walk_steps(P32, (1, 1), SINGLETON, cfg)
+    steps, _, _ = _walk_steps(P32, (1, 1), SINGLETON, cfg)
     assert both["ctmc"].replica_steps == both["discrete"].replica_steps == int(steps.sum())

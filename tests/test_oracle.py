@@ -338,15 +338,23 @@ def test_lumped_examples():
     assert lumped_count_oracle(ModelParams(3, 2), 1, 1) == 0
 
 
-def test_cap_enforcement():
+def test_cap_enforcement(monkeypatch):
     with pytest.raises(CapExceededError) as err:
         EnumeratedChain(ModelParams(4, 10))  # refused before any of the 4**10 states is enumerated
-    assert err.value.size == 4**10
-    assert err.value.cap == 2000
+    assert (err.value.bound, err.value.size, err.value.limit) == ("MAX_STATES", 4**10, oracle.MAX_STATES)
 
+    monkeypatch.setattr(oracle, "MAX_STATES", 80)
     with pytest.raises(CapExceededError):
-        EnumeratedChain(ModelParams(3, 4), cap=50)
-    assert len(mean_vector(EnumeratedChain(ModelParams(3, 4), cap=100), [(1, 1, 1, 1)])) == 81
+        EnumeratedChain(ModelParams(3, 4))
+    monkeypatch.setattr(oracle, "MAX_STATES", 81)
+    chain = EnumeratedChain(ModelParams(3, 4))
+    # a singleton's quotient keeps one transient block per overlap 0..3
+    monkeypatch.setattr(oracle, "MAX_BLOCKS", 3)
+    with pytest.raises(CapExceededError) as err:
+        mean_vector(chain, [(1, 1, 1, 1)])
+    assert (err.value.bound, err.value.size, err.value.limit) == ("MAX_BLOCKS", 4, 3)
+    monkeypatch.setattr(oracle, "MAX_BLOCKS", 4)
+    assert len(mean_vector(chain, [(1, 1, 1, 1)])) == 81
 
 
 def test_empty_target_rejected():
