@@ -12,7 +12,8 @@ Subcommands::
 All reports share the shape ``{request, results, verdicts?, timing?}`` with
 rational values as canonical strings plus float renderings.  Exit codes:
 0 success, 2 usage error, 3 target set not overlap-symmetric, 4 oracle work
-bound (``MAX_STATES`` or ``MAX_BLOCKS``) exceeded, 5 verdict failure.
+bound (``MAX_STATES``, ``MAX_MOVES`` or ``MAX_BLOCKS``) exceeded, 5 verdict
+failure.
 """
 
 from __future__ import annotations
@@ -450,6 +451,11 @@ def cmd_compare(args) -> dict:
 
     mc, timing = _simulate(args, params, descriptor)
     for mode, summary in mc.items():
+        if summary.truncated:  # the kept walks are the short ones: their mean is biased low
+            raise ValueError(
+                f"{summary.truncated} of {summary.replicas} replicas were truncated when the walk budget "
+                "ran out, so the Monte Carlo means cannot be checked"
+            )
         reference = engine.mean if mode == "discrete" else engine.mean / m
         verdicts.append(
             _verdict(

@@ -26,8 +26,9 @@ partition once and keeps it for every later solve on the same target set
 structure, never overlaps or kernel formulas, so an agreement with the
 engine is still a genuine two-sided check.
 
-A chain of more than ``MAX_STATES`` states, or a quotient of more than
-``MAX_BLOCKS`` transient blocks, is refused before any system is built.
+A chain of more than ``MAX_STATES`` states or ``MAX_MOVES`` state-move pairs
+(the size of its neighbour table), or a quotient of more than ``MAX_BLOCKS``
+transient blocks, is refused before any system is built.
 """
 
 from __future__ import annotations
@@ -43,13 +44,15 @@ from .exact import binomial
 from .model import ModelParams, State
 
 #: Work bounds: a whole singleton ``oracle`` request at 2**15 states, and one
-#: dense inverse of a 1024-block quotient, each take about 3 s on 2 vCPUs.
+#: dense inverse of a 1024-block quotient, each take about 3 s on 2 vCPUs; at
+#: 2**23 state-move pairs one takes about 5 s and 300 MB.
 MAX_STATES = 2**15
+MAX_MOVES = 2**23
 MAX_BLOCKS = 1024
 
 
 class CapExceededError(RuntimeError):
-    """A request past one of the oracle's work bounds, ``MAX_STATES`` or ``MAX_BLOCKS``."""
+    """A request past one of the oracle's work bounds, ``MAX_STATES``, ``MAX_MOVES`` or ``MAX_BLOCKS``."""
 
     def __init__(self, bound: str, size: int, limit: int, unit: str = "transient blocks"):
         self.bound, self.size, self.limit = bound, size, limit
@@ -66,13 +69,15 @@ class EnumeratedChain:
     holds the positions of the ``balls * (urns - 1)`` states one move away
     from ``states[r]``: moving ball ``i`` on by ``d = 1..urns-1`` urns changes
     the code by ``((digit_i + d) mod urns - digit_i) * urns**(i-1)``.
-    A chain of more than ``MAX_STATES`` states is refused before anything
-    is enumerated.
+    A chain of more than ``MAX_STATES`` states or ``MAX_MOVES`` state-move
+    pairs is refused before anything is enumerated.
     """
 
     def __init__(self, params: ModelParams, order: Sequence[int] | None = None):
         if params.state_count > MAX_STATES:
             raise CapExceededError("MAX_STATES", params.state_count, MAX_STATES, "states")
+        if (moves := params.state_count * params.balls * (params.urns - 1)) > MAX_MOVES:
+            raise CapExceededError("MAX_MOVES", moves, MAX_MOVES, "state-move pairs")
         self.params = params
         n, m, size = params.urns, params.balls, params.state_count
         codes = np.arange(size) if order is None else np.array(list(order), dtype=np.int64)
@@ -283,9 +288,11 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
     """Coarsest strongly lumpable partition refining {rest, {start}, targets}.
 
     Returns ``(labels, counts, transient)``: the block of every state, the
-    neighbour count ``counts[b][c]`` from any state of block ``b`` into block
-    ``c``, and the number of blocks outside the target set.  A block keeps
-    the order of the block it split from, so those come first.
+    neighbour count ``counts[b, c]`` from any state of transient block ``b``
+    into block ``c``, and the number of blocks outside the target set.  A
+    block keeps the order of the block it split from, so those come first;
+    every solve reads the target set as one absorbing block, so its blocks
+    share the label and column ``transient``.
     """
     positions = [chain.index[chain.params.check_state(t)] for t in targets]
     if not positions:
@@ -306,7 +313,9 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
     transient = int(labels[positions].min())
     if transient > MAX_BLOCKS:
         raise CapExceededError("MAX_BLOCKS", transient, MAX_BLOCKS)
-    counts = [np.bincount(labels[neighbors[r]], minlength=blocks).tolist() for r in first]
+    labels = np.minimum(labels, transient)
+    counts = [np.bincount(labels[neighbors[r]], minlength=transient + 1).tolist() for r in first[:transient]]
+    counts = np.array(counts, dtype=object).reshape(transient, transient + 1)
     return labels, counts, transient
 
 
@@ -320,7 +329,7 @@ def _quotient(chain: EnumeratedChain, targets: Sequence[State], start: State | N
 
 def _rows(chain: EnumeratedChain, counts, transient: int, z: Fraction = Fraction(1)) -> np.ndarray:
     """Integer quotient rows of ``q * degree * (I - z P)`` on the transient blocks, for ``z = a/q``."""
-    rows = -z.numerator * np.array(counts, dtype=object)[:transient, :transient]
+    rows = -z.numerator * counts[:, :transient]
     rows[np.diag_indices(transient)] += z.denominator * chain.degree()
     return rows
 
@@ -358,14 +367,13 @@ def raw_moment_vectors(
         raise ValueError("moment order must be >= 1")
     labels, counts, transient = _quotient(chain, targets)
     solver = _Factored(_rows(chain, counts, transient))
-    moves = _sparse(np.array(counts, dtype=object)[:transient])
-    absorbed = [0] * (len(counts) - transient)
-    nums, dens = [np.ones(len(counts), dtype=object)], [1]  # moment 0 is identically one
+    moves = _sparse(counts)
+    nums, dens = [np.ones(transient + 1, dtype=object)], [1]  # moment 0 is identically one
     for r in range(1, order + 1):
         common = lcm(*dens)
         weights = sum(binomial(r, j) * (common // den) * vec for j, (vec, den) in enumerate(zip(nums, dens)))
         sol, den = solver.solve(_times(moves, weights))
-        nums.append(np.array(sol + absorbed, dtype=object))
+        nums.append(np.array(sol + [0], dtype=object))
         dens.append(den * common)
     return [_expand(chain, labels, vec, den) for vec, den in zip(nums[1:], dens[1:])]
 
@@ -384,9 +392,9 @@ def transform_vector(
     if not 0 < z < 1:
         raise ValueError("transform argument must lie strictly between 0 and 1")
     labels, counts, transient = _quotient(chain, targets)
-    rhs = [z.numerator * sum(counts[b][transient:]) for b in range(transient)]
+    rhs = [z.numerator * row[transient] for row in counts]
     sol, den = _Factored(_rows(chain, counts, transient, z)).solve(rhs)
-    return _expand(chain, labels, sol + [den] * (len(counts) - transient), den)
+    return _expand(chain, labels, sol + [den], den)
 
 
 def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: State, z: Fraction) -> Fraction:
@@ -424,7 +432,7 @@ def exit_distribution(
     labels, counts, transient = _quotient(chain, ordered_targets, start)
     home = int(labels[chain.index[start]])
     visits, den = _Factored(_rows(chain, counts, transient)).solve([int(b == home) for b in range(transient)])
-    visits += [0] * (len(counts) - transient)
+    visits.append(0)
     return {
         t: Fraction(sum(map(visits.__getitem__, labels[chain.neighbor_table[chain.index[t]]].tolist())), den)
         for t in ordered_targets

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -129,9 +130,11 @@ def test_cap_checked_before_enumeration(capsys, command):
     assert time.perf_counter() - started < 1
 
 
-@pytest.mark.parametrize("bound,size", [("MAX_STATES", 9), ("MAX_BLOCKS", 4)], ids=["MAX_STATES", "MAX_BLOCKS"])
+@pytest.mark.parametrize("bound,size", [("MAX_STATES", 9), ("MAX_MOVES", 36), ("MAX_BLOCKS", 4)],
+                         ids=["MAX_STATES", "MAX_MOVES", "MAX_BLOCKS"])
 def test_oracle_bound_names_itself(capsys, monkeypatch, bound, size):
-    # N=3 M=2 has 9 states; from (1,2) the diagonal's moments need 1 transient block, its exit law 4
+    # N=3 M=2 has 9 states of 4 moves each; from (1,2) the diagonal's moments need 1 transient block,
+    # its exit law 4
     monkeypatch.setattr(oracle, bound, size - 1)
     code, out, err = run_cli(capsys, "oracle", "--N", "3", "--M", "2", "--start", "1,2", "--set", "diagonal")
     assert code == 4 and out == ""
@@ -365,31 +368,41 @@ def test_network_check_subcommand(capsys):
     assert all(v["pass"] for v in report["verdicts"])
 
 
-def _run_subprocess(*argv):
-    """The CLI in a fresh interpreter, killed after 15 s."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "ehrenfest.cli", *argv], capture_output=True, text=True, timeout=15, env=env
-    )
-
-
 def test_network_check_at_large_m_is_bounded():
     # O(M) per side plus one difference per pair: about a second at M=200
-    done = _run_subprocess("network-check", "--N", "3", "--M", "200")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "ehrenfest.cli", "network-check", "--N", "3", "--M", "200"],
+        capture_output=True, text=True, timeout=15, env=env,
+    )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["results"]["pairs"] == 200 * 201 // 2
     assert all(v["pass"] for v in report["verdicts"])
 
 
-def test_unreachable_target_exits_two_within_the_walk_budget():
-    # from one ball off the all-ones state the diagonal is practically never reached
-    done = _run_subprocess("simulate", "--N", "10", "--M", "20", "--start", "2," + ",".join(["1"] * 19),
-                           "--set", "diagonal", "--replicas", "100")
-    assert done.returncode == 2 and done.stdout == ""
-    assert "Traceback" not in done.stderr
-    assert "every replica was truncated" in done.stderr
+def test_unreachable_target_exits_two_within_the_walk_budget(capsys, monkeypatch):
+    # from one ball off the all-ones state this seed's walks never reach the diagonal; none is absorbed,
+    # so each step costs 100 + STEP_CHARGE and the walk stops at the last step the budget affords
+    monkeypatch.setattr(mc, "WALK_BUDGET", 10**6)
+    with pytest.warns(RuntimeWarning, match="walk budget ran out"):
+        code, out, err = run_cli(capsys, "simulate", "--N", "10", "--M", "20", "--start",
+                                 "2," + ",".join(["1"] * 19), "--set", "diagonal", "--replicas", "100")
+    assert code == 2 and out == ""
+    stop = int(re.search(r"every replica was truncated at step (\d+),", err).group(1))
+    assert stop == mc.WALK_BUDGET // (100 + mc.STEP_CHARGE)
+
+
+def test_compare_refuses_a_truncated_walk(capsys, monkeypatch):
+    # three steps of 2000 replicas: the few that hit within them would make the MC mean biased low
+    monkeypatch.setattr(mc, "WALK_BUDGET", 3 * (2000 + mc.STEP_CHARGE))
+    with pytest.warns(RuntimeWarning, match="walk budget ran out"):
+        code, out, err = run_cli(capsys, "compare", "--N", "3", "--M", "2", "--start", "1,1",
+                                 "--set", "singleton:2,2", "--replicas", "2000")
+    assert code == 2 and out == ""
+    truncated = int(re.search(r"error: (\d+) of 2000 replicas were truncated when the walk budget", err).group(1))
+    assert 0 < truncated < 2000
 
 
 def test_csv_output(capsys):

@@ -173,18 +173,17 @@ def _bareiss_quotient_answers(chain, targets, order, zs, start):
         return sol
 
     labels, counts, transient = partition = oracle._quotient(chain, targets)
-    blocks = range(len(counts))
-    full = [[1] * len(counts)]
+    blocks = range(transient + 1)  # the target set is the last, absorbing block
+    full = [[1] * (transient + 1)]
     for r in range(1, order + 1):
         weights = [sum(binomial(r, j) * vec[c] for j, vec in enumerate(full)) for c in blocks]
         sol = solve(partition, 1, lambda b: sum(k * w for k, w in zip(counts[b], weights)))
-        full.append(sol + [F(0)] * (len(counts) - transient))
-    transforms = [solve(partition, z, lambda b: z * sum(counts[b][transient:])) + [F(1)] * (len(counts) - transient)
-                  for z in zs]
+        full.append(sol + [F(0)])
+    transforms = [solve(partition, z, lambda b: z * counts[b][transient]) + [F(1)] for z in zs]
     by_state = [dict(zip(chain.states, map(vec.__getitem__, labels.tolist()))) for vec in full[1:] + transforms]
     labels, counts, transient = partition = oracle._quotient(chain, targets, start)
     home = labels[chain.index[start]]
-    visits = solve(partition, 1, lambda b: F(int(b == home))) + [F(0)] * (len(counts) - transient)
+    visits = solve(partition, 1, lambda b: F(int(b == home))) + [F(0)]
     exits = {t: sum(visits[c] for c in labels[chain.neighbor_table[chain.index[t]]].tolist()) for t in sorted(targets)}
     return by_state[:order], by_state[order:], exits
 
@@ -342,6 +341,9 @@ def test_cap_enforcement(monkeypatch):
     with pytest.raises(CapExceededError) as err:
         EnumeratedChain(ModelParams(4, 10))  # refused before any of the 4**10 states is enumerated
     assert (err.value.bound, err.value.size, err.value.limit) == ("MAX_STATES", 4**10, oracle.MAX_STATES)
+    with pytest.raises(CapExceededError) as err:
+        EnumeratedChain(ModelParams(8192, 1))  # few states, but a neighbour table of 8192 * 8191 entries
+    assert (err.value.bound, err.value.size, err.value.limit) == ("MAX_MOVES", 8192 * 8191, oracle.MAX_MOVES)
 
     monkeypatch.setattr(oracle, "MAX_STATES", 80)
     with pytest.raises(CapExceededError):
@@ -355,6 +357,22 @@ def test_cap_enforcement(monkeypatch):
     assert (err.value.bound, err.value.size, err.value.limit) == ("MAX_BLOCKS", 4, 3)
     monkeypatch.setattr(oracle, "MAX_BLOCKS", 4)
     assert len(mean_vector(chain, [(1, 1, 1, 1)])) == 81
+
+
+def test_large_target_set_counts_only_its_transient_blocks(monkeypatch):
+    # all but four states are targets: refinement splits them into over a hundred blocks,
+    # and every solve reads them as one absorbing column
+    chain = EnumeratedChain(ModelParams(3, 5))
+    rest = random.Random(5).sample(chain.states, 4)
+    targets = [x for x in chain.states if x not in rest]
+    monkeypatch.setattr(oracle, "MAX_BLOCKS", 4)
+    labels, counts, transient = oracle._quotient(chain, targets)
+    assert transient <= 4 and counts.shape == (transient, transient + 1) and labels.max() == transient
+    moments, pgf, exits = _dense_reference(chain, targets, 3, F(1, 2))
+    assert raw_moment_vectors(chain, targets, 3) == moments
+    assert transform_vector(chain, targets, F(1, 2)) == pgf
+    for x in rest:
+        assert exit_distribution(chain, targets, x) == exits[x]
 
 
 def test_empty_target_rejected():
