@@ -25,9 +25,8 @@ import json
 import re
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .exact import format_rational, format_significant, lambda_to_u, parse_rational
 from .model import ModelParams, SetNotSymmetricError, overlap, parse_set
@@ -109,7 +108,9 @@ def _check_args(args) -> None:
         args.lambda_grid = _parse_lambda_grid(args.lambda_grid)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="ehrenfest",
         description="Exact hitting-time analytics and simulation for the N-urn Ehrenfest chain.",
@@ -319,15 +320,18 @@ def _engine(args, params, descriptor, u_grid, lambda_grid):
     return query, hitting.summarize(query, args.order, u_grid, lambda_grid, args.digits)
 
 
-def _oracle(args, chain, descriptor, u_grid, lambda_grid):
-    """First-step solves on the enumerated chain: the target states, the start
-    and the summary, without the exit law."""
+def _oracle(args, chain, descriptor, u_grid, lambda_grid, exit_law=False):
+    """First-step solves on the enumerated chain: the summary, with the exit
+    law if asked.  The exit law's quotient keeps the start apart, so it refines
+    the moments' quotient; it is refined first, and an oversized one is
+    refused before anything is solved."""
     params = chain.params
     targets = descriptor.materialize(params)
     start = params.check_state(_parse_start(args.start))
+    exits = oracle.exit_distribution(chain, targets, start) if exit_law else None
     moments = oracle.raw_moment_vectors(chain, targets, max(args.order, 2))
     transform = partial(oracle.solve_transform_u, chain, targets, start)
-    summary = hitting.HittingSummary.from_moments(
+    return hitting.HittingSummary.from_moments(
         [vec[start] for vec in moments],
         args.order,
         u_samples=tuple((u, transform(u)) for u in u_grid),
@@ -335,8 +339,8 @@ def _oracle(args, chain, descriptor, u_grid, lambda_grid):
             (lam, transform(lambda_to_u(params.balls, lam, args.digits)) if lam else Fraction(1))
             for lam in lambda_grid
         ),
+        exit_distribution=exits,
     )
-    return targets, start, summary
 
 
 def _simulate(args, params, descriptor, mode=None, grid=()):
@@ -377,8 +381,7 @@ def cmd_oracle(args) -> dict:
     params = ModelParams(args.urns, args.balls)
     descriptor = parse_set(args.set_text)
     chain = oracle.EnumeratedChain(params)
-    targets, start, summary = _oracle(args, chain, descriptor, args.u_grid, args.lambda_grid)
-    summary = replace(summary, exit_distribution=oracle.exit_distribution(chain, targets, start))
+    summary = _oracle(args, chain, descriptor, args.u_grid, args.lambda_grid, exit_law=True)
     return {"request": _request_echo(args), "results": _summary_results(summary, args.digits)}
 
 
@@ -417,7 +420,7 @@ def cmd_compare(args) -> dict:
     u_grid = args.u_grid or (Fraction(1, 2), Fraction(1), Fraction(2))
     lambda_grid = args.lambda_grid or (0.1, 0.5, 1.0, 2.0)
     query, engine = _engine(args, params, descriptor, u_grid, lambda_grid)
-    _, _, truth = _oracle(args, chain, descriptor, u_grid, ())
+    truth = _oracle(args, chain, descriptor, u_grid, ())
 
     # (verdict name, engine value, oracle value): equal to the last digit or the check fails
     triples = [

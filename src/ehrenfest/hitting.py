@@ -12,7 +12,9 @@ through two overlap histograms of length ``balls + 1``: ``start_hist[k]``
 counts the elements of ``A`` at overlap ``k`` from ``x``, and ``ref_hist[k]``
 those at overlap ``k`` from ``y`` (overlap symmetry makes ``ref_hist`` the
 same for every ``y``; we take the first member the descriptor yields), and
-the descriptor counts both itself, without listing a symbolic set.
+the descriptor counts both itself, without listing a symbolic set.  An
+``explicit`` set is validated and listed once: its symmetry test and both
+histograms read the same member list.
 Every sum over ``A`` below is therefore a sum over ``k`` of
 ``hist[k] * f(k)``, and ``|A| = sum(ref_hist)``.  For the transform each
 side folds further, into the integer row ``a_t = sum_k hist[k] * c_{k,t}``
@@ -45,6 +47,7 @@ from .model import (
     SetDescriptor,
     State,
     SetNotSymmetricError,
+    agreement_histograms,
     overlap,
     symmetry_defect,
 )
@@ -70,13 +73,17 @@ class HittingQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "start", self.params.check_state(self.start))
-        if self.target.kind == "explicit":
-            defect = symmetry_defect(self.target.materialize(self.params))
+        if self.target.kind == "explicit":  # validated and listed once, then counted from its table
+            members = self.target.materialize(self.params)
+            defect = symmetry_defect(members)
             if defect is not None:
                 raise SetNotSymmetricError(*defect)
-        histogram = partial(self.target.overlap_histogram, self.params)
-        object.__setattr__(self, "start_hist", histogram(self.start))
-        object.__setattr__(self, "ref_hist", histogram(next(self.target.members(self.params))))
+            start_hist, ref_hist = agreement_histograms(members, self.start, members[0])
+        else:
+            histogram = partial(self.target.overlap_histogram, self.params)
+            start_hist, ref_hist = histogram(self.start), histogram(next(self.target.members(self.params)))
+        object.__setattr__(self, "start_hist", start_hist)
+        object.__setattr__(self, "ref_hist", ref_hist)
 
     @property
     def target_size(self) -> int:

@@ -17,7 +17,11 @@ constructions (singletons, pairs, the all-in-one-urn diagonal, fixed-count
 slices, and the all-distinct set) are :class:`SetDescriptor` kinds, with a
 textual grammar for the command-line tools.  Each is symmetric by
 construction, so only ``explicit`` sets need :func:`symmetry_defect`, and
-each counts its overlap histograms without listing a symbolic set.
+each counts its overlap histograms without listing a symbolic set.  The
+symmetry test counts each member's agreements with the whole set in blocks
+of members, one whole-array pass per coordinate, and stops at the first
+block holding a member that differs from the first; a symmetric set costs
+``|A|**2 * M`` comparisons, bounded by ``MAX_PAIR_COORDS``.
 """
 
 from __future__ import annotations
@@ -152,25 +156,74 @@ def overlap_profile(y: State, states: Sequence[State]) -> tuple[int, ...]:
     return tuple(sorted(overlap(y, z) for z in states))
 
 
+def agreement_histograms(states: Sequence[State], *points: Sequence[int]) -> list[tuple[int, ...]]:
+    """One ``hist`` per point ``x``: ``hist[k]`` counts the states that agree
+    with ``x`` in exactly ``k`` coordinates, one ``bincount`` over the table."""
+    table = np.asarray(states)
+    width = table.shape[1] + 1
+    return [tuple(np.bincount((table == x).sum(axis=1), minlength=width).tolist()) for x in points]
+
+
+#: Work bound of the symmetry test, in member pairs times coordinates (|A|**2 * M):
+#: a whole ``exact`` request at the bound takes 5-7 s on 2 vCPUs, at M = 1 as at M = 2.
+MAX_PAIR_COORDS = 2**32
+
+#: Member pairs in one block of the symmetry test: a block holds an agreement
+#: count and an equality flag per pair, 128 kB at this size.
+BLOCK_PAIRS = 2**16
+
+
+def _agreement_counts(columns: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``counts[i - lo, k]`` for members ``lo <= i < hi``: the members agreeing
+    with member ``i`` in exactly ``k`` coordinates.  ``columns[j]`` holds
+    coordinate ``j`` of every member."""
+    width, size = columns.shape
+    agree = np.zeros((hi - lo, size), dtype=np.min_scalar_type(width))
+    same = np.empty(agree.shape, dtype=bool)
+    for column in columns:
+        np.equal(column[lo:hi, None], column, out=same)
+        agree += same
+    counts = np.empty((hi - lo, width + 1), dtype=np.int32)
+    for k in range(width + 1):
+        np.equal(agree, k, out=same)
+        counts[:, k] = same.sum(axis=1, dtype=np.int32)
+    return counts
+
+
+def _profile(counts: np.ndarray) -> tuple[int, ...]:
+    """The sorted overlaps that ``counts[k]``, the number equal to ``k``, describe."""
+    return tuple(np.repeat(np.arange(len(counts)), counts).tolist())
+
+
 def symmetry_defect(states: Sequence[State]):
     """Return two differing (state, profile) witnesses, or None if symmetric.
 
     The witnesses are the first element and the first element, in list
-    order, whose overlap counts against the whole set differ from it.
+    order, whose overlap counts against the whole set differ from it.  The
+    counts come in blocks of about ``BLOCK_PAIRS`` member pairs, one
+    whole-array equality pass per coordinate, and the test stops at the first
+    block that holds a differing member.  A symmetric set costs
+    ``|A|**2 * M`` comparisons, which must not pass ``MAX_PAIR_COORDS``.
     """
     if not states:
         raise ValueError("empty target set")
+    size, width = len(states), len(states[0])
+    if size * size * width > MAX_PAIR_COORDS:
+        raise ValueError(
+            f"the symmetry test needs {size * size * width} member-pair coordinates "
+            f"({size}^2 members x {width}), more than MAX_PAIR_COORDS = {MAX_PAIR_COORDS}"
+        )
     table = np.asarray(states)
-    width = table.shape[1] + 1
-
-    def counts(row):
-        return np.bincount((table == row).sum(axis=1), minlength=width)
-
-    ref_counts = counts(table[0])
-    for idx in range(1, len(table)):
-        if not np.array_equal(counts(table[idx]), ref_counts):
-            ref, y = states[0], states[idx]
-            return (ref, overlap_profile(ref, states)), (y, overlap_profile(y, states))
+    columns = np.ascontiguousarray(table.T, dtype=np.min_scalar_type(table.max()))
+    rows = max(1, BLOCK_PAIRS // size)
+    for lo in range(0, size, rows):
+        counts = _agreement_counts(columns, lo, min(lo + rows, size))
+        if lo == 0:
+            ref_counts = counts[0]
+        differ = np.flatnonzero((counts != ref_counts).any(axis=1))
+        if differ.size:
+            y = differ[0]
+            return (states[0], _profile(ref_counts)), (states[lo + y], _profile(counts[y]))
     return None
 
 
@@ -305,8 +358,7 @@ class SetDescriptor:
                 hist[k] = sum((-1) ** (j - k) * math.comb(j, k) * e[j] * math.perm(n - j, m - j)
                               for j in range(k, m + 1))
         else:
-            for z in states:
-                hist[overlap(x, z)] += 1
+            return agreement_histograms(states, x)[0]
         return tuple(hist)
 
     def describe(self) -> str:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ehrenfest import cli, hitting, mc, oracle
+from ehrenfest import cli, hitting, mc, model, oracle
 from ehrenfest.closedforms import count_set_mean
 from ehrenfest.exact import format_rational
 from ehrenfest.model import ModelParams, parse_set
@@ -153,6 +153,27 @@ def test_barely_lumping_set_exits_four_at_once(tmp_path, capsys):
     assert code == 4 and out == ""
     assert "2182 transient blocks" in err and f"MAX_BLOCKS = {oracle.MAX_BLOCKS}" in err
     assert time.perf_counter() - started < 2
+
+
+def test_oversized_exit_law_quotient_exits_four_before_any_solve(capsys, monkeypatch):
+    # the exit law keeps the start apart, so its quotient is the finer of the two:
+    # a bound between their sizes must refuse it before the moment solve runs
+    chain = oracle.EnumeratedChain(ModelParams(3, 3))
+    moments, exits = (oracle._lump(chain, [(2, 2, 2)], start)[2] for start in (None, (1, 1, 1)))
+    assert moments < exits
+    factored = []
+    real = oracle._Factored.__init__
+
+    def spy(self, matrix):
+        factored.append(len(matrix))
+        real(self, matrix)
+
+    monkeypatch.setattr(oracle._Factored, "__init__", spy)
+    monkeypatch.setattr(oracle, "MAX_BLOCKS", moments)
+    code, out, err = run_cli(capsys, "oracle", "--N", "3", "--M", "3", "--start", "1,1,1", "--set", "singleton:2,2,2")
+    assert code == 4 and out == ""
+    assert f"needs {exits} transient blocks" in err
+    assert factored == []
 
 
 def test_simulate_reproducible_output(capsys):
@@ -487,6 +508,10 @@ def test_json_report_keys(capsys, argv):
     assert set(report) <= {"request", "results", "verdicts", "timing"}
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["exact", "--M", "2", "--start", "1,1", "--set", "diagonal"])
@@ -567,6 +592,8 @@ _TWOS = ",".join(["2"] * 200)
           "--replicas", "10000"], "1000000000 urn slots"),
         (["simulate", "--N", "2", "--M", "200", "--start", _ONES, "--set", "count:100:2",
           "--replicas", str(10**7)], "2000000000 urn slots"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,2", "--set", "explicit:@diagonal.json"],
+         "18 member-pair coordinates (3^2 members x 2), more than MAX_PAIR_COORDS = 17"),
     ],
     ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
@@ -577,11 +604,15 @@ _TWOS = ",".join(["2"] * 200)
          "order-above-bound", "digits-above-bound", "simulate-replicas-above-bound",
          "compare-replicas-above-bound", "identities-urns-above-bound", "identities-balls-above-bound",
          "exact-urns-above-bound", "network-check-balls-above-bound", "simulate-occupancy-slots",
-         "simulate-offset-slots"],
+         "simulate-offset-slots", "exact-symmetry-test-above-bound"],
 )
-def test_bad_inputs_exit_two_without_traceback(capsys, monkeypatch, argv, needle):
+def test_bad_inputs_exit_two_without_traceback(capsys, monkeypatch, tmp_path, argv, needle):
     # a small walk budget makes the all-truncated row's walk end at once; no other row walks
     monkeypatch.setattr(mc, "WALK_BUDGET", 10**5)
+    # three members at M=2 make 18 member-pair coordinates; only explicit sets run the symmetry test
+    monkeypatch.setattr(model, "MAX_PAIR_COORDS", 17)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "diagonal.json").write_text("[[1, 1], [2, 2], [3, 3]]")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

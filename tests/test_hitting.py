@@ -62,6 +62,22 @@ def test_symmetry_test_runs_only_on_explicit_sets(monkeypatch):
     assert calls == [[(1, 1, 1), (2, 2, 2)]]
 
 
+def test_explicit_query_validates_its_members_once(monkeypatch):
+    calls = []
+    real = SetDescriptor.validate
+
+    def counting(self, params):
+        calls.append(self.kind)
+        return real(self, params)
+
+    monkeypatch.setattr(SetDescriptor, "validate", counting)
+    p = ModelParams(3, 4)
+    members = SetDescriptor.count(2).materialize(p)
+    calls.clear()
+    HittingQuery(p, (1, 1, 2, 3), SetDescriptor.explicit(members))
+    assert calls == ["explicit"]
+
+
 def test_laplace_u_single_ball():
     q = _query(3, 1, (1,), SetDescriptor.singleton((2,)))
     assert laplace_u(q, 1) == F(1, 3)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrenfest import model
 from ehrenfest.hitting import HittingQuery
 from ehrenfest.model import (
     ModelParams,
@@ -302,19 +303,39 @@ def _loop_symmetry_defect(states):
 
 
 @pytest.mark.parametrize("n,m,h", [(3, 4, 2), (3, 5, 1), (4, 3, 0)])
-def test_symmetry_defect_matches_profile_loop(n, m, h):
+def test_symmetry_defect_matches_profile_loop(n, m, h, monkeypatch):
     params = ModelParams(n, m)
     rng = random.Random(n + m + h)
     tau = ProductPermutation.random(params, rng)
     permuted = tau.apply_set(SetDescriptor.count(h).materialize(params))
     rng.shuffle(permuted)
-    assert symmetry_defect(permuted) is None
     outside = next(x for x in product(range(1, n + 1), repeat=m) if x not in permuted)
-    for pos in (0, len(permuted) // 2, len(permuted) - 1):
-        swapped = permuted[:pos] + [outside] + permuted[pos + 1:]
-        defect = symmetry_defect(swapped)
-        assert defect is not None
-        assert defect == _loop_symmetry_defect(swapped)
+    # one block, then blocks of 1 and 3 rows: the first differing member sits in a later block
+    for rows in (len(permuted), 1, 3):
+        monkeypatch.setattr(model, "BLOCK_PAIRS", rows * len(permuted))
+        assert symmetry_defect(permuted) is None
+        for pos in (0, len(permuted) // 2, len(permuted) - 1):
+            swapped = permuted[:pos] + [outside] + permuted[pos + 1:]
+            defect = symmetry_defect(swapped)
+            assert defect is not None
+            assert defect == _loop_symmetry_defect(swapped)
+
+
+def test_symmetry_defect_stops_at_the_first_differing_block(monkeypatch):
+    rng = random.Random(8000)
+    states = rng.sample(list(product(range(1, 4), repeat=10)), 8000)
+    blocks = []
+    real = model._agreement_counts
+
+    def spy(columns, lo, hi):
+        blocks.append((lo, hi))
+        return real(columns, lo, hi)
+
+    monkeypatch.setattr(model, "_agreement_counts", spy)
+    defect = symmetry_defect(states)
+    assert defect == _loop_symmetry_defect(states)
+    assert blocks == [(0, model.BLOCK_PAIRS // len(states))]
+
 
 
 def test_query_rejects_asymmetric_explicit_set_with_witnesses():

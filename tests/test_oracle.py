@@ -492,7 +492,8 @@ def test_lambda_sample_at_81_states_is_fast(capsys):
 
 
 def test_oracle_refines_once_per_target_and_start(capsys, monkeypatch):
-    # moments and every u/lambda point share one partition; the exit law keeps the start apart
+    # moments and every u/lambda point share one partition; the exit law keeps the start
+    # apart, and its finer partition is refined first, so an oversized one is refused first
     starts = []
     real = oracle._lump
 
@@ -505,7 +506,7 @@ def test_oracle_refines_once_per_target_and_start(capsys, monkeypatch):
         capsys, "oracle", "--N", "3", "--M", "4", "--start", "1,1,1,1", "--set", "singleton:2,2,2,2",
         "--order", "4", "--u", "1/2,1,2", "--lambda", "0.5",
     )
-    assert starts == [None, (1, 1, 1, 1)]
+    assert starts == [(1, 1, 1, 1), None]
 
 
 def test_oracle_at_1024_states_matches_engine(capsys):
