@@ -209,17 +209,18 @@ def _csv_row(case: str, name: str, verdict: dict, *values) -> list:
 
 
 def _csv_rows(report: dict) -> list[list]:
-    """compare's mean and variance lines, one line per verdict of the other
-    checks, or one line per scalar result."""
+    """One line per verdict (compare's mean and variance lines also carry their
+    values), or one line per scalar result."""
     request, results, verdicts = report["request"], report["results"], report.get("verdicts")
     command = request["command"]
     case = request.get("case", command)
     if command == "compare":
-        mean, variance = verdicts[:2]
+        mean, variance, *rest = verdicts
         mc = results["mc"]["discrete"]
         return [
             _csv_row(case, "mean", mean, *mean["detail"].values(), mc["sample_mean"], mc["stderr"]),
             _csv_row(case, "variance", variance, *variance["detail"].values()),
+            *(_csv_row(case, v["name"], v) for v in rest),
         ]
     if command == "network-check":
         return [_csv_row(case, v["name"], v, v["detail"]["lhs"], v["detail"]["rhs"]) for v in verdicts]

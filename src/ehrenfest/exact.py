@@ -136,12 +136,6 @@ class Jet:
     def constant(cls, value: Rational, order: int) -> "Jet":
         return cls((Fraction(value),) + (Fraction(0),) * order)
 
-    def derivative_at_zero(self, m: int) -> Fraction:
-        """m-th derivative at the expansion point, ``m! * coeffs[m]``."""
-        if not 0 <= m <= self.order:
-            raise ValueError(f"derivative order {m} outside stored order {self.order}")
-        return self.coeffs[m] * math.factorial(m)
-
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
             if other.order != self.order:

@@ -8,20 +8,19 @@ transform of the hitting time factors into a ratio of resolvent-kernel sums:
 
 with ``z`` running over ``A`` and ``y`` any fixed element of ``A``.  Each
 summand depends on ``z`` only through an overlap, so ``A`` enters only
-through two overlap histograms of length ``balls + 1``: ``start_hist[k]``
-counts the elements of ``A`` at overlap ``k`` from ``x``, and ``ref_hist[k]``
-those at overlap ``k`` from ``y`` (overlap symmetry makes ``ref_hist`` the
-same for every ``y``; we take the first member the descriptor yields), and
-the descriptor counts both itself, without listing a symbolic set.  An
-``explicit`` set is validated and listed once: its symmetry test and both
-histograms read the same member list.
-Every sum over ``A`` below is therefore a sum over ``k`` of
-``hist[k] * f(k)``, and ``|A| = sum(ref_hist)``.  For the transform each
-side folds further, into the integer row ``a_t = sum_k hist[k] * c_{k,t}``
-of :func:`~ehrenfest.resolvent.kernel_row`; both rows are summed over one
-shared, unreduced denominator product, so the ratio is the quotient of the
-two integer numerators and is reduced exactly once.  The discrete-time
-transform is the same ratio evaluated at ``u = balls * (e**lambda - 1)``.
+through two overlap histograms of length ``balls + 1``: ``hist[k]`` counts
+the elements of ``A`` at overlap ``k`` from ``x``, or from ``y`` (overlap
+symmetry makes the second the same for every ``y``; we take the first member
+the descriptor yields).  The descriptor counts both itself, without listing
+a symbolic set; an ``explicit`` set is validated and listed once, and its
+symmetry test and both histograms read the same member list.
+:class:`HittingQuery` folds each histogram once, into the integer row
+``a_t = sum_k hist[k] * c_{k,t}`` of :func:`~ehrenfest.resolvent.kernel_row`,
+and keeps only the two rows: every output below reads them.  For the
+transform both rows are summed over one shared, unreduced denominator
+product, so the ratio is the quotient of the two integer numerators and is
+reduced exactly once.  The discrete-time transform is the same ratio
+evaluated at ``u = balls * (e**lambda - 1)``.
 
 Moments are read off the same two integer rows.  In ``w = 1 - z`` each side
 of the ratio is an integer power series over one denominator
@@ -37,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Sequence
 
 from .closedforms import same_urn_stats, two_point_stats_for
@@ -56,11 +54,14 @@ from .resolvent import kernel_row, kernel_series, kernel_sums, resolvent_kernel
 
 @dataclass(frozen=True)
 class HittingQuery:
-    """A start state and a symmetric target set, reduced to overlap histograms.
+    """A start state and a symmetric target set, folded once into two integer rows.
 
-    Only ``explicit`` sets are tested for symmetry: every symbolic kind is
-    the orbit of one state under overlap-preserving maps (per-ball swaps of
-    the two urns for a pair, global urn relabelings for the diagonal and the
+    The descriptor counts the two overlap histograms, from the start and from
+    one member; ``rows`` holds their :func:`~ehrenfest.resolvent.kernel_row`
+    folds, in that order, and every engine output reads those rows.  Only
+    ``explicit`` sets are tested for symmetry: every symbolic kind is the
+    orbit of one state under overlap-preserving maps (per-ball swaps of the
+    two urns for a pair, global urn relabelings for the diagonal and the
     distinct set, ball permutations plus relabelings fixing the reference
     urn for a count slice), so it is symmetric by construction.
     """
@@ -68,8 +69,7 @@ class HittingQuery:
     params: ModelParams
     start: State
     target: SetDescriptor
-    start_hist: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    ref_hist: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", self.params.check_state(self.start))
@@ -78,19 +78,15 @@ class HittingQuery:
             defect = symmetry_defect(members)
             if defect is not None:
                 raise SetNotSymmetricError(*defect)
-            start_hist, ref_hist = agreement_histograms(members, self.start, members[0])
+            hists = agreement_histograms(members, self.start, members[0])
         else:
-            histogram = partial(self.target.overlap_histogram, self.params)
-            start_hist, ref_hist = histogram(self.start), histogram(next(self.target.members(self.params)))
-        object.__setattr__(self, "start_hist", start_hist)
-        object.__setattr__(self, "ref_hist", ref_hist)
-
-    @property
-    def target_size(self) -> int:
-        return sum(self.ref_hist)
+            first = next(self.target.members(self.params))
+            hists = [self.target.overlap_histogram(self.params, x) for x in (self.start, first)]
+        object.__setattr__(self, "rows", tuple(kernel_row(self.params, hist) for hist in hists))
 
     def start_in_target(self) -> bool:
-        return self.start_hist[-1] > 0
+        # sum_t a_t = urns**balls * hist[balls]: a c_k row sums to urns**balls at k = balls, else to 0
+        return sum(self.rows[0]) != 0
 
 
 def laplace_u(query: HittingQuery, u: Rational) -> Fraction:
@@ -100,8 +96,7 @@ def laplace_u(query: HittingQuery, u: Rational) -> Fraction:
         raise ValueError("transform argument must be positive")
     if query.start_in_target():
         return Fraction(1)
-    rows = [kernel_row(query.params, hist) for hist in (query.start_hist, query.ref_hist)]
-    (start, ref), _ = kernel_sums(query.params, rows, u)
+    (start, ref), _ = kernel_sums(query.params, query.rows, u)
     return Fraction(start, ref)
 
 
@@ -158,8 +153,7 @@ def raw_moments(query: HittingQuery, order: int) -> list[Fraction]:
         raise ValueError("moment order must be >= 1")
     if query.start_in_target():
         return [Fraction(0)] * order
-    rows = [kernel_row(query.params, hist) for hist in (query.start_hist, query.ref_hist)]
-    (start, ref), scale = kernel_series(query.params, rows, order)
+    (start, ref), scale = kernel_series(query.params, query.rows, order)
     ratio = (Jet(start) / Jet(ref)).coeffs
     factorial = [(-1) ** r * math.factorial(r) * ratio[r] / scale**r for r in range(order + 1)]
     moments, stirling = [], [1]  # stirling[k] = S(r, k), from S(0, 0) = 1

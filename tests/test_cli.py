@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -338,6 +340,14 @@ def test_compare_detects_corrupted_engine(capsys, monkeypatch):
     assert "mean_exact_vs_oracle" in failing
 
 
+def test_compare_folds_the_query_once(capsys, monkeypatch):
+    calls = []
+    real = hitting.kernel_row
+    monkeypatch.setattr(hitting, "kernel_row", lambda *a: calls.append(a) or real(*a))
+    code, _, _ = run_cli(capsys, "compare", "--N", "3", "--M", "4", "--start", "1,1,1,1", "--set", "count:2")
+    assert code == 0 and len(calls) == 2
+
+
 def test_compare_checks_what_exact_and_oracle_print(capsys):
     args = ["--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2", "--order", "4", "--u", "1/2,2"]
     _, exact_report, _ = run_json(capsys, "exact", *args)
@@ -433,12 +443,28 @@ def test_csv_output(capsys):
         "--format", "csv",
     )
     assert code == 0
-    import csv
-    import io
-
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["case", "quantity", "exact", "oracle", "mc_mean", "mc_stderr", "verdict"]
     assert ["mean", "10"] in [[r[1], r[2]] for r in rows[1:]]
+
+
+def test_compare_csv_shows_every_failing_verdict(capsys, monkeypatch):
+    real = hitting.laplace_lambda
+
+    def corrupted(query, lam, digits=20):  # off only in compare's cross-check, which asks for more digits
+        value = real(query, lam, digits)
+        return value * Fraction(1001, 1000) if digits > 20 else value
+
+    monkeypatch.setattr(hitting, "laplace_lambda", corrupted)
+    code, out, _ = run_cli(
+        capsys,
+        "compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+        "--lambda", "0.5", "--replicas", "2000", "--format", "csv",
+    )
+    assert code == 5
+    verdicts = {row[1]: row[-1] for row in csv.reader(io.StringIO(out))}
+    assert verdicts["transform_lambda_0.5"] == "fail"
+    assert verdicts["mean"] == verdicts["variance"] == "pass"
 
 
 def test_out_file(tmp_path, capsys):

@@ -28,10 +28,16 @@ from ehrenfest.model import (
     overlap,
     product_semigroup,
 )
-from ehrenfest import oracle
+from ehrenfest import hitting, oracle
 from ehrenfest.oracle import EnumeratedChain, mean_vector, raw_moment_vectors, solve_transform
 from ehrenfest.exact import Jet, lambda_to_u
-from ehrenfest.resolvent import centered_kernel, centered_kernel_jet, kernel_coefficients, resolvent_kernel
+from ehrenfest.resolvent import (
+    centered_kernel,
+    centered_kernel_jet,
+    kernel_coefficients,
+    kernel_row,
+    resolvent_kernel,
+)
 
 
 def _query(n, m, start, descriptor):
@@ -155,9 +161,8 @@ def _transform_cases(draw):
 def test_laplace_u_equals_ratio_of_per_overlap_kernels(case):
     params, start_hist, ref_hist, u = case
     # any two histograms, not only those a target set realizes
-    query = SimpleNamespace(
-        params=params, start_hist=start_hist, ref_hist=ref_hist, start_in_target=lambda: False
-    )
+    rows = (kernel_row(params, start_hist), kernel_row(params, ref_hist))
+    query = SimpleNamespace(params=params, rows=rows, start_in_target=lambda: False)
     assert laplace_u(query, u) == _reference_transform(params, start_hist, ref_hist, u)
 
 
@@ -286,9 +291,8 @@ def _moment_cases(draw):
 @given(_moment_cases())
 def test_raw_moments_equal_composed_centered_kernel_jets(case):
     params, start_hist, ref_hist, order = case
-    query = SimpleNamespace(
-        params=params, start_hist=start_hist, ref_hist=ref_hist, start_in_target=lambda: False
-    )
+    rows = (kernel_row(params, start_hist), kernel_row(params, ref_hist))
+    query = SimpleNamespace(params=params, rows=rows, start_in_target=lambda: False)
     assert raw_moments(query, order) == _reference_moments(params, start_hist, ref_hist, order)
 
 
@@ -506,3 +510,11 @@ def test_summarize_bundles_fields():
     assert len(s.raw_moments) == 3
     assert [u for u, _ in s.u_samples] == [F(1, 2), F(1)]
     assert s.lambda_samples[0][1] == 1
+
+
+def test_query_folds_each_side_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hitting, "kernel_row", lambda *a: calls.append(a) or kernel_row(*a))
+    q = _query(3, 4, (1, 1, 1, 1), SetDescriptor.count(2))
+    summarize(q, order=4, u_grid=(F(1, 2), F(1), F(2)), lambda_grid=(0.5, 1.0))
+    assert len(calls) == 2

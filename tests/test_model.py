@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ehrenfest import model
 from ehrenfest.hitting import HittingQuery
+from ehrenfest.resolvent import kernel_row
 from ehrenfest.model import (
     ModelParams,
     ProductPermutation,
@@ -259,13 +260,14 @@ def test_query_histograms_match_brute_force(n, m):
         starts.append(states[rng.randrange(len(states))])
         for start in starts:
             q = HittingQuery(params, start, d)
-            assert q.start_hist == _brute_hist(start, states, m), (d, start)
+            # the c_k rows are a basis of the degree-M polynomials: equal rows, equal histograms
+            assert q.rows[0] == kernel_row(params, _brute_hist(start, states, m)), (d, start)
             assert q.start_in_target() == (start in states)
-            assert q.target_size == len(states)
-        assert q.ref_hist == _brute_hist(states[rng.randrange(len(states))], states, m), d
+        ref_hist = _brute_hist(states[rng.randrange(len(states))], states, m)
+        assert q.rows[1] == kernel_row(params, ref_hist), d
         if d in kinds:
             for y in states:
-                assert _brute_hist(y, states, m) == q.ref_hist, d
+                assert _brute_hist(y, states, m) == ref_hist, d
 
 
 @st.composite
