@@ -67,10 +67,13 @@ def format_significant(value: Rational, digits: int = 20) -> str:
 def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Fraction:
     """Rational approximation of ``e**x - 1`` for ``x >= 0``.
 
-    Sums the Taylor series of the exponential in exact arithmetic until the
-    (geometrically bounded) tail drops below ``rel_err / 2`` relative to the
-    partial sum, then floors that sum to a multiple of the largest power of
-    two at most ``rel_err / 2`` of it, so the result's size follows
+    Sums the Taylor series of the exponential until the (geometrically
+    bounded) tail drops below ``rel_err / 2`` relative to the partial sum.
+    With ``x = p/q`` the n-th partial sum and term are carried as unreduced
+    integers over their shared denominator ``q**n * n!``, and both stopping
+    rules compare integers by cross-multiplication, so no gcd is taken in the
+    loop.  The final sum is then floored to a multiple of the largest power
+    of two at most ``rel_err / 2`` of it, so the result's size follows
     ``rel_err`` and not the binary expansion of ``x``.  Where the floor does
     not shrink the denominator (a dyadic ``x`` such as 1/2), the first partial
     sum within ``rel_err`` is returned instead.  Either way the value is a
@@ -81,20 +84,27 @@ def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Frac
         raise ValueError("expm1_rational() requires x >= 0")
     if x == 0:
         return Fraction(0)
-    total, first = Fraction(0), None
-    term = x  # x**n / n!
+    p, q = x.numerator, x.denominator
+    r, s = rel_err.numerator, rel_err.denominator
+    total, term, den = 0, p, q  # partial sum and x**n / n!, both over den = q**n * n!
+    first = None
     n = 1
     while True:
         total += term
-        nxt = term * x / (n + 1)
-        # once the term ratio x/(n+2) is at most 1/2 the tail is < 2*nxt
-        if 2 * x <= n + 2:
-            if first is None and 2 * nxt <= rel_err * total:
-                first = total
-            if 4 * nxt <= rel_err * total:
+        # once the term ratio x/(n+2) is at most 1/2 the tail is < 2 * the next term,
+        # term * p / (den * q * (n+1)); nxt and allowed are the next term and
+        # rel_err * partial sum, both times den * q * (n+1) * s
+        if 2 * p <= q * (n + 2):
+            nxt, allowed = term * p * s, total * r * q * (n + 1)
+            if first is None and 2 * nxt <= allowed:
+                first = Fraction(total, den)
+            if 4 * nxt <= allowed:
                 break
-        term = nxt
+        term *= p
+        total *= q * (n + 1)
+        den *= q * (n + 1)
         n += 1
+    total = Fraction(total, den)
     slack = rel_err * total / 2
     step = Fraction(2) ** (slack.numerator.bit_length() - slack.denominator.bit_length())
     if step > slack:

@@ -28,9 +28,12 @@ The engine's moments come from the same integer rows instead:
 
 The alternating sums cancel catastrophically in floating point (the
 coefficients grow like ``urns**balls`` while the result stays O(1)), which
-is why everything here is computed over :class:`fractions.Fraction`.  The
-independent integral representation (:func:`resolvent_kernel_quadrature`)
-exists purely as a cross-check and never feeds downstream computations.
+is why everything here is exact.  Each sum adds unreduced integers over
+one shared denominator, such as a power of ``urns * lcm(1..balls)``, and
+each value returned or compared is normalised once, as a single
+:class:`fractions.Fraction`.  The independent integral representation
+(:func:`resolvent_kernel_quadrature`) exists purely as a cross-check and
+never feeds downstream computations.
 """
 
 from __future__ import annotations
@@ -148,11 +151,10 @@ def centered_kernel(params: ModelParams, k: int, u: Rational = 0) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _centered_at_zero(params: ModelParams, k: int) -> Fraction:
-    n = params.urns
-    return sum(
-        (Fraction(c, n * t) for t, c in enumerate(kernel_coefficients(params, k)) if t and c),
-        Fraction(0),
-    )
+    # sum_t c_t / (urns*t) over the one denominator urns*lcm(1..balls)
+    n, scale = params.urns, math.lcm(*range(1, params.balls + 1))
+    coeffs = kernel_coefficients(params, k)
+    return Fraction(sum(c * (scale // t) for t, c in enumerate(coeffs) if t), n * scale)
 
 
 @lru_cache(maxsize=None)
@@ -160,16 +162,15 @@ def centered_kernel_derivative(params: ModelParams, k: int, order: int = 1) -> F
     """Exact ``order``-th derivative of the centered kernel at ``u = 0``.
 
     Termwise differentiation of ``1/(urns*t + u*(urns-1))`` gives the
-    factor ``(-1)**order * order! * (urns-1)**order / (urns*t)**(order+1)``.
+    factor ``(-1)**order * order! * (urns-1)**order / (urns*t)**(order+1)``;
+    the terms are summed in integers over ``(urns*lcm(1..balls))**(order+1)``.
     """
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    n = params.urns
-    total = sum(
-        (Fraction(c, (n * t) ** (order + 1)) for t, c in enumerate(kernel_coefficients(params, k)) if t and c),
-        Fraction(0),
-    )
-    return Fraction((-1) ** order * math.factorial(order) * (n - 1) ** order) * total
+    n, scale = params.urns, math.lcm(*range(1, params.balls + 1))
+    coeffs = kernel_coefficients(params, k)
+    total = sum(c * (scale // t) ** (order + 1) for t, c in enumerate(coeffs) if t)
+    return Fraction((-1) ** order * math.factorial(order) * (n - 1) ** order * total, (n * scale) ** (order + 1))
 
 
 @lru_cache(maxsize=None)
@@ -194,15 +195,17 @@ class KernelIncrements:
 
 
 def kernel_increments(params: ModelParams) -> KernelIncrements:
+    # zero and full over urns*lcm(1..balls); gap k is
+    # sum_{i<=k} C(balls,i)*(urns-1)**(k-i) / (balls*C(balls-1,k)), a running integer sum
     n, m = params.urns, params.balls
-    zero = -Fraction(1, n) * sum(Fraction(1, i) for i in range(1, m + 1))
-    full = Fraction(1, n) * sum(Fraction(n**i - 1, i) for i in range(1, m + 1))
-    gaps = tuple(
-        Fraction((n - 1) ** k, m * binomial(m - 1, k))
-        * sum(Fraction(binomial(m, i), (n - 1) ** i) for i in range(k + 1))
-        for k in range(m)
-    )
-    return KernelIncrements(zero_overlap=zero, full_overlap=full, increments=gaps)
+    scale = math.lcm(*range(1, m + 1))
+    zero = Fraction(-sum(scale // i for i in range(1, m + 1)), n * scale)
+    full = Fraction(sum((n**i - 1) * (scale // i) for i in range(1, m + 1)), n * scale)
+    gaps, acc = [], 0
+    for k in range(m):
+        acc = acc * (n - 1) + binomial(m, k)
+        gaps.append(Fraction(acc, m * binomial(m - 1, k)))
+    return KernelIncrements(zero_overlap=zero, full_overlap=full, increments=tuple(gaps))
 
 
 def series_identity_checks(params: ModelParams, a: Rational) -> bool:
@@ -212,19 +215,24 @@ def series_identity_checks(params: ModelParams, a: Rational) -> bool:
 
     * ``sum_i C(balls,i) a**i / i  ==  sum_i ((1+a)**i - 1) / i``
     * ``sum_i C(balls,i) a**i / i**2  ==  sum_i (1/i) sum_{j<=i} ((1+a)**j - 1)/j``
+
+    With ``a = p/q`` and ``L = lcm(1..balls)`` both sides of the first are
+    scaled by ``q**balls * L`` and both sides of the second by
+    ``q**balls * L**2``, so each side is an integer sum; the inner sum over
+    ``j <= i`` is a running prefix sum.
     """
     a = Fraction(a)
-    m = params.balls
-    lhs1 = sum((Fraction(binomial(m, i)) * a**i / i for i in range(1, m + 1)), Fraction(0))
-    rhs1 = sum((((1 + a) ** i - 1) / Fraction(i) for i in range(1, m + 1)), Fraction(0))
-    lhs2 = sum((Fraction(binomial(m, i)) * a**i / i**2 for i in range(1, m + 1)), Fraction(0))
-    rhs2 = sum(
-        (
-            Fraction(1, i) * sum((((1 + a) ** j - 1) / Fraction(j) for j in range(1, i + 1)), Fraction(0))
-            for i in range(1, m + 1)
-        ),
-        Fraction(0),
-    )
+    m, p, q = params.balls, a.numerator, a.denominator
+    scale = math.lcm(*range(1, m + 1))
+    lhs1 = lhs2 = rhs1 = rhs2 = 0
+    for i in range(1, m + 1):
+        w = scale // i
+        left = binomial(m, i) * p**i * q ** (m - i)  # q**balls * C(balls,i) * a**i
+        lhs1 += left * w
+        lhs2 += left * w * w
+        # q**balls * L * ((1+a)**i - 1)/i; after i terms rhs1 is the inner sum over j <= i
+        rhs1 += ((p + q) ** i * q ** (m - i) - q**m) * w
+        rhs2 += rhs1 * w
     return lhs1 == rhs1 and lhs2 == rhs2
 
 
@@ -279,18 +287,16 @@ def binomial_increment_mean(params: ModelParams, m: int) -> Fraction:
     n, M = params.urns, params.balls
     if not 0 <= m <= M - 1:
         raise ValueError(f"parameter {m} outside 0..{M - 1}")
-    scale = Fraction((n - 1) ** (M - m), M * binomial(M - 1, m))
-    return scale * sum(Fraction(binomial(M, i), (n - 1) ** i) for i in range(M - m, M + 1))
+    # the closed form with (urns-1)**m put into numerator and denominator: every term an integer
+    total = sum(binomial(M, i) * (n - 1) ** (M - i) for i in range(M - m, M + 1))
+    return Fraction(total, M * binomial(M - 1, m) * (n - 1) ** m)
 
 
 def overlap_increment_distribution(params: ModelParams, m: int) -> Sequence[tuple[int, Fraction]]:
     """Binomial(m, 1/(urns-1)) overlap law, for enumerating the mean directly."""
     n = params.urns
-    p = Fraction(1, n - 1)
-    return [
-        (j, Fraction(binomial(m, j)) * p**j * (1 - p) ** (m - j))
-        for j in range(m + 1)
-    ]
+    # C(m,j) * p**j * (1-p)**(m-j) with p = 1/(urns-1) is C(m,j) * (urns-2)**(m-j) / (urns-1)**m
+    return [(j, Fraction(binomial(m, j) * (n - 2) ** (m - j), (n - 1) ** m)) for j in range(m + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +315,34 @@ def identity_suite_holds(params: ModelParams) -> bool:
     table = kernel_increments(params)
     g = [centered_kernel(params, k) for k in range(m + 1)]
     deriv_gap = centered_kernel_derivative(params, 0) - centered_kernel_derivative(params, m)
-    closed = Fraction(n - 1, n**2) * sum(
-        Fraction(1, i) * sum(Fraction(n**j, j) for j in range(1, i + 1)) for i in range(1, m + 1)
-    )
+    # (urns-1)/urns**2 * sum_i (1/i) sum_{j<=i} urns**j/j, over urns**2 * lcm(1..balls)**2
+    scale = math.lcm(*range(1, m + 1))
+    closed = prefix = 0
+    for i in range(1, m + 1):
+        prefix += n**i * (scale // i)
+        closed += prefix * (scale // i)
+    increments, den = _over_one_denominator(table.increments)
+
+    def direct_mean(j: int) -> Fraction:
+        # sum_i P(overlap = i) * increment_i over the product of the two shared denominators
+        probs, prob_den = _over_one_denominator([p for _, p in overlap_increment_distribution(params, j)])
+        return Fraction(sum(p * inc for p, inc in zip(probs, increments)), prob_den * den)
+
     return (
         all(series_identity_checks(params, a) for a in (Fraction(0), Fraction(n - 1), Fraction(-1)))
-        and table.zero_overlap + sum(table.increments) == table.full_overlap
+        and table.zero_overlap + Fraction(sum(increments), den) == table.full_overlap
         and (table.zero_overlap, table.full_overlap) == (g[0], g[m])
         and all(g[k + 1] - g[k] == table.increments[k] for k in range(m))
         and table.increments[0] == Fraction(1, m)
-        and deriv_gap == closed
-        and all(
-            binomial_increment_mean(params, j)
-            == sum((p * table.increments[i] for i, p in overlap_increment_distribution(params, j)), Fraction(0))
-            for j in range(m)
-        )
+        and deriv_gap == Fraction((n - 1) * closed, n**2 * scale**2)
+        and all(binomial_increment_mean(params, j) == direct_mean(j) for j in range(m))
     )
+
+
+def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm ``den`` of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def quadrature_error(params: ModelParams) -> float:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ehrenfest import cli, hitting, mc, model, oracle
+from ehrenfest import cli, hitting, mc, model, oracle, resolvent
 from ehrenfest.closedforms import count_set_mean
 from ehrenfest.exact import format_rational
 from ehrenfest.model import ModelParams, parse_set
@@ -391,6 +392,43 @@ def test_identities_subcommand(capsys):
     code, report, _ = run_json(capsys, "identities", "--max-urns", "4", "--max-balls", "5")
     assert code == 0
     assert report["results"]["failures"] == 0
+
+
+def _failing_identities(report):
+    return sorted(v["name"] for v in report["verdicts"] if not v["pass"])
+
+
+def test_identities_catch_a_shifted_gap(capsys, monkeypatch):
+    exact_table = resolvent.kernel_increments
+
+    def shifted(params):
+        table = exact_table(params)
+        if params != ModelParams(3, 2):
+            return table
+        gaps = (table.increments[0], table.increments[1] + Fraction(1, 10**9))
+        return replace(table, increments=gaps)
+
+    monkeypatch.setattr(resolvent, "kernel_increments", shifted)
+    code, report, _ = run_json(capsys, "identities", "--max-urns", "3", "--max-balls", "3")
+    assert code == 5
+    assert _failing_identities(report) == ["identities_N3_M2"]
+
+
+def test_identities_catch_a_wrong_binomial_on_the_series_left_sides(capsys, monkeypatch):
+    # C(3, 2) off by one: only the left-hand sums of the series identities use it there,
+    # the right-hand sums are powers of 1 + a
+    monkeypatch.setattr(resolvent, "binomial", lambda n, k: math.comb(n, k) + ((n, k) == (3, 2)))
+    try:
+        assert not resolvent.series_identity_checks(ModelParams(2, 3), 1)
+        assert not resolvent.series_identity_checks(ModelParams(2, 3), -1)
+        code, report, _ = run_json(capsys, "identities", "--max-urns", "3", "--max-balls", "3")
+    finally:
+        # kernel rows built under the patch must not outlive it
+        for cached in (resolvent.kernel_coefficients, resolvent._centered_at_zero,
+                       resolvent.centered_kernel_derivative, resolvent.centered_kernel_jet):
+            cached.cache_clear()
+    assert code == 5
+    assert _failing_identities(report) == ["identities_N2_M3", "identities_N3_M3"]
 
 
 def test_network_check_subcommand(capsys):

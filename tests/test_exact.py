@@ -16,6 +16,8 @@ from ehrenfest.exact import (
     parse_rational,
 )
 
+import reference
+
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 
 
@@ -201,3 +203,17 @@ def test_expm1_rational_keeps_the_partial_sum_of_a_dyadic_argument():
     value = expm1_rational(x, F(1, 10**26))
     partial_sums = [sum(x**k / math.factorial(k) for k in range(1, n + 1)) for n in range(1, 40)]
     assert value in partial_sums
+
+
+@pytest.mark.parametrize("digits", [6, 26, 46, 66, 86, 106])
+def test_expm1_rational_equals_the_fraction_reference(digits):
+    rel = F(1, 10**digits)
+    floats = (1e-6, 0.01, 0.1, 0.3, 0.5, 1.0, 2.5, 7.3, 30.0, 123.4)
+    xs = [F(v) for v in floats] + [F(a, b) for a in range(12) for b in range(1, 8)]
+    dyadic = []
+    for x in xs:
+        got, want = expm1_rational(x, rel), reference.expm1_rational(x, rel)
+        assert got == want and got.denominator == want.denominator
+        dyadic.append(got.denominator & (got.denominator - 1) == 0)
+    # both branches ran: the floor to a power of two and the first partial sum within rel_err
+    assert set(dyadic) == {True, False}

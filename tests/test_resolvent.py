@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ehrenfest.exact import Jet, expm1_rational
 from ehrenfest.model import ModelParams
 from ehrenfest.resolvent import (
+    _centered_at_zero,
     binomial_increment_mean,
     centered_kernel,
     centered_kernel_derivative,
@@ -22,6 +23,8 @@ from ehrenfest.resolvent import (
     resolvent_kernel_quadrature,
     series_identity_checks,
 )
+
+import reference
 
 
 def test_kernel_small_values():
@@ -293,3 +296,29 @@ def test_increment_mean_matches_enumeration(n, m):
 def test_increment_mean_range_check():
     with pytest.raises(ValueError):
         binomial_increment_mean(ModelParams(3, 2), 2)
+
+
+# --- the integer sums against their Fraction references ----------------------
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_forms_equal_the_fraction_references(n):
+    for m in range(1, 16):
+        p = ModelParams(n, m)
+        assert kernel_increments(p) == reference.kernel_increments(p)
+        for j in range(m):
+            assert binomial_increment_mean(p, j) == reference.binomial_increment_mean(p, j)
+        for j in range(m + 1):
+            assert overlap_increment_distribution(p, j) == reference.overlap_increment_distribution(p, j)
+        for a in (0, n - 1, -1, F(2, 3), F(-5, 7)):
+            assert series_identity_checks(p, a) is reference.series_identity_checks(p, a) is True
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_centered_kernels_equal_the_fraction_references(n):
+    for m in range(1, 25):
+        p = ModelParams(n, m)
+        for k in range(m + 1):
+            assert _centered_at_zero(p, k) == reference._centered_at_zero(p, k)
+            for order in (1, 2, 5):
+                assert centered_kernel_derivative(p, k, order) == reference.centered_kernel_derivative(p, k, order)
