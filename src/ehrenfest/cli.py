@@ -49,7 +49,10 @@ def _state_key(state) -> str:
 
 
 def _parse_start(text: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in text.split(","))
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise ValueError(f"--start must be comma-separated urn indices such as 1,2,1, got {text!r}") from None
 
 
 # e**700 is still a float, and the exact Taylor sum for it takes a fraction of a second

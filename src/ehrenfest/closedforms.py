@@ -1,9 +1,9 @@
 """Closed-form hitting statistics for the classical target families.
 
 Each function here evaluates an explicit finite sum (exact rationals again)
-for one concrete target family: single states, two-point sets, the
-all-balls-in-one-urn diagonal, the all-distinct set, and the fixed-count
-slices, plus the birth-death "count chain" these slices lump onto and its
+for one concrete target family: two-point sets, the all-balls-in-one-urn
+diagonal and the fixed-count slices (a single state is the top slice), plus
+the birth-death "count chain" these slices lump onto and its
 electric-network commute identity.  All of them are alternative routes to
 numbers the generic engine in :mod:`ehrenfest.hitting` also produces, which
 is exactly what makes them useful: every pair of routes is asserted equal in
@@ -12,7 +12,6 @@ the test-suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,22 +22,6 @@ from typing import Sequence
 from .exact import binomial
 from .model import ModelParams, overlap
 from .resolvent import centered_kernel
-
-
-def singleton_variance_disjoint(params: ModelParams) -> Fraction:
-    """Variance of the hitting time of a state sharing no ball placement.
-
-        (balls**2 (urns-1)**2 / urns**2) * [S**2 - 2 * sum_i (1/i) sum_{j>i} urns**j/j]
-            - (balls (urns-1)/urns) * S,    S = sum_i urns**i / i
-    """
-    n, m = params.urns, params.balls
-    s = sum(Fraction(n**i, i) for i in range(1, m + 1))
-    cross = sum(
-        Fraction(1, i) * sum(Fraction(n**j, j) for j in range(i + 1, m + 1))
-        for i in range(1, m + 1)
-    )
-    lead = Fraction(m**2 * (n - 1) ** 2, n**2)
-    return lead * (s**2 - 2 * cross) - Fraction(m * (n - 1), n) * s
 
 
 @dataclass(frozen=True)
@@ -101,66 +84,6 @@ def same_urn_stats(params: ModelParams, x: Sequence[int]) -> SameUrnStats:
     span = g(m) - g(0)
     probs = tuple(Fraction(1, n) + (g(k) - g_sum / n) / span for k in overlaps)
     return SameUrnStats(mean=mean, exit_probs=probs)
-
-
-@dataclass(frozen=True)
-class SameUrnSpread:
-    mean: Fraction
-    prob_occupied: Fraction
-    prob_empty: Fraction
-
-
-def same_urn_from_spread(params: ModelParams) -> SameUrnSpread:
-    """Clustering stats from the maximally spread start ``(1, 2, ..., balls)``.
-
-    Needs ``balls <= urns``.  ``prob_occupied`` applies to the urns that held
-    a ball initially, ``prob_empty`` to the rest; the weighted sum is 1.
-    """
-    n, m = params.urns, params.balls
-    if m > n:
-        raise ValueError("spread start needs balls <= urns")
-    s = sum(Fraction(n**i, i) for i in range(1, m + 1))
-    mean = Fraction(m * (n - 1), n**2) * sum(Fraction(n**i, i) for i in range(2, m + 1))
-    prob_occupied = Fraction(1, n) + Fraction(n - m, 1) / (m * s)
-    prob_empty = Fraction(1, n) - 1 / s
-    return SameUrnSpread(mean=mean, prob_occupied=prob_occupied, prob_empty=prob_empty)
-
-
-def rencontres_profile(m: int) -> list[Fraction]:
-    """Fixed-point-count distribution of a uniform random permutation.
-
-    ``profile[k]`` is the probability of exactly ``k`` fixed points among
-    ``m`` letters: ``(1/k!) * sum_{j=2}^{m-k} (-1)**j / j!`` for
-    ``k <= m - 2``, zero at ``m - 1``, and ``1/m!`` at ``m``.
-    """
-    if m < 2:
-        raise ValueError("profile needs at least 2 letters")
-    out = []
-    for k in range(m + 1):
-        if k <= m - 2:
-            tail = sum(Fraction((-1) ** j, math.factorial(j)) for j in range(2, m - k + 1))
-            out.append(Fraction(1, math.factorial(k)) * tail)
-        elif k == m - 1:
-            out.append(Fraction(0))
-        else:
-            out.append(Fraction(1, math.factorial(m)))
-    return out
-
-
-def all_distinct_mean(params: ModelParams) -> Fraction:
-    """Mean first time all balls sit in different urns, from all-in-urn-1.
-
-    Requires ``balls == urns``; the target is then the set of permutation
-    configurations and the overlap distribution of a uniform permutation
-    (the rencontres profile) weights the kernel values.
-    """
-    n, m = params.urns, params.balls
-    if m != n:
-        raise ValueError("all-distinct closed form needs balls == urns")
-    g = lambda k: centered_kernel(params, k)
-    profile = rencontres_profile(m)
-    body = sum((profile[k] * g(k) for k in range(m - 1)), Fraction(0))
-    return m * (m - 1) * (body - g(1)) + g(m) / math.factorial(m - 2)
 
 
 @lru_cache(maxsize=None)
@@ -227,10 +150,6 @@ class CountChain:
             raise ValueError(f"level {i} outside 0..{m}")
         return Fraction(binomial(m - 1, i), (n - 1) ** (i + 1))
 
-    def conductance_self(self, i: int) -> Fraction:
-        """Self-loop weight at level ``i`` (vanishes when only 2 urns exist)."""
-        return (self.params.urns - 2) * self.conductance_up(i)
-
     def vertex_weight(self, i: int) -> Fraction:
         n, m = self.params.urns, self.params.balls
         if not 0 <= i <= m:
@@ -261,6 +180,20 @@ class CommuteCheck:
         return self.lhs == self.rhs
 
 
+def _commute_prefixes(params: ModelParams) -> tuple[list[Fraction], list[Fraction], Fraction]:
+    """Both sides of the commute identity, summed once along the path.
+
+    Returns the prefix sums of the commute times (from
+    :func:`count_level_means`) and of the resistances (from the
+    conductances), each starting at 0, and the total vertex weight.  Levels
+    ``h < k`` read each side as one difference of prefix sums.
+    """
+    chain = CountChain(params)
+    commute = list(accumulate(map(add, *count_level_means(params)), initial=Fraction(0)))
+    resistance = list(accumulate((1 / chain.conductance_up(j) for j in range(params.balls)), initial=Fraction(0)))
+    return commute, resistance, chain.total_weight()
+
+
 def network_commute_check(params: ModelParams, h: int, k: int) -> CommuteCheck:
     """Commute-time identity on the count chain, both sides recomputed.
 
@@ -270,25 +203,18 @@ def network_commute_check(params: ModelParams, h: int, k: int) -> CommuteCheck:
     """
     if not 0 <= h < k <= params.balls:
         raise ValueError("need levels 0 <= h < k <= balls")
-    chain = CountChain(params)
-    lhs = count_set_mean(params, k, h) + count_set_mean(params, h, k)
-    resistance = sum((1 / chain.conductance_up(j) for j in range(h, k)), Fraction(0))
-    return CommuteCheck(lhs=lhs, rhs=chain.total_weight() * resistance)
+    commute, resistance, total_weight = _commute_prefixes(params)
+    return CommuteCheck(lhs=commute[k] - commute[h], rhs=total_weight * (resistance[k] - resistance[h]))
 
 
 def network_commute_sweep(params: ModelParams) -> dict[tuple[int, int], CommuteCheck]:
     """:func:`network_commute_check` for every level pair ``h < k``.
 
-    Each side is summed once along the path, from its own formula: the
-    commute times from :func:`count_level_means`, the resistances from the
-    conductances.  Every pair then reads both sides as differences of prefix
-    sums, O(balls) rational operations per side plus one difference per pair.
+    Both sides are summed once along the path, O(balls) rational operations
+    per side, and every pair reads one difference per side.
     """
     m = params.balls
-    chain = CountChain(params)
-    commute = list(accumulate(map(add, *count_level_means(params)), initial=Fraction(0)))
-    resistance = list(accumulate((1 / chain.conductance_up(j) for j in range(m)), initial=Fraction(0)))
-    total_weight = chain.total_weight()
+    commute, resistance, total_weight = _commute_prefixes(params)
     return {
         (h, k): CommuteCheck(lhs=commute[k] - commute[h], rhs=total_weight * (resistance[k] - resistance[h]))
         for h in range(m + 1)

@@ -84,15 +84,6 @@ def transition_prob(params: ModelParams, x: Sequence[int], y: Sequence[int]) -> 
     return Fraction(0)
 
 
-def neighbor_states(params: ModelParams, x: Sequence[int]) -> Iterator[State]:
-    """All states reachable in one step (each with equal probability)."""
-    x = params.check_state(x)
-    for i in range(params.balls):
-        for u in range(1, params.urns + 1):
-            if u != x[i]:
-                yield x[:i] + (u,) + x[i + 1 :]
-
-
 def single_ball_generator(params: ModelParams) -> list[list[Fraction]]:
     """Rate matrix of one ball's motion: leave at rate 1, land uniformly."""
     n = params.urns
@@ -149,11 +140,6 @@ class SetNotSymmetricError(ValueError):
             "target set is not overlap-symmetric: "
             f"state {first[0]} has profile {first[1]} but state {second[0]} has profile {second[1]}"
         )
-
-
-def overlap_profile(y: State, states: Sequence[State]) -> tuple[int, ...]:
-    """Sorted multiset of overlaps of ``y`` against every element (itself included)."""
-    return tuple(sorted(overlap(y, z) for z in states))
 
 
 def agreement_histograms(states: Sequence[State], *points: Sequence[int]) -> list[tuple[int, ...]]:
@@ -361,20 +347,13 @@ class SetDescriptor:
             return agreement_histograms(states, x)[0]
         return tuple(hist)
 
-    def describe(self) -> str:
-        """Grammar form of the descriptor (inverse of :func:`parse_set`)."""
-        if self.kind == "singleton":
-            return "singleton:" + ",".join(map(str, self.states[0]))
-        if self.kind == "pair":
-            a, b = self.states
-            return f"pair:({','.join(map(str, a))});({','.join(map(str, b))})"
-        if self.kind == "diagonal":
-            return "diagonal"
-        if self.kind == "count":
-            return f"count:{self.count_overlap}:{self.reference_urn}"
-        if self.kind == "distinct":
-            return "distinct"
-        return "explicit:" + json.dumps([list(s) for s in self.states])
+
+def _ints(parts: Sequence[str], text: str) -> list[int]:
+    """The integers written in ``parts``, read from the descriptor ``text``."""
+    try:
+        return [int(c) for c in parts]
+    except ValueError:
+        raise ValueError(f"cannot parse set descriptor {text!r}") from None
 
 
 def parse_set(text: str) -> SetDescriptor:
@@ -398,21 +377,17 @@ def parse_set(text: str) -> SetDescriptor:
     if not sep:
         raise ValueError(f"cannot parse set descriptor {text!r}")
     if head == "singleton":
-        return SetDescriptor.singleton([int(c) for c in rest.split(",")])
+        return SetDescriptor.singleton(_ints(rest.split(","), text))
     if head == "pair":
         match = _PAIR_RE.match(rest)
         if not match:
             raise ValueError(f"pair descriptor must look like pair:(...);(...), got {text!r}")
-        first = [int(c) for c in match.group(1).split(",")]
-        second = [int(c) for c in match.group(2).split(",")]
-        return SetDescriptor.pair(first, second)
+        return SetDescriptor.pair(_ints(match.group(1).split(","), text), _ints(match.group(2).split(","), text))
     if head == "count":
         parts = rest.split(":")
-        if len(parts) == 1:
-            return SetDescriptor.count(int(parts[0]))
-        if len(parts) == 2:
-            return SetDescriptor.count(int(parts[0]), int(parts[1]))
-        raise ValueError(f"count descriptor takes h[:urn], got {text!r}")
+        if len(parts) > 2:
+            raise ValueError(f"count descriptor takes h[:urn], got {text!r}")
+        return SetDescriptor.count(*_ints(parts, text))
     if head == "explicit":
         if not rest.startswith("@"):
             raise ValueError("explicit descriptor expects @path.json")
@@ -449,11 +424,6 @@ class ProductPermutation:
         for row in self.maps:
             if sorted(row) != list(range(1, len(row) + 1)):
                 raise ValueError(f"not a permutation of 1..{len(row)}: {row}")
-
-    @classmethod
-    def identity(cls, params: ModelParams) -> "ProductPermutation":
-        row = tuple(range(1, params.urns + 1))
-        return cls(tuple(row for _ in range(params.balls)))
 
     @classmethod
     def random(cls, params: ModelParams, rng) -> "ProductPermutation":

@@ -94,9 +94,6 @@ class EnumeratedChain:
         self.index: dict[State, int] = {x: i for i, x in enumerate(self.states)}
         self.quotients: dict = {}  # (target set, start) -> _lump's partition, see _quotient
 
-    def neighbors(self, x: State) -> list[State]:
-        return [self.states[j] for j in self.neighbor_table[self.index[x]].tolist()]
-
     def degree(self) -> int:
         return self.params.balls * (self.params.urns - 1)
 

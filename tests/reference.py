@@ -1,21 +1,29 @@
-"""Straightforward ``Fraction`` versions of the closed forms, kept as test references.
+"""Test references: code the tests compare the package against.
 
-Each function below sums its terms one reduced :class:`fractions.Fraction` at
-a time, exactly as the package did before its sums moved to unreduced
-integers over one denominator.  The tests require the package's values to
-equal these, rational for rational.
+The first group are straightforward ``Fraction`` versions of the closed
+forms.  Each sums its terms one reduced :class:`fractions.Fraction` at a
+time, exactly as the package did before its sums moved to unreduced integers
+over one denominator, and the tests require the package's values to equal
+these, rational for rational.
+
+The rest is code that no route, command, demo or benchmark runs: the
+one-step neighbours and overlap profiles of a state, written the obvious way,
+and closed forms for single target families (the variance at a disjoint
+singleton, clustering from the spread start, the all-distinct mean).  The
+tests check the oracle, the symmetry test and the engine against them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ehrenfest.exact import Rational, binomial
-from ehrenfest.model import ModelParams
-from ehrenfest.resolvent import KernelIncrements, kernel_coefficients
+from ehrenfest.model import ModelParams, State, overlap
+from ehrenfest.resolvent import KernelIncrements, centered_kernel, kernel_coefficients
 
 
 def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Fraction:
@@ -144,3 +152,101 @@ def overlap_increment_distribution(params: ModelParams, m: int) -> Sequence[tupl
         (j, Fraction(binomial(m, j)) * p**j * (1 - p) ** (m - j))
         for j in range(m + 1)
     ]
+
+
+# ---------------------------------------------------------------------------
+# model helpers the oracle and symmetry tests check against
+
+
+def neighbor_states(params: ModelParams, x: Sequence[int]) -> Iterator[State]:
+    """All states reachable in one step (each with equal probability)."""
+    x = params.check_state(x)
+    for i in range(params.balls):
+        for u in range(1, params.urns + 1):
+            if u != x[i]:
+                yield x[:i] + (u,) + x[i + 1 :]
+
+
+def overlap_profile(y: State, states: Sequence[State]) -> tuple[int, ...]:
+    """Sorted multiset of overlaps of ``y`` against every element (itself included)."""
+    return tuple(sorted(overlap(y, z) for z in states))
+
+
+# ---------------------------------------------------------------------------
+# closed forms of single-family statistics, checked against the engine
+
+
+def singleton_variance_disjoint(params: ModelParams) -> Fraction:
+    """Variance of the hitting time of a state sharing no ball placement.
+
+        (balls**2 (urns-1)**2 / urns**2) * [S**2 - 2 * sum_i (1/i) sum_{j>i} urns**j/j]
+            - (balls (urns-1)/urns) * S,    S = sum_i urns**i / i
+    """
+    n, m = params.urns, params.balls
+    s = sum(Fraction(n**i, i) for i in range(1, m + 1))
+    cross = sum(
+        Fraction(1, i) * sum(Fraction(n**j, j) for j in range(i + 1, m + 1))
+        for i in range(1, m + 1)
+    )
+    lead = Fraction(m**2 * (n - 1) ** 2, n**2)
+    return lead * (s**2 - 2 * cross) - Fraction(m * (n - 1), n) * s
+
+
+@dataclass(frozen=True)
+class SameUrnSpread:
+    mean: Fraction
+    prob_occupied: Fraction
+    prob_empty: Fraction
+
+
+def same_urn_from_spread(params: ModelParams) -> SameUrnSpread:
+    """Clustering stats from the maximally spread start ``(1, 2, ..., balls)``.
+
+    Needs ``balls <= urns``.  ``prob_occupied`` applies to the urns that held
+    a ball initially, ``prob_empty`` to the rest; the weighted sum is 1.
+    """
+    n, m = params.urns, params.balls
+    if m > n:
+        raise ValueError("spread start needs balls <= urns")
+    s = sum(Fraction(n**i, i) for i in range(1, m + 1))
+    mean = Fraction(m * (n - 1), n**2) * sum(Fraction(n**i, i) for i in range(2, m + 1))
+    prob_occupied = Fraction(1, n) + Fraction(n - m, 1) / (m * s)
+    prob_empty = Fraction(1, n) - 1 / s
+    return SameUrnSpread(mean=mean, prob_occupied=prob_occupied, prob_empty=prob_empty)
+
+
+def rencontres_profile(m: int) -> list[Fraction]:
+    """Fixed-point-count distribution of a uniform random permutation.
+
+    ``profile[k]`` is the probability of exactly ``k`` fixed points among
+    ``m`` letters: ``(1/k!) * sum_{j=2}^{m-k} (-1)**j / j!`` for
+    ``k <= m - 2``, zero at ``m - 1``, and ``1/m!`` at ``m``.
+    """
+    if m < 2:
+        raise ValueError("profile needs at least 2 letters")
+    out = []
+    for k in range(m + 1):
+        if k <= m - 2:
+            tail = sum(Fraction((-1) ** j, math.factorial(j)) for j in range(2, m - k + 1))
+            out.append(Fraction(1, math.factorial(k)) * tail)
+        elif k == m - 1:
+            out.append(Fraction(0))
+        else:
+            out.append(Fraction(1, math.factorial(m)))
+    return out
+
+
+def all_distinct_mean(params: ModelParams) -> Fraction:
+    """Mean first time all balls sit in different urns, from all-in-urn-1.
+
+    Requires ``balls == urns``; the target is then the set of permutation
+    configurations and the overlap distribution of a uniform permutation
+    (the rencontres profile) weights the kernel values.
+    """
+    n, m = params.urns, params.balls
+    if m != n:
+        raise ValueError("all-distinct closed form needs balls == urns")
+    g = lambda k: centered_kernel(params, k)
+    profile = rencontres_profile(m)
+    body = sum((profile[k] * g(k) for k in range(m - 1)), Fraction(0))
+    return m * (m - 1) * (body - g(1)) + g(m) / math.factorial(m - 2)

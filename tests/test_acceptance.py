@@ -9,14 +9,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from ehrenfest.closedforms import (
-    all_distinct_mean,
-    count_set_mean,
-    network_commute_check,
-    same_urn_from_spread,
-    same_urn_stats,
-    singleton_variance_disjoint,
-)
+from ehrenfest.closedforms import count_set_mean, network_commute_check, same_urn_stats
 from ehrenfest.exact import expm1_rational
 from ehrenfest.hitting import HittingQuery, laplace_lambda, laplace_u, mean, raw_moments, variance
 from ehrenfest.mc import SimConfig, sample_hitting
@@ -41,6 +34,7 @@ from ehrenfest.resolvent import (
     resolvent_kernel_quadrature,
     series_identity_checks,
 )
+from reference import all_distinct_mean, same_urn_from_spread, singleton_variance_disjoint
 
 GRID = [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]
 

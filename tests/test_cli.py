@@ -658,6 +658,11 @@ _TWOS = ",".join(["2"] * 200)
           "--replicas", str(10**7)], "2000000000 urn slots"),
         (["exact", "--N", "3", "--M", "2", "--start", "1,2", "--set", "explicit:@diagonal.json"],
          "18 member-pair coordinates (3^2 members x 2), more than MAX_PAIR_COORDS = 17"),
+        (["exact", "--N", "3", "--M", "2", "--start", "a,1", "--set", "singleton:2,2"], "--start"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:a,b"],
+         "cannot parse set descriptor 'singleton:a,b'"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "count:x"],
+         "cannot parse set descriptor 'count:x'"),
     ],
     ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
@@ -668,7 +673,8 @@ _TWOS = ",".join(["2"] * 200)
          "order-above-bound", "digits-above-bound", "simulate-replicas-above-bound",
          "compare-replicas-above-bound", "identities-urns-above-bound", "identities-balls-above-bound",
          "exact-urns-above-bound", "network-check-balls-above-bound", "simulate-occupancy-slots",
-         "simulate-offset-slots", "exact-symmetry-test-above-bound"],
+         "simulate-offset-slots", "exact-symmetry-test-above-bound", "start-not-integers",
+         "singleton-not-integers", "count-not-integers"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, monkeypatch, tmp_path, argv, needle):
     # a small walk budget makes the all-truncated row's walk end at once; no other row walks

@@ -7,20 +7,17 @@ import pytest
 
 from ehrenfest.closedforms import (
     CountChain,
-    all_distinct_mean,
     count_set_mean,
     network_commute_check,
     network_commute_sweep,
-    rencontres_profile,
-    same_urn_from_spread,
     same_urn_stats,
-    singleton_variance_disjoint,
     two_point_stats,
     two_point_stats_for,
 )
 from ehrenfest.hitting import HittingQuery, mean, variance
 from ehrenfest.model import ModelParams, SetDescriptor, overlap
 from ehrenfest.oracle import EnumeratedChain, exit_distribution, mean_vector, solve_mean
+from reference import all_distinct_mean, rencontres_profile, same_urn_from_spread, singleton_variance_disjoint
 
 
 def test_singleton_mean_values():
@@ -251,7 +248,7 @@ def test_count_chain_rows_and_weights(n, m):
         down, stay, up = chain.transition_row(i)
         assert down + stay + up == 1
         # walk-on-network consistency: vertex weight splits into incident conductances
-        incident = chain.conductance_self(i) + chain.conductance_up(i)
+        incident = (n - 2) * chain.conductance_up(i) + chain.conductance_up(i)
         if i > 0:
             incident += chain.conductance_up(i - 1)
         assert chain.vertex_weight(i) == incident
@@ -291,6 +288,7 @@ def test_commute_prefix_sweep_equals_each_pair(n, m):
     assert list(sweep) == [(h, k) for h in range(m + 1) for k in range(h + 1, m + 1)]
     for (h, k), check in sweep.items():
         assert check == network_commute_check(p, h, k) and check.equal
+        assert check.lhs == count_set_mean(p, k, h) + count_set_mean(p, h, k)
 
 
 # --- lumping consistency ---------------------------------------------------------

@@ -19,7 +19,7 @@ from ehrenfest.hitting import (
     summarize,
     variance,
 )
-from ehrenfest.closedforms import all_distinct_mean, count_set_mean
+from ehrenfest.closedforms import count_set_mean
 from ehrenfest.model import (
     ModelParams,
     ProductPermutation,
@@ -38,6 +38,7 @@ from ehrenfest.resolvent import (
     kernel_row,
     resolvent_kernel,
 )
+from reference import all_distinct_mean
 
 
 def _query(n, m, start, descriptor):

