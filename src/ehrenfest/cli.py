@@ -10,7 +10,10 @@ Subcommands::
     network-check  commute-time identity sweep on the count chain
 
 All reports share the shape ``{request, results, verdicts?, timing?}`` with
-rational values as canonical strings plus float renderings.  Exit codes:
+rational values as canonical strings plus float renderings (None past the
+float range).  ``--format csv`` flattens the same report: one line per
+verdict, its detail values in their columns, and one line per other value,
+named by its dotted path.  Exit codes:
 0 success, 2 usage error, 3 target set not overlap-symmetric, 4 oracle work
 bound (``MAX_STATES``, ``MAX_MOVES`` or ``MAX_BLOCKS``) exceeded, 5 verdict
 failure.
@@ -41,7 +44,12 @@ VERDICT_FAILURE = 5
 
 
 def _rat(value: Fraction) -> dict:
-    return {"rational": format_rational(value), "float": float(value)}
+    """A rational as its ``p/q`` string and its float, or None past the float range."""
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = None
+    return {"rational": format_rational(value), "float": approx}
 
 
 def _state_key(state) -> str:
@@ -78,13 +86,14 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
 
 #: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
-    ("urns", "--N", 2, 10**5),  # at N=10**5 and M=200, exact and network-check answer in about 7 s
+    ("urns", "--N", 2, 10**5),  # at N=10**5 and M=200, exact answers in about 2 s, network-check in about 7 s
     ("balls", "--M", 1, 200),
     ("order", "--order", 1, 32),
     ("digits", "--digits", 1, 1000),
     ("replicas", "--replicas", 1, 10**7),
     ("max_urns", "--max-urns", 2, 16),
     ("max_balls", "--max-balls", 1, 24),
+    ("seed", "--seed", 0, 2**64),
 )
 
 
@@ -198,50 +207,43 @@ def _emit(args, report: dict, started: float) -> None:
         sys.stdout.write(text)
 
 
-def _csv_value(entry) -> str:
-    if isinstance(entry, dict) and "rational" in entry:
-        return entry["rational"]
-    if entry is None:
-        return ""
-    return str(entry)
+#: verdict detail keys that have a CSV column, and that column
+_CSV_COLUMNS = {"exact": "exact", "lhs": "exact", "oracle": "oracle", "rhs": "oracle",
+                "mc_mean": "mc_mean", "mc_stderr": "mc_stderr"}
 
 
-def _csv_row(case: str, name: str, verdict: dict, *values) -> list:
-    """A CSV line: ``values`` fill exact, oracle, mc_mean, mc_stderr in turn."""
-    return [case, name, *values, *[""] * (4 - len(values)), "pass" if verdict["pass"] else "fail"]
-
-
-def _csv_rows(report: dict) -> list[list]:
-    """One line per verdict (compare's mean and variance lines also carry their
-    values), or one line per scalar result."""
-    request, results, verdicts = report["request"], report["results"], report.get("verdicts")
-    command = request["command"]
-    case = request.get("case", command)
-    if command == "compare":
-        mean, variance, *rest = verdicts
-        mc = results["mc"]["discrete"]
-        return [
-            _csv_row(case, "mean", mean, *mean["detail"].values(), mc["sample_mean"], mc["stderr"]),
-            _csv_row(case, "variance", variance, *variance["detail"].values()),
-            *(_csv_row(case, v["name"], v) for v in rest),
-        ]
-    if command == "network-check":
-        return [_csv_row(case, v["name"], v, v["detail"]["lhs"], v["detail"]["rhs"]) for v in verdicts]
-    if command == "identities":
-        return [_csv_row(case, v["name"], v) for v in verdicts]
-    return [
-        [case, name, value, "", "", "", ""]
-        for name, value in results.items()
-        if isinstance(value, (int, float, str)) or (isinstance(value, dict) and "rational" in value)
-    ]
+def _leaves(value, path: str):
+    """(dotted path, value) of each leaf under ``value``; list items count from 1,
+    and a rational is one leaf, its ``p/q`` string."""
+    if isinstance(value, dict) and "rational" in value:
+        yield path, value["rational"]
+    elif isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value, 1)
+        for key, item in items:
+            yield from _leaves(item, f"{path}.{key}" if path else str(key))
+    else:
+        yield path, value
 
 
 def _to_csv(report: dict) -> str:
+    """One line per leaf under ``results``, named by its dotted path, then one per
+    verdict with its detail values in their columns (a detail with no column gets
+    a line of its own), then one per leaf under ``timing``."""
+    rows = [{"quantity": path, "exact": value} for path, value in _leaves(report["results"], "")]
+    for verdict in report.get("verdicts", ()):
+        row = {"quantity": verdict["name"], "verdict": "pass" if verdict["pass"] else "fail"}
+        rows.append(row)
+        for key, value in verdict.get("detail", {}).items():
+            if key in _CSV_COLUMNS:
+                row[_CSV_COLUMNS[key]] = value
+            else:
+                rows.append({"quantity": f"{verdict['name']}.{key}", "exact": value})
+    rows += [{"quantity": path, "exact": value} for path, value in _leaves(report.get("timing", {}), "timing")]
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["case", "quantity", "exact", "oracle", "mc_mean", "mc_stderr", "verdict"])
-    for row in _csv_rows(report):
-        writer.writerow([_csv_value(v) for v in row])
+    writer = csv.DictWriter(buf, ["case", "quantity", "exact", "oracle", "mc_mean", "mc_stderr", "verdict"])
+    writer.writeheader()
+    case = report["request"].get("case", report["request"]["command"])
+    writer.writerows({"case": case, **row} for row in rows)
     return buf.getvalue()
 
 

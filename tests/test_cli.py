@@ -502,7 +502,64 @@ def test_compare_csv_shows_every_failing_verdict(capsys, monkeypatch):
     assert code == 5
     verdicts = {row[1]: row[-1] for row in csv.reader(io.StringIO(out))}
     assert verdicts["transform_lambda_0.5"] == "fail"
-    assert verdicts["mean"] == verdicts["variance"] == "pass"
+    assert verdicts["mean_exact_vs_oracle"] == verdicts["variance_exact_vs_oracle"] == "pass"
+
+
+_SINGLETON = ["--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2"]
+_CSV_CASES = {
+    "exact": ["exact", *_SINGLETON, "--order", "4", "--u", "1/2,2", "--lambda", "0.5"],
+    "oracle": ["oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "pair:(2,2);(1,2)"],
+    "simulate": ["simulate", *_SINGLETON, "--lambda", "0.5,1", "--replicas", "500", "--seed", "3"],
+    "compare": ["compare", "--N", "3", "--M", "2", "--start", "2,2", "--set", "count:0", "--replicas", "2000"],
+    "network-check": ["network-check", "--N", "3", "--M", "3"],
+    "identities": ["identities", "--max-urns", "3", "--max-balls", "2"],
+    "timing": ["compare", *_SINGLETON, "--replicas", "2000", "--timing"],
+}
+
+
+def _flat(value, path=""):
+    """(dotted path, leaf) of each leaf under a JSON value: list items count from 1, a rational is one leaf."""
+    if isinstance(value, list):
+        value = dict(enumerate(value, 1))
+    if not isinstance(value, dict) or "rational" in value:
+        return [(path, value)]
+    return [leaf for key, item in value.items() for leaf in _flat(item, f"{path}.{key}" if path else str(key))]
+
+
+def _json_text(value) -> str:
+    """A leaf's text as the JSON report writes it, a rational as its p/q string."""
+    if isinstance(value, dict):
+        return value["rational"]
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+@pytest.mark.parametrize("argv", _CSV_CASES.values(), ids=_CSV_CASES)
+def test_csv_carries_every_value_of_the_json_report(capsys, argv):
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    lines = {row[1]: dict(zip(header, row)) for row in rows}
+    assert len(lines) == len(rows)
+
+    # line name -> the text of each column; timing lines, whose values differ between runs, by name only
+    expected = {path: {"exact": _json_text(v)} for path, v in _flat(report["results"])}
+    for verdict in report.get("verdicts", ()):
+        line = expected[verdict["name"]] = {"verdict": "pass" if verdict["pass"] else "fail"}
+        for key, value in verdict.get("detail", {}).items():
+            column = {"lhs": "exact", "rhs": "oracle"}.get(key, key)
+            if column in ("exact", "oracle", "mc_mean", "mc_stderr"):
+                line[column] = _json_text(value)
+            else:
+                expected[f"{verdict['name']}.{key}"] = {"exact": _json_text(value)}
+    timing = [path for path, _ in _flat(report.get("timing", {}), "timing")]
+    assert (argv[0] == "compare" and "--timing" in argv) == bool(timing)
+
+    assert set(lines) == set(expected) | set(timing)
+    case = report["request"].get("case", argv[0])
+    for name, columns in expected.items():
+        assert lines[name] == {**dict.fromkeys(header, ""), "case": case, "quantity": name, **columns}
 
 
 def test_out_file(tmp_path, capsys):
@@ -597,8 +654,6 @@ _TWOS = ",".join(["2"] * 200)
     [
         (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
           "--lambda", "inf"], "--lambda"),
-        (["exact", "--N", "3", "--M", "200", "--start", _ONES, "--set", f"singleton:{_TWOS}",
-          "--order", "4"], "float"),
         pytest.param(
             ["simulate", "--N", "10", "--M", "20", "--start", "2," + ",".join(["1"] * 19), "--set", "diagonal",
              "--replicas", "100"], "truncated",
@@ -663,8 +718,12 @@ _TWOS = ",".join(["2"] * 200)
          "cannot parse set descriptor 'singleton:a,b'"),
         (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "count:x"],
          "cannot parse set descriptor 'count:x'"),
+        (["simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--replicas", "10", "--seed", "-1"], "--seed"),
+        (["compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--replicas", "10", "--seed", str(2**128)], "--seed"),
     ],
-    ids=["lambda-inf", "moment-overflow", "all-truncated", "oracle-negative-u", "lambda-huge",
+    ids=["lambda-inf", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
          "negative-digits", "exact-order-zero", "oracle-order-zero", "oracle-u-zero-denominator",
          "exact-u-zero-denominator", "simulate-count-level-outside", "simulate-discrete-u",
@@ -674,7 +733,7 @@ _TWOS = ",".join(["2"] * 200)
          "compare-replicas-above-bound", "identities-urns-above-bound", "identities-balls-above-bound",
          "exact-urns-above-bound", "network-check-balls-above-bound", "simulate-occupancy-slots",
          "simulate-offset-slots", "exact-symmetry-test-above-bound", "start-not-integers",
-         "singleton-not-integers", "count-not-integers"],
+         "singleton-not-integers", "count-not-integers", "simulate-seed-negative", "compare-seed-above-bound"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, monkeypatch, tmp_path, argv, needle):
     # a small walk budget makes the all-truncated row's walk end at once; no other row walks
@@ -689,6 +748,17 @@ def test_bad_inputs_exit_two_without_traceback(capsys, monkeypatch, tmp_path, ar
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and needle in errors[0]
+
+
+def test_moment_past_the_float_range_is_reported_exactly(capsys):
+    code, report, err = run_json(
+        capsys, "exact", "--N", "3", "--M", "200", "--start", _ONES, "--set", f"singleton:{_TWOS}", "--order", "4"
+    )
+    assert code == 0, err
+    fourth = report["results"]["raw_moments"][3]
+    assert fourth["float"] is None
+    query = hitting.HittingQuery(ModelParams(3, 200), (1,) * 200, parse_set(f"singleton:{_TWOS}"))
+    assert fourth["rational"] == format_rational(hitting.raw_moments(query, 4)[3])
 
 
 def test_result_past_the_int_digit_limit_is_rendered(capsys):
