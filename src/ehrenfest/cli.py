@@ -86,7 +86,7 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
 
 #: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
-    ("urns", "--N", 2, 10**5),  # at N=10**5 and M=200, exact answers in about 2 s, network-check in about 7 s
+    ("urns", "--N", 2, 10**5),  # at N=10**5 and M=200, exact answers in under 1 s, network-check in about 7 s
     ("balls", "--M", 1, 200),
     ("order", "--order", 1, 32),
     ("digits", "--digits", 1, 1000),

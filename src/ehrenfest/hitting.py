@@ -20,7 +20,9 @@ and keeps only the two rows: every output below reads them.  For the
 transform both rows are summed over one shared, unreduced denominator
 product, so the ratio is the quotient of the two integer numerators and is
 reduced exactly once.  The discrete-time transform is the same ratio
-evaluated at ``u = balls * (e**lambda - 1)``.
+evaluated at ``u = balls * (e**lambda - 1)``.  A start inside ``A`` has the
+reference histogram, so its two rows are equal: the ratio gives the
+transform 1 and every moment 0 with no branch of its own.
 
 Moments are read off the same two integer rows.  In ``w = 1 - z`` each side
 of the ratio is an integer power series over one denominator
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .closedforms import same_urn_stats, two_point_stats_for
+from .closedforms import same_urn_stats, two_point_stats
 from .exact import Jet, Rational, lambda_to_u
 from .model import (
     ModelParams,
@@ -84,18 +86,12 @@ class HittingQuery:
             hists = [self.target.overlap_histogram(self.params, x) for x in (self.start, first)]
         object.__setattr__(self, "rows", tuple(kernel_row(self.params, hist) for hist in hists))
 
-    def start_in_target(self) -> bool:
-        # sum_t a_t = urns**balls * hist[balls]: a c_k row sums to urns**balls at k = balls, else to 0
-        return sum(self.rows[0]) != 0
-
 
 def laplace_u(query: HittingQuery, u: Rational) -> Fraction:
     """Transform of the continuous-time hitting time at rational ``u > 0``."""
     u = Fraction(u)
     if u <= 0:
         raise ValueError("transform argument must be positive")
-    if query.start_in_target():
-        return Fraction(1)
     (start, ref), _ = kernel_sums(query.params, query.rows, u)
     return Fraction(start, ref)
 
@@ -109,7 +105,7 @@ def laplace_lambda(query: HittingQuery, lam: float, digits: int = 20) -> Fractio
     """
     if lam < 0:
         raise ValueError("transform argument must be non-negative")
-    if lam == 0 or query.start_in_target():
+    if lam == 0:
         return Fraction(1)
     return laplace_u(query, lambda_to_u(query.params.balls, lam, digits))
 
@@ -151,8 +147,6 @@ def raw_moments(query: HittingQuery, order: int) -> list[Fraction]:
     """
     if order < 1:
         raise ValueError("moment order must be >= 1")
-    if query.start_in_target():
-        return [Fraction(0)] * order
     (start, ref), scale = kernel_series(query.params, query.rows, order)
     ratio = (Jet(start) / Jet(ref)).coeffs
     factorial = [(-1) ** r * math.factorial(r) * ratio[r] / scale**r for r in range(order + 1)]
@@ -166,22 +160,20 @@ def raw_moments(query: HittingQuery, order: int) -> list[Fraction]:
 def exit_distribution(query: HittingQuery) -> dict[State, Fraction] | None:
     """Law of the state where the target set is first hit, where a closed form gives it.
 
-    Singletons, pairs and the diagonal have one, and at most ``urns`` members,
-    so a start inside one is listed as its own exit state; other kinds give ``None``.
+    Singletons, pairs and the diagonal have one, which puts mass 1 on the
+    start when it lies in the set; other kinds give ``None``.
     """
-    params, target = query.params, query.target
-    if target.kind not in ("singleton", "pair", "diagonal"):
-        return None
-    if query.start_in_target():
-        return {t: Fraction(t == query.start) for t in target.members(params)}
+    params, target, x = query.params, query.target, query.start
     if target.kind == "singleton":
         return {params.check_state(target.states[0]): Fraction(1)}
     if target.kind == "pair":
         y, z = sorted(params.check_state(s) for s in target.states)
-        first = two_point_stats_for(params, query.start, y, z).exit_prob_first
+        first = two_point_stats(params, overlap(x, y), overlap(x, z), overlap(y, z)).exit_prob_first
         return {y: first, z: 1 - first}
-    probs = same_urn_stats(params, query.start).exit_probs
-    return {(i,) * params.balls: p for i, p in enumerate(probs, start=1)}
+    if target.kind == "diagonal":
+        probs = same_urn_stats(params, x).exit_probs
+        return {(i,) * params.balls: p for i, p in enumerate(probs, start=1)}
+    return None
 
 
 @dataclass(frozen=True)

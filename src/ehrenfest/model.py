@@ -32,6 +32,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations as _permutations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -129,8 +130,9 @@ def product_semigroup(params: ModelParams, t: float, x: Sequence[int], z: Sequen
 class SetNotSymmetricError(ValueError):
     """Raised when a target set fails the overlap-symmetry test.
 
-    Carries two witnesses: elements of the set whose sorted overlap profiles
-    against the whole set differ.
+    Carries two witnesses ``(state, hist)``: elements of the set whose overlap
+    histograms against the whole set differ (``hist[k]`` counts the members
+    that agree with ``state`` in exactly ``k`` coordinates).
     """
 
     def __init__(self, first: tuple[State, tuple[int, ...]], second: tuple[State, tuple[int, ...]]):
@@ -138,7 +140,8 @@ class SetNotSymmetricError(ValueError):
         self.second = second
         super().__init__(
             "target set is not overlap-symmetric: "
-            f"state {first[0]} has profile {first[1]} but state {second[0]} has profile {second[1]}"
+            f"state {first[0]} has overlap histogram {first[1]} "
+            f"but state {second[0]} has overlap histogram {second[1]}"
         )
 
 
@@ -176,16 +179,13 @@ def _agreement_counts(columns: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return counts
 
 
-def _profile(counts: np.ndarray) -> tuple[int, ...]:
-    """The sorted overlaps that ``counts[k]``, the number equal to ``k``, describe."""
-    return tuple(np.repeat(np.arange(len(counts)), counts).tolist())
-
-
 def symmetry_defect(states: Sequence[State]):
-    """Return two differing (state, profile) witnesses, or None if symmetric.
+    """Return two differing ``(state, hist)`` witnesses, or None if symmetric.
 
     The witnesses are the first element and the first element, in list
-    order, whose overlap counts against the whole set differ from it.  The
+    order, whose overlap histogram against the whole set differs from it;
+    ``hist[k]`` counts the members agreeing with ``state`` in exactly ``k``
+    coordinates, so each witness has ``M + 1`` counts whatever ``|A|``.  The
     counts come in blocks of about ``BLOCK_PAIRS`` member pairs, one
     whole-array equality pass per coordinate, and the test stops at the first
     block that holds a differing member.  A symmetric set costs
@@ -209,7 +209,7 @@ def symmetry_defect(states: Sequence[State]):
         differ = np.flatnonzero((counts != ref_counts).any(axis=1))
         if differ.size:
             y = differ[0]
-            return (states[0], _profile(ref_counts)), (states[lo + y], _profile(counts[y]))
+            return (states[0], tuple(ref_counts.tolist())), (states[lo + y], tuple(counts[y].tolist()))
     return None
 
 
@@ -292,15 +292,20 @@ class SetDescriptor:
         return states
 
     def members(self, params: ModelParams) -> Iterator[State]:
-        """Yield the member states one by one, each once, validated first."""
+        """Yield the member states one by one, each once, validated first.
+
+        A sphere builds the tuple of urns other than a center urn only when a
+        free coordinate first needs it, once per urn: a count set holds one
+        such tuple and a singleton none, so one member costs no ``N * M`` work."""
         n, m = params.urns, params.balls
         states = self.validate(params)
         sphere = self.sphere(params)
         if sphere is not None:
             center, h = sphere
-            others = [[u for u in range(1, n + 1) if u != c] for c in center]
+            # product() stores every pool it is given: coordinates centered on one urn share one tuple
+            others = cache(lambda c: tuple(u for u in range(1, n + 1) if u != c))
             for agree in combinations(range(m), h):
-                yield from product(*(center[i : i + 1] if i in agree else others[i] for i in range(m)))
+                yield from product(*(center[i : i + 1] if i in agree else others(center[i]) for i in range(m)))
         elif self.kind == "diagonal":
             yield from ((i,) * m for i in range(1, n + 1))
         elif self.kind == "distinct":

@@ -83,8 +83,28 @@ def test_exact_rejects_asymmetric_set(tmp_path, capsys):
     )
     assert code == 3
     assert out == ""
-    assert "profile" in err
-    assert "(0, 1, 2)" in err and "(1, 1, 2)" in err
+    assert "overlap histogram" in err
+    assert "(1, 1, 1)" in err and "(0, 2, 1)" in err
+
+
+def test_exit_three_message_is_bounded_by_the_histograms(tmp_path, capsys):
+    # the 12870-member count:8 set at N=2 M=16, one member replaced by all ones:
+    # the witnesses are two histograms of M + 1 counts, not two profiles of |A| overlaps
+    params = ModelParams(2, 16)
+    states = model.SetDescriptor.count(8).materialize(params)
+    states = sorted(states[:-1] + [(1,) * 16])
+    path = tmp_path / "count8.json"
+    path.write_text(json.dumps([list(s) for s in states]))
+    code, out, err = run_cli(
+        capsys, "exact", "--N", "2", "--M", "16", "--start", ",".join(["1"] * 16), "--set", f"explicit:@{path}"
+    )
+    assert (code, out) == (3, "")
+    assert len(err.encode()) < 1024
+    hists = [tuple(sum(model.overlap(y, z) == k for z in states) for k in range(17)) for y in states[:2]]
+    assert err == (
+        f"error: target set is not overlap-symmetric: state {states[0]} has overlap histogram {hists[0]} "
+        f"but state {states[1]} has overlap histogram {hists[1]}\n"
+    )
 
 
 def test_oracle_mirrors_exact(capsys):

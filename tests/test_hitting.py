@@ -163,7 +163,7 @@ def test_laplace_u_equals_ratio_of_per_overlap_kernels(case):
     params, start_hist, ref_hist, u = case
     # any two histograms, not only those a target set realizes
     rows = (kernel_row(params, start_hist), kernel_row(params, ref_hist))
-    query = SimpleNamespace(params=params, rows=rows, start_in_target=lambda: False)
+    query = SimpleNamespace(params=params, rows=rows)
     assert laplace_u(query, u) == _reference_transform(params, start_hist, ref_hist, u)
 
 
@@ -293,7 +293,7 @@ def _moment_cases(draw):
 def test_raw_moments_equal_composed_centered_kernel_jets(case):
     params, start_hist, ref_hist, order = case
     rows = (kernel_row(params, start_hist), kernel_row(params, ref_hist))
-    query = SimpleNamespace(params=params, rows=rows, start_in_target=lambda: False)
+    query = SimpleNamespace(params=params, rows=rows)
     assert raw_moments(query, order) == _reference_moments(params, start_hist, ref_hist, order)
 
 
@@ -452,8 +452,39 @@ def test_exit_law_only_from_closed_forms_wherever_the_start_lies():
         (SetDescriptor.distinct(), (1, 2, 3)),
         (SetDescriptor.explicit([(2, 2, 3)]), (2, 2, 3)),
     ]:
-        q = HittingQuery(p, x, descriptor)
-        assert q.start_in_target() and exit_distribution(q) is None
+        assert x in descriptor.materialize(p)
+        assert exit_distribution(HittingQuery(p, x, descriptor)) is None
+
+
+def test_start_inside_the_set_takes_the_general_path_and_matches_oracle():
+    # a member's histogram is the reference one, so the two rows agree and the ratio alone gives 1 and 0
+    p = ModelParams(3, 3)
+    chain = EnumeratedChain(p)
+    tau = ProductPermutation.random(p, random.Random(3))
+    kinds = [
+        SetDescriptor.singleton((2, 2, 1)),
+        SetDescriptor.pair((2, 2, 1), (3, 1, 1)),
+        SetDescriptor.diagonal(),
+        SetDescriptor.count(1),
+        SetDescriptor.count(2, 3),
+        SetDescriptor.distinct(),
+        SetDescriptor.explicit(tau.apply_set(SetDescriptor.count(2).materialize(p))),
+    ]
+    for descriptor in kinds:
+        targets = descriptor.materialize(p)
+        moments = raw_moment_vectors(chain, targets, 4)
+        for x in (targets[0], targets[-1]):
+            q = HittingQuery(p, x, descriptor)
+            assert q.rows[0] == q.rows[1], (descriptor, x)
+            assert raw_moments(q, 4) == [vecs[x] for vecs in moments] == [0] * 4, (descriptor, x)
+            for u in (F(1, 2), F(2)):
+                assert laplace_u(q, u) == oracle.solve_transform_u(chain, targets, x, u) == 1, (descriptor, x)
+            assert laplace_lambda(q, 0.5) == 1
+            law = exit_distribution(q)
+            if descriptor.kind in ("singleton", "pair", "diagonal"):
+                assert law == oracle.exit_distribution(chain, targets, x) == {t: F(t == x) for t in targets}
+            else:
+                assert law is None
 
 
 def test_engine_lists_no_symbolic_set(monkeypatch):

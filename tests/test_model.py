@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 from fractions import Fraction as F
@@ -195,8 +196,8 @@ def test_symmetric_family_examples():
     assert symmetry_defect([(1, 1), (2, 2), (3, 3)]) is None
     assert symmetry_defect([(1, 1), (2, 2), (1, 2)]) is not None
     defect = symmetry_defect([(1, 1), (2, 2), (1, 2)])
-    (y1, prof1), (y2, prof2) = defect
-    assert {prof1, prof2} == {(0, 1, 2), (1, 1, 2)}
+    (y1, hist1), (y2, hist2) = defect
+    assert {hist1, hist2} == {(1, 1, 1), (0, 2, 1)}
     with pytest.raises(ValueError):
         symmetry_defect([])
 
@@ -232,6 +233,19 @@ def _descriptors(n, m):
     return kinds
 
 
+@pytest.mark.parametrize("d", [SetDescriptor.singleton((2,) * 200), SetDescriptor.count(150)])
+def test_one_sphere_member_costs_o_of_n_plus_m(d):
+    # the query draws one member: a sphere must not list the other urns of every ball first
+    tracemalloc.start()
+    try:
+        first = next(d.members(ModelParams(10**4, 200)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 200
+    assert peak < 2 * 2**20
+
+
 @pytest.mark.parametrize("n,m", _grid())
 def test_all_descriptor_kinds_are_symmetric(n, m):
     params = ModelParams(n, m)
@@ -261,7 +275,8 @@ def test_query_histograms_match_brute_force(n, m):
             q = HittingQuery(params, start, d)
             # the c_k rows are a basis of the degree-M polynomials: equal rows, equal histograms
             assert q.rows[0] == kernel_row(params, _brute_hist(start, states, m)), (d, start)
-            assert q.start_in_target() == (start in states)
+            # a member has the reference histogram, and only a member counts itself at overlap M
+            assert (q.rows[0] == q.rows[1]) == (start in states), (d, start)
         ref_hist = _brute_hist(states[rng.randrange(len(states))], states, m)
         assert q.rows[1] == kernel_row(params, ref_hist), d
         if d in kinds:
@@ -294,12 +309,13 @@ def test_overlap_histogram_counts_what_materialize_lists(case):
 
 
 def _loop_symmetry_defect(states):
-    """Reference: compare sorted overlap profiles element by element."""
-    ref_profile = overlap_profile(states[0], states)
+    """Reference: compare overlap histograms element by element."""
+    m = len(states[0])
+    ref_hist = _brute_hist(states[0], states, m)
     for y in states[1:]:
-        prof = overlap_profile(y, states)
-        if prof != ref_profile:
-            return (states[0], ref_profile), (y, prof)
+        hist = _brute_hist(y, states, m)
+        if hist != ref_hist:
+            return (states[0], ref_hist), (y, hist)
     return None
 
 
@@ -345,10 +361,10 @@ def test_query_rejects_asymmetric_explicit_set_with_witnesses():
         HittingQuery(params, (1, 1), SetDescriptor.explicit([(2, 2), (1, 2), (1, 1)]))
     assert str(err.value) == (
         "target set is not overlap-symmetric: "
-        "state (1, 1) has profile (0, 1, 2) but state (1, 2) has profile (1, 1, 2)"
+        "state (1, 1) has overlap histogram (1, 1, 1) but state (1, 2) has overlap histogram (0, 2, 1)"
     )
-    assert err.value.first == ((1, 1), (0, 1, 2))
-    assert err.value.second == ((1, 2), (1, 1, 2))
+    assert err.value.first == ((1, 1), (1, 1, 1))
+    assert err.value.second == ((1, 2), (0, 2, 1))
 
 
 # --- permutations ----------------------------------------------------------
