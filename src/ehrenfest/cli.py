@@ -68,7 +68,10 @@ LAMBDA_MAX = 700
 
 
 def _parse_lambda_grid(text: str) -> tuple[float, ...]:
-    grid = tuple(float(v) for v in text.split(",")) if text else ()
+    try:
+        grid = tuple(float(v) for v in text.split(",")) if text else ()
+    except ValueError:
+        raise ValueError(f"--lambda values must be numbers such as 0.5, got {text!r}") from None
     if not all(0 <= lam <= LAMBDA_MAX for lam in grid):
         raise ValueError(f"--lambda values must lie in [0, {LAMBDA_MAX}], got {text!r}")
     return grid
@@ -90,7 +93,7 @@ _INT_BOUNDS = (
     ("balls", "--M", 1, 200),
     ("order", "--order", 1, 32),
     ("digits", "--digits", 1, 1000),
-    ("replicas", "--replicas", 1, 10**7),
+    ("replicas", "--replicas", 2, 10**7),  # one sample has no variance, so no standard error
     ("max_urns", "--max-urns", 2, 16),
     ("max_balls", "--max-balls", 1, 24),
     ("seed", "--seed", 0, 2**64),

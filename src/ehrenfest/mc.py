@@ -1,24 +1,22 @@
 """Monte Carlo sampling of hitting times, discrete and continuous-time.
 
-Replicas are split into fixed-size chunks; chunk ``c`` draws from its own
-counter-based Philox stream keyed by ``(seed, c)``.  Output therefore
-depends only on the configuration.
+Each walk draws from one counter-based Philox stream keyed by the seed, so
+output depends only on the configuration.
 
-All replicas of all chunks walk the embedded jump chain in lockstep with
-numpy, one Python iteration per step for every live replica.  The moves
-come in blocks drawn ahead: at a block start each chunk with live replicas
-draws one integer per live replica and step from its own stream, for at
-most ``BLOCK_MOVES`` moves in all, and a draw ``r`` moves ball
-``r // (urns-1)`` forward by ``1 + r % (urns-1)`` urns (mod ``urns``).  A
-replica absorbed inside a block wastes the rest of its draws: it keeps
+All replicas walk the embedded jump chain in lockstep with numpy, one
+Python iteration per step for every live replica.  The moves come in blocks
+drawn ahead: at a block start the stream draws one integer per live replica
+and step, for at most ``BLOCK_MOVES`` moves in all, and a draw ``r`` moves
+ball ``r // (urns-1)`` forward by ``1 + r % (urns-1)`` urns (mod ``urns``).
+A replica absorbed inside a block wastes the rest of its draws: it keeps
 moving, masked out of the hit test, until the block ends and it is
 compacted away.  So every move of a live replica is a fresh uniform draw
 and the law is exact, each block is drawn for exactly the live replicas,
 and a block costs no more moves than it draws; the sparse tail advances
 many steps per draw.  Both modes walk alike.  The continuous-time chain holds an
 Exponential(balls) time before each jump, so a replica absorbed after
-``T`` steps hits at time Gamma(T)/balls, drawn once per replica from its
-chunk's stream after the walk.
+``T`` steps hits at time Gamma(T)/balls, drawn once per replica from the
+same stream after the walk.
 
 Every ball's urn is tracked (nothing is lumped), stored as an offset
 ``(urn - reference) % urns`` in the smallest unsigned type with room for
@@ -56,13 +54,10 @@ import numpy as np
 
 from .model import ModelParams, SetDescriptor, State, overlap
 
-#: Replicas per RNG substream.  Part of the reproducibility contract: results
-#: are a pure function of (seed, replicas, mode, case) at fixed chunking and
-#: block size.
-CHUNK = 8192
-
 #: Moves drawn per block over all live replicas: bounds the block's memory
-#: and sets how many steps the sparse tail takes per RNG call.
+#: and sets how many steps the sparse tail takes per RNG call.  Part of the
+#: reproducibility contract: results are a pure function of (seed, replicas,
+#: mode, case) at a fixed block size.
 BLOCK_MOVES = 1 << 15
 
 #: Replica-steps a walk may spend, 6-8 s at the 20-56 ns one costs on 2 vCPUs;
@@ -204,16 +199,14 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
 
 
 def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
-    """Walk every replica to absorption or the end of the budget, all chunks in lockstep.
+    """Walk every replica to absorption or the end of the budget, in lockstep.
 
     Returns the steps to absorption (0 if truncated), the truncated mask, the
-    step the walk stopped at and the chunk generators, positioned after it.
+    step the walk stopped at and the walk's one generator, positioned after it.
     """
     n, m = params.urns, params.balls
     reference, stride, key0, update, is_hit = member
-    firsts = np.arange(0, cfg.replicas, CHUNK)
-    rngs = [np.random.Generator(np.random.Philox(key=cfg.seed, counter=c << 64)) for c in range(firsts.size)]
-    bounds = np.append(firsts, cfg.replicas) * stride
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
     # offsets leave room for old + shift, up to 2*(urns-1), before the wrap
     row = np.zeros(stride, dtype=np.min_scalar_type(2 * n - 2))
@@ -229,11 +222,7 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     while base.size and (affordable := (WALK_BUDGET - spent) // (base.size + STEP_CHARGE)):
         span = min(max(1, BLOCK_MOVES // base.size), affordable)
         spent += span * (base.size + STEP_CHARGE)
-        per_chunk = np.diff(np.searchsorted(base, bounds))
-        block = np.concatenate(
-            [rng.integers(0, m * (n - 1), size=(span, k), dtype=draw_type) for rng, k in zip(rngs, per_chunk) if k],
-            axis=1,
-        )
+        block = rng.integers(0, m * (n - 1), size=(span, base.size), dtype=draw_type)
         balls_ahead = block // (n - 1)  # np.divmod is slower than the two passes
         shifts_ahead = block - balls_ahead * (n - 1)
         shifts_ahead += 1
@@ -262,13 +251,13 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
 
     truncated = np.zeros(cfg.replicas, dtype=bool)
     truncated[base // stride] = True
-    return steps, truncated, t, rngs
+    return steps, truncated, t, rng
 
 
 def _sample(params, start, target, cfg: SimConfig, modes: Sequence[str]) -> dict[str, SimSummary]:
     """One walk under ``cfg``, summarised in each of ``modes`` in turn."""
     start = params.check_state(start)
-    steps, truncated, stop, rngs = _walk(params, start, cfg, _membership(params, start, target, cfg.replicas))
+    steps, truncated, stop, rng = _walk(params, start, cfg, _membership(params, start, target, cfg.replicas))
     n_trunc = int(truncated.sum())
     if n_trunc:
         warnings.warn(
@@ -285,8 +274,7 @@ def _sample(params, start, target, cfg: SimConfig, modes: Sequence[str]) -> dict
         if mode == "discrete":
             samples = steps.astype(np.float64)
         else:
-            chunks = np.split(steps, np.arange(CHUNK, cfg.replicas, CHUNK))
-            samples = np.concatenate([rng.standard_gamma(s) for rng, s in zip(rngs, chunks)]) / params.balls
+            samples = rng.standard_gamma(steps) / params.balls
         kept = samples[~truncated]
         var = float(kept.var(ddof=1)) if kept.size > 1 else 0.0
         out[mode] = SimSummary(

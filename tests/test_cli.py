@@ -222,24 +222,46 @@ def test_simulate_readme_example_is_pinned(capsys):
         "--mode", "ctmc", "--replicas", "100000", "--seed", "7",
     )
     assert code == 0
-    assert report["results"]["sample_mean"] == 5.027068532596823
-    assert report["results"]["stderr"] == 0.014568583623971931
+    assert report["results"]["sample_mean"] == 4.993769084476033
+    assert report["results"]["stderr"] == 0.014433858343050464
+
+
+def test_simulate_stream_is_keyed_by_the_seed_alone(capsys):
+    # one Philox stream keyed by the seed, its counter starting at 0: moving the key or the counter changes these
+    code, report, _ = run_json(
+        capsys,
+        "simulate", "--N", "3", "--M", "3", "--start", "1,1,1", "--set", "pair:(2,2,2);(3,1,2)",
+        "--mode", "ctmc", "--u", "1/2", "--replicas", "8192", "--seed", "7",
+    )
+    assert code == 0
+    results = report["results"]
+    assert (results["sample_mean"], results["sample_variance"], results["stderr"]) == (
+        5.464591508409054, 25.486311912713035, 0.055777433247303096
+    )
+    assert results["transforms"] == [
+        {"argument": 0.5, "estimate": 0.2327666439028134, "stderr": 0.0026867665664326835}
+    ]
 
 
 @pytest.mark.parametrize(
     "argv,pinned",
     [
         (["--N", "3", "--M", "3", "--start", "1,1,1", "--set", "pair:(2,2,2);(3,1,2)", "--mode", "discrete"],
-         (16.4588, 211.8853968298415, 0.10292846953827729)),
+         (16.51485, 216.53220608780438, 0.10405099857469037)),
         (["--N", "3", "--M", "4", "--start", "1,2,3,1", "--set", "diagonal", "--mode", "ctmc"],
-         (7.317429771925062, 50.243599160833575, 0.05012165158932493)),
+         (7.366452103076863, 50.2886006992268, 0.05014409272248666)),
         (["--N", "4", "--M", "3", "--start", "1,1,1", "--set", "distinct", "--mode", "ctmc"],
-         (1.1585965839612182, 0.849110871679719, 0.0065157918616224955)),
+         (1.1585903236565405, 0.8329750780123787, 0.006453584577629624)),
+        (["--N", "3", "--M", "3", "--start", "1,1,1", "--set", "explicit:@set.json", "--mode", "discrete"],
+         (10.18335, 71.29369746237312, 0.059704981979049755)),
     ],
-    ids=["pair-discrete", "diagonal-ctmc", "distinct-ctmc"],
+    ids=["pair-discrete", "diagonal-ctmc", "distinct-ctmc", "explicit-discrete"],
 )
-def test_simulate_non_sphere_kinds_are_pinned(capsys, argv, pinned):
+def test_simulate_non_sphere_kinds_are_pinned(capsys, monkeypatch, tmp_path, argv, pinned):
     # fixed-seed outputs of every membership key that is not a sphere's agreement counter
+    monkeypatch.chdir(tmp_path)
+    # the explicit row keys on state codes, the one membership key no symbolic kind uses
+    (tmp_path / "set.json").write_text("[[2, 2, 2], [3, 1, 2], [1, 3, 3]]")
     code, report, _ = run_json(capsys, "simulate", *argv, "--replicas", "20000", "--seed", "7")
     assert code == 0
     results = report["results"]
@@ -742,6 +764,14 @@ _TWOS = ",".join(["2"] * 200)
           "--replicas", "10", "--seed", "-1"], "--seed"),
         (["compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
           "--replicas", "10", "--seed", str(2**128)], "--seed"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--lambda", "x"], "--lambda"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--lambda", "0.5,"], "--lambda"),
+        (["simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--replicas", "1"], "--replicas"),
+        (["compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--replicas", "1"], "--replicas"),
     ],
     ids=["lambda-inf", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
@@ -753,7 +783,8 @@ _TWOS = ",".join(["2"] * 200)
          "compare-replicas-above-bound", "identities-urns-above-bound", "identities-balls-above-bound",
          "exact-urns-above-bound", "network-check-balls-above-bound", "simulate-occupancy-slots",
          "simulate-offset-slots", "exact-symmetry-test-above-bound", "start-not-integers",
-         "singleton-not-integers", "count-not-integers", "simulate-seed-negative", "compare-seed-above-bound"],
+         "singleton-not-integers", "count-not-integers", "simulate-seed-negative", "compare-seed-above-bound",
+         "lambda-not-a-number", "lambda-empty-item", "simulate-one-replica", "compare-one-replica"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, monkeypatch, tmp_path, argv, needle):
     # a small walk budget makes the all-truncated row's walk end at once; no other row walks

@@ -8,7 +8,6 @@ import pytest
 
 from ehrenfest import mc
 from ehrenfest.mc import (
-    CHUNK,
     SimConfig,
     empirical_transform,
     sample_clocks,
@@ -227,7 +226,7 @@ def _walk_steps(params, start, target, cfg):
 )
 def test_walk_law_matches_killed_chain(start, target):
     # Dvoretzky-Kiefer-Wolfowitz with Massart's constant: sup |F_n - F| > eps with probability <= alpha
-    replicas, alpha = 3 * CHUNK + 5, 1e-6
+    replicas, alpha = 24581, 1e-6
     eps = math.sqrt(math.log(2 / alpha) / (2 * replicas))
     cfg = SimConfig(replicas=replicas, seed=2024)
     explicit = SetDescriptor.explicit(target.materialize(P32))
@@ -246,7 +245,7 @@ def test_walk_law_matches_killed_chain(start, target):
 def test_truncation_cuts_the_same_walks(monkeypatch):
     # a block cut short by the budget reads the first rows of the block the unbounded walk draws;
     # the pair's budget runs out inside multi-step blocks whose absorbed columns are not yet compacted
-    cfg = SimConfig(replicas=3 * CHUNK + 5, seed=11)
+    cfg = SimConfig(replicas=24581, seed=11)
     for params, start, target, budget in ((P32, (1, 1), SINGLETON, 150_000),
                                           (ModelParams(3, 3), (1, 1, 1), PAIR33, 400_000)):
         monkeypatch.undo()
@@ -270,7 +269,7 @@ def test_both_clocks_from_one_walk(monkeypatch):
     calls = []
     real = mc._walk
     monkeypatch.setattr(mc, "_walk", lambda *a: calls.append(1) or real(*a))
-    cfg = SimConfig(replicas=CHUNK + 100, seed=4, grid=(0.5,))
+    cfg = SimConfig(replicas=8292, seed=4, grid=(0.5,))
     both = sample_clocks(P32, (1, 1), SINGLETON, cfg)
     assert len(calls) == 1
     for mode in ("discrete", "ctmc"):
