@@ -12,8 +12,9 @@ through two overlap histograms of length ``balls + 1``: ``hist[k]`` counts
 the elements of ``A`` at overlap ``k`` from ``x``, or from ``y`` (overlap
 symmetry makes the second the same for every ``y``; we take the first member
 the descriptor yields).  The descriptor counts both itself, without listing
-a symbolic set; an ``explicit`` set is validated and listed once, and its
-symmetry test and both histograms read the same member list.
+a symbolic set; an ``explicit`` set is validated once into its sorted
+``(|A|, M)`` integer table, and its symmetry test and both histograms read
+that table.
 :class:`HittingQuery` folds each histogram once, into the integer row
 ``a_t = sum_k hist[k] * c_{k,t}`` of :func:`~ehrenfest.resolvent.kernel_row`,
 and keeps only the two rows: every output below reads them.  For the
@@ -75,12 +76,12 @@ class HittingQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "start", self.params.check_state(self.start))
-        if self.target.kind == "explicit":  # validated and listed once, then counted from its table
-            members = self.target.materialize(self.params)
-            defect = symmetry_defect(members)
+        if self.target.kind == "explicit":  # validated once into its sorted table, which every count reads
+            table = self.target.validate(self.params)
+            defect = symmetry_defect(table)
             if defect is not None:
                 raise SetNotSymmetricError(*defect)
-            hists = agreement_histograms(members, self.start, members[0])
+            hists = agreement_histograms(table, self.start, table[0])
         else:
             first = next(self.target.members(self.params))
             hists = [self.target.overlap_histogram(self.params, x) for x in (self.start, first)]

@@ -17,11 +17,14 @@ constructions (singletons, pairs, the all-in-one-urn diagonal, fixed-count
 slices, and the all-distinct set) are :class:`SetDescriptor` kinds, with a
 textual grammar for the command-line tools.  Each is symmetric by
 construction, so only ``explicit`` sets need :func:`symmetry_defect`, and
-each counts its overlap histograms without listing a symbolic set.  The
-symmetry test counts each member's agreements with the whole set in blocks
-of members, one whole-array pass per coordinate, and stops at the first
-block holding a member that differs from the first; a symmetric set costs
-``|A|**2 * M`` comparisons, bounded by ``MAX_PAIR_COORDS``.
+each counts its overlap histograms without listing a symbolic set.  An
+``explicit`` set is read once into one sorted ``(|A|, M)`` integer table,
+whose shape and urn range are tested as whole arrays; the symmetry test and
+both overlap histograms read that table.  The symmetry test counts each
+member's agreements with the whole set in blocks of members, one whole-array
+pass per coordinate, and stops at the first block holding a member that
+differs from the first; a symmetric set costs ``|A|**2 * M`` comparisons,
+bounded by ``MAX_PAIR_COORDS``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations as _permutations, product
+from itertools import chain, combinations, permutations as _permutations, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -153,8 +156,10 @@ def agreement_histograms(states: Sequence[State], *points: Sequence[int]) -> lis
     return [tuple(np.bincount((table == x).sum(axis=1), minlength=width).tolist()) for x in points]
 
 
-#: Work bound of the symmetry test, in member pairs times coordinates (|A|**2 * M):
-#: a whole ``exact`` request at the bound takes 5-7 s on 2 vCPUs, at M = 1 as at M = 2.
+#: Work bound of the symmetry test, in member pairs times coordinates (|A|**2 * M).  A
+#: whole ``exact`` request at the bound takes 5-7 s on 2 vCPUs at M = 1 (65536 members)
+#: and 4.5-6 s at M = 2 (46225 members); the 12870-member count:8 set at N = 2, M = 16
+#: takes 1.5-2.5 s.
 MAX_PAIR_COORDS = 2**32
 
 #: Member pairs in one block of the symmetry test: a block holds an agreement
@@ -171,7 +176,7 @@ def _agreement_counts(columns: np.ndarray, lo: int, hi: int) -> np.ndarray:
     same = np.empty(agree.shape, dtype=bool)
     for column in columns:
         np.equal(column[lo:hi, None], column, out=same)
-        agree += same
+        agree += same.view(np.uint8)  # adding bytes skips the slow cast from bool
     counts = np.empty((hi - lo, width + 1), dtype=np.int32)
     for k in range(width + 1):
         np.equal(agree, k, out=same)
@@ -179,10 +184,11 @@ def _agreement_counts(columns: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return counts
 
 
-def symmetry_defect(states: Sequence[State]):
+def symmetry_defect(states: Sequence[State] | np.ndarray):
     """Return two differing ``(state, hist)`` witnesses, or None if symmetric.
 
-    The witnesses are the first element and the first element, in list
+    ``states`` is a list of states or their ``(|A|, M)`` integer table.  The
+    witnesses are the first element and the first element, in list
     order, whose overlap histogram against the whole set differs from it;
     ``hist[k]`` counts the members agreeing with ``state`` in exactly ``k``
     coordinates, so each witness has ``M + 1`` counts whatever ``|A|``.  The
@@ -191,15 +197,15 @@ def symmetry_defect(states: Sequence[State]):
     block that holds a differing member.  A symmetric set costs
     ``|A|**2 * M`` comparisons, which must not pass ``MAX_PAIR_COORDS``.
     """
-    if not states:
+    if not len(states):
         raise ValueError("empty target set")
-    size, width = len(states), len(states[0])
+    table = np.asarray(states)
+    size, width = table.shape
     if size * size * width > MAX_PAIR_COORDS:
         raise ValueError(
             f"the symmetry test needs {size * size * width} member-pair coordinates "
             f"({size}^2 members x {width}), more than MAX_PAIR_COORDS = {MAX_PAIR_COORDS}"
         )
-    table = np.asarray(states)
     columns = np.ascontiguousarray(table.T, dtype=np.min_scalar_type(table.max()))
     rows = max(1, BLOCK_PAIRS // size)
     for lo in range(0, size, rows):
@@ -209,8 +215,34 @@ def symmetry_defect(states: Sequence[State]):
         differ = np.flatnonzero((counts != ref_counts).any(axis=1))
         if differ.size:
             y = differ[0]
-            return (states[0], tuple(ref_counts.tolist())), (states[lo + y], tuple(counts[y].tolist()))
+            return ((tuple(table[0].tolist()), tuple(ref_counts.tolist())),
+                    (tuple(table[lo + y].tolist()), tuple(counts[y].tolist())))
     return None
+
+
+def _member_table(params: ModelParams, states: Sequence[State]) -> np.ndarray:
+    """The members of an explicit set as one sorted ``(|A|, M)`` integer table.
+
+    The table's shape and urn range are tested as a whole.  Only a table that
+    fails is rebuilt member by member, in list order, so the error names the
+    first faulty member as :meth:`ModelParams.check_state` words it.  The sort
+    and the duplicate test run on the tuples, in ``sorted`` and ``set``: a
+    ``lexsort`` and a row comparison run no Python either, but they load numpy
+    code that nothing else in an ``exact`` request uses, and the peak resident
+    set grows by it.
+    """
+    if not states:
+        raise ValueError("explicit descriptor with empty state list")
+    rows = sorted(states)
+    try:
+        table = np.array(rows, dtype=np.int64)
+    except (ValueError, OverflowError):  # members of different lengths, or an integer past 64 bits
+        table = None
+    if table is None or table.shape != (len(rows), params.balls) or table.min() < 1 or table.max() > params.urns:
+        table = np.array(sorted([params.check_state(s) for s in states]), dtype=np.int64)
+    if len(set(rows)) != len(rows):
+        raise ValueError("explicit descriptor contains duplicate states")
+    return table
 
 
 _PAIR_RE = re.compile(r"^\(([^()]*)\);\(([^()]*)\)$")
@@ -271,12 +303,14 @@ class SetDescriptor:
             raise ValueError(f"reference urn {self.reference_urn} outside 1..{params.urns}")
         return (self.reference_urn,) * params.balls, h
 
-    def validate(self, params: ModelParams) -> tuple[State, ...]:
-        """Check the descriptor against ``params`` without listing its members.
-        Returns the payload states, normalized; raises ValueError naming the
-        first fault."""
+    def validate(self, params: ModelParams) -> tuple[State, ...] | np.ndarray:
+        """Check the descriptor against ``params`` without listing a symbolic set.
+        Returns the payload states, normalized, or for an explicit set its sorted
+        ``(|A|, M)`` integer table; raises ValueError naming the first fault."""
         if self.kind not in ("singleton", "pair", "diagonal", "count", "distinct", "explicit"):
             raise ValueError(f"unknown set descriptor kind {self.kind!r}")
+        if self.kind == "explicit":
+            return _member_table(params, self.states)
         states = tuple(params.check_state(s) for s in self.states)
         if self.kind == "count":
             self.sphere(params)
@@ -284,11 +318,6 @@ class SetDescriptor:
             raise ValueError("pair descriptor needs two distinct states")
         elif self.kind == "distinct" and params.balls > params.urns:
             raise ValueError(f"distinct descriptor needs balls <= urns, got {params.balls} > {params.urns}")
-        elif self.kind == "explicit":
-            if not states:
-                raise ValueError("explicit descriptor with empty state list")
-            if len(set(states)) != len(states):
-                raise ValueError("explicit descriptor contains duplicate states")
         return states
 
     def members(self, params: ModelParams) -> Iterator[State]:
@@ -310,7 +339,9 @@ class SetDescriptor:
             yield from ((i,) * m for i in range(1, n + 1))
         elif self.kind == "distinct":
             yield from _permutations(range(1, n + 1), m)
-        else:  # pair and explicit sets list their members
+        elif self.kind == "explicit":
+            yield from map(tuple, states.tolist())
+        else:
             yield from states
 
     def materialize(self, params: ModelParams) -> list[State]:
@@ -403,11 +434,10 @@ def parse_set(text: str) -> SetDescriptor:
             except ValueError as exc:  # malformed JSON, or an integer past the int-str digit limit
                 raise ValueError(f"{path} is not a readable JSON array of states: {exc}") from None
         # type(c) is int: int() would round 1.7 down and accept true and "2"
-        if not isinstance(data, list) or not all(
-            isinstance(s, list) and all(type(c) is int for c in s) for s in data
-        ):
+        if not (isinstance(data, list) and set(map(type, data)) <= {list}
+                and set(map(type, chain.from_iterable(data))) <= {int}):
             raise ValueError(f"{path} must hold a JSON array of states of integers, got {data!r:.60}")
-        return SetDescriptor.explicit(data)
+        return SetDescriptor("explicit", states=tuple(map(tuple, data)))  # no int() copy: all are ints
     raise ValueError(f"unknown set descriptor kind {head!r}")
 
 

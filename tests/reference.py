@@ -8,9 +8,11 @@ these, rational for rational.
 
 The rest is code that no route, command, demo or benchmark runs: the
 one-step neighbours and overlap profiles of a state, written the obvious way,
+the member-by-member checks an ``explicit:@file`` payload once went through,
 and closed forms for single target families (the variance at a disjoint
 singleton, clustering from the spread start, the all-distinct mean).  The
-tests check the oracle, the symmetry test and the engine against them.
+tests check the oracle, the symmetry test, the explicit-set table and the
+engine against them.
 """
 
 from __future__ import annotations
@@ -170,6 +172,26 @@ def neighbor_states(params: ModelParams, x: Sequence[int]) -> Iterator[State]:
 def overlap_profile(y: State, states: Sequence[State]) -> tuple[int, ...]:
     """Sorted multiset of overlaps of ``y`` against every element (itself included)."""
     return tuple(sorted(overlap(y, z) for z in states))
+
+
+def explicit_members(params: ModelParams, data, path: str) -> list[State]:
+    """The sorted members of the JSON payload ``data`` of ``explicit:@path``,
+    checked one coordinate and one member at a time: the type test of
+    ``parse_set``, the ``int()`` copy of ``SetDescriptor.explicit``, then the
+    ``check_state`` loop and the empty and duplicate tests of ``validate``.
+    Raises the ValueError those raised, naming the first faulty member."""
+    # type(c) is int: int() would round 1.7 down and accept true and "2"
+    if not isinstance(data, list) or not all(
+        isinstance(s, list) and all(type(c) is int for c in s) for s in data
+    ):
+        raise ValueError(f"{path} must hold a JSON array of states of integers, got {data!r:.60}")
+    states = tuple(tuple(int(c) for c in s) for s in data)
+    states = tuple(params.check_state(s) for s in states)
+    if not states:
+        raise ValueError("explicit descriptor with empty state list")
+    if len(set(states)) != len(states):
+        raise ValueError("explicit descriptor contains duplicate states")
+    return sorted(states)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,8 @@ def test_symmetry_test_runs_only_on_explicit_sets(monkeypatch):
     ):
         HittingQuery(p, (1, 1, 2), d)
     assert calls == []
-    HittingQuery(p, (1, 1, 2), SetDescriptor.explicit([(1, 1, 1), (2, 2, 2)]))
-    assert calls == [[(1, 1, 1), (2, 2, 2)]]
+    HittingQuery(p, (1, 1, 2), SetDescriptor.explicit([(2, 2, 2), (1, 1, 1)]))
+    assert [table.tolist() for table in calls] == [[[1, 1, 1], [2, 2, 2]]]
 
 
 def test_explicit_query_validates_its_members_once(monkeypatch):
@@ -83,6 +83,27 @@ def test_explicit_query_validates_its_members_once(monkeypatch):
     calls.clear()
     HittingQuery(p, (1, 1, 2, 3), SetDescriptor.explicit(members))
     assert calls == ["explicit"]
+
+
+def test_explicit_query_checks_no_member_on_its_own(monkeypatch):
+    # the members are checked as one table: check_state runs as often for 560 members as for 12
+    calls = []
+    real = ModelParams.check_state
+
+    def counting(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    sizes = {}
+    for n, m, h in ((3, 3, 1), (3, 7, 3)):
+        p = ModelParams(n, m)
+        members = SetDescriptor.count(h).materialize(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(ModelParams, "check_state", counting)
+            calls.clear()
+            HittingQuery(p, (1,) * m, SetDescriptor.explicit(members))
+        sizes[len(members)] = len(calls)
+    assert sizes == {12: 1, 560: 1}
 
 
 def test_laplace_u_single_ball():

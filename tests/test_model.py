@@ -26,7 +26,7 @@ from ehrenfest.model import (
     symmetry_defect,
     transition_prob,
 )
-from reference import neighbor_states, overlap_profile
+from reference import explicit_members, neighbor_states, overlap_profile
 
 
 def test_params_validation():
@@ -365,6 +365,81 @@ def test_query_rejects_asymmetric_explicit_set_with_witnesses():
     )
     assert err.value.first == ((1, 1), (1, 1, 1))
     assert err.value.second == ((1, 2), (0, 2, 1))
+
+
+# --- explicit tables -------------------------------------------------------
+
+
+def _fault(draw, data, n, m):
+    """``data`` with one fault of a class that the explicit-set checks name."""
+    kind = draw(st.sampled_from(["long", "short", "urn", "big", "duplicate", "empty", "coordinate", "row", "payload"]))
+    i = draw(st.integers(0, len(data) - 1))
+    row = data[i]
+    j = draw(st.integers(0, max(len(row) - 1, 0)))
+    if kind == "long":
+        row.append(draw(st.integers(1, n)))
+    elif kind == "short":
+        del row[j:]
+    elif kind == "duplicate":
+        data.insert(draw(st.integers(0, len(data))), list(row))
+    elif kind == "empty":
+        data = []
+    elif kind == "row":
+        data[i] = draw(st.sampled_from([5, "1,2", {}, None, True, 1.0]))
+    elif kind == "payload":
+        data = draw(st.sampled_from([{}, 5, "[[1]]", None]))
+    else:
+        bad = {
+            "urn": st.sampled_from([0, n + 1, -1]),
+            "big": st.sampled_from([2**63, -(2**63) - 1, 10**30]),  # past 64 bits either way
+            "coordinate": st.sampled_from([True, False, 1.0, 2.5, "2", None]),
+        }[kind]
+        row[j:j + 1] = [draw(bad)]
+    return data
+
+
+@st.composite
+def _explicit_payload(draw):
+    """A chain and the JSON payload of an ``explicit:@file`` set on it: a
+    permuted symbolic set or distinct random states, with up to two faults."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    params = ModelParams(n, m)
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([SetDescriptor.diagonal(), SetDescriptor.count(draw(st.integers(0, m)), draw(st.integers(1, n)))]))
+        tau = ProductPermutation.random(params, draw(st.randoms(use_true_random=False)))
+        data = list(draw(st.permutations(tau.apply_set(d.materialize(params)))))
+    else:
+        data = draw(st.lists(st.tuples(*[st.integers(1, n)] * m), min_size=1, max_size=8, unique=True))
+    data = [list(s) for s in data]
+    for _ in range(draw(st.integers(0, 2))):
+        if isinstance(data, list) and data and all(isinstance(s, list) for s in data):
+            data = _fault(draw, data, n, m)
+    return params, data
+
+
+@pytest.fixture(scope="module")
+def payload_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("explicit") / "set.json"
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_explicit_payload())
+def test_member_table_refuses_what_the_member_loop_refused(payload_file, case):
+    params, data = case
+    payload_file.write_text(json.dumps(data))
+    path = str(payload_file)
+    try:
+        want = explicit_members(params, json.loads(payload_file.read_text()), path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            parse_set(f"explicit:@{path}").validate(params)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        return
+    d = parse_set(f"explicit:@{path}")
+    table = d.validate(params)
+    assert table.tolist() == [list(s) for s in want]
+    assert d.materialize(params) == want
+    assert symmetry_defect(table) == _loop_symmetry_defect(want)
 
 
 # --- permutations ----------------------------------------------------------
