@@ -100,6 +100,9 @@ _INT_BOUNDS = (
 )
 
 
+#: compare's least --replicas: with fewer, its mc_mean verdicts (within 4 standard errors) fail correct code
+_COMPARE_MIN_REPLICAS = 100
+
 #: (argument, flag) of the text flags that hold integers
 _TEXT_FLAGS = (("start", "--start"), ("set_text", "--set"), ("u_grid", "--u"))
 
@@ -422,6 +425,8 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_compare(args) -> dict:
+    if args.replicas < _COMPARE_MIN_REPLICAS:
+        raise ValueError(f"compare needs --replicas of at least {_COMPARE_MIN_REPLICAS}, got {args.replicas}")
     params = ModelParams(args.urns, args.balls)
     descriptor = parse_set(args.set_text)
     chain = oracle.EnumeratedChain(params)

@@ -188,8 +188,8 @@ def symmetry_defect(states: Sequence[State] | np.ndarray):
     """Return two differing ``(state, hist)`` witnesses, or None if symmetric.
 
     ``states`` is a list of states or their ``(|A|, M)`` integer table.  The
-    witnesses are the first element and the first element, in list
-    order, whose overlap histogram against the whole set differs from it;
+    witnesses are the first member and, in list order, the first member
+    whose overlap histogram against the whole set differs from the first's;
     ``hist[k]`` counts the members agreeing with ``state`` in exactly ``k``
     coordinates, so each witness has ``M + 1`` counts whatever ``|A|``.  The
     counts come in blocks of about ``BLOCK_PAIRS`` member pairs, one

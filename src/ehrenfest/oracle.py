@@ -20,11 +20,11 @@ one common denominator (Wang, Guy & Davenport, *ACM SIGSAM Bull.* 16(2),
 1982), and it is returned only once substituting it back into the integer
 rows holds exactly, so exactness never rests on the modular step.  One
 inverse serves every moment order.  Values become rationals only when they
-are expanded back to every state.  A chain refines each
-partition once and keeps it for every later solve on the same target set
-(and start, for the exit law).  The refinement reads only the transition
-structure, never overlaps or kernel formulas, so an agreement with the
-engine is still a genuine two-sided check.
+are expanded back to every state.  A chain validates a target list and
+refines its partition once, keyed by the list as given (and the start, for
+the exit law), and keeps it for every later solve on that list.  The
+refinement reads only the transition structure, never overlaps or kernel
+formulas, so an agreement with the engine is still a genuine two-sided check.
 
 A chain of more than ``MAX_STATES`` states or ``MAX_MOVES`` state-move pairs
 (the size of its neighbour table), or a quotient of more than ``MAX_BLOCKS``
@@ -92,7 +92,7 @@ class EnumeratedChain:
         self.neighbor_table = position[codes[:, None] + shifts]
         self.states: list[State] = [tuple(row) for row in (digits + 1).tolist()]
         self.index: dict[State, int] = {x: i for i, x in enumerate(self.states)}
-        self.quotients: dict = {}  # (target set, start) -> _lump's partition, see _quotient
+        self.quotients: dict = {}  # (target list as given, start) -> _lump's partition, see _quotient
 
     def degree(self) -> int:
         return self.params.balls * (self.params.urns - 1)
@@ -282,22 +282,22 @@ def solve_exact_system(
 
 
 def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):
-    """Coarsest strongly lumpable partition refining {rest, {start}, targets}.
+    """Coarsest strongly lumpable partition refining {rest, {start}, targets}, targets validated.
 
     Returns ``(labels, counts, transient)``: the block of every state, the
     neighbour count ``counts[b, c]`` from any state of transient block ``b``
     into block ``c``, and the number of blocks outside the target set.  A
     block keeps the order of the block it split from, so those come first;
     every solve reads the target set as one absorbing block, so its blocks
-    share the label and column ``transient``.
+    share the label and column ``transient``; a start inside it stays there.
     """
     positions = [chain.index[chain.params.check_state(t)] for t in targets]
     if not positions:
         raise ValueError("target set must be nonempty")
     labels = np.zeros(len(chain.states), dtype=np.intp)
-    labels[positions] = 2
     if start is not None:
         labels[chain.index[start]] = 1
+    labels[positions] = 2
     neighbors = chain.neighbor_table
     blocks = 0
     while True:
@@ -317,10 +317,12 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
 
 
 def _quotient(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):
-    """:func:`_lump`, refined once per (target set, start) on each chain."""
-    key = (frozenset(map(chain.params.check_state, targets)), start)
+    """:func:`_lump` once per (target list as given, start) on each chain: a cache hit validates nothing."""
+    key = (tuple(map(tuple, targets)), start)
     if key not in chain.quotients:
-        chain.quotients[key] = _lump(chain, targets, start)
+        labels, _, transient = chain.quotients[key] = _lump(chain, targets, start)
+        if start is not None and labels[chain.index[start]] == transient:  # nothing kept apart
+            chain.quotients[key[0], None] = chain.quotients[key]
     return chain.quotients[key]
 
 
@@ -377,8 +379,7 @@ def raw_moment_vectors(
 
 def solve_second_moment(chain: EnumeratedChain, targets: Sequence[State], start: State) -> Fraction:
     """Exact ``E[T**2]`` from the coupled first/second-moment systems."""
-    vecs = raw_moment_vectors(chain, targets, 2)
-    return vecs[1][chain.params.check_state(start)]
+    return raw_moment_vectors(chain, targets, 2)[1][chain.params.check_state(start)]
 
 
 def transform_vector(
@@ -407,8 +408,7 @@ def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: S
     u = Fraction(u)
     if u <= 0:
         raise ValueError(f"transform argument u must be positive, got {u}")
-    m = chain.params.balls
-    return solve_transform(chain, targets, start, Fraction(m) / (u + m))
+    return solve_transform(chain, targets, start, 1 / (1 + u / chain.params.balls))
 
 
 def exit_distribution(
@@ -422,17 +422,17 @@ def exit_distribution(
     also keeps ``start`` apart gives ``G(start, y) / degree``, and the exit
     probability at ``t`` is that summed over t's transient neighbours.
     """
-    ordered_targets = sorted({chain.params.check_state(t) for t in targets})
     start = chain.params.check_state(start)
-    if start in ordered_targets:
-        return {t: Fraction(1 if t == start else 0) for t in ordered_targets}
-    labels, counts, transient = _quotient(chain, ordered_targets, start)
+    labels, counts, transient = _quotient(chain, targets, start)
+    members = sorted(chain.states[i] for i in np.flatnonzero(labels == transient).tolist())
     home = int(labels[chain.index[start]])
+    if home == transient:
+        return {t: Fraction(int(t == start)) for t in members}
     visits, den = _Factored(_rows(chain, counts, transient)).solve([int(b == home) for b in range(transient)])
     visits.append(0)
     return {
         t: Fraction(sum(map(visits.__getitem__, labels[chain.neighbor_table[chain.index[t]]].tolist())), den)
-        for t in ordered_targets
+        for t in members
     }
 
 

@@ -772,6 +772,8 @@ _TWOS = ",".join(["2"] * 200)
           "--replicas", "1"], "--replicas"),
         (["compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
           "--replicas", "1"], "--replicas"),
+        (["compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+          "--replicas", "99"], "--replicas"),
     ],
     ids=["lambda-inf", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
@@ -784,7 +786,8 @@ _TWOS = ",".join(["2"] * 200)
          "exact-urns-above-bound", "network-check-balls-above-bound", "simulate-occupancy-slots",
          "simulate-offset-slots", "exact-symmetry-test-above-bound", "start-not-integers",
          "singleton-not-integers", "count-not-integers", "simulate-seed-negative", "compare-seed-above-bound",
-         "lambda-not-a-number", "lambda-empty-item", "simulate-one-replica", "compare-one-replica"],
+         "lambda-not-a-number", "lambda-empty-item", "simulate-one-replica", "compare-one-replica",
+         "compare-99-replicas"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, monkeypatch, tmp_path, argv, needle):
     # a small walk budget makes the all-truncated row's walk end at once; no other row walks

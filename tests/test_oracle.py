@@ -511,6 +511,107 @@ def test_oracle_refines_once_per_target_and_start(capsys, monkeypatch):
     assert starts == [(1, 1, 1, 1), None]
 
 
+def test_start_inside_the_set_refines_once(capsys, monkeypatch):
+    # a start inside the set keeps nothing apart: the exit law's partition also serves the moments
+    starts = []
+    real = oracle._lump
+
+    def counting(chain, targets, start=None):
+        starts.append(start)
+        return real(chain, targets, start)
+
+    monkeypatch.setattr(oracle, "_lump", counting)
+    results, _ = _timed_cli(
+        capsys, "oracle", "--N", "3", "--M", "3", "--start", "2,2,2", "--set", "pair:(2,2,2);(1,2,3)",
+        "--order", "3", "--u", "1/2,2",
+    )
+    assert len(starts) == 1
+    assert results["mean"]["rational"] == "0"
+
+
+def test_oracle_request_checks_each_target_once_per_partition(capsys, monkeypatch, tmp_path):
+    # the 495-member count:4 set at N=2 M=12, as an explicit list: one check per member for each of
+    # the two partitions, and one check of the start per transform point
+    p = ModelParams(2, 12)
+    members = SetDescriptor.count(4, 2).materialize(p)
+    (tmp_path / "count4.json").write_text(json.dumps([list(x) for x in members]))
+    calls = []
+    real = ModelParams.check_state
+    monkeypatch.setattr(ModelParams, "check_state", lambda self, x: calls.append(1) or real(self, x))
+    argv = ["oracle", "--N", "2", "--M", "12", "--start", ",".join(["1"] * 12),
+            "--set", f"explicit:@{tmp_path / 'count4.json'}"]
+    counts = {}
+    for grid in ("1/2", "1/2,1,2,3,4,5,6,7"):
+        calls.clear()
+        _timed_cli(capsys, *argv, "--u", grid)
+        counts[grid] = len(calls)
+    assert counts["1/2,1,2,3,4,5,6,7"] <= 2 * len(members) + 16
+    assert counts["1/2,1,2,3,4,5,6,7"] - counts["1/2"] <= 7
+
+
+_PUBLIC_SOLVES = {
+    "mean_vector": lambda chain, targets: mean_vector(chain, targets),
+    "solve_mean": lambda chain, targets: solve_mean(chain, targets, (1, 1, 1)),
+    "raw_moment_vectors": lambda chain, targets: raw_moment_vectors(chain, targets, 3),
+    "solve_second_moment": lambda chain, targets: solve_second_moment(chain, targets, (1, 1, 1)),
+    "transform_vector": lambda chain, targets: transform_vector(chain, targets, F(1, 2)),
+    "solve_transform": lambda chain, targets: solve_transform(chain, targets, (1, 1, 1), F(1, 2)),
+    "solve_transform_u": lambda chain, targets: solve_transform_u(chain, targets, (1, 1, 1), F(2)),
+    "exit_distribution": lambda chain, targets: exit_distribution(chain, targets, (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PUBLIC_SOLVES))
+@pytest.mark.parametrize("bad", [(2, 2), (2, 2, 2, 2), (0, 2, 2), (2, 4, 2)],
+                         ids=["short", "long", "urn-zero", "urn-above"])
+def test_bad_member_refused_after_valid_lists_are_cached(name, bad):
+    chain = EnumeratedChain(ModelParams(3, 3))
+    valid = [(2, 2, 2), (3, 3, 3)]
+    with pytest.raises(ValueError) as want:
+        chain.params.check_state(bad)
+    for solve in _PUBLIC_SOLVES.values():  # every partition of the valid list is cached
+        solve(chain, valid)
+    for targets in ([*valid, bad], [bad, *valid], [bad]):
+        with pytest.raises(ValueError) as got:
+            _PUBLIC_SOLVES[name](chain, targets)
+        assert str(got.value) == str(want.value)
+
+
+def test_different_lists_on_one_chain_never_share_a_quotient():
+    p = ModelParams(3, 3)
+    rng = random.Random(23)
+    chain = EnumeratedChain(p)
+    start, *others = chain.states
+    lists = [rng.sample(others, rng.randint(1, 6)) for _ in range(12)]
+    lists += [lists[0][:-1] or [others[-1]], [*lists[1], others[-1]]]  # one member fewer, one more
+    for targets in lists:
+        fresh = EnumeratedChain(p)
+        assert raw_moment_vectors(chain, targets, 2) == raw_moment_vectors(fresh, targets, 2)
+        assert transform_vector(chain, targets, F(1, 3)) == transform_vector(fresh, targets, F(1, 3))
+        assert exit_distribution(chain, targets, start) == exit_distribution(fresh, targets, start)
+    partitions = {id(oracle._quotient(chain, targets)) for targets in lists}
+    assert len(partitions) == len({tuple(targets) for targets in lists})
+
+
+def test_one_set_in_any_form_or_order_gives_equal_answers():
+    p = ModelParams(3, 3)
+    rng = random.Random(7)
+    order = list(range(p.state_count))
+    rng.shuffle(order)
+    chain = EnumeratedChain(p, order=order)
+    targets = rng.sample(chain.states, 5)
+    forms = [targets, sorted(targets), targets[::-1], [list(x) for x in targets], targets + targets[:2]]
+    for start in (next(x for x in chain.states if x not in targets), targets[2]):
+        answers = [
+            (raw_moment_vectors(chain, form, 3), transform_vector(chain, form, F(2, 3)),
+             solve_transform_u(chain, form, start, F(1, 2)), exit_distribution(chain, form, start))
+            for form in forms
+        ]
+        assert all(answer == answers[0] for answer in answers)
+        for *_, exits in answers:  # the exit law lists the target states in sorted order
+            assert list(exits) == sorted(set(targets))
+
+
 def test_oracle_at_1024_states_matches_engine(capsys):
     args = ["--N", "2", "--M", "10", "--start", ",".join(["1"] * 10), "--set", "count:3", "--order", "4"]
     exact, _ = _timed_cli(capsys, "exact", *args)
