@@ -9,15 +9,13 @@ times the effective resistance between the two levels.
 
 from ehrenfest import (
     CountChain,
-    EnumeratedChain,
     ModelParams,
     SetDescriptor,
     count_set_mean,
-    lumped_count_oracle,
     network_commute_check,
     overlap,
-    solve_mean,
 )
+from ehrenfest.oracle import EnumeratedChain, lumped_count_oracle, solve_mean
 
 params = ModelParams(urns=3, balls=3)
 chain = CountChain(params)

@@ -9,18 +9,15 @@ bars.
 from fractions import Fraction as F
 
 from ehrenfest import (
-    EnumeratedChain,
     HittingQuery,
     ModelParams,
     SetDescriptor,
-    SimConfig,
     laplace_u,
     mean,
-    sample_hitting,
-    solve_mean,
-    solve_transform,
     variance,
 )
+from ehrenfest.mc import SimConfig, sample_hitting
+from ehrenfest.oracle import EnumeratedChain, solve_mean, solve_transform
 
 params = ModelParams(urns=3, balls=2)
 descriptor = SetDescriptor.count(0)  # empty the reference urn

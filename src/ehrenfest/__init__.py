@@ -6,8 +6,10 @@ arithmetic, cross-checks every formula against an independent linear-algebra
 oracle on the enumerated chain, and samples the same quantities by Monte
 Carlo (discrete steps or the continuous-time chain they embed into).
 
-The top level re-exports the names the README and the demos use; everything
-else is imported from its submodule (``ehrenfest.oracle``, ``ehrenfest.mc``, ...).
+The top level re-exports the engine's and the closed forms' names that the
+README and the demos use; it loads no numpy.  The oracle's names come from
+``ehrenfest.oracle`` and the Monte Carlo's from ``ehrenfest.mc``, which import
+numpy; everything else is imported from its submodule too.
 """
 
 from .model import ModelParams, SetDescriptor, overlap
@@ -26,7 +28,5 @@ from .closedforms import (
     network_commute_check,
     same_urn_stats,
 )
-from .oracle import EnumeratedChain, lumped_count_oracle, solve_mean, solve_transform
-from .mc import SimConfig, sample_hitting
 
 __version__ = "0.1.0"

@@ -17,6 +17,10 @@ named by its dotted path.  Exit codes:
 0 success, 2 usage error, 3 target set not overlap-symmetric, 4 oracle work
 bound (``MAX_STATES``, ``MAX_MOVES`` or ``MAX_BLOCKS``) exceeded, 5 verdict
 failure.
+
+The oracle and the Monte Carlo, and numpy with them, are imported inside the
+helpers that run them: ``exact`` on a symbolic set and ``network-check`` load
+neither.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .exact import format_rational, format_significant, lambda_to_u, parse_rational
-from .model import ModelParams, SetNotSymmetricError, overlap, parse_set
-from . import closedforms, hitting, oracle
-from .mc import SimConfig, sample_clocks, sample_hitting
+from .model import CapExceededError, ModelParams, SetNotSymmetricError, overlap, parse_set
+from . import closedforms, hitting
 from .resolvent import identity_suite_holds, quadrature_error
 
 USAGE_ERROR = 2
@@ -337,6 +340,8 @@ def _oracle(args, chain, descriptor, u_grid, lambda_grid, exit_law=False):
     law if asked.  The exit law's quotient keeps the start apart, so it refines
     the moments' quotient; it is refined first, and an oversized one is
     refused before anything is solved."""
+    from . import oracle
+
     params = chain.params
     targets = descriptor.materialize(params)
     start = params.check_state(_parse_start(args.start))
@@ -360,6 +365,8 @@ def _simulate(args, params, descriptor, mode=None, grid=()):
     (lambda values in discrete mode, u values in ctmc mode), or in both modes
     from one walk when ``mode`` is None.  Returns ``{mode: summary}`` and,
     under ``--timing``, the walk's replica-steps and their rate."""
+    from .mc import SimConfig, sample_clocks, sample_hitting
+
     cfg = SimConfig(
         replicas=args.replicas,
         seed=args.seed,
@@ -390,6 +397,8 @@ def cmd_exact(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
+    from . import oracle
+
     params = ModelParams(args.urns, args.balls)
     descriptor = parse_set(args.set_text)
     chain = oracle.EnumeratedChain(params)
@@ -427,6 +436,8 @@ def cmd_simulate(args) -> dict:
 def cmd_compare(args) -> dict:
     if args.replicas < _COMPARE_MIN_REPLICAS:
         raise ValueError(f"compare needs --replicas of at least {_COMPARE_MIN_REPLICAS}, got {args.replicas}")
+    from . import oracle
+
     params = ModelParams(args.urns, args.balls)
     descriptor = parse_set(args.set_text)
     chain = oracle.EnumeratedChain(params)
@@ -554,7 +565,7 @@ def main(argv=None) -> int:
     except SetNotSymmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NOT_SYMMETRIC
-    except oracle.CapExceededError as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_EXCEEDED
     except OverflowError as exc:

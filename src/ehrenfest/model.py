@@ -24,13 +24,15 @@ both overlap histograms read that table.  The symmetry test counts each
 member's agreements with the whole set in blocks of members, one whole-array
 pass per coordinate, and stops at the first block holding a member that
 differs from the first; a symmetric set costs ``|A|**2 * M`` comparisons,
-bounded by ``MAX_PAIR_COORDS``.
+bounded by ``MAX_PAIR_COORDS``.  Only these array functions import numpy, so
+a symbolic set is answered without loading it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -39,9 +41,26 @@ from functools import cache
 from itertools import chain, combinations, permutations as _permutations, product
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 State = tuple[int, ...]
+
+
+def _integer(value, what: str = "coordinate") -> int:
+    """``value`` as an int.  An int or a numpy integer is accepted; a bool, a
+    float or a string is refused with a ValueError naming ``what``, where
+    ``int()`` would truncate or coerce it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
+def _coordinates(values: Iterable) -> State:
+    """``values`` as a tuple of ints, each read by :func:`_integer`; a tuple of
+    ints is returned after one type pass, with no Python call per value."""
+    xs = tuple(values)
+    return xs if set(map(type, xs)) <= {int} else tuple(map(_integer, xs))
 
 
 @dataclass(frozen=True)
@@ -62,8 +81,9 @@ class ModelParams:
         return self.urns**self.balls
 
     def check_state(self, x: Sequence[int]) -> State:
-        """Validate and normalize a state to a tuple of urn indices."""
-        xs = tuple(int(c) for c in x)
+        """Validate and normalize a state to a tuple of urn indices; a bool,
+        float or string coordinate is refused, never truncated."""
+        xs = _coordinates(x)
         if len(xs) != self.balls:
             raise ValueError(f"state {xs} has {len(xs)} coordinates, expected {self.balls}")
         for c in xs:
@@ -130,6 +150,16 @@ def product_semigroup(params: ModelParams, t: float, x: Sequence[int], z: Sequen
 # target sets
 
 
+class CapExceededError(RuntimeError):
+    """A request past one of the oracle's work bounds, ``oracle.MAX_STATES``,
+    ``MAX_MOVES`` or ``MAX_BLOCKS``.  It lives here, beside the other error the
+    command line maps to an exit code, so catching it loads no oracle."""
+
+    def __init__(self, bound: str, size: int, limit: int, unit: str = "transient blocks"):
+        self.bound, self.size, self.limit = bound, size, limit
+        super().__init__(f"the oracle needs {size} {unit}, more than {bound} = {limit}")
+
+
 class SetNotSymmetricError(ValueError):
     """Raised when a target set fails the overlap-symmetry test.
 
@@ -151,6 +181,8 @@ class SetNotSymmetricError(ValueError):
 def agreement_histograms(states: Sequence[State], *points: Sequence[int]) -> list[tuple[int, ...]]:
     """One ``hist`` per point ``x``: ``hist[k]`` counts the states that agree
     with ``x`` in exactly ``k`` coordinates, one ``bincount`` over the table."""
+    import numpy as np
+
     table = np.asarray(states)
     width = table.shape[1] + 1
     return [tuple(np.bincount((table == x).sum(axis=1), minlength=width).tolist()) for x in points]
@@ -167,10 +199,12 @@ MAX_PAIR_COORDS = 2**32
 BLOCK_PAIRS = 2**16
 
 
-def _agreement_counts(columns: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _agreement_counts(columns, lo: int, hi: int):
     """``counts[i - lo, k]`` for members ``lo <= i < hi``: the members agreeing
     with member ``i`` in exactly ``k`` coordinates.  ``columns[j]`` holds
-    coordinate ``j`` of every member."""
+    coordinate ``j`` of every member, one row of an integer array each."""
+    import numpy as np
+
     width, size = columns.shape
     agree = np.zeros((hi - lo, size), dtype=np.min_scalar_type(width))
     same = np.empty(agree.shape, dtype=bool)
@@ -184,7 +218,7 @@ def _agreement_counts(columns: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return counts
 
 
-def symmetry_defect(states: Sequence[State] | np.ndarray):
+def symmetry_defect(states: Sequence[State]):
     """Return two differing ``(state, hist)`` witnesses, or None if symmetric.
 
     ``states`` is a list of states or their ``(|A|, M)`` integer table.  The
@@ -199,6 +233,8 @@ def symmetry_defect(states: Sequence[State] | np.ndarray):
     """
     if not len(states):
         raise ValueError("empty target set")
+    import numpy as np
+
     table = np.asarray(states)
     size, width = table.shape
     if size * size * width > MAX_PAIR_COORDS:
@@ -220,7 +256,7 @@ def symmetry_defect(states: Sequence[State] | np.ndarray):
     return None
 
 
-def _member_table(params: ModelParams, states: Sequence[State]) -> np.ndarray:
+def _member_table(params: ModelParams, states: Sequence[State]):
     """The members of an explicit set as one sorted ``(|A|, M)`` integer table.
 
     The table's shape and urn range are tested as a whole.  Only a table that
@@ -233,6 +269,8 @@ def _member_table(params: ModelParams, states: Sequence[State]) -> np.ndarray:
     """
     if not states:
         raise ValueError("explicit descriptor with empty state list")
+    import numpy as np
+
     rows = sorted(states)
     try:
         table = np.array(rows, dtype=np.int64)
@@ -265,11 +303,11 @@ class SetDescriptor:
 
     @classmethod
     def singleton(cls, y: Sequence[int]) -> "SetDescriptor":
-        return cls("singleton", states=(tuple(int(c) for c in y),))
+        return cls("singleton", states=(_coordinates(y),))
 
     @classmethod
     def pair(cls, y: Sequence[int], z: Sequence[int]) -> "SetDescriptor":
-        return cls("pair", states=(tuple(int(c) for c in y), tuple(int(c) for c in z)))
+        return cls("pair", states=(_coordinates(y), _coordinates(z)))
 
     @classmethod
     def diagonal(cls) -> "SetDescriptor":
@@ -277,7 +315,8 @@ class SetDescriptor:
 
     @classmethod
     def count(cls, h: int, reference_urn: int = 2) -> "SetDescriptor":
-        return cls("count", count_overlap=int(h), reference_urn=int(reference_urn))
+        return cls("count", count_overlap=_integer(h, "count target"),
+                   reference_urn=_integer(reference_urn, "reference urn"))
 
     @classmethod
     def distinct(cls) -> "SetDescriptor":
@@ -285,7 +324,7 @@ class SetDescriptor:
 
     @classmethod
     def explicit(cls, states: Iterable[Sequence[int]]) -> "SetDescriptor":
-        return cls("explicit", states=tuple(tuple(int(c) for c in s) for s in states))
+        return cls("explicit", states=tuple(map(_coordinates, states)))
 
     def sphere(self, params: ModelParams) -> tuple[State, int] | None:
         """``(center, h)`` when the set is the Hamming sphere of the states that
@@ -303,7 +342,7 @@ class SetDescriptor:
             raise ValueError(f"reference urn {self.reference_urn} outside 1..{params.urns}")
         return (self.reference_urn,) * params.balls, h
 
-    def validate(self, params: ModelParams) -> tuple[State, ...] | np.ndarray:
+    def validate(self, params: ModelParams):
         """Check the descriptor against ``params`` without listing a symbolic set.
         Returns the payload states, normalized, or for an explicit set its sorted
         ``(|A|, M)`` integer table; raises ValueError naming the first fault."""
@@ -366,6 +405,9 @@ class SetDescriptor:
                 ways = math.comb(a, j) * (n - 1) ** (a - j) * math.comb(m - a, h - j)
                 for k in range(j, j + free + 1):
                     hist[k] += ways * math.comb(free, k - j) * (n - 2) ** (free - k + j)
+        elif self.kind == "pair":
+            for y in states:
+                hist[overlap(x, y)] += 1
         elif self.kind == "diagonal":
             for u in range(1, n + 1):
                 hist[x.count(u)] += 1

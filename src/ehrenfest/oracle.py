@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import binomial
-from .model import ModelParams, State
+from .model import CapExceededError, ModelParams, State
 
 #: Work bounds: a whole singleton ``oracle`` request at 2**15 states, and one
 #: dense inverse of a 1024-block quotient, each take about 3 s on 2 vCPUs; at
@@ -49,14 +49,6 @@ from .model import ModelParams, State
 MAX_STATES = 2**15
 MAX_MOVES = 2**23
 MAX_BLOCKS = 1024
-
-
-class CapExceededError(RuntimeError):
-    """A request past one of the oracle's work bounds, ``MAX_STATES``, ``MAX_MOVES`` or ``MAX_BLOCKS``."""
-
-    def __init__(self, bound: str, size: int, limit: int, unit: str = "transient blocks"):
-        self.bound, self.size, self.limit = bound, size, limit
-        super().__init__(f"the oracle needs {size} {unit}, more than {bound} = {limit}")
 
 
 class EnumeratedChain:

@@ -644,7 +644,7 @@ def test_timing_flag_adds_replica_steps(capsys, command):
 def test_non_finite_result_exits_two_instead_of_invalid_json(capsys, monkeypatch):
     real = mc.sample_hitting
     monkeypatch.setattr(
-        cli, "sample_hitting", lambda *a: replace(real(*a), sample_mean=float("nan"))
+        mc, "sample_hitting", lambda *a: replace(real(*a), sample_mean=float("nan"))
     )
     code, out, err = run_cli(
         capsys, "simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2", "--replicas", "10"

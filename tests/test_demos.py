@@ -1,4 +1,6 @@
-"""The top-level namespace serves the README quick start and every demo."""
+"""The README quick start and every demo run: the engine's names from the
+top-level namespace, the oracle's and the Monte Carlo's from ``ehrenfest.oracle``
+and ``ehrenfest.mc``."""
 
 import re
 import runpy

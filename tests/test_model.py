@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from itertools import product
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,36 @@ def test_materialize_errors():
         SetDescriptor.pair((1, 1), (1, 1)).materialize(ModelParams(2, 2))
     with pytest.raises(ValueError):
         SetDescriptor.singleton((1, 9)).materialize(ModelParams(3, 2))
+
+
+# each of the five places that reads coordinates from a caller, given coordinate c
+_READS_COORDINATES = {
+    "check_state": lambda c: ModelParams(3, 2).check_state((c, 1)),
+    "singleton": lambda c: SetDescriptor.singleton((c, 1)).states,
+    "pair": lambda c: SetDescriptor.pair((1, 1), (c, 1)).states,
+    "count": lambda c: (SetDescriptor.count(c).count_overlap, SetDescriptor.count(1, c).reference_urn),
+    "explicit": lambda c: SetDescriptor.explicit([(1, 1), (c, 1)]).states,
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, 2.7, "2", True, False, np.float64(2.0), np.True_, None], ids=repr)
+@pytest.mark.parametrize("reader", _READS_COORDINATES)
+def test_non_integer_coordinates_are_refused_not_truncated(reader, bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        _READS_COORDINATES[reader](bad)
+
+
+@pytest.mark.parametrize("reader", _READS_COORDINATES)
+def test_numpy_integer_coordinates_read_as_ints(reader):
+    # repr tells np.int64(2) from 2
+    assert repr(_READS_COORDINATES[reader](np.int64(2))) == repr(_READS_COORDINATES[reader](2))
+
+
+def test_the_engine_refuses_a_float_coordinate_it_once_truncated():
+    with pytest.raises(ValueError, match="2.7"):
+        HittingQuery(ModelParams(3, 2), (1, 1), SetDescriptor.singleton((2.7, 2)))
+    with pytest.raises(ValueError, match="1.5"):
+        SetDescriptor.explicit([(1.5, 2.0), (2.9, 1.0)])
 
 
 def test_sphere_of_each_kind():
