@@ -57,10 +57,8 @@ def _integer(value, what: str = "coordinate") -> int:
 
 
 def _coordinates(values: Iterable) -> State:
-    """``values`` as a tuple of ints, each read by :func:`_integer`; a tuple of
-    ints is returned after one type pass, with no Python call per value."""
-    xs = tuple(values)
-    return xs if set(map(type, xs)) <= {int} else tuple(map(_integer, xs))
+    """``values`` as a tuple of ints, each read by :func:`_integer`."""
+    return tuple(map(_integer, values))
 
 
 @dataclass(frozen=True)
@@ -259,9 +257,11 @@ def symmetry_defect(states: Sequence[State]):
 def _member_table(params: ModelParams, states: Sequence[State]):
     """The members of an explicit set as one sorted ``(|A|, M)`` integer table.
 
-    The table's shape and urn range are tested as a whole.  Only a table that
-    fails is rebuilt member by member, in list order, so the error names the
-    first faulty member as :meth:`ModelParams.check_state` words it.  The sort
+    The coordinates' types are tested in one pass, and the table's shape and
+    urn range as a whole.  Only a payload that fails is rebuilt member by
+    member, in list order, so the error names the first faulty member as
+    :meth:`ModelParams.check_state` words it: a float, string or bool is
+    refused there, never truncated by the ``int64`` table.  The sort
     and the duplicate test run on the tuples, in ``sorted`` and ``set``: a
     ``lexsort`` and a row comparison run no Python either, but they load numpy
     code that nothing else in an ``exact`` request uses, and the peak resident
@@ -271,13 +271,16 @@ def _member_table(params: ModelParams, states: Sequence[State]):
         raise ValueError("explicit descriptor with empty state list")
     import numpy as np
 
-    rows = sorted(states)
-    try:
-        table = np.array(rows, dtype=np.int64)
-    except (ValueError, OverflowError):  # members of different lengths, or an integer past 64 bits
-        table = None
+    table = None
+    if set(map(type, chain.from_iterable(states))) <= {int}:
+        rows = sorted(states)
+        try:
+            table = np.array(rows, dtype=np.int64)
+        except (ValueError, OverflowError):  # members of different lengths, or an integer past 64 bits
+            pass
     if table is None or table.shape != (len(rows), params.balls) or table.min() < 1 or table.max() > params.urns:
-        table = np.array(sorted([params.check_state(s) for s in states]), dtype=np.int64)
+        rows = sorted([params.check_state(s) for s in states])
+        table = np.array(rows, dtype=np.int64)
     if len(set(rows)) != len(rows):
         raise ValueError("explicit descriptor contains duplicate states")
     return table

@@ -177,13 +177,15 @@ def test_materialize_errors():
         SetDescriptor.singleton((1, 9)).materialize(ModelParams(3, 2))
 
 
-# each of the five places that reads coordinates from a caller, given coordinate c
+# each of the six places that reads coordinates from a caller, given coordinate c
 _READS_COORDINATES = {
     "check_state": lambda c: ModelParams(3, 2).check_state((c, 1)),
     "singleton": lambda c: SetDescriptor.singleton((c, 1)).states,
     "pair": lambda c: SetDescriptor.pair((1, 1), (c, 1)).states,
     "count": lambda c: (SetDescriptor.count(c).count_overlap, SetDescriptor.count(1, c).reference_urn),
     "explicit": lambda c: SetDescriptor.explicit([(1, 1), (c, 1)]).states,
+    # the dataclass constructor reads nothing: the member table does, when the set is validated
+    "explicit-table": lambda c: SetDescriptor("explicit", states=((1, 1), (c, 1))).validate(ModelParams(3, 2)),
 }
 
 
@@ -205,6 +207,8 @@ def test_the_engine_refuses_a_float_coordinate_it_once_truncated():
         HittingQuery(ModelParams(3, 2), (1, 1), SetDescriptor.singleton((2.7, 2)))
     with pytest.raises(ValueError, match="1.5"):
         SetDescriptor.explicit([(1.5, 2.0), (2.9, 1.0)])
+    with pytest.raises(ValueError, match="1.5"):
+        SetDescriptor("explicit", states=((1.5, 2), (2.9, 1))).validate(ModelParams(3, 2))
 
 
 def test_sphere_of_each_kind():
