@@ -1,9 +1,9 @@
 """Exact-arithmetic reports stay byte-identical.
 
 Each ``golden/<name>.out`` is the stdout of one exact or oracle command,
-which runs no Monte Carlo and no quadrature, so it depends on no numpy or
-scipy version. Regenerate a file only with a contract change named in
-CHANGES.md.
+which runs no Monte Carlo and no quadrature, only exact arithmetic, so no
+numpy version can change it. Regenerate a file only with a contract change
+named in CHANGES.md.
 """
 
 from pathlib import Path

@@ -1,11 +1,12 @@
 """Which modules each part of the package loads.
 
 The engine's route needs only integer and rational arithmetic, so importing
-the command line and answering ``exact`` on a symbolic set or
-``network-check`` must load neither numpy nor scipy, nor the oracle or the
-Monte Carlo.  The three routes must also stay independent: the oracle and
-the Monte Carlo build on ``model`` and ``exact`` alone, and the engine never
-reads either of them, so an agreement between routes still means something.
+the command line and answering ``exact`` on a symbolic set, ``network-check``
+or ``identities`` must load neither numpy nor scipy, nor the oracle or the
+Monte Carlo.  No module of the package imports scipy at all.  The three
+routes must also stay independent: the oracle and the Monte Carlo build on
+``model`` and ``exact`` alone, and the engine never reads either of them, so
+an agreement between routes still means something.
 """
 
 import ast
@@ -50,6 +51,7 @@ def test_engine_requests_load_no_numpy_oracle_or_mc(tmp_path):
         _exact("1,1,1", "count:1"),
         _exact("1,1,1", "distinct"),
         ["network-check", "--N", "4", "--M", "20"],
+        ["identities"],
     ]
     # the contrast: each of these needs numpy, and still answers
     others = [
@@ -117,7 +119,10 @@ def test_no_module_level_numpy_or_scipy(module):
     assert not top & {"numpy", "scipy"}
 
 
+def test_the_package_never_imports_scipy():
+    assert not any(name.split(".")[0] == "scipy" for found in IMPORTS.values() for name, _ in found)
+
+
 def test_the_reader_sees_imports_inside_functions():
-    assert ("scipy", False) in IMPORTS["resolvent"]
     assert ("ehrenfest.oracle", False) in IMPORTS["cli"] and ("ehrenfest.mc", False) in IMPORTS["cli"]
     assert ("numpy", True) in IMPORTS["oracle"] and ("numpy", False) in IMPORTS["model"]

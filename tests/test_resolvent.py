@@ -268,6 +268,35 @@ def test_quadrature_rejects_nonpositive():
         resolvent_kernel_quadrature(ModelParams(3, 2), 0, 0.0)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(1, 9))
+def test_tanh_sinh_rule_agrees_with_scipy_and_the_exact_kernel(n, m):
+    """u = 1/8, 1/4, 2/3 give a = (n-1)u/n < 1 with 1/a not an integer; u = 3/2, 4,
+    10 give a >= 1 with a - 1 not an integer.  scipy's reference integrates the
+    s**(a-1) weight by its own algebraic-singularity rule (QAWS), not by v = s**a."""
+    from scipy import integrate
+
+    p = ModelParams(n, m)
+    for k in range(m + 1):
+        for u in (F(1, 8), F(1, 4), F(2, 3), F(1), F(3, 2), F(4), F(10)):
+            exact = float(resolvent_kernel(p, k, u))
+            tol = 1e-12 * max(1.0, abs(exact))
+            a = (n - 1) * float(u) / n
+            reference, _ = integrate.quad(
+                lambda s: ((n - 1) * s + 1.0) ** k * (1.0 - s) ** (m - k), 0.0, 1.0,
+                weight="alg", wvar=(a - 1.0, 0.0), epsabs=tol / 10, epsrel=1e-13, limit=200,
+            )
+            value = resolvent_kernel_quadrature(p, k, float(u), tol=tol)
+            assert abs(value - exact) <= tol, (k, u)
+            assert abs(value - reference / n) <= tol, (k, u)
+
+
+@pytest.mark.parametrize("u", [0.25, 1.0, 4.0])
+def test_quadrature_names_an_estimate_it_cannot_meet(u):
+    with pytest.raises(RuntimeError, match=r"quadrature error estimate \d\.\d{3}e-\d+ above tolerance 1\.000e-300"):
+        resolvent_kernel_quadrature(ModelParams(3, 2), 1, u, tol=1e-300)
+
+
 # --- binomially averaged increments ----------------------------------------
 
 
