@@ -35,7 +35,7 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 
-from .exact import format_rational, format_significant, lambda_to_u, parse_rational
+from .exact import format_rational, format_significant, lambda_to_u
 from .model import CapExceededError, ModelParams, SetNotSymmetricError, overlap, parse_set
 from . import closedforms, hitting
 from .resolvent import identity_suite_holds, quadrature_error
@@ -82,7 +82,7 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
 
 def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
     try:
-        grid = tuple(parse_rational(v) for v in text.split(",")) if text else ()
+        grid = tuple(Fraction(v) for v in text.split(",")) if text else ()
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--u values must be rationals such as 1/2 or 3, got {text!r}") from None
     if not all(u > 0 for u in grid):
@@ -92,7 +92,8 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
 
 #: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
-    ("urns", "--N", 2, 10**5),  # at N=10**5 and M=200, exact answers in under 1 s, network-check in about 7 s
+    # at N=10**5, M=200: exact in under 1 s, but 26 s on the diagonal (ROADMAP item 6); network-check about 7 s
+    ("urns", "--N", 2, 10**5),
     ("balls", "--M", 1, 200),
     ("order", "--order", 1, 32),
     ("digits", "--digits", 1, 1000),

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from operator import add
 from typing import Sequence
 
-from .exact import binomial
 from .model import ModelParams, overlap
 from .resolvent import centered_kernel
 
@@ -100,13 +100,13 @@ def count_level_means(params: ModelParams) -> tuple[tuple[Fraction, ...], tuple[
     ``2 * balls`` terms cost O(balls) rational operations.
     """
     n, m = params.urns, params.balls
-    series = [Fraction(binomial(m, j), (n - 1) ** j) for j in range(m + 1)]
+    series = [Fraction(comb(m, j), (n - 1) ** j) for j in range(m + 1)]
     total = sum(series, Fraction(0))
     up, down = [], []
     prefix = Fraction(0)
     for i in range(m):
         prefix += series[i]
-        scale = Fraction((n - 1) ** (i + 1), binomial(m - 1, i))
+        scale = Fraction((n - 1) ** (i + 1), comb(m - 1, i))
         up.append(scale * prefix)
         down.append(scale * (total - prefix))
     return tuple(up), tuple(down)
@@ -148,13 +148,13 @@ class CountChain:
         n, m = self.params.urns, self.params.balls
         if not 0 <= i <= m:
             raise ValueError(f"level {i} outside 0..{m}")
-        return Fraction(binomial(m - 1, i), (n - 1) ** (i + 1))
+        return Fraction(comb(m - 1, i), (n - 1) ** (i + 1))
 
     def vertex_weight(self, i: int) -> Fraction:
         n, m = self.params.urns, self.params.balls
         if not 0 <= i <= m:
             raise ValueError(f"level {i} outside 0..{m}")
-        return Fraction(binomial(m, i), (n - 1) ** i)
+        return Fraction(comb(m, i), (n - 1) ** i)
 
     def total_weight(self) -> Fraction:
         return sum((self.vertex_weight(i) for i in range(self.params.balls + 1)), Fraction(0))

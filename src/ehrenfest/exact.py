@@ -1,10 +1,12 @@
 """Exact arithmetic building blocks.
 
 Rational scalars are plain :class:`fractions.Fraction` values, which already
-give canonical gcd-reduced form and arbitrary precision.  This module adds
-the string serialization used in machine-readable output, big-integer
-binomial coefficients with the out-of-range-is-zero convention, and a small
-truncated-power-series type (:class:`Jet`) with exact rational coefficients.
+give canonical gcd-reduced form and arbitrary precision; ``Fraction(text)``
+reads back what :func:`format_rational` writes, and :func:`math.comb` gives
+binomial coefficients.  This module adds the string serialization used in
+machine-readable output, a rational lower bound of ``e**x - 1`` for the
+discrete-time transform argument, and a small truncated-power-series type
+(:class:`Jet`) with exact rational coefficients.
 
 Jets carry the first ``order + 1`` Taylor coefficients of a function and
 support ring arithmetic, division and composition.  Dividing the two sides
@@ -22,15 +24,6 @@ from typing import Iterable, Sequence, Union
 Rational = Union[int, Fraction]
 
 
-def binomial(n: int, m: int) -> int:
-    """Binomial coefficient ``n choose m``, zero outside ``0 <= m <= n``."""
-    if n < 0:
-        raise ValueError(f"binomial() requires n >= 0, got n={n}")
-    if m < 0 or m > n:
-        return 0
-    return math.comb(n, m)
-
-
 def format_rational(value: Rational) -> str:
     """Serialize a rational as ``num/den`` (``/1`` omitted for integers).
 
@@ -41,16 +34,6 @@ def format_rational(value: Rational) -> str:
     q = Fraction(value)
     num = str(Decimal(q.numerator))
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse the ``num/den`` serialization back into a Fraction.
-
-    Accepts plain integers, an optional leading sign, and decimal literals
-    (handy for command-line grids); the round trip through
-    :func:`format_rational` is lossless.
-    """
-    return Fraction(text.strip())
 
 
 def format_significant(value: Rational, digits: int = 20) -> str:

@@ -52,7 +52,7 @@ from .model import (
     overlap,
     symmetry_defect,
 )
-from .resolvent import kernel_row, kernel_series, kernel_sums, resolvent_kernel
+from .resolvent import kernel_row, kernel_series, kernel_sums
 
 
 @dataclass(frozen=True)
@@ -109,21 +109,6 @@ def laplace_lambda(query: HittingQuery, lam: float, digits: int = 20) -> Fractio
     if lam == 0:
         return Fraction(1)
     return laplace_u(query, lambda_to_u(query.params.balls, lam, digits))
-
-
-def green_potential(params: ModelParams, x: Sequence[int], z: Sequence[int], u: Rational) -> Fraction:
-    """Expected discounted occupation of the single state ``z`` started at ``x``.
-
-    Depends on ``(x, z)`` only through their overlap; summed over all ``z``
-    it recovers the total resolvent mass ``1/u``.
-    """
-    u = Fraction(u)
-    if u <= 0:
-        raise ValueError("discount rate must be positive")
-    x = params.check_state(x)
-    z = params.check_state(z)
-    n, m = params.urns, params.balls
-    return Fraction(n - 1, n**m) * resolvent_kernel(params, overlap(x, z), u)
 
 
 def mean(query: HittingQuery) -> Fraction:

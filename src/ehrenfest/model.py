@@ -4,12 +4,8 @@ A state assigns each of ``balls`` labelled balls to one of ``urns`` labelled
 urns (1-indexed tuples throughout).  One step of the chain picks a ball
 uniformly and moves it to a uniformly chosen *different* urn.  The central
 combinatorial statistic is the overlap ``s(x, y)``: the number of balls
-occupying the same urn in both configurations.
-
-The paper's identities: :func:`transition_prob` is the walk's one-step law;
-each ball of its auxiliary chain jumps at rate 1 (:func:`single_ball_generator`,
-:func:`single_ball_semigroup`), and the product law :func:`product_semigroup`
-transforms in time to :func:`ehrenfest.hitting.green_potential`.
+occupying the same urn in both configurations.  The paper's auxiliary
+continuous-time chain is stated in the test references and checked there.
 
 Closed-form hitting-time analysis only applies to target sets whose overlap
 structure looks the same from every one of their elements.  The standard
@@ -36,7 +32,6 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, permutations as _permutations, product
 from typing import Iterable, Iterator, Sequence
@@ -95,53 +90,6 @@ def overlap(x: Sequence[int], y: Sequence[int]) -> int:
     if len(x) != len(y):
         raise ValueError(f"state lengths differ: {len(x)} vs {len(y)}")
     return sum(1 for a, b in zip(x, y) if a == b)
-
-
-def transition_prob(params: ModelParams, x: Sequence[int], y: Sequence[int]) -> Fraction:
-    """One-step probability: ``1/(balls*(urns-1))`` iff exactly one ball moved."""
-    x = params.check_state(x)
-    y = params.check_state(y)
-    if overlap(x, y) == params.balls - 1:
-        return Fraction(1, params.balls * (params.urns - 1))
-    return Fraction(0)
-
-
-def single_ball_generator(params: ModelParams) -> list[list[Fraction]]:
-    """Rate matrix of one ball's motion: leave at rate 1, land uniformly."""
-    n = params.urns
-    off = Fraction(1, n - 1)
-    return [
-        [Fraction(-1) if i == j else off for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def single_ball_semigroup(params: ModelParams, t: float, i: int, j: int) -> float:
-    """Transition probability of one ball's continuous-time motion.
-
-    Each ball independently jumps at rate 1, landing on each of the other
-    ``urns - 1`` urns with equal rate.  The two-value formula below solves
-    the resulting backward equation with ``p_0`` the identity.
-    """
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    n = params.urns
-    decay = math.exp(-n * t / (n - 1))
-    if i == j:
-        return ((n - 1) * decay + 1) / n
-    return (1 - decay) / n
-
-
-def product_semigroup(params: ModelParams, t: float, x: Sequence[int], z: Sequence[int]) -> float:
-    """Joint transition probability for all balls moving independently."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    x = params.check_state(x)
-    z = params.check_state(z)
-    n, m = params.urns, params.balls
-    k = overlap(x, z)
-    decay = math.exp(-n * t / (n - 1))
-    return ((n - 1) * decay + 1) ** k * (1 - decay) ** (m - k) / n**m
 
 
 # ---------------------------------------------------------------------------

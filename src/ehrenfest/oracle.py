@@ -35,12 +35,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, prod
+from math import comb, isqrt, lcm, prod
 from typing import Sequence
 
 import numpy as np
 
-from .exact import binomial
 from .model import CapExceededError, ModelParams, State
 
 #: Work bounds: a whole singleton ``oracle`` request at 2**15 states, and one
@@ -362,7 +361,7 @@ def raw_moment_vectors(
     nums, dens = [np.ones(transient + 1, dtype=object)], [1]  # moment 0 is identically one
     for r in range(1, order + 1):
         common = lcm(*dens)
-        weights = sum(binomial(r, j) * (common // den) * vec for j, (vec, den) in enumerate(zip(nums, dens)))
+        weights = sum(comb(r, j) * (common // den) * vec for j, (vec, den) in enumerate(zip(nums, dens)))
         sol, den = solver.solve(_times(moves, weights))
         nums.append(np.array(sol + [0], dtype=object))
         dens.append(den * common)

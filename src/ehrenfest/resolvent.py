@@ -42,9 +42,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
-from .exact import Jet, Rational, binomial, jet_from_derivatives
+from .exact import Jet, Rational, jet_from_derivatives
 from .model import ModelParams
 
 
@@ -54,10 +55,10 @@ def kernel_coefficients(params: ModelParams, k: int) -> tuple[int, ...]:
     n, m = params.urns, params.balls
     if not 0 <= k <= m:
         raise ValueError(f"overlap {k} outside 0..{m}")
-    right = [binomial(m - k, j) * (-1) ** j for j in range(m - k + 1)]
+    right = [comb(m - k, j) * (-1) ** j for j in range(m - k + 1)]
     coeffs = [0] * (m + 1)
     for i in range(k + 1):
-        left = binomial(k, i) * (n - 1) ** i
+        left = comb(k, i) * (n - 1) ** i
         for j, w in enumerate(right):
             coeffs[i + j] += left * w
     return tuple(coeffs)
@@ -203,8 +204,8 @@ def kernel_increments(params: ModelParams) -> KernelIncrements:
     full = Fraction(sum((n**i - 1) * (scale // i) for i in range(1, m + 1)), n * scale)
     gaps, acc = [], 0
     for k in range(m):
-        acc = acc * (n - 1) + binomial(m, k)
-        gaps.append(Fraction(acc, m * binomial(m - 1, k)))
+        acc = acc * (n - 1) + comb(m, k)
+        gaps.append(Fraction(acc, m * comb(m - 1, k)))
     return KernelIncrements(zero_overlap=zero, full_overlap=full, increments=tuple(gaps))
 
 
@@ -227,7 +228,7 @@ def series_identity_checks(params: ModelParams, a: Rational) -> bool:
     lhs1 = lhs2 = rhs1 = rhs2 = 0
     for i in range(1, m + 1):
         w = scale // i
-        left = binomial(m, i) * p**i * q ** (m - i)  # q**balls * C(balls,i) * a**i
+        left = comb(m, i) * p**i * q ** (m - i)  # q**balls * C(balls,i) * a**i
         lhs1 += left * w
         lhs2 += left * w * w
         # q**balls * L * ((1+a)**i - 1)/i; after i terms rhs1 is the inner sum over j <= i
@@ -319,15 +320,15 @@ def binomial_increment_mean(params: ModelParams, m: int) -> Fraction:
     if not 0 <= m <= M - 1:
         raise ValueError(f"parameter {m} outside 0..{M - 1}")
     # the closed form with (urns-1)**m put into numerator and denominator: every term an integer
-    total = sum(binomial(M, i) * (n - 1) ** (M - i) for i in range(M - m, M + 1))
-    return Fraction(total, M * binomial(M - 1, m) * (n - 1) ** m)
+    total = sum(comb(M, i) * (n - 1) ** (M - i) for i in range(M - m, M + 1))
+    return Fraction(total, M * comb(M - 1, m) * (n - 1) ** m)
 
 
 def overlap_increment_distribution(params: ModelParams, m: int) -> Sequence[tuple[int, Fraction]]:
     """Binomial(m, 1/(urns-1)) overlap law, for enumerating the mean directly."""
     n = params.urns
     # C(m,j) * p**j * (1-p)**(m-j) with p = 1/(urns-1) is C(m,j) * (urns-2)**(m-j) / (urns-1)**m
-    return [(j, Fraction(binomial(m, j) * (n - 2) ** (m - j), (n - 1) ** m)) for j in range(m + 1)]
+    return [(j, Fraction(comb(m, j) * (n - 2) ** (m - j), (n - 1) ** m)) for j in range(m + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ and closed forms for single target families (the variance at a disjoint
 singleton, clustering from the spread start, the all-distinct mean).  The
 tests check the oracle, the symmetry test, the explicit-set table and the
 engine against them.
+
+The paper's identities close the module.  :func:`transition_prob` is the
+walk's one-step law; each ball of its auxiliary chain jumps at rate 1
+(:func:`single_ball_generator`, :func:`single_ball_semigroup`), and the
+product law :func:`product_semigroup` transforms in time to
+:func:`green_potential`, ``(urns-1)/urns**balls`` times the resolvent kernel
+the engine is built on.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from ehrenfest.exact import Rational, binomial
+from ehrenfest.exact import Rational
 from ehrenfest.model import ModelParams, State, overlap
-from ehrenfest.resolvent import KernelIncrements, centered_kernel, kernel_coefficients
+from ehrenfest.resolvent import KernelIncrements, centered_kernel, kernel_coefficients, resolvent_kernel
 
 
 def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Fraction:
@@ -98,8 +105,8 @@ def kernel_increments(params: ModelParams) -> KernelIncrements:
     zero = -Fraction(1, n) * sum(Fraction(1, i) for i in range(1, m + 1))
     full = Fraction(1, n) * sum(Fraction(n**i - 1, i) for i in range(1, m + 1))
     gaps = tuple(
-        Fraction((n - 1) ** k, m * binomial(m - 1, k))
-        * sum(Fraction(binomial(m, i), (n - 1) ** i) for i in range(k + 1))
+        Fraction((n - 1) ** k, m * math.comb(m - 1, k))
+        * sum(Fraction(math.comb(m, i), (n - 1) ** i) for i in range(k + 1))
         for k in range(m)
     )
     return KernelIncrements(zero_overlap=zero, full_overlap=full, increments=gaps)
@@ -115,9 +122,9 @@ def series_identity_checks(params: ModelParams, a: Rational) -> bool:
     """
     a = Fraction(a)
     m = params.balls
-    lhs1 = sum((Fraction(binomial(m, i)) * a**i / i for i in range(1, m + 1)), Fraction(0))
+    lhs1 = sum((Fraction(math.comb(m, i)) * a**i / i for i in range(1, m + 1)), Fraction(0))
     rhs1 = sum((((1 + a) ** i - 1) / Fraction(i) for i in range(1, m + 1)), Fraction(0))
-    lhs2 = sum((Fraction(binomial(m, i)) * a**i / i**2 for i in range(1, m + 1)), Fraction(0))
+    lhs2 = sum((Fraction(math.comb(m, i)) * a**i / i**2 for i in range(1, m + 1)), Fraction(0))
     rhs2 = sum(
         (
             Fraction(1, i) * sum((((1 + a) ** j - 1) / Fraction(j) for j in range(1, i + 1)), Fraction(0))
@@ -142,8 +149,8 @@ def binomial_increment_mean(params: ModelParams, m: int) -> Fraction:
     n, M = params.urns, params.balls
     if not 0 <= m <= M - 1:
         raise ValueError(f"parameter {m} outside 0..{M - 1}")
-    scale = Fraction((n - 1) ** (M - m), M * binomial(M - 1, m))
-    return scale * sum(Fraction(binomial(M, i), (n - 1) ** i) for i in range(M - m, M + 1))
+    scale = Fraction((n - 1) ** (M - m), M * math.comb(M - 1, m))
+    return scale * sum(Fraction(math.comb(M, i), (n - 1) ** i) for i in range(M - m, M + 1))
 
 
 def overlap_increment_distribution(params: ModelParams, m: int) -> Sequence[tuple[int, Fraction]]:
@@ -151,7 +158,7 @@ def overlap_increment_distribution(params: ModelParams, m: int) -> Sequence[tupl
     n = params.urns
     p = Fraction(1, n - 1)
     return [
-        (j, Fraction(binomial(m, j)) * p**j * (1 - p) ** (m - j))
+        (j, Fraction(math.comb(m, j)) * p**j * (1 - p) ** (m - j))
         for j in range(m + 1)
     ]
 
@@ -272,3 +279,69 @@ def all_distinct_mean(params: ModelParams) -> Fraction:
     profile = rencontres_profile(m)
     body = sum((profile[k] * g(k) for k in range(m - 1)), Fraction(0))
     return m * (m - 1) * (body - g(1)) + g(m) / math.factorial(m - 2)
+
+
+# ---------------------------------------------------------------------------
+# the paper's auxiliary chain
+
+
+def transition_prob(params: ModelParams, x: Sequence[int], y: Sequence[int]) -> Fraction:
+    """One-step probability: ``1/(balls*(urns-1))`` iff exactly one ball moved."""
+    x = params.check_state(x)
+    y = params.check_state(y)
+    if overlap(x, y) == params.balls - 1:
+        return Fraction(1, params.balls * (params.urns - 1))
+    return Fraction(0)
+
+
+def single_ball_generator(params: ModelParams) -> list[list[Fraction]]:
+    """Rate matrix of one ball's motion: leave at rate 1, land uniformly."""
+    n = params.urns
+    off = Fraction(1, n - 1)
+    return [
+        [Fraction(-1) if i == j else off for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def single_ball_semigroup(params: ModelParams, t: float, i: int, j: int) -> float:
+    """Transition probability of one ball's continuous-time motion.
+
+    Each ball independently jumps at rate 1, landing on each of the other
+    ``urns - 1`` urns with equal rate.  The two-value formula below solves
+    the resulting backward equation with ``p_0`` the identity.
+    """
+    if t < 0:
+        raise ValueError("time must be non-negative")
+    n = params.urns
+    decay = math.exp(-n * t / (n - 1))
+    if i == j:
+        return ((n - 1) * decay + 1) / n
+    return (1 - decay) / n
+
+
+def product_semigroup(params: ModelParams, t: float, x: Sequence[int], z: Sequence[int]) -> float:
+    """Joint transition probability for all balls moving independently."""
+    if t < 0:
+        raise ValueError("time must be non-negative")
+    x = params.check_state(x)
+    z = params.check_state(z)
+    n, m = params.urns, params.balls
+    k = overlap(x, z)
+    decay = math.exp(-n * t / (n - 1))
+    return ((n - 1) * decay + 1) ** k * (1 - decay) ** (m - k) / n**m
+
+
+def green_potential(params: ModelParams, x: Sequence[int], z: Sequence[int], u: Rational) -> Fraction:
+    """Expected discounted occupation of the single state ``z`` started at ``x``.
+
+    Depends on ``(x, z)`` only through their overlap; summed over all ``z``
+    it recovers the total resolvent mass ``1/u``.
+    """
+    u = Fraction(u)
+    if u <= 0:
+        raise ValueError("discount rate must be positive")
+    x = params.check_state(x)
+    z = params.check_state(z)
+    n, m = params.urns, params.balls
+    return Fraction(n - 1, n**m) * resolvent_kernel(params, overlap(x, z), u)

@@ -7,39 +7,16 @@ from hypothesis import strategies as st
 
 from ehrenfest.exact import (
     Jet,
-    binomial,
     expm1_rational,
     format_rational,
     format_significant,
     jet_from_derivatives,
     lambda_to_u,
-    parse_rational,
 )
 
 import reference
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=40)
-
-
-def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(4, 6) == 0
-    assert binomial(4, -1) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-@given(st.integers(min_value=0, max_value=25), st.integers(min_value=-5, max_value=30))
-def test_binomial_matches_factorials(n, m):
-    if 0 <= m <= n:
-        expected = math.factorial(n) // (math.factorial(m) * math.factorial(n - m))
-    else:
-        expected = 0
-    assert binomial(n, m) == expected
 
 
 @given(rationals, rationals, rationals)
@@ -54,7 +31,7 @@ def test_rational_field_axioms(a, b, c):
 @given(rationals)
 def test_serialization_roundtrip(q):
     text = format_rational(q)
-    assert parse_rational(text) == q
+    assert F(text) == q
     if q.denominator == 1:
         assert "/" not in text
 

@@ -11,7 +11,6 @@ from ehrenfest.hitting import (
     HittingQuery,
     ctmc_stats,
     exit_distribution,
-    green_potential,
     laplace_lambda,
     laplace_u,
     mean,
@@ -26,7 +25,6 @@ from ehrenfest.model import (
     SetDescriptor,
     SetNotSymmetricError,
     overlap,
-    product_semigroup,
 )
 from ehrenfest import hitting, oracle
 from ehrenfest.oracle import EnumeratedChain, mean_vector, raw_moment_vectors, solve_transform
@@ -38,7 +36,7 @@ from ehrenfest.resolvent import (
     kernel_row,
     resolvent_kernel,
 )
-from reference import all_distinct_mean
+from reference import all_distinct_mean, green_potential, product_semigroup
 
 
 def _query(n, m, start, descriptor):

@@ -22,13 +22,17 @@ from ehrenfest.model import (
     SetNotSymmetricError,
     overlap,
     parse_set,
+    symmetry_defect,
+)
+from reference import (
+    explicit_members,
+    neighbor_states,
+    overlap_profile,
     product_semigroup,
     single_ball_generator,
     single_ball_semigroup,
-    symmetry_defect,
     transition_prob,
 )
-from reference import explicit_members, neighbor_states, overlap_profile
 
 
 def test_params_validation():

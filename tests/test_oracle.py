@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehrenfest import cli, oracle
-from ehrenfest.exact import binomial
 from ehrenfest.model import ModelParams, SetDescriptor, overlap
 from ehrenfest.oracle import (
     CapExceededError,
@@ -177,7 +176,7 @@ def _bareiss_quotient_answers(chain, targets, order, zs, start):
     blocks = range(transient + 1)  # the target set is the last, absorbing block
     full = [[1] * (transient + 1)]
     for r in range(1, order + 1):
-        weights = [sum(binomial(r, j) * vec[c] for j, vec in enumerate(full)) for c in blocks]
+        weights = [sum(math.comb(r, j) * vec[c] for j, vec in enumerate(full)) for c in blocks]
         sol = solve(partition, 1, lambda b: sum(k * w for k, w in zip(counts[b], weights)))
         full.append(sol + [F(0)])
     transforms = [solve(partition, z, lambda b: z * counts[b][transient]) + [F(1)] for z in zs]
@@ -412,7 +411,7 @@ def _dense_reference(chain, targets, order, z):
     plain = rows(1)
     full = [{x: F(1) for x in chain.states}]
     for r in range(1, order + 1):
-        rhs = [p * sum(binomial(r, j) * full[j][y] for y in steps[x] for j in range(r)) for x in transient]
+        rhs = [p * sum(math.comb(r, j) * full[j][y] for y in steps[x] for j in range(r)) for x in transient]
         (sol,) = solve_exact_system(plain, [rhs])
         full.append({x: sol[col[x]] if x in col else F(0) for x in chain.states})
     (sol,) = solve_exact_system(rows(z), [[z * p * sum(y in target_set for y in steps[x]) for x in transient]])

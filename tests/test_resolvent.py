@@ -235,9 +235,7 @@ def test_series_identities_at_n_minus_one(n, m):
 def test_series_identities_alternating(m):
     p = ModelParams(3, m)
     assert series_identity_checks(p, -1)
-    from ehrenfest.exact import binomial
-
-    lhs = sum(F(binomial(m, i) * (-1) ** i, i) for i in range(1, m + 1))
+    lhs = sum(F(math.comb(m, i) * (-1) ** i, i) for i in range(1, m + 1))
     assert lhs == -sum(F(1, i) for i in range(1, m + 1))
 
 
