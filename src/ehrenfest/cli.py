@@ -110,12 +110,30 @@ _COMPARE_MIN_REPLICAS = 100
 #: (argument, flag) of the text flags that hold integers
 _TEXT_FLAGS = (("start", "--start"), ("set_text", "--set"), ("u_grid", "--u"))
 
+#: a --u value in decimal or exponent notation: its integer digits, fraction digits and exponent
+_DECIMAL_RE = re.compile(r"\s*[-+]?(?=\.?\d)(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?\s*", re.IGNORECASE)
+
+
+def _decimal_digits(text: str) -> int:
+    """Digits of the longer of the numerator and the denominator that ``Fraction``
+    builds for a ``--u`` value written as a decimal ``d * 10**p``: the significant
+    digits of ``d`` and ``p`` zeros, or a denominator ``10**-p``.  Counted from
+    the text alone; 0 for a value in any other form."""
+    match = _DECIMAL_RE.fullmatch(text)
+    if not match:
+        return 0
+    whole, fraction, exponent = match.groups("")
+    power = int(exponent or 0) - len(fraction)
+    return max(len((whole + fraction).lstrip("0")) + max(power, 0), 1 - power)
+
 
 def _check_args(args) -> None:
-    """Check the integer flags and parse the grids, before any command runs.
+    """Check the integer flags, then build the grids, the model, the start and
+    the target set, each once, before any command runs.
 
     A number longer than Python's integer-digit limit is refused here, by
     flag: ``int()`` would refuse it too, but with a message that names no flag.
+    A ``--u`` value in exponent notation counts the digits its exponent adds.
     """
     for dest, flag, least, greatest in _INT_BOUNDS:
         value = getattr(args, dest, least)
@@ -123,11 +141,18 @@ def _check_args(args) -> None:
             raise ValueError(f"{flag} must lie in {least}..{greatest}, got {value}")
     limit = sys.get_int_max_str_digits()
     for dest, flag in _TEXT_FLAGS:
-        if limit and re.search(rf"\d{{{limit + 1}}}", getattr(args, dest, "")):
+        text = getattr(args, dest, "").replace("_", "")  # int() and Fraction() read 1_000 as 1000
+        if limit and (re.search(rf"\d{{{limit + 1}}}", text)
+                      or dest == "u_grid" and max(map(_decimal_digits, text.split(","))) > limit):
             raise ValueError(f"{flag} holds a number of more than {limit} digits")
     if hasattr(args, "u_grid"):
         args.u_grid = _parse_u_grid(args.u_grid)
         args.lambda_grid = _parse_lambda_grid(args.lambda_grid)
+    if hasattr(args, "urns"):
+        args.params = ModelParams(args.urns, args.balls)
+    if hasattr(args, "set_text"):
+        args.target = parse_set(args.set_text)
+        args.start_state = _parse_start(args.start)
 
 
 @cache
@@ -257,34 +282,17 @@ def _to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _case_label(args) -> str:
-    start = getattr(args, "start", None)
-    set_text = getattr(args, "set_text", None)
-    bits = [f"N={args.urns}", f"M={args.balls}"]
-    if start:
-        bits.append(f"start={start}")
-    if set_text:
-        bits.append(f"set={set_text}")
-    return " ".join(bits)
+#: the arguments a report echoes, those of its subcommand
+_ECHOED = ("urns", "balls", "start", "set_text", "order", "digits", "replicas", "seed", "mode", "format", "out")
 
 
 def _request_echo(args) -> dict:
-    req = {"command": args.command, "case": _case_label(args)}
-    for key in (
-        "urns",
-        "balls",
-        "start",
-        "set_text",
-        "order",
-        "digits",
-        "replicas",
-        "seed",
-        "mode",
-        "format",
-        "out",
-    ):
-        if hasattr(args, key):
-            req[key] = getattr(args, key)
+    """The request part of a report: the subcommand, a one-line case label and the arguments."""
+    case = [f"N={args.urns}", f"M={args.balls}"]
+    if hasattr(args, "set_text"):  # parsed before any report is made, so neither is empty
+        case += [f"start={args.start}", f"set={args.set_text}"]
+    req = {"command": args.command, "case": " ".join(case)}
+    req.update((key, getattr(args, key)) for key in _ECHOED if hasattr(args, key))
     if hasattr(args, "lambda_grid"):
         req["lambda_grid"] = list(args.lambda_grid)
         req["u_grid"] = [format_rational(u) for u in args.u_grid]
@@ -330,13 +338,13 @@ def _commute_verdict(name: str, check: closedforms.CommuteCheck) -> dict:
 # the three routes, each shared by its own subcommand and by compare
 
 
-def _engine(args, params, descriptor, u_grid, lambda_grid):
+def _engine(args, u_grid, lambda_grid):
     """The kernel engine: the query and its exact summary."""
-    query = hitting.HittingQuery(params, _parse_start(args.start), descriptor)
+    query = hitting.HittingQuery(args.params, args.start_state, args.target)
     return query, hitting.summarize(query, args.order, u_grid, lambda_grid, args.digits)
 
 
-def _oracle(args, chain, descriptor, u_grid, lambda_grid, exit_law=False):
+def _oracle(args, chain, u_grid, lambda_grid, exit_law=False):
     """First-step solves on the enumerated chain: the summary, with the exit
     law if asked.  The exit law's quotient keeps the start apart, so it refines
     the moments' quotient; it is refined first, and an oversized one is
@@ -344,8 +352,8 @@ def _oracle(args, chain, descriptor, u_grid, lambda_grid, exit_law=False):
     from . import oracle
 
     params = chain.params
-    targets = descriptor.materialize(params)
-    start = params.check_state(_parse_start(args.start))
+    targets = args.target.materialize(params)
+    start = params.check_state(args.start_state)
     exits = oracle.exit_distribution(chain, targets, start) if exit_law else None
     moments = oracle.raw_moment_vectors(chain, targets, max(args.order, 2))
     transform = partial(oracle.solve_transform_u, chain, targets, start)
@@ -361,7 +369,7 @@ def _oracle(args, chain, descriptor, u_grid, lambda_grid, exit_law=False):
     )
 
 
-def _simulate(args, params, descriptor, mode=None, grid=()):
+def _simulate(args, mode=None, grid=()):
     """Monte Carlo sampling in ``mode``, with transform estimates on ``grid``
     (lambda values in discrete mode, u values in ctmc mode), or in both modes
     from one walk when ``mode`` is None.  Returns ``{mode: summary}`` and,
@@ -374,12 +382,11 @@ def _simulate(args, params, descriptor, mode=None, grid=()):
         mode=mode or "discrete",
         grid=tuple(float(a) for a in grid),
     )
-    start = _parse_start(args.start)
     started = time.perf_counter()
     if mode:
-        summaries = {mode: sample_hitting(params, start, descriptor, cfg)}
+        summaries = {mode: sample_hitting(args.params, args.start_state, args.target, cfg)}
     else:
-        summaries = sample_clocks(params, start, descriptor, cfg)
+        summaries = sample_clocks(args.params, args.start_state, args.target, cfg)
     seconds = time.perf_counter() - started
     if not args.timing:
         return summaries, {}
@@ -392,28 +399,24 @@ def _simulate(args, params, descriptor, mode=None, grid=()):
 
 
 def cmd_exact(args) -> dict:
-    params = ModelParams(args.urns, args.balls)
-    _, summary = _engine(args, params, parse_set(args.set_text), args.u_grid, args.lambda_grid)
+    _, summary = _engine(args, args.u_grid, args.lambda_grid)
     return {"request": _request_echo(args), "results": _summary_results(summary, args.digits)}
 
 
 def cmd_oracle(args) -> dict:
     from . import oracle
 
-    params = ModelParams(args.urns, args.balls)
-    descriptor = parse_set(args.set_text)
-    chain = oracle.EnumeratedChain(params)
-    summary = _oracle(args, chain, descriptor, args.u_grid, args.lambda_grid, exit_law=True)
+    chain = oracle.EnumeratedChain(args.params)
+    summary = _oracle(args, chain, args.u_grid, args.lambda_grid, exit_law=True)
     return {"request": _request_echo(args), "results": _summary_results(summary, args.digits)}
 
 
 def cmd_simulate(args) -> dict:
-    params = ModelParams(args.urns, args.balls)
     grids = {"--lambda": args.lambda_grid, "--u": args.u_grid}
     own, other = ("--u", "--lambda") if args.mode == "ctmc" else ("--lambda", "--u")
     if grids[other]:
         raise ValueError(f"simulate --mode {args.mode} reads its transform grid from {own}, not {other}")
-    summaries, timing = _simulate(args, params, parse_set(args.set_text), args.mode, grids[own])
+    summaries, timing = _simulate(args, args.mode, grids[own])
     summary = summaries[args.mode]
     return {
         "request": _request_echo(args),
@@ -439,14 +442,11 @@ def cmd_compare(args) -> dict:
         raise ValueError(f"compare needs --replicas of at least {_COMPARE_MIN_REPLICAS}, got {args.replicas}")
     from . import oracle
 
-    params = ModelParams(args.urns, args.balls)
-    descriptor = parse_set(args.set_text)
-    chain = oracle.EnumeratedChain(params)
-    m = params.balls
+    chain = oracle.EnumeratedChain(args.params)
     u_grid = args.u_grid or (Fraction(1, 2), Fraction(1), Fraction(2))
     lambda_grid = args.lambda_grid or (0.1, 0.5, 1.0, 2.0)
-    query, engine = _engine(args, params, descriptor, u_grid, lambda_grid)
-    truth = _oracle(args, chain, descriptor, u_grid, ())
+    query, engine = _engine(args, u_grid, lambda_grid)
+    truth = _oracle(args, chain, u_grid, ())
 
     # (verdict name, engine value, oracle value): equal to the last digit or the check fails
     triples = [
@@ -478,14 +478,14 @@ def cmd_compare(args) -> dict:
             )
         )
 
-    mc, timing = _simulate(args, params, descriptor)
+    mc, timing = _simulate(args)
     for mode, summary in mc.items():
         if summary.truncated:  # the kept walks are the short ones: their mean is biased low
             raise ValueError(
                 f"{summary.truncated} of {summary.replicas} replicas were truncated when the walk budget "
                 "ran out, so the Monte Carlo means cannot be checked"
             )
-        reference = engine.mean if mode == "discrete" else engine.mean / m
+        reference = engine.mean if mode == "discrete" else engine.mean / args.balls
         verdicts.append(
             _verdict(
                 f"mc_mean_{mode}",
@@ -496,12 +496,12 @@ def cmd_compare(args) -> dict:
             )
         )
 
-    if descriptor.kind == "count":
-        center, h = descriptor.sphere(params)
+    if args.target.kind == "count":
+        center, h = args.target.sphere(args.params)
         k = overlap(query.start, center)
         if h != k:
             low, high = sorted((h, k))
-            check = closedforms.network_commute_check(params, low, high)
+            check = closedforms.network_commute_check(args.params, low, high)
             verdicts.append(_commute_verdict(f"network_identity_h{low}_k{high}", check))
 
     return {
@@ -541,7 +541,7 @@ def cmd_identities(args) -> dict:
 
 
 def cmd_network_check(args) -> dict:
-    checks = closedforms.network_commute_sweep(ModelParams(args.urns, args.balls))
+    checks = closedforms.network_commute_sweep(args.params)
     verdicts = [_commute_verdict(f"commute_h{h}_k{k}", check) for (h, k), check in checks.items()]
     return {"request": _request_echo(args), "results": {"pairs": len(verdicts)}, "verdicts": verdicts}
 

@@ -10,11 +10,10 @@ with ``z`` running over ``A`` and ``y`` any fixed element of ``A``.  Each
 summand depends on ``z`` only through an overlap, so ``A`` enters only
 through two overlap histograms of length ``balls + 1``: ``hist[k]`` counts
 the elements of ``A`` at overlap ``k`` from ``x``, or from ``y`` (overlap
-symmetry makes the second the same for every ``y``; we take the first member
-the descriptor yields).  The descriptor counts both itself, without listing
-a symbolic set; an ``explicit`` set is validated once into its sorted
-``(|A|, M)`` integer table, and its symmetry test and both histograms read
-that table.
+symmetry makes the second the same for every ``y``).  One call,
+:meth:`~ehrenfest.model.SetDescriptor.overlap_histograms`, validates ``A``
+once, picks ``y``, tests an ``explicit`` set for symmetry and counts both
+histograms without listing a symbolic set.
 :class:`HittingQuery` folds each histogram once, into the integer row
 ``a_t = sum_k hist[k] * c_{k,t}`` of :func:`~ehrenfest.resolvent.kernel_row`,
 and keeps only the two rows: every output below reads them.  For the
@@ -43,15 +42,7 @@ from typing import Sequence
 
 from .closedforms import same_urn_stats, two_point_stats
 from .exact import Jet, Rational, lambda_to_u
-from .model import (
-    ModelParams,
-    SetDescriptor,
-    State,
-    SetNotSymmetricError,
-    agreement_histograms,
-    overlap,
-    symmetry_defect,
-)
+from .model import ModelParams, SetDescriptor, State, overlap
 from .resolvent import kernel_row, kernel_series, kernel_sums
 
 
@@ -60,13 +51,14 @@ class HittingQuery:
     """A start state and a symmetric target set, folded once into two integer rows.
 
     The descriptor counts the two overlap histograms, from the start and from
-    one member; ``rows`` holds their :func:`~ehrenfest.resolvent.kernel_row`
-    folds, in that order, and every engine output reads those rows.  Only
-    ``explicit`` sets are tested for symmetry: every symbolic kind is the
-    orbit of one state under overlap-preserving maps (per-ball swaps of the
-    two urns for a pair, global urn relabelings for the diagonal and the
-    distinct set, ball permutations plus relabelings fixing the reference
-    urn for a count slice), so it is symmetric by construction.
+    one member, in one call that validates it once; ``rows`` holds their
+    :func:`~ehrenfest.resolvent.kernel_row` folds, in that order, and every
+    engine output reads those rows.  Only ``explicit`` sets are tested for
+    symmetry (:class:`~ehrenfest.model.SetNotSymmetricError`): every symbolic
+    kind is the orbit of one state under overlap-preserving maps (per-ball
+    swaps of the two urns for a pair, global urn relabelings for the diagonal
+    and the distinct set, ball permutations plus relabelings fixing the
+    reference urn for a count slice), so it is symmetric by construction.
     """
 
     params: ModelParams
@@ -76,15 +68,7 @@ class HittingQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "start", self.params.check_state(self.start))
-        if self.target.kind == "explicit":  # validated once into its sorted table, which every count reads
-            table = self.target.validate(self.params)
-            defect = symmetry_defect(table)
-            if defect is not None:
-                raise SetNotSymmetricError(*defect)
-            hists = agreement_histograms(table, self.start, table[0])
-        else:
-            first = next(self.target.members(self.params))
-            hists = [self.target.overlap_histogram(self.params, x) for x in (self.start, first)]
+        hists = self.target.overlap_histograms(self.params, self.start)
         object.__setattr__(self, "rows", tuple(kernel_row(self.params, hist) for hist in hists))
 
 

@@ -11,17 +11,19 @@ Closed-form hitting-time analysis only applies to target sets whose overlap
 structure looks the same from every one of their elements.  The standard
 constructions (singletons, pairs, the all-in-one-urn diagonal, fixed-count
 slices, and the all-distinct set) are :class:`SetDescriptor` kinds, with a
-textual grammar for the command-line tools.  Each is symmetric by
-construction, so only ``explicit`` sets need :func:`symmetry_defect`, and
-each counts its overlap histograms without listing a symbolic set.  An
-``explicit`` set is read once into one sorted ``(|A|, M)`` integer table,
-whose shape and urn range are tested as whole arrays; the symmetry test and
-both overlap histograms read that table.  The symmetry test counts each
-member's agreements with the whole set in blocks of members, one whole-array
-pass per coordinate, and stops at the first block holding a member that
-differs from the first; a symmetric set costs ``|A|**2 * M`` comparisons,
-bounded by ``MAX_PAIR_COORDS``.  Only these array functions import numpy, so
-a symbolic set is answered without loading it.
+textual grammar for the command-line tools.  A hitting query reads a set
+through :meth:`SetDescriptor.overlap_histograms` alone, which validates it
+once and counts its overlap histograms from the start and from one member.
+Each kind but ``explicit`` is symmetric by construction and counted without
+being listed; an ``explicit`` set is read once into one sorted ``(|A|, M)``
+integer table, whose shape and urn range are tested as whole arrays, and
+:func:`symmetry_defect` and both histograms read that table.  The symmetry
+test counts each member's agreements with the whole set in blocks of
+members, one whole-array pass per coordinate, and stops at the first block
+holding a member that differs from the first; a symmetric set costs
+``|A|**2 * M`` comparisons, bounded by ``MAX_PAIR_COORDS``.  Only these
+array functions import numpy, so a symbolic set is answered without loading
+it.
 """
 
 from __future__ import annotations
@@ -122,16 +124,6 @@ class SetNotSymmetricError(ValueError):
             f"state {first[0]} has overlap histogram {first[1]} "
             f"but state {second[0]} has overlap histogram {second[1]}"
         )
-
-
-def agreement_histograms(states: Sequence[State], *points: Sequence[int]) -> list[tuple[int, ...]]:
-    """One ``hist`` per point ``x``: ``hist[k]`` counts the states that agree
-    with ``x`` in exactly ``k`` coordinates, one ``bincount`` over the table."""
-    import numpy as np
-
-    table = np.asarray(states)
-    width = table.shape[1] + 1
-    return [tuple(np.bincount((table == x).sum(axis=1), minlength=width).tolist()) for x in points]
 
 
 #: Work bound of the symmetry test, in member pairs times coordinates (|A|**2 * M).  A
@@ -282,16 +274,15 @@ class SetDescriptor:
         agree with ``center`` in exactly ``h`` coordinates, checked against
         ``params``: ``(y, balls)`` for a singleton, ``((urn,) * balls, h)`` for a
         count set.  None for every other kind."""
+        return self._sphere(params, self.validate(params)) if self.kind in ("singleton", "count") else None
+
+    def _sphere(self, params: ModelParams, states) -> tuple[State, int] | None:
+        """:meth:`sphere`, from the payload ``states`` that :meth:`validate` returned."""
         if self.kind == "singleton":
-            return params.check_state(self.states[0]), params.balls
-        if self.kind != "count":
-            return None
-        h = self.count_overlap
-        if h is None or not 0 <= h <= params.balls:
-            raise ValueError(f"count target {h} outside 0..{params.balls}")
-        if not 1 <= self.reference_urn <= params.urns:
-            raise ValueError(f"reference urn {self.reference_urn} outside 1..{params.urns}")
-        return (self.reference_urn,) * params.balls, h
+            return states[0], params.balls
+        if self.kind == "count":
+            return (self.reference_urn,) * params.balls, self.count_overlap
+        return None
 
     def validate(self, params: ModelParams):
         """Check the descriptor against ``params`` without listing a symbolic set.
@@ -303,7 +294,11 @@ class SetDescriptor:
             return _member_table(params, self.states)
         states = tuple(params.check_state(s) for s in self.states)
         if self.kind == "count":
-            self.sphere(params)
+            h = self.count_overlap
+            if h is None or not 0 <= h <= params.balls:
+                raise ValueError(f"count target {h} outside 0..{params.balls}")
+            if not 1 <= self.reference_urn <= params.urns:
+                raise ValueError(f"reference urn {self.reference_urn} outside 1..{params.urns}")
         elif self.kind == "pair" and states[0] == states[1]:
             raise ValueError("pair descriptor needs two distinct states")
         elif self.kind == "distinct" and params.balls > params.urns:
@@ -311,14 +306,17 @@ class SetDescriptor:
         return states
 
     def members(self, params: ModelParams) -> Iterator[State]:
-        """Yield the member states one by one, each once, validated first.
+        """The member states one by one, each once, validated first."""
+        return self._members(params, self.validate(params))
+
+    def _members(self, params: ModelParams, states) -> Iterator[State]:
+        """:meth:`members`, from the payload ``states`` that :meth:`validate` returned.
 
         A sphere builds the tuple of urns other than a center urn only when a
         free coordinate first needs it, once per urn: a count set holds one
         such tuple and a singleton none, so one member costs no ``N * M`` work."""
         n, m = params.urns, params.balls
-        states = self.validate(params)
-        sphere = self.sphere(params)
+        sphere = self._sphere(params, states)
         if sphere is not None:
             center, h = sphere
             # product() stores every pool it is given: coordinates centered on one urn share one tuple
@@ -338,14 +336,33 @@ class SetDescriptor:
         """The sorted list of member states, validated first."""
         return sorted(self.members(params))
 
-    def overlap_histogram(self, params: ModelParams, x: Sequence[int]) -> tuple[int, ...]:
-        """``hist[k]``: the number of members that agree with ``x`` in exactly
-        ``k`` coordinates.  Symbolic sets are counted, never listed."""
-        n, m = params.urns, params.balls
-        x = params.check_state(x)
+    def overlap_histograms(self, params: ModelParams, x: State) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The two overlap histograms a hitting query reads, from ``x`` (a state as
+        :meth:`ModelParams.check_state` returns it) and from one member:
+        ``hist[k]`` counts the members that agree with the point in exactly ``k``
+        coordinates.  The set is validated once.  Symbolic kinds are symmetric by
+        construction and counted, never listed; an explicit set is tested first,
+        and :class:`SetNotSymmetricError` names two members that differ.  So every
+        member has the same histogram, and the first one the set yields serves."""
         states = self.validate(params)
+        if self.kind == "explicit":
+            defect = symmetry_defect(states)
+            if defect is not None:
+                raise SetNotSymmetricError(*defect)
+            first = states[0]
+        else:
+            first = next(self._members(params, states))
+        return self._histogram(params, states, x), self._histogram(params, states, first)
+
+    def _histogram(self, params: ModelParams, states, x) -> tuple[int, ...]:
+        """The overlap histogram from ``x``, given the payload ``states`` that :meth:`validate` returned."""
+        n, m = params.urns, params.balls
+        if self.kind == "explicit":  # one bincount over the table
+            import numpy as np
+
+            return tuple(np.bincount((states == x).sum(axis=1), minlength=m + 1).tolist())
         hist = [0] * (m + 1)
-        sphere = self.sphere(params)
+        sphere = self._sphere(params, states)
         if sphere is not None:
             # keep j of the a balls where x meets the center there (the rest of those in n - 1 urns),
             # put h - j others on the center, and of the free rest k - j as in x, the others in n - 2 urns
@@ -362,7 +379,7 @@ class SetDescriptor:
         elif self.kind == "diagonal":
             for u in range(1, n + 1):
                 hist[x.count(u)] += 1
-        elif self.kind == "distinct":
+        else:  # distinct
             # e[j]: ways to pick j balls of x in j different urns; each pick extends to
             # (n-j)!/(n-m)! members, and inclusion-exclusion turns "at least" into "exactly"
             e = [1] + [0] * m
@@ -372,8 +389,6 @@ class SetDescriptor:
             for k in range(m + 1):
                 hist[k] = sum((-1) ** (j - k) * math.comb(j, k) * e[j] * math.perm(n - j, m - j)
                               for j in range(k, m + 1))
-        else:
-            return agreement_histograms(states, x)[0]
         return tuple(hist)
 
 

@@ -840,6 +840,33 @@ def test_number_past_the_int_digit_limit_exits_two_naming_the_flag(capsys, flag)
     assert err.startswith(f"error: {flag} holds a number of more than") and "Traceback" not in err
 
 
+_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "u", [f"1e{_LIMIT + 1}", f"1e-{_LIMIT + 1}", "1e999999999", "9" * (_LIMIT - 300) + "e400"],
+    ids=["exponent", "negative-exponent", "huge-exponent", "long-mantissa"],
+)
+@pytest.mark.parametrize(
+    "command", [["exact"], ["oracle"], ["compare"], ["simulate", "--mode", "ctmc"]], ids=lambda c: c[-1]
+)
+def test_u_past_the_int_digit_limit_in_exponent_notation_exits_two_at_once(capsys, command, u):
+    # Fraction("1e...") writes out the exponent's zeros: 1e999999999 would take minutes, 1e-300000 a zero float
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+                             "--u", u)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert err == f"error: --u holds a number of more than {_LIMIT} digits\n"
+
+
+def test_u_at_the_int_digit_limit_in_exponent_notation_answers(capsys):
+    code, report, _ = run_json(capsys, "exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+                               "--u", f"1e{_LIMIT - 1}")
+    assert code == 0
+    assert report["request"]["u_grid"] == ["1" + "0" * (_LIMIT - 1)]
+
+
 @pytest.mark.parametrize(
     "content",
     ["5", "[1, 2]", "null", "[[1.7, 1.2], [2.9, 2.2]]", "[[1, 1], [2, 2.0]]", "[[true, 1], [2, 2]]",

@@ -26,7 +26,7 @@ from ehrenfest.model import (
     SetNotSymmetricError,
     overlap,
 )
-from ehrenfest import hitting, oracle
+from ehrenfest import hitting, model, oracle
 from ehrenfest.oracle import EnumeratedChain, mean_vector, raw_moment_vectors, solve_transform
 from ehrenfest.exact import Jet, lambda_to_u
 from ehrenfest.resolvent import (
@@ -49,10 +49,8 @@ def test_query_rejects_asymmetric_target():
 
 
 def test_symmetry_test_runs_only_on_explicit_sets(monkeypatch):
-    import ehrenfest.hitting as hitting
-
     calls = []
-    monkeypatch.setattr(hitting, "symmetry_defect", lambda states: calls.append(states))
+    monkeypatch.setattr(model, "symmetry_defect", lambda states: calls.append(states))
     p = ModelParams(3, 3)
     for d in (
         SetDescriptor.singleton((2, 2, 2)),
@@ -102,6 +100,30 @@ def test_explicit_query_checks_no_member_on_its_own(monkeypatch):
             HittingQuery(p, (1,) * m, SetDescriptor.explicit(members))
         sizes[len(members)] = len(calls)
     assert sizes == {12: 1, 560: 1}
+
+
+@pytest.mark.parametrize(
+    "target,states",
+    [
+        (SetDescriptor.singleton((2, 2, 2)), 2),
+        (SetDescriptor.pair((2, 2, 2), (1, 2, 3)), 3),
+        (SetDescriptor.diagonal(), 1),
+        (SetDescriptor.count(1), 1),
+        (SetDescriptor.distinct(), 1),
+        (SetDescriptor.explicit([(2, 2, 2), (1, 1, 1)]), 1),  # its members are checked as one table
+    ],
+    ids=lambda v: getattr(v, "kind", None),
+)
+def test_query_validates_its_target_once_and_checks_each_state_once(monkeypatch, target, states):
+    # the query reads the start and the payload states: each is checked once, the set validated once
+    calls = []
+    for owner, name in ((SetDescriptor, "validate"), (SetDescriptor, "sphere"), (ModelParams, "check_state")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    HittingQuery(ModelParams(3, 3), (1, 1, 2), target)
+    assert calls.count("validate") == 1
+    assert calls.count("sphere") <= 1
+    assert calls.count("check_state") == states
 
 
 def test_laplace_u_single_ball():
