@@ -9,14 +9,14 @@ Subcommands::
     identities     exact identity suite + quadrature cross-check
     network-check  commute-time identity sweep on the count chain
 
-All reports share the shape ``{request, results, verdicts?, timing?}`` with
+All reports share the shape ``{request, results, verdicts?, timing?}``, with
 rational values as canonical strings plus float renderings (None past the
-float range).  ``--format csv`` flattens the same report: one line per
-verdict, its detail values in their columns, and one line per other value,
-named by its dotted path.  Exit codes:
-0 success, 2 usage error, 3 target set not overlap-symmetric, 4 oracle work
-bound (``MAX_STATES``, ``MAX_MOVES`` or ``MAX_BLOCKS``) exceeded, 5 verdict
-failure.
+float range); :func:`main` writes each ``request``, a ``cmd_*`` the rest.
+``--format csv`` flattens the same report: one line per verdict, its detail
+values in their columns, and one line per other value, named by its dotted
+path.  Exit codes: 0 success, 2 usage error, 3 target set not
+overlap-symmetric, 4 oracle work bound (``MAX_STATES``, ``MAX_MOVES`` or
+``MAX_BLOCKS``) exceeded, 5 verdict failure.
 
 The oracle and the Monte Carlo, and numpy with them, are imported inside the
 helpers that run them: ``exact`` on a symbolic set and ``network-check`` load
@@ -29,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -53,10 +54,6 @@ def _rat(value: Fraction) -> dict:
     except OverflowError:
         approx = None
     return {"rational": format_rational(value), "float": approx}
-
-
-def _state_key(state) -> str:
-    return ",".join(str(c) for c in state)
 
 
 def _parse_start(text: str) -> tuple[int, ...]:
@@ -92,7 +89,7 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
 
 #: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
-    # at N=10**5, M=200: exact in under 1 s, but 26 s on the diagonal (ROADMAP item 6); network-check about 7 s
+    # at N=10**5, M=200: exact in under 1 s, but 6 s writing the diagonal's exit law (ROADMAP item 6); network-check 7 s
     ("urns", "--N", 2, 10**5),
     ("balls", "--M", 1, 200),
     ("order", "--order", 1, 32),
@@ -283,15 +280,18 @@ def _to_csv(report: dict) -> str:
 
 
 #: the arguments a report echoes, those of its subcommand
-_ECHOED = ("urns", "balls", "start", "set_text", "order", "digits", "replicas", "seed", "mode", "format", "out")
+_ECHOED = ("urns", "balls", "start", "set_text", "order", "digits", "replicas", "seed", "mode",
+           "max_urns", "max_balls", "format", "out")
 
 
 def _request_echo(args) -> dict:
-    """The request part of a report: the subcommand, a one-line case label and the arguments."""
-    case = [f"N={args.urns}", f"M={args.balls}"]
-    if hasattr(args, "set_text"):  # parsed before any report is made, so neither is empty
-        case += [f"start={args.start}", f"set={args.set_text}"]
-    req = {"command": args.command, "case": " ".join(case)}
+    """The request part of a report: the subcommand, a one-line label of its case, if any, and the arguments."""
+    req = {"command": args.command}
+    if hasattr(args, "urns"):
+        case = [f"N={args.urns}", f"M={args.balls}"]
+        if hasattr(args, "set_text"):  # parsed before any report is made, so neither is empty
+            case += [f"start={args.start}", f"set={args.set_text}"]
+        req["case"] = " ".join(case)
     req.update((key, getattr(args, key)) for key in _ECHOED if hasattr(args, key))
     if hasattr(args, "lambda_grid"):
         req["lambda_grid"] = list(args.lambda_grid)
@@ -318,7 +318,7 @@ def _summary_results(summary, digits: int) -> dict:
     }
     if summary.exit_distribution is not None:
         results["exit_distribution"] = {
-            _state_key(s): _rat(p) for s, p in sorted(summary.exit_distribution.items())
+            ",".join(map(str, s)): _rat(p) for s, p in sorted(summary.exit_distribution.items())
         }
     return results
 
@@ -376,12 +376,11 @@ def _simulate(args, mode=None, grid=()):
     under ``--timing``, the walk's replica-steps and their rate."""
     from .mc import SimConfig, sample_clocks, sample_hitting
 
-    cfg = SimConfig(
-        replicas=args.replicas,
-        seed=args.seed,
-        mode=mode or "discrete",
-        grid=tuple(float(a) for a in grid),
-    )
+    # a lambda is a float already; an exact --u becomes one here, and may round to 0 or past the largest float
+    floats = tuple(float(a) if a <= sys.float_info.max else math.inf for a in grid)
+    if any(a and not 0 < f < math.inf for a, f in zip(grid, floats)):
+        raise ValueError("--u values must lie in the float range, between about 5e-324 and 1.8e308")
+    cfg = SimConfig(replicas=args.replicas, seed=args.seed, mode=mode or "discrete", grid=floats)
     started = time.perf_counter()
     if mode:
         summaries = {mode: sample_hitting(args.params, args.start_state, args.target, cfg)}
@@ -395,12 +394,12 @@ def _simulate(args, mode=None, grid=()):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its report
+# subcommands: each returns its report but the request, which main echoes
 
 
 def cmd_exact(args) -> dict:
     _, summary = _engine(args, args.u_grid, args.lambda_grid)
-    return {"request": _request_echo(args), "results": _summary_results(summary, args.digits)}
+    return {"results": _summary_results(summary, args.digits)}
 
 
 def cmd_oracle(args) -> dict:
@@ -408,7 +407,7 @@ def cmd_oracle(args) -> dict:
 
     chain = oracle.EnumeratedChain(args.params)
     summary = _oracle(args, chain, args.u_grid, args.lambda_grid, exit_law=True)
-    return {"request": _request_echo(args), "results": _summary_results(summary, args.digits)}
+    return {"results": _summary_results(summary, args.digits)}
 
 
 def cmd_simulate(args) -> dict:
@@ -419,7 +418,6 @@ def cmd_simulate(args) -> dict:
     summaries, timing = _simulate(args, args.mode, grids[own])
     summary = summaries[args.mode]
     return {
-        "request": _request_echo(args),
         "results": {
             "sample_mean": summary.sample_mean,
             "sample_variance": summary.sample_variance,
@@ -505,7 +503,6 @@ def cmd_compare(args) -> dict:
             verdicts.append(_commute_verdict(f"network_identity_h{low}_k{high}", check))
 
     return {
-        "request": _request_echo(args),
         "results": {
             "exact": {"mean": _rat(engine.mean), "variance": _rat(engine.variance)},
             "oracle": {"mean": _rat(truth.mean), "variance": _rat(truth.variance)},
@@ -534,7 +531,6 @@ def cmd_identities(args) -> dict:
         worst = quadrature_error(ModelParams(n, m))
         verdicts.append(_verdict(f"quadrature_N{n}_M{m}", worst <= 1e-8, max_abs_error=worst))
     return {
-        "request": {"command": "identities", "max_urns": args.max_urns, "max_balls": args.max_balls},
         "results": {"checks": len(verdicts), "failures": sum(not v["pass"] for v in verdicts)},
         "verdicts": verdicts,
     }
@@ -543,7 +539,7 @@ def cmd_identities(args) -> dict:
 def cmd_network_check(args) -> dict:
     checks = closedforms.network_commute_sweep(args.params)
     verdicts = [_commute_verdict(f"commute_h{h}_k{k}", check) for (h, k), check in checks.items()]
-    return {"request": _request_echo(args), "results": {"pairs": len(verdicts)}, "verdicts": verdicts}
+    return {"results": {"pairs": len(verdicts)}, "verdicts": verdicts}
 
 
 _COMMANDS = {
@@ -561,7 +557,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         _check_args(args)
-        report = _COMMANDS[args.command](args)
+        report = {"request": _request_echo(args), **_COMMANDS[args.command](args)}
         _emit(args, report, started)
     except SetNotSymmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,18 @@
 """Closed-form hitting statistics for the classical target families.
 
-Each function here evaluates an explicit finite sum (exact rationals again)
-for one concrete target family: two-point sets, the all-balls-in-one-urn
-diagonal and the fixed-count slices (a single state is the top slice), plus
-the birth-death "count chain" these slices lump onto and its
-electric-network commute identity.  All of them are alternative routes to
-numbers the generic engine in :mod:`ehrenfest.hitting` also produces, which
-is exactly what makes them useful: every pair of routes is asserted equal in
-the test-suite.
+Each function here evaluates an explicit finite sum in exact rationals for
+one concrete target family: two-point sets, the all-balls-in-one-urn
+diagonal (summed over the start's urn-occupancy classes, not over urns) and
+the fixed-count slices (a single state is the top slice), plus the
+birth-death "count chain" these slices lump onto and its electric-network
+commute identity.  All of them are alternative routes to numbers the generic
+engine in :mod:`ehrenfest.hitting` also produces, which is exactly what
+makes them useful: every pair of routes is asserted equal in the test-suite.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,17 +74,19 @@ def same_urn_stats(params: ModelParams, x: Sequence[int]) -> SameUrnStats:
     """First time all balls share an urn: mean and exit split by urn.
 
     ``exit_probs[i-1]`` is the probability that the first fully-clustered
-    configuration puts every ball in urn ``i``; it always sums to one.
+    configuration puts every ball in urn ``i``; it always sums to one.  Urns
+    with equal ball counts in ``x`` get equal probabilities, from one kernel.
     """
-    x = params.check_state(x)
     n, m = params.urns, params.balls
-    overlaps = [overlap(x, (i,) * m) for i in range(1, n + 1)]
-    g = lambda k: centered_kernel(params, k)
-    g_sum = sum((g(k) for k in overlaps), Fraction(0))
-    mean = Fraction(m * (n - 1), n) * (g(m) + (n - 1) * g(0) - g_sum)
-    span = g(m) - g(0)
-    probs = tuple(Fraction(1, n) + (g(k) - g_sum / n) / span for k in overlaps)
-    return SameUrnStats(mean=mean, exit_probs=probs)
+    balls = Counter(params.check_state(x))  # ball count per occupied urn
+    sizes = Counter(balls.values())  # urns per ball count
+    sizes[0] = n - len(balls)
+    g = {k: centered_kernel(params, k) for k in {0, m, *sizes}}
+    g_sum = sum((size * g[k] for k, size in sizes.items()), Fraction(0))
+    mean = Fraction(m * (n - 1), n) * (g[m] + (n - 1) * g[0] - g_sum)
+    g_mean, span = g_sum / n, g[m] - g[0]
+    prob = {k: Fraction(1, n) + (g[k] - g_mean) / span for k in sizes}
+    return SameUrnStats(mean=mean, exit_probs=tuple(prob[balls[i]] for i in range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)

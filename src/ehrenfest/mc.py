@@ -136,7 +136,7 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
     stride = max(m, n) if target.kind in ("diagonal", "distinct") else m
     if replicas * stride > MAX_SLOTS:
         raise ValueError(f"the walk needs {replicas * stride} urn slots ({replicas} replicas x {stride}) > {MAX_SLOTS}")
-    sphere = target.sphere(params)
+    sphere = target._sphere(params, states)
     if sphere is not None:
         center, level = sphere
 

@@ -10,9 +10,10 @@ The rest is code that no route, command, demo or benchmark runs: the
 one-step neighbours and overlap profiles of a state, written the obvious way,
 the member-by-member checks an ``explicit:@file`` payload once went through,
 and closed forms for single target families (the variance at a disjoint
-singleton, clustering from the spread start, the all-distinct mean).  The
-tests check the oracle, the symmetry test, the explicit-set table and the
-engine against them.
+singleton, clustering from the spread start and from any start read urn by
+urn, the all-distinct mean).  The tests check the oracle, the symmetry test,
+the explicit-set table, the engine and the diagonal's closed form against
+them.
 
 The paper's identities close the module.  :func:`transition_prob` is the
 walk's one-step law; each ball of its auxiliary chain jumps at rate 1
@@ -30,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from ehrenfest.closedforms import SameUrnStats
 from ehrenfest.exact import Rational
 from ehrenfest.model import ModelParams, State, overlap
 from ehrenfest.resolvent import KernelIncrements, centered_kernel, kernel_coefficients, resolvent_kernel
@@ -242,6 +244,20 @@ def same_urn_from_spread(params: ModelParams) -> SameUrnSpread:
     prob_occupied = Fraction(1, n) + Fraction(n - m, 1) / (m * s)
     prob_empty = Fraction(1, n) - 1 / s
     return SameUrnSpread(mean=mean, prob_occupied=prob_occupied, prob_empty=prob_empty)
+
+
+def same_urn_stats_by_urn(params: ModelParams, x: Sequence[int]) -> SameUrnStats:
+    """:func:`ehrenfest.closedforms.same_urn_stats` read urn by urn: the start's
+    overlap with each diagonal state ``(i, ..., i)`` and one kernel per urn."""
+    x = params.check_state(x)
+    n, m = params.urns, params.balls
+    overlaps = [overlap(x, (i,) * m) for i in range(1, n + 1)]
+    g = lambda k: centered_kernel(params, k)
+    g_sum = sum((g(k) for k in overlaps), Fraction(0))
+    mean = Fraction(m * (n - 1), n) * (g(m) + (n - 1) * g(0) - g_sum)
+    span = g(m) - g(0)
+    probs = tuple(Fraction(1, n) + (g(k) - g_sum / n) / span for k in overlaps)
+    return SameUrnStats(mean=mean, exit_probs=probs)
 
 
 def rencontres_profile(m: int) -> list[Fraction]:

@@ -315,6 +315,34 @@ def test_simulate_distinct_lists_no_permutations(capsys):
 
 
 @pytest.mark.parametrize(
+    "set_text",
+    ["singleton:2,2,2", "pair:(2,2,2);(3,1,2)", "diagonal", "count:1", "distinct", "explicit:@set.json"],
+)
+def test_simulate_validates_its_target_once(capsys, monkeypatch, tmp_path, set_text):
+    # the walk reads the validated payload: a sphere's center and level are not validated a second time
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "set.json").write_text("[[2, 2, 2], [3, 1, 2], [1, 3, 3]]")
+    calls = []
+    real = model.SetDescriptor.validate
+    monkeypatch.setattr(model.SetDescriptor, "validate", lambda self, params: calls.append(self) or real(self, params))
+    code, _, _ = run_json(capsys, "simulate", "--N", "3", "--M", "3", "--start", "1,1,2", "--set", set_text,
+                          "--replicas", "100")
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("u,code", [("1e-400", 2), ("1e400", 2), ("1e-300", 0), ("1e300", 0)])
+def test_simulate_ctmc_refuses_a_u_outside_the_float_range(capsys, u, code):
+    # 1e-400 became the float 0.0 and answered at argument 0; 1e400 blamed a result for the float overflow
+    got, out, err = run_cli(capsys, "simulate", *_SINGLETON, "--mode", "ctmc", "--replicas", "100", "--u", u)
+    assert got == code and "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: --u values must lie in the float range")
+    else:
+        assert json.loads(out)["results"]["transforms"][0]["argument"] == float(u)
+
+
+@pytest.mark.parametrize(
     "size,target,outside,inside",
     [
         (("12", "9"), "distinct", "1,1,2,3,4,5,6,7,8", "1,2,3,4,5,6,7,8,9"),
@@ -602,6 +630,16 @@ def test_csv_carries_every_value_of_the_json_report(capsys, argv):
     case = report["request"].get("case", argv[0])
     for name, columns in expected.items():
         assert lines[name] == {**dict.fromkeys(header, ""), "case": case, "quantity": name, **columns}
+
+
+@pytest.mark.parametrize("argv", _CSV_CASES.values(), ids=_CSV_CASES)
+def test_every_request_echoes_its_format_and_out(capsys, tmp_path, argv):
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(path))
+    assert code == 0 and out == ""
+    request = json.loads(path.read_text())["request"]
+    assert request["command"] == argv[0]
+    assert (request["format"], request["out"]) == ("json", str(path))
 
 
 def test_out_file(tmp_path, capsys):

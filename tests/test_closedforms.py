@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
+from ehrenfest import closedforms
 from ehrenfest.closedforms import (
     CountChain,
     count_set_mean,
@@ -17,7 +19,13 @@ from ehrenfest.closedforms import (
 from ehrenfest.hitting import HittingQuery, mean, variance
 from ehrenfest.model import ModelParams, SetDescriptor, overlap
 from ehrenfest.oracle import EnumeratedChain, exit_distribution, mean_vector, solve_mean
-from reference import all_distinct_mean, rencontres_profile, same_urn_from_spread, singleton_variance_disjoint
+from reference import (
+    all_distinct_mean,
+    rencontres_profile,
+    same_urn_from_spread,
+    same_urn_stats_by_urn,
+    singleton_variance_disjoint,
+)
 
 
 def test_singleton_mean_values():
@@ -142,6 +150,47 @@ def test_same_urn_relabel_invariance():
     for urn in range(1, 5):
         assert moved.exit_probs[sigma[urn] - 1] == stats.exit_probs[urn - 1]
     assert moved.mean == stats.mean
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(1, 6))
+def test_same_urn_stats_equals_the_urn_by_urn_reference(n, m):
+    # every start where there are at most 1024, else 50 random ones
+    p = ModelParams(n, m)
+    rng = random.Random(n * m)
+    starts = (product(range(1, n + 1), repeat=m) if n**m <= 1024
+              else (tuple(rng.randrange(1, n + 1) for _ in range(m)) for _ in range(50)))
+    for x in starts:
+        assert same_urn_stats(p, x) == same_urn_stats_by_urn(p, x)
+
+
+def test_same_urn_stats_equals_the_urn_by_urn_reference_at_many_urns():
+    p = ModelParams(10**4, 200)
+    rng = random.Random(5)
+    for x in ((1,) * 200, tuple(rng.randrange(1, 30) for _ in range(200))):
+        assert same_urn_stats(p, x) == same_urn_stats_by_urn(p, x)
+
+
+def test_same_urn_stats_reads_one_kernel_per_ball_count(monkeypatch):
+    # ball counts 0 (9996 urns), 1, 2, 3 and 194: one kernel each and g(balls), none per urn, and no overlap
+    kernels = []
+    real = closedforms.centered_kernel
+    monkeypatch.setattr(closedforms, "centered_kernel", lambda params, k: kernels.append(k) or real(params, k))
+    monkeypatch.setattr(closedforms, "overlap", None)
+    p = ModelParams(10**4, 200)
+    stats = same_urn_stats(p, (1, 2, 2, 3, 3, 3) + (4,) * 194)
+    assert sorted(kernels) == [0, 1, 2, 3, 194, 200]
+    assert len(set(stats.exit_probs)) == 5 and sum(stats.exit_probs) == 1
+
+
+def test_same_urn_stats_answers_at_the_largest_model_in_under_half_a_second():
+    # the urn-by-urn form grows linearly in the urns: 0.45 s at 10**4, so about 4.5 s here
+    p = ModelParams(10**5, 200)
+    x = tuple(random.Random(7).randrange(1, 21) for _ in range(200))
+    started = time.perf_counter()
+    stats = same_urn_stats(p, x)
+    assert time.perf_counter() - started < 0.5
+    assert len(stats.exit_probs) == 10**5 and sum(stats.exit_probs) == 1
 
 
 def test_same_urn_from_spread_values():
