@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .exact import format_rational, format_significant, lambda_to_u
-from .model import CapExceededError, ModelParams, SetNotSymmetricError, overlap, parse_set
+from .model import CapExceededError, ModelParams, SetNotSymmetricError, parse_set
 from . import closedforms, hitting
 from .resolvent import identity_suite_holds, quadrature_error
 
@@ -89,7 +89,7 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
 
 #: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
-    # at N=10**5, M=200: exact in under 1 s, but 6 s writing the diagonal's exit law (ROADMAP item 6); network-check 7 s
+    # at N=10**5, M=200: exact in under 1 s, 7-7.5 s writing the diagonal's exit law (ROADMAP item 6); network-check 7 s
     ("urns", "--N", 2, 10**5),
     ("balls", "--M", 1, 200),
     ("order", "--order", 1, 32),
@@ -495,8 +495,7 @@ def cmd_compare(args) -> dict:
         )
 
     if args.target.kind == "count":
-        center, h = args.target.sphere(args.params)
-        k = overlap(query.start, center)
+        h, k = args.target.count_overlap, query.start.count(args.target.reference_urn)
         if h != k:
             low, high = sorted((h, k))
             check = closedforms.network_commute_check(args.params, low, high)

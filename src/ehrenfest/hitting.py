@@ -131,13 +131,14 @@ def exit_distribution(query: HittingQuery) -> dict[State, Fraction] | None:
     """Law of the state where the target set is first hit, where a closed form gives it.
 
     Singletons, pairs and the diagonal have one, which puts mass 1 on the
-    start when it lies in the set; other kinds give ``None``.
+    start when it lies in the set; other kinds give ``None``.  A singleton's
+    or a pair's states are read as the query validated them.
     """
     params, target, x = query.params, query.target, query.start
     if target.kind == "singleton":
-        return {params.check_state(target.states[0]): Fraction(1)}
+        return {target.states[0]: Fraction(1)}
     if target.kind == "pair":
-        y, z = sorted(params.check_state(s) for s in target.states)
+        y, z = sorted(target.states)
         first = two_point_stats(params, overlap(x, y), overlap(x, z), overlap(y, z)).exit_prob_first
         return {y: first, z: 1 - first}
     if target.kind == "diagonal":

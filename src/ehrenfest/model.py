@@ -11,9 +11,11 @@ Closed-form hitting-time analysis only applies to target sets whose overlap
 structure looks the same from every one of their elements.  The standard
 constructions (singletons, pairs, the all-in-one-urn diagonal, fixed-count
 slices, and the all-distinct set) are :class:`SetDescriptor` kinds, with a
-textual grammar for the command-line tools.  A hitting query reads a set
-through :meth:`SetDescriptor.overlap_histograms` alone, which validates it
-once and counts its overlap histograms from the start and from one member.
+textual grammar for the command-line tools.  A descriptor has three readers:
+:meth:`~SetDescriptor.validate` checks it, :meth:`~SetDescriptor.materialize`
+lists its members, and a hitting query reads it through
+:meth:`~SetDescriptor.overlap_histograms` alone, which validates it once and
+counts its overlap histograms from the start and from one member.
 Each kind but ``explicit`` is symmetric by construction and counted without
 being listed; an ``explicit`` set is read once into one sorted ``(|A|, M)``
 integer table, whose shape and urn range are tested as whole arrays, and
@@ -269,15 +271,12 @@ class SetDescriptor:
     def explicit(cls, states: Iterable[Sequence[int]]) -> "SetDescriptor":
         return cls("explicit", states=tuple(map(_coordinates, states)))
 
-    def sphere(self, params: ModelParams) -> tuple[State, int] | None:
-        """``(center, h)`` when the set is the Hamming sphere of the states that
-        agree with ``center`` in exactly ``h`` coordinates, checked against
-        ``params``: ``(y, balls)`` for a singleton, ``((urn,) * balls, h)`` for a
-        count set.  None for every other kind."""
-        return self._sphere(params, self.validate(params)) if self.kind in ("singleton", "count") else None
-
     def _sphere(self, params: ModelParams, states) -> tuple[State, int] | None:
-        """:meth:`sphere`, from the payload ``states`` that :meth:`validate` returned."""
+        """``(center, h)`` when the set is the Hamming sphere of the states that
+        agree with ``center`` in exactly ``h`` coordinates, given the payload
+        ``states`` that :meth:`validate` returned: ``(y, balls)`` for a
+        singleton, ``((urn,) * balls, h)`` for a count set.  None for every
+        other kind."""
         if self.kind == "singleton":
             return states[0], params.balls
         if self.kind == "count":
@@ -305,12 +304,9 @@ class SetDescriptor:
             raise ValueError(f"distinct descriptor needs balls <= urns, got {params.balls} > {params.urns}")
         return states
 
-    def members(self, params: ModelParams) -> Iterator[State]:
-        """The member states one by one, each once, validated first."""
-        return self._members(params, self.validate(params))
-
     def _members(self, params: ModelParams, states) -> Iterator[State]:
-        """:meth:`members`, from the payload ``states`` that :meth:`validate` returned.
+        """The member states one by one, each once, given the payload ``states``
+        that :meth:`validate` returned.
 
         A sphere builds the tuple of urns other than a center urn only when a
         free coordinate first needs it, once per urn: a count set holds one
@@ -334,7 +330,7 @@ class SetDescriptor:
 
     def materialize(self, params: ModelParams) -> list[State]:
         """The sorted list of member states, validated first."""
-        return sorted(self.members(params))
+        return sorted(self._members(params, self.validate(params)))
 
     def overlap_histograms(self, params: ModelParams, x: State) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The two overlap histograms a hitting query reads, from ``x`` (a state as
@@ -376,19 +372,22 @@ class SetDescriptor:
         elif self.kind == "pair":
             for y in states:
                 hist[overlap(x, y)] += 1
-        elif self.kind == "diagonal":
-            for u in range(1, n + 1):
-                hist[x.count(u)] += 1
-        else:  # distinct
-            # e[j]: ways to pick j balls of x in j different urns; each pick extends to
-            # (n-j)!/(n-m)! members, and inclusion-exclusion turns "at least" into "exactly"
-            e = [1] + [0] * m
-            for c in Counter(x).values():
-                for j in range(m, 0, -1):
-                    e[j] += c * e[j - 1]
-            for k in range(m + 1):
-                hist[k] = sum((-1) ** (j - k) * math.comb(j, k) * e[j] * math.perm(n - j, m - j)
-                              for j in range(k, m + 1))
+        else:  # diagonal and distinct read only x's urn occupancies
+            occupied = Counter(x).values()
+            if self.kind == "diagonal":  # the member in an urn holding c balls of x is at overlap c
+                hist[0] = n - len(occupied)
+                for c in occupied:
+                    hist[c] += 1
+            else:
+                # e[j]: ways to pick j balls of x in j different urns; each pick extends to
+                # (n-j)!/(n-m)! members, and inclusion-exclusion turns "at least" into "exactly"
+                e = [1] + [0] * m
+                for c in occupied:
+                    for j in range(m, 0, -1):
+                        e[j] += c * e[j - 1]
+                for k in range(m + 1):
+                    hist[k] = sum((-1) ** (j - k) * math.comb(j, k) * e[j] * math.perm(n - j, m - j)
+                                  for j in range(k, m + 1))
         return tuple(hist)
 
 

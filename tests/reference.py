@@ -8,12 +8,13 @@ these, rational for rational.
 
 The rest is code that no route, command, demo or benchmark runs: the
 one-step neighbours and overlap profiles of a state, written the obvious way,
+the diagonal's and the distinct set's overlap histograms read urn by urn,
 the member-by-member checks an ``explicit:@file`` payload once went through,
 and closed forms for single target families (the variance at a disjoint
 singleton, clustering from the spread start and from any start read urn by
 urn, the all-distinct mean).  The tests check the oracle, the symmetry test,
-the explicit-set table, the engine and the diagonal's closed form against
-them.
+the explicit-set table, the histograms, the engine and the diagonal's closed
+form against them.
 
 The paper's identities close the module.  :func:`transition_prob` is the
 walk's one-step law; each ball of its auxiliary chain jumps at rate 1
@@ -181,6 +182,24 @@ def neighbor_states(params: ModelParams, x: Sequence[int]) -> Iterator[State]:
 def overlap_profile(y: State, states: Sequence[State]) -> tuple[int, ...]:
     """Sorted multiset of overlaps of ``y`` against every element (itself included)."""
     return tuple(sorted(overlap(y, z) for z in states))
+
+
+def occupancy_histogram_by_urn(params: ModelParams, kind: str, x: State) -> tuple[int, ...]:
+    """The overlap histogram from ``x`` of the ``diagonal`` or the ``distinct``
+    set, read urn by urn: one ``x.count(u)`` pass per urn ``u``.  The diagonal's
+    member in urn ``u`` is at overlap ``x.count(u)``; a distinct member's count
+    comes from the rook numbers of those occupancies by inclusion-exclusion."""
+    n, m = params.urns, params.balls
+    occupancies = [x.count(u) for u in range(1, n + 1)]
+    if kind == "diagonal":
+        return tuple(occupancies.count(k) for k in range(m + 1))
+    rooks = [1] + [0] * m  # rooks[j]: ways to keep j balls of x, in j different urns
+    for c in occupancies:
+        rooks = [r + c * q for r, q in zip(rooks, [0] + rooks)]
+    return tuple(
+        sum((-1) ** (j - k) * math.comb(j, k) * rooks[j] * math.perm(n - j, m - j) for j in range(k, m + 1))
+        for k in range(m + 1)
+    )
 
 
 def explicit_members(params: ModelParams, data, path: str) -> list[State]:

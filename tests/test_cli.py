@@ -12,6 +12,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ehrenfest import cli, hitting, mc, model, oracle, resolvent
@@ -329,6 +330,37 @@ def test_simulate_validates_its_target_once(capsys, monkeypatch, tmp_path, set_t
                           "--replicas", "100")
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "set_text",
+    ["singleton:2,2,2", "pair:(2,2,2);(3,1,2)", "diagonal", "count:1", "distinct", "explicit:@set.json"],
+)
+def test_compare_validates_its_target_once_per_route(capsys, monkeypatch, tmp_path, set_text):
+    # the engine, the oracle and the walk each validate the target; the count set's network verdict
+    # reads its level off the descriptor and the start
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "set.json").write_text("[[2, 2, 2], [3, 1, 2]]")
+    calls = []
+    real = model.SetDescriptor.validate
+    monkeypatch.setattr(model.SetDescriptor, "validate", lambda self, params: calls.append(self) or real(self, params))
+    code, report, _ = run_json(capsys, "compare", "--N", "3", "--M", "3", "--start", "1,1,2", "--set", set_text,
+                               "--replicas", "200")
+    assert code in (0, 5) and report["verdicts"]
+    assert len(calls) == 3
+
+
+def test_a_numpy_integer_payload_prints_the_same_report():
+    # the exit law reads the payload the query validated, without a check_state copy into ints
+    params, start = ModelParams(3, 3), (1, 1, 2)
+    for states in [((2, 2, 2),), ((2, 2, 2), (3, 1, 2))]:
+        kind = "singleton" if len(states) == 1 else "pair"
+        wide = tuple(tuple(np.int64(c) for c in s) for s in states)
+        reports = [
+            json.dumps(cli._summary_results(hitting.summarize(hitting.HittingQuery(params, start, target), 3), 20))
+            for target in (model.SetDescriptor(kind, states=states), model.SetDescriptor(kind, states=wide))
+        ]
+        assert reports[0] == reports[1] and "exit_distribution" in reports[0]
 
 
 @pytest.mark.parametrize("u,code", [("1e-400", 2), ("1e400", 2), ("1e-300", 0), ("1e300", 0)])

@@ -115,15 +115,18 @@ def test_explicit_query_checks_no_member_on_its_own(monkeypatch):
     ids=lambda v: getattr(v, "kind", None),
 )
 def test_query_validates_its_target_once_and_checks_each_state_once(monkeypatch, target, states):
-    # the query reads the start and the payload states: each is checked once, the set validated once
+    # the query reads the start and the payload states: each is checked once, the set validated once,
+    # and the summary's exit law reads the payload the query checked
     calls = []
-    for owner, name in ((SetDescriptor, "validate"), (SetDescriptor, "sphere"), (ModelParams, "check_state")):
+    for owner, name in ((SetDescriptor, "validate"), (ModelParams, "check_state")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    HittingQuery(ModelParams(3, 3), (1, 1, 2), target)
+    query = HittingQuery(ModelParams(3, 3), (1, 1, 2), target)
     assert calls.count("validate") == 1
-    assert calls.count("sphere") <= 1
     assert calls.count("check_state") == states
+    summarize(query)
+    assert calls.count("validate") == 1
+    assert calls.count("check_state") == states + (target.kind == "diagonal")  # same_urn_stats checks its start
 
 
 def test_laplace_u_single_ball():

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import time
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -27,6 +28,7 @@ from ehrenfest.model import (
 from reference import (
     explicit_members,
     neighbor_states,
+    occupancy_histogram_by_urn,
     overlap_profile,
     product_semigroup,
     single_ball_generator,
@@ -215,18 +217,22 @@ def test_the_engine_refuses_a_float_coordinate_it_once_truncated():
         SetDescriptor("explicit", states=((1.5, 2), (2.9, 1))).validate(ModelParams(3, 2))
 
 
+def _sphere(d, p):
+    return d._sphere(p, d.validate(p))
+
+
 def test_sphere_of_each_kind():
     p = ModelParams(3, 4)
-    assert SetDescriptor.singleton((1, 2, 3, 1)).sphere(p) == ((1, 2, 3, 1), 4)
-    assert SetDescriptor.count(2).sphere(p) == ((2, 2, 2, 2), 2)
-    assert SetDescriptor.count(0, 3).sphere(p) == ((3, 3, 3, 3), 0)
+    assert _sphere(SetDescriptor.singleton((1, 2, 3, 1)), p) == ((1, 2, 3, 1), 4)
+    assert _sphere(SetDescriptor.count(2), p) == ((2, 2, 2, 2), 2)
+    assert _sphere(SetDescriptor.count(0, 3), p) == ((3, 3, 3, 3), 0)
     others = [SetDescriptor.pair((1, 1, 1, 1), (2, 2, 2, 2)), SetDescriptor.diagonal(),
               SetDescriptor.distinct(), SetDescriptor.explicit([(1, 1, 1, 1)])]
-    assert [d.sphere(p) for d in others] == [None] * 4
+    assert [d._sphere(p, None) for d in others] == [None] * 4  # whatever the payload: distinct is invalid here
     for bad in (SetDescriptor.count(5), SetDescriptor.count(-1), SetDescriptor.count(1, 4),
                 SetDescriptor.count(1, 0), SetDescriptor.singleton((1, 2, 3)), SetDescriptor.singleton((1, 2, 3, 4))):
         with pytest.raises(ValueError):
-            bad.sphere(p)
+            bad.validate(p)
 
 
 # --- symmetry test ---------------------------------------------------------
@@ -278,7 +284,8 @@ def test_one_sphere_member_costs_o_of_n_plus_m(d):
     # the query draws one member: a sphere must not list the other urns of every ball first
     tracemalloc.start()
     try:
-        first = next(d.members(ModelParams(10**4, 200)))
+        p = ModelParams(10**4, 200)
+        first = next(d._members(p, d.validate(p)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,6 +329,30 @@ def test_query_histograms_match_brute_force(n, m):
         if d in kinds:
             for y in states:
                 assert _brute_hist(y, states, m) == ref_hist, d
+
+
+@pytest.mark.parametrize("n,m", [(2, 9), (3, 40), (7, 200), (9, 9), (50, 20), (300, 60), (10**4, 200)])
+def test_occupancy_histograms_equal_the_urn_by_urn_count(n, m):
+    # random starts, spread over all urns or crowded into a few, so that urns hold several balls
+    params = ModelParams(n, m)
+    rng = random.Random(1009 * n + m)
+    kinds = {"diagonal": (1,) * m, "distinct": tuple(range(1, m + 1))} if m <= n else {"diagonal": (1,) * m}
+    for crowd in (n, 2, max(2, m // 3)):
+        x = tuple(rng.randrange(1, min(crowd, n) + 1) for _ in range(m))
+        for kind, first in kinds.items():
+            hists = SetDescriptor(kind).overlap_histograms(params, x)
+            assert hists == (occupancy_histogram_by_urn(params, kind, x),
+                             occupancy_histogram_by_urn(params, kind, first)), (kind, x)
+
+
+def test_diagonal_histograms_at_the_largest_model_take_no_pass_per_urn():
+    # both histograms read one tally of a state's balls, not one pass over the state per urn
+    params = ModelParams(10**5, 200)
+    x = tuple(range(1, 201))
+    started = time.perf_counter()
+    hists = SetDescriptor.diagonal().overlap_histograms(params, x)
+    assert time.perf_counter() - started < 0.1
+    assert hists == ((10**5 - 200, 200) + (0,) * 199, (10**5 - 1,) + (0,) * 199 + (1,))
 
 
 @st.composite
