@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .model import ModelParams, overlap
 from .resolvent import centered_kernel
@@ -76,9 +76,14 @@ def same_urn_stats(params: ModelParams, x: Sequence[int]) -> SameUrnStats:
     ``exit_probs[i-1]`` is the probability that the first fully-clustered
     configuration puts every ball in urn ``i``; it always sums to one.  Urns
     with equal ball counts in ``x`` get equal probabilities, from one kernel.
+    State-level wrapper around :func:`same_urn_stats_of_occupancy`.
     """
+    return same_urn_stats_of_occupancy(params, Counter(params.check_state(x)))
+
+
+def same_urn_stats_of_occupancy(params: ModelParams, balls: Mapping[int, int]) -> SameUrnStats:
+    """:func:`same_urn_stats` from the ball count ``balls[u]`` of every occupied urn ``u`` of a valid start."""
     n, m = params.urns, params.balls
-    balls = Counter(params.check_state(x))  # ball count per occupied urn
     sizes = Counter(balls.values())  # urns per ball count
     sizes[0] = n - len(balls)
     g = {k: centered_kernel(params, k) for k in {0, m, *sizes}}
@@ -86,7 +91,7 @@ def same_urn_stats(params: ModelParams, x: Sequence[int]) -> SameUrnStats:
     mean = Fraction(m * (n - 1), n) * (g[m] + (n - 1) * g[0] - g_sum)
     g_mean, span = g_sum / n, g[m] - g[0]
     prob = {k: Fraction(1, n) + (g[k] - g_mean) / span for k in sizes}
-    return SameUrnStats(mean=mean, exit_probs=tuple(prob[balls[i]] for i in range(1, n + 1)))
+    return SameUrnStats(mean=mean, exit_probs=tuple(prob[balls.get(i, 0)] for i in range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)

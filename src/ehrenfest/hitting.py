@@ -36,11 +36,12 @@ Everything on this analytic path is exact rational arithmetic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .closedforms import same_urn_stats, two_point_stats
+from .closedforms import same_urn_stats_of_occupancy, two_point_stats
 from .exact import Jet, Rational, lambda_to_u
 from .model import ModelParams, SetDescriptor, State, overlap
 from .resolvent import kernel_row, kernel_series, kernel_sums
@@ -132,7 +133,8 @@ def exit_distribution(query: HittingQuery) -> dict[State, Fraction] | None:
 
     Singletons, pairs and the diagonal have one, which puts mass 1 on the
     start when it lies in the set; other kinds give ``None``.  A singleton's
-    or a pair's states are read as the query validated them.
+    or a pair's states and the diagonal's start are read as the query
+    validated them.
     """
     params, target, x = query.params, query.target, query.start
     if target.kind == "singleton":
@@ -142,7 +144,7 @@ def exit_distribution(query: HittingQuery) -> dict[State, Fraction] | None:
         first = two_point_stats(params, overlap(x, y), overlap(x, z), overlap(y, z)).exit_prob_first
         return {y: first, z: 1 - first}
     if target.kind == "diagonal":
-        probs = same_urn_stats(params, x).exit_probs
+        probs = same_urn_stats_of_occupancy(params, Counter(x)).exit_probs
         return {(i,) * params.balls: p for i, p in enumerate(probs, start=1)}
     return None
 

@@ -10,7 +10,11 @@ block plus the sorted blocks of its neighbours) until no block splits.  That
 is the coarsest strongly lumpable partition keeping the target set apart
 (Kemeny & Snell, *Finite Markov Chains*, 1960, §6.3): all moves are
 equiprobable and every state of a block has the same number of neighbours in
-each block, so every first-step solution is constant on blocks.  Each system
+each block, so every first-step solution is constant on blocks.  Each round
+packs every signature row big-endian into as few exact int64 words as hold
+it, and numbers the distinct rows in lexicographic order by stable sorts of
+those words; the own block leads each row, so a block keeps the order of the
+block it split from and the target set's blocks come last.  Each system
 is assembled in integers from the block-to-block neighbour counts (at
 ``z = a/q`` its rows are ``q * degree * I - a * counts``: row scaling leaves
 the solution unchanged) and solved by Dixon's p-adic lifting (*Numer. Math.*
@@ -42,9 +46,9 @@ import numpy as np
 
 from .model import CapExceededError, ModelParams, State
 
-#: Work bounds: a whole singleton ``oracle`` request at 2**15 states, and one
-#: dense inverse of a 1024-block quotient, each take about 3 s on 2 vCPUs; at
-#: 2**23 state-move pairs one takes about 5 s and 300 MB.
+#: Work bounds, timed on 2 vCPUs: a whole singleton ``oracle`` request at
+#: 2**15 states takes about 0.5 s, and at 2**23 state-move pairs 0.8-1.4 s
+#: and 290 MB; one dense inverse of a 1024-block quotient takes about 3 s.
 MAX_STATES = 2**15
 MAX_MOVES = 2**23
 MAX_BLOCKS = 1024
@@ -272,15 +276,54 @@ def solve_exact_system(
 # quotient by partition refinement
 
 
+def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of ``np.unique(rows, axis=0, return_index=True, return_inverse=True)``.
+
+    ``rows`` is a nonnegative int64 matrix.  With ``bits`` the bit length
+    of its largest entry, each row is packed big-endian, ``63 // bits``
+    entries to an int64 word (the last word takes the remainder), into as
+    few words as hold it; every word is exact and nonnegative, and every row
+    is split at the same columns, so the words compare as the rows do,
+    lexicographically.  One word per row is grouped by a 1-D ``np.unique``,
+    several by a stable ``np.lexsort`` and the boundaries between runs of
+    equal rows.  Both sorts are stable, so ``first`` holds the first row of
+    each group and the groups come in the rows' lexicographic order: what
+    ``np.unique(axis=0)`` returns, without its sort over a structured view.
+    """
+    size, width = rows.shape
+    bits = max(int(rows.max(initial=0)).bit_length(), 1)
+    per_word = min(63 // bits, width)
+    tail = width % per_word
+    weights = np.int64(1) << bits * np.arange(per_word - 1, -1, -1, dtype=np.int64)
+    keys = rows[:, :width - tail].reshape(size, -1, per_word) @ weights  # exact: the shifted entries never overlap
+    if tail:
+        keys = np.column_stack((keys, rows[:, width - tail:] @ weights[-tail:]))
+    if keys.shape[1] == 1:
+        _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+        return first, inverse
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(size, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):
     """Coarsest strongly lumpable partition refining {rest, {start}, targets}, targets validated.
 
     Returns ``(labels, counts, transient)``: the block of every state, the
     neighbour count ``counts[b, c]`` from any state of transient block ``b``
-    into block ``c``, and the number of blocks outside the target set.  A
-    block keeps the order of the block it split from, so those come first;
-    every solve reads the target set as one absorbing block, so its blocks
-    share the label and column ``transient``; a start inside it stays there.
+    into block ``c``, and the number of blocks outside the target set.  Each
+    round groups the signature rows (a state's label, then its neighbours'
+    sorted labels) with :func:`_group`, which packs them into exact int64
+    words and numbers the groups in the rows' lexicographic order.  The own
+    label leads, so a block keeps the order of the block it split from and
+    the target set's blocks come last; every solve reads the target set as
+    one absorbing block, so its blocks share the label and column
+    ``transient``; a start inside it stays there.  The counts come from one
+    ``bincount`` over every transient block's representative.
     """
     positions = [chain.index[chain.params.check_state(t)] for t in targets]
     if not positions:
@@ -292,9 +335,7 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
     neighbors = chain.neighbor_table
     blocks = 0
     while True:
-        signature = np.column_stack((labels, np.sort(labels[neighbors], axis=1)))
-        _, first, labels = np.unique(signature, axis=0, return_index=True, return_inverse=True)
-        labels = labels.reshape(-1)
+        first, labels = _group(np.column_stack((labels, np.sort(labels[neighbors], axis=1))))
         if len(first) == blocks:
             break
         blocks = len(first)
@@ -302,9 +343,10 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
     if transient > MAX_BLOCKS:
         raise CapExceededError("MAX_BLOCKS", transient, MAX_BLOCKS)
     labels = np.minimum(labels, transient)
-    counts = [np.bincount(labels[neighbors[r]], minlength=transient + 1).tolist() for r in first[:transient]]
-    counts = np.array(counts, dtype=object).reshape(transient, transient + 1)
-    return labels, counts, transient
+    width = transient + 1
+    cells = np.arange(transient)[:, None] * width + labels[neighbors[first[:transient]]]
+    counts = np.bincount(cells.ravel(), minlength=transient * width).reshape(transient, width)
+    return labels, counts.astype(object), transient
 
 
 def _quotient(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):

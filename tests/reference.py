@@ -10,11 +10,12 @@ The rest is code that no route, command, demo or benchmark runs: the
 one-step neighbours and overlap profiles of a state, written the obvious way,
 the diagonal's and the distinct set's overlap histograms read urn by urn,
 the member-by-member checks an ``explicit:@file`` payload once went through,
-and closed forms for single target families (the variance at a disjoint
+the oracle's partition refinement as it grouped signature rows with
+``np.unique(axis=0)``, and closed forms for single target families (the variance at a disjoint
 singleton, clustering from the spread start and from any start read urn by
 urn, the all-distinct mean).  The tests check the oracle, the symmetry test,
-the explicit-set table, the histograms, the engine and the diagonal's closed
-form against them.
+the explicit-set table, the histograms, the oracle's quotient, the engine and
+the diagonal's closed form against them.
 
 The paper's identities close the module.  :func:`transition_prob` is the
 walk's one-step law; each ball of its auxiliary chain jumps at rate 1
@@ -32,9 +33,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ehrenfest.closedforms import SameUrnStats
 from ehrenfest.exact import Rational
-from ehrenfest.model import ModelParams, State, overlap
+from ehrenfest.model import CapExceededError, ModelParams, State, overlap
+from ehrenfest.oracle import MAX_BLOCKS, EnumeratedChain
 from ehrenfest.resolvent import KernelIncrements, centered_kernel, kernel_coefficients, resolvent_kernel
 
 
@@ -220,6 +224,35 @@ def explicit_members(params: ModelParams, data, path: str) -> list[State]:
     if len(set(states)) != len(states):
         raise ValueError("explicit descriptor contains duplicate states")
     return sorted(states)
+
+
+def lump_by_unique_rows(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):
+    """:func:`ehrenfest.oracle._lump` as it grouped each round's signature rows
+    with ``np.unique(axis=0)``, a sort over a structured view of the rows, and
+    built its block counts one ``bincount`` per block."""
+    positions = [chain.index[chain.params.check_state(t)] for t in targets]
+    if not positions:
+        raise ValueError("target set must be nonempty")
+    labels = np.zeros(len(chain.states), dtype=np.intp)
+    if start is not None:
+        labels[chain.index[start]] = 1
+    labels[positions] = 2
+    neighbors = chain.neighbor_table
+    blocks = 0
+    while True:
+        signature = np.column_stack((labels, np.sort(labels[neighbors], axis=1)))
+        _, first, labels = np.unique(signature, axis=0, return_index=True, return_inverse=True)
+        labels = labels.reshape(-1)
+        if len(first) == blocks:
+            break
+        blocks = len(first)
+    transient = int(labels[positions].min())
+    if transient > MAX_BLOCKS:
+        raise CapExceededError("MAX_BLOCKS", transient, MAX_BLOCKS)
+    labels = np.minimum(labels, transient)
+    counts = [np.bincount(labels[neighbors[r]], minlength=transient + 1).tolist() for r in first[:transient]]
+    counts = np.array(counts, dtype=object).reshape(transient, transient + 1)
+    return labels, counts, transient
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,13 @@ def test_same_urn_inside_target():
     assert sum(stats.exit_probs) == 1
 
 
+@pytest.mark.parametrize("x", [(1, 4), (0, 1), (1, 1, 1), (1,), (1.5, 2), ("1", 2)])
+def test_same_urn_stats_refuses_an_invalid_start(x):
+    # the engine reads the occupancy of the start its query checked; a direct call still checks
+    with pytest.raises(ValueError):
+        same_urn_stats(ModelParams(3, 2), x)
+
+
 def test_same_urn_spread_case():
     p = ModelParams(3, 2)
     stats = same_urn_stats(p, (1, 2))

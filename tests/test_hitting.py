@@ -126,7 +126,7 @@ def test_query_validates_its_target_once_and_checks_each_state_once(monkeypatch,
     assert calls.count("check_state") == states
     summarize(query)
     assert calls.count("validate") == 1
-    assert calls.count("check_state") == states + (target.kind == "diagonal")  # same_urn_stats checks its start
+    assert calls.count("check_state") == states
 
 
 def test_laplace_u_single_ball():

@@ -24,7 +24,7 @@ from ehrenfest.oracle import (
     solve_transform_u,
     transform_vector,
 )
-from reference import neighbor_states
+from reference import lump_by_unique_rows, neighbor_states
 
 
 def test_solver_on_small_dense_system():
@@ -471,6 +471,88 @@ def test_neighbor_table_is_the_symmetric_one_move_relation(n, m, shuffle):
     adjacency = np.zeros((p.state_count, p.state_count), dtype=int)
     np.add.at(adjacency, (np.repeat(np.arange(p.state_count), chain.degree()), table.ravel()), 1)
     assert (adjacency == adjacency.T).all() and adjacency.max() == 1 and not adjacency.diagonal().any()
+
+
+def _assert_lump_equals_reference(chain, targets, start):
+    """``_lump`` returns the reference's arrays exactly: same labels, dtype, block order and counts."""
+    try:
+        want = lump_by_unique_rows(chain, targets, start)
+    except CapExceededError as refused:
+        with pytest.raises(CapExceededError) as got:
+            oracle._lump(chain, targets, start)
+        assert str(got.value) == str(refused)
+        return None
+    labels, counts, transient = oracle._lump(chain, targets, start)
+    assert transient == want[2]
+    assert labels.dtype == want[0].dtype and np.array_equal(labels, want[0])
+    assert counts.dtype == object and counts.shape == want[1].shape
+    assert counts.tolist() == want[1].tolist()
+    assert {type(c) for c in counts.flat} <= {int}
+    return labels, counts, transient
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)])
+def test_lump_equals_the_unique_rows_reference(n, m):
+    # every symbolic kind and random asymmetric explicit sets, in both orders, with no start, a start
+    # kept apart and a start inside the set
+    p = ModelParams(n, m)
+    rng = random.Random(17 * n + m)
+    order = list(range(p.state_count))
+    rng.shuffle(order)
+    for chain in (EnumeratedChain(p), EnumeratedChain(p, order=order)):
+        every = chain.states
+        kinds = [SetDescriptor.singleton(rng.choice(every)), SetDescriptor.diagonal()]
+        if len(every) > 2:
+            kinds.append(SetDescriptor.pair(*rng.sample(every, 2)))
+        kinds += [SetDescriptor.count(h, rng.randint(1, n)) for h in range(m + 1)]
+        if m <= n:
+            kinds.append(SetDescriptor.distinct())
+        sets = [d.materialize(p) for d in kinds]
+        sets += [rng.sample(every, size) for size in sorted({1, 2, len(every) // 4, len(every) // 2} - {0})]
+        for targets in sets:
+            outside = [x for x in every if x not in targets]
+            for start in [None, targets[-1]] + rng.sample(outside, min(2, len(outside))):
+                _assert_lump_equals_reference(chain, targets, start)
+
+
+def test_lump_equals_the_reference_where_rows_need_three_or_more_words(monkeypatch):
+    # N=4, M=6, a pair and a start kept apart: 358 transient blocks, so the last rounds pack 19 labels
+    # of 9 bits, 7 to a word, into 3 words; then CI's exit-4 set, whose quotient passes MAX_BLOCKS only
+    # with the start kept apart
+    shapes = []
+    real = oracle._group
+    monkeypatch.setattr(oracle, "_group", lambda rows: shapes.append((rows.shape[1], int(rows.max()))) or real(rows))
+    p = ModelParams(4, 6)
+    order = list(range(p.state_count))
+    random.Random(46).shuffle(order)
+    targets = SetDescriptor.pair((2,) * 6, (1, 2, 3, 4, 1, 2)).materialize(p)
+    for chain in (EnumeratedChain(p), EnumeratedChain(p, order=order)):
+        shapes.clear()
+        _, _, transient = _assert_lump_equals_reference(chain, targets, (1,) * 6)
+        width, top = shapes[-1]
+        assert transient == 358 and width == 19 and top.bit_length() == 9 and -(-width // (63 // 9)) == 3
+    chain = EnumeratedChain(ModelParams(3, 7))
+    late = [(1, 2, 2, 1, 2, 1, 3), (2, 2, 3, 3, 3, 3, 3), (2, 3, 1, 3, 3, 1, 1), (2, 3, 2, 3, 2, 2, 1),
+            (3, 2, 2, 2, 2, 3, 3)]
+    assert _assert_lump_equals_reference(chain, late, None) is not None
+    assert _assert_lump_equals_reference(chain, late, (1,) * 7) is None  # 1453 blocks: both refuse
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_group_equals_np_unique_rows(seed):
+    # widths needing one, two and many words, a single row, all rows equal and all labels 0
+    rng = np.random.default_rng(seed)
+    cases = [np.zeros((1, 1), dtype=np.int64), np.zeros((9, 4), dtype=np.int64), np.full((7, 30), 5, dtype=np.int64)]
+    for size, width, top in [(1, 5, 3), (40, 1, 3), (200, 1, 2**15 - 1), (300, 8, 6), (300, 30, 6),
+                             (300, 13, 2**10), (200, 321, 2), (100, 321, 2**15 - 1), (50, 3, 2**62)]:
+        pool = rng.integers(0, top + 1, size=(max(1, size // 4), width), dtype=np.int64)
+        pool[:, 0] = rng.integers(0, 3, size=len(pool))  # ties in the first label, so later words decide
+        cases.append(pool[rng.integers(0, len(pool), size=size)])
+    for rows in cases:
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        got_first, got_inverse = oracle._group(rows)
+        assert np.array_equal(got_first, first) and np.array_equal(got_inverse, inverse.reshape(-1))
+        assert got_inverse.shape == (len(rows),)
 
 
 def _timed_cli(capsys, *argv):
