@@ -310,10 +310,10 @@ def _summary_results(summary, digits: int) -> dict:
         "lambda_samples": [
             {
                 "lambda": lam,
-                "decimal": format_significant(v, digits),
-                "float": float(v),
+                "decimal": format_significant((num, den), digits),
+                "float": num / den,  # correctly rounded, as float(Fraction(num, den)) is
             }
-            for lam, v in summary.lambda_samples
+            for lam, (num, den) in summary.lambda_samples
         ],
     }
     if summary.exit_distribution is not None:
@@ -362,7 +362,7 @@ def _oracle(args, chain, u_grid, lambda_grid, exit_law=False):
         args.order,
         u_samples=tuple((u, transform(u)) for u in u_grid),
         lambda_samples=tuple(
-            (lam, transform(lambda_to_u(params.balls, lam, args.digits)) if lam else Fraction(1))
+            (lam, transform(lambda_to_u(params.balls, lam, args.digits)).as_integer_ratio() if lam else (1, 1))
             for lam in lambda_grid
         ),
         exit_distribution=exits,
@@ -464,8 +464,8 @@ def cmd_compare(args) -> dict:
         for name, lhs, rhs in triples
     ]
 
-    for lam, lhs in engine.lambda_samples:
-        rhs = hitting.laplace_lambda(query, lam, args.digits + 6)
+    for lam, sums in engine.lambda_samples:
+        lhs, rhs = Fraction(*sums), hitting.laplace_lambda(query, lam, args.digits + 6)
         rel = abs(lhs - rhs) / rhs if rhs else Fraction(0)
         # laplace_lambda is only asked for --digits digits: hold it to those, and to 1e-15 at most
         verdicts.append(

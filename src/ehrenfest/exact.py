@@ -8,6 +8,12 @@ machine-readable output, a rational lower bound of ``e**x - 1`` for the
 discrete-time transform argument, and a small truncated-power-series type
 (:class:`Jet`) with exact rational coefficients.
 
+The discrete transform's samples are kept unreduced, as the two kernel sums
+whose ratio they are, since a report prints only ``digits`` digits and a
+float of each: :func:`format_significant` reads those digits off the top
+bits of the two sums, and the float is their correctly rounded int division,
+so no gcd of their integers, up to about 7*10**5 bits each, is ever taken.
+
 Jets carry the first ``order + 1`` Taylor coefficients of a function and
 support ring arithmetic, division and composition.  Dividing the two sides
 of a Laplace transform, each expanded as a jet, is how moments get read off
@@ -17,7 +23,7 @@ it exactly, never touching floating point.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -36,15 +42,70 @@ def format_rational(value: Rational) -> str:
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
-def format_significant(value: Rational, digits: int = 20) -> str:
-    """Render a rational in decimal with ``digits`` significant digits."""
+def format_significant(value: Rational | tuple[int, int], digits: int = 20) -> str:
+    """Render a rational, or an unreduced ``(num, den)`` pair, in decimal with
+    ``digits`` significant digits: the string of ``Decimal(num) / Decimal(den)``
+    at ``prec = digits``, rounded half-even.
+
+    Ziv's rounding test (*ACM TOMS* 17(3), 1991) reads it off the top
+    ``ceil(digits * log2(10)) + _GUARD_BITS`` bits of ``num`` and ``den``,
+    which bound the quotient between two ratios of small integers; where they
+    do not settle the rounding, or the quotient is zero, exact or out of
+    range, the exact division runs.  Neither path reduces the pair, since
+    ``Decimal``'s quotient depends on the value alone.
+    """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    q = Fraction(value)
+    num, den = value if isinstance(value, tuple) else Fraction(value).as_integer_ratio()
+    if den < 0:
+        num, den = -num, -den
     with localcontext() as ctx:
-        ctx.prec = digits
-        d = Decimal(q.numerator) / Decimal(q.denominator)
+        ctx.prec, ctx.rounding = digits, ROUND_HALF_EVEN
+        d = _quotient_from_top_bits(abs(num), den, ctx) if num and den else None
+        if d is None:
+            d = _exact_quotient(num, den)
+        elif num < 0:
+            d = d.copy_negate()
     return str(d)
+
+
+#: bits kept past the ``digits`` asked of :func:`format_significant`: the two
+#: ends of its interval lie about ``2**-_GUARD_BITS`` units in the last place apart
+_GUARD_BITS = 64
+
+
+def _quotient_from_top_bits(num: int, den: int, ctx: Context) -> Decimal | None:
+    """``num / den`` (both positive) rounded to ``ctx.prec`` digits from the
+    top bits of each, or None where those bits do not settle the rounding."""
+    digits = ctx.prec
+    keep = math.ceil(digits * math.log2(10)) + _GUARD_BITS
+    sn, sd = max(num.bit_length() - keep, 0), max(den.bit_length() - keep, 0)
+    a, b, shift = num >> sn, den >> sd, sn - sd
+    # num / den lies in [a/(b + 1), (a + 1)/b] * 2**shift; an end is exact where its shift dropped nothing
+    lo, hi = (a, b + (sd > 0)), (a + (sn > 0), b)
+
+    def twice_scaled(n: int, d: int, e: int) -> tuple[int, int]:
+        # divmod of 2 * n/d * 2**shift / 10**e
+        n, d = n << (max(shift, 0) + 1), d << max(-shift, 0)
+        return divmod(n * 10**-e, d) if e < 0 else divmod(n, d * 10**e)
+
+    # e is the exponent of the last digit: 10**(digits - 1) <= num / den / 10**e < 10**digits
+    e = math.floor(math.log10(a) - math.log10(b) + shift * math.log10(2)) - digits + 1
+    low, high = 2 * 10 ** (digits - 1), 2 * 10**digits
+    k, rest = twice_scaled(*lo, e)
+    if not low <= k < high:  # the float estimate of the exponent was one off
+        e += 1 if k >= high else -1
+        k, rest = twice_scaled(*lo, e)
+    # 2 * quotient / 10**e must lie strictly inside (k, k + 1): off every integer and half-integer
+    if not (low <= k < high and rest and twice_scaled(*hi, e)[0] == k and ctx.Emin < e + digits <= ctx.Emax):
+        return None
+    # the coefficient may round up to 10**digits; scaleb then drops its last zero, exactly
+    return Decimal((k + 1) // 2).scaleb(e, ctx)
+
+
+def _exact_quotient(num: int, den: int) -> Decimal:
+    """``num / den`` by the exact ``Decimal`` division, in the current context."""
+    return Decimal(num) / Decimal(den)
 
 
 def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Fraction:

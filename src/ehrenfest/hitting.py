@@ -20,9 +20,10 @@ and keeps only the two rows: every output below reads them.  For the
 transform both rows are summed over one shared, unreduced denominator
 product, so the ratio is the quotient of the two integer numerators and is
 reduced exactly once.  The discrete-time transform is the same ratio
-evaluated at ``u = balls * (e**lambda - 1)``.  A start inside ``A`` has the
-reference histogram, so its two rows are equal: the ratio gives the
-transform 1 and every moment 0 with no branch of its own.
+evaluated at ``u = balls * (e**lambda - 1)``; :func:`summarize` keeps it
+unreduced, since its report prints only ``digits`` digits and a float of it.
+A start inside ``A`` has the reference histogram, so its two rows are equal:
+the ratio gives the transform 1 and every moment 0 with no branch of its own.
 
 Moments are read off the same two integer rows.  In ``w = 1 - z`` each side
 of the ratio is an integer power series over one denominator
@@ -87,13 +88,22 @@ def laplace_lambda(query: HittingQuery, lam: float, digits: int = 20) -> Fractio
 
     Evaluates the exact u-domain ratio at :func:`~ehrenfest.exact.lambda_to_u`,
     a rational approximation of ``balls * (e**lambda - 1)`` accurate well past
-    ``digits`` significant digits.  Returns exactly 1 at ``lambda = 0``.
+    ``digits`` significant digits.  Returns exactly 1 at ``lambda = 0``.  The
+    reduced value of :func:`lambda_sums`.
     """
+    return Fraction(*lambda_sums(query, lam, digits))
+
+
+def lambda_sums(query: HittingQuery, lam: float, digits: int = 20) -> tuple[int, int]:
+    """The two unreduced kernel sums whose ratio is :func:`laplace_lambda`,
+    ``(1, 1)`` at ``lambda = 0``: as :func:`~ehrenfest.resolvent.kernel_sums`
+    returns them, with no gcd taken."""
     if lam < 0:
         raise ValueError("transform argument must be non-negative")
     if lam == 0:
-        return Fraction(1)
-    return laplace_u(query, lambda_to_u(query.params.balls, lam, digits))
+        return 1, 1
+    (start, ref), _ = kernel_sums(query.params, query.rows, lambda_to_u(query.params.balls, lam, digits))
+    return start, ref
 
 
 def mean(query: HittingQuery) -> Fraction:
@@ -172,13 +182,19 @@ def ctmc_stats(query: HittingQuery) -> CtmcStats:
 
 @dataclass(frozen=True)
 class HittingSummary:
-    """Exact summary of one hitting-time query."""
+    """Exact summary of one hitting-time query.
+
+    Each lambda sample is kept unreduced, as ``(lambda, (num, den))`` with
+    the transform equal to ``num / den``: the report prints it to ``--digits``
+    digits (:func:`~ehrenfest.exact.format_significant`) and as the float
+    ``num / den``, neither of which needs the gcd that reducing it would take.
+    """
 
     mean: Fraction
     variance: Fraction
     raw_moments: tuple[Fraction, ...]
     u_samples: tuple[tuple[Fraction, Fraction], ...] = ()
-    lambda_samples: tuple[tuple[float, Fraction], ...] = ()
+    lambda_samples: tuple[tuple[float, tuple[int, int]], ...] = ()
     exit_distribution: dict[State, Fraction] | None = None
 
     @classmethod
@@ -207,6 +223,6 @@ def summarize(
         raw_moments(query, max(order, 2)),
         order,
         u_samples=tuple((Fraction(u), laplace_u(query, u)) for u in u_grid),
-        lambda_samples=tuple((float(l), laplace_lambda(query, l, digits)) for l in lambda_grid),
+        lambda_samples=tuple((float(l), lambda_sums(query, l, digits)) for l in lambda_grid),
         exit_distribution=exit_distribution(query),
     )

@@ -87,11 +87,8 @@ def kernel_sums(params: ModelParams, rows: Sequence[Sequence[int]], u: Rational)
     if u <= 0:
         raise ValueError("resolvent kernel needs u > 0; use the centered kernel at u = 0")
     n, p, q = params.urns, u.numerator, u.denominator
-    terms = [
-        ([row[t] for row in rows], n * t * q + (n - 1) * p)
-        for t in range(params.balls + 1)
-        if any(row[t] for row in rows)
-    ]
+    # one column of the rows per overlap t, kept where any row is nonzero
+    terms = [(column, n * t * q + (n - 1) * p) for t, column in enumerate(zip(*rows)) if any(column)]
     if not terms:
         return [0] * len(rows), 1
 

@@ -4,7 +4,10 @@ The first group are straightforward ``Fraction`` versions of the closed
 forms.  Each sums its terms one reduced :class:`fractions.Fraction` at a
 time, exactly as the package did before its sums moved to unreduced integers
 over one denominator, and the tests require the package's values to equal
-these, rational for rational.
+these, rational for rational.  With them sit the decimal rendering that
+divides the whole quotient exactly, which the top-bits renderer must match
+string for string, and the kernel sums that read their columns one row entry
+at a time, which the package's must match integer for integer.
 
 The rest is code that no route, command, demo or benchmark runs: the
 one-step neighbours and overlap profiles of a state, written the obvious way,
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -79,6 +83,43 @@ def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Frac
         step /= 2
     rounded = math.floor(total / step) * step
     return rounded if rounded.denominator < first.denominator else first
+
+
+def format_significant(value: Rational, digits: int = 20) -> str:
+    """Render a rational in decimal with ``digits`` significant digits."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    q = Fraction(value)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        d = Decimal(q.numerator) / Decimal(q.denominator)
+    return str(d)
+
+
+def kernel_sums(params: ModelParams, rows: Sequence[Sequence[int]], u: Rational) -> tuple[list[int], int]:
+    """Kernel sums of integer ``rows`` at rational ``u > 0``, unreduced, as
+    nonzero columns read one row entry at a time and added by binary splitting."""
+    u = Fraction(u)
+    if u <= 0:
+        raise ValueError("resolvent kernel needs u > 0; use the centered kernel at u = 0")
+    n, p, q = params.urns, u.numerator, u.denominator
+    terms = [
+        ([row[t] for row in rows], n * t * q + (n - 1) * p)
+        for t in range(params.balls + 1)
+        if any(row[t] for row in rows)
+    ]
+    if not terms:
+        return [0] * len(rows), 1
+
+    def split(lo: int, hi: int) -> tuple[list[int], int]:
+        if hi - lo == 1:
+            return terms[lo]
+        mid = (lo + hi) // 2
+        (left, dl), (right, dr) = split(lo, mid), split(mid, hi)
+        return [a * dr + b * dl for a, b in zip(left, right)], dl * dr
+
+    nums, den = split(0, len(terms))
+    return [q * a for a in nums], den
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,13 @@
+import decimal
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrenfest import exact
 from ehrenfest.exact import (
     Jet,
     expm1_rational,
@@ -39,6 +42,82 @@ def test_serialization_roundtrip(q):
 def test_format_significant():
     assert format_significant(F(1, 3), 5) == "0.33333"
     assert format_significant(F(10), 4) == "10"
+    with pytest.raises(ValueError):
+        format_significant((1, 3), 0)
+
+
+def _spy_on_the_fallback(monkeypatch):
+    calls = []
+    real = exact._exact_quotient
+    monkeypatch.setattr(exact, "_exact_quotient", lambda num, den: calls.append((num, den)) or real(num, den))
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-(2**1500), 2**1500),
+    st.integers(1, 2**1500),
+    st.integers(1, 80),
+    st.integers(0, 2**300),
+)
+def test_format_significant_of_a_pair_equals_the_exact_division(num, den, digits, common):
+    # unreduced pairs, with a common factor or not, render as their reduced value does
+    want = reference.format_significant(F(num, den), digits)
+    assert format_significant((num, den), digits) == want
+    assert format_significant((num * (common + 1), den * (common + 1)), digits) == want
+    assert format_significant((-num, -den), digits) == want
+    assert format_significant(F(num, den), digits) == want
+
+
+def test_format_significant_falls_back_where_the_top_bits_cannot_decide(monkeypatch):
+    calls = _spy_on_the_fallback(monkeypatch)
+    big = 3**5000  # a common factor the top bits cut through
+    cases = [
+        ((125 * big, 1000 * big), 2, "0.12"),  # on a half-way point at 2 digits: ties to even
+        ((135 * big, 1000 * big), 2, "0.14"),
+        ((125 * big, 1000 * big), 3, "0.125"),  # exact: Decimal writes no trailing zeros
+        ((big, big), 20, "1"),  # a start inside the target set
+        ((10**30 * big, big), 5, "1.0000E+30"),  # exact past the digits: all of them written
+        ((0, big), 7, "0"),
+    ]
+    for pair, digits, want in cases:
+        assert format_significant(pair, digits) == want == reference.format_significant(F(*pair), digits)
+    assert len(calls) == len(cases)
+    # a quotient outside the context's exponent range: Decimal's underflow and overflow rules
+    with decimal.localcontext() as ctx:
+        ctx.Emin, ctx.Emax = -10, 10
+        tiny = (big, 3 * 10**20 * big)
+        assert format_significant(tiny, 5) == reference.format_significant(F(*tiny), 5) == "0E-14"
+        with pytest.raises(decimal.Overflow):
+            format_significant((10**20 * big, 3 * big), 5)
+    assert len(calls) == len(cases) + 2
+
+
+def test_format_significant_without_guard_bits_still_matches_the_reference(monkeypatch):
+    # no guard bits leave an interval about one unit in the last place wide:
+    # many quotients fall back, and every string stays the same
+    monkeypatch.setattr(exact, "_GUARD_BITS", 0)
+    calls = _spy_on_the_fallback(monkeypatch)
+    rng = random.Random(5)
+    for _ in range(400):
+        digits = rng.choice((1, 3, 20, 100))
+        num, den = rng.getrandbits(rng.randint(1, 4000)) + 1, rng.getrandbits(rng.randint(1, 4000)) + 1
+        assert format_significant((num, den), digits) == reference.format_significant(F(num, den), digits)
+    assert 40 < len(calls) < 400
+
+
+def test_format_significant_rounds_once_at_the_edges_of_a_decade():
+    # 10**k * (1 + off / 10**(digits + gap)), over a common factor the top bits
+    # cut through: just below 10**k it rounds up into the next decade, where
+    # the coefficient loses a digit, and at gap 30 the interval straddles 10**k
+    for digits in (1, 3, 20, 200):
+        for gap in (5, 30):
+            scale = 10 ** (digits + gap)
+            for k in (-40, -1, 0, 1, 40):
+                for off in (-7, -1, 1, 7):
+                    num, den = (scale + off) * 7**900 * 10 ** max(k, 0), scale * 7**900 * 10 ** max(-k, 0)
+                    want = reference.format_significant(F(num, den), digits)
+                    assert format_significant((num, den), digits) == want
 
 
 # --- jets -----------------------------------------------------------------

@@ -26,9 +26,9 @@ from ehrenfest.model import (
     SetNotSymmetricError,
     overlap,
 )
-from ehrenfest import hitting, model, oracle
+from ehrenfest import exact, hitting, model, oracle
 from ehrenfest.oracle import EnumeratedChain, mean_vector, raw_moment_vectors, solve_transform
-from ehrenfest.exact import Jet, lambda_to_u
+from ehrenfest.exact import Jet, format_significant, lambda_to_u
 from ehrenfest.resolvent import (
     centered_kernel,
     centered_kernel_jet,
@@ -36,6 +36,7 @@ from ehrenfest.resolvent import (
     kernel_row,
     resolvent_kernel,
 )
+import reference
 from reference import all_distinct_mean, green_potential, product_semigroup
 
 
@@ -225,6 +226,62 @@ def test_laplace_lambda_nonincreasing():
     grid = [i / 10 for i in range(21)]
     values = [laplace_lambda(q, lam) for lam in grid]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+# the lambda x digits sweep every renderer test below reads
+_SWEEP_LAMBDAS = (0.001, 0.01, 0.5, 3, 20, 700)
+_SWEEP_DIGITS = (1, 5, 20, 60, 200)
+
+
+def _sweep_query(m, kind):
+    """A singleton, a pair or the diagonal at N=6 and ``m`` balls, from a start outside it."""
+    targets = {
+        "singleton": SetDescriptor.singleton((2,) * m),
+        "pair": SetDescriptor.pair((2,) * m, (4,) * (m // 2) + (5,) * (m - m // 2)),
+        "diagonal": SetDescriptor.diagonal(),
+    }
+    return _query(6, m, tuple(1 + t % 3 for t in range(m)), targets[kind])
+
+
+@pytest.mark.parametrize("kind", ["singleton", "pair", "diagonal"])
+@pytest.mark.parametrize("m", [40, 100, 200])
+def test_lambda_sums_render_as_the_exact_division(m, kind, monkeypatch):
+    # the report's decimal and float of each unreduced sample against the
+    # division of the whole reduced value that rendered them before; the top
+    # bits settle every one of them, so none reaches the exact fallback
+    fallbacks = []
+    monkeypatch.setattr(exact, "_exact_quotient", lambda num, den: fallbacks.append(num) or 1 / 0)
+    q = _sweep_query(m, kind)
+    for lam in _SWEEP_LAMBDAS:
+        for digits in _SWEEP_DIGITS:
+            num, den = hitting.lambda_sums(q, lam, digits)
+            value = F(num, den)
+            assert format_significant((num, den), digits) == reference.format_significant(value, digits)
+            assert num / den == float(value)
+    assert fallbacks == []
+
+
+def test_lambda_sums_render_as_the_exact_division_at_a_thousand_digits():
+    q = _sweep_query(200, "singleton")
+    num, den = hitting.lambda_sums(q, 0.5, 1000)
+    assert max(num.bit_length(), den.bit_length()) > 600_000
+    value = F(num, den)
+    assert format_significant((num, den), 1000) == reference.format_significant(value, 1000)
+    assert num / den == float(value)
+
+
+def test_lambda_samples_at_the_edges():
+    # lambda = 0 is exactly 1; at 699.99 the value underflows the float range,
+    # and its 1000 digits are written in exponent form
+    q = _query(3, 4, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2)))
+    s = summarize(q, lambda_grid=(0.0, 699.99), digits=1000)
+    (zero, one), (lam, (num, den)) = s.lambda_samples
+    assert (zero, one) == (0.0, (1, 1)) and format_significant(one, 1000) == "1"
+    value = F(num, den)
+    assert lam == 699.99 and num / den == float(value) == 0.0
+    text = format_significant((num, den), 1000)
+    assert text == reference.format_significant(value, 1000)
+    assert "E-" in text and len(text.partition("E")[0]) == 1001  # 1000 digits and the point
 
 
 # --- Green potential --------------------------------------------------------
@@ -585,7 +642,10 @@ def test_summarize_bundles_fields():
     assert s.mean == 10 and s.variance == 74
     assert len(s.raw_moments) == 3
     assert [u for u, _ in s.u_samples] == [F(1, 2), F(1)]
-    assert s.lambda_samples[0][1] == 1
+    assert s.lambda_samples[0][1] == (1, 1)
+    assert F(*s.lambda_samples[1][1]) == laplace_lambda(q, 0.5)
+    # the summary is a value: a second run gives an equal one
+    assert summarize(q, order=3, u_grid=(F(1, 2), F(1)), lambda_grid=(0.0, 0.5)) == s
 
 
 def test_query_folds_each_side_once(monkeypatch):

@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrenfest.exact import Jet, expm1_rational
+from ehrenfest.exact import Jet, expm1_rational, lambda_to_u
 from ehrenfest.model import ModelParams
 from ehrenfest.resolvent import (
     _centered_at_zero,
@@ -193,6 +194,34 @@ def test_kernel_row_folds_histograms():
     assert kernel_sums(p, [kernel_row(p, [0] * 5)], F(1, 2)) == ([0], 1)
     with pytest.raises(ValueError):
         kernel_sums(p, [kernel_row(p, [1, 0, 0, 0, 0])], 0)
+
+
+def test_kernel_sums_equal_the_reference_sums_integer_for_integer():
+    rng = random.Random(11)
+    for _ in range(60):
+        n, m = rng.randint(2, 9), rng.randint(1, 30)
+        p = ModelParams(n, m)
+        # random rows, some columns zero in every row, some rows zero throughout
+        zero = set(rng.sample(range(m + 1), rng.randint(0, m)))
+        rows = [
+            [0 if t in zero or not live else rng.randint(-(10**40), 10**40) for t in range(m + 1)]
+            for live in (rng.random() < 0.8 for _ in range(rng.randint(1, 3)))
+        ]
+        u = F(rng.randint(1, 10**12), rng.randint(1, 10**12))
+        assert kernel_sums(p, rows, u) == reference.kernel_sums(p, rows, u)
+    # a single nonzero column, and no row at all
+    p = ModelParams(4, 6)
+    rows = [[0, 0, 0, 5, 0, 0, 0], [0, 0, 0, -2, 0, 0, 0]]
+    assert kernel_sums(p, rows, F(3, 7)) == reference.kernel_sums(p, rows, F(3, 7)) == ([35, -14], 93)
+    assert kernel_sums(p, [], F(1, 2)) == reference.kernel_sums(p, [], F(1, 2)) == ([], 1)
+
+
+def test_kernel_sums_equal_the_reference_sums_at_a_thousand_digits():
+    # the rows of a singleton at M=200 at the u a 1000-digit lambda sample is taken at
+    p = ModelParams(100_000, 200)
+    rows = [kernel_row(p, [1] + [0] * 200), kernel_row(p, [0] * 200 + [1])]
+    u = lambda_to_u(200, 0.5, 1000)
+    assert kernel_sums(p, rows, u) == reference.kernel_sums(p, rows, u)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 5), (3, 4), (5, 3), (4, 7)])
