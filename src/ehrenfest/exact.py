@@ -15,9 +15,11 @@ bits of the two sums, and the float is their correctly rounded int division,
 so no gcd of their integers, up to about 7*10**5 bits each, is ever taken.
 
 Jets carry the first ``order + 1`` Taylor coefficients of a function and
-support ring arithmetic, division and composition.  Dividing the two sides
-of a Laplace transform, each expanded as a jet, is how moments get read off
-it exactly, never touching floating point.
+support ring arithmetic, division and composition, exactly and never
+touching floating point; the centered kernel's Taylor jet
+(:func:`~ehrenfest.resolvent.centered_kernel_jet`) is built from them.  The
+engine's moments do not use them: :func:`~ehrenfest.hitting.raw_moments`
+divides the two integer kernel series by an integer recurrence.
 """
 
 from __future__ import annotations

@@ -29,9 +29,12 @@ Moments are read off the same two integer rows.  In ``w = 1 - z`` each side
 of the ratio is an integer power series over one denominator
 (:func:`~ehrenfest.resolvent.kernel_series`); their quotient is the series of
 ``E[(1 - w)**T]``, whose coefficients are the factorial moments up to sign
-and factorials, and Stirling numbers turn those into raw moments.  The mean,
-the variance and the continuous-time summaries are the first two of them.
-Everything on this analytic path is exact rational arithmetic.
+and factorials, and Stirling numbers turn those into raw moments.
+:func:`raw_moments` runs that division and that sum as one integer
+recurrence, with one gcd per series coefficient and one ``Fraction`` per
+moment.  The mean, the variance and the continuous-time summaries are the
+first two moments.  Everything on this analytic path is exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .closedforms import same_urn_stats_of_occupancy, two_point_stats
-from .exact import Jet, Rational, lambda_to_u
+from .exact import Rational, lambda_to_u
 from .model import ModelParams, SetDescriptor, State, overlap
 from .resolvent import kernel_row, kernel_series, kernel_sums
 
@@ -119,22 +122,51 @@ def variance(query: HittingQuery) -> Fraction:
 
 
 def raw_moments(query: HittingQuery, order: int) -> list[Fraction]:
-    """Exact raw moments ``E[T**r]`` for ``r = 1..order``.
+    """Exact raw moments ``E[T**n]`` for ``n = 1..order``, off one integer recurrence.
 
-    Divides the two sides' series in ``w = 1 - z`` into the series of
-    ``E[(1 - w)**T] = sum_r (-1)**r * E[(T)_r] / r! * w**r``, reads the
-    factorial moments ``E[(T)_r]`` off it and converts them with Stirling
-    numbers of the second kind: ``E[T**r] = sum_k S(r, k) * E[(T)_k]``.
+    :func:`~ehrenfest.resolvent.kernel_series` gives both sides as integer
+    series ``s`` and ``r`` in ``v = w / scale``, with ``s_0 = r_0 = |A|``.
+    Their quotient ``Q = s / r`` is the series of ``E[(1 - w)**T]``, whose
+    ``w**k`` coefficient ``Q_k / scale**k`` is ``(-1)**k * E[(T)_k] / k!``:
+
+        Q_j = (s_j - sum_{i<j} Q_i * r_{j-i}) / |A|
+
+    Each ``Q_j`` is kept as an integer numerator over ``L``, the running lcm
+    of the earlier coefficients' denominators: its new numerator is reduced
+    against ``L * |A|`` by one gcd, and ``L`` grows by what that leaves.
+    Stirling numbers of the second kind then give each moment as one integer
+    sum over ``L * scale**n`` and one :class:`~fractions.Fraction`:
+
+        E[T**n] = sum_k S(n, k) * (-1)**k * k! * Q_k / scale**k
+
+    That is about ``2 * order`` reductions.  The plain common denominator
+    ``|A|**(j+1)`` would take one gcd per moment and none per coefficient,
+    but its numerators carry ``|A|**j``: on a large set (``|A|`` near
+    ``10**298`` for ``count:150`` at ``N = 10**5``, ``M = 200``) that costs
+    more than the gcds save: from all ones at order 32 it takes about four
+    times as long as this recurrence.
     """
     if order < 1:
         raise ValueError("moment order must be >= 1")
     (start, ref), scale = kernel_series(query.params, query.rows, order)
-    ratio = (Jet(start) / Jet(ref)).coeffs
-    factorial = [(-1) ** r * math.factorial(r) * ratio[r] / scale**r for r in range(order + 1)]
-    moments, stirling = [], [1]  # stirling[k] = S(r, k), from S(0, 0) = 1
-    for _ in range(order):  # S(r, k) = S(r-1, k-1) + k * S(r-1, k)
-        stirling = [a + k * b for k, (a, b) in enumerate(zip([0] + stirling, stirling + [0]))]
-        moments.append(sum(s * f for s, f in zip(stirling, factorial)))
+    size = ref[0]
+    lcm, scaled = 1, []  # scaled[i] = Q_i * lcm
+    moments, weights = [], [1]  # weights[k] = (-1)**k * k! * S(n, k), from S(0, 0) = 1
+    for j in range(order + 1):
+        num = start[j] * lcm - sum(q * r for q, r in zip(scaled, ref[j:0:-1]))
+        g = math.gcd(num, lcm * size)
+        den = lcm * size // g
+        grow = den // math.gcd(lcm, den)
+        if grow != 1:
+            lcm *= grow
+            scaled = [q * grow for q in scaled]
+        scaled.append(num // g * (lcm // den))
+        if j:  # (-1)**k * k! * S(n, k) = k * (that of (n-1, k) - that of (n-1, k-1))
+            weights = [k * (b - a) for k, (a, b) in enumerate(zip([0] + weights, weights + [0]))]
+            total = 0
+            for k in range(1, j + 1):
+                total = total * scale + weights[k] * scaled[k]
+            moments.append(Fraction(total, lcm * scale**j))
     return moments
 
 

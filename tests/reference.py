@@ -4,10 +4,12 @@ The first group are straightforward ``Fraction`` versions of the closed
 forms.  Each sums its terms one reduced :class:`fractions.Fraction` at a
 time, exactly as the package did before its sums moved to unreduced integers
 over one denominator, and the tests require the package's values to equal
-these, rational for rational.  With them sit the decimal rendering that
-divides the whole quotient exactly, which the top-bits renderer must match
-string for string, and the kernel sums that read their columns one row entry
-at a time, which the package's must match integer for integer.
+these, rational for rational.  With them sit three more that the package's
+faster versions must match: the decimal rendering that divides the whole
+quotient exactly (the top-bits renderer, string for string), the kernel sums
+that read their columns one row entry at a time (integer for integer), and
+the raw moments read off by :class:`~ehrenfest.exact.Jet` division and a
+``Fraction`` Stirling sum (the integer recurrence, rational for rational).
 
 The rest is code that no route, command, demo or benchmark runs: the
 one-step neighbours and overlap profiles of a state, written the obvious way,
@@ -40,10 +42,16 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ehrenfest.closedforms import SameUrnStats
-from ehrenfest.exact import Rational
+from ehrenfest.exact import Jet, Rational
 from ehrenfest.model import CapExceededError, ModelParams, State, overlap
 from ehrenfest.oracle import MAX_BLOCKS, EnumeratedChain
-from ehrenfest.resolvent import KernelIncrements, centered_kernel, kernel_coefficients, resolvent_kernel
+from ehrenfest.resolvent import (
+    KernelIncrements,
+    centered_kernel,
+    kernel_coefficients,
+    kernel_series,
+    resolvent_kernel,
+)
 
 
 def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Fraction:
@@ -120,6 +128,21 @@ def kernel_sums(params: ModelParams, rows: Sequence[Sequence[int]], u: Rational)
 
     nums, den = split(0, len(terms))
     return [q * a for a in nums], den
+
+
+def raw_moments(query, order: int) -> list[Fraction]:
+    """Raw moments ``E[T**r]`` for ``r = 1..order`` by :class:`~ehrenfest.exact.Jet`
+    division of the two kernel series and a ``Fraction`` sum of Stirling terms."""
+    if order < 1:
+        raise ValueError("moment order must be >= 1")
+    (start, ref), scale = kernel_series(query.params, query.rows, order)
+    ratio = (Jet(start) / Jet(ref)).coeffs
+    factorial = [(-1) ** r * math.factorial(r) * ratio[r] / scale**r for r in range(order + 1)]
+    moments, stirling = [], [1]  # stirling[k] = S(r, k), from S(0, 0) = 1
+    for _ in range(order):  # S(r, k) = S(r-1, k-1) + k * S(r-1, k)
+        stirling = [a + k * b for k, (a, b) in enumerate(zip([0] + stirling, stirling + [0]))]
+        moments.append(sum(s * f for s, f in zip(stirling, factorial)))
+    return moments
 
 
 @lru_cache(maxsize=None)

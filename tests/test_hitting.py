@@ -381,12 +381,12 @@ def _reference_moments(params, start_hist, ref_hist, order):
 @st.composite
 def _moment_cases(draw):
     n, m = draw(st.integers(2, 5)), draw(st.integers(1, 40))
-    ref_hist = draw(st.lists(st.integers(0, 10**9), min_size=m + 1, max_size=m + 1).filter(any))
+    ref_hist = draw(st.lists(st.integers(0, 10**30), min_size=m + 1, max_size=m + 1).filter(any))
     # any start histogram with the same total: the reference puts |A| on both sides
     total = sum(ref_hist)
     cuts = sorted(draw(st.lists(st.integers(0, total), min_size=m, max_size=m)))
     start_hist = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
-    return ModelParams(n, m), tuple(start_hist), tuple(ref_hist), draw(st.integers(1, 8))
+    return ModelParams(n, m), tuple(start_hist), tuple(ref_hist), draw(st.integers(1, 16))
 
 
 @settings(max_examples=30, deadline=None)
@@ -396,6 +396,24 @@ def test_raw_moments_equal_composed_centered_kernel_jets(case):
     rows = (kernel_row(params, start_hist), kernel_row(params, ref_hist))
     query = SimpleNamespace(params=params, rows=rows)
     assert raw_moments(query, order) == _reference_moments(params, start_hist, ref_hist, order)
+
+
+_LARGEST = [
+    pytest.param(10**5, SetDescriptor.count(150), (2,) * 150 + (1,) * 50, 4, id="count150-order4"),
+    pytest.param(10**5, SetDescriptor.count(150), (2,) * 150 + (1,) * 50, 32, id="count150-order32"),
+    pytest.param(10, SetDescriptor.count(100, 2), (2,) * 100 + (1,) * 100, 16, id="count100:2-N10-order16"),
+    pytest.param(3, SetDescriptor.diagonal(), (3,) * 200, 32, id="diagonal-N3-order32"),
+    pytest.param(10**5, SetDescriptor.singleton((2,) * 200), (2,) * 200, 32, id="singleton-order32"),
+]
+
+
+@pytest.mark.parametrize("n,descriptor,inside,order", _LARGEST)
+def test_raw_moments_equal_jet_division_at_the_largest_size(n, descriptor, inside, order):
+    outside = _query(n, 200, (1,) * 200, descriptor)
+    assert raw_moments(outside, order) == reference.raw_moments(outside, order)
+    # from a start inside the set both rows are equal and every moment is 0
+    within = _query(n, 200, inside, descriptor)
+    assert raw_moments(within, order) == reference.raw_moments(within, order) == [0] * order
 
 
 @pytest.mark.parametrize(
