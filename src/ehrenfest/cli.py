@@ -36,7 +36,7 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 
-from .exact import format_rational, format_significant, lambda_to_u
+from .exact import ROUND_TRIP_DIGITS, format_rational, format_significant, lambda_to_u
 from .model import CapExceededError, ModelParams, SetNotSymmetricError, parse_set
 from . import closedforms, hitting
 from .resolvent import identity_suite_holds, quadrature_error
@@ -63,7 +63,7 @@ def _parse_start(text: str) -> tuple[int, ...]:
         raise ValueError(f"--start must be comma-separated urn indices such as 1,2,1, got {text!r}") from None
 
 
-# e**700 is still a float, and the exact Taylor sum for it takes a fraction of a second
+# e**700 is still a float
 LAMBDA_MAX = 700
 
 
@@ -465,9 +465,9 @@ def cmd_compare(args) -> dict:
     ]
 
     for lam, sums in engine.lambda_samples:
-        lhs, rhs = Fraction(*sums), hitting.laplace_lambda(query, lam, args.digits + 6)
+        lhs, rhs = Fraction(*sums), hitting.laplace_lambda(query, lam, max(args.digits, ROUND_TRIP_DIGITS) + 6)
         rel = abs(lhs - rhs) / rhs if rhs else Fraction(0)
-        # laplace_lambda is only asked for --digits digits: hold it to those, and to 1e-15 at most
+        # the reference's u is six digits finer; the samples print --digits: hold them to those, and to 1e-15
         verdicts.append(
             _verdict(
                 f"transform_lambda_{lam}",

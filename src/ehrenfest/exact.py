@@ -111,19 +111,22 @@ def _exact_quotient(num: int, den: int) -> Decimal:
 
 
 def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Fraction:
-    """Rational approximation of ``e**x - 1`` for ``x >= 0``.
+    """Rational lower bound of ``e**x - 1`` for ``x >= 0``, with relative error
+    below ``rel_err`` and a size set by ``rel_err``: one fixed-point Taylor sum
+    (Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, section 4.4).
 
-    Sums the Taylor series of the exponential until the (geometrically
-    bounded) tail drops below ``rel_err / 2`` relative to the partial sum.
-    With ``x = p/q`` the n-th partial sum and term are carried as unreduced
-    integers over their shared denominator ``q**n * n!``, and both stopping
-    rules compare integers by cross-multiplication, so no gcd is taken in the
-    loop.  The final sum is then floored to a multiple of the largest power
-    of two at most ``rel_err / 2`` of it, so the result's size follows
-    ``rel_err`` and not the binary expansion of ``x``.  Where the floor does
-    not shrink the denominator (a dyadic ``x`` such as 1/2), the first partial
-    sum within ``rel_err`` is returned instead.  Either way the value is a
-    lower bound of the true value with relative error below ``rel_err``.
+    With ``x = p/q``, ``t_1 = floor(p * 2**b / q)`` and ``t_n = floor(t_{n-1} * p / (q * n))``
+    are summed up to the first zero term ``t_K`` with ``K >= 2x - 1``; the sum ``S``
+    is floored to its ``keep`` leading bits, ``2**(keep - 2) > 1 / rel_err``, over ``2**b``.
+    Each ``t_n <= T_n = 2**b * x**n / n!``, so the result is a lower bound.  The deficits
+    ``d_n = T_n - t_n < d_{n-1} * x / n + 1`` sum to less than ``K * e**x``, and the exact
+    tail from ``K`` on, where terms at least halve, is at most ``2 * T_K = 2 * d_K``; so ``S``
+    misses a relative ``2(K + 1)(1 + 1/x) / 2**b`` at most, as ``e**x / (e**x - 1) <= 1 + 1/x``.
+    With ``bits(m) = m.bit_length() > log2(m)``, ``b = keep + bits(q // p + 2) + bits(terms + 1)``
+    holds that below ``2**(1 - keep)``, as the floor does: together below ``rel_err``.  The
+    loop ends by ``terms = max(6 * (floor(x) + 1), base + 64)``, ``base = b - bits(terms + 1)``:
+    there ``n > 6x`` gives ``T_n < (e * x / n)**n < 2**(-1.14 * n)``, and ``n >= base + 64``
+    gives ``1.14 * n >= b``, so ``T_n < 1`` and ``t_n = 0``.
     """
     x = Fraction(x)
     if x < 0:
@@ -131,40 +134,28 @@ def expm1_rational(x: Rational, rel_err: Fraction = Fraction(1, 10**26)) -> Frac
     if x == 0:
         return Fraction(0)
     p, q = x.numerator, x.denominator
-    r, s = rel_err.numerator, rel_err.denominator
-    total, term, den = 0, p, q  # partial sum and x**n / n!, both over den = q**n * n!
-    first = None
-    n = 1
-    while True:
+    keep = (rel_err.denominator // rel_err.numerator + 1).bit_length() + 2
+    base = keep + (q // p + 2).bit_length()  # 2**bits(q // p + 2) > 1 + 1/x
+    b = base + (max(6 * (p // q + 1), base + 64) + 1).bit_length()
+    total, term, n = 0, (p << b) // q, 1
+    while term or q * (n + 1) < 2 * p:  # stop at the first zero term with n >= 2x - 1
         total += term
-        # once the term ratio x/(n+2) is at most 1/2 the tail is < 2 * the next term,
-        # term * p / (den * q * (n+1)); nxt and allowed are the next term and
-        # rel_err * partial sum, both times den * q * (n+1) * s
-        if 2 * p <= q * (n + 2):
-            nxt, allowed = term * p * s, total * r * q * (n + 1)
-            if first is None and 2 * nxt <= allowed:
-                first = Fraction(total, den)
-            if 4 * nxt <= allowed:
-                break
-        term *= p
-        total *= q * (n + 1)
-        den *= q * (n + 1)
         n += 1
-    total = Fraction(total, den)
-    slack = rel_err * total / 2
-    step = Fraction(2) ** (slack.numerator.bit_length() - slack.denominator.bit_length())
-    if step > slack:
-        step /= 2
-    rounded = math.floor(total / step) * step
-    return rounded if rounded.denominator < first.denominator else first
+        term = term * p // (q * n)
+    shift = max(total.bit_length() - keep, 0)
+    return Fraction(total >> shift << shift, 1 << b)
+
+
+#: digits that round-trip a double: :func:`lambda_to_u` never works at fewer
+ROUND_TRIP_DIGITS = 17
 
 
 def lambda_to_u(balls: int, lam: float, digits: int) -> Fraction:
     """The continuous-time argument ``u = balls * (e**lam - 1)`` of a discrete
     transform at ``lam``, as a rational lower bound with relative error below
-    ``10**-(digits + 6)``: comfortably inside ``digits`` rendered digits.
-    """
-    return balls * expm1_rational(lam, Fraction(1, 10 ** (digits + 6)))
+    ``10**-(max(digits, ROUND_TRIP_DIGITS) + 6)``: six digits past those printed,
+    and past the transform's float, which the report prints at any ``digits``."""
+    return balls * expm1_rational(lam, Fraction(1, 10 ** (max(digits, ROUND_TRIP_DIGITS) + 6)))
 
 
 class Jet:

@@ -10,10 +10,10 @@ with ``z`` running over ``A`` and ``y`` any fixed element of ``A``.  Each
 summand depends on ``z`` only through an overlap, so ``A`` enters only
 through two overlap histograms of length ``balls + 1``: ``hist[k]`` counts
 the elements of ``A`` at overlap ``k`` from ``x``, or from ``y`` (overlap
-symmetry makes the second the same for every ``y``).  One call,
-:meth:`~ehrenfest.model.SetDescriptor.overlap_histograms`, validates ``A``
-once, picks ``y``, tests an ``explicit`` set for symmetry and counts both
-histograms without listing a symbolic set.
+symmetry makes the second the same for every ``y``).  The query validates
+``A`` once, and :meth:`~ehrenfest.model.SetDescriptor.overlap_histograms`
+reads that payload: it picks ``y``, tests an ``explicit`` set for symmetry and
+counts both histograms without listing a symbolic set.
 :class:`HittingQuery` folds each histogram once, into the integer row
 ``a_t = sum_k hist[k] * c_{k,t}`` of :func:`~ehrenfest.resolvent.kernel_row`,
 and keeps only the two rows: every output below reads them.  For the
@@ -64,16 +64,19 @@ class HittingQuery:
     swaps of the two urns for a pair, global urn relabelings for the diagonal
     and the distinct set, ball permutations plus relabelings fixing the
     reference urn for a count slice), so it is symmetric by construction.
+    ``payload`` is what ``target.validate`` returned, which the exit law reads.
     """
 
     params: ModelParams
     start: State
     target: SetDescriptor
+    payload: object = field(init=False, repr=False, compare=False)
     rows: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "start", self.params.check_state(self.start))
-        hists = self.target.overlap_histograms(self.params, self.start)
+        object.__setattr__(self, "payload", self.target.validate(self.params))
+        hists = self.target.overlap_histograms(self.params, self.start, self.payload)
         object.__setattr__(self, "rows", tuple(kernel_row(self.params, hist) for hist in hists))
 
 
@@ -178,14 +181,14 @@ def exit_distribution(query: HittingQuery) -> dict[State, Fraction] | None:
     or a pair's states and the diagonal's start are read as the query
     validated them.
     """
-    params, target, x = query.params, query.target, query.start
-    if target.kind == "singleton":
-        return {target.states[0]: Fraction(1)}
-    if target.kind == "pair":
-        y, z = sorted(target.states)
+    params, kind, x = query.params, query.target.kind, query.start
+    if kind == "singleton":
+        return {query.payload[0]: Fraction(1)}
+    if kind == "pair":
+        y, z = sorted(query.payload)
         first = two_point_stats(params, overlap(x, y), overlap(x, z), overlap(y, z)).exit_prob_first
         return {y: first, z: 1 - first}
-    if target.kind == "diagonal":
+    if kind == "diagonal":
         probs = same_urn_stats_of_occupancy(params, Counter(x)).exit_probs
         return {(i,) * params.balls: p for i, p in enumerate(probs, start=1)}
     return None

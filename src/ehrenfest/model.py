@@ -13,9 +13,9 @@ constructions (singletons, pairs, the all-in-one-urn diagonal, fixed-count
 slices, and the all-distinct set) are :class:`SetDescriptor` kinds, with a
 textual grammar for the command-line tools.  A descriptor has three readers:
 :meth:`~SetDescriptor.validate` checks it, :meth:`~SetDescriptor.materialize`
-lists its members, and a hitting query reads it through
-:meth:`~SetDescriptor.overlap_histograms` alone, which validates it once and
-counts its overlap histograms from the start and from one member.
+lists its members, and a hitting query validates it once and hands the
+payload to :meth:`~SetDescriptor.overlap_histograms`, which counts its overlap
+histograms from the start and from one member.
 Each kind but ``explicit`` is symmetric by construction and counted without
 being listed; an ``explicit`` set is read once into one sorted ``(|A|, M)``
 integer table, whose shape and urn range are tested as whole arrays, and
@@ -332,15 +332,18 @@ class SetDescriptor:
         """The sorted list of member states, validated first."""
         return sorted(self._members(params, self.validate(params)))
 
-    def overlap_histograms(self, params: ModelParams, x: State) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def overlap_histograms(
+        self, params: ModelParams, x: State, states=None
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The two overlap histograms a hitting query reads, from ``x`` (a state as
         :meth:`ModelParams.check_state` returns it) and from one member:
         ``hist[k]`` counts the members that agree with the point in exactly ``k``
-        coordinates.  The set is validated once.  Symbolic kinds are symmetric by
-        construction and counted, never listed; an explicit set is tested first,
+        coordinates.  The set is validated once: here, unless the caller passes the
+        payload ``states`` :meth:`validate` returned.  Symbolic kinds are symmetric
+        by construction and counted, never listed; an explicit set is tested first,
         and :class:`SetNotSymmetricError` names two members that differ.  So every
         member has the same histogram, and the first one the set yields serves."""
-        states = self.validate(params)
+        states = self.validate(params) if states is None else states
         if self.kind == "explicit":
             defect = symmetry_defect(states)
             if defect is not None:

@@ -466,6 +466,21 @@ def test_compare_checks_what_exact_and_oracle_print(capsys):
         assert [details[name][side] for name in names] == [v["rational"] for v in values]
 
 
+@pytest.mark.parametrize("command", ["exact", "oracle"])
+def test_lambda_floats_agree_at_any_digits(capsys, command):
+    # u is never coarser than 17 + 6 digits, so each transform's float is the same at any --digits
+    floats = []
+    for digits in ("1", "5", "20"):
+        code, report, _ = run_json(
+            capsys,
+            command, "--N", "3", "--M", "4", "--start", "1,1,1,1", "--set", "singleton:2,2,2,2",
+            "--lambda", "0.001,0.5,3", "--digits", digits,
+        )
+        assert code == 0
+        floats.append([s["float"] for s in report["results"]["lambda_samples"]])
+    assert floats[0] == floats[1] == floats[2]
+
+
 def test_compare_lambda_verdicts_follow_requested_digits(capsys):
     # at --digits 8 the lambda transforms agree to ~1e-15, far inside the precision asked for
     code, report, _ = run_json(

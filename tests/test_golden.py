@@ -22,7 +22,7 @@ CASES = {
     "oracle_pair": (["oracle", "--N", "3", "--M", "2", "--start", "1,1", "--set", "pair:(2,2);(1,2)"], 0),
     "exact_count": (["exact", "--N", "3", "--M", "6", "--start", "1,1,1,1,1,1", "--set", "count:2",
                      "--order", "4", "--u", "1/2,2", "--lambda", "0.5"], 0),
-    # non-dyadic lambdas: their u comes from the floored partial sum, not the first one
+    # non-dyadic lambdas at 40 digits: their u is a fixed-point Taylor sum floored to 46 digits' worth of bits
     "exact_lambda": (["exact", "--N", "3", "--M", "6", "--start", "1,1,1,1,1,1", "--set", "singleton:2,2,2,2,2,2",
                       "--order", "4", "--lambda", "0.01,0.1", "--digits", "40"], 0),
 }

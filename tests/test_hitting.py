@@ -555,6 +555,24 @@ def test_exit_distribution_matches_oracle():
         assert exit_distribution(HittingQuery(p, (1, 1, 1), descriptor)) is None
 
 
+def test_exit_law_reads_the_payload_the_query_validated():
+    # a dataclass-built target keeps its raw payload, here lists and numpy integers: the exit law reads
+    # the states the query checked, as the moments do, and keys them by plain int tuples
+    import numpy as np
+
+    p = ModelParams(3, 2)
+    raw = {
+        "pair": SetDescriptor("pair", states=([2, 2], [1, 2])),
+        "singleton": SetDescriptor("singleton", states=(np.array([2, 2]),)),
+    }
+    built = {"pair": SetDescriptor.pair((2, 2), (1, 2)), "singleton": SetDescriptor.singleton((2, 2))}
+    for kind, descriptor in raw.items():
+        got = summarize(HittingQuery(p, (1, 1), descriptor))
+        want = summarize(HittingQuery(p, (1, 1), built[kind]))
+        assert got == want and got.exit_distribution == want.exit_distribution
+        assert all(type(c) is int for state in got.exit_distribution for c in state)
+
+
 def test_exit_law_only_from_closed_forms_wherever_the_start_lies():
     p = ModelParams(3, 3)
     closed = [
