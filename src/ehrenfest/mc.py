@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelParams, SetDescriptor, State, overlap
+from .model import ModelParams, SetDescriptor, State, _integer, overlap
 
 #: Moves drawn per block over all live replicas: bounds the block's memory
 #: and sets how many steps the sparse tail takes per RNG call.  Part of the
@@ -79,6 +79,8 @@ class SimConfig:
     grid: tuple[float, ...] = ()  # transform arguments: lambda if discrete, u if ctmc
 
     def __post_init__(self):
+        for name in ("replicas", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.replicas < 1:
             raise ValueError("need at least one replica")
         if self.mode not in MODES:

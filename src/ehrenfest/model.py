@@ -62,12 +62,14 @@ def _coordinates(values: Iterable) -> State:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Chain dimensions: ``urns >= 2`` urns and ``balls >= 1`` labelled balls."""
+    """Chain dimensions: ``urns >= 2`` urns and ``balls >= 1`` labelled balls, read by :func:`_integer`."""
 
     urns: int
     balls: int
 
     def __post_init__(self):
+        for name in ("urns", "balls"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.urns < 2:
             raise ValueError(f"need at least 2 urns, got {self.urns}")
         if self.balls < 1:
@@ -333,17 +335,16 @@ class SetDescriptor:
         return sorted(self._members(params, self.validate(params)))
 
     def overlap_histograms(
-        self, params: ModelParams, x: State, states=None
+        self, params: ModelParams, x: State, states
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The two overlap histograms a hitting query reads, from ``x`` (a state as
         :meth:`ModelParams.check_state` returns it) and from one member:
         ``hist[k]`` counts the members that agree with the point in exactly ``k``
-        coordinates.  The set is validated once: here, unless the caller passes the
-        payload ``states`` :meth:`validate` returned.  Symbolic kinds are symmetric
-        by construction and counted, never listed; an explicit set is tested first,
+        coordinates.  ``states`` is the payload :meth:`validate` returned, so the
+        set is validated once, by the caller.  Symbolic kinds are symmetric by
+        construction and counted, never listed; an explicit set is tested first,
         and :class:`SetNotSymmetricError` names two members that differ.  So every
         member has the same histogram, and the first one the set yields serves."""
-        states = self.validate(params) if states is None else states
         if self.kind == "explicit":
             defect = symmetry_defect(states)
             if defect is not None:

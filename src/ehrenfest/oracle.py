@@ -4,26 +4,26 @@ Every closed-form quantity in this package is re-derivable from first-step
 analysis on the ``urns**balls`` state space: hitting means, higher moments,
 probability-generating-function values, and exit distributions all solve
 linear systems with rational coefficients.  No system here is solved on the
-full chain.  The states are enumerated with a table of neighbour positions,
-and the partition {target set, rest} is refined by signatures (a state's own
-block plus the sorted blocks of its neighbours) until no block splits.  That
-is the coarsest strongly lumpable partition keeping the target set apart
-(Kemeny & Snell, *Finite Markov Chains*, 1960, §6.3): all moves are
-equiprobable and every state of a block has the same number of neighbours in
-each block, so every first-step solution is constant on blocks.  Each round
-packs every signature row big-endian into as few exact int64 words as hold
-it, and numbers the distinct rows in lexicographic order by stable sorts of
-those words; the own block leads each row, so a block keeps the order of the
-block it split from and the target set's blocks come last.  Each system
-is assembled in integers from the block-to-block neighbour counts (at
-``z = a/q`` its rows are ``q * degree * I - a * counts``: row scaling leaves
-the solution unchanged) and solved by Dixon's p-adic lifting (*Numer. Math.*
-40, 1982).  The matrix is inverted once mod a word-size prime, the solution
-is lifted one p-adic digit per step and recovered as integer numerators over
-one common denominator (Wang, Guy & Davenport, *ACM SIGSAM Bull.* 16(2),
-1982), and it is returned only once substituting it back into the integer
-rows holds exactly, so exactness never rests on the modular step.  One
-inverse serves every moment order.  Values become rationals only when they
+full chain.  The states are enumerated in mixed-radix order with a table of
+neighbour positions, and the partition {target set, rest} is refined by
+signatures (a state's own block plus the sorted blocks of its neighbours)
+until no block splits.  That is the coarsest strongly lumpable partition
+keeping the target set apart (Kemeny & Snell, *Finite Markov Chains*, 1960,
+§6.3): all moves are equiprobable and every state of a block has the same
+number of neighbours in each block, so every first-step solution is constant
+on blocks.  Each round packs every signature row big-endian into as few
+exact int64 words as hold it, and numbers the distinct rows in lexicographic
+order by stable sorts of those words; the own block leads each row, so a
+block keeps the order of the block it split from and the target set's blocks
+come last.  Each system is assembled in integers from the block-to-block
+neighbour counts (at ``z = a/q`` its rows are ``q * degree * I - a *
+counts``: row scaling leaves the solution unchanged) and solved by Dixon's
+p-adic lifting (*Numer. Math.* 40, 1982).  The matrix is inverted once mod a
+word-size prime, the solution is lifted one p-adic digit per step and
+recovered as integer numerators over one common denominator (Wang, Guy &
+Davenport, *ACM SIGSAM Bull.* 16(2), 1982), and it is returned only once
+substituting it back into the integer rows holds exactly, so exactness never
+rests on the modular step.  One inverse serves every moment order.  Values become rationals only when they
 are expanded back to every state.  A chain validates a target list and
 refines its partition once, keyed by the list as given (and the start, for
 the exit law), and keeps it for every later solve on that list.  The
@@ -47,8 +47,8 @@ import numpy as np
 from .model import CapExceededError, ModelParams, State
 
 #: Work bounds, timed on 2 vCPUs: a whole singleton ``oracle`` request at
-#: 2**15 states takes about 0.5 s, and at 2**23 state-move pairs 0.8-1.4 s
-#: and 290 MB; one dense inverse of a 1024-block quotient takes about 3 s.
+#: 2**15 states takes 0.36-0.55 s, and at 2**23 state-move pairs 0.68-0.80 s
+#: and 236 MB; one dense inverse of a 1024-block quotient takes about 3 s.
 MAX_STATES = 2**15
 MAX_MOVES = 2**23
 MAX_BLOCKS = 1024
@@ -57,34 +57,30 @@ MAX_BLOCKS = 1024
 class EnumeratedChain:
     """The fully enumerated chain with its table of neighbour positions.
 
-    States are listed in mixed-radix order with ball 1 varying fastest, so
-    ``state_index(x) = sum_i (x_i - 1) * urns**(i-1)``.  Tests may pass a
-    permutation of ``range(urns**balls)`` as ``order`` to verify that solves
-    do not depend on the enumeration order.  Row ``r`` of ``neighbor_table``
-    holds the positions of the ``balls * (urns - 1)`` states one move away
-    from ``states[r]``: moving ball ``i`` on by ``d = 1..urns-1`` urns changes
-    the code by ``((digit_i + d) mod urns - digit_i) * urns**(i-1)``.
-    A chain of more than ``MAX_STATES`` states or ``MAX_MOVES`` state-move
-    pairs is refused before anything is enumerated.
+    States are listed in mixed-radix order with ball 1 varying fastest, so a
+    state's position is its code ``sum_i (x_i - 1) * urns**(i-1)``.  Row ``r``
+    of ``neighbor_table`` holds the positions of the ``balls * (urns - 1)``
+    states one move away from ``states[r]``: moving ball ``i`` on by
+    ``d = 1..urns-1`` urns changes the code by ``d * urns**(i-1)``, less
+    ``urns**i`` when the move wraps past urn ``urns`` (``digit_i >= urns - d``),
+    so the table is the codes plus one whole-array shift, with no modulo and
+    no gather.  A chain of more than ``MAX_STATES`` states or ``MAX_MOVES``
+    state-move pairs is refused before anything is enumerated.
     """
 
-    def __init__(self, params: ModelParams, order: Sequence[int] | None = None):
+    def __init__(self, params: ModelParams):
         if params.state_count > MAX_STATES:
             raise CapExceededError("MAX_STATES", params.state_count, MAX_STATES, "states")
         if (moves := params.state_count * params.balls * (params.urns - 1)) > MAX_MOVES:
             raise CapExceededError("MAX_MOVES", moves, MAX_MOVES, "state-move pairs")
         self.params = params
         n, m, size = params.urns, params.balls, params.state_count
-        codes = np.arange(size) if order is None else np.array(list(order), dtype=np.int64)
-        if codes.shape != (size,) or not np.array_equal(np.sort(codes), np.arange(size)):
-            raise ValueError("order must be a permutation of all state codes")
+        codes = np.arange(size)
         radix = n ** np.arange(m, dtype=np.int64)
         digits = codes[:, None] // radix % n
-        moved = (digits[:, :, None] + np.arange(1, n)) % n
-        shifts = ((moved - digits[:, :, None]) * radix[:, None]).reshape(size, -1)
-        position = np.empty(size, dtype=np.intp)
-        position[codes] = np.arange(size)
-        self.neighbor_table = position[codes[:, None] + shifts]
+        step = np.arange(1, n)
+        shifts = (step - n * (digits[:, :, None] >= n - step)) * radix[:, None]
+        self.neighbor_table = codes[:, None] + shifts.reshape(size, -1)
         self.states: list[State] = [tuple(row) for row in (digits + 1).tolist()]
         self.index: dict[State, int] = {x: i for i, x in enumerate(self.states)}
         self.quotients: dict = {}  # (target list as given, start) -> _lump's partition, see _quotient
@@ -316,13 +312,14 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
     Returns ``(labels, counts, transient)``: the block of every state, the
     neighbour count ``counts[b, c]`` from any state of transient block ``b``
     into block ``c``, and the number of blocks outside the target set.  Each
-    round groups the signature rows (a state's label, then its neighbours'
-    sorted labels) with :func:`_group`, which packs them into exact int64
-    words and numbers the groups in the rows' lexicographic order.  The own
-    label leads, so a block keeps the order of the block it split from and
-    the target set's blocks come last; every solve reads the target set as
-    one absorbing block, so its blocks share the label and column
-    ``transient``; a start inside it stays there.  The counts come from one
+    round writes the signature rows (a state's label, then its neighbours'
+    labels sorted in place) into one buffer allocated per call, and
+    :func:`_group` packs them into exact int64 words and numbers the groups
+    in the rows' lexicographic order.  The own label leads, so a block keeps
+    the order of the block it split from and the target set's blocks come
+    last; every solve reads the target set as one absorbing block, so its
+    blocks share the label and column ``transient``; a start inside it stays
+    there.  The counts come from one
     ``bincount`` over every transient block's representative.
     """
     positions = [chain.index[chain.params.check_state(t)] for t in targets]
@@ -333,9 +330,13 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
         labels[chain.index[start]] = 1
     labels[positions] = 2
     neighbors = chain.neighbor_table
+    signature = np.empty((len(labels), 1 + chain.degree()), dtype=np.intp)  # reused by every round
     blocks = 0
     while True:
-        first, labels = _group(np.column_stack((labels, np.sort(labels[neighbors], axis=1))))
+        signature[:, 0] = labels
+        signature[:, 1:] = labels[neighbors]
+        signature[:, 1:].sort(axis=1)
+        first, labels = _group(signature)
         if len(first) == blocks:
             break
         blocks = len(first)

@@ -136,15 +136,9 @@ def resolvent_kernel(params: ModelParams, k: int, u: Rational) -> Fraction:
     return Fraction(num, den)
 
 
-def centered_kernel(params: ModelParams, k: int, u: Rational = 0) -> Fraction:
-    """Kernel with the pole term removed; finite for all rational ``u >= 0``."""
-    u = Fraction(u)
-    if u < 0:
-        raise ValueError("centered kernel needs u >= 0")
-    if u == 0:
-        return _centered_at_zero(params, k)
-    # the pole term is c_0 / (u*(urns-1)) with c_0 = 1
-    return resolvent_kernel(params, k, u) - 1 / (u * (params.urns - 1))
+def centered_kernel(params: ModelParams, k: int) -> Fraction:
+    """Kernel at ``u = 0`` with the pole term ``1 / (u * (urns-1))`` removed."""
+    return _centered_at_zero(params, k)
 
 
 @lru_cache(maxsize=None)

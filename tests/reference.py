@@ -15,10 +15,12 @@ The rest is code that no route, command, demo or benchmark runs: the
 one-step neighbours and overlap profiles of a state, written the obvious way,
 the diagonal's and the distinct set's overlap histograms read urn by urn,
 the member-by-member checks an ``explicit:@file`` payload once went through,
-the oracle's partition refinement as it grouped signature rows with
-``np.unique(axis=0)``, and closed forms for single target families (the variance at a disjoint
-singleton, clustering from the spread start and from any start read urn by
-urn, the all-distinct mean).  The tests check the oracle, the symmetry test,
+the oracle's neighbour table as a modulo and a gather built it, its chain
+relabelled in any order of the states, the oracle's partition refinement as
+it grouped signature rows with ``np.unique(axis=0)``, and closed forms for
+single target families (the variance at a disjoint singleton, clustering
+from the spread start and from any start read urn by urn, the all-distinct
+mean).  The tests check the oracle, the symmetry test,
 the explicit-set table, the histograms, the oracle's quotient, the engine and
 the diagonal's closed form against them.
 
@@ -288,6 +290,40 @@ def explicit_members(params: ModelParams, data, path: str) -> list[State]:
     if len(set(states)) != len(states):
         raise ValueError("explicit descriptor contains duplicate states")
     return sorted(states)
+
+
+def neighbor_table_by_modulo(params: ModelParams, order: Sequence[int] | None = None) -> np.ndarray:
+    """:class:`ehrenfest.oracle.EnumeratedChain`'s neighbour table as it was
+    built when the chain could list its states in any ``order`` of their codes:
+    each moved digit wrapped by an integer ``%`` over the whole (S, M, N-1)
+    array, and the neighbours' codes mapped back to positions by a gather
+    through the inverse of ``order``."""
+    n, m, size = params.urns, params.balls, params.state_count
+    codes = np.arange(size) if order is None else np.array(list(order), dtype=np.int64)
+    radix = n ** np.arange(m, dtype=np.int64)
+    digits = codes[:, None] // radix % n
+    moved = (digits[:, :, None] + np.arange(1, n)) % n
+    shifts = ((moved - digits[:, :, None]) * radix[:, None]).reshape(size, -1)
+    position = np.empty(size, dtype=np.intp)
+    position[codes] = np.arange(size)
+    return position[codes[:, None] + shifts]
+
+
+def reordered_chain(params: ModelParams, order: Sequence[int]) -> EnumeratedChain:
+    """The enumerated chain with its states listed in ``order``, a permutation
+    of their codes: position ``r`` holds the state of code ``order[r]``.
+    ``states``, ``index`` and ``neighbor_table`` are relabelled together, so
+    every solve on it must equal the solve on the chain in code order."""
+    chain = EnumeratedChain(params)
+    codes = np.array(list(order), dtype=np.int64)
+    if codes.shape != (len(chain.states),) or not np.array_equal(np.sort(codes), np.arange(len(chain.states))):
+        raise ValueError("order must be a permutation of all state codes")
+    position = np.empty(len(codes), dtype=np.intp)
+    position[codes] = np.arange(len(codes))
+    chain.neighbor_table = position[chain.neighbor_table[codes]]
+    chain.states = [chain.states[c] for c in codes.tolist()]
+    chain.index = {x: i for i, x in enumerate(chain.states)}
+    return chain
 
 
 def lump_by_unique_rows(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):

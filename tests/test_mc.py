@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,16 @@ def test_config_validation():
         SimConfig(replicas=0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(replicas=10, seed=1, mode="jump")
+
+
+@pytest.mark.parametrize("bad", [1.5, 100.0, "7", True, None], ids=repr)
+@pytest.mark.parametrize("field", ["replicas", "seed"])
+def test_config_refuses_non_integer_replicas_and_seed(field, bad):
+    # SimConfig(100, seed=1.5) once sampled silently
+    with pytest.raises(ValueError, match=f"{field} {re.escape(repr(bad))} is not an integer"):
+        SimConfig(**{"replicas": 100, "seed": 1, field: bad})
+    cfg = SimConfig(replicas=np.int64(100), seed=np.uint32(7))
+    assert (repr(cfg.replicas), repr(cfg.seed)) == ("100", "7")
 
 
 def test_start_inside_target():

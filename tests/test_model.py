@@ -208,6 +208,17 @@ def test_numpy_integer_coordinates_read_as_ints(reader):
     assert repr(_READS_COORDINATES[reader](np.int64(2))) == repr(_READS_COORDINATES[reader](2))
 
 
+@pytest.mark.parametrize("bad", [3.0, 2.5, "3", True, np.float64(3.0), None], ids=repr)
+@pytest.mark.parametrize("field", ["urns", "balls"])
+def test_non_integer_sizes_are_refused_not_truncated(field, bad):
+    # ModelParams(3.0, 2) once built and failed later inside math.gcd, (3, True) built a one-ball
+    # model and (3, 2.5) counted 15.59 states
+    with pytest.raises(ValueError, match=f"{field} {re.escape(repr(bad))} is not an integer"):
+        ModelParams(**{"urns": 3, "balls": 2, field: bad})
+    p = ModelParams(np.int64(3), np.int32(2))
+    assert (repr(p.urns), repr(p.balls), p.state_count) == ("3", "2", 9)
+
+
 def test_the_engine_refuses_a_float_coordinate_it_once_truncated():
     with pytest.raises(ValueError, match="2.7"):
         HittingQuery(ModelParams(3, 2), (1, 1), SetDescriptor.singleton((2.7, 2)))
@@ -340,7 +351,8 @@ def test_occupancy_histograms_equal_the_urn_by_urn_count(n, m):
     for crowd in (n, 2, max(2, m // 3)):
         x = tuple(rng.randrange(1, min(crowd, n) + 1) for _ in range(m))
         for kind, first in kinds.items():
-            hists = SetDescriptor(kind).overlap_histograms(params, x)
+            d = SetDescriptor(kind)
+            hists = d.overlap_histograms(params, x, d.validate(params))
             assert hists == (occupancy_histogram_by_urn(params, kind, x),
                              occupancy_histogram_by_urn(params, kind, first)), (kind, x)
 
@@ -350,7 +362,8 @@ def test_diagonal_histograms_at_the_largest_model_take_no_pass_per_urn():
     params = ModelParams(10**5, 200)
     x = tuple(range(1, 201))
     started = time.perf_counter()
-    hists = SetDescriptor.diagonal().overlap_histograms(params, x)
+    d = SetDescriptor.diagonal()
+    hists = d.overlap_histograms(params, x, d.validate(params))
     assert time.perf_counter() - started < 0.1
     assert hists == ((10**5 - 200, 200) + (0,) * 199, (10**5 - 1,) + (0,) * 199 + (1,))
 
@@ -378,7 +391,7 @@ def test_overlap_histogram_counts_what_materialize_lists(case):
     params, d, x = case
     states = d.materialize(params)
     try:
-        hists = d.overlap_histograms(params, x)
+        hists = d.overlap_histograms(params, x, d.validate(params))
     except SetNotSymmetricError:  # only an explicit set is tested, and only an asymmetric one fails
         assert d.kind == "explicit" and symmetry_defect(states) is not None
         return

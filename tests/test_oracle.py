@@ -24,7 +24,7 @@ from ehrenfest.oracle import (
     solve_transform_u,
     transform_vector,
 )
-from reference import lump_by_unique_rows, neighbor_states
+from reference import lump_by_unique_rows, neighbor_states, neighbor_table_by_modulo, reordered_chain
 
 
 def test_solver_on_small_dense_system():
@@ -195,7 +195,7 @@ def test_non_lumping_explicit_quotient_matches_bareiss(n, m, size):
     rng = random.Random(10 * n + m)
     order = list(range(p.state_count))
     rng.shuffle(order)
-    chain = EnumeratedChain(p, order=order)
+    chain = reordered_chain(p, order)
     targets = sorted(rng.sample(chain.states, size))
     start = next(x for x in chain.states if x not in targets)
     assert 36 <= len(oracle._quotient(chain, targets)[1]) <= 64
@@ -301,7 +301,7 @@ def test_reordering_does_not_change_answers():
     order = list(range(p.state_count))
     rng.shuffle(order)
     base = EnumeratedChain(p)
-    shuffled = EnumeratedChain(p, order=order)
+    shuffled = reordered_chain(p, order)
     target = SetDescriptor.diagonal().materialize(p)
     assert mean_vector(base, target) == mean_vector(shuffled, target)
     assert transform_vector(base, target, F(1, 2)) == transform_vector(shuffled, target, F(1, 2))
@@ -447,7 +447,7 @@ def test_quotient_matches_dense_full_chain(n, m):
     order = list(range(p.state_count))
     rng.shuffle(order)
     for case, targets in enumerate(_quotient_cases(n, m)):
-        chain = EnumeratedChain(p, order=order if case % 2 else None)
+        chain = reordered_chain(p, order) if case % 2 else EnumeratedChain(p)
         z = F(2, 3) if case % 3 else F(999, 1000)
         moments, pgf, exits = _dense_reference(chain, targets, 4, z)
         assert mean_vector(chain, targets) == moments[0]
@@ -463,7 +463,7 @@ def test_neighbor_table_is_the_symmetric_one_move_relation(n, m, shuffle):
     order = list(range(p.state_count))
     if shuffle:
         random.Random(n + m).shuffle(order)
-    chain = EnumeratedChain(p, order=order)
+    chain = reordered_chain(p, order)
     table = chain.neighbor_table
     assert table.shape == (p.state_count, chain.degree())
     for i, x in enumerate(chain.states):
@@ -471,6 +471,22 @@ def test_neighbor_table_is_the_symmetric_one_move_relation(n, m, shuffle):
     adjacency = np.zeros((p.state_count, p.state_count), dtype=int)
     np.add.at(adjacency, (np.repeat(np.arange(p.state_count), chain.degree()), table.ravel()), 1)
     assert (adjacency == adjacency.T).all() and adjacency.max() == 1 and not adjacency.diagonal().any()
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 5), (3, 3), (4, 2), (5, 3), (7, 2), (161, 2), (2, 15)])
+def test_neighbor_table_equals_the_modulo_reference(n, m):
+    # the comparison wrap builds the array the modulo and gather built: values, dtype, layout and
+    # ownership; a chain relabelled in a shuffled order equals the reference in that order too
+    p = ModelParams(n, m)
+    order = list(range(p.state_count))
+    random.Random(n * m).shuffle(order)
+    for shuffled in (None, order):
+        chain = EnumeratedChain(p) if shuffled is None else reordered_chain(p, shuffled)
+        table, want = chain.neighbor_table, neighbor_table_by_modulo(p, shuffled)
+        assert table.dtype == want.dtype == np.intp and table.shape == want.shape
+        assert np.array_equal(table, want)
+        layout = [(a.flags.c_contiguous, a.flags.owndata) for a in (table, want)]
+        assert layout == [(True, True), (True, True)]
 
 
 def _assert_lump_equals_reference(chain, targets, start):
@@ -499,7 +515,7 @@ def test_lump_equals_the_unique_rows_reference(n, m):
     rng = random.Random(17 * n + m)
     order = list(range(p.state_count))
     rng.shuffle(order)
-    for chain in (EnumeratedChain(p), EnumeratedChain(p, order=order)):
+    for chain in (EnumeratedChain(p), reordered_chain(p, order)):
         every = chain.states
         kinds = [SetDescriptor.singleton(rng.choice(every)), SetDescriptor.diagonal()]
         if len(every) > 2:
@@ -526,7 +542,7 @@ def test_lump_equals_the_reference_where_rows_need_three_or_more_words(monkeypat
     order = list(range(p.state_count))
     random.Random(46).shuffle(order)
     targets = SetDescriptor.pair((2,) * 6, (1, 2, 3, 4, 1, 2)).materialize(p)
-    for chain in (EnumeratedChain(p), EnumeratedChain(p, order=order)):
+    for chain in (EnumeratedChain(p), reordered_chain(p, order)):
         shapes.clear()
         _, _, transient = _assert_lump_equals_reference(chain, targets, (1,) * 6)
         width, top = shapes[-1]
@@ -679,7 +695,7 @@ def test_one_set_in_any_form_or_order_gives_equal_answers():
     rng = random.Random(7)
     order = list(range(p.state_count))
     rng.shuffle(order)
-    chain = EnumeratedChain(p, order=order)
+    chain = reordered_chain(p, order)
     targets = rng.sample(chain.states, 5)
     forms = [targets, sorted(targets), targets[::-1], [list(x) for x in targets], targets + targets[:2]]
     for start in (next(x for x in chain.states if x not in targets), targets[2]):

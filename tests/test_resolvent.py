@@ -3,8 +3,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ehrenfest.exact import Jet, expm1_rational, lambda_to_u
 from ehrenfest.model import ModelParams
@@ -60,18 +58,6 @@ def test_centered_kernel_values_at_zero():
     assert centered_kernel(p, 0) == F(-1, 2)
     assert centered_kernel(p, 2) == F(2)
     assert centered_kernel(p, 1) == 0  # zero-overlap value plus 1/balls
-
-
-@settings(max_examples=60)
-@given(
-    st.integers(min_value=2, max_value=5),
-    st.integers(min_value=1, max_value=5),
-    st.fractions(min_value=F(1, 100), max_value=10, max_denominator=100),
-)
-def test_centered_equals_kernel_minus_pole(n, m, u):
-    p = ModelParams(n, m)
-    for k in range(m + 1):
-        assert centered_kernel(p, k, u) == resolvent_kernel(p, k, u) - F(1, 1) / (u * (n - 1))
 
 
 def test_derivative_values():
@@ -180,7 +166,7 @@ def test_kernels_equal_double_sum_exactly(n, m):
         assert centered_kernel(p, k) == _reference_kernel(n, m, k, 0, centered=True)
         for u in us:
             assert resolvent_kernel(p, k, u) == _reference_kernel(n, m, k, u)
-            assert centered_kernel(p, k, u) == _reference_kernel(n, m, k, u, centered=True)
+            assert resolvent_kernel(p, k, u) - 1 / (u * (n - 1)) == _reference_kernel(n, m, k, u, centered=True)
         for order in range(1, 5):
             assert centered_kernel_derivative(p, k, order) == _reference_derivative(n, m, k, order)
 
