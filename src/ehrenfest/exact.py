@@ -11,8 +11,9 @@ discrete-time transform argument, and a small truncated-power-series type
 The discrete transform's samples are kept unreduced, as the two kernel sums
 whose ratio they are, since a report prints only ``digits`` digits and a
 float of each: :func:`format_significant` reads those digits off the top
-bits of the two sums, and the float is their correctly rounded int division,
-so no gcd of their integers, up to about 7*10**5 bits each, is ever taken.
+bits of the two sums, rounding each end of the interval they leave once with
+``decimal``, and the float is their correctly rounded int division, so no gcd
+of their integers, up to about 7*10**5 bits each, is ever taken.
 
 Jets carry the first ``order + 1`` Taylor coefficients of a function and
 support ring arithmetic, division and composition, exactly and never
@@ -25,7 +26,7 @@ divides the two integer kernel series by an integer recurrence.
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -51,10 +52,12 @@ def format_significant(value: Rational | tuple[int, int], digits: int = 20) -> s
 
     Ziv's rounding test (*ACM TOMS* 17(3), 1991) reads it off the top
     ``ceil(digits * log2(10)) + _GUARD_BITS`` bits of ``num`` and ``den``,
-    which bound the quotient between two ratios of small integers; where they
-    do not settle the rounding, or the quotient is zero, exact or out of
-    range, the exact division runs.  Neither path reduces the pair, since
-    ``Decimal``'s quotient depends on the value alone.
+    which bound the quotient between two ratios of small integers.  Each is
+    rounded once by ``decimal``; rounding is monotone, so where both give one
+    string the quotient does too, unless that value lies between the ends (the
+    quotient may equal it, with fewer digits) or outside the context's exponent
+    range: there, and at zero, the exact division runs.  Neither path reduces
+    the pair, since ``Decimal``'s quotient depends on the value alone.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -77,32 +80,24 @@ _GUARD_BITS = 64
 
 
 def _quotient_from_top_bits(num: int, den: int, ctx: Context) -> Decimal | None:
-    """``num / den`` (both positive) rounded to ``ctx.prec`` digits from the
-    top bits of each, or None where those bits do not settle the rounding."""
-    digits = ctx.prec
-    keep = math.ceil(digits * math.log2(10)) + _GUARD_BITS
+    """``num / den`` (both positive) rounded as ``ctx`` rounds it, from the top
+    bits of each, or None where those bits do not settle the rounding."""
+    keep = math.ceil(ctx.prec * math.log2(10)) + _GUARD_BITS
     sn, sd = max(num.bit_length() - keep, 0), max(den.bit_length() - keep, 0)
     a, b, shift = num >> sn, den >> sd, sn - sd
-    # num / den lies in [a/(b + 1), (a + 1)/b] * 2**shift; an end is exact where its shift dropped nothing
-    lo, hi = (a, b + (sd > 0)), (a + (sn > 0), b)
-
-    def twice_scaled(n: int, d: int, e: int) -> tuple[int, int]:
-        # divmod of 2 * n/d * 2**shift / 10**e
-        n, d = n << (max(shift, 0) + 1), d << max(-shift, 0)
-        return divmod(n * 10**-e, d) if e < 0 else divmod(n, d * 10**e)
-
-    # e is the exponent of the last digit: 10**(digits - 1) <= num / den / 10**e < 10**digits
-    e = math.floor(math.log10(a) - math.log10(b) + shift * math.log10(2)) - digits + 1
-    low, high = 2 * 10 ** (digits - 1), 2 * 10**digits
-    k, rest = twice_scaled(*lo, e)
-    if not low <= k < high:  # the float estimate of the exponent was one off
-        e += 1 if k >= high else -1
-        k, rest = twice_scaled(*lo, e)
-    # 2 * quotient / 10**e must lie strictly inside (k, k + 1): off every integer and half-integer
-    if not (low <= k < high and rest and twice_scaled(*hi, e)[0] == k and ctx.Emin < e + digits <= ctx.Emax):
+    # num / den lies in [a/(b + 1), (a + 1)/b] * 2**shift; an end is exact where its shift dropped nothing.
+    # 2**shift is built in decimal, since Decimal() of a long int is quadratic in its length; exact never
+    # rounds, as every product it makes has under 0.7 * (keep + |shift|) digits, below its precision
+    exact, wide = (Context(prec, ctx.rounding, MIN_EMIN, MAX_EMAX) for prec in (keep + abs(shift), ctx.prec))
+    up, down = exact.power(2, max(shift, 0)), exact.power(2, max(-shift, 0))
+    ends = (a, b + (sd > 0)), (a + (sn > 0), b)
+    (t0, u0), (t1, u1) = ((exact.multiply(n, up), exact.multiply(d, down)) for n, d in ends)
+    lo, hi = wide.divide(t0, u0), wide.divide(t1, u1)
+    # rounding is monotone, so the quotient rounds as both ends do, unless it may equal the rounded value,
+    # written with fewer digits, or that value lies outside the context's exponent range
+    if not (ctx.Emin <= lo.adjusted() < ctx.Emax and str(lo) == str(hi)):
         return None
-    # the coefficient may round up to 10**digits; scaleb then drops its last zero, exactly
-    return Decimal((k + 1) // 2).scaleb(e, ctx)
+    return None if t0 <= exact.multiply(lo, u0) and exact.multiply(lo, u1) <= t1 else lo
 
 
 def _exact_quotient(num: int, den: int) -> Decimal:

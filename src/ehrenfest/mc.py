@@ -83,6 +83,8 @@ class SimConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.replicas < 1:
             raise ValueError("need at least one replica")
+        if not 0 <= self.seed < 2**128:  # the range of a Philox key
+            raise ValueError(f"seed {self.seed} is outside 0..2**128 - 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 

@@ -280,11 +280,11 @@ def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entries to an int64 word (the last word takes the remainder), into as
     few words as hold it; every word is exact and nonnegative, and every row
     is split at the same columns, so the words compare as the rows do,
-    lexicographically.  One word per row is grouped by a 1-D ``np.unique``,
-    several by a stable ``np.lexsort`` and the boundaries between runs of
-    equal rows.  Both sorts are stable, so ``first`` holds the first row of
-    each group and the groups come in the rows' lexicographic order: what
-    ``np.unique(axis=0)`` returns, without its sort over a structured view.
+    lexicographically.  The words are grouped by a stable ``np.lexsort``,
+    one word or many, and the boundaries between runs of equal rows, so
+    ``first`` holds the first row of each group and the groups come in the
+    rows' lexicographic order: what ``np.unique(axis=0)`` returns, without
+    its sort over a structured view.
     """
     size, width = rows.shape
     bits = max(int(rows.max(initial=0)).bit_length(), 1)
@@ -294,9 +294,6 @@ def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = rows[:, :width - tail].reshape(size, -1, per_word) @ weights  # exact: the shifted entries never overlap
     if tail:
         keys = np.column_stack((keys, rows[:, width - tail:] @ weights[-tail:]))
-    if keys.shape[1] == 1:
-        _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
-        return first, inverse
     order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
     starts = np.ones(size, dtype=bool)

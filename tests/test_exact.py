@@ -93,6 +93,38 @@ def test_format_significant_falls_back_where_the_top_bits_cannot_decide(monkeypa
     assert len(calls) == len(cases) + 2
 
 
+def test_format_significant_falls_back_where_the_interval_holds_a_shorter_value(monkeypatch):
+    # both ends round to 0.250, but 0.25 lies between them: an exact quotient would print "0.25"
+    calls = _spy_on_the_fallback(monkeypatch)
+    pair = (2**5000 + 1, 2**5002)
+    assert format_significant(pair, 3) == reference.format_significant(F(*pair), 3) == "0.250"
+    assert len(calls) == 1
+
+
+def test_format_significant_decides_inside_the_exponent_range_only(monkeypatch):
+    # a rounded value with adjusted exponent in [Emin, Emax) is printed from the top bits; one at or
+    # past Emax, or subnormal below Emin, falls back to Decimal's own overflow and underflow rules
+    calls = _spy_on_the_fallback(monkeypatch)
+    big = 3**5000
+    cases = [
+        ((10**10 * big, 3 * big), "3.3333E+9", 0),
+        ((big, 3 * 10**9 * big), "3.3333E-10", 0),
+        ((10**11 * big, 3 * big), "3.3333E+10", 1),
+        ((big, 3 * 10**10 * big), "3.333E-11", 1),
+    ]
+    with decimal.localcontext() as ctx:
+        ctx.Emin, ctx.Emax = -10, 10
+        for pair, want, fallbacks in cases:
+            before = len(calls)
+            assert format_significant(pair, 5) == want == reference.format_significant(F(*pair), 5)
+            assert len(calls) - before == fallbacks
+        # a range far wider below zero than above: the last digit's exponent, -31, lies past -2 * (Emax + digits)
+        ctx.Emin, ctx.Emax = -72, 13
+        pair = (168999999999999896, 26 * 10**46)
+        assert format_significant(pair, 1) == reference.format_significant(F(*pair), 1) == "6E-31"
+    assert len(calls) == 2
+
+
 def test_format_significant_without_guard_bits_still_matches_the_reference(monkeypatch):
     # no guard bits leave an interval about one unit in the last place wide:
     # many quotients fall back, and every string stays the same

@@ -40,6 +40,18 @@ def test_config_refuses_non_integer_replicas_and_seed(field, bad):
     assert (repr(cfg.replicas), repr(cfg.seed)) == ("100", "7")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_config_refuses_a_seed_outside_the_key_range(seed):
+    # refused at construction, not later by numpy's Philox inside the walk
+    with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+        SimConfig(100, seed)
+
+
+def test_config_walks_at_the_largest_seed():
+    summary = sample_hitting(P32, (1, 1), SINGLETON, SimConfig(replicas=50, seed=2**128 - 1))
+    assert summary.seed == 2**128 - 1 and summary.truncated == 0
+
+
 def test_start_inside_target():
     summary = sample_hitting(P32, (2, 2), SINGLETON, SimConfig(replicas=500, seed=9))
     assert summary.sample_mean == 0.0
