@@ -15,8 +15,8 @@ float range); :func:`main` writes each ``request``, a ``cmd_*`` the rest.
 ``--format csv`` flattens the same report: one line per verdict, its detail
 values in their columns, and one line per other value, named by its dotted
 path.  Exit codes: 0 success, 2 usage error, 3 target set not
-overlap-symmetric, 4 oracle work bound (``MAX_STATES``, ``MAX_MOVES`` or
-``MAX_BLOCKS``) exceeded, 5 verdict failure.
+overlap-symmetric, 4 oracle work bound (``MAX_MOVES`` or ``MAX_BLOCKS``)
+exceeded, 5 verdict failure.
 
 The oracle and the Monte Carlo, and numpy with them, are imported inside the
 helpers that run them: ``exact`` on a symbolic set and ``network-check`` load

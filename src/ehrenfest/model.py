@@ -103,9 +103,9 @@ def overlap(x: Sequence[int], y: Sequence[int]) -> int:
 
 
 class CapExceededError(RuntimeError):
-    """A request past one of the oracle's work bounds, ``oracle.MAX_STATES``,
-    ``MAX_MOVES`` or ``MAX_BLOCKS``.  It lives here, beside the other error the
-    command line maps to an exit code, so catching it loads no oracle."""
+    """A request past one of the oracle's work bounds, ``oracle.MAX_MOVES`` or
+    ``MAX_BLOCKS``.  It lives here, beside the other error the command line
+    maps to an exit code, so catching it loads no oracle."""
 
     def __init__(self, bound: str, size: int, limit: int, unit: str = "transient blocks"):
         self.bound, self.size, self.limit = bound, size, limit

@@ -30,9 +30,10 @@ the exit law), and keeps it for every later solve on that list.  The
 refinement reads only the transition structure, never overlaps or kernel
 formulas, so an agreement with the engine is still a genuine two-sided check.
 
-A chain of more than ``MAX_STATES`` states or ``MAX_MOVES`` state-move pairs
-(the size of its neighbour table), or a quotient of more than ``MAX_BLOCKS``
-transient blocks, is refused before any system is built.
+A chain of more than ``MAX_MOVES`` state-move pairs (the size of its
+neighbour table, which alone bounds the chain at 2**18 states), or a quotient
+of more than ``MAX_BLOCKS`` transient blocks, is refused before any system is
+built.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ import numpy as np
 
 from .model import CapExceededError, ModelParams, State
 
-#: Work bounds, timed on 2 vCPUs: a whole singleton ``oracle`` request at
-#: 2**15 states takes 0.36-0.55 s, and at 2**23 state-move pairs 0.68-0.80 s
-#: and 236 MB; one dense inverse of a 1024-block quotient takes about 3 s.
-MAX_STATES = 2**15
+#: Work bounds, timed on 2 vCPUs: at 2**23 state-move pairs a singleton
+#: ``oracle`` request takes 0.7-0.8 s and 236 MB at N=161 M=2, and about 3 s
+#: and 243 MB at 2**18 states (N=2 M=18, the largest chain admitted); one
+#: dense inverse of a 1024-block quotient takes about 3 s.
 MAX_MOVES = 2**23
 MAX_BLOCKS = 1024
 
@@ -64,13 +65,11 @@ class EnumeratedChain:
     ``d = 1..urns-1`` urns changes the code by ``d * urns**(i-1)``, less
     ``urns**i`` when the move wraps past urn ``urns`` (``digit_i >= urns - d``),
     so the table is the codes plus one whole-array shift, with no modulo and
-    no gather.  A chain of more than ``MAX_STATES`` states or ``MAX_MOVES``
-    state-move pairs is refused before anything is enumerated.
+    no gather.  A chain of more than ``MAX_MOVES`` state-move pairs is
+    refused before anything is enumerated.
     """
 
     def __init__(self, params: ModelParams):
-        if params.state_count > MAX_STATES:
-            raise CapExceededError("MAX_STATES", params.state_count, MAX_STATES, "states")
         if (moves := params.state_count * params.balls * (params.urns - 1)) > MAX_MOVES:
             raise CapExceededError("MAX_MOVES", moves, MAX_MOVES, "state-move pairs")
         self.params = params

@@ -64,7 +64,7 @@ def test_readme_states_every_bound():
     text = " ".join(paragraph.split())
     for _, flag, least, greatest in cli._INT_BOUNDS:
         assert any(f"`{flag}` in `{least}..{form}`" in text for form in _renderings(greatest)), flag
-    for module, name in ((oracle, "MAX_STATES"), (oracle, "MAX_MOVES"), (oracle, "MAX_BLOCKS"),
+    for module, name in ((oracle, "MAX_MOVES"), (oracle, "MAX_BLOCKS"),
                          (mc, "WALK_BUDGET"), (mc, "STEP_CHARGE"), (mc, "MAX_SLOTS"),
                          (model, "MAX_PAIR_COORDS")):
         value = getattr(module, name)

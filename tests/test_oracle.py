@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehrenfest import cli, oracle
+from ehrenfest import cli, hitting, oracle
 from ehrenfest.model import ModelParams, SetDescriptor, overlap
 from ehrenfest.oracle import (
     CapExceededError,
@@ -341,15 +341,11 @@ def test_lumped_examples():
 def test_cap_enforcement(monkeypatch):
     with pytest.raises(CapExceededError) as err:
         EnumeratedChain(ModelParams(4, 10))  # refused before any of the 4**10 states is enumerated
-    assert (err.value.bound, err.value.size, err.value.limit) == ("MAX_STATES", 4**10, oracle.MAX_STATES)
+    assert (err.value.bound, err.value.size, err.value.limit) == ("MAX_MOVES", 4**10 * 10 * 3, oracle.MAX_MOVES)
     with pytest.raises(CapExceededError) as err:
         EnumeratedChain(ModelParams(8192, 1))  # few states, but a neighbour table of 8192 * 8191 entries
     assert (err.value.bound, err.value.size, err.value.limit) == ("MAX_MOVES", 8192 * 8191, oracle.MAX_MOVES)
 
-    monkeypatch.setattr(oracle, "MAX_STATES", 80)
-    with pytest.raises(CapExceededError):
-        EnumeratedChain(ModelParams(3, 4))
-    monkeypatch.setattr(oracle, "MAX_STATES", 81)
     chain = EnumeratedChain(ModelParams(3, 4))
     # a singleton's quotient keeps one transient block per overlap 0..3
     monkeypatch.setattr(oracle, "MAX_BLOCKS", 3)
@@ -715,3 +711,15 @@ def test_oracle_at_1024_states_matches_engine(capsys):
     truth, elapsed = _timed_cli(capsys, "oracle", *args)
     assert truth["raw_moments"] == exact["raw_moments"]
     assert elapsed < 5
+
+
+def test_chain_past_2_to_the_15_states_matches_engine():
+    # 65536 states of 16 moves each: MAX_MOVES alone bounds the chain, which admits up to 2**18 states
+    params = ModelParams(2, 16)
+    chain = EnumeratedChain(params)
+    start = (1,) * 16
+    for descriptor in (SetDescriptor.singleton((2,) * 16), SetDescriptor.count(8)):
+        targets = descriptor.materialize(params)
+        query = hitting.HittingQuery(params, start, descriptor)
+        assert [vec[start] for vec in raw_moment_vectors(chain, targets, 3)] == hitting.raw_moments(query, 3)
+        assert solve_transform_u(chain, targets, start, F(1)) == hitting.laplace_u(query, 1)
