@@ -7,6 +7,8 @@ the commute-time identity: mean there + mean back equals total vertex weight
 times the effective resistance between the two levels.
 """
 
+from fractions import Fraction
+
 from ehrenfest import (
     CountChain,
     ModelParams,
@@ -21,8 +23,12 @@ params = ModelParams(urns=3, balls=3)
 chain = CountChain(params)
 
 print("level:  down  stay  up      conductance-up  vertex-weight")
-for level in range(params.balls + 1):
-    down, stay, up = chain.transition_row(level)
+n, m = params.urns, params.balls
+for level in range(m + 1):
+    # one of the m balls moves to one of the other n-1 urns: down when it leaves urn 2, up when it enters it
+    down = Fraction(level, m)
+    up = Fraction(m - level, m * (n - 1))
+    stay = 1 - down - up
     print(
         f"  {level}:   {down!s:>5} {stay!s:>5} {up!s:>5}"
         f"      {chain.conductance_up(level)!s:>8}      {chain.vertex_weight(level)!s:>8}"

@@ -345,20 +345,20 @@ def _engine(args, u_grid, lambda_grid):
 
 
 def _oracle(args, chain, u_grid, lambda_grid, exit_law=False):
-    """First-step solves on the enumerated chain: the summary, with the exit
-    law if asked.  The exit law's quotient keeps the start apart, so it refines
-    the moments' quotient; it is refined first, and an oversized one is
-    refused before anything is solved."""
+    """First-step solves on the enumerated chain, each read at the start's
+    block: the summary, with the exit law if asked.  The exit law's quotient
+    keeps the start apart, so it refines the moments' quotient; it is refined
+    first, and an oversized one is refused before anything is solved."""
     from . import oracle
 
     params = chain.params
     targets = args.target.materialize(params)
     start = params.check_state(args.start_state)
     exits = oracle.exit_distribution(chain, targets, start) if exit_law else None
-    moments = oracle.raw_moment_vectors(chain, targets, max(args.order, 2))
+    moments = oracle.solve_raw_moments(chain, targets, start, max(args.order, 2))
     transform = partial(oracle.solve_transform_u, chain, targets, start)
     return hitting.HittingSummary.from_moments(
-        [vec[start] for vec in moments],
+        moments,
         args.order,
         u_samples=tuple((u, transform(u)) for u in u_grid),
         lambda_samples=tuple(

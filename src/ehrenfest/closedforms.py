@@ -167,16 +167,6 @@ class CountChain:
     def total_weight(self) -> Fraction:
         return sum((self.vertex_weight(i) for i in range(self.params.balls + 1)), Fraction(0))
 
-    def transition_row(self, i: int) -> tuple[Fraction, Fraction, Fraction]:
-        """(down, stay, up) step probabilities out of level ``i``."""
-        n, m = self.params.urns, self.params.balls
-        if not 0 <= i <= m:
-            raise ValueError(f"level {i} outside 0..{m}")
-        down = Fraction(i, m)
-        up = Fraction(m - i, m * (n - 1))
-        stay = Fraction((m - i) * (n - 2), m * (n - 1))
-        return down, stay, up
-
 
 @dataclass(frozen=True)
 class CommuteCheck:

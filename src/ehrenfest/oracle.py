@@ -23,12 +23,13 @@ word-size prime, the solution is lifted one p-adic digit per step and
 recovered as integer numerators over one common denominator (Wang, Guy &
 Davenport, *ACM SIGSAM Bull.* 16(2), 1982), and it is returned only once
 substituting it back into the integer rows holds exactly, so exactness never
-rests on the modular step.  One inverse serves every moment order.  Values become rationals only when they
-are expanded back to every state.  A chain validates a target list and
-refines its partition once, keyed by the list as given (and the start, for
-the exit law), and keeps it for every later solve on that list.  The
-refinement reads only the transition structure, never overlaps or kernel
-formulas, so an agreement with the engine is still a genuine two-sided check.
+rests on the modular step.  One inverse serves every moment order.  A solve
+gives one rational per block, read at a start's block, or spread over every
+state by the three vector forms.  A chain validates a target list and refines
+its partition once, keyed by the list as given (and the start, for the exit
+law), and keeps it for every later solve on that list.  The refinement reads
+only the transition structure, never overlaps or kernel formulas, so an
+agreement with the engine is still a genuine two-sided check.
 
 A chain of more than ``MAX_MOVES`` state-move pairs (the size of its
 neighbour table, which alone bounds the chain at 2**18 states), or a quotient
@@ -363,9 +364,8 @@ def _rows(chain: EnumeratedChain, counts, transient: int, z: Fraction = Fraction
     return rows
 
 
-def _expand(chain: EnumeratedChain, labels, nums, den: int) -> dict[State, Fraction]:
-    """Every state's value from its block's numerator over the common denominator."""
-    values = [Fraction(v, den) for v in nums]
+def _expand(chain: EnumeratedChain, labels, values) -> dict[State, Fraction]:
+    """Every state's value from its block's."""
     return dict(zip(chain.states, map(values.__getitem__, labels.tolist())))
 
 
@@ -379,13 +379,11 @@ def mean_vector(chain: EnumeratedChain, targets: Sequence[State]) -> dict[State,
 
 
 def solve_mean(chain: EnumeratedChain, targets: Sequence[State], start: State) -> Fraction:
-    return mean_vector(chain, targets)[chain.params.check_state(start)]
+    return solve_raw_moments(chain, targets, start, 1)[0]
 
 
-def raw_moment_vectors(
-    chain: EnumeratedChain, targets: Sequence[State], order: int
-) -> list[dict[State, Fraction]]:
-    """Raw moments ``E[T**r]`` for ``r = 1..order``, every start state.
+def _raw_moments(chain: EnumeratedChain, targets: Sequence[State], order: int):
+    """``(labels, blocks)``: the block of every state, and each block's ``E[T**r]`` for ``r = 1..order``.
 
     Uses the first-step recursion ``E[T**r] = E[(1 + T')**r]`` expanded by the
     binomial theorem: every order solves the same quotient system, factored
@@ -404,29 +402,45 @@ def raw_moment_vectors(
         sol, den = solver.solve(_times(moves, weights))
         nums.append(np.array(sol + [0], dtype=object))
         dens.append(den * common)
-    return [_expand(chain, labels, vec, den) for vec, den in zip(nums[1:], dens[1:])]
+    return labels, [[Fraction(v, den) for v, den in zip(row, dens[1:])] for row in zip(*nums[1:])]
+
+
+def raw_moment_vectors(chain: EnumeratedChain, targets: Sequence[State], order: int) -> list[dict[State, Fraction]]:
+    """Raw moments ``E[T**r]`` for ``r = 1..order``, every start state."""
+    labels, blocks = _raw_moments(chain, targets, order)
+    return [_expand(chain, labels, values) for values in zip(*blocks)]
+
+
+def solve_raw_moments(chain: EnumeratedChain, targets: Sequence[State], start: State, order: int) -> list[Fraction]:
+    """Raw moments ``E[T**r]`` for ``r = 1..order`` from ``start``, read at its block."""
+    labels, blocks = _raw_moments(chain, targets, order)
+    return blocks[labels[chain.index[chain.params.check_state(start)]]]
 
 
 def solve_second_moment(chain: EnumeratedChain, targets: Sequence[State], start: State) -> Fraction:
     """Exact ``E[T**2]`` from the coupled first/second-moment systems."""
-    return raw_moment_vectors(chain, targets, 2)[1][chain.params.check_state(start)]
+    return solve_raw_moments(chain, targets, start, 2)[1]
 
 
-def transform_vector(
-    chain: EnumeratedChain, targets: Sequence[State], z: Fraction
-) -> dict[State, Fraction]:
-    """Probability generating function ``E[z**T]`` for every start state."""
+def _transform(chain: EnumeratedChain, targets: Sequence[State], z: Fraction):
+    """``(labels, values)``: the block of every state, and each block's ``E[z**T]``."""
     z = Fraction(z)
     if not 0 < z < 1:
         raise ValueError("transform argument must lie strictly between 0 and 1")
     labels, counts, transient = _quotient(chain, targets)
     rhs = [z.numerator * row[transient] for row in counts]
     sol, den = _Factored(_rows(chain, counts, transient, z)).solve(rhs)
-    return _expand(chain, labels, sol + [den], den)
+    return labels, [Fraction(v, den) for v in sol + [den]]
+
+
+def transform_vector(chain: EnumeratedChain, targets: Sequence[State], z: Fraction) -> dict[State, Fraction]:
+    """Probability generating function ``E[z**T]`` for every start state."""
+    return _expand(chain, *_transform(chain, targets, z))
 
 
 def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: State, z: Fraction) -> Fraction:
-    return transform_vector(chain, targets, z)[chain.params.check_state(start)]
+    labels, values = _transform(chain, targets, z)
+    return values[labels[chain.index[chain.params.check_state(start)]]]
 
 
 def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: State, u: Fraction) -> Fraction:

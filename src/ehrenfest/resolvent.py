@@ -136,17 +136,16 @@ def resolvent_kernel(params: ModelParams, k: int, u: Rational) -> Fraction:
     return Fraction(num, den)
 
 
+@lru_cache(maxsize=None)
 def centered_kernel(params: ModelParams, k: int) -> Fraction:
     """Kernel at ``u = 0`` with the pole term ``1 / (u * (urns-1))`` removed."""
-    return _centered_at_zero(params, k)
-
-
-@lru_cache(maxsize=None)
-def _centered_at_zero(params: ModelParams, k: int) -> Fraction:
     # sum_t c_t / (urns*t) over the one denominator urns*lcm(1..balls)
     n, scale = params.urns, math.lcm(*range(1, params.balls + 1))
     coeffs = kernel_coefficients(params, k)
     return Fraction(sum(c * (scale // t) for t, c in enumerate(coeffs) if t), n * scale)
+
+
+_centered_at_zero = centered_kernel  # the name perfbench/spans.py counts the cached kernel under
 
 
 @lru_cache(maxsize=None)

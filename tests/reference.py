@@ -25,11 +25,12 @@ the explicit-set table, the histograms, the oracle's quotient, the engine and
 the diagonal's closed form against them.
 
 The paper's identities close the module.  :func:`transition_prob` is the
-walk's one-step law; each ball of its auxiliary chain jumps at rate 1
-(:func:`single_ball_generator`, :func:`single_ball_semigroup`), and the
-product law :func:`product_semigroup` transforms in time to
-:func:`green_potential`, ``(urns-1)/urns**balls`` times the resolvent kernel
-the engine is built on.
+walk's one-step law and :func:`transition_row` its step law on the count of
+one urn (:class:`~ehrenfest.closedforms.CountChain`); each ball of its
+auxiliary chain jumps at rate 1 (:func:`single_ball_generator`,
+:func:`single_ball_semigroup`), and the product law
+:func:`product_semigroup` transforms in time to :func:`green_potential`,
+``(urns-1)/urns**balls`` times the resolvent kernel the engine is built on.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ehrenfest.closedforms import SameUrnStats
+from ehrenfest.closedforms import CountChain, SameUrnStats
 from ehrenfest.exact import Jet, Rational
 from ehrenfest.model import CapExceededError, ModelParams, State, overlap
 from ehrenfest.oracle import MAX_BLOCKS, EnumeratedChain
@@ -460,6 +461,17 @@ def transition_prob(params: ModelParams, x: Sequence[int], y: Sequence[int]) -> 
     if overlap(x, y) == params.balls - 1:
         return Fraction(1, params.balls * (params.urns - 1))
     return Fraction(0)
+
+
+def transition_row(chain: CountChain, i: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(down, stay, up) step probabilities out of level ``i``."""
+    n, m = chain.params.urns, chain.params.balls
+    if not 0 <= i <= m:
+        raise ValueError(f"level {i} outside 0..{m}")
+    down = Fraction(i, m)
+    up = Fraction(m - i, m * (n - 1))
+    stay = Fraction((m - i) * (n - 2), m * (n - 1))
+    return down, stay, up
 
 
 def single_ball_generator(params: ModelParams) -> list[list[Fraction]]:

@@ -21,6 +21,7 @@ from ehrenfest.oracle import (
     mean_vector,
     raw_moment_vectors,
     solve_mean,
+    solve_raw_moments,
     solve_second_moment,
     solve_transform,
 )
@@ -80,6 +81,7 @@ def test_criterion_1_formula_vs_oracle_exactness():
                 query = HittingQuery(params, x, descriptor)
                 engine = raw_moments(query, 4)
                 assert engine == [vec[x] for vec in vecs]
+                assert solve_raw_moments(chain, targets, x, 4) == [vec[x] for vec in vecs]
                 assert mean(query) == vecs[0][x]
                 assert variance(query) == vecs[1][x] - vecs[0][x] ** 2
                 for u in U_GRID:

@@ -25,6 +25,7 @@ from reference import (
     same_urn_from_spread,
     same_urn_stats_by_urn,
     singleton_variance_disjoint,
+    transition_row,
 )
 
 
@@ -301,7 +302,7 @@ def test_count_set_mean_additive_through_levels(n, m):
 def test_count_chain_rows_and_weights(n, m):
     chain = CountChain(ModelParams(n, m))
     for i in range(m + 1):
-        down, stay, up = chain.transition_row(i)
+        down, stay, up = transition_row(chain, i)
         assert down + stay + up == 1
         # walk-on-network consistency: vertex weight splits into incident conductances
         incident = (n - 2) * chain.conductance_up(i) + chain.conductance_up(i)
@@ -314,7 +315,7 @@ def test_count_chain_rows_and_weights(n, m):
 
 def test_count_chain_top_level_forced_down():
     chain = CountChain(ModelParams(4, 3))
-    down, stay, up = chain.transition_row(3)
+    down, stay, up = transition_row(chain, 3)
     assert (down, stay, up) == (1, 0, 0)
     assert chain.conductance_up(3) == 0
 

@@ -19,6 +19,7 @@ from ehrenfest.oracle import (
     raw_moment_vectors,
     solve_exact_system,
     solve_mean,
+    solve_raw_moments,
     solve_second_moment,
     solve_transform,
     solve_transform_u,
@@ -446,11 +447,13 @@ def test_quotient_matches_dense_full_chain(n, m):
         chain = reordered_chain(p, order) if case % 2 else EnumeratedChain(p)
         z = F(2, 3) if case % 3 else F(999, 1000)
         moments, pgf, exits = _dense_reference(chain, targets, 4, z)
+        vectors = raw_moment_vectors(chain, targets, 4)
         assert mean_vector(chain, targets) == moments[0]
-        assert raw_moment_vectors(chain, targets, 4) == moments
+        assert vectors == moments
         assert transform_vector(chain, targets, z) == pgf
         for x in chain.states:  # starts inside the target set included
             assert exit_distribution(chain, targets, x) == exits[x]
+            assert solve_raw_moments(chain, targets, x, 4) == [vec[x] for vec in vectors]
 
 
 @pytest.mark.parametrize("n,m,shuffle", [(2, 4, False), (3, 3, True), (4, 2, True), (5, 3, False)])
@@ -642,10 +645,45 @@ def test_oracle_request_checks_each_target_once_per_partition(capsys, monkeypatc
     assert counts["1/2,1,2,3,4,5,6,7"] - counts["1/2"] <= 7
 
 
+def test_per_start_answers_never_spread_a_solve_over_every_state(capsys, monkeypatch, tmp_path):
+    # each per-start name and each oracle route of the command line reads its solve at the start's block
+    (tmp_path / "set.json").write_text("[[2, 2, 1], [3, 1, 2], [1, 3, 3]]")
+    grids = ["--order", "4", "--u", "1/2,2", "--lambda", "0.5"]
+    requests = [
+        ["oracle", "--N", "3", "--M", "3", "--start", "1,1,1", "--set", target, *grids]
+        for target in ("singleton:2,2,2", "pair:(2,2,2);(1,2,3)", "diagonal", f"explicit:@{tmp_path / 'set.json'}")
+    ]
+    requests.append(["compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
+                     "--replicas", "2000"])
+
+    def run(argv):
+        code = cli.main(argv)
+        return code, *capsys.readouterr()
+
+    chain = EnumeratedChain(ModelParams(3, 3))
+    targets, start = [(2, 2, 2), (1, 2, 3)], (1, 1, 1)
+    moments = [vec[start] for vec in raw_moment_vectors(chain, targets, 4)]
+    want = (moments[0], moments[1], moments, transform_vector(chain, targets, F(3, 5))[start],
+            exit_distribution(chain, targets, start), [run(argv) for argv in requests])
+
+    def spread(*args):
+        raise AssertionError("a per-start answer spread its solve over every state")
+
+    monkeypatch.setattr(oracle, "_expand", spread)
+    chain = EnumeratedChain(ModelParams(3, 3))
+    got = (solve_mean(chain, targets, start), solve_second_moment(chain, targets, start),
+           solve_raw_moments(chain, targets, start, 4), solve_transform(chain, targets, start, F(3, 5)),
+           exit_distribution(chain, targets, start), [run(argv) for argv in requests])
+    assert got == want
+    assert solve_transform_u(chain, targets, start, F(2)) == want[3]  # z = 3/(3 + 2)
+    assert all(code == 0 for code, *_ in want[-1])
+
+
 _PUBLIC_SOLVES = {
     "mean_vector": lambda chain, targets: mean_vector(chain, targets),
     "solve_mean": lambda chain, targets: solve_mean(chain, targets, (1, 1, 1)),
     "raw_moment_vectors": lambda chain, targets: raw_moment_vectors(chain, targets, 3),
+    "solve_raw_moments": lambda chain, targets: solve_raw_moments(chain, targets, (1, 1, 1), 3),
     "solve_second_moment": lambda chain, targets: solve_second_moment(chain, targets, (1, 1, 1)),
     "transform_vector": lambda chain, targets: transform_vector(chain, targets, F(1, 2)),
     "solve_transform": lambda chain, targets: solve_transform(chain, targets, (1, 1, 1), F(1, 2)),
