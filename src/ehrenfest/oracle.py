@@ -4,16 +4,18 @@ Every closed-form quantity in this package is re-derivable from first-step
 analysis on the ``urns**balls`` state space: hitting means, higher moments,
 probability-generating-function values, and exit distributions all solve
 linear systems with rational coefficients.  No system here is solved on the
-full chain.  The states are enumerated in mixed-radix order with a table of
-neighbour positions, and the partition {target set, rest} is refined by
-signatures (a state's own block plus the sorted blocks of its neighbours)
-until no block splits.  That is the coarsest strongly lumpable partition
-keeping the target set apart (Kemeny & Snell, *Finite Markov Chains*, 1960,
-§6.3): all moves are equiprobable and every state of a block has the same
-number of neighbours in each block, so every first-step solution is constant
-on blocks.  Each round packs every signature row big-endian into as few
-exact int64 words as hold it, and numbers the distinct rows in lexicographic
-order by stable sorts of those words; the own block leads each row, so a
+full chain.  The states are enumerated in mixed-radix order, so a state's
+position is its code, with a table of neighbour positions; every lookup of a
+state checks it first, so no state outside the chain aliases a code inside
+it.  The partition {target set, rest} is refined by signatures (a state's
+own block plus the sorted blocks of its neighbours) until no block splits.
+That is the coarsest strongly lumpable partition keeping the target set
+apart (Kemeny & Snell, *Finite Markov Chains*, 1960, §6.3): all moves are
+equiprobable and every state of a block has the same number of neighbours
+in each block, so every first-step solution is constant on blocks.  Each
+round packs every signature row big-endian into as few exact int64 words as
+hold it, and numbers the distinct rows in lexicographic order by stable
+sorts of those words; the own block leads each row, so a
 block keeps the order of the block it split from and the target set's blocks
 come last.  Each system is assembled in integers from the block-to-block
 neighbour counts (at ``z = a/q`` its rows are ``q * degree * I - a *
@@ -49,8 +51,8 @@ import numpy as np
 from .model import CapExceededError, ModelParams, State
 
 #: Work bounds, timed on 2 vCPUs: at 2**23 state-move pairs a singleton
-#: ``oracle`` request takes 0.7-0.8 s and 236 MB at N=161 M=2, and about 3 s
-#: and 243 MB at 2**18 states (N=2 M=18, the largest chain admitted); one
+#: ``oracle`` request takes 0.7-0.9 s and 229 MB at N=161 M=2, and 2.8-2.9 s
+#: and 162 MB at 2**18 states (N=2 M=18, the largest chain admitted); one
 #: dense inverse of a 1024-block quotient takes about 3 s.
 MAX_MOVES = 2**23
 MAX_BLOCKS = 1024
@@ -60,9 +62,11 @@ class EnumeratedChain:
     """The fully enumerated chain with its table of neighbour positions.
 
     States are listed in mixed-radix order with ball 1 varying fastest, so a
-    state's position is its code ``sum_i (x_i - 1) * urns**(i-1)``.  Row ``r``
-    of ``neighbor_table`` holds the positions of the ``balls * (urns - 1)``
-    states one move away from ``states[r]``: moving ball ``i`` on by
+    state's position is its code ``sum_i (x_i - 1) * urns**(i-1)``, and no
+    state is kept as a tuple: :meth:`position` validates and encodes one,
+    :meth:`states_at` decodes many.  Row ``r`` of ``neighbor_table`` holds
+    the positions of the ``balls * (urns - 1)`` states one move away from
+    the state of code ``r``: moving ball ``i`` on by
     ``d = 1..urns-1`` urns changes the code by ``d * urns**(i-1)``, less
     ``urns**i`` when the move wraps past urn ``urns`` (``digit_i >= urns - d``),
     so the table is the codes plus one whole-array shift, with no modulo and
@@ -81,12 +85,27 @@ class EnumeratedChain:
         step = np.arange(1, n)
         shifts = (step - n * (digits[:, :, None] >= n - step)) * radix[:, None]
         self.neighbor_table = codes[:, None] + shifts.reshape(size, -1)
-        self.states: list[State] = [tuple(row) for row in (digits + 1).tolist()]
-        self.index: dict[State, int] = {x: i for i, x in enumerate(self.states)}
         self.quotients: dict = {}  # (target list as given, start) -> _lump's partition, see _quotient
 
     def degree(self) -> int:
         return self.params.balls * (self.params.urns - 1)
+
+    def position(self, x: Sequence[int]) -> int:
+        """The position of state ``x``, its code, once ``check_state`` has passed it.
+
+        The check is what keeps a code unique: unchecked, ``(4, 1, 1)`` at
+        three urns would read as the code of ``(1, 2, 1)``.
+        """
+        n, code = self.params.urns, 0
+        for c in reversed(self.params.check_state(x)):
+            code = code * n + c - 1
+        return code
+
+    def states_at(self, positions: np.ndarray) -> list[State]:
+        """The states at ``positions`` (their codes), decoded in one array pass."""
+        n = self.params.urns
+        radix = n ** np.arange(self.params.balls, dtype=np.int64)
+        return list(map(tuple, (positions[:, None] // radix % n + 1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +338,12 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
     there.  The counts come from one
     ``bincount`` over every transient block's representative.
     """
-    positions = [chain.index[chain.params.check_state(t)] for t in targets]
+    positions = [chain.position(t) for t in targets]
     if not positions:
         raise ValueError("target set must be nonempty")
-    labels = np.zeros(len(chain.states), dtype=np.intp)
+    labels = np.zeros(chain.params.state_count, dtype=np.intp)
     if start is not None:
-        labels[chain.index[start]] = 1
+        labels[chain.position(start)] = 1
     labels[positions] = 2
     neighbors = chain.neighbor_table
     signature = np.empty((len(labels), 1 + chain.degree()), dtype=np.intp)  # reused by every round
@@ -352,7 +371,7 @@ def _quotient(chain: EnumeratedChain, targets: Sequence[State], start: State | N
     key = (tuple(map(tuple, targets)), start)
     if key not in chain.quotients:
         labels, _, transient = chain.quotients[key] = _lump(chain, targets, start)
-        if start is not None and labels[chain.index[start]] == transient:  # nothing kept apart
+        if start is not None and labels[chain.position(start)] == transient:  # nothing kept apart
             chain.quotients[key[0], None] = chain.quotients[key]
     return chain.quotients[key]
 
@@ -366,7 +385,7 @@ def _rows(chain: EnumeratedChain, counts, transient: int, z: Fraction = Fraction
 
 def _expand(chain: EnumeratedChain, labels, values) -> dict[State, Fraction]:
     """Every state's value from its block's."""
-    return dict(zip(chain.states, map(values.__getitem__, labels.tolist())))
+    return dict(zip(chain.states_at(np.arange(len(labels))), map(values.__getitem__, labels.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +433,7 @@ def raw_moment_vectors(chain: EnumeratedChain, targets: Sequence[State], order: 
 def solve_raw_moments(chain: EnumeratedChain, targets: Sequence[State], start: State, order: int) -> list[Fraction]:
     """Raw moments ``E[T**r]`` for ``r = 1..order`` from ``start``, read at its block."""
     labels, blocks = _raw_moments(chain, targets, order)
-    return blocks[labels[chain.index[chain.params.check_state(start)]]]
+    return blocks[labels[chain.position(start)]]
 
 
 def solve_second_moment(chain: EnumeratedChain, targets: Sequence[State], start: State) -> Fraction:
@@ -440,7 +459,7 @@ def transform_vector(chain: EnumeratedChain, targets: Sequence[State], z: Fracti
 
 def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: State, z: Fraction) -> Fraction:
     labels, values = _transform(chain, targets, z)
-    return values[labels[chain.index[chain.params.check_state(start)]]]
+    return values[labels[chain.position(start)]]
 
 
 def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: State, u: Fraction) -> Fraction:
@@ -468,15 +487,16 @@ def exit_distribution(
     """
     start = chain.params.check_state(start)
     labels, counts, transient = _quotient(chain, targets, start)
-    members = sorted(chain.states[i] for i in np.flatnonzero(labels == transient).tolist())
-    home = int(labels[chain.index[start]])
+    positions = np.flatnonzero(labels == transient)
+    members = sorted(zip(chain.states_at(positions), positions.tolist()))
+    home = int(labels[chain.position(start)])
     if home == transient:
-        return {t: Fraction(int(t == start)) for t in members}
+        return {t: Fraction(int(t == start)) for t, _ in members}
     visits, den = _Factored(_rows(chain, counts, transient)).solve([int(b == home) for b in range(transient)])
     visits.append(0)
     return {
-        t: Fraction(sum(map(visits.__getitem__, labels[chain.neighbor_table[chain.index[t]]].tolist())), den)
-        for t in members
+        t: Fraction(sum(map(visits.__getitem__, labels[chain.neighbor_table[r]].tolist())), den)
+        for t, r in members
     }
 
 

@@ -310,20 +310,27 @@ def neighbor_table_by_modulo(params: ModelParams, order: Sequence[int] | None = 
     return position[codes[:, None] + shifts]
 
 
+def states_of(chain: EnumeratedChain) -> list[State]:
+    """Every state of ``chain``, listed by position."""
+    return chain.states_at(np.arange(chain.params.state_count))
+
+
 def reordered_chain(params: ModelParams, order: Sequence[int]) -> EnumeratedChain:
     """The enumerated chain with its states listed in ``order``, a permutation
     of their codes: position ``r`` holds the state of code ``order[r]``.
-    ``states``, ``index`` and ``neighbor_table`` are relabelled together, so
-    every solve on it must equal the solve on the chain in code order."""
+    ``position``, ``states_at`` and ``neighbor_table`` are relabelled
+    together on the instance, so every solve on it must equal the solve on
+    the chain in code order."""
     chain = EnumeratedChain(params)
     codes = np.array(list(order), dtype=np.int64)
-    if codes.shape != (len(chain.states),) or not np.array_equal(np.sort(codes), np.arange(len(chain.states))):
+    if codes.shape != (params.state_count,) or not np.array_equal(np.sort(codes), np.arange(params.state_count)):
         raise ValueError("order must be a permutation of all state codes")
-    position = np.empty(len(codes), dtype=np.intp)
-    position[codes] = np.arange(len(codes))
-    chain.neighbor_table = position[chain.neighbor_table[codes]]
-    chain.states = [chain.states[c] for c in codes.tolist()]
-    chain.index = {x: i for i, x in enumerate(chain.states)}
+    rank = np.empty(len(codes), dtype=np.intp)
+    rank[codes] = np.arange(len(codes))
+    chain.neighbor_table = rank[chain.neighbor_table[codes]]
+    code_of, states_of_codes = chain.position, chain.states_at
+    chain.position = lambda x: int(rank[code_of(x)])
+    chain.states_at = lambda positions: states_of_codes(codes[positions])
     return chain
 
 
@@ -331,12 +338,12 @@ def lump_by_unique_rows(chain: EnumeratedChain, targets: Sequence[State], start:
     """:func:`ehrenfest.oracle._lump` as it grouped each round's signature rows
     with ``np.unique(axis=0)``, a sort over a structured view of the rows, and
     built its block counts one ``bincount`` per block."""
-    positions = [chain.index[chain.params.check_state(t)] for t in targets]
+    positions = [chain.position(t) for t in targets]
     if not positions:
         raise ValueError("target set must be nonempty")
-    labels = np.zeros(len(chain.states), dtype=np.intp)
+    labels = np.zeros(chain.params.state_count, dtype=np.intp)
     if start is not None:
-        labels[chain.index[start]] = 1
+        labels[chain.position(start)] = 1
     labels[positions] = 2
     neighbors = chain.neighbor_table
     blocks = 0

@@ -35,7 +35,7 @@ from ehrenfest.resolvent import (
     resolvent_kernel_quadrature,
     series_identity_checks,
 )
-from reference import all_distinct_mean, same_urn_from_spread, singleton_variance_disjoint
+from reference import all_distinct_mean, same_urn_from_spread, singleton_variance_disjoint, states_of
 
 GRID = [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]
 
@@ -76,7 +76,8 @@ def test_criterion_1_formula_vs_oracle_exactness():
         for descriptor in _descriptor_cases(params, rng):
             targets = descriptor.materialize(params)
             vecs = raw_moment_vectors(chain, targets, 4)
-            starts = rng.sample(chain.states, min(3, len(chain.states)))
+            every = states_of(chain)
+            starts = rng.sample(every, min(3, len(every)))
             for x in starts:
                 query = HittingQuery(params, x, descriptor)
                 engine = raw_moments(query, 4)

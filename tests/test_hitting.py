@@ -37,7 +37,7 @@ from ehrenfest.resolvent import (
     resolvent_kernel,
 )
 import reference
-from reference import all_distinct_mean, green_potential, product_semigroup
+from reference import all_distinct_mean, green_potential, product_semigroup, states_of
 
 
 def _query(n, m, start, descriptor):
@@ -298,9 +298,10 @@ def test_green_potential_value():
 def test_green_potential_total_mass(n, m):
     p = ModelParams(n, m)
     chain = EnumeratedChain(p)
-    x = chain.states[1]
+    every = states_of(chain)
+    x = every[1]
     for u in (F(1, 2), F(1), F(3)):
-        total = sum(green_potential(p, x, z, u) for z in chain.states)
+        total = sum(green_potential(p, x, z, u) for z in every)
         assert total == 1 / u
 
 
@@ -490,7 +491,7 @@ def test_mean_rank_reverses_kernel_score(n, m, descriptor):
     chain = EnumeratedChain(p)
     targets = descriptor.materialize(p)
     scored = []
-    for x in chain.states:
+    for x in states_of(chain):
         score = sum((centered_kernel(p, overlap(x, z)) for z in targets), F(0))
         scored.append((score, mean(HittingQuery(p, x, descriptor))))
     for s1, m1 in scored:

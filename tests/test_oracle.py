@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -25,7 +26,7 @@ from ehrenfest.oracle import (
     solve_transform_u,
     transform_vector,
 )
-from reference import lump_by_unique_rows, neighbor_states, neighbor_table_by_modulo, reordered_chain
+from reference import lump_by_unique_rows, neighbor_states, neighbor_table_by_modulo, reordered_chain, states_of
 
 
 def test_solver_on_small_dense_system():
@@ -152,14 +153,14 @@ def test_wrong_modular_inverse_never_returns(monkeypatch):
 
 def test_every_moment_order_shares_one_factorization(monkeypatch):
     chain = EnumeratedChain(ModelParams(4, 3))
-    targets = random.Random(2).sample(chain.states, 6)
+    targets = random.Random(2).sample(states_of(chain), 6)
     want = raw_moment_vectors(chain, targets, 4)
     calls = _spy_on_inverses(monkeypatch)
     chain.quotients.clear()
     assert raw_moment_vectors(chain, targets, 4) == want
     assert len(calls) == 1
     transform_vector(chain, targets, F(1, 2))
-    exit_distribution(chain, targets, chain.states[0])
+    exit_distribution(chain, targets, states_of(chain)[0])
     assert len(calls) == 3
 
 
@@ -181,11 +182,13 @@ def _bareiss_quotient_answers(chain, targets, order, zs, start):
         sol = solve(partition, 1, lambda b: sum(k * w for k, w in zip(counts[b], weights)))
         full.append(sol + [F(0)])
     transforms = [solve(partition, z, lambda b: z * counts[b][transient]) + [F(1)] for z in zs]
-    by_state = [dict(zip(chain.states, map(vec.__getitem__, labels.tolist()))) for vec in full[1:] + transforms]
+    every = states_of(chain)
+    by_state = [dict(zip(every, map(vec.__getitem__, labels.tolist()))) for vec in full[1:] + transforms]
     labels, counts, transient = partition = oracle._quotient(chain, targets, start)
-    home = labels[chain.index[start]]
+    home = labels[chain.position(start)]
     visits = solve(partition, 1, lambda b: F(int(b == home))) + [F(0)]
-    exits = {t: sum(visits[c] for c in labels[chain.neighbor_table[chain.index[t]]].tolist()) for t in sorted(targets)}
+    rows = {t: chain.neighbor_table[chain.position(t)] for t in sorted(targets)}
+    exits = {t: sum(visits[c] for c in labels[row].tolist()) for t, row in rows.items()}
     return by_state[:order], by_state[order:], exits
 
 
@@ -197,8 +200,9 @@ def test_non_lumping_explicit_quotient_matches_bareiss(n, m, size):
     order = list(range(p.state_count))
     rng.shuffle(order)
     chain = reordered_chain(p, order)
-    targets = sorted(rng.sample(chain.states, size))
-    start = next(x for x in chain.states if x not in targets)
+    every = states_of(chain)
+    targets = sorted(rng.sample(every, size))
+    start = next(x for x in every if x not in targets)
     assert 36 <= len(oracle._quotient(chain, targets)[1]) <= 64
     zs = (F(1, 2), F(999, 1000))
     moments, transforms, exits = _bareiss_quotient_answers(chain, targets, 4, zs, start)
@@ -208,12 +212,17 @@ def test_non_lumping_explicit_quotient_matches_bareiss(n, m, size):
 
 
 def test_chain_enumeration_order():
+    # a state's position is its code: lookup and decode are inverse over every code, and ball 1 varies fastest
+    for n, m in [(3, 2), (2, 5), (161, 2)]:
+        chain = EnumeratedChain(ModelParams(n, m))
+        states = states_of(chain)
+        assert [chain.position(x) for x in states] == list(range(n**m))
+        assert states == sorted(itertools.product(range(1, n + 1), repeat=m), key=lambda x: x[::-1])
     chain = EnumeratedChain(ModelParams(3, 2))
-    # ball 1 varies fastest
-    assert chain.states[:4] == [(1, 1), (2, 1), (3, 1), (1, 2)]
+    assert states_of(chain)[:4] == [(1, 1), (2, 1), (3, 1), (1, 2)]
     assert chain.degree() == 4
-    row = chain.neighbor_table[chain.index[(1, 1)]]
-    assert sorted(chain.states[j] for j in row) == [(1, 2), (1, 3), (2, 1), (3, 1)]
+    row = chain.neighbor_table[chain.position((1, 1))]
+    assert sorted(chain.states_at(row)) == [(1, 2), (1, 3), (2, 1), (3, 1)]
 
 
 def test_mean_examples():
@@ -361,8 +370,9 @@ def test_large_target_set_counts_only_its_transient_blocks(monkeypatch):
     # all but four states are targets: refinement splits them into over a hundred blocks,
     # and every solve reads them as one absorbing column
     chain = EnumeratedChain(ModelParams(3, 5))
-    rest = random.Random(5).sample(chain.states, 4)
-    targets = [x for x in chain.states if x not in rest]
+    every = states_of(chain)
+    rest = random.Random(5).sample(every, 4)
+    targets = [x for x in every if x not in rest]
     monkeypatch.setattr(oracle, "MAX_BLOCKS", 4)
     labels, counts, transient = oracle._quotient(chain, targets)
     assert transient <= 4 and counts.shape == (transient, transient + 1) and labels.max() == transient
@@ -389,7 +399,8 @@ def _dense_reference(chain, targets, order, z):
     distribution from every state.
     """
     target_set = set(targets)
-    transient = [x for x in chain.states if x not in target_set]
+    every = states_of(chain)
+    transient = [x for x in every if x not in target_set]
     col = {x: i for i, x in enumerate(transient)}
     p = F(1, chain.degree())
     steps = {x: list(neighbor_states(chain.params, x)) for x in transient}
@@ -406,18 +417,18 @@ def _dense_reference(chain, targets, order, z):
         return out
 
     plain = rows(1)
-    full = [{x: F(1) for x in chain.states}]
+    full = [{x: F(1) for x in every}]
     for r in range(1, order + 1):
         rhs = [p * sum(math.comb(r, j) * full[j][y] for y in steps[x] for j in range(r)) for x in transient]
         (sol,) = solve_exact_system(plain, [rhs])
-        full.append({x: sol[col[x]] if x in col else F(0) for x in chain.states})
+        full.append({x: sol[col[x]] if x in col else F(0) for x in every})
     (sol,) = solve_exact_system(rows(z), [[z * p * sum(y in target_set for y in steps[x]) for x in transient]])
-    pgf = {x: sol[col[x]] if x in col else F(1) for x in chain.states}
+    pgf = {x: sol[col[x]] if x in col else F(1) for x in every}
     ordered = sorted(target_set)
     cols = solve_exact_system(plain, [[p * steps[x].count(t) for x in transient] for t in ordered])
     exits = {
         x: {t: cols[c][col[x]] if x in col else F(int(t == x)) for c, t in enumerate(ordered)}
-        for x in chain.states
+        for x in every
     }
     return full[1:], pgf, exits
 
@@ -426,7 +437,7 @@ def _quotient_cases(n, m):
     """Every descriptor kind plus random, mostly asymmetric, explicit sets."""
     p = ModelParams(n, m)
     rng = random.Random(31 * n + m)
-    every = EnumeratedChain(p).states
+    every = states_of(EnumeratedChain(p))
     y, z = rng.sample(every, 2)
     kinds = [SetDescriptor.singleton(y), SetDescriptor.pair(y, z), SetDescriptor.diagonal()]
     kinds += [SetDescriptor.count(h, rng.randint(1, n)) for h in sorted({0, m // 2, m})]
@@ -451,7 +462,7 @@ def test_quotient_matches_dense_full_chain(n, m):
         assert mean_vector(chain, targets) == moments[0]
         assert vectors == moments
         assert transform_vector(chain, targets, z) == pgf
-        for x in chain.states:  # starts inside the target set included
+        for x in states_of(chain):  # starts inside the target set included
             assert exit_distribution(chain, targets, x) == exits[x]
             assert solve_raw_moments(chain, targets, x, 4) == [vec[x] for vec in vectors]
 
@@ -465,8 +476,9 @@ def test_neighbor_table_is_the_symmetric_one_move_relation(n, m, shuffle):
     chain = reordered_chain(p, order)
     table = chain.neighbor_table
     assert table.shape == (p.state_count, chain.degree())
-    for i, x in enumerate(chain.states):
-        assert sorted(chain.states[j] for j in table[i]) == sorted(neighbor_states(p, x))
+    states = states_of(chain)
+    for i, x in enumerate(states):
+        assert sorted(states[j] for j in table[i]) == sorted(neighbor_states(p, x))
     adjacency = np.zeros((p.state_count, p.state_count), dtype=int)
     np.add.at(adjacency, (np.repeat(np.arange(p.state_count), chain.degree()), table.ravel()), 1)
     assert (adjacency == adjacency.T).all() and adjacency.max() == 1 and not adjacency.diagonal().any()
@@ -515,7 +527,7 @@ def test_lump_equals_the_unique_rows_reference(n, m):
     order = list(range(p.state_count))
     rng.shuffle(order)
     for chain in (EnumeratedChain(p), reordered_chain(p, order)):
-        every = chain.states
+        every = states_of(chain)
         kinds = [SetDescriptor.singleton(rng.choice(every)), SetDescriptor.diagonal()]
         if len(every) > 2:
             kinds.append(SetDescriptor.pair(*rng.sample(every, 2)))
@@ -680,31 +692,40 @@ def test_per_start_answers_never_spread_a_solve_over_every_state(capsys, monkeyp
 
 
 _PUBLIC_SOLVES = {
-    "mean_vector": lambda chain, targets: mean_vector(chain, targets),
-    "solve_mean": lambda chain, targets: solve_mean(chain, targets, (1, 1, 1)),
-    "raw_moment_vectors": lambda chain, targets: raw_moment_vectors(chain, targets, 3),
-    "solve_raw_moments": lambda chain, targets: solve_raw_moments(chain, targets, (1, 1, 1), 3),
-    "solve_second_moment": lambda chain, targets: solve_second_moment(chain, targets, (1, 1, 1)),
-    "transform_vector": lambda chain, targets: transform_vector(chain, targets, F(1, 2)),
-    "solve_transform": lambda chain, targets: solve_transform(chain, targets, (1, 1, 1), F(1, 2)),
-    "solve_transform_u": lambda chain, targets: solve_transform_u(chain, targets, (1, 1, 1), F(2)),
-    "exit_distribution": lambda chain, targets: exit_distribution(chain, targets, (1, 1, 1)),
+    "mean_vector": lambda chain, targets, start: mean_vector(chain, targets),
+    "solve_mean": lambda chain, targets, start: solve_mean(chain, targets, start),
+    "raw_moment_vectors": lambda chain, targets, start: raw_moment_vectors(chain, targets, 3),
+    "solve_raw_moments": lambda chain, targets, start: solve_raw_moments(chain, targets, start, 3),
+    "solve_second_moment": lambda chain, targets, start: solve_second_moment(chain, targets, start),
+    "transform_vector": lambda chain, targets, start: transform_vector(chain, targets, F(1, 2)),
+    "solve_transform": lambda chain, targets, start: solve_transform(chain, targets, start, F(1, 2)),
+    "solve_transform_u": lambda chain, targets, start: solve_transform_u(chain, targets, start, F(2)),
+    "exit_distribution": lambda chain, targets, start: exit_distribution(chain, targets, start),
 }
+_VECTOR_SOLVES = {"mean_vector", "raw_moment_vectors", "transform_vector"}
 
 
 @pytest.mark.parametrize("name", sorted(_PUBLIC_SOLVES))
 @pytest.mark.parametrize("bad", [(2, 2), (2, 2, 2, 2), (0, 2, 2), (2, 4, 2)],
                          ids=["short", "long", "urn-zero", "urn-above"])
 def test_bad_member_refused_after_valid_lists_are_cached(name, bad):
+    # a bad member, or a bad start of a per-start name, raises check_state's own message before and
+    # after the valid list's partitions are cached: unchecked, (2, 4, 2) would alias the code of (2, 1, 3)
     chain = EnumeratedChain(ModelParams(3, 3))
-    valid = [(2, 2, 2), (3, 3, 3)]
+    valid, start = [(2, 2, 2), (3, 3, 3)], (1, 1, 1)
     with pytest.raises(ValueError) as want:
         chain.params.check_state(bad)
+    requests = [([*valid, bad], start), ([bad, *valid], start), ([bad], start)]
+    if name not in _VECTOR_SOLVES:
+        requests.append((valid, bad))
+        with pytest.raises(ValueError) as got:  # before any partition is cached
+            _PUBLIC_SOLVES[name](chain, valid, bad)
+        assert str(got.value) == str(want.value)
     for solve in _PUBLIC_SOLVES.values():  # every partition of the valid list is cached
-        solve(chain, valid)
-    for targets in ([*valid, bad], [bad, *valid], [bad]):
+        solve(chain, valid, start)
+    for targets, at in requests:
         with pytest.raises(ValueError) as got:
-            _PUBLIC_SOLVES[name](chain, targets)
+            _PUBLIC_SOLVES[name](chain, targets, at)
         assert str(got.value) == str(want.value)
 
 
@@ -712,7 +733,7 @@ def test_different_lists_on_one_chain_never_share_a_quotient():
     p = ModelParams(3, 3)
     rng = random.Random(23)
     chain = EnumeratedChain(p)
-    start, *others = chain.states
+    start, *others = states_of(chain)
     lists = [rng.sample(others, rng.randint(1, 6)) for _ in range(12)]
     lists += [lists[0][:-1] or [others[-1]], [*lists[1], others[-1]]]  # one member fewer, one more
     for targets in lists:
@@ -730,9 +751,10 @@ def test_one_set_in_any_form_or_order_gives_equal_answers():
     order = list(range(p.state_count))
     rng.shuffle(order)
     chain = reordered_chain(p, order)
-    targets = rng.sample(chain.states, 5)
+    every = states_of(chain)
+    targets = rng.sample(every, 5)
     forms = [targets, sorted(targets), targets[::-1], [list(x) for x in targets], targets + targets[:2]]
-    for start in (next(x for x in chain.states if x not in targets), targets[2]):
+    for start in (next(x for x in every if x not in targets), targets[2]):
         answers = [
             (raw_moment_vectors(chain, form, 3), transform_vector(chain, form, F(2, 3)),
              solve_transform_u(chain, form, start, F(1, 2)), exit_distribution(chain, form, start))
