@@ -35,9 +35,9 @@ listed.
   occupancies: moving a ball from urn ``a`` to urn ``b`` adds
   ``occ[b] - occ[a] + 1``.  The diagonal is the level ``C(balls, 2)``,
   ``distinct`` the level 0.
-* ``explicit`` sets are encoded as sorted integer state codes around urn
-  1, and the hit test is a binary search of the key among them, which needs
-  ``urns**balls`` below ``2**62``.
+* ``explicit`` sets are encoded as sorted state codes around urn 1, as
+  :attr:`~ehrenfest.model.ModelParams.radix` defines them, and the hit test
+  is a binary search of the key among them (``urns**balls <= 2**62``).
 
 Each lockstep step is charged its live replicas plus ``STEP_CHARGE``.  Replicas
 still walking when ``WALK_BUDGET`` is spent are truncated and excluded from the
@@ -188,10 +188,8 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
         key0 = np.array(row @ (row - 1) // 2, dtype=np.min_scalar_type(-most))
         return (1,) * m, stride, key0, update, lambda keys: keys == level
 
-    if m * np.log2(n) > 62:
-        raise ValueError("state space too large to encode states in 64-bit codes")
-    weights = n ** np.arange(m, dtype=np.int64)
-    codes = np.sort((np.array(states, dtype=np.int64) - 1) @ weights)
+    weights = params.radix
+    codes = np.sort((states - 1) @ weights)
 
     def update(keys, base, balls, old, new):
         keys += (new.astype(np.int64) - old) * weights[balls]

@@ -2,10 +2,12 @@
 
 A state assigns each of ``balls`` labelled balls to one of ``urns`` labelled
 urns (1-indexed tuples throughout).  One step of the chain picks a ball
-uniformly and moves it to a uniformly chosen *different* urn.  The central
-combinatorial statistic is the overlap ``s(x, y)``: the number of balls
-occupying the same urn in both configurations.  The paper's auxiliary
-continuous-time chain is stated in the test references and checked there.
+uniformly and moves it to a uniformly chosen *different* urn;
+:attr:`ModelParams.radix` defines the state code that the oracle and the
+Monte Carlo read.  The central combinatorial statistic is the overlap
+``s(x, y)``: the number of balls occupying the same urn in both
+configurations.  The paper's auxiliary continuous-time chain is stated in
+the test references and checked there.
 
 Closed-form hitting-time analysis only applies to target sets whose overlap
 structure looks the same from every one of their elements.  The standard
@@ -18,14 +20,13 @@ payload to :meth:`~SetDescriptor.overlap_histograms`, which counts its overlap
 histograms from the start and from one member.
 Each kind but ``explicit`` is symmetric by construction and counted without
 being listed; an ``explicit`` set is read once into one sorted ``(|A|, M)``
-integer table, whose shape and urn range are tested as whole arrays, and
-:func:`symmetry_defect` and both histograms read that table.  The symmetry
-test counts each member's agreements with the whole set in blocks of
-members, one whole-array pass per coordinate, and stops at the first block
-holding a member that differs from the first; a symmetric set costs
-``|A|**2 * M`` comparisons, bounded by ``MAX_PAIR_COORDS``.  Only these
-array functions import numpy, so a symbolic set is answered without loading
-it.
+integer table by :meth:`ModelParams.check_states`, and :func:`symmetry_defect`
+and both histograms read that table.  The symmetry test counts each member's
+agreements with the whole set in blocks of members, one whole-array pass per
+coordinate, and stops at the first block holding a member that differs from
+the first; a symmetric set costs ``|A|**2 * M`` comparisons, bounded by
+``MAX_PAIR_COORDS``.  Only these array functions import numpy, so a symbolic
+set is answered without loading it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import math
 import operator
 import re
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, permutations as _permutations, product
@@ -89,6 +91,30 @@ class ModelParams:
             if not 1 <= c <= self.urns:
                 raise ValueError(f"urn index {c} outside 1..{self.urns} in state {xs}")
         return xs
+
+    def check_states(self, states: Sequence[Sequence[int]]):
+        """A list of states as one ``(len(states), balls)`` int64 table, in list order, duplicates kept.
+        The types are tested in one pass, the shape and urn range on the whole table; only a list that
+        fails is read member by member, so the error names its first faulty member as :meth:`check_state` would."""
+        import numpy as np
+
+        table = None
+        if set(map(type, chain.from_iterable(states))) <= {int}:
+            with suppress(ValueError, OverflowError):  # members of different lengths, or an integer past 64 bits
+                table = np.array(states, dtype=np.int64)
+        if table is None or table.shape != (len(states), self.balls) or table.min() < 1 or table.max() > self.urns:
+            table = np.array([self.check_state(s) for s in states], dtype=np.int64).reshape(-1, self.balls)
+        return table
+
+    @property
+    def radix(self):
+        """The int64 place values ``urns**(i-1)`` of the state code ``(x - 1) @ radix``,
+        ball 1 varying fastest; refused past ``2**62`` states."""
+        import numpy as np
+
+        if self.state_count > 2**62:
+            raise ValueError("state space too large to encode states in 64-bit codes")
+        return self.urns ** np.arange(self.balls, dtype=np.int64)
 
 
 def overlap(x: Sequence[int], y: Sequence[int]) -> int:
@@ -199,35 +225,16 @@ def symmetry_defect(states: Sequence[State]):
 
 
 def _member_table(params: ModelParams, states: Sequence[State]):
-    """The members of an explicit set as one sorted ``(|A|, M)`` integer table.
-
-    The coordinates' types are tested in one pass, and the table's shape and
-    urn range as a whole.  Only a payload that fails is rebuilt member by
-    member, in list order, so the error names the first faulty member as
-    :meth:`ModelParams.check_state` words it: a float, string or bool is
-    refused there, never truncated by the ``int64`` table.  The sort
-    and the duplicate test run on the tuples, in ``sorted`` and ``set``: a
-    ``lexsort`` and a row comparison run no Python either, but they load numpy
-    code that nothing else in an ``exact`` request uses, and the peak resident
-    set grows by it.
-    """
+    """An explicit set's members, checked by :meth:`ModelParams.check_states`, as one sorted ``(|A|, M)``
+    table.  The sort and the duplicate test run on the tuples, in ``sorted`` and ``set``: a ``lexsort``
+    and a row comparison run no Python either, but they load numpy code that nothing else in an
+    ``exact`` request uses, and the peak resident set grows by it."""
     if not states:
         raise ValueError("explicit descriptor with empty state list")
-    import numpy as np
-
-    table = None
-    if set(map(type, chain.from_iterable(states))) <= {int}:
-        rows = sorted(states)
-        try:
-            table = np.array(rows, dtype=np.int64)
-        except (ValueError, OverflowError):  # members of different lengths, or an integer past 64 bits
-            pass
-    if table is None or table.shape != (len(rows), params.balls) or table.min() < 1 or table.max() > params.urns:
-        rows = sorted([params.check_state(s) for s in states])
-        table = np.array(rows, dtype=np.int64)
-    if len(set(rows)) != len(rows):
+    table = params.check_states(states)
+    if len(set(states)) != len(states):
         raise ValueError("explicit descriptor contains duplicate states")
-    return table
+    return table[sorted(range(len(states)), key=states.__getitem__)]
 
 
 _PAIR_RE = re.compile(r"^\(([^()]*)\);\(([^()]*)\)$")

@@ -5,10 +5,11 @@ analysis on the ``urns**balls`` state space: hitting means, higher moments,
 probability-generating-function values, and exit distributions all solve
 linear systems with rational coefficients.  No system here is solved on the
 full chain.  The states are enumerated in mixed-radix order, so a state's
-position is its code, with a table of neighbour positions; every lookup of a
-state checks it first, so no state outside the chain aliases a code inside
-it.  The partition {target set, rest} is refined by signatures (a state's
-own block plus the sorted blocks of its neighbours) until no block splits.
+position is its code (``model.ModelParams.radix``), with a table of neighbour
+positions; every lookup checks its states first (``check_states``), so no
+state outside the chain aliases a code inside it.  The partition {target
+set, rest} is refined by signatures (a state's own block plus the sorted
+blocks of its neighbours) until no block splits.
 That is the coarsest strongly lumpable partition keeping the target set
 apart (Kemeny & Snell, *Finite Markov Chains*, 1960, §6.3): all moves are
 equiprobable and every state of a block has the same number of neighbours
@@ -62,25 +63,24 @@ class EnumeratedChain:
     """The fully enumerated chain with its table of neighbour positions.
 
     States are listed in mixed-radix order with ball 1 varying fastest, so a
-    state's position is its code ``sum_i (x_i - 1) * urns**(i-1)``, and no
-    state is kept as a tuple: :meth:`position` validates and encodes one,
-    :meth:`states_at` decodes many.  Row ``r`` of ``neighbor_table`` holds
-    the positions of the ``balls * (urns - 1)`` states one move away from
-    the state of code ``r``: moving ball ``i`` on by
-    ``d = 1..urns-1`` urns changes the code by ``d * urns**(i-1)``, less
-    ``urns**i`` when the move wraps past urn ``urns`` (``digit_i >= urns - d``),
-    so the table is the codes plus one whole-array shift, with no modulo and
-    no gather.  A chain of more than ``MAX_MOVES`` state-move pairs is
-    refused before anything is enumerated.
+    state's position is its code ``(x - 1) @ params.radix``, as
+    :class:`~ehrenfest.model.ModelParams` defines it, and no state is kept as
+    a tuple: :meth:`positions` validates and encodes a list in one array pass,
+    :meth:`position` one state, and :meth:`states_at` decodes many.  Row ``r`` of
+    ``neighbor_table`` holds the positions of the ``balls * (urns - 1)`` states one
+    move away from the state of code ``r``: moving ball ``i`` on by ``d = 1..urns-1``
+    urns changes the code by ``d * urns**(i-1)``, less ``urns**i`` when the move
+    wraps past urn ``urns`` (``digit_i >= urns - d``), so the table is the codes plus
+    one whole-array shift, with no modulo and no gather.  A chain of more than
+    ``MAX_MOVES`` state-move pairs is refused first.
     """
 
     def __init__(self, params: ModelParams):
         if (moves := params.state_count * params.balls * (params.urns - 1)) > MAX_MOVES:
             raise CapExceededError("MAX_MOVES", moves, MAX_MOVES, "state-move pairs")
         self.params = params
-        n, m, size = params.urns, params.balls, params.state_count
+        n, size, radix = params.urns, params.state_count, params.radix
         codes = np.arange(size)
-        radix = n ** np.arange(m, dtype=np.int64)
         digits = codes[:, None] // radix % n
         step = np.arange(1, n)
         shifts = (step - n * (digits[:, :, None] >= n - step)) * radix[:, None]
@@ -90,12 +90,12 @@ class EnumeratedChain:
     def degree(self) -> int:
         return self.params.balls * (self.params.urns - 1)
 
-    def position(self, x: Sequence[int]) -> int:
-        """The position of state ``x``, its code, once ``check_state`` has passed it.
+    def positions(self, states: Sequence[Sequence[int]]) -> np.ndarray:
+        """The codes of ``states``, checked first: unchecked, ``(4, 1, 1)`` at 3 urns would read as ``(1, 2, 1)``."""
+        return (self.params.check_states(states) - 1) @ self.params.radix
 
-        The check is what keeps a code unique: unchecked, ``(4, 1, 1)`` at
-        three urns would read as the code of ``(1, 2, 1)``.
-        """
+    def position(self, x: Sequence[int]) -> int:
+        """The code of one state, checked first: :meth:`positions` by Horner's rule, with no array built."""
         n, code = self.params.urns, 0
         for c in reversed(self.params.check_state(x)):
             code = code * n + c - 1
@@ -103,9 +103,7 @@ class EnumeratedChain:
 
     def states_at(self, positions: np.ndarray) -> list[State]:
         """The states at ``positions`` (their codes), decoded in one array pass."""
-        n = self.params.urns
-        radix = n ** np.arange(self.params.balls, dtype=np.int64)
-        return list(map(tuple, (positions[:, None] // radix % n + 1).tolist()))
+        return list(map(tuple, (positions[:, None] // self.params.radix % self.params.urns + 1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +336,8 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
     there.  The counts come from one
     ``bincount`` over every transient block's representative.
     """
-    positions = [chain.position(t) for t in targets]
-    if not positions:
+    positions = chain.positions(targets)
+    if not positions.size:
         raise ValueError("target set must be nonempty")
     labels = np.zeros(chain.params.state_count, dtype=np.intp)
     if start is not None:

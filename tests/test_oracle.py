@@ -706,13 +706,19 @@ _VECTOR_SOLVES = {"mean_vector", "raw_moment_vectors", "transform_vector"}
 
 
 @pytest.mark.parametrize("name", sorted(_PUBLIC_SOLVES))
-@pytest.mark.parametrize("bad", [(2, 2), (2, 2, 2, 2), (0, 2, 2), (2, 4, 2)],
-                         ids=["short", "long", "urn-zero", "urn-above"])
+@pytest.mark.parametrize("bad", [(2, 2), (2, 2, 2, 2), (0, 2, 2), (2, 4, 2), (2, True, 2), (2, 2.0, 2),
+                                 (2, "2", 2), (2, 2**64, 2)],
+                         ids=["short", "long", "urn-zero", "urn-above", "bool", "float", "string", "past-64-bits"])
 def test_bad_member_refused_after_valid_lists_are_cached(name, bad):
     # a bad member, or a bad start of a per-start name, raises check_state's own message before and
-    # after the valid list's partitions are cached: unchecked, (2, 4, 2) would alias the code of (2, 1, 3)
+    # after the valid list's partitions are cached: unchecked, (2, 4, 2) would alias the code of (2, 1, 3).
+    # Each of the list check's whole-table gates falls back to check_state: a bool, float or string
+    # fails its type pass, a member of another length its shape test, and 2**64 the int64 table
     chain = EnumeratedChain(ModelParams(3, 3))
     valid, start = [(2, 2, 2), (3, 3, 3)], (1, 1, 1)
+    twin = [(np.int64(2), 2, 2), (3, np.int32(3), 3)]  # numpy integers are accepted, with their int twins' codes
+    assert chain.positions(twin).tolist() == chain.positions(valid).tolist() == [chain.position(x) for x in valid]
+    assert _PUBLIC_SOLVES[name](EnumeratedChain(chain.params), twin, start) == _PUBLIC_SOLVES[name](chain, valid, start)
     with pytest.raises(ValueError) as want:
         chain.params.check_state(bad)
     requests = [([*valid, bad], start), ([bad, *valid], start), ([bad], start)]
@@ -727,6 +733,20 @@ def test_bad_member_refused_after_valid_lists_are_cached(name, bad):
         with pytest.raises(ValueError) as got:
             _PUBLIC_SOLVES[name](chain, targets, at)
         assert str(got.value) == str(want.value)
+
+
+def test_a_valid_target_list_is_checked_as_one_table(monkeypatch):
+    # the 70-member count:4 list at N=2 M=8 is checked in one array pass per partition, not member by member
+    p = ModelParams(2, 8)
+    targets = SetDescriptor.count(4).materialize(p)
+    calls = []
+    real = ModelParams.check_state
+    monkeypatch.setattr(ModelParams, "check_state", lambda self, x: calls.append(x) or real(self, x))
+    chain, start = EnumeratedChain(p), (1,) * 8
+    solve_raw_moments(chain, targets, start, 2)
+    exit_distribution(chain, targets, start)
+    assert len(targets) == 70
+    assert len(calls) < len(targets)
 
 
 def test_different_lists_on_one_chain_never_share_a_quotient():
