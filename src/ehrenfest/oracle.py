@@ -66,7 +66,7 @@ class EnumeratedChain:
     state's position is its code ``(x - 1) @ params.radix``, as
     :class:`~ehrenfest.model.ModelParams` defines it, and no state is kept as
     a tuple: :meth:`positions` validates and encodes a list in one array pass,
-    :meth:`position` one state, and :meth:`states_at` decodes many.  Row ``r`` of
+    :meth:`position` one state through it, and :meth:`states_at` decodes many.  Row ``r`` of
     ``neighbor_table`` holds the positions of the ``balls * (urns - 1)`` states one
     move away from the state of code ``r``: moving ball ``i`` on by ``d = 1..urns-1``
     urns changes the code by ``d * urns**(i-1)``, less ``urns**i`` when the move
@@ -95,11 +95,8 @@ class EnumeratedChain:
         return (self.params.check_states(states) - 1) @ self.params.radix
 
     def position(self, x: Sequence[int]) -> int:
-        """The code of one state, checked first: :meth:`positions` by Horner's rule, with no array built."""
-        n, code = self.params.urns, 0
-        for c in reversed(self.params.check_state(x)):
-            code = code * n + c - 1
-        return code
+        """The code of one state: ``positions([x])[0]``."""
+        return int(self.positions([x])[0])
 
     def states_at(self, positions: np.ndarray) -> list[State]:
         """The states at ``positions`` (their codes), decoded in one array pass."""
