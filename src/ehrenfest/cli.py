@@ -20,13 +20,12 @@ exceeded, 5 verdict failure.
 
 The oracle and the Monte Carlo, and numpy with them, are imported inside the
 helpers that run them: ``exact`` on a symbolic set and ``network-check`` load
-neither.
+neither.  ``csv`` is imported by the CSV writer alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -261,6 +260,8 @@ def _to_csv(report: dict) -> str:
     """One line per leaf under ``results``, named by its dotted path, then one per
     verdict with its detail values in their columns (a detail with no column gets
     a line of its own), then one per leaf under ``timing``."""
+    import csv
+
     rows = [{"quantity": path, "exact": value} for path, value in _leaves(report["results"], "")]
     for verdict in report.get("verdicts", ()):
         row = {"quantity": verdict["name"], "verdict": "pass" if verdict["pass"] else "fail"}

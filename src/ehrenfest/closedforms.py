@@ -13,20 +13,18 @@ makes them useful: every pair of routes is asserted equal in the test-suite.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .model import ModelParams, overlap
+from .model import ModelParams, _Record, overlap
 from .resolvent import centered_kernel
 
 
-@dataclass(frozen=True)
-class TwoPointStats:
+class TwoPointStats(NamedTuple):
     mean: Fraction
     exit_prob_first: Fraction
 
@@ -64,8 +62,7 @@ def two_point_stats_for(params: ModelParams, x: Sequence[int], y: Sequence[int],
     return two_point_stats(params, overlap(x, y), overlap(x, z), overlap(y, z))
 
 
-@dataclass(frozen=True)
-class SameUrnStats:
+class SameUrnStats(NamedTuple):
     mean: Fraction
     exit_probs: tuple[Fraction, ...]
 
@@ -139,8 +136,7 @@ def count_set_mean(params: ModelParams, k: int, h: int) -> Fraction:
 # the lumped count chain as an electric network
 
 
-@dataclass(frozen=True)
-class CountChain:
+class CountChain(_Record):
     """Birth-death projection onto the ball count of a reference urn.
 
     Level ``i`` holds the configurations with ``i`` balls in the reference
@@ -149,7 +145,10 @@ class CountChain:
     is the weighted random walk on ``0..balls`` with the conductances below.
     """
 
-    params: ModelParams
+    __slots__ = _fields = ("params",)
+
+    def __init__(self, params: ModelParams):
+        self._set(params)
 
     def conductance_up(self, i: int) -> Fraction:
         """Edge weight between levels ``i`` and ``i + 1`` (zero past the top)."""
@@ -168,8 +167,7 @@ class CountChain:
         return sum((self.vertex_weight(i) for i in range(self.params.balls + 1)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class CommuteCheck:
+class CommuteCheck(NamedTuple):
     lhs: Fraction
     rhs: Fraction
 

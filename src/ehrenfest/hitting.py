@@ -41,18 +41,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .closedforms import same_urn_stats_of_occupancy, two_point_stats
 from .exact import Rational, lambda_to_u
-from .model import ModelParams, SetDescriptor, State, overlap
+from .model import ModelParams, SetDescriptor, State, _Record, overlap
 from .resolvent import kernel_row, kernel_series, kernel_sums
 
 
-@dataclass(frozen=True)
-class HittingQuery:
+class HittingQuery(_Record):
     """A start state and a symmetric target set, folded once into two integer rows.
 
     The descriptor counts the two overlap histograms, from the start and from
@@ -64,20 +62,23 @@ class HittingQuery:
     swaps of the two urns for a pair, global urn relabelings for the diagonal
     and the distinct set, ball permutations plus relabelings fixing the
     reference urn for a count slice), so it is symmetric by construction.
-    ``payload`` is what ``target.validate`` returned, which the exit law reads.
+    ``payload`` is what ``target.validate`` returned, which the exit law reads;
+    it and ``rows`` are neither compared nor shown.
     """
 
-    params: ModelParams
-    start: State
-    target: SetDescriptor
-    payload: object = field(init=False, repr=False, compare=False)
-    rows: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("params", "start", "target", "payload", "rows")
+    _fields = ("params", "start", "target")
+
+    def __init__(self, params: ModelParams, start: State, target: SetDescriptor):
+        self._set(params, start, target)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "start", self.params.check_state(self.start))
-        object.__setattr__(self, "payload", self.target.validate(self.params))
-        hists = self.target.overlap_histograms(self.params, self.start, self.payload)
-        object.__setattr__(self, "rows", tuple(kernel_row(self.params, hist) for hist in hists))
+        params, target = self.params, self.target
+        start = params.check_state(self.start)
+        payload = target.validate(params)
+        hists = target.overlap_histograms(params, start, payload)
+        self._set(params, start, target, payload=payload, rows=tuple(kernel_row(params, hist) for hist in hists))
 
 
 def laplace_u(query: HittingQuery, u: Rational) -> Fraction:
@@ -194,8 +195,7 @@ def exit_distribution(query: HittingQuery) -> dict[State, Fraction] | None:
     return None
 
 
-@dataclass(frozen=True)
-class CtmcStats:
+class CtmcStats(NamedTuple):
     """Mean and variance of the continuous-time hitting time."""
 
     mean: Fraction
@@ -215,8 +215,7 @@ def ctmc_stats(query: HittingQuery) -> CtmcStats:
     return CtmcStats(mean=e / m, variance=(v + e) / Fraction(m**2))
 
 
-@dataclass(frozen=True)
-class HittingSummary:
+class HittingSummary(NamedTuple):
     """Exact summary of one hitting-time query.
 
     Each lambda sample is kept unreduced, as ``(lambda, (num, den))`` with

@@ -47,12 +47,11 @@ moment estimates (loudly: a warning is emitted, nothing is dropped silently).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ModelParams, SetDescriptor, State, _integer, overlap
+from .model import ModelParams, SetDescriptor, State, _Record, _integer, overlap
 
 #: Moves drawn per block over all live replicas: bounds the block's memory
 #: and sets how many steps the sparse tail takes per RNG call.  Part of the
@@ -71,33 +70,28 @@ MAX_SLOTS = 1 << 26
 MODES = ("discrete", "ctmc")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    replicas: int
-    seed: int
-    mode: str = "discrete"  # or "ctmc"
-    grid: tuple[float, ...] = ()  # transform arguments: lambda if discrete, u if ctmc
+class SimConfig(_Record):
+    __slots__ = _fields = ("replicas", "seed", "mode", "grid")
 
-    def __post_init__(self):
-        for name in ("replicas", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.replicas < 1:
+    def __init__(self, replicas: int, seed: int, mode: str = "discrete", grid: tuple[float, ...] = ()):
+        # mode is "discrete" or "ctmc"; grid holds the transform arguments, lambda if discrete, u if ctmc
+        replicas, seed = _integer(replicas, "replicas"), _integer(seed, "seed")
+        if replicas < 1:
             raise ValueError("need at least one replica")
-        if not 0 <= self.seed < 2**128:  # the range of a Philox key
-            raise ValueError(f"seed {self.seed} is outside 0..2**128 - 1")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0 <= seed < 2**128:  # the range of a Philox key
+            raise ValueError(f"seed {seed} is outside 0..2**128 - 1")
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        self._set(replicas, seed, mode, grid)
 
 
-@dataclass(frozen=True)
-class TransformEstimate:
+class TransformEstimate(NamedTuple):
     argument: float
     estimate: float
     stderr: float
 
 
-@dataclass(frozen=True)
-class SimSummary:
+class SimSummary(NamedTuple):
     replicas: int
     truncated: int
     mode: str
@@ -105,7 +99,7 @@ class SimSummary:
     sample_mean: float
     sample_variance: float
     stderr: float
-    transforms: tuple[TransformEstimate, ...] = field(default_factory=tuple)
+    transforms: tuple[TransformEstimate, ...] = ()
     replica_steps: int = 0  # steps walked, truncated replicas included
 
 
@@ -314,5 +308,5 @@ def sample_clocks(
     cfg: SimConfig,
 ) -> dict[str, SimSummary]:
     """Both clocks from one walk: entry ``mode`` equals
-    ``sample_hitting(params, start, target, replace(cfg, mode=mode))``."""
+    ``sample_hitting(params, start, target, SimConfig(cfg.replicas, cfg.seed, mode, cfg.grid))``."""
     return _sample(params, start, target, cfg, MODES)

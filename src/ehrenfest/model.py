@@ -37,7 +37,6 @@ import operator
 import re
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, permutations as _permutations, product
 from typing import Iterable, Iterator, Sequence
@@ -62,20 +61,55 @@ def _coordinates(values: Iterable) -> State:
     return tuple(map(_integer, values))
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Record:
+    """An immutable value: a class with ``__slots__`` whose ``__init__`` checks its
+    arguments and sets each slot once, through :meth:`_set`.  ``_fields`` names
+    ``__init__``'s arguments in order, and ``_set`` keeps their values as one tuple:
+    two records of one class are equal, and hash equal, when those are (the
+    ``lru_cache`` keys on :class:`ModelParams` hash it), the ``repr`` shows them,
+    and a copy or an unpickled record is built from them by ``__init__``.  Any
+    other slot is derived from them and neither compared nor shown."""
+
+    __slots__ = ("_values",)
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values, **derived) -> None:
+        """Set the fields to ``values``, in the order of ``_fields``, and the other slots to ``derived``."""
+        object.__setattr__(self, "_values", values)
+        for name, value in chain(zip(self._fields, values), derived.items()):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._values))})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, whose checks run again
+        return type(self), self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ModelParams(_Record):
     """Chain dimensions: ``urns >= 2`` urns and ``balls >= 1`` labelled balls, read by :func:`_integer`."""
 
-    urns: int
-    balls: int
+    __slots__ = _fields = ("urns", "balls")
 
-    def __post_init__(self):
-        for name in ("urns", "balls"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.urns < 2:
-            raise ValueError(f"need at least 2 urns, got {self.urns}")
-        if self.balls < 1:
-            raise ValueError(f"need at least 1 ball, got {self.balls}")
+    def __init__(self, urns: int, balls: int):
+        urns, balls = _integer(urns, "urns"), _integer(balls, "balls")
+        if urns < 2:
+            raise ValueError(f"need at least 2 urns, got {urns}")
+        if balls < 1:
+            raise ValueError(f"need at least 1 ball, got {balls}")
+        self._set(urns, balls)
 
     @property
     def state_count(self) -> int:
@@ -240,20 +274,21 @@ def _member_table(params: ModelParams, states: Sequence[State]):
 _PAIR_RE = re.compile(r"^\(([^()]*)\);\(([^()]*)\)$")
 
 
-@dataclass(frozen=True)
-class SetDescriptor:
+class SetDescriptor(_Record):
     """Symbolic or explicit description of a target set of states.
 
     ``kind`` is one of ``singleton``, ``pair``, ``diagonal``, ``count``,
     ``distinct``, ``explicit``.  ``states`` carries the payload for the
     explicit kinds; ``count_overlap``/``reference_urn`` parameterize the
-    fixed-count slice (how many balls sit in the reference urn).
+    fixed-count slice (how many balls sit in the reference urn).  The
+    constructor checks nothing: :meth:`validate` does.
     """
 
-    kind: str
-    states: tuple[State, ...] = ()
-    count_overlap: int | None = None
-    reference_urn: int = 2
+    __slots__ = _fields = ("kind", "states", "count_overlap", "reference_urn")
+
+    def __init__(self, kind: str, states: tuple[State, ...] = (), count_overlap: int | None = None,
+                 reference_urn: int = 2):
+        self._set(kind, states, count_overlap, reference_urn)
 
     @classmethod
     def singleton(cls, y: Sequence[int]) -> "SetDescriptor":
@@ -463,20 +498,20 @@ def parse_set(text: str) -> SetDescriptor:
 # coordinatewise permutations
 
 
-@dataclass(frozen=True)
-class ProductPermutation:
+class ProductPermutation(_Record):
     """One urn-relabelling per ball; acts coordinatewise on states.
 
     ``maps[i][u-1]`` is the image of urn ``u`` for ball ``i+1``.  Overlaps are
     preserved under this action, so symmetric target sets stay symmetric.
     """
 
-    maps: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("maps",)
 
-    def __post_init__(self):
-        for row in self.maps:
+    def __init__(self, maps: tuple[tuple[int, ...], ...]):
+        for row in maps:
             if sorted(row) != list(range(1, len(row) + 1)):
                 raise ValueError(f"not a permutation of 1..{len(row)}: {row}")
+        self._set(maps)
 
     @classmethod
     def random(cls, params: ModelParams, rng) -> "ProductPermutation":

@@ -39,11 +39,10 @@ never feeds downstream computations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import Jet, Rational, jet_from_derivatives
 from .model import ModelParams
@@ -172,8 +171,7 @@ def centered_kernel_jet(params: ModelParams, k: int, order: int) -> Jet:
     return jet_from_derivatives(derivs)
 
 
-@dataclass(frozen=True)
-class KernelIncrements:
+class KernelIncrements(NamedTuple):
     """Closed forms at ``u = 0``: endpoint values and the overlap increments.
 
     ``increments[k]`` is the jump from overlap ``k`` to ``k + 1``; the three

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -522,7 +521,7 @@ def test_identities_catch_a_shifted_gap(capsys, monkeypatch):
         if params != ModelParams(3, 2):
             return table
         gaps = (table.increments[0], table.increments[1] + Fraction(1, 10**9))
-        return replace(table, increments=gaps)
+        return table._replace(increments=gaps)
 
     monkeypatch.setattr(resolvent, "kernel_increments", shifted)
     code, report, _ = run_json(capsys, "identities", "--max-urns", "3", "--max-balls", "3")
@@ -728,7 +727,7 @@ def test_timing_flag_adds_replica_steps(capsys, command):
 def test_non_finite_result_exits_two_instead_of_invalid_json(capsys, monkeypatch):
     real = mc.sample_hitting
     monkeypatch.setattr(
-        mc, "sample_hitting", lambda *a: replace(real(*a), sample_mean=float("nan"))
+        mc, "sample_hitting", lambda *a: real(*a)._replace(sample_mean=float("nan"))
     )
     code, out, err = run_cli(
         capsys, "simulate", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2", "--replicas", "10"

@@ -557,7 +557,7 @@ def test_exit_distribution_matches_oracle():
 
 
 def test_exit_law_reads_the_payload_the_query_validated():
-    # a dataclass-built target keeps its raw payload, here lists and numpy integers: the exit law reads
+    # a target built by the constructor keeps its raw payload, here lists and numpy integers: the exit law reads
     # the states the query checked, as the moments do, and keys them by plain int tuples
     import numpy as np
 

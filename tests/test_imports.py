@@ -3,10 +3,13 @@
 The engine's route needs only integer and rational arithmetic, so importing
 the command line and answering ``exact`` on a symbolic set, ``network-check``
 or ``identities`` must load neither numpy nor scipy, nor the oracle or the
-Monte Carlo.  No module of the package imports scipy at all.  The three
-routes must also stay independent: the oracle and the Monte Carlo build on
-``model`` and ``exact`` alone, and the engine never reads either of them, so
-an agreement between routes still means something.
+Monte Carlo.  Start-up also leaves out the standard modules it does not
+use: ``dataclasses`` and ``inspect``, which took about half of a fresh
+process's import time, and ``csv``, which only a ``--format csv`` report
+loads.  No module of the package imports scipy or ``dataclasses`` at all.
+The three routes must also stay independent: the oracle and the Monte Carlo
+build on ``model`` and ``exact`` alone, and the engine never reads either of
+them, so an agreement between routes still means something.
 """
 
 import ast
@@ -21,6 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ehrenfest"
 
 HEAVY = ("numpy", "scipy", "ehrenfest.oracle", "ehrenfest.mc")
+# standard modules that start-up and a JSON report do without; numpy loads inspect itself
+UNUSED = ("dataclasses", "inspect", "csv")
 
 # argv of each request, then the modules it left loaded; one fresh interpreter runs them all
 STARTUP = """
@@ -31,7 +36,7 @@ cli.build_parser()
 for batch in json.loads(sys.argv[2]):
     codes = [cli.main(argv + ["--out", sys.argv[3]]) for argv in batch]
     print(json.dumps([codes, sorted(m for m in %r if m in sys.modules)]))
-""" % (HEAVY,)
+""" % (HEAVY + UNUSED,)
 
 GRID = ["--order", "4", "--u", "1/2,2", "--lambda", "0.5"]
 SIZE = ["--N", "4", "--M", "3"]
@@ -53,21 +58,26 @@ def test_engine_requests_load_no_numpy_oracle_or_mc(tmp_path):
         ["network-check", "--N", "4", "--M", "20"],
         ["identities"],
     ]
-    # the contrast: each of these needs numpy, and still answers
+    # the contrast: a CSV report loads csv, and each of the others needs numpy, and still answers
+    tables = [[*_exact("1,1,1", "singleton:2,2,2"), "--format", "csv"]]
     others = [
         _exact("1,1,1", f"explicit:@{members}"),
         ["oracle", *SIZE, "--start", "1,1,1", "--set", "singleton:2,2,2", *GRID],
         ["simulate", *SIZE, "--start", "1,1,1", "--set", "singleton:2,2,2", "--replicas", "100"],
     ]
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", STARTUP, str(ROOT / "src"), json.dumps([engine, others]),
+        [sys.executable, "-I", "-c", STARTUP, str(ROOT / "src"), json.dumps([engine, tables, others]),
          str(tmp_path / "report.json")],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    (engine_codes, engine_loaded), (other_codes, other_loaded) = map(json.loads, proc.stdout.splitlines())
+    (engine_codes, engine_loaded), (table_codes, table_loaded), (other_codes, other_loaded) = map(
+        json.loads, proc.stdout.splitlines()
+    )
     assert engine_codes == [0] * len(engine) and engine_loaded == []
-    assert other_codes == [0] * len(others) and other_loaded == ["ehrenfest.mc", "ehrenfest.oracle", "numpy"]
+    assert table_codes == [0] and table_loaded == ["csv"]
+    assert other_codes == [0] * len(others)
+    assert [m for m in other_loaded if m in HEAVY] == ["ehrenfest.mc", "ehrenfest.oracle", "numpy"]
 
 
 def _imports(tree: ast.Module) -> list[tuple[str, bool]]:
@@ -121,6 +131,10 @@ def test_no_module_level_numpy_or_scipy(module):
 
 def test_the_package_never_imports_scipy():
     assert not any(name.split(".")[0] == "scipy" for found in IMPORTS.values() for name, _ in found)
+
+
+def test_the_package_never_imports_dataclasses():
+    assert not any(name == "dataclasses" for found in IMPORTS.values() for name, _ in found)
 
 
 def test_the_reader_sees_imports_inside_functions():

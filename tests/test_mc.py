@@ -2,7 +2,6 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,6 +295,6 @@ def test_both_clocks_from_one_walk(monkeypatch):
     both = sample_clocks(P32, (1, 1), SINGLETON, cfg)
     assert len(calls) == 1
     for mode in ("discrete", "ctmc"):
-        assert both[mode] == sample_hitting(P32, (1, 1), SINGLETON, replace(cfg, mode=mode))
+        assert both[mode] == sample_hitting(P32, (1, 1), SINGLETON, SimConfig(cfg.replicas, cfg.seed, mode, cfg.grid))
     steps, _, _ = _walk_steps(P32, (1, 1), SINGLETON, cfg)
     assert both["ctmc"].replica_steps == both["discrete"].replica_steps == int(steps.sum())

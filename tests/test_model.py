@@ -190,7 +190,7 @@ _READS_COORDINATES = {
     "pair": lambda c: SetDescriptor.pair((1, 1), (c, 1)).states,
     "count": lambda c: (SetDescriptor.count(c).count_overlap, SetDescriptor.count(1, c).reference_urn),
     "explicit": lambda c: SetDescriptor.explicit([(1, 1), (c, 1)]).states,
-    # the dataclass constructor reads nothing: the member table does, when the set is validated
+    # the class constructor reads nothing: the member table does, when the set is validated
     "explicit-table": lambda c: SetDescriptor("explicit", states=((1, 1), (c, 1))).validate(ModelParams(3, 2)),
 }
 
