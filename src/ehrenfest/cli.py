@@ -88,7 +88,8 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
 
 #: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
-    # at N=10**5, M=200: exact in under 1 s, 7-7.5 s writing the diagonal's exit law (ROADMAP item 6); network-check 7 s
+    # at N=10**5, M=200: exact in under 1 s, network-check 7 s; writing the diagonal's exit law takes 5.4-6.6 s from
+    # all ones and 13.9-14.6 s from a random start, past 10 s until its report is bounded (ROADMAP item 6)
     ("urns", "--N", 2, 10**5),
     ("balls", "--M", 1, 200),
     ("order", "--order", 1, 32),

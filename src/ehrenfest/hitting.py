@@ -11,9 +11,11 @@ summand depends on ``z`` only through an overlap, so ``A`` enters only
 through two overlap histograms of length ``balls + 1``: ``hist[k]`` counts
 the elements of ``A`` at overlap ``k`` from ``x``, or from ``y`` (overlap
 symmetry makes the second the same for every ``y``).  The query validates
-``A`` once, and :meth:`~ehrenfest.model.SetDescriptor.overlap_histograms`
-reads that payload: it picks ``y``, tests an ``explicit`` set for symmetry and
-counts both histograms without listing a symbolic set.
+``A`` once and counts both histograms from that payload: ``y`` is a member
+built from the kind's definition, an ``explicit`` set is tested for symmetry
+first, and no symbolic set is listed.  None of this counting is shared with
+the oracle's listing or the Monte Carlo's membership keys, so their agreement
+checks it.
 :class:`HittingQuery` folds each histogram once, into the integer row
 ``a_t = sum_k hist[k] * c_{k,t}`` of :func:`~ehrenfest.resolvent.kernel_row`,
 and keeps only the two rows: every output below reads them.  For the
@@ -46,15 +48,16 @@ from typing import NamedTuple, Sequence
 
 from .closedforms import same_urn_stats_of_occupancy, two_point_stats
 from .exact import Rational, lambda_to_u
-from .model import ModelParams, SetDescriptor, State, _Record, overlap
+from . import model
+from .model import ModelParams, SetDescriptor, SetNotSymmetricError, State, _Record, overlap
 from .resolvent import kernel_row, kernel_series, kernel_sums
 
 
 class HittingQuery(_Record):
     """A start state and a symmetric target set, folded once into two integer rows.
 
-    The descriptor counts the two overlap histograms, from the start and from
-    one member, in one call that validates it once; ``rows`` holds their
+    The two overlap histograms, from the start and from one member, are
+    counted from the descriptor validated once; ``rows`` holds their
     :func:`~ehrenfest.resolvent.kernel_row` folds, in that order, and every
     engine output reads those rows.  Only ``explicit`` sets are tested for
     symmetry (:class:`~ehrenfest.model.SetNotSymmetricError`): every symbolic
@@ -77,8 +80,76 @@ class HittingQuery(_Record):
         params, target = self.params, self.target
         start = params.check_state(self.start)
         payload = target.validate(params)
-        hists = target.overlap_histograms(params, start, payload)
+        hists = _overlap_histograms(params, target, start, payload)
         self._set(params, start, target, payload=payload, rows=tuple(kernel_row(params, hist) for hist in hists))
+
+
+def _reference(params: ModelParams, target: SetDescriptor, payload) -> State:
+    """One member of the target set, built from its definition and the payload
+    ``target.validate`` returned: the first listed state, or for a ``count:h:r``
+    set ``h`` balls in urn ``r`` and the rest in one other urn."""
+    m = params.balls
+    if target.kind == "diagonal":
+        return (1,) * m
+    if target.kind == "distinct":
+        return tuple(range(1, m + 1))
+    if target.kind == "count":
+        urn, h = target.reference_urn, target.count_overlap
+        return (urn,) * h + (2 if urn == 1 else 1,) * (m - h)
+    return payload[0]
+
+
+def _overlap_histograms(params: ModelParams, target: SetDescriptor, x: State, payload):
+    """The two overlap histograms a query reads, from ``x`` and from :func:`_reference`,
+    given the payload ``target.validate`` returned.  An explicit set is tested for
+    symmetry first (:class:`~ehrenfest.model.SetNotSymmetricError` names two members
+    that differ), so every member has the same histogram and the reference serves."""
+    if target.kind == "explicit":
+        defect = model.symmetry_defect(payload)
+        if defect is not None:
+            raise SetNotSymmetricError(*defect)
+    return tuple(_histogram(params, target, payload, y) for y in (x, _reference(params, target, payload)))
+
+
+def _histogram(params: ModelParams, target: SetDescriptor, payload, x) -> tuple[int, ...]:
+    """``hist[k]``: the members of the target set that agree with ``x`` in exactly
+    ``k`` coordinates, given the payload ``target.validate`` returned."""
+    n, m, kind = params.urns, params.balls, target.kind
+    if kind == "explicit":  # one bincount over the table
+        import numpy as np
+
+        return tuple(np.bincount((payload == x).sum(axis=1), minlength=m + 1).tolist())
+    hist = [0] * (m + 1)
+    if kind in ("singleton", "pair"):
+        for y in payload:
+            hist[overlap(x, y)] += 1
+    elif kind == "count":
+        # a member holds h balls in urn r.  Of the a balls x holds there keep j (the rest go to the n - 1
+        # other urns), put h - j of x's other balls into r, and of the free rest k - j as in x, the others
+        # in the n - 2 urns that are neither r nor x's
+        h, a = target.count_overlap, x.count(target.reference_urn)
+        for j in range(max(0, h - m + a), min(a, h) + 1):
+            free = m - a - h + j
+            ways = math.comb(a, j) * (n - 1) ** (a - j) * math.comb(m - a, h - j)
+            for k in range(j, j + free + 1):
+                hist[k] += ways * math.comb(free, k - j) * (n - 2) ** (free - k + j)
+    else:  # diagonal and distinct read only x's urn occupancies
+        occupied = Counter(x).values()
+        if kind == "diagonal":  # the member in an urn holding c balls of x is at overlap c
+            hist[0] = n - len(occupied)
+            for c in occupied:
+                hist[c] += 1
+        else:
+            # e[j]: ways to pick j balls of x in j different urns; each pick extends to
+            # (n-j)!/(n-m)! members, and inclusion-exclusion turns "at least" into "exactly"
+            e = [1] + [0] * m
+            for c in occupied:
+                for j in range(m, 0, -1):
+                    e[j] += c * e[j - 1]
+            for k in range(m + 1):
+                hist[k] = sum((-1) ** (j - k) * math.comb(j, k) * e[j] * math.perm(n - j, m - j)
+                              for j in range(k, m + 1))
+    return tuple(hist)
 
 
 def laplace_u(query: HittingQuery, u: Rational) -> Fraction:

@@ -24,9 +24,10 @@ Every ball's urn is tracked (nothing is lumped), stored as an offset
 by each move from the ball and its old and new offsets; no symbolic set is
 listed.
 
-* Singletons and count slices are Hamming spheres (the states agreeing
-  with a center in exactly ``h`` coordinates): the reference is the center
-  and the key is the number of zero offsets, a hit when it equals ``h``.
+* Singletons and count slices are Hamming spheres, the states agreeing
+  with a center in exactly ``h`` coordinates: ``h = balls`` around ``y``
+  for ``singleton:y``, ``h`` around ``(r, ..., r)`` for ``count:h:r``.
+  The key is the number of zero offsets from the center, a hit at ``h``.
 * ``pair:(y);(z)`` takes ``y`` as reference and packs two such counters,
   ``a + (balls+1)*b``: ``a`` balls agree with ``y`` and ``b`` with ``z``.
   A hit is one of the two keys of ``y`` and ``z``.
@@ -134,9 +135,9 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
     stride = max(m, n) if target.kind in ("diagonal", "distinct") else m
     if replicas * stride > MAX_SLOTS:
         raise ValueError(f"the walk needs {replicas * stride} urn slots ({replicas} replicas x {stride}) > {MAX_SLOTS}")
-    sphere = target._sphere(params, states)
-    if sphere is not None:
-        center, level = sphere
+    if target.kind in ("singleton", "count"):  # the states agreeing with a center in exactly level coordinates
+        r = target.reference_urn
+        center, level = (states[0], m) if target.kind == "singleton" else ((r,) * m, target.count_overlap)
 
         def update(keys, base, balls, old, new):
             keys += new == 0
@@ -214,13 +215,14 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     keys = np.full(base.size, key0)
 
     draw_type = np.min_scalar_type(m * (n - 1) - 1)
+    spread = np.array(n - 1, dtype=np.min_scalar_type(n - 1))  # with one ball, n - 1 may not fit draw_type
     t = spent = 0  # every live replica has taken exactly t steps, and the walk has spent this much budget
     while base.size and (affordable := (WALK_BUDGET - spent) // (base.size + STEP_CHARGE)):
         span = min(max(1, BLOCK_MOVES // base.size), affordable)
         spent += span * (base.size + STEP_CHARGE)
         block = rng.integers(0, m * (n - 1), size=(span, base.size), dtype=draw_type)
-        balls_ahead = block // (n - 1)  # np.divmod is slower than the two passes
-        shifts_ahead = block - balls_ahead * (n - 1)
+        balls_ahead = block // spread  # np.divmod is slower than the two passes
+        shifts_ahead = block - balls_ahead * spread
         shifts_ahead += 1
         # absorbed replicas keep moving, masked out of hits, until the block ends
         alive = np.ones(base.size, dtype=bool)

@@ -13,31 +13,30 @@ Closed-form hitting-time analysis only applies to target sets whose overlap
 structure looks the same from every one of their elements.  The standard
 constructions (singletons, pairs, the all-in-one-urn diagonal, fixed-count
 slices, and the all-distinct set) are :class:`SetDescriptor` kinds, with a
-textual grammar for the command-line tools.  A descriptor has three readers:
-:meth:`~SetDescriptor.validate` checks it, :meth:`~SetDescriptor.materialize`
-lists its members, and a hitting query validates it once and hands the
-payload to :meth:`~SetDescriptor.overlap_histograms`, which counts its overlap
-histograms from the start and from one member.
-Each kind but ``explicit`` is symmetric by construction and counted without
-being listed; an ``explicit`` set is read once into one sorted ``(|A|, M)``
-integer table by :meth:`ModelParams.check_states`, and :func:`symmetry_defect`
-and both histograms read that table.  The symmetry test counts each member's
-agreements with the whole set in blocks of members, one whole-array pass per
-coordinate, and stops at the first block holding a member that differs from
-the first; a symmetric set costs ``|A|**2 * M`` comparisons, bounded by
-``MAX_PAIR_COORDS``.  Only these array functions import numpy, so a symbolic
-set is answered without loading it.
+textual grammar for the command-line tools.  This module only defines a set:
+:meth:`~SetDescriptor.validate` checks a descriptor and returns its payload,
+and :meth:`~SetDescriptor.materialize` lists its members, each kind from its
+own definition.  How a route reads a set is the route's own business: the
+engine counts overlap histograms (:mod:`~ehrenfest.hitting`), the Monte Carlo
+keeps a membership key per replica (:mod:`~ehrenfest.mc`) and the oracle
+reads the list, so no helper here is shared by two routes and a wrong
+listing shows up as a disagreement between them.
+An ``explicit`` set is read once into one sorted ``(|A|, M)`` integer table
+by :meth:`ModelParams.check_states`; :func:`symmetry_defect` tests such a
+table.  It counts each member's agreements with the whole set in blocks of
+members, one whole-array pass per coordinate, and stops at the first block
+holding a member that differs from the first; a symmetric set costs
+``|A|**2 * M`` comparisons, bounded by ``MAX_PAIR_COORDS``.  Only these
+array functions import numpy, so a symbolic set is answered without
+loading it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import operator
 import re
-from collections import Counter
 from contextlib import suppress
-from functools import cache
 from itertools import chain, combinations, permutations as _permutations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -315,18 +314,6 @@ class SetDescriptor(_Record):
     def explicit(cls, states: Iterable[Sequence[int]]) -> "SetDescriptor":
         return cls("explicit", states=tuple(map(_coordinates, states)))
 
-    def _sphere(self, params: ModelParams, states) -> tuple[State, int] | None:
-        """``(center, h)`` when the set is the Hamming sphere of the states that
-        agree with ``center`` in exactly ``h`` coordinates, given the payload
-        ``states`` that :meth:`validate` returned: ``(y, balls)`` for a
-        singleton, ``((urn,) * balls, h)`` for a count set.  None for every
-        other kind."""
-        if self.kind == "singleton":
-            return states[0], params.balls
-        if self.kind == "count":
-            return (self.reference_urn,) * params.balls, self.count_overlap
-        return None
-
     def validate(self, params: ModelParams):
         """Check the descriptor against ``params`` without listing a symbolic set.
         Returns the payload states, normalized, or for an explicit set its sorted
@@ -350,19 +337,13 @@ class SetDescriptor(_Record):
 
     def _members(self, params: ModelParams, states) -> Iterator[State]:
         """The member states one by one, each once, given the payload ``states``
-        that :meth:`validate` returned.
-
-        A sphere builds the tuple of urns other than a center urn only when a
-        free coordinate first needs it, once per urn: a count set holds one
-        such tuple and a singleton none, so one member costs no ``N * M`` work."""
+        that :meth:`validate` returned, each kind listed from its definition."""
         n, m = params.urns, params.balls
-        sphere = self._sphere(params, states)
-        if sphere is not None:
-            center, h = sphere
-            # product() stores every pool it is given: coordinates centered on one urn share one tuple
-            others = cache(lambda c: tuple(u for u in range(1, n + 1) if u != c))
-            for agree in combinations(range(m), h):
-                yield from product(*(center[i : i + 1] if i in agree else others(center[i]) for i in range(m)))
+        if self.kind == "count":  # h balls in the reference urn r, every other ball in one of the other urns
+            r = self.reference_urn
+            others = tuple(u for u in range(1, n + 1) if u != r)
+            for in_r in combinations(range(m), self.count_overlap):
+                yield from product(*((r,) if i in in_r else others for i in range(m)))
         elif self.kind == "diagonal":
             yield from ((i,) * m for i in range(1, n + 1))
         elif self.kind == "distinct":
@@ -375,66 +356,6 @@ class SetDescriptor(_Record):
     def materialize(self, params: ModelParams) -> list[State]:
         """The sorted list of member states, validated first."""
         return sorted(self._members(params, self.validate(params)))
-
-    def overlap_histograms(
-        self, params: ModelParams, x: State, states
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The two overlap histograms a hitting query reads, from ``x`` (a state as
-        :meth:`ModelParams.check_state` returns it) and from one member:
-        ``hist[k]`` counts the members that agree with the point in exactly ``k``
-        coordinates.  ``states`` is the payload :meth:`validate` returned, so the
-        set is validated once, by the caller.  Symbolic kinds are symmetric by
-        construction and counted, never listed; an explicit set is tested first,
-        and :class:`SetNotSymmetricError` names two members that differ.  So every
-        member has the same histogram, and the first one the set yields serves."""
-        if self.kind == "explicit":
-            defect = symmetry_defect(states)
-            if defect is not None:
-                raise SetNotSymmetricError(*defect)
-            first = states[0]
-        else:
-            first = next(self._members(params, states))
-        return self._histogram(params, states, x), self._histogram(params, states, first)
-
-    def _histogram(self, params: ModelParams, states, x) -> tuple[int, ...]:
-        """The overlap histogram from ``x``, given the payload ``states`` that :meth:`validate` returned."""
-        n, m = params.urns, params.balls
-        if self.kind == "explicit":  # one bincount over the table
-            import numpy as np
-
-            return tuple(np.bincount((states == x).sum(axis=1), minlength=m + 1).tolist())
-        hist = [0] * (m + 1)
-        sphere = self._sphere(params, states)
-        if sphere is not None:
-            # keep j of the a balls where x meets the center there (the rest of those in n - 1 urns),
-            # put h - j others on the center, and of the free rest k - j as in x, the others in n - 2 urns
-            center, h = sphere
-            a = overlap(x, center)
-            for j in range(max(0, h - m + a), min(a, h) + 1):
-                free = m - a - h + j
-                ways = math.comb(a, j) * (n - 1) ** (a - j) * math.comb(m - a, h - j)
-                for k in range(j, j + free + 1):
-                    hist[k] += ways * math.comb(free, k - j) * (n - 2) ** (free - k + j)
-        elif self.kind == "pair":
-            for y in states:
-                hist[overlap(x, y)] += 1
-        else:  # diagonal and distinct read only x's urn occupancies
-            occupied = Counter(x).values()
-            if self.kind == "diagonal":  # the member in an urn holding c balls of x is at overlap c
-                hist[0] = n - len(occupied)
-                for c in occupied:
-                    hist[c] += 1
-            else:
-                # e[j]: ways to pick j balls of x in j different urns; each pick extends to
-                # (n-j)!/(n-m)! members, and inclusion-exclusion turns "at least" into "exactly"
-                e = [1] + [0] * m
-                for c in occupied:
-                    for j in range(m, 0, -1):
-                        e[j] += c * e[j - 1]
-                for k in range(m + 1):
-                    hist[k] = sum((-1) ** (j - k) * math.comb(j, k) * e[j] * math.perm(n - j, m - j)
-                                  for j in range(k, m + 1))
-        return tuple(hist)
 
 
 def _ints(parts: Sequence[str], text: str) -> list[int]:

@@ -135,13 +135,18 @@ def resolvent_kernel(params: ModelParams, k: int, u: Rational) -> Fraction:
     return Fraction(num, den)
 
 
+def _centered_sum(params: ModelParams, k: int, order: int) -> tuple[int, int]:
+    """``(total, d)`` with ``sum_{t>=1} c_t / (urns*t)**(order+1) = total / d**(order+1)``: one integer sum
+    over ``d = urns * lcm(1..balls)``."""
+    scale = math.lcm(*range(1, params.balls + 1))
+    coeffs = kernel_coefficients(params, k)
+    return sum(c * (scale // t) ** (order + 1) for t, c in enumerate(coeffs) if t), params.urns * scale
+
+
 @lru_cache(maxsize=None)
 def centered_kernel(params: ModelParams, k: int) -> Fraction:
-    """Kernel at ``u = 0`` with the pole term ``1 / (u * (urns-1))`` removed."""
-    # sum_t c_t / (urns*t) over the one denominator urns*lcm(1..balls)
-    n, scale = params.urns, math.lcm(*range(1, params.balls + 1))
-    coeffs = kernel_coefficients(params, k)
-    return Fraction(sum(c * (scale // t) for t, c in enumerate(coeffs) if t), n * scale)
+    """Kernel at ``u = 0`` with the pole term ``1 / (u * (urns-1))`` removed: the sum of order 0."""
+    return Fraction(*_centered_sum(params, k, 0))
 
 
 _centered_at_zero = centered_kernel  # the name perfbench/spans.py counts the cached kernel under
@@ -157,10 +162,8 @@ def centered_kernel_derivative(params: ModelParams, k: int, order: int = 1) -> F
     """
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    n, scale = params.urns, math.lcm(*range(1, params.balls + 1))
-    coeffs = kernel_coefficients(params, k)
-    total = sum(c * (scale // t) ** (order + 1) for t, c in enumerate(coeffs) if t)
-    return Fraction((-1) ** order * math.factorial(order) * (n - 1) ** order * total, (n * scale) ** (order + 1))
+    total, den = _centered_sum(params, k, order)
+    return Fraction((-1) ** order * math.factorial(order) * (params.urns - 1) ** order * total, den ** (order + 1))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from ehrenfest.mc import (
     sample_clocks,
     sample_hitting,
 )
-from ehrenfest.hitting import HittingQuery, ctmc_stats
+from ehrenfest.hitting import HittingQuery, ctmc_stats, mean
 from ehrenfest.model import ModelParams, SetDescriptor
 
 
@@ -262,6 +262,26 @@ def test_walk_law_matches_killed_chain(start, target):
     empirical = np.searchsorted(np.sort(steps), np.arange(exact.size), side="right") / replicas
     assert np.abs(empirical - exact).max() <= eps
     assert 1 - exact[-1] <= eps  # beyond the largest sample the empirical CDF is 1
+
+
+@pytest.mark.parametrize(
+    "n,m,target",
+    [
+        (257, 1, SetDescriptor.singleton((2,))),  # M(N-1) = 256: draws fit uint8, a shift of up to 256 does not
+        (258, 1, SetDescriptor.singleton((2,))),  # 257: the first uint16 draws with one ball
+        (3, 128, SetDescriptor.count(126, 1)),  # 256: draws fit uint8
+        (3, 129, SetDescriptor.count(127, 1)),  # 258: uint16 draws
+        (65537, 1, SetDescriptor.count(0, 1)),  # 65536: draws fit uint16, a shift of up to 65536 does not
+    ],
+    ids=["257x1", "258x1", "3x128", "3x129", "65537x1"],
+)
+def test_walk_draws_across_a_dtype_boundary(n, m, target):
+    # a move is one draw below M(N-1), kept in the smallest type that holds M(N-1) - 1
+    params, start = ModelParams(n, m), (1,) * m
+    summary = sample_hitting(params, start, target, SimConfig(replicas=4000, seed=5))
+    exact = float(mean(HittingQuery(params, start, target)))
+    assert summary.truncated == 0
+    assert abs(summary.sample_mean - exact) <= 4 * summary.stderr
 
 
 def test_truncation_cuts_the_same_walks(monkeypatch):

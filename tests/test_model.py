@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrenfest import model
+from ehrenfest import hitting, model
 from ehrenfest.hitting import HittingQuery
 from ehrenfest.resolvent import kernel_row
 from ehrenfest.model import (
@@ -157,9 +157,10 @@ def test_materialize_count():
     assert got == [(1, 2), (2, 1)]
     p = ModelParams(3, 4)
     for h in range(5):
-        members = SetDescriptor.count(h).materialize(p)
-        assert len(members) == math.comb(4, h) * 2 ** (4 - h)
-        assert all(sum(1 for c in x if c == 2) == h for x in members)
+        for r in (1, 2, 3):  # count:h:r holds the states with exactly h balls in urn r
+            members = SetDescriptor.count(h, r).materialize(p)
+            assert len(members) == math.comb(4, h) * 2 ** (4 - h)
+            assert members == [x for x in product(range(1, 4), repeat=4) if x.count(r) == h]
 
 
 def test_materialize_distinct():
@@ -181,6 +182,10 @@ def test_materialize_errors():
         SetDescriptor.pair((1, 1), (1, 1)).materialize(ModelParams(2, 2))
     with pytest.raises(ValueError):
         SetDescriptor.singleton((1, 9)).materialize(ModelParams(3, 2))
+    for bad in (SetDescriptor.count(5), SetDescriptor.count(-1), SetDescriptor.count(1, 4),
+                SetDescriptor.count(1, 0), SetDescriptor.singleton((1, 2, 3)), SetDescriptor.singleton((1, 2, 3, 4))):
+        with pytest.raises(ValueError):
+            bad.validate(ModelParams(3, 4))
 
 
 # each of the six places that reads coordinates from a caller, given coordinate c
@@ -226,24 +231,6 @@ def test_the_engine_refuses_a_float_coordinate_it_once_truncated():
         SetDescriptor.explicit([(1.5, 2.0), (2.9, 1.0)])
     with pytest.raises(ValueError, match="1.5"):
         SetDescriptor("explicit", states=((1.5, 2), (2.9, 1))).validate(ModelParams(3, 2))
-
-
-def _sphere(d, p):
-    return d._sphere(p, d.validate(p))
-
-
-def test_sphere_of_each_kind():
-    p = ModelParams(3, 4)
-    assert _sphere(SetDescriptor.singleton((1, 2, 3, 1)), p) == ((1, 2, 3, 1), 4)
-    assert _sphere(SetDescriptor.count(2), p) == ((2, 2, 2, 2), 2)
-    assert _sphere(SetDescriptor.count(0, 3), p) == ((3, 3, 3, 3), 0)
-    others = [SetDescriptor.pair((1, 1, 1, 1), (2, 2, 2, 2)), SetDescriptor.diagonal(),
-              SetDescriptor.distinct(), SetDescriptor.explicit([(1, 1, 1, 1)])]
-    assert [d._sphere(p, None) for d in others] == [None] * 4  # whatever the payload: distinct is invalid here
-    for bad in (SetDescriptor.count(5), SetDescriptor.count(-1), SetDescriptor.count(1, 4),
-                SetDescriptor.count(1, 0), SetDescriptor.singleton((1, 2, 3)), SetDescriptor.singleton((1, 2, 3, 4))):
-        with pytest.raises(ValueError):
-            bad.validate(p)
 
 
 # --- symmetry test ---------------------------------------------------------
@@ -292,16 +279,17 @@ def _descriptors(n, m):
 
 @pytest.mark.parametrize("d", [SetDescriptor.singleton((2,) * 200), SetDescriptor.count(150)])
 def test_one_sphere_member_costs_o_of_n_plus_m(d):
-    # the query draws one member: a sphere must not list the other urns of every ball first
+    # the query builds one member: it must not list the other urns of every ball first
     tracemalloc.start()
     try:
         p = ModelParams(10**4, 200)
-        first = next(d._members(p, d.validate(p)))
+        first = hitting._reference(p, d, d.validate(p))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(first) == 200
     assert peak < 2 * 2**20
+    assert hitting._histogram(p, d, d.validate(p), first)[200] == 1  # only a member agrees with it everywhere
 
 
 @pytest.mark.parametrize("n,m", _grid())
@@ -352,7 +340,7 @@ def test_occupancy_histograms_equal_the_urn_by_urn_count(n, m):
         x = tuple(rng.randrange(1, min(crowd, n) + 1) for _ in range(m))
         for kind, first in kinds.items():
             d = SetDescriptor(kind)
-            hists = d.overlap_histograms(params, x, d.validate(params))
+            hists = hitting._overlap_histograms(params, d, x, d.validate(params))
             assert hists == (occupancy_histogram_by_urn(params, kind, x),
                              occupancy_histogram_by_urn(params, kind, first)), (kind, x)
 
@@ -363,7 +351,7 @@ def test_diagonal_histograms_at_the_largest_model_take_no_pass_per_urn():
     x = tuple(range(1, 201))
     started = time.perf_counter()
     d = SetDescriptor.diagonal()
-    hists = d.overlap_histograms(params, x, d.validate(params))
+    hists = hitting._overlap_histograms(params, d, x, d.validate(params))
     assert time.perf_counter() - started < 0.1
     assert hists == ((10**5 - 200, 200) + (0,) * 199, (10**5 - 1,) + (0,) * 199 + (1,))
 
@@ -391,7 +379,7 @@ def test_overlap_histogram_counts_what_materialize_lists(case):
     params, d, x = case
     states = d.materialize(params)
     try:
-        hists = d.overlap_histograms(params, x, d.validate(params))
+        hists = hitting._overlap_histograms(params, d, x, d.validate(params))
     except SetNotSymmetricError:  # only an explicit set is tested, and only an asymmetric one fails
         assert d.kind == "explicit" and symmetry_defect(states) is not None
         return
