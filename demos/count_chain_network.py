@@ -9,14 +9,8 @@ times the effective resistance between the two levels.
 
 from fractions import Fraction
 
-from ehrenfest import (
-    CountChain,
-    ModelParams,
-    SetDescriptor,
-    count_set_mean,
-    network_commute_check,
-    overlap,
-)
+from ehrenfest.closedforms import CountChain, count_set_mean, network_commute_check
+from ehrenfest.model import ModelParams, SetDescriptor, overlap
 from ehrenfest.oracle import EnumeratedChain, lumped_count_oracle, solve_mean
 
 params = ModelParams(urns=3, balls=3)

@@ -7,18 +7,9 @@ rational arithmetic.
 
 from fractions import Fraction as F
 
-from ehrenfest import (
-    HittingQuery,
-    ModelParams,
-    SetDescriptor,
-    ctmc_stats,
-    laplace_lambda,
-    laplace_u,
-    mean,
-    raw_moments,
-    same_urn_stats,
-    variance,
-)
+from ehrenfest.closedforms import same_urn_stats
+from ehrenfest.hitting import HittingQuery, ctmc_stats, laplace_lambda, laplace_u, mean, raw_moments, variance
+from ehrenfest.model import ModelParams, SetDescriptor
 
 params = ModelParams(urns=3, balls=2)
 

@@ -8,15 +8,9 @@ bars.
 
 from fractions import Fraction as F
 
-from ehrenfest import (
-    HittingQuery,
-    ModelParams,
-    SetDescriptor,
-    laplace_u,
-    mean,
-    variance,
-)
+from ehrenfest.hitting import HittingQuery, laplace_u, mean, variance
 from ehrenfest.mc import SimConfig, sample_hitting
+from ehrenfest.model import ModelParams, SetDescriptor
 from ehrenfest.oracle import EnumeratedChain, solve_mean, solve_transform
 
 params = ModelParams(urns=3, balls=2)

@@ -6,27 +6,10 @@ arithmetic, cross-checks every formula against an independent linear-algebra
 oracle on the enumerated chain, and samples the same quantities by Monte
 Carlo (discrete steps or the continuous-time chain they embed into).
 
-The top level re-exports the engine's and the closed forms' names that the
-README and the demos use; it loads no numpy.  The oracle's names come from
-``ehrenfest.oracle`` and the Monte Carlo's from ``ehrenfest.mc``, which import
-numpy; everything else is imported from its submodule too.
+Each name is imported from its module (``hitting``, ``closedforms``,
+``oracle``, ``mc``, ``model``, ...); the package imports none of them, so a
+route loads only its own modules and the oracle and the Monte Carlo run
+without the engine.
 """
-
-from .model import ModelParams, SetDescriptor, overlap
-from .hitting import (
-    HittingQuery,
-    ctmc_stats,
-    laplace_lambda,
-    laplace_u,
-    mean,
-    raw_moments,
-    variance,
-)
-from .closedforms import (
-    CountChain,
-    count_set_mean,
-    network_commute_check,
-    same_urn_stats,
-)
 
 __version__ = "0.1.0"

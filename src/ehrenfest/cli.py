@@ -18,9 +18,11 @@ path.  Exit codes: 0 success, 2 usage error, 3 target set not
 overlap-symmetric, 4 oracle work bound (``MAX_MOVES`` or ``MAX_BLOCKS``)
 exceeded, 5 verdict failure.
 
-The oracle and the Monte Carlo, and numpy with them, are imported inside the
-helpers that run them: ``exact`` on a symbolic set and ``network-check`` load
-neither.  ``csv`` is imported by the CSV writer alone.
+One import rule serves the three routes: each one's modules are imported
+inside the functions that run it.  So ``oracle`` and ``simulate`` load no
+engine module, and ``exact`` on a symbolic set, ``network-check`` and
+``identities`` neither the oracle nor the Monte Carlo, nor numpy with them.
+``csv`` is imported by the CSV writer alone.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .exact import ROUND_TRIP_DIGITS, format_rational, format_significant, lambda_to_u
-from .model import CapExceededError, ModelParams, SetNotSymmetricError, parse_set
-from . import closedforms, hitting
-from .resolvent import identity_suite_holds, quadrature_error
+from .model import CapExceededError, HittingSummary, ModelParams, SetNotSymmetricError, parse_set
 
 USAGE_ERROR = 2
 NOT_SYMMETRIC = 3
@@ -88,8 +88,9 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
 
 #: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
-    # at N=10**5, M=200: exact in under 1 s, network-check 7 s; writing the diagonal's exit law takes 5.4-6.6 s from
-    # all ones and 13.9-14.6 s from a random start, past 10 s until its report is bounded (ROADMAP item 6)
+    # at N=10**5, M=200: exact in under 1 s, network-check 7 s; writing the diagonal's exit law, each distinct
+    # probability rendered once, takes 5.5-7.2 s from all ones and 7.7-10.0 s from a random start as a whole
+    # process, too close to 10 s until its report is bounded (ROADMAP item 6)
     ("urns", "--N", 2, 10**5),
     ("balls", "--M", 1, 200),
     ("order", "--order", 1, 32),
@@ -319,8 +320,10 @@ def _summary_results(summary, digits: int) -> dict:
         ],
     }
     if summary.exit_distribution is not None:
+        rendered = {}  # by id, not value, which hashes big rationals: the diagonal and the oracle share equal ones
         results["exit_distribution"] = {
-            ",".join(map(str, s)): _rat(p) for s, p in sorted(summary.exit_distribution.items())
+            ",".join(map(str, s)): rendered[id(p)] if id(p) in rendered else rendered.setdefault(id(p), _rat(p))
+            for s, p in sorted(summary.exit_distribution.items())
         }
     return results
 
@@ -332,7 +335,7 @@ def _verdict(name: str, ok: bool, **detail) -> dict:
     return v
 
 
-def _commute_verdict(name: str, check: closedforms.CommuteCheck) -> dict:
+def _commute_verdict(name: str, check) -> dict:  # check: a closedforms.CommuteCheck
     return _verdict(name, check.equal, lhs=format_rational(check.lhs), rhs=format_rational(check.rhs))
 
 
@@ -342,6 +345,8 @@ def _commute_verdict(name: str, check: closedforms.CommuteCheck) -> dict:
 
 def _engine(args, u_grid, lambda_grid):
     """The kernel engine: the query and its exact summary."""
+    from . import hitting
+
     query = hitting.HittingQuery(args.params, args.start_state, args.target)
     return query, hitting.summarize(query, args.order, u_grid, lambda_grid, args.digits)
 
@@ -359,7 +364,7 @@ def _oracle(args, chain, u_grid, lambda_grid, exit_law=False):
     exits = oracle.exit_distribution(chain, targets, start) if exit_law else None
     moments = oracle.solve_raw_moments(chain, targets, start, max(args.order, 2))
     transform = partial(oracle.solve_transform_u, chain, targets, start)
-    return hitting.HittingSummary.from_moments(
+    return HittingSummary.from_moments(
         moments,
         args.order,
         u_samples=tuple((u, transform(u)) for u in u_grid),
@@ -440,7 +445,7 @@ def cmd_simulate(args) -> dict:
 def cmd_compare(args) -> dict:
     if args.replicas < _COMPARE_MIN_REPLICAS:
         raise ValueError(f"compare needs --replicas of at least {_COMPARE_MIN_REPLICAS}, got {args.replicas}")
-    from . import oracle
+    from . import closedforms, hitting, oracle
 
     chain = oracle.EnumeratedChain(args.params)
     u_grid = args.u_grid or (Fraction(1, 2), Fraction(1), Fraction(2))
@@ -523,6 +528,8 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_identities(args) -> dict:
+    from .resolvent import identity_suite_holds, quadrature_error
+
     verdicts = [
         _verdict(f"identities_N{n}_M{m}", identity_suite_holds(ModelParams(n, m)))
         for n in range(2, args.max_urns + 1)
@@ -538,6 +545,8 @@ def cmd_identities(args) -> dict:
 
 
 def cmd_network_check(args) -> dict:
+    from . import closedforms
+
     checks = closedforms.network_commute_sweep(args.params)
     verdicts = [_commute_verdict(f"commute_h{h}_k{k}", check) for (h, k), check in checks.items()]
     return {"results": {"pairs": len(verdicts)}, "verdicts": verdicts}
@@ -566,10 +575,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_EXCEEDED
-    except OverflowError as exc:
-        print(f"error: a result is outside the float range of the report ({exc})", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return 0 if all(v["pass"] for v in report.get("verdicts", ())) else VERDICT_FAILURE

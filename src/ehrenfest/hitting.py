@@ -36,7 +36,8 @@ and factorials, and Stirling numbers turn those into raw moments.
 recurrence, with one gcd per series coefficient and one ``Fraction`` per
 moment.  The mean, the variance and the continuous-time summaries are the
 first two moments.  Everything on this analytic path is exact rational
-arithmetic.
+arithmetic.  :func:`summarize` fills :class:`~ehrenfest.model.HittingSummary`,
+which the oracle's answers fill too.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import NamedTuple, Sequence
 from .closedforms import same_urn_stats_of_occupancy, two_point_stats
 from .exact import Rational, lambda_to_u
 from . import model
-from .model import ModelParams, SetDescriptor, SetNotSymmetricError, State, _Record, overlap
+from .model import HittingSummary, ModelParams, SetDescriptor, SetNotSymmetricError, State, _Record, overlap
 from .resolvent import kernel_row, kernel_series, kernel_sums
 
 
@@ -284,34 +285,6 @@ def ctmc_stats(query: HittingQuery) -> CtmcStats:
     e, second = raw_moments(query, 2)
     v = second - e**2
     return CtmcStats(mean=e / m, variance=(v + e) / Fraction(m**2))
-
-
-class HittingSummary(NamedTuple):
-    """Exact summary of one hitting-time query.
-
-    Each lambda sample is kept unreduced, as ``(lambda, (num, den))`` with
-    the transform equal to ``num / den``: the report prints it to ``--digits``
-    digits (:func:`~ehrenfest.exact.format_significant`) and as the float
-    ``num / den``, neither of which needs the gcd that reducing it would take.
-    """
-
-    mean: Fraction
-    variance: Fraction
-    raw_moments: tuple[Fraction, ...]
-    u_samples: tuple[tuple[Fraction, Fraction], ...] = ()
-    lambda_samples: tuple[tuple[float, tuple[int, int]], ...] = ()
-    exit_distribution: dict[State, Fraction] | None = None
-
-    @classmethod
-    def from_moments(cls, moments: Sequence[Fraction], order: int, **samples) -> "HittingSummary":
-        """Read mean and variance off the first two raw ``moments`` and report
-        the first ``order`` of them."""
-        return cls(
-            mean=moments[0],
-            variance=moments[1] - moments[0] ** 2,
-            raw_moments=tuple(moments[:order]),
-            **samples,
-        )
 
 
 def summarize(

@@ -29,6 +29,10 @@ holding a member that differs from the first; a symmetric set costs
 ``|A|**2 * M`` comparisons, bounded by ``MAX_PAIR_COORDS``.  Only these
 array functions import numpy, so a symbolic set is answered without
 loading it.
+
+:class:`HittingSummary`, the exact report, is defined here too: the engine's
+:func:`~ehrenfest.hitting.summarize` and the command line's oracle helper
+both fill it, and neither route imports the other.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ import json
 import operator
 import re
 from contextlib import suppress
+from fractions import Fraction
 from itertools import chain, combinations, permutations as _permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 State = tuple[int, ...]
 
@@ -155,6 +160,34 @@ def overlap(x: Sequence[int], y: Sequence[int]) -> int:
     if len(x) != len(y):
         raise ValueError(f"state lengths differ: {len(x)} vs {len(y)}")
     return sum(1 for a, b in zip(x, y) if a == b)
+
+
+class HittingSummary(NamedTuple):
+    """Exact summary of one hitting-time query, as both exact routes report it.
+
+    Each lambda sample is kept unreduced, as ``(lambda, (num, den))`` with
+    the transform equal to ``num / den``: the report prints it to ``--digits``
+    digits (:func:`~ehrenfest.exact.format_significant`) and as the float
+    ``num / den``, neither of which needs the gcd that reducing it would take.
+    """
+
+    mean: Fraction
+    variance: Fraction
+    raw_moments: tuple[Fraction, ...]
+    u_samples: tuple[tuple[Fraction, Fraction], ...] = ()
+    lambda_samples: tuple[tuple[float, tuple[int, int]], ...] = ()
+    exit_distribution: dict[State, Fraction] | None = None
+
+    @classmethod
+    def from_moments(cls, moments: Sequence[Fraction], order: int, **samples) -> "HittingSummary":
+        """Read mean and variance off the first two raw ``moments`` and report
+        the first ``order`` of them."""
+        return cls(
+            mean=moments[0],
+            variance=moments[1] - moments[0] ** 2,
+            raw_moments=tuple(moments[:order]),
+            **samples,
+        )
 
 
 # ---------------------------------------------------------------------------

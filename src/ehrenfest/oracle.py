@@ -489,10 +489,9 @@ def exit_distribution(
         return {t: Fraction(int(t == start)) for t, _ in members}
     visits, den = _Factored(_rows(chain, counts, transient)).solve([int(b == home) for b in range(transient)])
     visits.append(0)
-    return {
-        t: Fraction(sum(map(visits.__getitem__, labels[chain.neighbor_table[r]].tolist())), den)
-        for t, r in members
-    }
+    nums = [sum(map(visits.__getitem__, labels[chain.neighbor_table[r]].tolist())) for _, r in members]
+    shared = {num: Fraction(num, den) for num in set(nums)}  # one per distinct numerator, which the report writes once
+    return {t: shared[num] for (t, _), num in zip(members, nums)}
 
 
 # ---------------------------------------------------------------------------

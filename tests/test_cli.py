@@ -737,6 +737,21 @@ def test_non_finite_result_exits_two_instead_of_invalid_json(capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "module, name, command",
+    [(hitting, "summarize", "exact"), (oracle, "solve_raw_moments", "oracle"), (mc, "sample_hitting", "simulate")],
+    ids=["exact", "oracle", "simulate"],
+)
+def test_an_overflow_inside_a_route_exits_two_with_its_own_message(capsys, monkeypatch, module, name, command):
+    # the report's float conversions catch their own overflows, so any other is the route's, not the report's
+    def overflow(*args):
+        raise OverflowError("boom")
+
+    monkeypatch.setattr(module, name, overflow)
+    code, out, err = run_cli(capsys, command, "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2")
+    assert (code, out, err) == (2, "", "error: boom\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["exact", "--N", "3", "--M", "2", "--start", "1,2", "--set", "diagonal", "--timing"],
@@ -857,6 +872,7 @@ _TWOS = ",".join(["2"] * 200)
           "--replicas", "1"], "--replicas"),
         (["compare", "--N", "3", "--M", "2", "--start", "1,1", "--set", "singleton:2,2",
           "--replicas", "99"], "--replicas"),
+        (["exact", "--N", "3", "--M", "2", "--start", "1,1", "--set", "ring:3"], "unknown set descriptor kind 'ring'"),
     ],
     ids=["lambda-inf", "all-truncated", "oracle-negative-u", "lambda-huge",
          "oracle-negative-lambda", "exact-negative-lambda", "identities-one-urn", "identities-no-balls",
@@ -870,7 +886,7 @@ _TWOS = ",".join(["2"] * 200)
          "simulate-offset-slots", "exact-symmetry-test-above-bound", "start-not-integers",
          "singleton-not-integers", "count-not-integers", "simulate-seed-negative", "compare-seed-above-bound",
          "lambda-not-a-number", "lambda-empty-item", "simulate-one-replica", "compare-one-replica",
-         "compare-99-replicas"],
+         "compare-99-replicas", "exact-unknown-set-kind"],
 )
 def test_bad_inputs_exit_two_without_traceback(capsys, monkeypatch, tmp_path, argv, needle):
     # a small walk budget makes the all-truncated row's walk end at once; no other row walks

@@ -92,6 +92,21 @@ def test_two_point_against_oracle():
     assert stats.exit_prob_first == exits[y]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: two_point_stats(p, 3, 0, 0), "overlap sxy=3 outside 0..2"),
+        (lambda p: two_point_stats(p, 0, -1, 0), "overlap sxz=-1 outside 0..2"),
+        (lambda p: closedforms.CountChain(p).conductance_up(3), "level 3 outside 0..2"),
+        (lambda p: closedforms.CountChain(p).vertex_weight(-1), "level -1 outside 0..2"),
+    ],
+    ids=["two-point-overlap-above", "two-point-overlap-below", "conductance-level", "vertex-weight-level"],
+)
+def test_overlaps_and_levels_outside_their_range_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(ModelParams(3, 2))
+
+
 def test_two_point_rejects_equal_targets():
     with pytest.raises(ValueError):
         two_point_stats(ModelParams(3, 2), 1, 1, 2)

@@ -1,6 +1,7 @@
-"""The README quick start and every demo run: the engine's names from the
-top-level namespace, the oracle's and the Monte Carlo's from ``ehrenfest.oracle``
-and ``ehrenfest.mc``."""
+"""The README quick start and every demo run, each name imported from its
+module: the engine's from ``ehrenfest.hitting`` and ``ehrenfest.closedforms``,
+the oracle's and the Monte Carlo's from ``ehrenfest.oracle`` and
+``ehrenfest.mc``, the definitions from ``ehrenfest.model``."""
 
 import re
 import runpy

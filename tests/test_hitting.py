@@ -683,6 +683,8 @@ def test_summarize_bundles_fields():
     assert F(*s.lambda_samples[1][1]) == laplace_lambda(q, 0.5)
     # the summary is a value: a second run gives an equal one
     assert summarize(q, order=3, u_grid=(F(1, 2), F(1)), lambda_grid=(0.0, 0.5)) == s
+    with pytest.raises(ValueError, match="moment order must be >= 1"):
+        summarize(q, order=0)
 
 
 def test_query_folds_each_side_once(monkeypatch):

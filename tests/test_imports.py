@@ -9,7 +9,10 @@ process's import time, and ``csv``, which only a ``--format csv`` report
 loads.  No module of the package imports scipy or ``dataclasses`` at all.
 The three routes must also stay independent: the oracle and the Monte Carlo
 build on ``model`` and ``exact`` alone, and the engine never reads either of
-them, so an agreement between routes still means something.
+them, so an agreement between routes still means something.  That holds at
+run time too: the oracle's solves and the walk, called directly or through
+the command line, answer on every kind of target set with no engine module
+(``hitting``, ``resolvent``, ``closedforms``) loaded.
 """
 
 import ast
@@ -24,10 +27,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ehrenfest"
 
 HEAVY = ("numpy", "scipy", "ehrenfest.oracle", "ehrenfest.mc")
+ENGINE = ("ehrenfest.hitting", "ehrenfest.resolvent", "ehrenfest.closedforms")
 # standard modules that start-up and a JSON report do without; numpy loads inspect itself
 UNUSED = ("dataclasses", "inspect", "csv")
 
-# argv of each request, then the modules it left loaded; one fresh interpreter runs them all
+# argv of each request, then the modules it left loaded of those watched; one fresh interpreter runs them all
 STARTUP = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -35,8 +39,8 @@ import ehrenfest.cli as cli
 cli.build_parser()
 for batch in json.loads(sys.argv[2]):
     codes = [cli.main(argv + ["--out", sys.argv[3]]) for argv in batch]
-    print(json.dumps([codes, sorted(m for m in %r if m in sys.modules)]))
-""" % (HEAVY + UNUSED,)
+    print(json.dumps([codes, sorted(m for m in json.loads(sys.argv[4]) if m in sys.modules)]))
+"""
 
 GRID = ["--order", "4", "--u", "1/2,2", "--lambda", "0.5"]
 SIZE = ["--N", "4", "--M", "3"]
@@ -46,38 +50,95 @@ def _exact(start, target):
     return ["exact", *SIZE, "--start", start, "--set", target, *GRID]
 
 
-def test_engine_requests_load_no_numpy_oracle_or_mc(tmp_path):
-    members = tmp_path / "members.json"
-    members.write_text("[[2, 2, 2], [3, 3, 3]]", encoding="utf-8")
-    engine = [
-        _exact("1,1,1", "singleton:2,2,2"),
-        _exact("1,1,1", "pair:(2,2,2);(3,3,3)"),
-        _exact("1,2,1", "diagonal"),
-        _exact("1,1,1", "count:1"),
-        _exact("1,1,1", "distinct"),
-        ["network-check", "--N", "4", "--M", "20"],
-        ["identities"],
-    ]
-    # the contrast: a CSV report loads csv, and each of the others needs numpy, and still answers
-    tables = [[*_exact("1,1,1", "singleton:2,2,2"), "--format", "csv"]]
-    others = [
-        _exact("1,1,1", f"explicit:@{members}"),
-        ["oracle", *SIZE, "--start", "1,1,1", "--set", "singleton:2,2,2", *GRID],
-        ["simulate", *SIZE, "--start", "1,1,1", "--set", "singleton:2,2,2", "--replicas", "100"],
-    ]
+def _batches(batches, watched, tmp_path):
+    """``(exit codes, watched modules left loaded)`` after each batch of requests, all run by one fresh
+    interpreter that imports ``ehrenfest.cli`` and nothing else of the package."""
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", STARTUP, str(ROOT / "src"), json.dumps([engine, tables, others]),
-         str(tmp_path / "report.json")],
+        [sys.executable, "-I", "-c", STARTUP, str(ROOT / "src"), json.dumps(batches), str(tmp_path / "report.json"),
+         json.dumps(watched)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    (engine_codes, engine_loaded), (table_codes, table_loaded), (other_codes, other_loaded) = map(
-        json.loads, proc.stdout.splitlines()
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def _kinds(tmp_path):
+    """``(start, --set)`` of one target set of each kind at ``SIZE``, the explicit one written to ``tmp_path``."""
+    members = tmp_path / "members.json"
+    members.write_text("[[2, 2, 2], [3, 3, 3]]", encoding="utf-8")
+    return [("1,1,1", "singleton:2,2,2"), ("1,1,1", "pair:(2,2,2);(3,3,3)"), ("1,2,1", "diagonal"),
+            ("1,1,1", "count:1"), ("1,1,1", "distinct"), ("1,1,1", f"explicit:@{members}")]
+
+
+def test_engine_requests_load_no_numpy_oracle_or_mc(tmp_path):
+    *symbolic, explicit = _kinds(tmp_path)
+    engine = [*(_exact(*kind) for kind in symbolic), ["network-check", "--N", "4", "--M", "20"], ["identities"]]
+    # the contrast: a CSV report loads csv, and each of the others needs numpy, and still answers
+    tables = [[*_exact("1,1,1", "singleton:2,2,2"), "--format", "csv"]]
+    others = [
+        _exact(*explicit),
+        ["oracle", *SIZE, "--start", "1,1,1", "--set", "singleton:2,2,2", *GRID],
+        ["simulate", *SIZE, "--start", "1,1,1", "--set", "singleton:2,2,2", "--replicas", "100"],
+    ]
+    (engine_codes, engine_loaded), (table_codes, table_loaded), (other_codes, other_loaded) = _batches(
+        [engine, tables, others], HEAVY + UNUSED, tmp_path
     )
     assert engine_codes == [0] * len(engine) and engine_loaded == []
     assert table_codes == [0] and table_loaded == ["csv"]
     assert other_codes == [0] * len(others)
     assert [m for m in other_loaded if m in HEAVY] == ["ehrenfest.mc", "ehrenfest.oracle", "numpy"]
+
+
+# the oracle's three solves and a walk on each (start, --set) of argv[2], in an interpreter that imports the two
+# routes and the definitions they build on: whether each answered, then the engine modules left loaded, before
+# and after an import of the engine
+ROUTES = """
+import json, sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+from ehrenfest import mc, oracle
+from ehrenfest.model import ModelParams, parse_set
+params = ModelParams(4, 3)
+chain, answered = oracle.EnumeratedChain(params), []
+for text, descriptor in json.loads(sys.argv[2]):
+    start, target = tuple(map(int, text.split(","))), parse_set(descriptor)
+    members = target.materialize(params)
+    moments = oracle.solve_raw_moments(chain, members, start, 2)
+    transform = oracle.solve_transform_u(chain, members, start, Fraction(1, 2))
+    exits = oracle.exit_distribution(chain, members, start)
+    walk = mc.sample_hitting(params, start, target, mc.SimConfig(100, 1))
+    answered.append(moments[0] > 0 and 0 < transform < 1 and sum(exits.values()) == 1 and walk.sample_mean > 0)
+engine = %r
+print(json.dumps([answered, [m for m in engine if m in sys.modules]]))
+import ehrenfest.hitting
+print(json.dumps([m for m in engine if m in sys.modules]))
+""" % (ENGINE,)
+
+
+def test_the_oracle_and_the_walk_run_without_the_engine(tmp_path):
+    kinds = _kinds(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", ROUTES, str(ROOT / "src"), json.dumps(kinds)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (answered, loaded), contrast = map(json.loads, proc.stdout.splitlines())
+    assert answered == [True] * len(kinds) and loaded == []
+    assert contrast == list(ENGINE)  # the check sees the engine once it is loaded
+
+
+def test_oracle_and_simulate_requests_load_no_engine_module(tmp_path):
+    routes = [
+        [command, *SIZE, "--start", start, "--set", target, *extra]
+        for start, target in _kinds(tmp_path)
+        for command, extra in (("oracle", GRID), ("simulate", ["--replicas", "100", "--lambda", "0.5"]),
+                               ("simulate", ["--replicas", "100", "--mode", "ctmc", "--u", "1/2,2"]))
+    ]
+    (route_codes, route_loaded), (engine_codes, engine_loaded) = _batches(
+        [routes, [_exact("1,1,1", "singleton:2,2,2")]], ENGINE, tmp_path
+    )
+    assert route_codes == [0] * len(routes) and route_loaded == []
+    assert engine_codes == [0] and engine_loaded == sorted(ENGINE)  # the check sees the engine once it is loaded
 
 
 def _imports(tree: ast.Module) -> list[tuple[str, bool]]:

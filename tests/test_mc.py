@@ -120,6 +120,8 @@ def test_empirical_transform_basics():
     samples = np.array([1.0, 2.0, 3.0])
     (at_zero,) = empirical_transform(samples, [0.0])
     assert at_zero.estimate == 1.0 and at_zero.stderr == 0.0
+    (one,) = empirical_transform(np.array([2.0]), [0.5])  # one sample has no variance to estimate
+    assert one.estimate == pytest.approx(math.exp(-1.0)) and one.stderr == 0.0
     with pytest.raises(ValueError):
         empirical_transform(np.array([]), [1.0])
 

@@ -182,6 +182,8 @@ def test_materialize_errors():
         SetDescriptor.pair((1, 1), (1, 1)).materialize(ModelParams(2, 2))
     with pytest.raises(ValueError):
         SetDescriptor.singleton((1, 9)).materialize(ModelParams(3, 2))
+    with pytest.raises(ValueError, match="unknown set descriptor kind 'ring'"):
+        SetDescriptor("ring").validate(ModelParams(3, 2))
     for bad in (SetDescriptor.count(5), SetDescriptor.count(-1), SetDescriptor.count(1, 4),
                 SetDescriptor.count(1, 0), SetDescriptor.singleton((1, 2, 3)), SetDescriptor.singleton((1, 2, 3, 4))):
         with pytest.raises(ValueError):
@@ -534,6 +536,8 @@ def test_identity_permutation():
 def test_invalid_permutation_rejected():
     with pytest.raises(ValueError):
         ProductPermutation(((1, 1, 2),))
+    with pytest.raises(ValueError, match="state length does not match permutation arity"):
+        ProductPermutation(((2, 1),)).apply_state((1, 2))
 
 
 @settings(max_examples=50)
@@ -605,7 +609,7 @@ def test_parse_explicit_file(tmp_path):
     assert d.materialize(ModelParams(2, 2)) == [(1, 1), (2, 2)]
 
 
-@pytest.mark.parametrize("bad", ["", "meh", "pair:(1,1)", "count:1:2:3", "explicit:nope"])
+@pytest.mark.parametrize("bad", ["", "meh", "pair:(1,1)", "count:1:2:3", "explicit:nope", "ring:3"])
 def test_parse_errors(bad):
     with pytest.raises(ValueError):
         parse_set(bad)

@@ -346,6 +346,9 @@ def test_lumped_examples():
     assert lumped_count_oracle(ModelParams(3, 2), 2, 0) == F(7, 2)
     assert lumped_count_oracle(ModelParams(2, 3), 0, 3) == 10
     assert lumped_count_oracle(ModelParams(3, 2), 1, 1) == 0
+    for k, h in ((-1, 0), (0, 3)):
+        with pytest.raises(ValueError, match=r"levels must lie in 0\.\.2"):
+            lumped_count_oracle(ModelParams(3, 2), k, h)
 
 
 def test_cap_enforcement(monkeypatch):
@@ -387,6 +390,12 @@ def test_empty_target_rejected():
     chain = EnumeratedChain(ModelParams(2, 2))
     with pytest.raises(ValueError):
         mean_vector(chain, [])
+
+
+def test_moment_order_zero_is_refused():
+    chain = EnumeratedChain(ModelParams(2, 2))
+    with pytest.raises(ValueError, match="moment order must be >= 1"):
+        solve_raw_moments(chain, [(2, 2)], (1, 1), 0)
 
 
 def _dense_reference(chain, targets, order, z):

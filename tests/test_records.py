@@ -66,6 +66,9 @@ def test_no_field_can_be_assigned(name):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == getattr(RECORDS[name](), field)
     assert not hasattr(record, "__dict__")
 
 

@@ -281,6 +281,12 @@ def test_quadrature_rejects_nonpositive():
         resolvent_kernel_quadrature(ModelParams(3, 2), 0, 0.0)
 
 
+@pytest.mark.parametrize("k", [-1, 3])
+def test_quadrature_rejects_an_overlap_outside_the_range(k):
+    with pytest.raises(ValueError, match=f"overlap {k} outside 0..2"):
+        resolvent_kernel_quadrature(ModelParams(3, 2), k, 1.0)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("m", range(1, 9))
 def test_tanh_sinh_rule_agrees_with_scipy_and_the_exact_kernel(n, m):
