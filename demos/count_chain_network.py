@@ -32,10 +32,9 @@ print()
 full = EnumeratedChain(params)
 start = (1, 1, 1)
 for h in (0, 2, 3):
-    targets = SetDescriptor.count(h).materialize(params)
     level = overlap(start, (2, 2, 2))
     print(
-        f"mean to count={h}: full chain {solve_mean(full, targets, start)}, "
+        f"mean to count={h}: full chain {solve_mean(full, SetDescriptor.count(h), start)}, "
         f"projected {lumped_count_oracle(params, level, h)}, "
         f"closed form {count_set_mean(params, level, h)}"
     )

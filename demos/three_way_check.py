@@ -22,13 +22,12 @@ print("engine mean:   ", mean(query))
 print("engine variance:", variance(query))
 
 chain = EnumeratedChain(params)
-targets = descriptor.materialize(params)
-print("oracle mean:   ", solve_mean(chain, targets, start))
+print("oracle mean:   ", solve_mean(chain, descriptor, start))
 
 u = F(1)
 z = F(params.balls, 1) / (u + params.balls)
 print("engine transform at u=1:", laplace_u(query, u))
-print("oracle pgf at z=M/(u+M):", solve_transform(chain, targets, start, z))
+print("oracle pgf at z=M/(u+M):", solve_transform(chain, descriptor, start, z))
 
 for mode in ("discrete", "ctmc"):
     cfg = SimConfig(replicas=200_000, seed=7, mode=mode)

@@ -358,12 +358,10 @@ def _oracle(args, chain, u_grid, lambda_grid, exit_law=False):
     first, and an oversized one is refused before anything is solved."""
     from . import oracle
 
-    params = chain.params
-    targets = args.target.materialize(params)
-    start = params.check_state(args.start_state)
-    exits = oracle.exit_distribution(chain, targets, start) if exit_law else None
-    moments = oracle.solve_raw_moments(chain, targets, start, max(args.order, 2))
-    transform = partial(oracle.solve_transform_u, chain, targets, start)
+    params, target, start = chain.params, args.target, args.start_state  # each solve checks the set, then the start
+    exits = oracle.exit_distribution(chain, target, start) if exit_law else None
+    moments = oracle.solve_raw_moments(chain, target, start, max(args.order, 2))
+    transform = partial(oracle.solve_transform_u, chain, target, start)
     return HittingSummary.from_moments(
         moments,
         args.order,

@@ -15,12 +15,12 @@ constructions (singletons, pairs, the all-in-one-urn diagonal, fixed-count
 slices, and the all-distinct set) are :class:`SetDescriptor` kinds, with a
 textual grammar for the command-line tools.  This module only defines a set:
 :meth:`~SetDescriptor.validate` checks a descriptor and returns its payload,
-and :meth:`~SetDescriptor.materialize` lists its members, each kind from its
-own definition.  How a route reads a set is the route's own business: the
+and :meth:`~SetDescriptor.materialize` lists its members, which no route
+does.  Each route reads a set from its kind's definition on its own: the
 engine counts overlap histograms (:mod:`~ehrenfest.hitting`), the Monte Carlo
-keeps a membership key per replica (:mod:`~ehrenfest.mc`) and the oracle
-reads the list, so no helper here is shared by two routes and a wrong
-listing shows up as a disagreement between them.
+keeps a membership key per replica (:mod:`~ehrenfest.mc`) and the oracle marks
+the members on its state codes, so no helper here is shared by two routes and
+a wrong definition shows up as a disagreement between them.
 An ``explicit`` set is read once into one sorted ``(|A|, M)`` integer table
 by :meth:`ModelParams.check_states`; :func:`symmetry_defect` tests such a
 table.  It counts each member's agreements with the whole set in blocks of

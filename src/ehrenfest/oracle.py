@@ -28,11 +28,12 @@ Davenport, *ACM SIGSAM Bull.* 16(2), 1982), and it is returned only once
 substituting it back into the integer rows holds exactly, so exactness never
 rests on the modular step.  One inverse serves every moment order.  A solve
 gives one rational per block, read at a start's block, or spread over every
-state by the three vector forms.  A chain validates a target list and refines
-its partition once, keyed by the list as given (and the start, for the exit
-law), and keeps it for every later solve on that list.  The refinement reads
-only the transition structure, never overlaps or kernel formulas, so an
-agreement with the engine is still a genuine two-sided check.
+state by the three vector forms.  A chain validates a target set (a
+:class:`~ehrenfest.model.SetDescriptor`), marks its members on the codes from
+its kind's definition, listing none, and refines its partition once, keyed by
+the descriptor (and the start, for the exit law), for every later solve on
+it.  The refinement reads only the transition structure, never overlaps or
+kernel formulas, so an agreement with the engine is still a two-sided check.
 
 A chain of more than ``MAX_MOVES`` state-move pairs (the size of its
 neighbour table, which alone bounds the chain at 2**18 states), or a quotient
@@ -49,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CapExceededError, ModelParams, State
+from .model import CapExceededError, ModelParams, SetDescriptor, State
 
 #: Work bounds, timed on 2 vCPUs: at 2**23 state-move pairs a singleton
 #: ``oracle`` request takes 0.7-0.9 s and 229 MB at N=161 M=2, and 2.8-2.9 s
@@ -85,7 +86,7 @@ class EnumeratedChain:
         step = np.arange(1, n)
         shifts = (step - n * (digits[:, :, None] >= n - step)) * radix[:, None]
         self.neighbor_table = codes[:, None] + shifts.reshape(size, -1)
-        self.quotients: dict = {}  # (target list as given, start) -> _lump's partition, see _quotient
+        self.quotients: dict = {}  # (target, start) -> _lump's partition, see _quotient
 
     def degree(self) -> int:
         return self.params.balls * (self.params.urns - 1)
@@ -101,6 +102,21 @@ class EnumeratedChain:
     def states_at(self, positions: np.ndarray) -> list[State]:
         """The states at ``positions`` (their codes), decoded in one array pass."""
         return list(map(tuple, (positions[:, None] // self.params.radix % self.params.urns + 1).tolist()))
+
+    def _marked(self, target: SetDescriptor) -> np.ndarray:
+        """The codes of ``target``'s members, validated first, each kind read from its definition: a listed set
+        encoded as one table, a symbolic set (alike in all balls) tested on each ball's urn - 1 over the code grid."""
+        params, payload = self.params, target.validate(self.params)
+        if target.kind in ("singleton", "pair", "explicit"):
+            return (np.asarray(payload) - 1) @ params.radix
+        urns = np.indices((params.urns,) * params.balls, np.min_scalar_type(params.urns))
+        if target.kind == "count":  # h balls in urn r
+            marked = (urns == target.reference_urn - 1).sum(axis=0) == target.count_overlap
+        elif target.kind == "diagonal":  # every ball in one urn
+            marked = (urns == urns[0]).all(axis=0)
+        else:  # distinct: no two balls in one urn
+            marked = (np.diff(np.sort(urns, axis=0), axis=0) != 0).all(axis=0)
+        return np.flatnonzero(marked)
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +251,24 @@ class _Factored:
         mod ``p**k``.  Reconstruction is tried after 1, 2, 4, ... steps, and an
         answer is returned only once ``A num == den rhs`` holds exactly.  By
         Cramer's rule and Hadamard's bound every numerator and the denominator
-        are at most ``sqrt(prod(|row|**2 + rhs**2))``, so past twice that
-        product the reconstruction cannot fail on a correct inverse; it raises
-        instead of returning anything uncertified.
+        are at most ``sqrt(prod(|row|**2 + rhs**2))``, so past twice that product,
+        read off the factors' bit lengths, the reconstruction cannot fail on a
+        correct inverse; it raises instead of returning anything uncertified.
         """
         b = np.array(rhs, dtype=object)
         p, n = self.prime, len(b)
-        limit = 2 * prod((self.norms + b * b).tolist())
+        limit = 2 + sum(v.bit_length() for v in (self.norms + b * b).tolist())
         residue, digits, modulus, steps, check = b, np.zeros(n, dtype=object), 1, 0, 1
         while True:
             x = self.inverse @ (residue % p).astype(np.int64) % p
             residue = (residue - _times(self.sparse, x)) // p
             digits += modulus * x.astype(object)
             modulus, steps = modulus * p, steps + 1
-            if steps == check or modulus > limit:
+            if steps == check or modulus.bit_length() > limit:
                 found = _reconstruct(digits, modulus)
                 if found is not None and (_times(self.sparse, found[0]) == found[1] * b).all():
                     return found[0].tolist(), found[1]
-                if modulus > limit:
+                if modulus.bit_length() > limit:
                     raise ArithmeticError("p-adic lifting found no certified solution")
                 check *= 2
 
@@ -317,8 +333,8 @@ def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], inverse
 
 
-def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):
-    """Coarsest strongly lumpable partition refining {rest, {start}, targets}, targets validated.
+def _lump(chain: EnumeratedChain, target: SetDescriptor, start: State | None = None):
+    """Coarsest strongly lumpable partition refining {rest, {start}, target}, the target validated first.
 
     Returns ``(labels, counts, transient)``: the block of every state, the
     neighbour count ``counts[b, c]`` from any state of transient block ``b``
@@ -333,9 +349,7 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
     there.  The counts come from one
     ``bincount`` over every transient block's representative.
     """
-    positions = chain.positions(targets)
-    if not positions.size:
-        raise ValueError("target set must be nonempty")
+    positions = chain._marked(target)
     labels = np.zeros(chain.params.state_count, dtype=np.intp)
     if start is not None:
         labels[chain.position(start)] = 1
@@ -361,13 +375,13 @@ def _lump(chain: EnumeratedChain, targets: Sequence[State], start: State | None 
     return labels, counts.astype(object), transient
 
 
-def _quotient(chain: EnumeratedChain, targets: Sequence[State], start: State | None = None):
-    """:func:`_lump` once per (target list as given, start) on each chain: a cache hit validates nothing."""
-    key = (tuple(map(tuple, targets)), start)
+def _quotient(chain: EnumeratedChain, target: SetDescriptor, start: State | None = None):
+    """:func:`_lump` once per (target, start) on each chain: a cache hit validates nothing."""
+    key = (target, start)
     if key not in chain.quotients:
-        labels, _, transient = chain.quotients[key] = _lump(chain, targets, start)
+        labels, _, transient = chain.quotients[key] = _lump(chain, target, start)
         if start is not None and labels[chain.position(start)] == transient:  # nothing kept apart
-            chain.quotients[key[0], None] = chain.quotients[key]
+            chain.quotients[target, None] = chain.quotients[key]
     return chain.quotients[key]
 
 
@@ -387,16 +401,16 @@ def _expand(chain: EnumeratedChain, labels, values) -> dict[State, Fraction]:
 # hitting-time solves
 
 
-def mean_vector(chain: EnumeratedChain, targets: Sequence[State]) -> dict[State, Fraction]:
+def mean_vector(chain: EnumeratedChain, target: SetDescriptor) -> dict[State, Fraction]:
     """Expected steps to reach the target set, for every start state."""
-    return raw_moment_vectors(chain, targets, 1)[0]
+    return raw_moment_vectors(chain, target, 1)[0]
 
 
-def solve_mean(chain: EnumeratedChain, targets: Sequence[State], start: State) -> Fraction:
-    return solve_raw_moments(chain, targets, start, 1)[0]
+def solve_mean(chain: EnumeratedChain, target: SetDescriptor, start: State) -> Fraction:
+    return solve_raw_moments(chain, target, start, 1)[0]
 
 
-def _raw_moments(chain: EnumeratedChain, targets: Sequence[State], order: int):
+def _raw_moments(chain: EnumeratedChain, target: SetDescriptor, order: int):
     """``(labels, blocks)``: the block of every state, and each block's ``E[T**r]`` for ``r = 1..order``.
 
     Uses the first-step recursion ``E[T**r] = E[(1 + T')**r]`` expanded by the
@@ -406,7 +420,7 @@ def _raw_moments(chain: EnumeratedChain, targets: Sequence[State], order: int):
     """
     if order < 1:
         raise ValueError("moment order must be >= 1")
-    labels, counts, transient = _quotient(chain, targets)
+    labels, counts, transient = _quotient(chain, target)
     solver = _Factored(_rows(chain, counts, transient))
     moves = _sparse(counts)
     nums, dens = [np.ones(transient + 1, dtype=object)], [1]  # moment 0 is identically one
@@ -419,45 +433,45 @@ def _raw_moments(chain: EnumeratedChain, targets: Sequence[State], order: int):
     return labels, [[Fraction(v, den) for v, den in zip(row, dens[1:])] for row in zip(*nums[1:])]
 
 
-def raw_moment_vectors(chain: EnumeratedChain, targets: Sequence[State], order: int) -> list[dict[State, Fraction]]:
+def raw_moment_vectors(chain: EnumeratedChain, target: SetDescriptor, order: int) -> list[dict[State, Fraction]]:
     """Raw moments ``E[T**r]`` for ``r = 1..order``, every start state."""
-    labels, blocks = _raw_moments(chain, targets, order)
+    labels, blocks = _raw_moments(chain, target, order)
     return [_expand(chain, labels, values) for values in zip(*blocks)]
 
 
-def solve_raw_moments(chain: EnumeratedChain, targets: Sequence[State], start: State, order: int) -> list[Fraction]:
+def solve_raw_moments(chain: EnumeratedChain, target: SetDescriptor, start: State, order: int) -> list[Fraction]:
     """Raw moments ``E[T**r]`` for ``r = 1..order`` from ``start``, read at its block."""
-    labels, blocks = _raw_moments(chain, targets, order)
+    labels, blocks = _raw_moments(chain, target, order)
     return blocks[labels[chain.position(start)]]
 
 
-def solve_second_moment(chain: EnumeratedChain, targets: Sequence[State], start: State) -> Fraction:
+def solve_second_moment(chain: EnumeratedChain, target: SetDescriptor, start: State) -> Fraction:
     """Exact ``E[T**2]`` from the coupled first/second-moment systems."""
-    return solve_raw_moments(chain, targets, start, 2)[1]
+    return solve_raw_moments(chain, target, start, 2)[1]
 
 
-def _transform(chain: EnumeratedChain, targets: Sequence[State], z: Fraction):
+def _transform(chain: EnumeratedChain, target: SetDescriptor, z: Fraction):
     """``(labels, values)``: the block of every state, and each block's ``E[z**T]``."""
     z = Fraction(z)
     if not 0 < z < 1:
         raise ValueError("transform argument must lie strictly between 0 and 1")
-    labels, counts, transient = _quotient(chain, targets)
+    labels, counts, transient = _quotient(chain, target)
     rhs = [z.numerator * row[transient] for row in counts]
     sol, den = _Factored(_rows(chain, counts, transient, z)).solve(rhs)
     return labels, [Fraction(v, den) for v in sol + [den]]
 
 
-def transform_vector(chain: EnumeratedChain, targets: Sequence[State], z: Fraction) -> dict[State, Fraction]:
+def transform_vector(chain: EnumeratedChain, target: SetDescriptor, z: Fraction) -> dict[State, Fraction]:
     """Probability generating function ``E[z**T]`` for every start state."""
-    return _expand(chain, *_transform(chain, targets, z))
+    return _expand(chain, *_transform(chain, target, z))
 
 
-def solve_transform(chain: EnumeratedChain, targets: Sequence[State], start: State, z: Fraction) -> Fraction:
-    labels, values = _transform(chain, targets, z)
+def solve_transform(chain: EnumeratedChain, target: SetDescriptor, start: State, z: Fraction) -> Fraction:
+    labels, values = _transform(chain, target, z)
     return values[labels[chain.position(start)]]
 
 
-def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: State, u: Fraction) -> Fraction:
+def solve_transform_u(chain: EnumeratedChain, target: SetDescriptor, start: State, u: Fraction) -> Fraction:
     """Continuous-time transform ``E[exp(-u * T)]`` at rational ``u > 0``.
 
     Jumps come at rate ``balls``, so each step contributes the factor
@@ -466,12 +480,10 @@ def solve_transform_u(chain: EnumeratedChain, targets: Sequence[State], start: S
     u = Fraction(u)
     if u <= 0:
         raise ValueError(f"transform argument u must be positive, got {u}")
-    return solve_transform(chain, targets, start, 1 / (1 + u / chain.params.balls))
+    return solve_transform(chain, target, start, 1 / (1 + u / chain.params.balls))
 
 
-def exit_distribution(
-    chain: EnumeratedChain, targets: Sequence[State], start: State
-) -> dict[State, Fraction]:
+def exit_distribution(chain: EnumeratedChain, target: SetDescriptor, start: State) -> dict[State, Fraction]:
     """Absorption probabilities into each element of the target set.
 
     Moves are equiprobable, so the Green function ``G`` of the chain killed
@@ -480,13 +492,13 @@ def exit_distribution(
     also keeps ``start`` apart gives ``G(start, y) / degree``, and the exit
     probability at ``t`` is that summed over t's transient neighbours.
     """
-    start = chain.params.check_state(start)
-    labels, counts, transient = _quotient(chain, targets, start)
+    labels, counts, transient = _quotient(chain, target, tuple(start))  # the target is validated first
+    code = chain.position(start)
     positions = np.flatnonzero(labels == transient)
     members = sorted(zip(chain.states_at(positions), positions.tolist()))
-    home = int(labels[chain.position(start)])
+    home = int(labels[code])
     if home == transient:
-        return {t: Fraction(int(t == start)) for t, _ in members}
+        return {t: Fraction(int(r == code)) for t, r in members}
     visits, den = _Factored(_rows(chain, counts, transient)).solve([int(b == home) for b in range(transient)])
     visits.append(0)
     nums = [sum(map(visits.__getitem__, labels[chain.neighbor_table[r]].tolist())) for _, r in members]

@@ -318,10 +318,11 @@ def states_of(chain: EnumeratedChain) -> list[State]:
 def reordered_chain(params: ModelParams, order: Sequence[int]) -> EnumeratedChain:
     """The enumerated chain with its states listed in ``order``, a permutation
     of their codes: position ``r`` holds the state of code ``order[r]``.
-    ``positions``, ``states_at`` and ``neighbor_table`` are relabelled
-    together on the instance, and ``position`` reads ``positions``, so every
-    lookup the oracle makes sees the new order, and every solve on it must
-    equal the solve on the chain in code order."""
+    ``positions``, ``states_at``, the target mask ``_marked`` and
+    ``neighbor_table`` are relabelled together on the instance, and
+    ``position`` reads ``positions``, so every lookup the oracle makes sees the
+    new order, and every solve on it must equal the solve on the chain in code
+    order."""
     chain = EnumeratedChain(params)
     codes = np.array(list(order), dtype=np.int64)
     if codes.shape != (params.state_count,) or not np.array_equal(np.sort(codes), np.arange(params.state_count)):
@@ -329,8 +330,9 @@ def reordered_chain(params: ModelParams, order: Sequence[int]) -> EnumeratedChai
     rank = np.empty(len(codes), dtype=np.intp)
     rank[codes] = np.arange(len(codes))
     chain.neighbor_table = rank[chain.neighbor_table[codes]]
-    codes_of, states_of_codes = chain.positions, chain.states_at
+    codes_of, states_of_codes, marked_codes = chain.positions, chain.states_at, chain._marked
     chain.positions = lambda states: rank[codes_of(states)]
+    chain._marked = lambda target: rank[marked_codes(target)]
     chain.states_at = lambda positions: states_of_codes(codes[positions])
     return chain
 

@@ -74,20 +74,19 @@ def test_criterion_1_formula_vs_oracle_exactness():
         params = ModelParams(n, m)
         chain = EnumeratedChain(params)
         for descriptor in _descriptor_cases(params, rng):
-            targets = descriptor.materialize(params)
-            vecs = raw_moment_vectors(chain, targets, 4)
+            vecs = raw_moment_vectors(chain, descriptor, 4)
             every = states_of(chain)
             starts = rng.sample(every, min(3, len(every)))
             for x in starts:
                 query = HittingQuery(params, x, descriptor)
                 engine = raw_moments(query, 4)
                 assert engine == [vec[x] for vec in vecs]
-                assert solve_raw_moments(chain, targets, x, 4) == [vec[x] for vec in vecs]
+                assert solve_raw_moments(chain, descriptor, x, 4) == [vec[x] for vec in vecs]
                 assert mean(query) == vecs[0][x]
                 assert variance(query) == vecs[1][x] - vecs[0][x] ** 2
                 for u in U_GRID:
                     z = F(m, 1) / (u + m)
-                    assert laplace_u(query, u) == solve_transform(chain, targets, x, z)
+                    assert laplace_u(query, u) == solve_transform(chain, descriptor, x, z)
                 checked += 1
     _report(1, "formula-vs-oracle exactness", True, started, f"{checked} start/target cases")
 
@@ -97,24 +96,25 @@ def test_criterion_2_pinned_values():
     p32, p31, p22, p23 = ModelParams(3, 2), ModelParams(3, 1), ModelParams(2, 2), ModelParams(2, 3)
     c32, c31, c22 = EnumeratedChain(p32), EnumeratedChain(p31), EnumeratedChain(p22)
 
-    q = HittingQuery(p32, (1, 1), SetDescriptor.singleton((2, 2)))
-    assert solve_mean(c32, [(2, 2)], (1, 1)) == 10 and mean(q) == 10
-    assert solve_second_moment(c32, [(2, 2)], (1, 1)) - 10**2 == 74 and variance(q) == 74
+    y22 = SetDescriptor.singleton((2, 2))
+    q = HittingQuery(p32, (1, 1), y22)
+    assert solve_mean(c32, y22, (1, 1)) == 10 and mean(q) == 10
+    assert solve_second_moment(c32, y22, (1, 1)) - 10**2 == 74 and variance(q) == 74
 
     q1 = HittingQuery(p31, (1,), SetDescriptor.singleton((2,)))
-    oracle31 = [v[(1,)] for v in raw_moment_vectors(c31, [(2,)], 3)]
+    oracle31 = [v[(1,)] for v in raw_moment_vectors(c31, SetDescriptor.singleton((2,)), 3)]
     assert oracle31 == [2, 6, 26]
     assert (mean(q1), variance(q1), raw_moments(q1, 3)[2]) == (2, 2, 26)
 
-    q2 = HittingQuery(p22, (1, 1), SetDescriptor.singleton((2, 2)))
-    assert solve_second_moment(c22, [(2, 2)], (1, 1)) - solve_mean(c22, [(2, 2)], (1, 1)) ** 2 == 8
+    q2 = HittingQuery(p22, (1, 1), y22)
+    assert solve_second_moment(c22, y22, (1, 1)) - solve_mean(c22, y22, (1, 1)) ** 2 == 8
     assert variance(q2) == 8
 
     diag = SetDescriptor.diagonal()
     qd = HittingQuery(p32, (1, 2), diag)
     stats = same_urn_stats(p32, (1, 2))
-    oracle_exits = exit_distribution(c32, diag.materialize(p32), (1, 2))
-    assert solve_mean(c32, diag.materialize(p32), (1, 2)) == 2 and mean(qd) == 2 == stats.mean
+    oracle_exits = exit_distribution(c32, diag, (1, 2))
+    assert solve_mean(c32, diag, (1, 2)) == 2 and mean(qd) == 2 == stats.mean
     assert stats.exit_probs == (F(2, 5), F(2, 5), F(1, 5))
     assert oracle_exits == {(1, 1): F(2, 5), (2, 2): F(2, 5), (3, 3): F(1, 5)}
 
@@ -124,7 +124,7 @@ def test_criterion_2_pinned_values():
     distinct = SetDescriptor.distinct()
     qa = HittingQuery(p22, (1, 1), distinct)
     assert all_distinct_mean(p22) == 1 == mean(qa)
-    assert solve_mean(c22, distinct.materialize(p22), (1, 1)) == 1
+    assert solve_mean(c22, distinct, (1, 1)) == 1
     _report(2, "pinned values (oracle-verified)", True, started)
 
 
@@ -139,7 +139,6 @@ def test_criterion_3_transform_identity():
         start = tuple(rng.randrange(1, n + 1) for _ in range(m))
         for descriptor in (SetDescriptor.singleton((2,) * m), SetDescriptor.diagonal()):
             query = HittingQuery(params, start, descriptor)
-            targets = descriptor.materialize(params)
             for lam in (0.1, 0.5, 1.0, 2.0):
                 lhs = laplace_lambda(query, lam, digits=20)
                 u_ref = m * expm1_rational(F(lam), F(1, 10**32))
@@ -147,7 +146,7 @@ def test_criterion_3_transform_identity():
                 assert abs(lhs - rhs) <= tol * rhs
             for u in U_GRID:
                 z = F(m, 1) / (u + m)
-                assert laplace_u(query, u) == solve_transform(chain, targets, start, z)
+                assert laplace_u(query, u) == solve_transform(chain, descriptor, start, z)
                 checked += 1
     _report(3, "transform identity (lambda vs u vs oracle pgf)", True, started, f"{checked} u-points")
 
@@ -300,8 +299,7 @@ def test_criterion_8_lumping_consistency():
         params = ModelParams(n, m)
         chain = EnumeratedChain(params)
         for h in range(m + 1):
-            targets = SetDescriptor.count(h).materialize(params)
-            vec = mean_vector(chain, targets)
+            vec = mean_vector(chain, SetDescriptor.count(h))
             for x, value in vec.items():
                 assert value == lumped_count_oracle(params, overlap(x, (2,) * m), h)
             sizes += 1

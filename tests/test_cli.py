@@ -181,7 +181,8 @@ def test_oversized_exit_law_quotient_exits_four_before_any_solve(capsys, monkeyp
     # the exit law keeps the start apart, so its quotient is the finer of the two:
     # a bound between their sizes must refuse it before the moment solve runs
     chain = oracle.EnumeratedChain(ModelParams(3, 3))
-    moments, exits = (oracle._lump(chain, [(2, 2, 2)], start)[2] for start in (None, (1, 1, 1)))
+    target = model.SetDescriptor.singleton((2, 2, 2))
+    moments, exits = (oracle._lump(chain, target, start)[2] for start in (None, (1, 1, 1)))
     assert moments < exits
     factored = []
     real = oracle._Factored.__init__

@@ -87,8 +87,8 @@ def test_two_point_against_oracle():
     x, y, z = (1, 1), (2, 2), (1, 2)
     stats = two_point_stats_for(p, x, y, z)
     assert stats.mean == 5 and stats.exit_prob_first == F(3, 8)
-    assert stats.mean == solve_mean(chain, [y, z], x)
-    exits = exit_distribution(chain, [y, z], x)
+    assert stats.mean == solve_mean(chain, SetDescriptor.pair(y, z), x)
+    exits = exit_distribution(chain, SetDescriptor.pair(y, z), x)
     assert stats.exit_prob_first == exits[y]
 
 
@@ -153,7 +153,7 @@ def test_same_urn_exit_probs_sum_to_one(n, m):
 def test_same_urn_matches_oracle(n, m):
     p = ModelParams(n, m)
     chain = EnumeratedChain(p)
-    diag = SetDescriptor.diagonal().materialize(p)
+    diag = SetDescriptor.diagonal()
     rng = random.Random(n + 7 * m)
     for _ in range(3):
         x = tuple(rng.randrange(1, n + 1) for _ in range(m))
@@ -265,8 +265,7 @@ def test_all_distinct_values():
     p = ModelParams(3, 3)
     value = all_distinct_mean(p)
     chain = EnumeratedChain(p)
-    target = SetDescriptor.distinct().materialize(p)
-    assert value == solve_mean(chain, target, (1, 1, 1))
+    assert value == solve_mean(chain, SetDescriptor.distinct(), (1, 1, 1))
     with pytest.raises(ValueError):
         all_distinct_mean(ModelParams(3, 2))
 
@@ -371,7 +370,6 @@ def test_full_chain_matches_lumped_levels(n, m):
     p = ModelParams(n, m)
     chain = EnumeratedChain(p)
     for h in range(m + 1):
-        targets = SetDescriptor.count(h).materialize(p)
-        vec = mean_vector(chain, targets)
+        vec = mean_vector(chain, SetDescriptor.count(h))
         for x, value in vec.items():
             assert value == count_set_mean(p, overlap(x, (2,) * m), h)

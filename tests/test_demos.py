@@ -30,6 +30,8 @@ def test_readme_quick_start():
     assert namespace["mean"](query) == 10
     assert namespace["variance"](query) == 74
     assert namespace["raw_moments"](query, 4) == [10, 174, 4498, 154974]
+    chain = namespace["EnumeratedChain"](query.params)
+    assert namespace["solve_raw_moments"](chain, namespace["target"], (1, 1), 4) == [10, 174, 4498, 154974]
 
 
 def _readme_cli_lines():

@@ -527,16 +527,15 @@ def test_engine_matches_oracle_spot_checks():
     p = ModelParams(2, 3)
     chain = EnumeratedChain(p)
     descriptor = SetDescriptor.diagonal()
-    targets = descriptor.materialize(p)
-    vec = mean_vector(chain, targets)
-    moments = raw_moment_vectors(chain, targets, 4)
+    vec = mean_vector(chain, descriptor)
+    moments = raw_moment_vectors(chain, descriptor, 4)
     for x in [(1, 2, 1), (2, 2, 1), (1, 1, 1)]:
         q = HittingQuery(p, x, descriptor)
         assert mean(q) == vec[x]
         assert raw_moments(q, 4) == [vecs[x] for vecs in moments]
         for u in (F(1, 2), F(2)):
             z = F(p.balls, 1) / (u + p.balls)
-            assert laplace_u(q, u) == solve_transform(chain, targets, x, z)
+            assert laplace_u(q, u) == solve_transform(chain, descriptor, x, z)
 
 
 def test_exit_distribution_matches_oracle():
@@ -548,9 +547,8 @@ def test_exit_distribution_matches_oracle():
         SetDescriptor.diagonal(),
     ]
     for descriptor in closed:
-        targets = descriptor.materialize(p)
-        for x in [(1, 2, 3), (1, 1, 2), targets[-1]]:  # the last start lies inside the set
-            want = oracle.exit_distribution(chain, targets, x)
+        for x in [(1, 2, 3), (1, 1, 2), descriptor.materialize(p)[-1]]:  # the last start lies inside the set
+            want = oracle.exit_distribution(chain, descriptor, x)
             assert exit_distribution(HittingQuery(p, x, descriptor)) == want
     for descriptor in (SetDescriptor.count(1), SetDescriptor.distinct(), SetDescriptor.explicit([(2, 2, 3)])):
         assert exit_distribution(HittingQuery(p, (1, 1, 1), descriptor)) is None
@@ -610,17 +608,17 @@ def test_start_inside_the_set_takes_the_general_path_and_matches_oracle():
     ]
     for descriptor in kinds:
         targets = descriptor.materialize(p)
-        moments = raw_moment_vectors(chain, targets, 4)
+        moments = raw_moment_vectors(chain, descriptor, 4)
         for x in (targets[0], targets[-1]):
             q = HittingQuery(p, x, descriptor)
             assert q.rows[0] == q.rows[1], (descriptor, x)
             assert raw_moments(q, 4) == [vecs[x] for vecs in moments] == [0] * 4, (descriptor, x)
             for u in (F(1, 2), F(2)):
-                assert laplace_u(q, u) == oracle.solve_transform_u(chain, targets, x, u) == 1, (descriptor, x)
+                assert laplace_u(q, u) == oracle.solve_transform_u(chain, descriptor, x, u) == 1, (descriptor, x)
             assert laplace_lambda(q, 0.5) == 1
             law = exit_distribution(q)
             if descriptor.kind in ("singleton", "pair", "diagonal"):
-                assert law == oracle.exit_distribution(chain, targets, x) == {t: F(t == x) for t in targets}
+                assert law == oracle.exit_distribution(chain, descriptor, x) == {t: F(t == x) for t in targets}
             else:
                 assert law is None
 

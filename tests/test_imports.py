@@ -102,10 +102,9 @@ params = ModelParams(4, 3)
 chain, answered = oracle.EnumeratedChain(params), []
 for text, descriptor in json.loads(sys.argv[2]):
     start, target = tuple(map(int, text.split(","))), parse_set(descriptor)
-    members = target.materialize(params)
-    moments = oracle.solve_raw_moments(chain, members, start, 2)
-    transform = oracle.solve_transform_u(chain, members, start, Fraction(1, 2))
-    exits = oracle.exit_distribution(chain, members, start)
+    moments = oracle.solve_raw_moments(chain, target, start, 2)
+    transform = oracle.solve_transform_u(chain, target, start, Fraction(1, 2))
+    exits = oracle.exit_distribution(chain, target, start)
     walk = mc.sample_hitting(params, start, target, mc.SimConfig(100, 1))
     answered.append(moments[0] > 0 and 0 < transform < 1 and sum(exits.values()) == 1 and walk.sample_mean > 0)
 engine = %r

@@ -148,12 +148,12 @@ def test_wrong_modular_inverse_never_returns(monkeypatch):
             solve_exact_system(rows, [[rng.randint(-9, 9) for _ in range(n)]])
     chain = EnumeratedChain(ModelParams(3, 2))
     with pytest.raises(ArithmeticError):
-        raw_moment_vectors(chain, [(2, 2)], 2)
+        raw_moment_vectors(chain, SetDescriptor.singleton((2, 2)), 2)
 
 
 def test_every_moment_order_shares_one_factorization(monkeypatch):
     chain = EnumeratedChain(ModelParams(4, 3))
-    targets = random.Random(2).sample(states_of(chain), 6)
+    targets = SetDescriptor.explicit(random.Random(2).sample(states_of(chain), 6))
     want = raw_moment_vectors(chain, targets, 4)
     calls = _spy_on_inverses(monkeypatch)
     chain.quotients.clear()
@@ -164,7 +164,7 @@ def test_every_moment_order_shares_one_factorization(monkeypatch):
     assert len(calls) == 3
 
 
-def _bareiss_quotient_answers(chain, targets, order, zs, start):
+def _bareiss_quotient_answers(chain, target, order, zs, start):
     """Moments, transforms and exit law from Fraction quotient rows of ``degree * (I - z P)``, by Bareiss."""
 
     def solve(partition, z, rhs_of):
@@ -174,7 +174,7 @@ def _bareiss_quotient_answers(chain, targets, order, zs, start):
         (sol,) = _bareiss_solve(rows, [[rhs_of(b) for b in range(transient)]])
         return sol
 
-    labels, counts, transient = partition = oracle._quotient(chain, targets)
+    labels, counts, transient = partition = oracle._quotient(chain, target)
     blocks = range(transient + 1)  # the target set is the last, absorbing block
     full = [[1] * (transient + 1)]
     for r in range(1, order + 1):
@@ -184,10 +184,10 @@ def _bareiss_quotient_answers(chain, targets, order, zs, start):
     transforms = [solve(partition, z, lambda b: z * counts[b][transient]) + [F(1)] for z in zs]
     every = states_of(chain)
     by_state = [dict(zip(every, map(vec.__getitem__, labels.tolist()))) for vec in full[1:] + transforms]
-    labels, counts, transient = partition = oracle._quotient(chain, targets, start)
+    labels, counts, transient = partition = oracle._quotient(chain, target, start)
     home = labels[chain.position(start)]
     visits = solve(partition, 1, lambda b: F(int(b == home))) + [F(0)]
-    rows = {t: chain.neighbor_table[chain.position(t)] for t in sorted(targets)}
+    rows = {t: chain.neighbor_table[chain.position(t)] for t in target.materialize(chain.params)}
     exits = {t: sum(visits[c] for c in labels[row].tolist()) for t, row in rows.items()}
     return by_state[:order], by_state[order:], exits
 
@@ -201,8 +201,9 @@ def test_non_lumping_explicit_quotient_matches_bareiss(n, m, size):
     rng.shuffle(order)
     chain = reordered_chain(p, order)
     every = states_of(chain)
-    targets = sorted(rng.sample(every, size))
-    start = next(x for x in every if x not in targets)
+    members = rng.sample(every, size)
+    targets = SetDescriptor.explicit(members)
+    start = next(x for x in every if x not in members)
     assert 36 <= len(oracle._quotient(chain, targets)[1]) <= 64
     zs = (F(1, 2), F(999, 1000))
     moments, transforms, exits = _bareiss_quotient_answers(chain, targets, 4, zs, start)
@@ -228,34 +229,34 @@ def test_chain_enumeration_order():
 def test_mean_examples():
     p = ModelParams(3, 2)
     chain = EnumeratedChain(p)
-    target = [(2, 2)]
+    target = SetDescriptor.singleton((2, 2))
     assert solve_mean(chain, target, (1, 1)) == 10
     assert solve_mean(chain, target, (2, 2)) == 0
 
 
 def test_second_moment_examples():
     chain31 = EnumeratedChain(ModelParams(3, 1))
-    assert solve_second_moment(chain31, [(2,)], (1,)) == 6
+    assert solve_second_moment(chain31, SetDescriptor.singleton((2,)), (1,)) == 6
     chain22 = EnumeratedChain(ModelParams(2, 2))
-    assert solve_second_moment(chain22, [(2, 2)], (1, 1)) == 24
-    assert solve_second_moment(chain22, [(2, 2)], (2, 2)) == 0
+    assert solve_second_moment(chain22, SetDescriptor.singleton((2, 2)), (1, 1)) == 24
+    assert solve_second_moment(chain22, SetDescriptor.singleton((2, 2)), (2, 2)) == 0
 
 
 def test_higher_moments_geometric_case():
     # single ball, 3 urns: the hitting time is geometric(1/2)
     chain = EnumeratedChain(ModelParams(3, 1))
-    vecs = raw_moment_vectors(chain, [(2,)], 4)
+    vecs = raw_moment_vectors(chain, SetDescriptor.singleton((2,)), 4)
     assert [v[(1,)] for v in vecs] == [2, 6, 26, 150]
 
 
 def test_transform_examples():
-    chain = EnumeratedChain(ModelParams(3, 1))
-    assert solve_transform(chain, [(2,)], (1,), F(1, 2)) == F(1, 3)
-    assert solve_transform(chain, [(2,)], (2,), F(1, 2)) == 1
+    chain, target = EnumeratedChain(ModelParams(3, 1)), SetDescriptor.singleton((2,))
+    assert solve_transform(chain, target, (1,), F(1, 2)) == F(1, 3)
+    assert solve_transform(chain, target, (2,), F(1, 2)) == 1
     with pytest.raises(ValueError):
-        solve_transform(chain, [(2,)], (1,), F(3, 2))
+        solve_transform(chain, target, (1,), F(3, 2))
     with pytest.raises(ValueError):
-        solve_transform(chain, [(2,)], (1,), F(0))
+        solve_transform(chain, target, (1,), F(0))
 
 
 def test_transform_closed_form_single_ball():
@@ -263,30 +264,30 @@ def test_transform_closed_form_single_ball():
     for n in (2, 3, 5):
         chain = EnumeratedChain(ModelParams(n, 1))
         for z in (F(1, 3), F(1, 2), F(9, 10)):
-            got = solve_transform(chain, [(2,)], (1,), z)
+            got = solve_transform(chain, SetDescriptor.singleton((2,)), (1,), z)
             assert got == z / (n - 1 - z * (n - 2))
 
 
 def test_transform_u_single_ball():
     # one ball: the continuous walk hits a fixed other urn with transform 1/(1+u*(n-1))
-    chain = EnumeratedChain(ModelParams(3, 1))
+    chain, target = EnumeratedChain(ModelParams(3, 1)), SetDescriptor.singleton((2,))
     for u in (F(1, 2), F(1), F(3)):
-        assert solve_transform_u(chain, [(2,)], (1,), u) == 1 / (1 + 2 * u)
+        assert solve_transform_u(chain, target, (1,), u) == 1 / (1 + 2 * u)
     for bad in (F(0), F(-1), F(-2)):  # -1 is the pole of z = balls / (u + balls)
         with pytest.raises(ValueError, match="u must be positive"):
-            solve_transform_u(chain, [(2,)], (1,), bad)
+            solve_transform_u(chain, target, (1,), bad)
 
 
 def test_exit_distribution_examples():
     p = ModelParams(3, 2)
     chain = EnumeratedChain(p)
-    assert exit_distribution(chain, [(2, 2)], (1, 1)) == {(2, 2): F(1)}
-    diag = SetDescriptor.diagonal().materialize(p)
+    assert exit_distribution(chain, SetDescriptor.singleton((2, 2)), (1, 1)) == {(2, 2): F(1)}
+    diag = SetDescriptor.diagonal()
     got = exit_distribution(chain, diag, (1, 2))
     assert got == {(1, 1): F(2, 5), (2, 2): F(2, 5), (3, 3): F(1, 5)}
     assert sum(got.values()) == 1
     # equal overlaps to both targets -> fair split
-    sym = exit_distribution(chain, [(1, 1), (2, 2)], (1, 2))
+    sym = exit_distribution(chain, SetDescriptor.pair((1, 1), (2, 2)), (1, 2))
     assert sym == {(1, 1): F(1, 2), (2, 2): F(1, 2)}
     inside = exit_distribution(chain, diag, (3, 3))
     assert inside[(3, 3)] == 1
@@ -297,11 +298,11 @@ def test_exit_distribution_strong_markov_decomposition():
     p = ModelParams(3, 2)
     chain = EnumeratedChain(p)
     x, y, z = (1, 1), (2, 2), (1, 2)
-    pair = [y, z]
+    pair, single = SetDescriptor.pair(y, z), SetDescriptor.singleton(z)
     mean_pair = solve_mean(chain, pair, x)
     exits = exit_distribution(chain, pair, x)
-    lhs = solve_mean(chain, [z], x)
-    rhs = mean_pair + exits[y] * solve_mean(chain, [z], y)
+    lhs = solve_mean(chain, single, x)
+    rhs = mean_pair + exits[y] * solve_mean(chain, single, y)
     assert lhs == rhs
 
 
@@ -312,7 +313,7 @@ def test_reordering_does_not_change_answers():
     rng.shuffle(order)
     base = EnumeratedChain(p)
     shuffled = reordered_chain(p, order)
-    target = SetDescriptor.diagonal().materialize(p)
+    target = SetDescriptor.diagonal()
     assert mean_vector(base, target) == mean_vector(shuffled, target)
     assert transform_vector(base, target, F(1, 2)) == transform_vector(shuffled, target, F(1, 2))
     assert exit_distribution(base, target, (1, 2)) == exit_distribution(shuffled, target, (1, 2))
@@ -322,7 +323,7 @@ def test_transform_derivative_matches_mean():
     # -d/dz E[z**T] at z->1 equals E[T]; one-sided difference in float mode
     p = ModelParams(3, 2)
     chain = EnumeratedChain(p)
-    target = [(2, 2)]
+    target = SetDescriptor.singleton((2, 2))
     z = 1 - F(1, 10**6)
     value = solve_transform(chain, target, (1, 1), z)
     mean = solve_mean(chain, target, (1, 1))
@@ -335,8 +336,7 @@ def test_lumped_oracle_matches_full_chain(n, m):
     p = ModelParams(n, m)
     chain = EnumeratedChain(p)
     for h in range(m + 1):
-        target = SetDescriptor.count(h).materialize(p)
-        vec = mean_vector(chain, target)
+        vec = mean_vector(chain, SetDescriptor.count(h))
         for x, value in vec.items():
             k = overlap(x, (2,) * m)
             assert lumped_count_oracle(p, k, h) == value
@@ -363,10 +363,10 @@ def test_cap_enforcement(monkeypatch):
     # a singleton's quotient keeps one transient block per overlap 0..3
     monkeypatch.setattr(oracle, "MAX_BLOCKS", 3)
     with pytest.raises(CapExceededError) as err:
-        mean_vector(chain, [(1, 1, 1, 1)])
+        mean_vector(chain, SetDescriptor.singleton((1, 1, 1, 1)))
     assert (err.value.bound, err.value.size, err.value.limit) == ("MAX_BLOCKS", 4, 3)
     monkeypatch.setattr(oracle, "MAX_BLOCKS", 4)
-    assert len(mean_vector(chain, [(1, 1, 1, 1)])) == 81
+    assert len(mean_vector(chain, SetDescriptor.singleton((1, 1, 1, 1)))) == 81
 
 
 def test_large_target_set_counts_only_its_transient_blocks(monkeypatch):
@@ -375,11 +375,12 @@ def test_large_target_set_counts_only_its_transient_blocks(monkeypatch):
     chain = EnumeratedChain(ModelParams(3, 5))
     every = states_of(chain)
     rest = random.Random(5).sample(every, 4)
-    targets = [x for x in every if x not in rest]
+    members = [x for x in every if x not in rest]
+    targets = SetDescriptor.explicit(members)
     monkeypatch.setattr(oracle, "MAX_BLOCKS", 4)
     labels, counts, transient = oracle._quotient(chain, targets)
     assert transient <= 4 and counts.shape == (transient, transient + 1) and labels.max() == transient
-    moments, pgf, exits = _dense_reference(chain, targets, 3, F(1, 2))
+    moments, pgf, exits = _dense_reference(chain, members, 3, F(1, 2))
     assert raw_moment_vectors(chain, targets, 3) == moments
     assert transform_vector(chain, targets, F(1, 2)) == pgf
     for x in rest:
@@ -388,14 +389,14 @@ def test_large_target_set_counts_only_its_transient_blocks(monkeypatch):
 
 def test_empty_target_rejected():
     chain = EnumeratedChain(ModelParams(2, 2))
-    with pytest.raises(ValueError):
-        mean_vector(chain, [])
+    with pytest.raises(ValueError, match="empty state list"):
+        mean_vector(chain, SetDescriptor.explicit([]))
 
 
 def test_moment_order_zero_is_refused():
     chain = EnumeratedChain(ModelParams(2, 2))
     with pytest.raises(ValueError, match="moment order must be >= 1"):
-        solve_raw_moments(chain, [(2, 2)], (1, 1), 0)
+        solve_raw_moments(chain, SetDescriptor.singleton((2, 2)), (1, 1), 0)
 
 
 def _dense_reference(chain, targets, order, z):
@@ -454,7 +455,7 @@ def _quotient_cases(n, m):
         kinds.append(SetDescriptor.distinct())
     for size in (2, max(3, len(every) // 4)):
         kinds.append(SetDescriptor.explicit(rng.sample(every, size)))
-    return [d.materialize(p) for d in kinds]
+    return kinds
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (5, 2), (2, 5)])
@@ -466,7 +467,7 @@ def test_quotient_matches_dense_full_chain(n, m):
     for case, targets in enumerate(_quotient_cases(n, m)):
         chain = reordered_chain(p, order) if case % 2 else EnumeratedChain(p)
         z = F(2, 3) if case % 3 else F(999, 1000)
-        moments, pgf, exits = _dense_reference(chain, targets, 4, z)
+        moments, pgf, exits = _dense_reference(chain, targets.materialize(p), 4, z)
         vectors = raw_moment_vectors(chain, targets, 4)
         assert mean_vector(chain, targets) == moments[0]
         assert vectors == moments
@@ -509,16 +510,17 @@ def test_neighbor_table_equals_the_modulo_reference(n, m):
         assert layout == [(True, True), (True, True)]
 
 
-def _assert_lump_equals_reference(chain, targets, start):
-    """``_lump`` returns the reference's arrays exactly: same labels, dtype, block order and counts."""
+def _assert_lump_equals_reference(chain, target, start):
+    """``_lump`` returns the reference's arrays, from the listed members, exactly: same labels, dtype, block
+    order and counts."""
     try:
-        want = lump_by_unique_rows(chain, targets, start)
+        want = lump_by_unique_rows(chain, target.materialize(chain.params), start)
     except CapExceededError as refused:
         with pytest.raises(CapExceededError) as got:
-            oracle._lump(chain, targets, start)
+            oracle._lump(chain, target, start)
         assert str(got.value) == str(refused)
         return None
-    labels, counts, transient = oracle._lump(chain, targets, start)
+    labels, counts, transient = oracle._lump(chain, target, start)
     assert transient == want[2]
     assert labels.dtype == want[0].dtype and np.array_equal(labels, want[0])
     assert counts.dtype == object and counts.shape == want[1].shape
@@ -543,12 +545,13 @@ def test_lump_equals_the_unique_rows_reference(n, m):
         kinds += [SetDescriptor.count(h, rng.randint(1, n)) for h in range(m + 1)]
         if m <= n:
             kinds.append(SetDescriptor.distinct())
-        sets = [d.materialize(p) for d in kinds]
-        sets += [rng.sample(every, size) for size in sorted({1, 2, len(every) // 4, len(every) // 2} - {0})]
-        for targets in sets:
-            outside = [x for x in every if x not in targets]
-            for start in [None, targets[-1]] + rng.sample(outside, min(2, len(outside))):
-                _assert_lump_equals_reference(chain, targets, start)
+        sizes = sorted({1, 2, len(every) // 4, len(every) // 2} - {0})
+        kinds += [SetDescriptor.explicit(rng.sample(every, size)) for size in sizes]
+        for target in kinds:
+            members = target.materialize(p)
+            outside = [x for x in every if x not in members]
+            for start in [None, members[-1]] + rng.sample(outside, min(2, len(outside))):
+                _assert_lump_equals_reference(chain, target, start)
 
 
 def test_lump_equals_the_reference_where_rows_need_three_or_more_words(monkeypatch):
@@ -561,15 +564,15 @@ def test_lump_equals_the_reference_where_rows_need_three_or_more_words(monkeypat
     p = ModelParams(4, 6)
     order = list(range(p.state_count))
     random.Random(46).shuffle(order)
-    targets = SetDescriptor.pair((2,) * 6, (1, 2, 3, 4, 1, 2)).materialize(p)
+    targets = SetDescriptor.pair((2,) * 6, (1, 2, 3, 4, 1, 2))
     for chain in (EnumeratedChain(p), reordered_chain(p, order)):
         shapes.clear()
         _, _, transient = _assert_lump_equals_reference(chain, targets, (1,) * 6)
         width, top = shapes[-1]
         assert transient == 358 and width == 19 and top.bit_length() == 9 and -(-width // (63 // 9)) == 3
     chain = EnumeratedChain(ModelParams(3, 7))
-    late = [(1, 2, 2, 1, 2, 1, 3), (2, 2, 3, 3, 3, 3, 3), (2, 3, 1, 3, 3, 1, 1), (2, 3, 2, 3, 2, 2, 1),
-            (3, 2, 2, 2, 2, 3, 3)]
+    late = SetDescriptor.explicit([(1, 2, 2, 1, 2, 1, 3), (2, 2, 3, 3, 3, 3, 3), (2, 3, 1, 3, 3, 1, 1),
+                                   (2, 3, 2, 3, 2, 2, 1), (3, 2, 2, 2, 2, 3, 3)])
     assert _assert_lump_equals_reference(chain, late, None) is not None
     assert _assert_lump_equals_reference(chain, late, (1,) * 7) is None  # 1453 blocks: both refuse
 
@@ -682,7 +685,7 @@ def test_per_start_answers_never_spread_a_solve_over_every_state(capsys, monkeyp
         return code, *capsys.readouterr()
 
     chain = EnumeratedChain(ModelParams(3, 3))
-    targets, start = [(2, 2, 2), (1, 2, 3)], (1, 1, 1)
+    targets, start = SetDescriptor.pair((2, 2, 2), (1, 2, 3)), (1, 1, 1)
     moments = [vec[start] for vec in raw_moment_vectors(chain, targets, 4)]
     want = (moments[0], moments[1], moments, transform_vector(chain, targets, F(3, 5))[start],
             exit_distribution(chain, targets, start), [run(argv) for argv in requests])
@@ -714,30 +717,36 @@ _PUBLIC_SOLVES = {
 _VECTOR_SOLVES = {"mean_vector", "raw_moment_vectors", "transform_vector"}
 
 
+def _listed(states):
+    """An explicit set built by the constructor, which checks nothing, so each member reaches ``validate`` as given."""
+    return SetDescriptor("explicit", states=tuple(states))
+
+
 @pytest.mark.parametrize("name", sorted(_PUBLIC_SOLVES))
 @pytest.mark.parametrize("bad", [(2, 2), (2, 2, 2, 2), (0, 2, 2), (2, 4, 2), (2, True, 2), (2, 2.0, 2),
                                  (2, "2", 2), (2, 2**64, 2)],
                          ids=["short", "long", "urn-zero", "urn-above", "bool", "float", "string", "past-64-bits"])
 def test_bad_member_refused_after_valid_lists_are_cached(name, bad):
     # a bad member, or a bad start of a per-start name, raises check_state's own message before and
-    # after the valid list's partitions are cached: unchecked, (2, 4, 2) would alias the code of (2, 1, 3).
+    # after the valid set's partitions are cached: unchecked, (2, 4, 2) would alias the code of (2, 1, 3).
     # Each of the list check's whole-table gates falls back to check_state: a bool, float or string
     # fails its type pass, a member of another length its shape test, and 2**64 the int64 table
     chain = EnumeratedChain(ModelParams(3, 3))
-    valid, start = [(2, 2, 2), (3, 3, 3)], (1, 1, 1)
+    members, start = [(2, 2, 2), (3, 3, 3)], (1, 1, 1)
+    valid = _listed(members)
     with pytest.raises(ValueError) as want:
         chain.params.check_state(bad)
-    requests = [([*valid, bad], start), ([bad, *valid], start), ([bad], start)]
+    requests = [(_listed([*members, bad]), start), (_listed([bad, *members]), start), (_listed([bad]), start)]
     if name not in _VECTOR_SOLVES:
         requests.append((valid, bad))
         with pytest.raises(ValueError) as got:  # before any partition is cached
             _PUBLIC_SOLVES[name](chain, valid, bad)
         assert str(got.value) == str(want.value)
-    for solve in _PUBLIC_SOLVES.values():  # every partition of the valid list is cached
+    for solve in _PUBLIC_SOLVES.values():  # every partition of the valid set is cached
         solve(chain, valid, start)
-    for targets, at in requests:
+    for target, at in requests:
         with pytest.raises(ValueError) as got:
-            _PUBLIC_SOLVES[name](chain, targets, at)
+            _PUBLIC_SOLVES[name](chain, target, at)
         assert str(got.value) == str(want.value)
 
 
@@ -748,21 +757,27 @@ def test_numpy_integer_members_read_as_their_int_twins(name):
     chain, valid, start = EnumeratedChain(p), [(2, 2, 2), (3, 3, 3)], (1, 1, 1)
     twin = [(np.int64(2), 2, 2), (3, np.int32(3), 3)]
     assert chain.positions(twin).tolist() == chain.positions(valid).tolist() == [13, 26]
-    assert _PUBLIC_SOLVES[name](EnumeratedChain(p), twin, start) == _PUBLIC_SOLVES[name](EnumeratedChain(p), valid, start)
+    got = _PUBLIC_SOLVES[name](EnumeratedChain(p), _listed(twin), start)
+    assert got == _PUBLIC_SOLVES[name](EnumeratedChain(p), _listed(valid), start)
 
 
 def test_a_valid_target_list_is_checked_as_one_table(monkeypatch):
-    # the 70-member count:4 list at N=2 M=8 is checked in one array pass per partition, not member by member
+    # the 70-member count:4 set at N=2 M=8, listed, is checked in one array pass per partition, not member by
+    # member, and its validated table is encoded as it is, not passed back through the chain's list check
     p = ModelParams(2, 8)
-    targets = SetDescriptor.count(4).materialize(p)
+    members = SetDescriptor.count(4).materialize(p)
     calls = []
     real = ModelParams.check_state
     monkeypatch.setattr(ModelParams, "check_state", lambda self, x: calls.append(x) or real(self, x))
     chain, start = EnumeratedChain(p), (1,) * 8
-    solve_raw_moments(chain, targets, start, 2)
-    exit_distribution(chain, targets, start)
-    assert len(targets) == 70
-    assert len(calls) < len(targets)
+    lists = []
+    real_positions = chain.positions
+    chain.positions = lambda states: lists.append(len(states)) or real_positions(states)
+    solve_raw_moments(chain, SetDescriptor.explicit(members), start, 2)
+    exit_distribution(chain, SetDescriptor.explicit(members), start)
+    assert len(members) == 70
+    assert len(calls) < len(members)
+    assert set(lists) == {1}  # only the start is looked up as a list
 
 
 def test_different_lists_on_one_chain_never_share_a_quotient():
@@ -772,33 +787,92 @@ def test_different_lists_on_one_chain_never_share_a_quotient():
     start, *others = states_of(chain)
     lists = [rng.sample(others, rng.randint(1, 6)) for _ in range(12)]
     lists += [lists[0][:-1] or [others[-1]], [*lists[1], others[-1]]]  # one member fewer, one more
-    for targets in lists:
+    targets = [SetDescriptor.explicit(members) for members in lists]
+    targets += [SetDescriptor.count(1, 2), SetDescriptor.count(1, 3), SetDescriptor.count(2, 3)]
+    targets.append(SetDescriptor.diagonal())
+    for target in targets:
         fresh = EnumeratedChain(p)
-        assert raw_moment_vectors(chain, targets, 2) == raw_moment_vectors(fresh, targets, 2)
-        assert transform_vector(chain, targets, F(1, 3)) == transform_vector(fresh, targets, F(1, 3))
-        assert exit_distribution(chain, targets, start) == exit_distribution(fresh, targets, start)
-    partitions = {id(oracle._quotient(chain, targets)) for targets in lists}
-    assert len(partitions) == len({tuple(targets) for targets in lists})
+        assert raw_moment_vectors(chain, target, 2) == raw_moment_vectors(fresh, target, 2)
+        assert transform_vector(chain, target, F(1, 3)) == transform_vector(fresh, target, F(1, 3))
+        assert exit_distribution(chain, target, start) == exit_distribution(fresh, target, start)
+    partitions = {id(oracle._quotient(chain, target)) for target in targets}
+    assert len(partitions) == len(set(targets))
 
 
 def test_one_set_in_any_form_or_order_gives_equal_answers():
+    # a listed set in any order, and a symbolic set or its listing (a pair in either order)
     p = ModelParams(3, 3)
     rng = random.Random(7)
     order = list(range(p.state_count))
     rng.shuffle(order)
     chain = reordered_chain(p, order)
     every = states_of(chain)
-    targets = rng.sample(every, 5)
-    forms = [targets, sorted(targets), targets[::-1], [list(x) for x in targets], targets + targets[:2]]
-    for start in (next(x for x in every if x not in targets), targets[2]):
-        answers = [
-            (raw_moment_vectors(chain, form, 3), transform_vector(chain, form, F(2, 3)),
-             solve_transform_u(chain, form, start, F(1, 2)), exit_distribution(chain, form, start))
-            for form in forms
-        ]
-        assert all(answer == answers[0] for answer in answers)
-        for *_, exits in answers:  # the exit law lists the target states in sorted order
-            assert list(exits) == sorted(set(targets))
+    members = rng.sample(every, 5)
+    y, z = members[:2]
+    sets = [
+        (members, [SetDescriptor.explicit(form) for form in (members, sorted(members), members[::-1])]),
+        ([y, z], [SetDescriptor.pair(y, z), SetDescriptor.pair(z, y), SetDescriptor.explicit([z, y])]),
+    ]
+    for d in (SetDescriptor.diagonal(), SetDescriptor.count(1, 3), SetDescriptor.distinct()):
+        sets.append((d.materialize(p), [d, SetDescriptor.explicit(d.materialize(p)[::-1])]))
+    for listed, forms in sets:
+        for start in (next(x for x in every if x not in listed), listed[-1]):
+            answers = [
+                (raw_moment_vectors(chain, form, 3), transform_vector(chain, form, F(2, 3)),
+                 solve_transform_u(chain, form, start, F(1, 2)), exit_distribution(chain, form, start))
+                for form in forms
+            ]
+            assert all(answer == answers[0] for answer in answers)
+            for *_, exits in answers:  # the exit law lists the target states in sorted order
+                assert list(exits) == sorted(listed)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (2, 5)])
+def test_the_oracle_marks_the_members_materialize_lists(n, m):
+    # the oracle's mask and the model's listing each read a kind's definition on their own: from a start inside
+    # the set and one outside it, the exit law is keyed by the listed members, for every kind and count level
+    # and reference urn
+    p = ModelParams(n, m)
+    chain = EnumeratedChain(p)
+    every = states_of(chain)
+    rng = random.Random(10 * n + m)
+    kinds = [SetDescriptor.singleton(rng.choice(every)), SetDescriptor.pair(*rng.sample(every, 2)),
+             SetDescriptor.diagonal(), SetDescriptor.explicit(rng.sample(every, max(1, len(every) // 3)))]
+    kinds += [SetDescriptor.count(h, r) for h in range(m + 1) for r in range(1, n + 1)]
+    if m <= n:
+        kinds.append(SetDescriptor.distinct())
+    for target in kinds:
+        members = target.materialize(p)
+        outside = [x for x in every if x not in members]
+        for start in [members[0], members[-1], *outside[:1]]:
+            assert sorted(exit_distribution(chain, target, start)) == members, (target, start)
+
+
+def test_no_oracle_request_lists_a_symbolic_set(capsys, monkeypatch, tmp_path):
+    # with materialize refused, oracle and compare requests on every kind, from a start outside the set and one
+    # inside it, answer as they do with it
+    (tmp_path / "set.json").write_text("[[2, 2, 1], [1, 3, 3]]")
+    sets = {"singleton:2,2,1": "2,2,1", "pair:(2,2,1);(3,1,1)": "3,1,1", "diagonal": "3,3,3", "distinct": "1,2,3",
+            "count:1:3": "1,1,3", f"explicit:@{tmp_path / 'set.json'}": "1,3,3"}
+    requests = [
+        [command, "--N", "3", "--M", "3", "--start", start, "--set", text, *extra]
+        for text, inside in sets.items()
+        for start in ("1,1,2", inside)
+        for command, extra in (("oracle", ["--order", "3", "--u", "1/2,2"]), ("compare", ["--replicas", "200"]))
+    ]
+
+    def run(argv):
+        code = cli.main(argv)
+        return code, *capsys.readouterr()
+
+    listed = [run(argv) for argv in requests]
+
+    def refuse(self, params):
+        raise AssertionError(f"the oracle listed a {self.kind} set")
+
+    monkeypatch.setattr(SetDescriptor, "materialize", refuse)
+    assert [run(argv) for argv in requests] == listed
+    assert all(code == 0 for code, *_ in listed)
 
 
 def test_oracle_at_1024_states_matches_engine(capsys):
@@ -815,7 +889,6 @@ def test_chain_past_2_to_the_15_states_matches_engine():
     chain = EnumeratedChain(params)
     start = (1,) * 16
     for descriptor in (SetDescriptor.singleton((2,) * 16), SetDescriptor.count(8)):
-        targets = descriptor.materialize(params)
         query = hitting.HittingQuery(params, start, descriptor)
-        assert [vec[start] for vec in raw_moment_vectors(chain, targets, 3)] == hitting.raw_moments(query, 3)
-        assert solve_transform_u(chain, targets, start, F(1)) == hitting.laplace_u(query, 1)
+        assert [vec[start] for vec in raw_moment_vectors(chain, descriptor, 3)] == hitting.raw_moments(query, 3)
+        assert solve_transform_u(chain, descriptor, start, F(1)) == hitting.laplace_u(query, 1)
