@@ -23,12 +23,14 @@ the members on its state codes, so no helper here is shared by two routes and
 a wrong definition shows up as a disagreement between them.
 An ``explicit`` set is read once into one sorted ``(|A|, M)`` integer table
 by :meth:`ModelParams.check_states`; :func:`symmetry_defect` tests such a
-table.  It counts each member's agreements with the whole set in blocks of
-members, one whole-array pass per coordinate, and stops at the first block
-holding a member that differs from the first; a symmetric set costs
-``|A|**2 * M`` comparisons, bounded by ``MAX_PAIR_COORDS``.  Only these
-array functions import numpy, so a symbolic set is answered without
-loading it.
+table on one of two paths, whichever costs less.  The product transform puts
+the members on the grid of their column values and reads every member's
+overlap histogram off it, about ``M**2 / 2`` passes over the grid; the
+pairwise count compares the members in blocks, one whole-array pass per
+coordinate, and stops at the first block holding a member that differs from
+the first, ``|A|**2 * M`` comparisons on a symmetric set.  ``MAX_PAIR_COORDS``
+bounds that count whichever path runs.  Only these array functions import
+numpy, so a symbolic set is answered without loading it.
 
 :class:`HittingSummary`, the exact report, is defined here too: the engine's
 :func:`~ehrenfest.hitting.summarize` and the command line's oracle helper
@@ -38,6 +40,7 @@ both fill it, and neither route imports the other.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import re
 from contextlib import suppress
@@ -222,15 +225,31 @@ class SetNotSymmetricError(ValueError):
         )
 
 
-#: Work bound of the symmetry test, in member pairs times coordinates (|A|**2 * M).  A
-#: whole ``exact`` request at the bound takes 5-7 s on 2 vCPUs at M = 1 (65536 members)
-#: and 4.5-6 s at M = 2 (46225 members); the 12870-member count:8 set at N = 2, M = 16
-#: takes 1.5-2.5 s.
+#: Work bound of the symmetry test, in member pairs times coordinates (|A|**2 * M), the
+#: pairwise count's work, whichever path runs.  On the grid a whole ``exact`` request at the
+#: bound takes about 0.3 s on 2 vCPUs at M = 1 (65536 members) and at M = 2 (46225 members),
+#: as does the 12870-member count:8 set at N = 2, M = 16; counted pairwise they took 4-7 s,
+#: 3-6 s and 1.5-2.5 s.  A set whose grid is past ``MAX_GRID_CELLS`` is still counted
+#: pairwise: the 46225 members ``(i, s(i))`` of a permutation ``s`` at M = 2 take 3.5-5.5 s.
 MAX_PAIR_COORDS = 2**32
 
-#: Member pairs in one block of the symmetry test: a block holds an agreement
+#: Member pairs in one block of the pairwise count: a block holds an agreement
 #: count and an equality flag per pair, 128 kB at this size.
 BLOCK_PAIRS = 2**16
+
+#: The cost of one grid cell of the product transform, in pair coordinates of the pairwise
+#: count.  Measured on 2 vCPUs, a cell takes 1.5-4.5 ns on grids of 10**4 cells or more, and
+#: a pair coordinate 0.55-0.85 ns.  The test takes the grid when its
+#: ``M * (M + 1) / 2 * prod(|V_j|)`` cells cost less than the ``|A|**2 * M`` pair
+#: coordinates.  Near that line the two paths tie: the 720-member distinct list at
+#: N = M = 6, 46656 cells against 3.1 million pair coordinates, takes 1.5-1.6 ms on the grid
+#: and 1.75-1.8 ms pairwise, and is counted pairwise.
+GRID_CELL_COST = 4
+
+#: Cells of the product grid with its polynomial axis, ``(M + 1) * prod(|V_j|)``, past
+#: which the test counts pairwise whatever the cost.  A cell takes the bytes of the least
+#: integer type that holds ``|A|``, at most 4, and a pass holds two grids: 32 MB at most.
+MAX_GRID_CELLS = 2**22
 
 
 def _agreement_counts(columns, lo: int, hi: int):
@@ -252,6 +271,44 @@ def _agreement_counts(columns, lo: int, hi: int):
     return counts
 
 
+def _grid_histograms(offsets, dims: list[int]):
+    """``counts[i, k]`` for every member ``i``: the members agreeing with member ``i``
+    in exactly ``k`` coordinates.  ``offsets[i, j] < dims[j]`` places coordinate ``j``
+    of member ``i`` on axis ``j`` of the grid: equal offsets, equal coordinates.
+
+    Each cell ``y`` of the grid of shape ``dims`` holds the polynomial
+    ``sum(x**overlap(y, z))`` over the members ``z``, ``grid[k]`` its coefficients:
+    it starts as the members' multiplicities, of degree 0, and the kernel that
+    weighs a coordinate by ``x`` where ``y`` and ``z`` agree and by 1 where they
+    differ is applied one coordinate at a time, ``new[k] = sum - grid[k] +
+    grid[k - 1]`` with the sum taken along that coordinate.  A member listed
+    twice is counted twice, as the pairwise count counts it."""
+    import numpy as np
+
+    size = math.prod(dims)
+    cells = np.ravel_multi_index(offsets.T, dims)
+    dtype = np.min_scalar_type(len(offsets))  # every coefficient counts members
+    grid = np.bincount(cells, minlength=size).astype(dtype)[None]
+    for width in dims:  # act on the leading axis and write it last, so the axes come back in order
+        degree = len(grid)
+        axis = grid.reshape(degree, width, size // width)
+        new = np.empty((degree + 1, size // width, width), dtype=dtype)
+        out = new.transpose(0, 2, 1)
+        np.subtract(axis.sum(axis=1, keepdims=True, dtype=dtype), axis, out=out[:-1])
+        out[-1] = axis[-1]
+        out[1:-1] += axis[:-1]
+        grid = new.reshape(degree + 1, size)
+    return grid[:, cells].T
+
+
+def _grid_pays(size: int, width: int, cells: int) -> bool:
+    """Whether a product grid of ``cells`` cells for ``size`` members of ``width``
+    coordinates fits ``MAX_GRID_CELLS`` with its polynomial axis and costs less than
+    the pairwise count: ``width * (width + 1) / 2 * cells`` cells at ``GRID_CELL_COST``
+    against ``size**2 * width`` pair coordinates."""
+    return cells * (width + 1) <= MAX_GRID_CELLS and GRID_CELL_COST * cells * (width + 1) < 2 * size * size
+
+
 def symmetry_defect(states: Sequence[State]):
     """Return two differing ``(state, hist)`` witnesses, or None if symmetric.
 
@@ -259,11 +316,20 @@ def symmetry_defect(states: Sequence[State]):
     witnesses are the first member and, in list order, the first member
     whose overlap histogram against the whole set differs from the first's;
     ``hist[k]`` counts the members agreeing with ``state`` in exactly ``k``
-    coordinates, so each witness has ``M + 1`` counts whatever ``|A|``.  The
-    counts come in blocks of about ``BLOCK_PAIRS`` member pairs, one
-    whole-array equality pass per coordinate, and the test stops at the first
-    block that holds a differing member.  A symmetric set costs
-    ``|A|**2 * M`` comparisons, which must not pass ``MAX_PAIR_COORDS``.
+    coordinates, so each witness has ``M + 1`` counts whatever ``|A|``.
+
+    Two paths give the same witnesses.  The product transform
+    (:func:`_grid_histograms`) counts every member's histogram at once on the
+    grid of ``prod(|V_j|)`` cells, in about ``M * (M + 1) / 2`` passes over
+    it: ``|V_j|`` is the span of column ``j``'s values, or where that grid
+    does not pay, the number of values the column takes.  The pairwise count
+    (:func:`_agreement_counts`) takes blocks of about ``BLOCK_PAIRS`` member
+    pairs, one whole-array equality pass per coordinate, and stops at the
+    first block that holds a differing member: ``|A|**2 * M`` comparisons on
+    a symmetric set.  The grid is taken when it holds at most
+    ``MAX_GRID_CELLS`` cells with its polynomial axis and its cells, at
+    ``GRID_CELL_COST`` each, cost less than those comparisons.  Either way
+    ``|A|**2 * M`` must not pass ``MAX_PAIR_COORDS``.
     """
     if not len(states):
         raise ValueError("empty target set")
@@ -276,10 +342,20 @@ def symmetry_defect(states: Sequence[State]):
             f"the symmetry test needs {size * size * width} member-pair coordinates "
             f"({size}^2 members x {width}), more than MAX_PAIR_COORDS = {MAX_PAIR_COORDS}"
         )
-    columns = np.ascontiguousarray(table.T, dtype=np.min_scalar_type(table.max()))
-    rows = max(1, BLOCK_PAIRS // size)
-    for lo in range(0, size, rows):
-        counts = _agreement_counts(columns, lo, min(lo + rows, size))
+    offsets = table - table.min(axis=0)
+    dims = (offsets.max(axis=0) + 1).tolist()
+    if not _grid_pays(size, width, math.prod(dims)) and _grid_pays(size, width, size):
+        # a grid of |A| distinct members has |A| cells or more: the values each column takes may pay
+        # where the spans did not
+        offsets = np.stack([np.unique(column, return_inverse=True)[1] for column in offsets.T], axis=1)
+        dims = (offsets.max(axis=0) + 1).tolist()
+    if _grid_pays(size, width, math.prod(dims)):
+        blocks = [(0, _grid_histograms(offsets, dims))]
+    else:
+        columns = np.ascontiguousarray(offsets.T, dtype=np.min_scalar_type(max(dims) - 1))
+        rows = max(1, BLOCK_PAIRS // size)
+        blocks = ((lo, _agreement_counts(columns, lo, min(lo + rows, size))) for lo in range(0, size, rows))
+    for lo, counts in blocks:
         if lo == 0:
             ref_counts = counts[0]
         differ = np.flatnonzero((counts != ref_counts).any(axis=1))

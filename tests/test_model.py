@@ -408,6 +408,7 @@ def test_symmetry_defect_matches_profile_loop(n, m, h, monkeypatch):
     permuted = tau.apply_set(SetDescriptor.count(h).materialize(params))
     rng.shuffle(permuted)
     outside = next(x for x in product(range(1, n + 1), repeat=m) if x not in permuted)
+    monkeypatch.setattr(model, "GRID_CELL_COST", 2**64)  # the pairwise count, whose blocks are tested here
     # one block, then blocks of 1 and 3 rows: the first differing member sits in a later block
     for rows in (len(permuted), 1, 3):
         monkeypatch.setattr(model, "BLOCK_PAIRS", rows * len(permuted))
@@ -419,9 +420,8 @@ def test_symmetry_defect_matches_profile_loop(n, m, h, monkeypatch):
             assert defect == _loop_symmetry_defect(swapped)
 
 
-def test_symmetry_defect_stops_at_the_first_differing_block(monkeypatch):
-    rng = random.Random(8000)
-    states = rng.sample(list(product(range(1, 4), repeat=10)), 8000)
+def _spy_agreement_counts(monkeypatch):
+    """The ``(lo, hi)`` blocks of every pairwise count that follows, in call order."""
     blocks = []
     real = model._agreement_counts
 
@@ -430,10 +430,107 @@ def test_symmetry_defect_stops_at_the_first_differing_block(monkeypatch):
         return real(columns, lo, hi)
 
     monkeypatch.setattr(model, "_agreement_counts", spy)
+    return blocks
+
+
+def test_symmetry_defect_stops_at_the_first_differing_block(monkeypatch):
+    # 2000 random members over 1000 urns take some 860 values a column: a grid of 860**3 cells is past
+    # MAX_GRID_CELLS, so the count is pairwise
+    rng = random.Random(8000)
+    states = [tuple(rng.randrange(1, 1001) for _ in range(3)) for _ in range(2000)]
+    blocks = _spy_agreement_counts(monkeypatch)
     defect = symmetry_defect(states)
     assert defect == _loop_symmetry_defect(states)
     assert blocks == [(0, model.BLOCK_PAIRS // len(states))]
 
+
+def test_count8_list_takes_the_grid(monkeypatch):
+    # the 12870-member count:8 set at N=2, M=16 written out as a list: 2**16 grid cells, 12870**2 member pairs
+    states = SetDescriptor.count(8).materialize(ModelParams(2, 16))
+    blocks = _spy_agreement_counts(monkeypatch)
+    assert symmetry_defect(states) is None
+    assert blocks == []
+
+
+def test_distinct_list_at_n6_m6_is_counted_pairwise(monkeypatch):
+    # 46656 grid cells against 720**2 member pairs: the two paths tie here, and GRID_CELL_COST sends it pairwise
+    params = ModelParams(6, 6)
+    states = ProductPermutation.random(params, random.Random(6)).apply_set(SetDescriptor.distinct().materialize(params))
+    blocks = _spy_agreement_counts(monkeypatch)
+    assert symmetry_defect(states) is None
+    assert blocks[0] == (0, model.BLOCK_PAIRS // len(states)) and blocks[-1][1] == len(states)
+
+
+def _symmetric_lists(n, m, rng):
+    """Permuted ``count``, ``distinct`` and diagonal lists of at most 200 members on the N, M chain, shuffled."""
+    params = ModelParams(n, m)
+    small = [h for h in range(m + 1) if math.comb(m, h) * (n - 1) ** (m - h) <= 200]
+    kinds = [SetDescriptor.count(rng.choice(small), rng.randint(1, n)), SetDescriptor.diagonal()]
+    if m <= n and math.perm(n, m) <= 200:
+        kinds.append(SetDescriptor.distinct())
+    for d in kinds:
+        states = ProductPermutation.random(params, rng).apply_set(d.materialize(params))
+        rng.shuffle(states)
+        yield states
+
+
+def _both_paths(states, monkeypatch):
+    """The symmetry test's answer on ``states`` with the grid forced, then with the pairwise count forced."""
+    answers = []
+    for cost, path in ((0, "_grid_histograms"), (2**64, "_agreement_counts")):
+        calls = []
+        real = getattr(model, path)
+        monkeypatch.setattr(model, "GRID_CELL_COST", cost)
+        monkeypatch.setattr(model, path, lambda *args: calls.append(1) or real(*args))
+        answers.append(symmetry_defect(states))
+        monkeypatch.undo()
+        assert calls, path
+    return answers
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 6) for m in range(1, 7)])
+def test_grid_and_pairwise_paths_match_the_profile_loop(n, m, monkeypatch):
+    rng = random.Random(100 * n + m)
+    space = list(product(range(1, n + 1), repeat=m))
+    found = 0
+    for states in _symmetric_lists(n, m, rng):
+        assert _both_paths(states, monkeypatch) == [None, None]
+        outside = [x for x in space if x not in states]
+        if outside:  # one member swapped for a state outside the set, and that state put in as well
+            swapped = list(states)
+            swapped[rng.randrange(len(states))] = rng.choice(outside)
+            for changed in (swapped, states + [rng.choice(outside)]):
+                want = _loop_symmetry_defect(changed)
+                assert _both_paths(changed, monkeypatch) == [want, want]
+                found += want is not None
+    assert found or m == 1  # every set of one-ball states is symmetric
+
+
+def test_grid_and_pairwise_paths_count_repeated_members(monkeypatch):
+    diagonal = [(1, 1), (2, 2), (3, 3)]
+    for states in (diagonal + [(1, 1)], diagonal * 2, [(2, 3, 1), (2, 3, 1), (1, 2, 2)], [(4, 4)] * 3):
+        want = _loop_symmetry_defect(states)
+        assert _both_paths(states, monkeypatch) == [want, want], states
+        assert _both_paths(np.array(states), monkeypatch) == [want, want], states
+    assert _loop_symmetry_defect(diagonal * 2) is None
+    assert _loop_symmetry_defect(diagonal + [(1, 1)]) is not None
+
+
+def test_grid_and_pairwise_paths_read_columns_that_do_not_start_at_1(monkeypatch):
+    rng = random.Random(12)
+    params = ModelParams(4, 3)
+    lists = [ProductPermutation.random(params, rng).apply_set(SetDescriptor.count(1).materialize(params)),
+             [(1, 1, 2), (2, 2, 2), (1, 3, 3), (4, 1, 1)]]
+    for states in lists:
+        for shift in ((6, 6, 6), (0, 10, 3), (-3, 0, 20)):
+            # shifted columns, columns with gaps, and columns so sparse that only the grid of the values
+            # they take fits MAX_GRID_CELLS
+            moved = [tuple(c + d for c, d in zip(x, shift)) for x in states]
+            spread = [(x[0] * 7, x[1], x[2] ** 2) for x in moved]
+            sparse = [(x[0] * 10**6, x[1], x[2] * 10**5) for x in moved]
+            for case in (moved, spread, sparse):
+                want = _loop_symmetry_defect(case)
+                assert _both_paths(case, monkeypatch) == [want, want], case
 
 
 def test_query_rejects_asymmetric_explicit_set_with_witnesses():
