@@ -24,7 +24,7 @@ a wrong definition shows up as a disagreement between them.
 An ``explicit`` set is read once into one sorted ``(|A|, M)`` integer table
 by :meth:`ModelParams.check_states`; :func:`symmetry_defect` tests such a
 table on one of two paths, whichever costs less.  The product transform puts
-the members on the grid of their column values and reads every member's
+the members on the grid that their column values span and reads every member's
 overlap histogram off it, about ``M**2 / 2`` passes over the grid; the
 pairwise count compares the members in blocks, one whole-array pass per
 coordinate, and stops at the first block holding a member that differs from
@@ -238,12 +238,11 @@ MAX_PAIR_COORDS = 2**32
 BLOCK_PAIRS = 2**16
 
 #: The cost of one grid cell of the product transform, in pair coordinates of the pairwise
-#: count.  Measured on 2 vCPUs, a cell takes 1.5-4.5 ns on grids of 10**4 cells or more, and
-#: a pair coordinate 0.55-0.85 ns.  The test takes the grid when its
-#: ``M * (M + 1) / 2 * prod(|V_j|)`` cells cost less than the ``|A|**2 * M`` pair
-#: coordinates.  Near that line the two paths tie: the 720-member distinct list at
-#: N = M = 6, 46656 cells against 3.1 million pair coordinates, takes 1.5-1.6 ms on the grid
-#: and 1.75-1.8 ms pairwise, and is counted pairwise.
+#: count.  The test takes the grid when its ``M * (M + 1) / 2 * prod(|V_j|)`` cells cost less
+#: than the ``|A|**2 * M`` pair coordinates.  Timed with both paths forced on 17 permuted count
+#: and distinct lists at N = 2-8, M = 3-14, on 2 vCPUs, the grid won on every list with 4.3
+#: or more pair coordinates per cell and lost on every list with 3.2 or fewer.  The one list
+#: at 3.2, the 720-member distinct list at N = M = 6, is a tie (1.5-2.1 ms on either path).
 GRID_CELL_COST = 4
 
 #: Cells of the product grid with its polynomial axis, ``(M + 1) * prod(|V_j|)``, past
@@ -286,7 +285,7 @@ def _grid_histograms(offsets, dims: list[int]):
     import numpy as np
 
     size = math.prod(dims)
-    cells = np.ravel_multi_index(offsets.T, dims)
+    cells = offsets @ np.cumprod([1] + dims[:0:-1])[::-1]  # row-major place values, for any number of axes
     dtype = np.min_scalar_type(len(offsets))  # every coefficient counts members
     grid = np.bincount(cells, minlength=size).astype(dtype)[None]
     for width in dims:  # act on the leading axis and write it last, so the axes come back in order
@@ -321,8 +320,7 @@ def symmetry_defect(states: Sequence[State]):
     Two paths give the same witnesses.  The product transform
     (:func:`_grid_histograms`) counts every member's histogram at once on the
     grid of ``prod(|V_j|)`` cells, in about ``M * (M + 1) / 2`` passes over
-    it: ``|V_j|`` is the span of column ``j``'s values, or where that grid
-    does not pay, the number of values the column takes.  The pairwise count
+    it: ``|V_j|`` is the span of column ``j``'s values.  The pairwise count
     (:func:`_agreement_counts`) takes blocks of about ``BLOCK_PAIRS`` member
     pairs, one whole-array equality pass per coordinate, and stops at the
     first block that holds a differing member: ``|A|**2 * M`` comparisons on
@@ -344,11 +342,6 @@ def symmetry_defect(states: Sequence[State]):
         )
     offsets = table - table.min(axis=0)
     dims = (offsets.max(axis=0) + 1).tolist()
-    if not _grid_pays(size, width, math.prod(dims)) and _grid_pays(size, width, size):
-        # a grid of |A| distinct members has |A| cells or more: the values each column takes may pay
-        # where the spans did not
-        offsets = np.stack([np.unique(column, return_inverse=True)[1] for column in offsets.T], axis=1)
-        dims = (offsets.max(axis=0) + 1).tolist()
     if _grid_pays(size, width, math.prod(dims)):
         blocks = [(0, _grid_histograms(offsets, dims))]
     else:

@@ -434,8 +434,8 @@ def _spy_agreement_counts(monkeypatch):
 
 
 def test_symmetry_defect_stops_at_the_first_differing_block(monkeypatch):
-    # 2000 random members over 1000 urns take some 860 values a column: a grid of 860**3 cells is past
-    # MAX_GRID_CELLS, so the count is pairwise
+    # 2000 random members over 1000 urns span nearly 1000 values a column: a grid of some 1000**3 cells is
+    # past MAX_GRID_CELLS, so the count is pairwise
     rng = random.Random(8000)
     states = [tuple(rng.randrange(1, 1001) for _ in range(3)) for _ in range(2000)]
     blocks = _spy_agreement_counts(monkeypatch)
@@ -452,13 +452,14 @@ def test_count8_list_takes_the_grid(monkeypatch):
     assert blocks == []
 
 
-def test_distinct_list_at_n6_m6_is_counted_pairwise(monkeypatch):
-    # 46656 grid cells against 720**2 member pairs: the two paths tie here, and GRID_CELL_COST sends it pairwise
-    params = ModelParams(6, 6)
-    states = ProductPermutation.random(params, random.Random(6)).apply_set(SetDescriptor.distinct().materialize(params))
+def test_few_members_over_many_urns_are_counted_pairwise(monkeypatch):
+    # 10 members over 1000 urns at M=2: a grid of 901**2 cells fits MAX_GRID_CELLS with its polynomial axis,
+    # but its passes cost some 5 * 10**4 times the 10**2 * 2 pair coordinates
+    states = [(a, 1001 - a) for a in range(1, 1001, 100)]
+    assert 901**2 * 3 <= model.MAX_GRID_CELLS
     blocks = _spy_agreement_counts(monkeypatch)
     assert symmetry_defect(states) is None
-    assert blocks[0] == (0, model.BLOCK_PAIRS // len(states)) and blocks[-1][1] == len(states)
+    assert blocks == [(0, len(states))]
 
 
 def _symmetric_lists(n, m, rng):
@@ -523,14 +524,21 @@ def test_grid_and_pairwise_paths_read_columns_that_do_not_start_at_1(monkeypatch
              [(1, 1, 2), (2, 2, 2), (1, 3, 3), (4, 1, 1)]]
     for states in lists:
         for shift in ((6, 6, 6), (0, 10, 3), (-3, 0, 20)):
-            # shifted columns, columns with gaps, and columns so sparse that only the grid of the values
-            # they take fits MAX_GRID_CELLS
+            # shifted columns, and columns with gaps
             moved = [tuple(c + d for c, d in zip(x, shift)) for x in states]
             spread = [(x[0] * 7, x[1], x[2] ** 2) for x in moved]
-            sparse = [(x[0] * 10**6, x[1], x[2] * 10**5) for x in moved]
-            for case in (moved, spread, sparse):
+            for case in (moved, spread):
                 want = _loop_symmetry_defect(case)
                 assert _both_paths(case, monkeypatch) == [want, want], case
+
+
+def test_grid_and_pairwise_paths_take_more_balls_than_numpy_has_axes(monkeypatch):
+    # M = 70 coordinates: more than the 64 axes of a numpy array, though the grid has only 2**3 cells
+    one_ball = [tuple(2 if i == j else 1 for i in range(70)) for j in range(3)]
+    for states in (one_ball, one_ball + [(1,) * 70], one_ball + [(2, 2) + (1,) * 68]):
+        want = _loop_symmetry_defect(states)
+        assert _both_paths(states, monkeypatch) == [want, want], states
+    assert _loop_symmetry_defect(one_ball) is None and _loop_symmetry_defect(one_ball + [(1,) * 70]) is not None
 
 
 def test_query_rejects_asymmetric_explicit_set_with_witnesses():
