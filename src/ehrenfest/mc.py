@@ -3,46 +3,67 @@
 Each walk draws from one counter-based Philox stream keyed by the seed, so
 output depends only on the configuration.
 
-All replicas walk the embedded jump chain in lockstep with numpy, one
-Python iteration per step for every live replica.  The moves come in blocks
-drawn ahead: at a block start the stream draws one integer per live replica
-and step, for at most ``BLOCK_MOVES`` moves in all, and a draw ``r`` moves
-ball ``r // (urns-1)`` forward by ``1 + r % (urns-1)`` urns (mod ``urns``).
-A replica absorbed inside a block wastes the rest of its draws: it keeps
-moving, masked out of the hit test, until the block ends and it is
-compacted away.  So every move of a live replica is a fresh uniform draw
-and the law is exact, each block is drawn for exactly the live replicas,
-and a block costs no more moves than it draws; the sparse tail advances
-many steps per draw.  Both modes walk alike.  The continuous-time chain holds an
-Exponential(balls) time before each jump, so a replica absorbed after
-``T`` steps hits at time Gamma(T)/balls, drawn once per replica from the
-same stream after the walk.
+All replicas walk the embedded jump chain in lockstep with numpy.  The moves
+come in blocks drawn ahead: at a block start the stream draws one integer
+per live replica and step, for at most ``BLOCK_MOVES`` moves in all, and a
+draw ``r`` moves ball ``r // (urns-1)`` forward by ``1 + r % (urns-1)`` urns
+(mod ``urns``).  A replica absorbed inside a block wastes the rest of its
+draws: it keeps moving, masked out of the hit test, until the block ends and
+it is compacted away.  So every move of a live replica is a fresh uniform
+draw and the law is exact, each block is drawn for exactly the live
+replicas, and a block costs no more moves than it draws; the sparse tail
+advances many steps per draw.  Both modes walk alike.  The continuous-time
+chain holds an Exponential(balls) time before each jump, so a replica
+absorbed after ``T`` steps hits at time Gamma(T)/balls, drawn once per
+replica from the same stream after the walk.
 
 Every ball's urn is tracked (nothing is lumped), stored as an offset
-``(urn - reference) % urns`` in the smallest unsigned type with room for
-``2*(urns-1)``.  Each replica carries one scalar membership key, changed
-by each move from the ball and its old and new offsets; no symbolic set is
-listed.
+``(urn - reference) % urns``; no symbolic set is listed.  A block is walked
+in one of two ways, chosen by its live replicas times balls, the cells of
+one step:
+
+* **Lockstep**, past ``TAIL_CELLS`` cells: one Python iteration per step.
+  The offsets sit in the smallest unsigned type with room for
+  ``2*(urns-1)``, and each replica carries one scalar membership key,
+  changed by each move from the ball and its old and new offsets.
+* **Tail**, at ``TAIL_CELLS`` cells or fewer: ``TAIL_CHUNK`` steps at a
+  time.  Each move's shift is scattered into a (step, ball, replica) grid,
+  the grid is summed along the steps, one row add per step, and reduced mod
+  ``urns``: every ball's offset at every step.  Membership is then tested
+  from the whole state in O(balls) work per replica and step, the first
+  hit read by ``argmax``, and the chunks stop once every replica has hit.
+  The live count never grows, so a walk that enters the tail stays there.
+
+The two ways take the same draws, in the same blocks, charged alike, so
+every hit step, truncation and stop step is the same on either.  By kind:
 
 * Singletons and count slices are Hamming spheres, the states agreeing
   with a center in exactly ``h`` coordinates: ``h = balls`` around ``y``
   for ``singleton:y``, ``h`` around ``(r, ..., r)`` for ``count:h:r``.
-  The key is the number of zero offsets from the center, a hit at ``h``.
+  The offsets are taken from the center: the key is the number of zero
+  offsets, a hit at ``h``, and the tail counts the zero offsets.
 * ``pair:(y);(z)`` takes ``y`` as reference and packs two such counters,
   ``a + (balls+1)*b``: ``a`` balls agree with ``y`` and ``b`` with ``z``.
-  A hit is one of the two keys of ``y`` and ``z``.
+  A hit is one of the two keys of ``y`` and ``z``; the tail asks whether
+  every offset is 0 or every offset is ``z``'s.
 * ``diagonal`` and ``distinct`` key on the colliding ball pairs,
   ``sum over urns of C(occupancy, 2)``, kept from per-replica urn
   occupancies: moving a ball from urn ``a`` to urn ``b`` adds
   ``occ[b] - occ[a] + 1``.  The diagonal is the level ``C(balls, 2)``,
-  ``distinct`` the level 0.
+  ``distinct`` the level 0.  The tail finds the diagonal where every
+  offset equals the first ball's.  For ``distinct`` it gives each urn one
+  bit, and the balls' bits add up to their bitwise or exactly when no two
+  share an urn (up to 59 urns, where the sum fits 64 bits); with more
+  urns it sorts each state's offsets and looks for equal neighbours.
 * ``explicit`` sets are encoded as sorted state codes around urn 1, as
   :attr:`~ehrenfest.model.ModelParams.radix` defines them, and the hit test
-  is a binary search of the key among them (``urns**balls <= 2**62``).
+  is a binary search of the key among them (``urns**balls <= 2**62``); the
+  tail computes each state's code from its offsets.
 
-Each lockstep step is charged its live replicas plus ``STEP_CHARGE``.  Replicas
-still walking when ``WALK_BUDGET`` is spent are truncated and excluded from the
-moment estimates (loudly: a warning is emitted, nothing is dropped silently).
+Each step, on either way, is charged its live replicas plus ``STEP_CHARGE``.
+Replicas still walking when ``WALK_BUDGET`` is spent are truncated and
+excluded from the moment estimates (loudly: a warning is emitted, nothing is
+dropped silently).
 """
 
 from __future__ import annotations
@@ -60,10 +81,22 @@ from .model import ModelParams, SetDescriptor, State, _Record, _integer, overlap
 #: mode, case) at a fixed block size.
 BLOCK_MOVES = 1 << 15
 
-#: Replica-steps a walk may spend, 6-8 s at the 20-56 ns one costs on 2 vCPUs;
-#: each step also costs a Python iteration, about 22 us or 550 replica-steps.
+#: Replica-steps a walk may spend, and the fixed charge of each step on top of
+#: its live replicas.  Both are part of the reproducibility contract: they set
+#: where a walk stops, whichever way its blocks are walked, and are not costs.
+#: A walk that spends the budget takes about 2-6 s in lockstep and 1-3 s in
+#: the tail on 2 vCPUs.
 WALK_BUDGET = 15 * 10**7
 STEP_CHARGE = 550
+
+#: A block of at most ``TAIL_CELLS`` cells, live replicas times balls, is walked
+#: in the tail, ``TAIL_CHUNK`` steps at a time; a larger one in lockstep.  On 2
+#: vCPUs a lockstep step costs about 10 us plus 4-5 ns per replica, a tail step
+#: about 1 us plus 1-5 ns per cell.  At 2048 cells the tail is the faster way on
+#: every kind; at M=200 its slowest test, the sorted ``distinct``, stops paying
+#: at about 2500 cells.
+TAIL_CELLS = 2048
+TAIL_CHUNK = 64
 
 #: Most urn slots a walk allocates: replicas times balls, or times max(balls, urns) for occupancies.
 MAX_SLOTS = 1 << 26
@@ -123,12 +156,14 @@ def empirical_transform(samples: np.ndarray, arguments: Sequence[float]) -> list
 
 def _membership(params: ModelParams, start: State, target: SetDescriptor, replicas: int):
     """How the walk tests membership in ``target``: ``(reference state, slots
-    per replica, key of start, key update, hit test on keys)``.
+    per replica, key of start, key update, hit test on keys, hit test on
+    offsets)``.
 
     Ball ``i`` of the replica whose first slot is ``base`` sits at slot
     ``base + i``; ``update(keys, base, balls, old, new)`` changes the keys in
     place for a move of ball ``balls`` from offset ``old`` to offset ``new``.
-    The start key's type is the keys' type.
+    The start key's type is the keys' type.  The test on offsets takes an
+    array of whole states, balls on its first axis, and tests each state.
     """
     n, m = params.urns, params.balls
     states = target.validate(params)
@@ -143,8 +178,11 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
             keys += new == 0
             keys -= old == 0
 
+        def contains(grid):
+            return np.count_nonzero(grid == 0, axis=0) == level
+
         key0 = np.array(overlap(start, center), dtype=np.min_scalar_type(-m - 1))
-        return center, m, key0, update, lambda keys: keys == level
+        return center, m, key0, update, lambda keys: keys == level, contains
 
     if target.kind == "pair":
         # a + (m+1)*b, where a balls agree with y (offset 0) and b with z (offset (z - y) % n)
@@ -163,8 +201,11 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
         def key(x):
             return overlap(x, y) + scale * overlap(x, z)
 
+        def contains(grid):
+            return (grid == 0).all(axis=0) | (grid == at_z[:, None, None]).all(axis=0)
+
         key_y, key_z = key(y), key(z)
-        return y, m, key(start), update, lambda keys: (keys == key_y) | (keys == key_z)
+        return y, m, key(start), update, lambda keys: (keys == key_y) | (keys == key_z), contains
 
     if target.kind in ("diagonal", "distinct"):
         # colliding ball pairs, the sum over urns of C(occupancy, 2), from one count per urn and replica
@@ -180,8 +221,24 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
             occupancy[src] = leaving - 1
             occupancy[dst] = arriving + 1
 
+        if target.kind == "diagonal":
+            def contains(grid):
+                return (grid == grid[0]).all(axis=0)
+        elif n * 2 ** (n - 1) < 2**64:
+            # one bit per urn: the balls' bits add up to their or exactly when no urn holds two, and
+            # m <= n bits below 2**(n-1) add up without wrapping in bit_type
+            bit_type = np.min_scalar_type(n * 2 ** (n - 1))
+
+            def contains(grid):
+                bits = np.left_shift(1, grid, dtype=bit_type)
+                return bits.sum(axis=0, dtype=bit_type) == np.bitwise_or.reduce(bits, axis=0)
+        else:
+            def contains(grid):
+                ranked = np.sort(grid, axis=0)
+                return (ranked[1:] != ranked[:-1]).all(axis=0)
+
         key0 = np.array(row @ (row - 1) // 2, dtype=np.min_scalar_type(-most))
-        return (1,) * m, stride, key0, update, lambda keys: keys == level
+        return (1,) * m, stride, key0, update, lambda keys: keys == level, contains
 
     weights = params.radix
     codes = np.sort((states - 1) @ weights)
@@ -192,7 +249,10 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
     def is_hit(keys):
         return codes[np.minimum(np.searchsorted(codes, keys), codes.size - 1)] == keys
 
-    return (1,) * m, m, (np.array(start) - 1) @ weights, update, is_hit
+    def contains(grid):
+        return is_hit(np.einsum("b,b...->...", weights, grid))
+
+    return (1,) * m, m, (np.array(start) - 1) @ weights, update, is_hit, contains
 
 
 def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
@@ -202,7 +262,7 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     step the walk stopped at and the walk's one generator, positioned after it.
     """
     n, m = params.urns, params.balls
-    reference, stride, key0, update, is_hit = member
+    reference, stride, key0, update, is_hit, contains = member
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
     # offsets leave room for old + shift, up to 2*(urns-1), before the wrap
@@ -213,6 +273,7 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     # the live replicas, by their first slot; replicas starting inside the target keep 0 steps
     base = np.arange(0, cfg.replicas * stride, stride) if not is_hit(key0) else np.arange(0)
     keys = np.full(base.size, key0)
+    lanes = None  # the live replicas' offsets, one row per ball, once the walk is in its tail
 
     draw_type = np.min_scalar_type(m * (n - 1) - 1)
     spread = np.array(n - 1, dtype=np.min_scalar_type(n - 1))  # with one ball, n - 1 may not fit draw_type
@@ -224,6 +285,15 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
         balls_ahead = block // spread  # np.divmod is slower than the two passes
         shifts_ahead = block - balls_ahead * spread
         shifts_ahead += 1
+        if base.size * m <= TAIL_CELLS:  # the live count never grows: once in the tail, the walk stays there
+            if lanes is None:
+                lanes = positions[base + np.arange(m)[:, None]]
+            lanes, hit_at = _tail_block(lanes, balls_ahead, shifts_ahead, n, contains)
+            alive = hit_at == 0
+            steps[base[~alive] // stride] = t + hit_at[~alive]
+            t += span if alive.any() else int(hit_at.max())
+            base, lanes = base[alive], lanes[:, alive]
+            continue
         # absorbed replicas keep moving, masked out of hits, until the block ends
         alive = np.ones(base.size, dtype=bool)
         dead = 0
@@ -250,6 +320,53 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     truncated = np.zeros(cfg.replicas, dtype=bool)
     truncated[base // stride] = True
     return steps, truncated, t, rng
+
+
+def _tail_block(lanes, balls_ahead, shifts_ahead, n, contains):
+    """Walk one block of the sparse tail ``TAIL_CHUNK`` steps at a time.
+
+    ``lanes`` holds the live replicas' offsets, one row per ball.  Returns
+    the offsets at the block's end and each replica's first hit, as a step
+    of the block counted from 1 (0 if it walked the whole block).  Chunks
+    stop once every replica has hit.
+    """
+    span, live = balls_ahead.shape
+    m = lanes.shape[0]
+    # A chunk is a grid of cells (step, ball, replica), one step after another in memory so that its
+    # running sums along the steps take one row add per step.  Within a step the longer of the ball and
+    # replica axes is contiguous, since membership reduces over the balls of each step and replica.
+    if live >= m:
+        ball_stride, replica_stride, step_shape, to_balls_first = live, 1, (m, live), (1, 0, 2)
+    else:
+        ball_stride, replica_stride, step_shape, to_balls_first = 1, m, (live, m), (2, 0, 1)
+    corner = np.arange(0, TAIL_CHUNK * m * live, m * live)[:, None] + np.arange(live) * replica_stride
+    # a chunk's running sums reach its start offset plus TAIL_CHUNK shifts, each at most n - 1
+    grid_type = np.min_scalar_type((TAIL_CHUNK + 1) * (n - 1))
+    hit_at = np.zeros(live, dtype=np.int64)
+    alive = np.ones(live, dtype=bool)
+    replica = np.arange(live)
+    for first in range(0, span, TAIL_CHUNK):
+        size = min(TAIL_CHUNK, span - first)
+        rows = np.zeros((size, m * live), dtype=grid_type)
+        cell = balls_ahead[first:first + size].astype(np.intp)
+        cell *= ball_stride
+        cell += corner[:size]
+        rows.reshape(-1)[cell] = shifts_ahead[first:first + size]
+        grid = rows.reshape(size, *step_shape).transpose(to_balls_first)  # the same cells as (ball, step, replica)
+        grid[:, 0] += lanes
+        for step in range(1, size):
+            rows[step] += rows[step - 1]
+        rows -= rows // n * n
+        hit = contains(grid)
+        hit &= alive
+        when = hit.argmax(axis=0)
+        now = hit[when, replica]
+        hit_at[now] = first + 1 + when[now]
+        alive &= ~now
+        lanes = grid[:, -1]
+        if not alive.any():
+            break
+    return lanes, hit_at
 
 
 def _sample(params, start, target, cfg: SimConfig, modes: Sequence[str]) -> dict[str, SimSummary]:

@@ -320,3 +320,97 @@ def test_both_clocks_from_one_walk(monkeypatch):
         assert both[mode] == sample_hitting(P32, (1, 1), SINGLETON, SimConfig(cfg.replicas, cfg.seed, mode, cfg.grid))
     steps, _, _ = _walk_steps(P32, (1, 1), SINGLETON, cfg)
     assert both["ctmc"].replica_steps == both["discrete"].replica_steps == int(steps.sum())
+
+
+def _walk_on_each_path(monkeypatch, params, start, target, cfg):
+    """``_walk_steps`` with every block walked one step at a time, then with every block in the tail."""
+    walks = []
+    for cells in (0, 2**62):
+        monkeypatch.setattr(mc, "TAIL_CELLS", cells)
+        walks.append(_walk_steps(params, start, target, cfg))
+    return walks
+
+
+P34 = ModelParams(3, 4)
+
+
+@pytest.mark.parametrize(
+    "params,start,target,replicas",
+    [
+        (P32, (1, 1), SINGLETON, 3000),
+        (P34, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2)), 300),
+        (P34, (2, 2, 2, 2), SetDescriptor.count(0), 300),
+        (P34, (2, 3, 2, 3), SetDescriptor.count(3, 1), 300),
+        (P34, (1, 2, 3, 1), SetDescriptor.pair((2, 2, 2, 2), (3, 1, 2, 3)), 300),
+        (P34, (1, 2, 3, 1), SetDescriptor.diagonal(), 300),
+        (ModelParams(5, 4), (1, 1, 1, 1), SetDescriptor.distinct(), 300),
+        (ModelParams(60, 20), (1,) * 20, SetDescriptor.distinct(), 300),  # too many urns for one bit each
+        (P34, (1, 1, 1, 1), SetDescriptor.explicit([(2, 2, 2, 2), (3, 1, 2, 3), (1, 3, 3, 2), (2, 1, 1, 2)]), 300),
+        (P32, (2, 2), SINGLETON, 300),  # starts inside the set
+        (P34, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2)), 1),
+        (ModelParams(258, 1), (1,), SetDescriptor.singleton((2,)), 300),
+        (ModelParams(3, 129), (1,) * 129, SetDescriptor.count(127, 1), 30),
+        (ModelParams(65537, 1), (1,), SetDescriptor.count(0, 1), 300),
+    ],
+    ids=["singleton-3000", "singleton", "count", "count-urn-1", "pair", "diagonal", "distinct",
+         "distinct-sorted", "explicit", "start-inside", "one-replica", "258x1", "3x129", "65537x1"],
+)
+def test_tail_walks_as_the_lockstep_loop(monkeypatch, params, start, target, replicas):
+    # the same draws, block by block: every hit step, the truncated mask and the stop step agree
+    cfg = SimConfig(replicas=replicas, seed=17)
+    (steps, truncated, stop), (tail_steps, tail_truncated, tail_stop) = _walk_on_each_path(
+        monkeypatch, params, start, target, cfg)
+    assert np.array_equal(steps, tail_steps)
+    assert np.array_equal(truncated, tail_truncated)
+    assert stop == tail_stop
+    assert not truncated.any() and (steps.max() == 0) == (start == (2, 2))
+
+
+@pytest.mark.parametrize("stop", [100, 128], ids=["inside-a-chunk", "at-a-chunk-boundary"])
+def test_tail_truncates_as_the_lockstep_loop(monkeypatch, stop):
+    # the budget pays for the first stop steps of all 40 replicas, one block of two tail chunks or fewer
+    assert stop <= 2 * mc.TAIL_CHUNK
+    monkeypatch.setattr(mc, "WALK_BUDGET", stop * (40 + mc.STEP_CHARGE))
+    cfg = SimConfig(replicas=40, seed=3)
+    walks = _walk_on_each_path(monkeypatch, P34, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2)), cfg)
+    (steps, truncated, last), (tail_steps, tail_truncated, tail_last) = walks
+    assert last == tail_last == stop
+    assert 0 < truncated.sum() < 40
+    assert np.array_equal(truncated, tail_truncated) and np.array_equal(steps, tail_steps)
+    assert steps[~truncated].max() > mc.TAIL_CHUNK  # a replica hit in the block's second chunk
+
+
+def _spy_tail(monkeypatch):
+    """The live replicas of every block walked in the tail, in walk order."""
+    widths = []
+    real = mc._tail_block
+
+    def spy(lanes, balls_ahead, *rest):
+        widths.append(balls_ahead.shape[1])
+        return real(lanes, balls_ahead, *rest)
+
+    monkeypatch.setattr(mc, "_tail_block", spy)
+    return widths
+
+
+def test_a_large_walk_takes_both_paths(monkeypatch):
+    # the lockstep loop walks 20000 replicas until their live count times balls is at most TAIL_CELLS
+    cfg = SimConfig(replicas=20_000, seed=8)
+    widths = _spy_tail(monkeypatch)
+    steps, truncated, stop = _walk_steps(P32, (1, 1), SINGLETON, cfg)
+    assert widths and widths[0] * P32.balls <= mc.TAIL_CELLS < cfg.replicas * P32.balls
+    assert widths == sorted(widths, reverse=True)  # the live count never grows: the walk stays in the tail
+    monkeypatch.setattr(mc, "TAIL_CELLS", 0)
+    dense_steps, _, dense_stop = _walk_steps(P32, (1, 1), SINGLETON, cfg)
+    assert np.array_equal(steps, dense_steps) and stop == dense_stop and not truncated.any()
+
+
+def test_the_tail_starts_at_tail_cells(monkeypatch):
+    # 50 replicas of 2 balls fill exactly TAIL_CELLS cells: the first block is in the tail
+    widths = _spy_tail(monkeypatch)
+    monkeypatch.setattr(mc, "TAIL_CELLS", 100)
+    _walk_steps(P32, (1, 1), SINGLETON, SimConfig(replicas=50, seed=8))
+    assert widths[0] == 50
+    widths.clear()
+    _walk_steps(P32, (1, 1), SINGLETON, SimConfig(replicas=51, seed=8))
+    assert 51 not in widths
