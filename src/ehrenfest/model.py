@@ -23,14 +23,15 @@ the members on its state codes, so no helper here is shared by two routes and
 a wrong definition shows up as a disagreement between them.
 An ``explicit`` set is read once into one sorted ``(|A|, M)`` integer table
 by :meth:`ModelParams.check_states`; :func:`symmetry_defect` tests such a
-table on one of two paths, whichever costs less.  The product transform puts
-the members on the grid that their column values span and reads every member's
-overlap histogram off it, about ``M**2 / 2`` passes over the grid; the
-pairwise count compares the members in blocks, one whole-array pass per
-coordinate, and stops at the first block holding a member that differs from
-the first, ``|A|**2 * M`` comparisons on a symmetric set.  ``MAX_PAIR_COORDS``
-bounds that count whichever path runs.  Only these array functions import
-numpy, so a symbolic set is answered without loading it.
+table on the cheaper of its two paths, or on the only one within its bound.
+The product transform puts the members on the grid that their column values
+span and reads every member's overlap histogram off it, about ``M**2 / 2``
+passes over the grid; the pairwise count compares the members in blocks, one
+whole-array pass per coordinate, and stops at the first block holding a member
+that differs from the first, ``|A|**2 * M`` comparisons on a symmetric set.
+``MAX_GRID_CELLS`` bounds the grid and ``MAX_PAIR_COORDS`` only the pairwise
+count.  Only these array functions import numpy, so a symbolic set is answered
+without loading it.
 
 :class:`HittingSummary`, the exact report, is defined here too: the engine's
 :func:`~ehrenfest.hitting.summarize` and the command line's oracle helper
@@ -225,12 +226,9 @@ class SetNotSymmetricError(ValueError):
         )
 
 
-#: Work bound of the symmetry test, in member pairs times coordinates (|A|**2 * M), the
-#: pairwise count's work, whichever path runs.  On the grid a whole ``exact`` request at the
-#: bound takes about 0.3 s on 2 vCPUs at M = 1 (65536 members) and at M = 2 (46225 members),
-#: as does the 12870-member count:8 set at N = 2, M = 16; counted pairwise they took 4-7 s,
-#: 3-6 s and 1.5-2.5 s.  A set whose grid is past ``MAX_GRID_CELLS`` is still counted
-#: pairwise: the 46225 members ``(i, s(i))`` of a permutation ``s`` at M = 2 take 3.5-5.5 s.
+#: Work bound of the pairwise count, in member pairs times coordinates (|A|**2 * M), the product
+#: its time grows with.  It bounds only that path: a set past it is tested on the grid if the grid
+#: fits ``MAX_GRID_CELLS``, and refused before either path starts if not.
 MAX_PAIR_COORDS = 2**32
 
 #: Member pairs in one block of the pairwise count: a block holds an agreement
@@ -245,9 +243,9 @@ BLOCK_PAIRS = 2**16
 #: at 3.2, the 720-member distinct list at N = M = 6, is a tie (1.5-2.1 ms on either path).
 GRID_CELL_COST = 4
 
-#: Cells of the product grid with its polynomial axis, ``(M + 1) * prod(|V_j|)``, past
-#: which the test counts pairwise whatever the cost.  A cell takes the bytes of the least
-#: integer type that holds ``|A|``, at most 4, and a pass holds two grids: 32 MB at most.
+#: Cells of the product grid with its polynomial axis, ``(M + 1) * prod(|V_j|)``, that the test
+#: takes at most.  A cell takes the bytes of the least integer type that holds ``|A|``, at most 4,
+#: and a pass holds two grids: 32 MB at most.
 MAX_GRID_CELLS = 2**22
 
 
@@ -300,14 +298,6 @@ def _grid_histograms(offsets, dims: list[int]):
     return grid[:, cells].T
 
 
-def _grid_pays(size: int, width: int, cells: int) -> bool:
-    """Whether a product grid of ``cells`` cells for ``size`` members of ``width``
-    coordinates fits ``MAX_GRID_CELLS`` with its polynomial axis and costs less than
-    the pairwise count: ``width * (width + 1) / 2 * cells`` cells at ``GRID_CELL_COST``
-    against ``size**2 * width`` pair coordinates."""
-    return cells * (width + 1) <= MAX_GRID_CELLS and GRID_CELL_COST * cells * (width + 1) < 2 * size * size
-
-
 def symmetry_defect(states: Sequence[State]):
     """Return two differing ``(state, hist)`` witnesses, or None if symmetric.
 
@@ -324,10 +314,9 @@ def symmetry_defect(states: Sequence[State]):
     (:func:`_agreement_counts`) takes blocks of about ``BLOCK_PAIRS`` member
     pairs, one whole-array equality pass per coordinate, and stops at the
     first block that holds a differing member: ``|A|**2 * M`` comparisons on
-    a symmetric set.  The grid is taken when it holds at most
-    ``MAX_GRID_CELLS`` cells with its polynomial axis and its cells, at
-    ``GRID_CELL_COST`` each, cost less than those comparisons.  Either way
-    ``|A|**2 * M`` must not pass ``MAX_PAIR_COORDS``.
+    a symmetric set.  The grid is taken when it fits ``MAX_GRID_CELLS`` with its
+    polynomial axis and either costs less, at ``GRID_CELL_COST`` a cell, or the
+    comparisons are past ``MAX_PAIR_COORDS``; else they run, or past it a ValueError.
     """
     if not len(states):
         raise ValueError("empty target set")
@@ -335,19 +324,19 @@ def symmetry_defect(states: Sequence[State]):
 
     table = np.asarray(states)
     size, width = table.shape
-    if size * size * width > MAX_PAIR_COORDS:
-        raise ValueError(
-            f"the symmetry test needs {size * size * width} member-pair coordinates "
-            f"({size}^2 members x {width}), more than MAX_PAIR_COORDS = {MAX_PAIR_COORDS}"
-        )
     offsets = table - table.min(axis=0)
     dims = (offsets.max(axis=0) + 1).tolist()
-    if _grid_pays(size, width, math.prod(dims)):
+    cells, pairs = (width + 1) * math.prod(dims), size * size * width
+    if cells <= MAX_GRID_CELLS and (GRID_CELL_COST * cells * width < 2 * pairs or pairs > MAX_PAIR_COORDS):
         blocks = [(0, _grid_histograms(offsets, dims))]
-    else:
+    elif pairs <= MAX_PAIR_COORDS:
         columns = np.ascontiguousarray(offsets.T, dtype=np.min_scalar_type(max(dims) - 1))
         rows = max(1, BLOCK_PAIRS // size)
         blocks = ((lo, _agreement_counts(columns, lo, min(lo + rows, size))) for lo in range(0, size, rows))
+    else:
+        raise ValueError(f"the symmetry test needs {pairs} member-pair coordinates ({size}^2 members x {width}), "
+                         f"more than MAX_PAIR_COORDS = {MAX_PAIR_COORDS}, and a product grid of {cells} cells, "
+                         f"more than MAX_GRID_CELLS = {MAX_GRID_CELLS}")
     for lo, counts in blocks:
         if lo == 0:
             ref_counts = counts[0]
@@ -373,6 +362,9 @@ def _member_table(params: ModelParams, states: Sequence[State]):
 
 
 _PAIR_RE = re.compile(r"^\(([^()]*)\);\(([^()]*)\)$")
+
+#: Members that :meth:`SetDescriptor.materialize` lists at most, about 1 GB of tuples at M = 20.
+MAX_LISTED = 2**22
 
 
 class SetDescriptor(_Record):
@@ -456,8 +448,14 @@ class SetDescriptor(_Record):
             yield from states
 
     def materialize(self, params: ModelParams) -> list[State]:
-        """The sorted list of member states, validated first."""
-        return sorted(self._members(params, self.validate(params)))
+        """The sorted list of member states, validated first; past ``MAX_LISTED``, counted by kind, a ValueError."""
+        states = self.validate(params)
+        n, m, h = params.urns, params.balls, self.count_overlap
+        size = (math.comb(m, h) * (n - 1) ** (m - h) if self.kind == "count" else n if self.kind == "diagonal"
+                else math.perm(n, m) if self.kind == "distinct" else len(states))
+        if size > MAX_LISTED:
+            raise ValueError(f"the {self.kind} set has {size} members, more than MAX_LISTED = {MAX_LISTED} to list")
+        return sorted(self._members(params, states))
 
 
 def _ints(parts: Sequence[str], text: str) -> list[int]:

@@ -20,7 +20,9 @@ relabelled in any order of the states, the oracle's partition refinement as
 it grouped signature rows with ``np.unique(axis=0)``, and closed forms for
 single target families (the variance at a disjoint singleton, clustering
 from the spread start and from any start read urn by urn, the all-distinct
-mean).  The tests check the oracle, the symmetry test,
+mean), and symmetric sets that no kind lists: orbits under per-ball urn and
+ball permutations, linear codes, and a hypothesis strategy over both
+(:func:`symmetric_sets`).  The tests check the oracle, the symmetry test,
 the explicit-set table, the histograms, the oracle's quotient, the engine and
 the diagonal's closed form against them.
 
@@ -40,9 +42,11 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
+from hypothesis import assume, strategies as st
 
 from ehrenfest.closedforms import CountChain, SameUrnStats
 from ehrenfest.exact import Jet, Rational
@@ -291,6 +295,65 @@ def explicit_members(params: ModelParams, data, path: str) -> list[State]:
     if len(set(states)) != len(states):
         raise ValueError("explicit descriptor contains duplicate states")
     return sorted(states)
+
+
+def orbit(seed: Sequence[int], generators, cap: int) -> list[State] | None:
+    """The sorted orbit of ``seed`` under the group that ``generators`` generate,
+    or None once it holds more than ``cap`` states.
+
+    A generator ``(maps, balls)`` moves ball ``i`` from urn ``u`` to urn
+    ``maps[i][u - 1]`` and then to place ``balls[i]``: a per-ball urn
+    permutation, then a ball permutation.  Both keep every overlap, so an orbit
+    is a symmetric set, and in general no kind's set or image.  The orbit is
+    closed by a breadth-first search: in a finite group each generator's
+    inverse is one of its powers, so no inverse is needed."""
+    seen = frontier = {tuple(seed)}
+    while frontier:
+        moved = set()
+        for x, (maps, balls) in product(frontier, generators):
+            y = [0] * len(x)
+            for i, u in enumerate(x):
+                y[balls[i]] = maps[i][u - 1]
+            moved.add(tuple(y))
+        frontier = moved - seen
+        seen = seen | frontier
+        if len(seen) > cap:
+            return None
+    return sorted(seen)
+
+
+def linear_code(G: Sequence[Sequence[int]], q: int) -> list[State]:
+    """The sorted codewords of the span of ``G``'s rows over GF(q), ``q`` prime,
+    as states: symbol ``c`` sits in urn ``c + 1``.  Translation by a codeword
+    keeps every overlap, so a linear code is a symmetric set (MacWilliams and
+    Sloane 1977, ch. 1)."""
+    return sorted({tuple(sum(c * g for c, g in zip(coeffs, column)) % q + 1 for column in zip(*G))
+                   for coeffs in product(range(q), repeat=len(G))})
+
+
+#: The binary [7,4] Hamming code and the ternary [4,2] tetracode, by generator matrix and field.
+HAMMING_7_4 = (((1, 0, 0, 0, 0, 1, 1), (0, 1, 0, 0, 1, 0, 1), (0, 0, 1, 0, 1, 1, 0), (0, 0, 0, 1, 1, 1, 1)), 2)
+TETRACODE = (((1, 0, 1, 1), (0, 1, 1, 2)), 3)
+
+#: The chains ``(N, M)`` that :func:`symmetric_sets` draws orbits on.
+ORBIT_SHAPES = ((2, 6), (3, 4), (3, 5), (4, 3), (5, 3), (2, 8))
+
+
+@st.composite
+def symmetric_sets(draw):
+    """``(params, states)``: a linear code, or an orbit under one or two random
+    generators on one of ``ORBIT_SHAPES`` holding at most half of the chain's
+    states, so that a start outside the set exists."""
+    if draw(st.integers(0, 4)) == 0:
+        G, q = draw(st.sampled_from([HAMMING_7_4, TETRACODE]))
+        return ModelParams(q, len(G[0])), linear_code(G, q)
+    n, m = draw(st.sampled_from(ORBIT_SHAPES))
+    urns = st.permutations(range(1, n + 1)).map(tuple)
+    generator = st.tuples(st.tuples(*[urns] * m), st.one_of(st.just(range(m)), st.permutations(range(m))))
+    generators = draw(st.lists(generator, min_size=1, max_size=2))
+    states = orbit(draw(st.tuples(*[st.integers(1, n)] * m)), generators, n**m // 2)
+    assume(states is not None)
+    return ModelParams(n, m), states
 
 
 def neighbor_table_by_modulo(params: ModelParams, order: Sequence[int] | None = None) -> np.ndarray:

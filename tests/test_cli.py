@@ -892,8 +892,10 @@ _TWOS = ",".join(["2"] * 200)
 def test_bad_inputs_exit_two_without_traceback(capsys, monkeypatch, tmp_path, argv, needle):
     # a small walk budget makes the all-truncated row's walk end at once; no other row walks
     monkeypatch.setattr(mc, "WALK_BUDGET", 10**5)
-    # three members at M=2 make 18 member-pair coordinates; only explicit sets run the symmetry test
+    # three members at M=2 make 18 member-pair coordinates and a grid of 27 cells; only explicit sets run
+    # the symmetry test, and a set past both bounds is refused
     monkeypatch.setattr(model, "MAX_PAIR_COORDS", 17)
+    monkeypatch.setattr(model, "MAX_GRID_CELLS", 26)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "diagonal.json").write_text("[[1, 1], [2, 2], [3, 3]]")
     code, out, err = run_cli(capsys, *argv)

@@ -1,20 +1,25 @@
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from itertools import product
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrenfest import hitting, model
+from ehrenfest import cli, hitting, model
 from ehrenfest.hitting import HittingQuery
+from ehrenfest.oracle import EnumeratedChain, solve_raw_moments
 from ehrenfest.resolvent import kernel_row
 from ehrenfest.model import (
     ModelParams,
@@ -33,6 +38,7 @@ from reference import (
     product_semigroup,
     single_ball_generator,
     single_ball_semigroup,
+    symmetric_sets,
     transition_prob,
 )
 
@@ -188,6 +194,45 @@ def test_materialize_errors():
                 SetDescriptor.count(1, 0), SetDescriptor.singleton((1, 2, 3)), SetDescriptor.singleton((1, 2, 3, 4))):
         with pytest.raises(ValueError):
             bad.validate(ModelParams(3, 4))
+
+
+def test_materialize_counts_each_kind_before_listing_it(monkeypatch):
+    p = ModelParams(4, 3)
+    kinds = [SetDescriptor.singleton((1, 2, 3)), SetDescriptor.pair((1, 2, 3), (4, 4, 4)), SetDescriptor.diagonal(),
+             SetDescriptor.distinct(), SetDescriptor.explicit([(1, 1, 1), (2, 2, 2), (1, 2, 3)])]
+    kinds += [SetDescriptor.count(h, r) for h in range(4) for r in (1, 4)]
+    for d in kinds:
+        size = len(d.materialize(p))
+        monkeypatch.setattr(model, "MAX_LISTED", size)  # a set at the bound is listed
+        assert len(d.materialize(p)) == size
+        monkeypatch.setattr(model, "MAX_LISTED", size - 1)
+        with pytest.raises(ValueError, match=f"set has {size} members, more than MAX_LISTED = {size - 1}"):
+            d.materialize(p)
+        monkeypatch.undo()
+
+
+_HUGE_LISTS = """
+from ehrenfest.model import ModelParams, SetDescriptor
+for d, p in [(SetDescriptor.distinct(), ModelParams(60, 20)), (SetDescriptor.count(100), ModelParams(10**5, 200)),
+             (SetDescriptor.diagonal(), ModelParams(2**22 + 1, 1))]:
+    try:
+        d.materialize(p)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_materialize_refuses_a_huge_set_before_listing_it():
+    # about 10**34 distinct members at N=60, M=20 and 10**1000 count:100 members at N=10**5, M=200: listing
+    # either runs until it is killed, so it runs in a child that the timeout ends
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _HUGE_LISTS], capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == f"the distinct set has {math.perm(60, 20)} members, more than MAX_LISTED = {2**22} to list"
+    assert lines[1].startswith(f"the count set has {math.comb(200, 100) * (10**5 - 1) ** 100} members")
+    assert lines[2] == f"the diagonal set has {2**22 + 1} members, more than MAX_LISTED = {2**22} to list"
 
 
 # each of the six places that reads coordinates from a caller, given coordinate c
@@ -462,6 +507,70 @@ def test_few_members_over_many_urns_are_counted_pairwise(monkeypatch):
     assert blocks == [(0, len(states))]
 
 
+def _spy_paths(monkeypatch):
+    """The names of the symmetry test's paths, in call order, for every test that follows."""
+    calls = []
+    for name in ("_grid_histograms", "_agreement_counts"):
+        real = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    return calls
+
+
+def test_a_set_past_the_pairwise_bound_takes_the_grid(monkeypatch):
+    # the 10 members of the test above, then one of them moved by one ball: the pairwise count finds the witnesses;
+    # with MAX_PAIR_COORDS below their 200 pair coordinates, the grid, which costs more, finds the same ones
+    states = [(a, 1001 - a) for a in range(1, 1001, 100)]
+    moved = states[:5] + [(states[5][0], states[2][1])] + states[6:]
+    calls = _spy_paths(monkeypatch)
+    want = symmetry_defect(moved)
+    assert want == _loop_symmetry_defect(moved) and want is not None
+    assert calls == ["_agreement_counts"]
+    monkeypatch.setattr(model, "MAX_PAIR_COORDS", 199)
+    assert symmetry_defect(states) is None
+    assert symmetry_defect(moved) == want
+    assert calls == ["_agreement_counts", "_grid_histograms", "_grid_histograms"]
+
+
+@pytest.mark.parametrize("pair_bound,grid_bound,path", [
+    (18, 27, "_agreement_counts"), (18, 26, "_agreement_counts"), (17, 27, "_grid_histograms"), (17, 26, None),
+])
+def test_each_bound_admits_its_path_up_to_its_value(pair_bound, grid_bound, path, monkeypatch):
+    # the diagonal at N=3, M=2: 18 pair coordinates, a grid of 27 cells that costs more than they do
+    monkeypatch.setattr(model, "MAX_PAIR_COORDS", pair_bound)
+    monkeypatch.setattr(model, "MAX_GRID_CELLS", grid_bound)
+    calls = _spy_paths(monkeypatch)
+    if path:
+        assert symmetry_defect([(1, 1), (2, 2), (3, 3)]) is None
+    else:
+        with pytest.raises(ValueError, match=r"^the symmetry test needs 18 member-pair coordinates \(3\^2 members x 2\), "
+                           r"more than MAX_PAIR_COORDS = 17, and a product grid of 27 cells, "
+                           r"more than MAX_GRID_CELLS = 26$"):
+            symmetry_defect([(1, 1), (2, 2), (3, 3)])
+    assert calls == ([path] if path else [])
+
+
+def test_a_set_past_both_bounds_is_refused_before_either_path(monkeypatch):
+    # the 65537 members (i, 7919 i mod 65537 + 1): 65537**2 * 2 pair coordinates and a grid of 3 * 65537**2 cells
+    i = np.arange(1, 65538)
+    table = np.stack([i, 7919 * i % 65537 + 1], axis=1)
+    calls = _spy_paths(monkeypatch)
+    with pytest.raises(ValueError, match=f"needs {65537**2 * 2} member-pair coordinates .* more than MAX_PAIR_COORDS"
+                                         f" = {2**32}, and a product grid of {3 * 65537**2} cells"):
+        symmetry_defect(table)
+    assert calls == []
+
+
+def test_a_list_past_the_pairwise_bound_answers_as_its_kind(capsys, monkeypatch, tmp_path):
+    # the diagonal at N=3, M=2 written out as a list, with MAX_PAIR_COORDS below its 18 pair coordinates
+    monkeypatch.setattr(model, "MAX_PAIR_COORDS", 17)
+    (tmp_path / "diagonal.json").write_text("[[1, 1], [2, 2], [3, 3]]")
+    means = []
+    for target in (f"explicit:@{tmp_path / 'diagonal.json'}", "diagonal"):
+        assert cli.main(["exact", "--N", "3", "--M", "2", "--start", "1,2", "--set", target]) == 0
+        means.append(json.loads(capsys.readouterr().out)["results"]["mean"])
+    assert means[0] == means[1]
+
+
 def _symmetric_lists(n, m, rng):
     """Permuted ``count``, ``distinct`` and diagonal lists of at most 200 members on the N, M chain, shuffled."""
     params = ModelParams(n, m)
@@ -539,6 +648,28 @@ def test_grid_and_pairwise_paths_take_more_balls_than_numpy_has_axes(monkeypatch
         want = _loop_symmetry_defect(states)
         assert _both_paths(states, monkeypatch) == [want, want], states
     assert _loop_symmetry_defect(one_ball) is None and _loop_symmetry_defect(one_ball + [(1,) * 70]) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_sets(), st.randoms(use_true_random=False))
+def test_orbits_and_linear_codes_are_symmetric_on_both_paths_and_routes(case, rng):
+    params, states = case
+    n, m = params.urns, params.balls
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _both_paths(states, monkeypatch) == [None, None]
+        # one member moved by one ball
+        moved = list(states)
+        i, ball = rng.randrange(len(moved)), rng.randrange(m)
+        x = list(moved[i])
+        x[ball] = rng.choice([u for u in range(1, n + 1) if u != x[ball]])
+        moved[i] = tuple(x)
+        want = _loop_symmetry_defect(moved)
+        assert _both_paths(moved, monkeypatch) == [want, want]
+    start = rng.choice([y for y in product(range(1, n + 1), repeat=m) if y not in states])
+    target = SetDescriptor.explicit(states)
+    q = HittingQuery(params, start, target)
+    first, second = solve_raw_moments(EnumeratedChain(params), target, start, 2)
+    assert (hitting.mean(q), hitting.variance(q)) == (first, second - first**2)
 
 
 def test_query_rejects_asymmetric_explicit_set_with_witnesses():
