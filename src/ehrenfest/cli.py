@@ -37,7 +37,7 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 
-from .exact import ROUND_TRIP_DIGITS, format_rational, format_significant, lambda_to_u
+from .exact import ROUND_TRIP_DIGITS, format_rational, format_significant
 from .model import CapExceededError, HittingSummary, ModelParams, SetNotSymmetricError, parse_set
 
 USAGE_ERROR = 2
@@ -340,7 +340,8 @@ def _commute_verdict(name: str, check) -> dict:  # check: a closedforms.CommuteC
 
 
 # ---------------------------------------------------------------------------
-# the three routes, each shared by its own subcommand and by compare
+# the three routes, each shared by its own subcommand and by compare; the two exact ones hand their
+# moments and transform to model.HittingSummary.of_route, so no route arithmetic is done here
 
 
 def _engine(args, u_grid, lambda_grid):
@@ -358,20 +359,11 @@ def _oracle(args, chain, u_grid, lambda_grid, exit_law=False):
     first, and an oversized one is refused before anything is solved."""
     from . import oracle
 
-    params, target, start = chain.params, args.target, args.start_state  # each solve checks the set, then the start
+    target, start = args.target, args.start_state  # each solve checks the set, then the start
     exits = oracle.exit_distribution(chain, target, start) if exit_law else None
-    moments = oracle.solve_raw_moments(chain, target, start, max(args.order, 2))
-    transform = partial(oracle.solve_transform_u, chain, target, start)
-    return HittingSummary.from_moments(
-        moments,
-        args.order,
-        u_samples=tuple((u, transform(u)) for u in u_grid),
-        lambda_samples=tuple(
-            (lam, transform(lambda_to_u(params.balls, lam, args.digits)).as_integer_ratio() if lam else (1, 1))
-            for lam in lambda_grid
-        ),
-        exit_distribution=exits,
-    )
+    return HittingSummary.of_route(partial(oracle.solve_raw_moments, chain, target, start),
+                                   lambda u: oracle.solve_transform_u(chain, target, start, u).as_integer_ratio(),
+                                   chain.params.balls, args.order, u_grid, lambda_grid, args.digits, exits)
 
 
 def _simulate(args, mode=None, grid=()):

@@ -22,8 +22,8 @@ and keeps only the two rows: every output below reads them.  For the
 transform both rows are summed over one shared, unreduced denominator
 product, so the ratio is the quotient of the two integer numerators and is
 reduced exactly once.  The discrete-time transform is the same ratio
-evaluated at ``u = balls * (e**lambda - 1)``; :func:`summarize` keeps it
-unreduced, since its report prints only ``digits`` digits and a float of it.
+evaluated at ``u = balls * (e**lambda - 1)``, kept unreduced in the summary,
+since its report prints only ``digits`` digits and a float of it.
 A start inside ``A`` has the reference histogram, so its two rows are equal:
 the ratio gives the transform 1 and every moment 0 with no branch of its own.
 
@@ -36,8 +36,8 @@ and factorials, and Stirling numbers turn those into raw moments.
 recurrence, with one gcd per series coefficient and one ``Fraction`` per
 moment.  The mean, the variance and the continuous-time summaries are the
 first two moments.  Everything on this analytic path is exact rational
-arithmetic.  :func:`summarize` fills :class:`~ehrenfest.model.HittingSummary`,
-which the oracle's answers fill too.
+arithmetic.  :func:`summarize` hands :func:`raw_moments` and the kernel sums
+to :meth:`~ehrenfest.model.HittingSummary.of_route`, as the oracle does its solves.
 """
 
 from __future__ import annotations
@@ -45,10 +45,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple, Sequence
 
 from .closedforms import same_urn_stats_of_occupancy, two_point_stats
-from .exact import Rational, lambda_to_u
+from .exact import Rational
 from . import model
 from .model import HittingSummary, ModelParams, SetDescriptor, SetNotSymmetricError, State, _Record, overlap
 from .resolvent import kernel_row, kernel_series, kernel_sums
@@ -155,11 +156,15 @@ def _histogram(params: ModelParams, target: SetDescriptor, payload, x) -> tuple[
 
 def laplace_u(query: HittingQuery, u: Rational) -> Fraction:
     """Transform of the continuous-time hitting time at rational ``u > 0``."""
-    u = Fraction(u)
+    return Fraction(*_sums(query, Fraction(u)))
+
+
+def _sums(query: HittingQuery, u: Fraction) -> tuple[int, int]:
+    """The unreduced kernel sums, from the start and from the reference, whose ratio is :func:`laplace_u`."""
     if u <= 0:
         raise ValueError("transform argument must be positive")
     (start, ref), _ = kernel_sums(query.params, query.rows, u)
-    return Fraction(start, ref)
+    return start, ref
 
 
 def laplace_lambda(query: HittingQuery, lam: float, digits: int = 20) -> Fraction:
@@ -174,15 +179,9 @@ def laplace_lambda(query: HittingQuery, lam: float, digits: int = 20) -> Fractio
 
 
 def lambda_sums(query: HittingQuery, lam: float, digits: int = 20) -> tuple[int, int]:
-    """The two unreduced kernel sums whose ratio is :func:`laplace_lambda`,
-    ``(1, 1)`` at ``lambda = 0``: as :func:`~ehrenfest.resolvent.kernel_sums`
-    returns them, with no gcd taken."""
-    if lam < 0:
-        raise ValueError("transform argument must be non-negative")
-    if lam == 0:
-        return 1, 1
-    (start, ref), _ = kernel_sums(query.params, query.rows, lambda_to_u(query.params.balls, lam, digits))
-    return start, ref
+    """The two unreduced kernel sums whose ratio is :func:`laplace_lambda`, by
+    :meth:`~ehrenfest.model.HittingSummary.lambda_sample`'s rule."""
+    return HittingSummary.lambda_sample(partial(_sums, query), query.params.balls, lam, digits)
 
 
 def mean(query: HittingQuery) -> Fraction:
@@ -294,13 +293,7 @@ def summarize(
     lambda_grid: Sequence[float] = (),
     digits: int = 20,
 ) -> HittingSummary:
-    """Bundle the exact statistics, transform samples and exit law of one query."""
-    if order < 1:
-        raise ValueError("moment order must be >= 1")
-    return HittingSummary.from_moments(
-        raw_moments(query, max(order, 2)),
-        order,
-        u_samples=tuple((Fraction(u), laplace_u(query, u)) for u in u_grid),
-        lambda_samples=tuple((float(l), lambda_sums(query, l, digits)) for l in lambda_grid),
-        exit_distribution=exit_distribution(query),
-    )
+    """Bundle the exact statistics, transform samples and exit law of one query
+    by :meth:`~ehrenfest.model.HittingSummary.of_route`."""
+    return HittingSummary.of_route(partial(raw_moments, query), partial(_sums, query), query.params.balls, order,
+                                   u_grid, lambda_grid, digits, exit_distribution(query))

@@ -24,18 +24,20 @@ a wrong definition shows up as a disagreement between them.
 An ``explicit`` set is read once into one sorted ``(|A|, M)`` integer table
 by :meth:`ModelParams.check_states`; :func:`symmetry_defect` tests such a
 table on the cheaper of its two paths, or on the only one within its bound.
-The product transform puts the members on the grid that their column values
-span and reads every member's overlap histogram off it, about ``M**2 / 2``
-passes over the grid; the pairwise count compares the members in blocks, one
-whole-array pass per coordinate, and stops at the first block holding a member
-that differs from the first, ``|A|**2 * M`` comparisons on a symmetric set.
+The product transform puts the members on the grid that their varying columns
+span and reads every member's overlap histogram off it, about ``V**2 / 2``
+passes over the grid for ``V`` varying columns; the pairwise count compares the
+members in blocks, one whole-array pass per coordinate, and stops at the first
+block holding a member that differs from the first, ``|A|**2 * M`` comparisons
+on a symmetric set.
 ``MAX_GRID_CELLS`` bounds the grid and ``MAX_PAIR_COORDS`` only the pairwise
 count.  Only these array functions import numpy, so a symbolic set is answered
 without loading it.
 
-:class:`HittingSummary`, the exact report, is defined here too: the engine's
-:func:`~ehrenfest.hitting.summarize` and the command line's oracle helper
-both fill it, and neither route imports the other.
+:class:`HittingSummary`, the exact report, is defined here too, with the one
+constructor that both exact routes fill it by, :meth:`~HittingSummary.of_route`:
+it holds the moment-order, ``u``-sample and lambda rules, each route hands it
+its own moments and transform, and neither route imports the other.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, combinations, permutations as _permutations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from .exact import lambda_to_u
 
 State = tuple[int, ...]
 
@@ -183,15 +187,27 @@ class HittingSummary(NamedTuple):
     exit_distribution: dict[State, Fraction] | None = None
 
     @classmethod
-    def from_moments(cls, moments: Sequence[Fraction], order: int, **samples) -> "HittingSummary":
-        """Read mean and variance off the first two raw ``moments`` and report
-        the first ``order`` of them."""
-        return cls(
-            mean=moments[0],
-            variance=moments[1] - moments[0] ** 2,
-            raw_moments=tuple(moments[:order]),
-            **samples,
-        )
+    def of_route(cls, moments, transform, balls: int, order: int, u_grid: Sequence, lambda_grid: Sequence[float],
+                 digits: int, exit_distribution: dict[State, Fraction] | None) -> "HittingSummary":
+        """One exact route's summary on a chain of ``balls`` balls, from its ``moments(r)``, ``E[T**1..r]``, and
+        its ``transform(u)``, the unreduced ``(num, den)`` of ``E[exp(-u * T)]`` at rational ``u > 0``: mean and
+        variance off the first two of ``max(order, 2)`` moments, the first ``order`` reported, each ``u`` sample
+        reduced once and each lambda sample taken by :meth:`lambda_sample`."""
+        if order < 1:
+            raise ValueError("moment order must be >= 1")
+        first, second, *_ = raw = moments(max(order, 2))
+        return cls(first, second - first**2, tuple(raw[:order]),
+                   tuple((u, Fraction(*transform(u))) for u in map(Fraction, u_grid)),
+                   tuple((float(lam), cls.lambda_sample(transform, balls, lam, digits)) for lam in lambda_grid),
+                   exit_distribution)
+
+    @staticmethod
+    def lambda_sample(transform, balls: int, lam: float, digits: int) -> tuple[int, int]:
+        """The discrete transform ``E[exp(-lam * T)]``, ``lam >= 0``: ``transform``
+        at :func:`~ehrenfest.exact.lambda_to_u`, unreduced, and exactly ``(1, 1)`` at 0."""
+        if lam < 0:
+            raise ValueError("transform argument must be non-negative")
+        return transform(lambda_to_u(balls, lam, digits)) if lam else (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +295,13 @@ def _grid_histograms(offsets, dims: list[int]):
     weighs a coordinate by ``x`` where ``y`` and ``z`` agree and by 1 where they
     differ is applied one coordinate at a time, ``new[k] = sum - grid[k] +
     grid[k - 1]`` with the sum taken along that coordinate.  A member listed
-    twice is counted twice, as the pairwise count counts it."""
+    twice is counted twice, as the pairwise count counts it.  With no axis at
+    all, the grid is one cell, where every member agrees with every member in
+    0 coordinates."""
     import numpy as np
 
     size = math.prod(dims)
-    cells = offsets @ np.cumprod([1] + dims[:0:-1])[::-1]  # row-major place values, for any number of axes
+    cells = offsets @ np.cumprod([1] + dims[::-1])[-2::-1]  # row-major place values, for any number of axes
     dtype = np.min_scalar_type(len(offsets))  # every coefficient counts members
     grid = np.bincount(cells, minlength=size).astype(dtype)[None]
     for width in dims:  # act on the leading axis and write it last, so the axes come back in order
@@ -309,14 +327,17 @@ def symmetry_defect(states: Sequence[State]):
 
     Two paths give the same witnesses.  The product transform
     (:func:`_grid_histograms`) counts every member's histogram at once on the
-    grid of ``prod(|V_j|)`` cells, in about ``M * (M + 1) / 2`` passes over
-    it: ``|V_j|`` is the span of column ``j``'s values.  The pairwise count
+    grid of ``prod(|V_j|)`` cells, ``|V_j|`` the span of column ``j``'s values.
+    It is handed only the ``V`` columns that vary, about ``V * (V + 1) / 2``
+    passes over it; each constant column adds 1 to every overlap, so the counts
+    are shifted up by their number.  The pairwise count
     (:func:`_agreement_counts`) takes blocks of about ``BLOCK_PAIRS`` member
     pairs, one whole-array equality pass per coordinate, and stops at the
     first block that holds a differing member: ``|A|**2 * M`` comparisons on
     a symmetric set.  The grid is taken when it fits ``MAX_GRID_CELLS`` with its
-    polynomial axis and either costs less, at ``GRID_CELL_COST`` a cell, or the
-    comparisons are past ``MAX_PAIR_COORDS``; else they run, or past it a ValueError.
+    polynomial axis, both counted over all ``M`` columns, and either costs
+    less, at ``GRID_CELL_COST`` a cell, or the comparisons are past
+    ``MAX_PAIR_COORDS``; else they run, or past it a ValueError.
     """
     if not len(states):
         raise ValueError("empty target set")
@@ -328,7 +349,9 @@ def symmetry_defect(states: Sequence[State]):
     dims = (offsets.max(axis=0) + 1).tolist()
     cells, pairs = (width + 1) * math.prod(dims), size * size * width
     if cells <= MAX_GRID_CELLS and (GRID_CELL_COST * cells * width < 2 * pairs or pairs > MAX_PAIR_COORDS):
-        blocks = [(0, _grid_histograms(offsets, dims))]
+        varying = [j for j, span in enumerate(dims) if span > 1]  # a constant column adds 1 to every overlap
+        counts = _grid_histograms(offsets[:, varying], [dims[j] for j in varying])
+        blocks = [(0, np.pad(counts, ((0, 0), (width - len(varying), 0))))]
     elif pairs <= MAX_PAIR_COORDS:
         columns = np.ascontiguousarray(offsets.T, dtype=np.min_scalar_type(max(dims) - 1))
         rows = max(1, BLOCK_PAIRS // size)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ehrenfest import cli, hitting, mc, model, oracle, resolvent
+from ehrenfest import cli, exact, hitting, mc, model, oracle, resolvent
 from ehrenfest.closedforms import count_set_mean
 from ehrenfest.exact import format_rational
 from ehrenfest.model import ModelParams, parse_set
@@ -120,6 +120,57 @@ def test_oracle_mirrors_exact(capsys):
     ]
     assert exact_report["results"]["u_samples"] == oracle_report["results"]["u_samples"]
     assert exact_report["results"]["exit_distribution"] == oracle_report["results"]["exit_distribution"]
+
+
+#: (N, M, --set, a start outside the set, a start inside it) on chains of N * M <= 12; the explicit set is
+#: the ternary tetracode, written to a file by the test
+_ROUTE_CASES = [
+    (3, 3, "singleton:2,3,1", "1,1,1", "2,3,1"),
+    (3, 3, "pair:(2,2,2);(1,3,2)", "1,1,1", "1,3,2"),
+    (4, 3, "diagonal", "1,2,3", "4,4,4"),
+    (3, 4, "count:2", "2,2,2,1", "2,1,2,3"),
+    (4, 3, "distinct", "1,1,2", "3,1,4"),
+    (3, 4, "explicit", "1,1,1,2", "1,1,1,1"),
+]
+
+
+def _rational_lambdas(summary):
+    """``summary`` with each lambda sample as one reduced rational."""
+    return summary._replace(lambda_samples=tuple((lam, Fraction(*v)) for lam, v in summary.lambda_samples))
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+@pytest.mark.parametrize("n, m, text, outside, member", _ROUTE_CASES, ids=[c[2].split(":")[0] for c in _ROUTE_CASES])
+def test_engine_and_oracle_summaries_are_equal(n, m, text, outside, member, inside, tmp_path):
+    # both routes fill their summaries by one constructor, so the oracle's is also held to its solves, taken
+    # directly: a fault in the shared rules would otherwise show on both routes alike
+    if text == "explicit":
+        (g, h) = ((1, 0, 1, 1), (0, 1, 1, 2))
+        members = sorted({tuple((a * x + b * y) % 3 + 1 for x, y in zip(g, h)) for a in range(3) for b in range(3)})
+        (tmp_path / "tetracode.json").write_text(json.dumps(members))
+        text = f"explicit:@{tmp_path / 'tetracode.json'}"
+    lambdas = (0.0, 0.5, 3.0)
+    for order in range(1, 5):
+        args = cli.build_parser().parse_args(["exact", "--N", str(n), "--M", str(m), "--start",
+                                              member if inside else outside, "--set", text,
+                                              "--order", str(order), "--u", "1/2,2"])
+        cli._check_args(args)
+        chain = oracle.EnumeratedChain(args.params)
+        _, engine = cli._engine(args, args.u_grid, lambdas)
+        truth = cli._oracle(args, chain, args.u_grid, lambdas, exit_law=True)
+        if engine.exit_distribution is None:
+            truth = truth._replace(exit_distribution=None)
+        # the engine keeps its lambda samples unreduced, the oracle reduced; both solve at the same u
+        assert _rational_lambdas(engine) == _rational_lambdas(truth)
+        start, target = args.start_state, args.target
+        moments = oracle.solve_raw_moments(chain, target, start, max(order, 2))
+        assert truth.raw_moments == tuple(moments[:order])
+        assert (truth.mean, truth.variance) == (moments[0], moments[1] - moments[0] ** 2)
+        values = [oracle.solve_transform_u(chain, target, start, u)
+                  for u in (*args.u_grid, *(exact.lambda_to_u(m, lam, 20) for lam in lambdas[1:]))]
+        assert truth.u_samples == tuple(zip(args.u_grid, values[:2]))
+        assert _rational_lambdas(truth).lambda_samples == ((0.0, 1), *zip(lambdas[1:], values[2:]))
+        assert (truth.mean == 0) == inside
 
 
 def test_oracle_accepts_asymmetric_set(tmp_path, capsys):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ehrenfest import cli, hitting, model
 from ehrenfest.hitting import HittingQuery
-from ehrenfest.oracle import EnumeratedChain, solve_raw_moments
+from ehrenfest.oracle import EnumeratedChain, solve_raw_moments, solve_transform_u
 from ehrenfest.resolvent import kernel_row
 from ehrenfest.model import (
     ModelParams,
@@ -668,8 +668,12 @@ def test_orbits_and_linear_codes_are_symmetric_on_both_paths_and_routes(case, rn
     start = rng.choice([y for y in product(range(1, n + 1), repeat=m) if y not in states])
     target = SetDescriptor.explicit(states)
     q = HittingQuery(params, start, target)
-    first, second = solve_raw_moments(EnumeratedChain(params), target, start, 2)
+    chain = EnumeratedChain(params)
+    first, second, *_ = moments = solve_raw_moments(chain, target, start, 4)
     assert (hitting.mean(q), hitting.variance(q)) == (first, second - first**2)
+    assert hitting.raw_moments(q, 4) == moments
+    assert [hitting.laplace_u(q, u) for u in (F(1, 2), 2)] == [solve_transform_u(chain, target, start, u)
+                                                                for u in (F(1, 2), 2)]
 
 
 def test_query_rejects_asymmetric_explicit_set_with_witnesses():
