@@ -17,25 +17,37 @@ chain holds an Exponential(balls) time before each jump, so a replica
 absorbed after ``T`` steps hits at time Gamma(T)/balls, drawn once per
 replica from the same stream after the walk.
 
-Every ball's urn is tracked (nothing is lumped), stored as an offset
-``(urn - reference) % urns``; no symbolic set is listed.  A block is walked
-in one of two ways, chosen by its live replicas times balls, the cells of
-one step:
+Every ball's urn is tracked (nothing is lumped), as an offset
+``(urn - reference) % urns`` or, on a table, through the state's code; no
+symbolic set is listed.  A block is walked in one of three ways, chosen by
+its live replicas times balls, the cells of one step, and by the state
+space:
 
-* **Lockstep**, past ``TAIL_CELLS`` cells: one Python iteration per step.
-  The offsets sit in the smallest unsigned type with room for
-  ``2*(urns-1)``, and each replica carries one scalar membership key,
-  changed by each move from the ball and its old and new offsets.
+* **Table lockstep**, past ``TAIL_CELLS`` cells, when the ``urns**balls``
+  states times the ``R = balls*(urns-1)`` moves are at most
+  ``TABLE_ENTRIES``: one Python iteration per step.  Each replica carries
+  its state's code times ``R``, an ``intp``, and a step is ``code +=
+  draw``, then ``lands[code]`` and ``table[code]``: whether the move lands
+  in the target and the next state's code times ``R``.  Both tables are
+  built once from the offsets of every state, the draws' decoding into a
+  ball and a shift, and the kind's test on offsets below.
+* **Key lockstep**, past ``TAIL_CELLS`` cells on a larger state space: one
+  Python iteration per step.  The offsets sit in the smallest unsigned type
+  with room for ``2*(urns-1)``, and each replica carries one scalar
+  membership key, changed by each move from the ball and its old and new
+  offsets.
 * **Tail**, at ``TAIL_CELLS`` cells or fewer: ``TAIL_CHUNK`` steps at a
   time.  Each move's shift is scattered into a (step, ball, replica) grid,
   the grid is summed along the steps, one row add per step, and reduced mod
   ``urns``: every ball's offset at every step.  Membership is then tested
   from the whole state in O(balls) work per replica and step, the first
   hit read by ``argmax``, and the chunks stop once every replica has hit.
-  The live count never grows, so a walk that enters the tail stays there.
+  The live count never grows, so a walk that enters the tail stays there;
+  it reads its offsets off the lockstep replicas' codes or slots.
 
-The two ways take the same draws, in the same blocks, charged alike, so
-every hit step, truncation and stop step is the same on either.  By kind:
+The three ways take the same draws, in the same blocks, charged alike, so
+every hit step, truncation and stop step is the same on each.  By kind, the
+keys, the tail's test and, on every state at once, the table's:
 
 * Singletons and count slices are Hamming spheres, the states agreeing
   with a center in exactly ``h`` coordinates: ``h = balls`` around ``y``
@@ -60,7 +72,7 @@ every hit step, truncation and stop step is the same on either.  By kind:
   is a binary search of the key among them (``urns**balls <= 2**62``); the
   tail computes each state's code from its offsets.
 
-Each step, on either way, is charged its live replicas plus ``STEP_CHARGE``.
+Each step, on any way, is charged its live replicas plus ``STEP_CHARGE``.
 Replicas still walking when ``WALK_BUDGET`` is spent are truncated and
 excluded from the moment estimates (loudly: a warning is emitted, nothing is
 dropped silently).
@@ -91,12 +103,21 @@ STEP_CHARGE = 550
 
 #: A block of at most ``TAIL_CELLS`` cells, live replicas times balls, is walked
 #: in the tail, ``TAIL_CHUNK`` steps at a time; a larger one in lockstep.  On 2
-#: vCPUs a lockstep step costs about 10 us plus 4-5 ns per replica, a tail step
+#: vCPUs a key lockstep step costs about 10 us plus 4-5 ns per replica, a tail step
 #: about 1 us plus 1-5 ns per cell.  At 2048 cells the tail is the faster way on
 #: every kind; at M=200 its slowest test, the sorted ``distinct``, stops paying
 #: at about 2500 cells.
 TAIL_CELLS = 2048
 TAIL_CHUNK = 64
+
+#: A walk whose state space has at most ``TABLE_ENTRIES`` state-move pairs, ``urns**balls * balls*(urns-1)``,
+#: steps in lockstep on a transition table; a larger one on membership keys.  On 2 vCPUs, 20000 replicas and
+#: draws included, up to 2**16 entries a step costs 9-16 ns per replica on a singleton's table against 11-17 ns
+#: on its keys, and 9-24 ns on the diagonal's table against 19-39 ns.  Singletons, the cheapest keys, set the
+#: bound: the table is 6-9% ahead at 5*10**4 to 7.4*10**4 entries (N=2 M=12, N=5 M=5, N=32 M=2, N=4 M=6) and
+#: 3-12% behind at about 10**5 (N=2 M=13, N=3 M=8), where its 0.8 MB of ``intp`` falls out of cache; at N=4
+#: M=7 it is 56% behind.
+TABLE_ENTRIES = 1 << 16
 
 #: Most urn slots a walk allocates: replicas times balls, or times max(balls, urns) for occupancies.
 MAX_SLOTS = 1 << 26
@@ -156,14 +177,16 @@ def empirical_transform(samples: np.ndarray, arguments: Sequence[float]) -> list
 
 def _membership(params: ModelParams, start: State, target: SetDescriptor, replicas: int):
     """How the walk tests membership in ``target``: ``(reference state, slots
-    per replica, key of start, key update, hit test on keys, hit test on
+    per replica, key of start, key update maker, hit test on keys, hit test on
     offsets)``.
 
     Ball ``i`` of the replica whose first slot is ``base`` sits at slot
-    ``base + i``; ``update(keys, base, balls, old, new)`` changes the keys in
-    place for a move of ball ``balls`` from offset ``old`` to offset ``new``.
-    The start key's type is the keys' type.  The test on offsets takes an
-    array of whole states, balls on its first axis, and tests each state.
+    ``base + i``; ``updates(replicas)`` returns the key update of a walk of
+    that many replicas, allocating any per-slot state it keeps, and
+    ``update(keys, base, balls, old, new)`` changes the keys in place for a
+    move of ball ``balls`` from offset ``old`` to offset ``new``.  The start
+    key's type is the keys' type.  The test on offsets takes an array of
+    whole states, balls on its first axis, and tests each state.
     """
     n, m = params.urns, params.balls
     states = target.validate(params)
@@ -182,7 +205,7 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
             return np.count_nonzero(grid == 0, axis=0) == level
 
         key0 = np.array(overlap(start, center), dtype=np.min_scalar_type(-m - 1))
-        return center, m, key0, update, lambda keys: keys == level, contains
+        return center, m, key0, lambda replicas: update, lambda keys: keys == level, contains
 
     if target.kind == "pair":
         # a + (m+1)*b, where a balls agree with y (offset 0) and b with z (offset (z - y) % n)
@@ -205,21 +228,24 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
             return (grid == 0).all(axis=0) | (grid == at_z[:, None, None]).all(axis=0)
 
         key_y, key_z = key(y), key(z)
-        return y, m, key(start), update, lambda keys: (keys == key_y) | (keys == key_z), contains
+        return y, m, key(start), lambda replicas: update, lambda keys: (keys == key_y) | (keys == key_z), contains
 
     if target.kind in ("diagonal", "distinct"):
         # colliding ball pairs, the sum over urns of C(occupancy, 2), from one count per urn and replica
         row = np.bincount(np.array(start) - 1, minlength=stride)
-        occupancy = np.tile(row.astype(np.min_scalar_type(-m - 1)), replicas)
         most = m * (m - 1) // 2
         level = most if target.kind == "diagonal" else 0
 
-        def update(keys, base, balls, old, new):
-            src, dst = base + old, base + new
-            leaving, arriving = occupancy[src], occupancy[dst]
-            keys += arriving - leaving + 1
-            occupancy[src] = leaving - 1
-            occupancy[dst] = arriving + 1
+        def updates(replicas):
+            occupancy = np.tile(row.astype(np.min_scalar_type(-m - 1)), replicas)
+
+            def update(keys, base, balls, old, new):
+                src, dst = base + old, base + new
+                leaving, arriving = occupancy[src], occupancy[dst]
+                keys += arriving - leaving + 1
+                occupancy[src] = leaving - 1
+                occupancy[dst] = arriving + 1
+            return update
 
         if target.kind == "diagonal":
             def contains(grid):
@@ -238,7 +264,7 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
                 return (ranked[1:] != ranked[:-1]).all(axis=0)
 
         key0 = np.array(row @ (row - 1) // 2, dtype=np.min_scalar_type(-most))
-        return (1,) * m, stride, key0, update, lambda keys: keys == level, contains
+        return (1,) * m, stride, key0, updates, lambda keys: keys == level, contains
 
     weights = params.radix
     codes = np.sort((states - 1) @ weights)
@@ -252,74 +278,144 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
     def contains(grid):
         return is_hit(np.einsum("b,b...->...", weights, grid))
 
-    return (1,) * m, m, (np.array(start) - 1) @ weights, update, is_hit, contains
+    return (1,) * m, m, (np.array(start) - 1) @ weights, lambda replicas: update, is_hit, contains
 
 
 def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     """Walk every replica to absorption or the end of the budget, in lockstep.
 
+    One block loop serves both lockstep forms, on a transition table or on
+    membership keys, and hands either to the tail; a form is only its step
+    and its per-replica state (see the module docstring).
+
     Returns the steps to absorption (0 if truncated), the truncated mask, the
     step the walk stopped at and the walk's one generator, positioned after it.
     """
     n, m = params.urns, params.balls
-    reference, stride, key0, update, is_hit, contains = member
+    reference, stride, key0, updates, is_hit, contains = member
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-
-    # offsets leave room for old + shift, up to 2*(urns-1), before the wrap
-    row = np.zeros(stride, dtype=np.min_scalar_type(2 * n - 2))
-    row[:m] = (np.array(start) - np.array(reference)) % n
-    positions = np.tile(row, cfg.replicas)
+    moves = m * (n - 1)
+    offsets = (np.array(start) - np.array(reference)) % n
     steps = np.zeros(cfg.replicas, dtype=np.int64)
-    # the live replicas, by their first slot; replicas starting inside the target keep 0 steps
-    base = np.arange(0, cfg.replicas * stride, stride) if not is_hit(key0) else np.arange(0)
-    keys = np.full(base.size, key0)
+    # the live replicas; replicas starting inside the target keep 0 steps
+    live = np.arange(cfg.replicas) if not is_hit(key0) else np.arange(0)
+    if params.state_count * moves <= TABLE_ENTRIES:
+        ahead, step, keep, lanes_of = _table_form(n, m, offsets, live.size, contains)
+    else:
+        ahead, step, keep, lanes_of = _key_form(n, m, offsets, live.size, stride, key0, updates, is_hit)
     lanes = None  # the live replicas' offsets, one row per ball, once the walk is in its tail
 
-    draw_type = np.min_scalar_type(m * (n - 1) - 1)
-    spread = np.array(n - 1, dtype=np.min_scalar_type(n - 1))  # with one ball, n - 1 may not fit draw_type
+    draw_type = np.min_scalar_type(moves - 1)
     t = spent = 0  # every live replica has taken exactly t steps, and the walk has spent this much budget
-    while base.size and (affordable := (WALK_BUDGET - spent) // (base.size + STEP_CHARGE)):
-        span = min(max(1, BLOCK_MOVES // base.size), affordable)
-        spent += span * (base.size + STEP_CHARGE)
-        block = rng.integers(0, m * (n - 1), size=(span, base.size), dtype=draw_type)
-        balls_ahead = block // spread  # np.divmod is slower than the two passes
-        shifts_ahead = block - balls_ahead * spread
-        shifts_ahead += 1
-        if base.size * m <= TAIL_CELLS:  # the live count never grows: once in the tail, the walk stays there
+    while live.size and (affordable := (WALK_BUDGET - spent) // (live.size + STEP_CHARGE)):
+        span = min(max(1, BLOCK_MOVES // live.size), affordable)
+        spent += span * (live.size + STEP_CHARGE)
+        block = rng.integers(0, moves, size=(span, live.size), dtype=draw_type)
+        if live.size * m <= TAIL_CELLS:  # the live count never grows: once in the tail, the walk stays there
             if lanes is None:
-                lanes = positions[base + np.arange(m)[:, None]]
-            lanes, hit_at = _tail_block(lanes, balls_ahead, shifts_ahead, n, contains)
+                lanes = lanes_of()
+            lanes, hit_at = _tail_block(lanes, *_decode(block, n), n, contains)
             alive = hit_at == 0
-            steps[base[~alive] // stride] = t + hit_at[~alive]
+            steps[live[~alive]] = t + hit_at[~alive]
             t += span if alive.any() else int(hit_at.max())
-            base, lanes = base[alive], lanes[:, alive]
+            live, lanes = live[alive], lanes[:, alive]
             continue
         # absorbed replicas keep moving, masked out of hits, until the block ends
-        alive = np.ones(base.size, dtype=bool)
+        alive = np.ones(live.size, dtype=bool)
         dead = 0
-        for balls, shifts in zip(balls_ahead, shifts_ahead):
+        for move in ahead(block):
             t += 1
-            slots = base + balls
-            old = positions[slots]
-            new = old + shifts
-            new -= new // n * n  # numpy's % is slow on small integer types
-            positions[slots] = new
-            update(keys, base, balls, old, new)
-            hit = is_hit(keys)
+            hit = step(move)
             if dead:
                 hit &= alive
             if hit.any():
-                steps[base[hit] // stride] = t
+                steps[live[hit]] = t
                 alive ^= hit
                 dead += np.count_nonzero(hit)
-                if dead == base.size:
+                if dead == live.size:
                     break
         if dead:
-            base, keys = base[alive], keys[alive]
+            live = live[alive]
+            keep(alive)
 
     truncated = np.zeros(cfg.replicas, dtype=bool)
-    truncated[base // stride] = True
+    truncated[live] = True
     return steps, truncated, t, rng
+
+
+def _decode(draws, n):
+    """The balls that ``draws`` move and their shifts: draw ``r`` moves ball
+    ``r // (n-1)`` forward by ``1 + r % (n-1)`` urns."""
+    spread = np.array(n - 1, dtype=np.min_scalar_type(n - 1))  # with one ball, n - 1 may not fit the draws' type
+    balls = draws // spread  # np.divmod is slower than the two passes
+    shifts = draws - balls * spread
+    shifts += 1
+    return balls, shifts
+
+
+def _table_form(n, m, offsets, replicas, contains):
+    """The lockstep step on a transition table, for a small state space:
+    ``(moves of a block, step, compaction, lanes)``.
+
+    Each replica carries its state's code times the move count ``R``, so a
+    step is ``code += draw``, then ``lands[code]`` and ``table[code]``: the
+    move's landing in the target and the next state's code times ``R``.
+    """
+    moves = m * (n - 1)
+    digits = np.indices((n,) * m, dtype=np.min_scalar_type(2 * n - 2)).reshape(m, -1)  # every state's offsets
+    place = n ** np.arange(m - 1, -1, -1)  # code = offsets @ place
+    balls, shifts = _decode(np.arange(moves), n)
+    old = digits[balls]  # (move, state): the moved ball's offset
+    succ = np.arange(digits.shape[1]) + ((old + shifts[:, None]) % n - old) * place[balls, None]
+    table = (succ.T * moves).ravel()
+    lands = contains(digits[:, None, :])[0][succ.T].ravel()
+    code = np.full(replicas, offsets @ place * moves, dtype=np.intp)
+
+    def step(move):
+        nonlocal code
+        code += move
+        hit = lands[code]
+        code = table[code]
+        return hit
+
+    def keep(alive):
+        nonlocal code
+        code = code[alive]
+
+    return lambda block: block.astype(np.intp), step, keep, lambda: digits[:, code // moves]
+
+
+def _key_form(n, m, offsets, replicas, stride, key0, updates, is_hit):
+    """The lockstep step on membership keys, for any state space: ``(moves of
+    a block, step, compaction, lanes)``.
+
+    Each replica carries its balls' offsets, ``stride`` slots from its first,
+    and one membership key, changed by each move from the ball and its old
+    and new offsets.
+    """
+    # offsets leave room for old + shift, up to 2*(urns-1), before the wrap
+    row = np.zeros(stride, dtype=np.min_scalar_type(2 * n - 2))
+    row[:m] = offsets
+    positions = np.tile(row, replicas)
+    base = np.arange(0, replicas * stride, stride)  # each live replica's first slot
+    keys = np.full(replicas, key0)
+    update = updates(replicas)
+
+    def step(move):
+        balls, shifts = move
+        slots = base + balls
+        old = positions[slots]
+        new = old + shifts
+        new -= new // n * n  # numpy's % is slow on small integer types
+        positions[slots] = new
+        update(keys, base, balls, old, new)
+        return is_hit(keys)
+
+    def keep(alive):
+        nonlocal base, keys
+        base, keys = base[alive], keys[alive]
+
+    return lambda block: zip(*_decode(block, n)), step, keep, lambda: positions[base + np.arange(m)[:, None]]
 
 
 def _tail_block(lanes, balls_ahead, shifts_ahead, n, contains):

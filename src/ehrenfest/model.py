@@ -138,14 +138,15 @@ class ModelParams(_Record):
                 raise ValueError(f"urn index {c} outside 1..{self.urns} in state {xs}")
         return xs
 
-    def check_states(self, states: Sequence[Sequence[int]]):
+    def check_states(self, states: Sequence[Sequence[int]], typed: bool = False):
         """A list of states as one ``(len(states), balls)`` int64 table, in list order, duplicates kept.
-        The types are tested in one pass, the shape and urn range on the whole table; only a list that
-        fails is read member by member, so the error names its first faulty member as :meth:`check_state` would."""
+        The types are tested in one pass, skipped when ``typed`` says every coordinate is an int, the shape
+        and urn range on the whole table; only a list that fails is read member by member, so the error
+        names its first faulty member as :meth:`check_state` would."""
         import numpy as np
 
         table = None
-        if set(map(type, chain.from_iterable(states))) <= {int}:
+        if typed or set(map(type, chain.from_iterable(states))) <= {int}:
             with suppress(ValueError, OverflowError):  # members of different lengths, or an integer past 64 bits
                 table = np.array(states, dtype=np.int64)
         if table is None or table.shape != (len(states), self.balls) or table.min() < 1 or table.max() > self.urns:
@@ -371,14 +372,14 @@ def symmetry_defect(states: Sequence[State]):
     return None
 
 
-def _member_table(params: ModelParams, states: Sequence[State]):
+def _member_table(params: ModelParams, states: Sequence[State], typed: bool):
     """An explicit set's members, checked by :meth:`ModelParams.check_states`, as one sorted ``(|A|, M)``
     table.  The sort and the duplicate test run on the tuples, in ``sorted`` and ``set``: a ``lexsort``
     and a row comparison run no Python either, but they load numpy code that nothing else in an
     ``exact`` request uses, and the peak resident set grows by it."""
     if not states:
         raise ValueError("explicit descriptor with empty state list")
-    table = params.check_states(states)
+    table = params.check_states(states, typed)
     if len(set(states)) != len(states):
         raise ValueError("explicit descriptor contains duplicate states")
     return table[sorted(range(len(states)), key=states.__getitem__)]
@@ -400,11 +401,13 @@ class SetDescriptor(_Record):
     constructor checks nothing: :meth:`validate` does.
     """
 
-    __slots__ = _fields = ("kind", "states", "count_overlap", "reference_urn")
+    _fields = ("kind", "states", "count_overlap", "reference_urn")
+    __slots__ = (*_fields, "_typed")
 
     def __init__(self, kind: str, states: tuple[State, ...] = (), count_overlap: int | None = None,
-                 reference_urn: int = 2):
-        self._set(kind, states, count_overlap, reference_urn)
+                 reference_urn: int = 2, *, typed: bool = False):
+        # typed: every coordinate in states is known to be an int, so validate does not test their types again
+        self._set(kind, states, count_overlap, reference_urn, _typed=typed)
 
     @classmethod
     def singleton(cls, y: Sequence[int]) -> "SetDescriptor":
@@ -429,7 +432,7 @@ class SetDescriptor(_Record):
 
     @classmethod
     def explicit(cls, states: Iterable[Sequence[int]]) -> "SetDescriptor":
-        return cls("explicit", states=tuple(map(_coordinates, states)))
+        return cls("explicit", states=tuple(map(_coordinates, states)), typed=True)
 
     def validate(self, params: ModelParams):
         """Check the descriptor against ``params`` without listing a symbolic set.
@@ -438,7 +441,7 @@ class SetDescriptor(_Record):
         if self.kind not in ("singleton", "pair", "diagonal", "count", "distinct", "explicit"):
             raise ValueError(f"unknown set descriptor kind {self.kind!r}")
         if self.kind == "explicit":
-            return _member_table(params, self.states)
+            return _member_table(params, self.states, self._typed)
         states = tuple(params.check_state(s) for s in self.states)
         if self.kind == "count":
             h = self.count_overlap
@@ -534,7 +537,7 @@ def parse_set(text: str) -> SetDescriptor:
         if not (isinstance(data, list) and set(map(type, data)) <= {list}
                 and set(map(type, chain.from_iterable(data))) <= {int}):
             raise ValueError(f"{path} must hold a JSON array of states of integers, got {data!r:.60}")
-        return SetDescriptor("explicit", states=tuple(map(tuple, data)))  # no int() copy: all are ints
+        return SetDescriptor("explicit", states=tuple(map(tuple, data)), typed=True)  # no int() copy: all are ints
     raise ValueError(f"unknown set descriptor kind {head!r}")
 
 

@@ -322,13 +322,35 @@ def test_both_clocks_from_one_walk(monkeypatch):
     assert both["ctmc"].replica_steps == both["discrete"].replica_steps == int(steps.sum())
 
 
+def _entries(params):
+    """State-move pairs of a transition table on ``params``."""
+    return params.state_count * params.balls * (params.urns - 1)
+
+
+def _forms(params):
+    """``mc.TABLE_ENTRIES`` values forcing each lockstep form the state space allows: keys, then a table."""
+    return (0, 2**62) if _entries(params) <= 2**20 else (0,)
+
+
 def _walk_on_each_path(monkeypatch, params, start, target, cfg):
-    """``_walk_steps`` with every block walked one step at a time, then with every block in the tail."""
+    """``_walk_steps`` with every block walked one step at a time, then with every block in the tail,
+    each on membership keys and, where the state space allows one, on a transition table."""
     walks = []
-    for cells in (0, 2**62):
-        monkeypatch.setattr(mc, "TAIL_CELLS", cells)
-        walks.append(_walk_steps(params, start, target, cfg))
+    for bound in _forms(params):
+        monkeypatch.setattr(mc, "TABLE_ENTRIES", bound)
+        for cells in (0, 2**62):
+            monkeypatch.setattr(mc, "TAIL_CELLS", cells)
+            walks.append(_walk_steps(params, start, target, cfg))
     return walks
+
+
+def _assert_walks_equal(walks):
+    """Every walk has the same hit steps, truncated mask and stop step as the first."""
+    steps, truncated, stop = walks[0][:3]
+    for other in walks[1:]:
+        assert np.array_equal(steps, other[0])
+        assert np.array_equal(truncated, other[1])
+        assert stop == other[2]
 
 
 P34 = ModelParams(3, 4)
@@ -358,11 +380,9 @@ P34 = ModelParams(3, 4)
 def test_tail_walks_as_the_lockstep_loop(monkeypatch, params, start, target, replicas):
     # the same draws, block by block: every hit step, the truncated mask and the stop step agree
     cfg = SimConfig(replicas=replicas, seed=17)
-    (steps, truncated, stop), (tail_steps, tail_truncated, tail_stop) = _walk_on_each_path(
-        monkeypatch, params, start, target, cfg)
-    assert np.array_equal(steps, tail_steps)
-    assert np.array_equal(truncated, tail_truncated)
-    assert stop == tail_stop
+    walks = _walk_on_each_path(monkeypatch, params, start, target, cfg)
+    _assert_walks_equal(walks)
+    steps, truncated, _ = walks[0]
     assert not truncated.any() and (steps.max() == 0) == (start == (2, 2))
 
 
@@ -373,10 +393,11 @@ def test_tail_truncates_as_the_lockstep_loop(monkeypatch, stop):
     monkeypatch.setattr(mc, "WALK_BUDGET", stop * (40 + mc.STEP_CHARGE))
     cfg = SimConfig(replicas=40, seed=3)
     walks = _walk_on_each_path(monkeypatch, P34, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2)), cfg)
-    (steps, truncated, last), (tail_steps, tail_truncated, tail_last) = walks
-    assert last == tail_last == stop
+    assert len(walks) == 4  # lockstep and tail, each on keys and on a table
+    _assert_walks_equal(walks)
+    steps, truncated, last = walks[0]
+    assert last == stop
     assert 0 < truncated.sum() < 40
-    assert np.array_equal(truncated, tail_truncated) and np.array_equal(steps, tail_steps)
     assert steps[~truncated].max() > mc.TAIL_CHUNK  # a replica hit in the block's second chunk
 
 
@@ -394,23 +415,130 @@ def _spy_tail(monkeypatch):
 
 
 def test_a_large_walk_takes_both_paths(monkeypatch):
-    # the lockstep loop walks 20000 replicas until their live count times balls is at most TAIL_CELLS
+    # the lockstep loop walks 20000 replicas until their live count times balls is at most TAIL_CELLS,
+    # on keys and on a table alike
     cfg = SimConfig(replicas=20_000, seed=8)
     widths = _spy_tail(monkeypatch)
-    steps, truncated, stop = _walk_steps(P32, (1, 1), SINGLETON, cfg)
-    assert widths and widths[0] * P32.balls <= mc.TAIL_CELLS < cfg.replicas * P32.balls
-    assert widths == sorted(widths, reverse=True)  # the live count never grows: the walk stays in the tail
-    monkeypatch.setattr(mc, "TAIL_CELLS", 0)
-    dense_steps, _, dense_stop = _walk_steps(P32, (1, 1), SINGLETON, cfg)
-    assert np.array_equal(steps, dense_steps) and stop == dense_stop and not truncated.any()
+    walks = []
+    for bound in _forms(P32):
+        monkeypatch.setattr(mc, "TABLE_ENTRIES", bound)
+        monkeypatch.setattr(mc, "TAIL_CELLS", 2048)
+        widths.clear()
+        steps, truncated, stop = _walk_steps(P32, (1, 1), SINGLETON, cfg)
+        assert widths and widths[0] * P32.balls <= mc.TAIL_CELLS < cfg.replicas * P32.balls
+        assert widths == sorted(widths, reverse=True)  # the live count never grows: the walk stays in the tail
+        monkeypatch.setattr(mc, "TAIL_CELLS", 0)
+        walks += [(steps, truncated, stop), _walk_steps(P32, (1, 1), SINGLETON, cfg)]
+        assert not truncated.any()
+    assert len(walks) == 4
+    _assert_walks_equal(walks)
 
 
 def test_the_tail_starts_at_tail_cells(monkeypatch):
     # 50 replicas of 2 balls fill exactly TAIL_CELLS cells: the first block is in the tail
     widths = _spy_tail(monkeypatch)
     monkeypatch.setattr(mc, "TAIL_CELLS", 100)
-    _walk_steps(P32, (1, 1), SINGLETON, SimConfig(replicas=50, seed=8))
-    assert widths[0] == 50
-    widths.clear()
-    _walk_steps(P32, (1, 1), SINGLETON, SimConfig(replicas=51, seed=8))
-    assert 51 not in widths
+    for bound in _forms(P32):
+        monkeypatch.setattr(mc, "TABLE_ENTRIES", bound)
+        widths.clear()
+        _walk_steps(P32, (1, 1), SINGLETON, SimConfig(replicas=50, seed=8))
+        assert widths[0] == 50
+        widths.clear()
+        _walk_steps(P32, (1, 1), SINGLETON, SimConfig(replicas=51, seed=8))
+        assert 51 not in widths
+
+
+def _walk_in_each_form(monkeypatch, params, start, target, cfg):
+    """Per lockstep form, keys then a table: the walk's hit steps, truncated mask and stop step, the
+    next raw draws of its generator, and the summary ``sample_hitting`` reports."""
+    out = []
+    for bound in (0, 2**62):
+        monkeypatch.setattr(mc, "TABLE_ENTRIES", bound)
+        steps, truncated, stop, rng = mc._walk(params, start, cfg, mc._membership(params, start, target, cfg.replicas))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            summary = sample_hitting(params, start, target, cfg)
+        out.append((steps, truncated, stop, rng.bit_generator.random_raw(4), summary))
+    return out
+
+
+def _assert_forms_equal(walks):
+    _assert_walks_equal(walks)
+    (*_, after, summary), (*_, table_after, table_summary) = walks
+    assert np.array_equal(after, table_after)  # the generator stands at the same position
+    assert summary == table_summary
+
+
+FORM_CASES = [
+    (P34, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2))),
+    (P34, (2, 2, 2, 2), SetDescriptor.count(0)),
+    (P34, (2, 3, 2, 3), SetDescriptor.count(3, 1)),
+    (P34, (1, 2, 3, 1), SetDescriptor.pair((2, 2, 2, 2), (3, 1, 2, 3))),
+    (P34, (1, 2, 3, 1), SetDescriptor.diagonal()),
+    (ModelParams(5, 4), (1, 1, 1, 1), SetDescriptor.distinct()),
+    (P34, (1, 1, 1, 1), SetDescriptor.explicit([(2, 2, 2, 2), (3, 1, 2, 3), (1, 3, 3, 2), (2, 1, 1, 2)])),
+]
+FORM_IDS = ["singleton", "count", "count-urn-1", "pair", "diagonal", "distinct", "explicit"]
+
+
+@pytest.mark.parametrize("mode", mc.MODES)
+@pytest.mark.parametrize("params,start,target", FORM_CASES, ids=FORM_IDS)
+def test_table_form_walks_as_the_key_form(monkeypatch, params, start, target, mode):
+    # 3000 replicas start in lockstep and end in the tail; every kind's table is built from its own test
+    cfg = SimConfig(replicas=3000, seed=23, mode=mode, grid=(0.5,))
+    walks = _walk_in_each_form(monkeypatch, params, start, target, cfg)
+    _assert_forms_equal(walks)
+    steps, truncated, _ = walks[0][:3]
+    assert steps.min() > 0 and not truncated.any()
+
+
+@pytest.mark.parametrize("params,start,target,budget", [
+    (P34, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2)), 40 * (3000 + mc.STEP_CHARGE)),
+    (ModelParams(3, 3), (1, 1, 1), PAIR33, 10 * (3000 + mc.STEP_CHARGE)),
+], ids=["singleton", "pair"])
+def test_table_form_truncates_as_the_key_form(monkeypatch, params, start, target, budget):
+    # the budget runs out in lockstep, inside multi-step blocks
+    monkeypatch.setattr(mc, "WALK_BUDGET", budget)
+    walks = _walk_in_each_form(monkeypatch, params, start, target, SimConfig(replicas=3000, seed=11))
+    _assert_forms_equal(walks)
+    truncated = walks[0][1]
+    assert 0 < truncated.sum() < 3000 and truncated.sum() * params.balls > mc.TAIL_CELLS
+
+
+@pytest.mark.parametrize("cells", [5 * 1000, 2**62], ids=["after-lockstep", "from-the-start"])
+def test_table_form_hands_its_codes_to_the_tail(monkeypatch, cells):
+    # the tail reads each live replica's offsets off its code; at 2**62 cells it does so before any step
+    widths = _spy_tail(monkeypatch)
+    monkeypatch.setattr(mc, "TAIL_CELLS", cells)
+    params, start, target = ModelParams(3, 5), (1,) * 5, SetDescriptor.singleton((2, 3, 2, 3, 2))
+    walks = _walk_in_each_form(monkeypatch, params, start, target, SimConfig(replicas=3000, seed=5))
+    _assert_forms_equal(walks)
+    half = len(widths) // 2
+    assert widths[:half] == widths[half:]  # keys, then the table: each walk enters the tail alike
+    assert (widths[0] == 3000) == (cells == 2**62) and widths[0] * 5 <= cells
+
+
+@pytest.mark.parametrize("params,target,past", [
+    (ModelParams(3, 5), SetDescriptor.count(3), 2**8),  # codes times R up to 2430
+    (ModelParams(3, 8), SetDescriptor.count(4), 2**16),  # up to 104976, a table forced past TABLE_ENTRIES
+], ids=["past-2^8", "past-2^16"])
+def test_table_codes_past_a_dtype_boundary(monkeypatch, params, target, past):
+    assert _entries(params) > past  # the largest index into the table is entries - 1
+    start = (1,) * params.balls
+    _assert_forms_equal(_walk_in_each_form(monkeypatch, params, start, target, SimConfig(replicas=3000, seed=2)))
+
+
+def test_the_table_form_runs_up_to_table_entries(monkeypatch):
+    # P34 has 81 states of 8 moves: a bound of 648 entries takes the table, 647 the keys
+    forms = []
+    for name in ("_table_form", "_key_form"):
+        real = getattr(mc, name)
+        monkeypatch.setattr(mc, name, lambda *a, real=real, name=name: forms.append(name) or real(*a))
+    target, cfg = SetDescriptor.singleton((2, 2, 2, 2)), SimConfig(replicas=100, seed=1)
+    assert _entries(P34) == 648 <= mc.TABLE_ENTRIES
+    walks = []
+    for bound in (648, 647):
+        monkeypatch.setattr(mc, "TABLE_ENTRIES", bound)
+        walks.append(_walk_steps(P34, (1, 1, 1, 1), target, cfg))
+    assert forms == ["_table_form", "_key_form"]
+    _assert_walks_equal(walks)

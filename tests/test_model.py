@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -847,6 +848,32 @@ def test_parse_explicit_file(tmp_path):
     path.write_text(json.dumps([[1, 1], [2, 2]]))
     d = parse_set(f"explicit:@{path}")
     assert d.materialize(ModelParams(2, 2)) == [(1, 1), (2, 2)]
+
+
+def test_an_explicit_file_is_type_checked_once(tmp_path, monkeypatch, capsys):
+    # parse_set tests every coordinate's type, so no route's validation tests the list again; the oracle
+    # still checks the one-state lists it looks up
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps([[1, 1], [2, 2], [3, 3]]))
+    scanned = []  # the length of every list of states whose coordinates' types are tested
+
+    class Chain(itertools.chain):
+        @classmethod
+        def from_iterable(cls, iterable):
+            scanned.append(len(iterable))
+            return super().from_iterable(iterable)
+
+    monkeypatch.setattr(model, "chain", Chain)
+    for command in ("exact", "oracle", "compare"):
+        scanned.clear()
+        assert cli.main([command, "--N", "3", "--M", "2", "--start", "1,2", "--set", f"explicit:@{path}"]) == 0
+        assert scanned.count(3) == 1 and set(scanned) <= {1, 3}, command
+    scanned.clear()
+    SetDescriptor("explicit", states=((1, 1), (2, 2), (3, 3))).validate(ModelParams(3, 2))  # types unknown
+    assert scanned == [3]
+    with pytest.raises(ValueError, match="coordinate 1.5 is not an integer"):
+        SetDescriptor("explicit", states=((1.5, 2), (2, 1), (3, 3))).validate(ModelParams(3, 2))
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("bad", ["", "meh", "pair:(1,1)", "count:1:2:3", "explicit:nope", "ring:3"])
