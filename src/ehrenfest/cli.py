@@ -88,7 +88,7 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
 
 #: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
-    # at N=10**5, M=200: exact in under 1 s, network-check 7 s; writing the diagonal's exit law, each distinct
+    # at N=10**5, M=200: exact in under 1 s, network-check 4.1-4.9 s; writing the diagonal's exit law, each distinct
     # probability rendered once, takes 5.5-7.2 s from all ones and 7.7-10.0 s from a random start as a whole
     # process, too close to 10 s until its report is bounded (ROADMAP item 6)
     ("urns", "--N", 2, 10**5),
@@ -335,8 +335,16 @@ def _verdict(name: str, ok: bool, **detail) -> dict:
     return v
 
 
-def _commute_verdict(name: str, check) -> dict:  # check: a closedforms.CommuteCheck
-    return _verdict(name, check.equal, lhs=format_rational(check.lhs), rhs=format_rational(check.rhs))
+def _commute_verdict(name: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> dict:
+    """The commute identity's verdict on two sides, each an unreduced ``(numerator, denominator)`` pair.
+
+    The sides are compared by cross-multiplication; agreeing sides are one value, reduced and rendered once.
+    """
+    (a, b), (c, d) = lhs, rhs
+    if a * d == c * b:
+        text = format_rational(Fraction(a, b))
+        return _verdict(name, True, lhs=text, rhs=text)
+    return _verdict(name, False, lhs=format_rational(Fraction(a, b)), rhs=format_rational(Fraction(c, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +504,8 @@ def cmd_compare(args) -> dict:
         if h != k:
             low, high = sorted((h, k))
             check = closedforms.network_commute_check(args.params, low, high)
-            verdicts.append(_commute_verdict(f"network_identity_h{low}_k{high}", check))
+            verdicts.append(_commute_verdict(f"network_identity_h{low}_k{high}", check.lhs.as_integer_ratio(),
+                                             check.rhs.as_integer_ratio()))
 
     return {
         "results": {
@@ -537,8 +546,8 @@ def cmd_identities(args) -> dict:
 def cmd_network_check(args) -> dict:
     from . import closedforms
 
-    checks = closedforms.network_commute_sweep(args.params)
-    verdicts = [_commute_verdict(f"commute_h{h}_k{k}", check) for (h, k), check in checks.items()]
+    sweep = closedforms.network_commute_sweep(args.params)
+    verdicts = [_commute_verdict(f"commute_h{h}_k{k}", lhs, rhs) for h, k, lhs, rhs in sweep]
     return {"results": {"pairs": len(verdicts)}, "verdicts": verdicts}
 
 

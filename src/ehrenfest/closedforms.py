@@ -20,6 +20,7 @@ from math import comb
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
+from .exact import over_one_denominator
 from .model import ModelParams, _Record, overlap
 from .resolvent import centered_kernel
 
@@ -128,8 +129,18 @@ def count_set_mean(params: ModelParams, k: int, h: int) -> Fraction:
     m = params.balls
     if not (0 <= k <= m and 0 <= h <= m):
         raise ValueError(f"counts must lie in 0..{m}")
+    up, down, den = _level_prefix_sums(params)
+    return Fraction(up[h] - up[k] if k < h else down[k] - down[h], den)
+
+
+@lru_cache(maxsize=None)
+def _level_prefix_sums(params: ModelParams) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``(up, down, den)``: the prefix sums of :func:`count_level_means`' two lists, each starting at 0,
+    as integer numerators over one denominator ``den``; a slice sum is one difference."""
+    m = params.balls
     up, down = count_level_means(params)
-    return sum(up[k:h] if k < h else down[h:k], Fraction(0))
+    nums, den = over_one_denominator([*up, *down])
+    return tuple(accumulate(nums[:m], initial=0)), tuple(accumulate(nums[m:], initial=0)), den
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +187,25 @@ class CommuteCheck(NamedTuple):
         return self.lhs == self.rhs
 
 
-def _commute_prefixes(params: ModelParams) -> tuple[list[Fraction], list[Fraction], Fraction]:
-    """Both sides of the commute identity, summed once along the path.
+@lru_cache(maxsize=None)
+def _commute_sides(params: ModelParams) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+    """Both sides of the commute identity in integers, summed once along the path.
 
-    Returns the prefix sums of the commute times (from
-    :func:`count_level_means`) and of the resistances (from the
-    conductances), each starting at 0, and the total vertex weight.  Levels
-    ``h < k`` read each side as one difference of prefix sums.
+    Returns ``(lhs, lhs_den, rhs, rhs_den)``: each side is a tuple of prefix
+    sums of integer numerators over one denominator, starting at 0, so the
+    side between levels ``h < k`` is ``(side[k] - side[h]) / side_den``.  The
+    left side adds the prefix sums of both one-way level means
+    (:func:`_level_prefix_sums`); the right side sums the resistances
+    ``1/c(j, j+1)`` of the conductances, its numerators times the total vertex
+    weight's.  Neither reads the other's route, so each pair's two sides agree
+    only if the identity holds.  Cached per ``params``, like the level means.
     """
+    up, down, lhs_den = _level_prefix_sums(params)
     chain = CountChain(params)
-    commute = list(accumulate(map(add, *count_level_means(params)), initial=Fraction(0)))
-    resistance = list(accumulate((1 / chain.conductance_up(j) for j in range(params.balls)), initial=Fraction(0)))
-    return commute, resistance, chain.total_weight()
+    resistance, resistance_den = over_one_denominator([1 / chain.conductance_up(j) for j in range(params.balls)])
+    weight = chain.total_weight()
+    rhs = tuple(weight.numerator * r for r in accumulate(resistance, initial=0))
+    return tuple(map(add, up, down)), lhs_den, rhs, weight.denominator * resistance_den
 
 
 def network_commute_check(params: ModelParams, h: int, k: int) -> CommuteCheck:
@@ -196,23 +214,29 @@ def network_commute_check(params: ModelParams, h: int, k: int) -> CommuteCheck:
     The left side adds the two one-way means between levels ``h < k``; the
     right side is total vertex weight times the effective resistance of the
     path segment, ``sum_i C(balls,i)/(urns-1)**i * sum_{j=h}^{k-1} 1/c(j, j+1)``.
+    Each is one difference of the integer prefix sums of
+    :func:`_commute_sides`, reduced once as a :class:`~fractions.Fraction`.
     """
     if not 0 <= h < k <= params.balls:
         raise ValueError("need levels 0 <= h < k <= balls")
-    commute, resistance, total_weight = _commute_prefixes(params)
-    return CommuteCheck(lhs=commute[k] - commute[h], rhs=total_weight * (resistance[k] - resistance[h]))
+    lhs, lhs_den, rhs, rhs_den = _commute_sides(params)
+    return CommuteCheck(lhs=Fraction(lhs[k] - lhs[h], lhs_den), rhs=Fraction(rhs[k] - rhs[h], rhs_den))
 
 
-def network_commute_sweep(params: ModelParams) -> dict[tuple[int, int], CommuteCheck]:
-    """:func:`network_commute_check` for every level pair ``h < k``.
+def network_commute_sweep(params: ModelParams) -> list[tuple[int, int, tuple[int, int], tuple[int, int]]]:
+    """Both sides of :func:`network_commute_check` for every level pair ``h < k``, unreduced.
 
-    Both sides are summed once along the path, O(balls) rational operations
-    per side, and every pair reads one difference per side.
+    Returns ``(h, k, lhs, rhs)`` for each pair in order, each side an integer
+    ``(numerator, denominator)`` pair with a positive denominator shared by
+    every pair: the prefix sums of :func:`_commute_sides` are taken once,
+    O(balls) rational operations per side, and each pair reads one integer
+    difference per side.  No gcd is taken; the sides agree when their cross
+    products do.
     """
     m = params.balls
-    commute, resistance, total_weight = _commute_prefixes(params)
-    return {
-        (h, k): CommuteCheck(lhs=commute[k] - commute[h], rhs=total_weight * (resistance[k] - resistance[h]))
+    lhs, lhs_den, rhs, rhs_den = _commute_sides(params)
+    return [
+        (h, k, (lhs[k] - lhs[h], lhs_den), (rhs[k] - rhs[h], rhs_den))
         for h in range(m + 1)
         for k in range(h + 1, m + 1)
-    }
+    ]

@@ -45,6 +45,12 @@ def format_rational(value: Rational) -> str:
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
+def over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm ``den`` of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def format_significant(value: Rational | tuple[int, int], digits: int = 20) -> str:
     """Render a rational, or an unreduced ``(num, den)`` pair, in decimal with
     ``digits`` significant digits: the string of ``Decimal(num) / Decimal(den)``

@@ -16,7 +16,11 @@ where ``c_0..c_balls`` are the integer coefficients of the polynomial
 ``a_t = sum_k hist[k] * c_{k,t}`` (:func:`kernel_row`), and at ``u = p/q``
 :func:`kernel_sums` adds ``a_t / (urns*t*q + (urns-1)*p)`` by binary
 splitting over unreduced integer fractions: at most ``balls + 1`` terms and
-no gcd, for several rows over one shared denominator.  A single kernel value
+no gcd, for several rows over one shared denominator.  It merges the terms
+bottom-up, adjacent pairs level by level over flat lists; since nothing is
+reduced, every merge tree yields the same two integers, the product of the
+denominators and the sum of each numerator times the other denominators, so
+these are exactly the integers of top-down splitting.  A single kernel value
 is the one-hot row ``c_{k,.}``.  The value is exact for rational ``u > 0``.
 Its only singularity is the simple pole ``1/(u*(urns-1))`` of the ``t = 0``
 term (``c_0 = 1``); removing that term yields the *centered*
@@ -44,7 +48,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .exact import Jet, Rational, jet_from_derivatives
+from .exact import Jet, Rational, jet_from_derivatives, over_one_denominator
 from .model import ModelParams
 
 
@@ -78,28 +82,32 @@ def kernel_sums(params: ModelParams, rows: Sequence[Sequence[int]], u: Rational)
 
     Returns numerators ``nums`` and one denominator ``den`` with
     ``nums[i] / den == sum_t rows[i][t] / (urns*t + u*(urns-1))``.  With
-    ``u = p/q`` that sum is ``q * sum_t a_t / (urns*t*q + (urns-1)*p)``;
-    binary splitting adds its terms as integer pairs, so no gcd is taken, and
-    the rows share every denominator: a ratio of two sums is ``nums[0] / nums[1]``.
+    ``u = p/q`` that sum is ``q * sum_t a_t / (urns*t*q + (urns-1)*p)``.  Its
+    terms are merged bottom-up: each level adds adjacent pairs as integer
+    fractions, ``a/d + b/e = (a*e + b*d) / (d*e)``, over flat lists (one of
+    numerators per row, one of denominators), and an odd last term is carried
+    up a level.  No gcd is taken, so whatever tree adds the terms, the result
+    is ``den = prod_t d_t`` and ``nums[i] = q * sum_t a_t * prod_{s != t} d_s``:
+    the integers of top-down binary splitting.  The rows share every
+    denominator, so a ratio of two sums is ``nums[0] / nums[1]``.
     """
     u = Fraction(u)
     if u <= 0:
         raise ValueError("resolvent kernel needs u > 0; use the centered kernel at u = 0")
     n, p, q = params.urns, u.numerator, u.denominator
-    # one column of the rows per overlap t, kept where any row is nonzero
-    terms = [(column, n * t * q + (n - 1) * p) for t, column in enumerate(zip(*rows)) if any(column)]
-    if not terms:
+    # the overlaps t where any row is nonzero, one term each
+    kept = [t for t, column in enumerate(zip(*rows)) if any(column)]
+    if not kept:
         return [0] * len(rows), 1
-
-    def split(lo: int, hi: int) -> tuple[list[int], int]:
-        if hi - lo == 1:
-            return terms[lo]
-        mid = (lo + hi) // 2
-        (left, dl), (right, dr) = split(lo, mid), split(mid, hi)
-        return [a * dr + b * dl for a, b in zip(left, right)], dl * dr
-
-    nums, den = split(0, len(terms))
-    return [q * a for a in nums], den
+    nums = [[row[t] for t in kept] for row in rows]
+    dens = [n * t * q + (n - 1) * p for t in kept]
+    while len(dens) > 1:
+        odd = len(dens) % 2  # 1 when a last term has no partner and is carried up unchanged
+        left, right = dens[0::2], dens[1::2]
+        nums = [[a * dr + b * dl for a, b, dl, dr in zip(row[0::2], row[1::2], left, right)] + row[len(row) - odd:]
+                for row in nums]
+        dens = [dl * dr for dl, dr in zip(left, right)] + dens[len(dens) - odd:]
+    return [q * row[0] for row in nums], dens[0]
 
 
 def kernel_series(params: ModelParams, rows: Sequence[Sequence[int]], order: int) -> tuple[list[list[int]], int]:
@@ -332,40 +340,53 @@ def identity_suite_holds(params: ModelParams) -> bool:
     The series reductions at ``a = 0, urns-1, -1``; the increments against
     the centered kernel (endpoints, telescoping, each gap, the first gap
     ``1/balls``); the derivative gap ``g'(0) - g'(balls)`` against its double
-    sum; and the binomial increment means against direct enumeration.
+    sum; and the binomial increment means against direct enumeration.  Every
+    public closed form is still called for its values: :func:`kernel_increments`,
+    :func:`centered_kernel`, :func:`centered_kernel_derivative`,
+    :func:`series_identity_checks`, :func:`binomial_increment_mean` and
+    :func:`overlap_increment_distribution`.  The endpoints are compared as
+    reduced fractions; every other comparison, ``a/b == c/d`` as ``a*d == c*b``,
+    cross-multiplies integer numerators and denominators: the telescoped
+    increments, each gap against its two kernels' difference, the first gap,
+    the derivative gap and each mean, whose enumeration is summed in integers
+    over the shared denominators of the increments and of the overlap law.
     """
     n, m = params.urns, params.balls
-    table = kernel_increments(params)
+    zero, full, gaps = kernel_increments(params)
     g = [centered_kernel(params, k) for k in range(m + 1)]
-    deriv_gap = centered_kernel_derivative(params, 0) - centered_kernel_derivative(params, m)
+    d0, dm = centered_kernel_derivative(params, 0), centered_kernel_derivative(params, m)
     # (urns-1)/urns**2 * sum_i (1/i) sum_{j<=i} urns**j/j, over urns**2 * lcm(1..balls)**2
     scale = math.lcm(*range(1, m + 1))
     closed = prefix = 0
     for i in range(1, m + 1):
         prefix += n**i * (scale // i)
         closed += prefix * (scale // i)
-    increments, den = _over_one_denominator(table.increments)
+    increments, den = over_one_denominator(gaps)
 
-    def direct_mean(j: int) -> Fraction:
+    def mean_matches(j: int) -> bool:
         # sum_i P(overlap = i) * increment_i over the product of the two shared denominators
-        probs, prob_den = _over_one_denominator([p for _, p in overlap_increment_distribution(params, j)])
-        return Fraction(sum(p * inc for p, inc in zip(probs, increments)), prob_den * den)
+        probs, prob_den = over_one_denominator([p for _, p in overlap_increment_distribution(params, j)])
+        mean = binomial_increment_mean(params, j)
+        return sum(p * inc for p, inc in zip(probs, increments)) * mean.denominator == mean.numerator * prob_den * den
 
     return (
-        all(series_identity_checks(params, a) for a in (Fraction(0), Fraction(n - 1), Fraction(-1)))
-        and table.zero_overlap + Fraction(sum(increments), den) == table.full_overlap
-        and (table.zero_overlap, table.full_overlap) == (g[0], g[m])
-        and all(g[k + 1] - g[k] == table.increments[k] for k in range(m))
-        and table.increments[0] == Fraction(1, m)
-        and deriv_gap == Fraction((n - 1) * closed, n**2 * scale**2)
-        and all(binomial_increment_mean(params, j) == direct_mean(j) for j in range(m))
+        all(series_identity_checks(params, a) for a in (0, n - 1, -1))
+        # zero + sum(gaps) == full, over zero's denominator times den
+        and (zero.numerator * den + sum(increments) * zero.denominator) * full.denominator
+        == full.numerator * zero.denominator * den
+        and (zero, full) == (g[0], g[m])
+        # g[k+1] - g[k] == gaps[k]
+        and all(
+            (b.numerator * a.denominator - a.numerator * b.denominator) * gap.denominator
+            == gap.numerator * a.denominator * b.denominator
+            for a, b, gap in zip(g, g[1:], gaps)
+        )
+        and gaps[0].numerator * m == gaps[0].denominator
+        # d0 - dm == (urns-1) * closed / (urns**2 * scale**2)
+        and (d0.numerator * dm.denominator - dm.numerator * d0.denominator) * n**2 * scale**2
+        == (n - 1) * closed * d0.denominator * dm.denominator
+        and all(mean_matches(j) for j in range(m))
     )
-
-
-def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over the lcm ``den`` of their denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def quadrature_error(params: ModelParams) -> float:

@@ -7,9 +7,10 @@ over one denominator, and the tests require the package's values to equal
 these, rational for rational.  With them sit three more that the package's
 faster versions must match: the decimal rendering that divides the whole
 quotient exactly (the top-bits renderer, string for string), the kernel sums
-that read their columns one row entry at a time (integer for integer), and
-the raw moments read off by :class:`~ehrenfest.exact.Jet` division and a
-``Fraction`` Stirling sum (the integer recurrence, rational for rational).
+split top-down that read their columns one row entry at a time (the
+bottom-up merge, integer for integer), and the raw moments read off by
+:class:`~ehrenfest.exact.Jet` division and a ``Fraction`` Stirling sum (the
+integer recurrence, rational for rational).
 
 The rest is code that no route, command, demo or benchmark runs: the
 one-step neighbours and overlap profiles of a state, written the obvious way,
@@ -113,7 +114,9 @@ def format_significant(value: Rational, digits: int = 20) -> str:
 
 def kernel_sums(params: ModelParams, rows: Sequence[Sequence[int]], u: Rational) -> tuple[list[int], int]:
     """Kernel sums of integer ``rows`` at rational ``u > 0``, unreduced, as
-    nonzero columns read one row entry at a time and added by binary splitting."""
+    nonzero columns read one row entry at a time and added by recursive top-down
+    binary splitting: the reference for the package's bottom-up merge, which
+    must return the same integers."""
     u = Fraction(u)
     if u <= 0:
         raise ValueError("resolvent kernel needs u > 0; use the centered kernel at u = 0")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ehrenfest import cli, exact, hitting, mc, model, oracle, resolvent
+from ehrenfest import cli, closedforms, exact, hitting, mc, model, oracle, resolvent
 from ehrenfest.closedforms import count_set_mean
 from ehrenfest.exact import format_rational
 from ehrenfest.model import ModelParams, parse_set
@@ -596,6 +596,57 @@ def test_identities_catch_a_wrong_binomial_on_the_series_left_sides(capsys, monk
             cached.cache_clear()
     assert code == 5
     assert _failing_identities(report) == ["identities_N2_M3", "identities_N3_M3"]
+
+
+def test_identities_catch_a_shifted_binomial_mean(capsys, monkeypatch):
+    exact_mean = resolvent.binomial_increment_mean
+
+    def shifted(params, m):
+        mean = exact_mean(params, m)
+        return mean + Fraction(1, 10**9) if params == ModelParams(3, 3) else mean
+
+    monkeypatch.setattr(resolvent, "binomial_increment_mean", shifted)
+    code, report, _ = run_json(capsys, "identities", "--max-urns", "3", "--max-balls", "3")
+    assert code == 5
+    assert _failing_identities(report) == ["identities_N3_M3"]
+
+
+def test_identities_catch_a_shifted_kernel_derivative(capsys, monkeypatch):
+    exact_derivative = resolvent.centered_kernel_derivative
+
+    def shifted(params, k, order=1):
+        value = exact_derivative(params, k, order)
+        return value + Fraction(1, 10**9) if (params, k) == (ModelParams(2, 3), 0) else value
+
+    monkeypatch.setattr(resolvent, "centered_kernel_derivative", shifted)
+    try:
+        code, report, _ = run_json(capsys, "identities", "--max-urns", "3", "--max-balls", "3")
+    finally:
+        for cached in (exact_derivative, resolvent.centered_kernel_jet):
+            cached.cache_clear()
+    assert code == 5
+    assert _failing_identities(report) == ["identities_N2_M3"]
+
+
+def test_network_check_catches_a_wrong_conductance(capsys, monkeypatch):
+    # one edge of the count chain at N=4, M=6 doubled: only the right sides of pairs that span it read it
+    exact_conductance = closedforms.CountChain.conductance_up
+
+    def doubled(self, i):
+        value = exact_conductance(self, i)
+        return 2 * value if (self.params, i) == (ModelParams(4, 6), 2) else value
+
+    monkeypatch.setattr(closedforms.CountChain, "conductance_up", doubled)
+    closedforms._commute_sides.cache_clear()  # sides summed before the patch must not answer for it
+    try:
+        code, report, _ = run_json(capsys, "network-check", "--N", "4", "--M", "6")
+    finally:
+        closedforms._commute_sides.cache_clear()
+    assert code == 5
+    failing = [v for v in report["verdicts"] if not v["pass"]]
+    assert [v["name"] for v in failing] == [f"commute_h{h}_k{k}" for h in range(3) for k in range(3, 7)]
+    assert all(v["detail"]["lhs"] != v["detail"]["rhs"] for v in failing)
+    assert all(v["detail"]["lhs"] == v["detail"]["rhs"] for v in report["verdicts"] if v["pass"])
 
 
 def test_network_check_subcommand(capsys):

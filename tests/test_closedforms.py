@@ -288,6 +288,16 @@ def test_count_set_mean_values():
     assert count_set_mean(ModelParams(2, 3), 0, 3) == 10
 
 
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 9), (3, 12), (7, 10), (10**5, 20)])
+def test_count_set_mean_adds_the_level_means_it_spans(n, m):
+    # the one-way level means summed one Fraction at a time, against one difference of integer prefix sums
+    p = ModelParams(n, m)
+    up, down = closedforms.count_level_means(p)
+    for k in range(m + 1):
+        for h in range(m + 1):
+            assert count_set_mean(p, k, h) == sum(up[k:h] if k < h else down[h:k], F(0))
+
+
 @pytest.mark.parametrize("n,m", [(2, 4), (3, 3), (4, 2), (5, 2)])
 def test_count_set_mean_matches_engine(n, m):
     p = ModelParams(n, m)
@@ -351,15 +361,16 @@ def test_commute_check_sweep(n, m):
         network_commute_check(p, 1, 1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("m", range(1, 21))
-def test_commute_prefix_sweep_equals_each_pair(n, m):
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 21) for n in (2, 3, 4)] + [(30, 10**5), (200, 3)])
+def test_commute_prefix_sweep_equals_each_pair(m, n):
     p = ModelParams(n, m)
     sweep = network_commute_sweep(p)
-    assert list(sweep) == [(h, k) for h in range(m + 1) for k in range(h + 1, m + 1)]
-    for (h, k), check in sweep.items():
-        assert check == network_commute_check(p, h, k) and check.equal
-        assert check.lhs == count_set_mean(p, k, h) + count_set_mean(p, h, k)
+    assert [(h, k) for h, k, _, _ in sweep] == [(h, k) for h in range(m + 1) for k in range(h + 1, m + 1)]
+    for h, k, (a, b), (c, d) in sweep:
+        check = network_commute_check(p, h, k)
+        assert (F(a, b), F(c, d)) == (check.lhs, check.rhs) and check.equal
+        assert a * d == c * b and b > 0 and d > 0
+        assert F(a, b) == count_set_mean(p, k, h) + count_set_mean(p, h, k)
 
 
 # --- lumping consistency ---------------------------------------------------------

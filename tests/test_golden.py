@@ -25,6 +25,8 @@ CASES = {
     # non-dyadic lambdas at 40 digits: their u is a fixed-point Taylor sum floored to 46 digits' worth of bits
     "exact_lambda": (["exact", "--N", "3", "--M", "6", "--start", "1,1,1,1,1,1", "--set", "singleton:2,2,2,2,2,2",
                       "--order", "4", "--lambda", "0.01,0.1", "--digits", "40"], 0),
+    # every level pair's two commute-identity sides, each reduced and rendered
+    "network_check": (["network-check", "--N", "4", "--M", "20"], 0),
 }
 
 
