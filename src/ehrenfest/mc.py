@@ -8,9 +8,9 @@ come in blocks drawn ahead: at a block start the stream draws one integer
 per live replica and step, for at most ``BLOCK_MOVES`` moves in all, and a
 draw ``r`` moves ball ``r // (urns-1)`` forward by ``1 + r % (urns-1)`` urns
 (mod ``urns``).  A replica absorbed inside a block wastes the rest of its
-draws: it keeps moving, masked out of the hit test, until the block ends and
-it is compacted away.  So every move of a live replica is a fresh uniform
-draw and the law is exact, each block is drawn for exactly the live
+draws: masked out of the hit test or parked, it waits until the block ends
+and it is compacted away.  So every move of a live replica is a fresh
+uniform draw and the law is exact, each block is drawn for exactly the live
 replicas, and a block costs no more moves than it draws; the sparse tail
 advances many steps per draw.  Both modes walk alike.  The continuous-time
 chain holds an Exponential(balls) time before each jump, so a replica
@@ -26,11 +26,16 @@ space:
 * **Table lockstep**, past ``TAIL_CELLS`` cells, when the ``urns**balls``
   states times the ``R = balls*(urns-1)`` moves are at most
   ``TABLE_ENTRIES``: one Python iteration per step.  Each replica carries
-  its state's code times ``R``, an ``intp``, and a step is ``code +=
-  draw``, then ``lands[code]`` and ``table[code]``: whether the move lands
-  in the target and the next state's code times ``R``.  Both tables are
-  built once from the offsets of every state, the draws' decoding into a
-  ball and a shift, and the kind's test on offsets below.
+  its row's code, the row's index times ``R``, an ``intp``, and a step is
+  ``code += draw`` and one gather of the table at ``code``, two numpy calls.
+  Landing in the target is a row of the table, not a test: the table's rows
+  are one parked row, the states' rows and ``TAIL_CHUNK`` clock rows, a move
+  that lands goes to clock row 0, and each step moves a clock row on by one.
+  Every ``TAIL_CHUNK`` steps and at the block's end the hits are read off
+  the clock rows, their steps from the rows reached, and the replicas read
+  are parked.  The table is built once from the offsets of every state, the
+  draws' decoding into a ball and a shift, and the kind's test on offsets
+  below.
 * **Key lockstep**, past ``TAIL_CELLS`` cells on a larger state space: one
   Python iteration per step.  The offsets sit in the smallest unsigned type
   with room for ``2*(urns-1)``, and each replica carries one scalar
@@ -46,8 +51,11 @@ space:
   it reads its offsets off the lockstep replicas' codes or slots.
 
 The three ways take the same draws, in the same blocks, charged alike, so
-every hit step, truncation and stop step is the same on each.  By kind, the
-keys, the tail's test and, on every state at once, the table's:
+every hit step, truncation and stop step is the same on each.  The tail and
+the table hand back each block's hits, the replicas and their steps within
+the block, to one bookkeeping; the keys, tested every step, record theirs as
+they come.  By kind, the keys, the tail's test and, on every state at once,
+the table's:
 
 * Singletons and count slices are Hamming spheres, the states agreeing
   with a center in exactly ``h`` coordinates: ``h = balls`` around ``y``
@@ -112,14 +120,15 @@ TAIL_CHUNK = 64
 
 #: A walk whose state space has at most ``TABLE_ENTRIES`` state-move pairs, ``urns**balls * balls*(urns-1)``,
 #: steps in lockstep on a transition table; a larger one on membership keys.  On 2 vCPUs, 20000 replicas and
-#: draws included, up to 2**16 entries a step costs 9-16 ns per replica on a singleton's table against 11-17 ns
-#: on its keys, and 9-24 ns on the diagonal's table against 19-39 ns.  Singletons, the cheapest keys, set the
-#: bound: the table is 6-9% ahead at 5*10**4 to 7.4*10**4 entries (N=2 M=12, N=5 M=5, N=32 M=2, N=4 M=6) and
-#: 3-12% behind at about 10**5 (N=2 M=13, N=3 M=8), where its 0.8 MB of ``intp`` falls out of cache; at N=4
-#: M=7 it is 56% behind.
+#: draws included, up to 2**16 entries a step costs 7-12 ns per replica on a singleton's table against 9-15 ns
+#: on its keys, and 7-23 ns on the diagonal's table against 16-43 ns.  Singletons, the cheapest keys, set the
+#: bound: the table is 13-21% ahead at 5*10**4 to 7.4*10**4 entries (N=2 M=12, N=5 M=5, N=32 M=2, N=4 M=6),
+#: 6-12% ahead at about 10**5 (N=2 M=13, N=3 M=8), even at 1.9*10**5 (N=6 M=5) and 25% behind at 3.4*10**5
+#: (N=4 M=7), where its 2.8 MB of ``intp`` falls out of cache.  The bound stays below that crossover.
 TABLE_ENTRIES = 1 << 16
 
-#: Most urn slots a walk allocates: replicas times balls, or times max(balls, urns) for occupancies.
+#: Most urn slots a walk allocates: replicas times balls, or times max(balls, urns) for occupancies, on keys;
+#: one per replica, its code, on a transition table.
 MAX_SLOTS = 1 << 26
 
 MODES = ("discrete", "ctmc")
@@ -191,8 +200,9 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
     n, m = params.urns, params.balls
     states = target.validate(params)
     stride = max(m, n) if target.kind in ("diagonal", "distinct") else m
-    if replicas * stride > MAX_SLOTS:
-        raise ValueError(f"the walk needs {replicas * stride} urn slots ({replicas} replicas x {stride}) > {MAX_SLOTS}")
+    slots = 1 if _on_table(params) else stride  # a table walk holds one code per replica
+    if replicas * slots > MAX_SLOTS:
+        raise ValueError(f"the walk needs {replicas * slots} urn slots ({replicas} replicas x {slots}) > {MAX_SLOTS}")
     if target.kind in ("singleton", "count"):  # the states agreeing with a center in exactly level coordinates
         r = target.reference_urn
         center, level = (states[0], m) if target.kind == "singleton" else ((r,) * m, target.count_overlap)
@@ -281,12 +291,22 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
     return (1,) * m, m, (np.array(start) - 1) @ weights, lambda replicas: update, is_hit, contains
 
 
+def _on_table(params: ModelParams) -> bool:
+    """Whether a walk on ``params`` steps on a transition table: at most ``TABLE_ENTRIES`` state-move pairs."""
+    return params.state_count * params.balls * (params.urns - 1) <= TABLE_ENTRIES
+
+
 def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     """Walk every replica to absorption or the end of the budget, in lockstep.
 
     One block loop serves both lockstep forms, on a transition table or on
-    membership keys, and hands either to the tail; a form is only its step
-    and its per-replica state (see the module docstring).
+    membership keys, and the tail; a lockstep form is only its block walk,
+    its compaction and its hand-off to the tail (see the module docstring).
+    The table and the tail return each block's hits, the live replicas that
+    hit as indices and their steps within the block counted from 1, and one
+    bookkeeping records them, sets the stop step and compacts the live
+    replicas.  The key form tests every step and records its hits as they
+    come, which spares its blocks a pass over the live replicas.
 
     Returns the steps to absorption (0 if truncated), the truncated mask, the
     step the walk stopped at and the walk's one generator, positioned after it.
@@ -299,10 +319,11 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     steps = np.zeros(cfg.replicas, dtype=np.int64)
     # the live replicas; replicas starting inside the target keep 0 steps
     live = np.arange(cfg.replicas) if not is_hit(key0) else np.arange(0)
-    if params.state_count * moves <= TABLE_ENTRIES:
-        ahead, step, keep, lanes_of = _table_form(n, m, offsets, live.size, contains)
+    on_table = _on_table(params)
+    if on_table:
+        lockstep, keep, lanes_of = _table_form(n, m, offsets, live.size, contains)
     else:
-        ahead, step, keep, lanes_of = _key_form(n, m, offsets, live.size, stride, key0, updates, is_hit)
+        lockstep, keep, lanes_of = _key_form(n, m, offsets, live.size, stride, key0, updates, is_hit)
     lanes = None  # the live replicas' offsets, one row per ball, once the walk is in its tail
 
     draw_type = np.min_scalar_type(moves - 1)
@@ -314,29 +335,26 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
         if live.size * m <= TAIL_CELLS:  # the live count never grows: once in the tail, the walk stays there
             if lanes is None:
                 lanes = lanes_of()
-            lanes, hit_at = _tail_block(lanes, *_decode(block, n), n, contains)
-            alive = hit_at == 0
-            steps[live[~alive]] = t + hit_at[~alive]
-            t += span if alive.any() else int(hit_at.max())
-            live, lanes = live[alive], lanes[:, alive]
+            lanes, hit, at = _tail_block(lanes, *_decode(block, n), n, contains)
+        elif on_table:
+            hit, at = lockstep(block)
+        else:  # the key form records its hits step by step: gathering them per block costs its walks 5-7%
+            t, alive = lockstep(block, steps, live, t)
+            if alive is not None:
+                live = live[alive]
+                keep(alive)
             continue
-        # absorbed replicas keep moving, masked out of hits, until the block ends
-        alive = np.ones(live.size, dtype=bool)
-        dead = 0
-        for move in ahead(block):
-            t += 1
-            hit = step(move)
-            if dead:
-                hit &= alive
-            if hit.any():
-                steps[live[hit]] = t
-                alive ^= hit
-                dead += np.count_nonzero(hit)
-                if dead == live.size:
-                    break
-        if dead:
+        if hit.size:
+            at += t
+            steps[live[hit]] = at
+            alive = np.ones(live.size, dtype=bool)
+            alive[hit] = False
             live = live[alive]
-            keep(alive)
+            if lanes is None:
+                keep(alive)
+            else:
+                lanes = lanes[:, alive]
+        t = t + span if live.size else int(at.max())  # a walk stops at its last hit
 
     truncated = np.zeros(cfg.replicas, dtype=bool)
     truncated[live] = True
@@ -353,45 +371,95 @@ def _decode(draws, n):
     return balls, shifts
 
 
-def _table_form(n, m, offsets, replicas, contains):
-    """The lockstep step on a transition table, for a small state space:
-    ``(moves of a block, step, compaction, lanes)``.
+def _transition_table(n, m, contains):
+    """The transition table of a walk on ``n`` urns and ``m`` balls: ``(table,
+    every state's offsets, place values)``.
 
-    Each replica carries its state's code times the move count ``R``, so a
-    step is ``code += draw``, then ``lands[code]`` and ``table[code]``: the
-    move's landing in the target and the next state's code times ``R``.
+    The table has ``R = m*(n-1)`` entries per row, and each entry is the code
+    of a row, the row's index times ``R``: a replica at code ``c`` moved by
+    draw ``r`` goes to ``table[c + r]``.  Row 0 is the parked row, which every
+    move maps back to itself.  Rows 1 to ``n**m`` are the states, the state
+    with offsets ``d`` at row ``1 + d @ place``.  Then come ``TAIL_CHUNK``
+    clock rows: a move that lands in the target goes to clock row 0, every
+    move from clock row ``j`` to clock row ``j + 1``, and the last clock row
+    maps to itself.  So a replica read in clock row ``j`` after step ``c``,
+    at most ``TAIL_CHUNK`` steps after it landed, landed at step ``c - j``.
     """
     moves = m * (n - 1)
     digits = np.indices((n,) * m, dtype=np.min_scalar_type(2 * n - 2)).reshape(m, -1)  # every state's offsets
-    place = n ** np.arange(m - 1, -1, -1)  # code = offsets @ place
+    place = n ** np.arange(m - 1, -1, -1)
     balls, shifts = _decode(np.arange(moves), n)
     old = digits[balls]  # (move, state): the moved ball's offset
     succ = np.arange(digits.shape[1]) + ((old + shifts[:, None]) % n - old) * place[balls, None]
-    table = (succ.T * moves).ravel()
-    lands = contains(digits[:, None, :])[0][succ.T].ravel()
-    code = np.full(replicas, offsets @ place * moves, dtype=np.intp)
+    clock = 1 + digits.shape[1]  # the first clock row
+    rows = np.empty((clock + TAIL_CHUNK, moves), dtype=np.intp)
+    rows[0] = 0
+    rows[1:clock] = np.where(contains(digits[:, None, :])[0][succ], clock, succ + 1).T
+    rows[clock:] = np.minimum(np.arange(clock + 1, clock + TAIL_CHUNK + 1), clock + TAIL_CHUNK - 1)[:, None]
+    rows *= moves
+    return rows.ravel(), digits, place
 
-    def step(move):
-        nonlocal code
-        code += move
-        hit = lands[code]
-        code = table[code]
-        return hit
+
+def _table_form(n, m, offsets, replicas, contains):
+    """The lockstep form on a transition table, for a small state space:
+    ``(block walk, compaction, lanes)``.
+
+    Each replica carries its row's code in the table of
+    :func:`_transition_table`, and a step is ``code += draw`` and one gather
+    of the table at ``code``, into a second buffer.  The hits are read every
+    ``TAIL_CHUNK`` steps and at the block's end off the clock rows, and the
+    replicas read are parked; the block walk stops once every replica is.
+    """
+    moves = m * (n - 1)
+    table, digits, place = _transition_table(n, m, contains)
+    clock = (1 + digits.shape[1]) * moves  # the first clock row's code
+    code = np.full(replicas, (1 + offsets @ place) * moves, dtype=np.intp)
+    spare = np.empty_like(code)
+
+    def lockstep(block):
+        nonlocal code, spare
+        found = []
+        parked = 0
+        for first in range(0, block.shape[0], TAIL_CHUNK):
+            chunk = block[first:first + TAIL_CHUNK].astype(np.intp)
+            for move in chunk:
+                code += move
+                np.take(table, code, out=spare, mode="clip")
+                code, spare = spare, code
+            hit = np.flatnonzero(code >= clock)
+            if hit.size:
+                # after the chunk's c steps, clock row j landed at the chunk's step c - j
+                at = code[hit]
+                at //= moves
+                found.append((hit, np.subtract(first + chunk.shape[0] + clock // moves, at, out=at)))
+                parked += hit.size
+                if parked == code.size:
+                    break
+                code[hit] = 0
+        if not found:
+            return np.arange(0), np.arange(0)
+        hit, at = zip(*found)
+        return (hit[0], at[0]) if len(found) == 1 else (np.concatenate(hit), np.concatenate(at))
 
     def keep(alive):
-        nonlocal code
+        nonlocal code, spare
         code = code[alive]
+        spare = spare[:code.size]
 
-    return lambda block: block.astype(np.intp), step, keep, lambda: digits[:, code // moves]
+    return lockstep, keep, lambda: digits[:, code // moves - 1]
 
 
 def _key_form(n, m, offsets, replicas, stride, key0, updates, is_hit):
-    """The lockstep step on membership keys, for any state space: ``(moves of
-    a block, step, compaction, lanes)``.
+    """The lockstep form on membership keys, for any state space: ``(block
+    walk, compaction, lanes)``.
 
     Each replica carries its balls' offsets, ``stride`` slots from its first,
     and one membership key, changed by each move from the ball and its old
-    and new offsets.
+    and new offsets.  The block walk tests the keys after every step and
+    records each hit in ``steps`` as it comes; a replica that hits keeps
+    moving, masked out of the test, until the block ends, and the block walk
+    stops once every replica has hit.  It returns the step it stopped at and
+    the mask of the replicas still walking, or None if none hit.
     """
     # offsets leave room for old + shift, up to 2*(urns-1), before the wrap
     row = np.zeros(stride, dtype=np.min_scalar_type(2 * n - 2))
@@ -401,30 +469,42 @@ def _key_form(n, m, offsets, replicas, stride, key0, updates, is_hit):
     keys = np.full(replicas, key0)
     update = updates(replicas)
 
-    def step(move):
-        balls, shifts = move
-        slots = base + balls
-        old = positions[slots]
-        new = old + shifts
-        new -= new // n * n  # numpy's % is slow on small integer types
-        positions[slots] = new
-        update(keys, base, balls, old, new)
-        return is_hit(keys)
+    def lockstep(block, steps, live, t):
+        alive = np.ones(live.size, dtype=bool)
+        dead = 0
+        for balls, shifts in zip(*_decode(block, n)):
+            t += 1
+            slots = base + balls
+            old = positions[slots]
+            new = old + shifts
+            new -= new // n * n  # numpy's % is slow on small integer types
+            positions[slots] = new
+            update(keys, base, balls, old, new)
+            hit = is_hit(keys)
+            if dead:
+                hit &= alive
+            if hit.any():
+                steps[live[hit]] = t
+                alive ^= hit
+                dead += np.count_nonzero(hit)
+                if dead == live.size:
+                    break
+        return t, alive if dead else None
 
     def keep(alive):
         nonlocal base, keys
         base, keys = base[alive], keys[alive]
 
-    return lambda block: zip(*_decode(block, n)), step, keep, lambda: positions[base + np.arange(m)[:, None]]
+    return lockstep, keep, lambda: positions[base + np.arange(m)[:, None]]
 
 
 def _tail_block(lanes, balls_ahead, shifts_ahead, n, contains):
     """Walk one block of the sparse tail ``TAIL_CHUNK`` steps at a time.
 
     ``lanes`` holds the live replicas' offsets, one row per ball.  Returns
-    the offsets at the block's end and each replica's first hit, as a step
-    of the block counted from 1 (0 if it walked the whole block).  Chunks
-    stop once every replica has hit.
+    the offsets at the block's end, the replicas that hit, and each one's
+    first hit as a step of the block counted from 1.  Chunks stop once every
+    replica has hit.
     """
     span, live = balls_ahead.shape
     m = lanes.shape[0]
@@ -462,7 +542,8 @@ def _tail_block(lanes, balls_ahead, shifts_ahead, n, contains):
         lanes = grid[:, -1]
         if not alive.any():
             break
-    return lanes, hit_at
+    hit = np.flatnonzero(hit_at)
+    return lanes, hit, hit_at[hit]
 
 
 def _sample(params, start, target, cfg: SimConfig, modes: Sequence[str]) -> dict[str, SimSummary]:

@@ -184,6 +184,13 @@ def test_all_truncated_raises(monkeypatch):
 
 def test_walk_slots_are_bounded(monkeypatch):
     monkeypatch.setattr(mc, "MAX_SLOTS", 100)
+    # a table walk holds one code per replica: 51 replicas are admitted, 101 are not
+    assert mc._membership(ModelParams(3, 2), (1, 1), SINGLETON, 51)[1] == 2
+    assert mc._membership(ModelParams(3, 2), (1, 2), SetDescriptor.diagonal(), 100)[1] == 3
+    with pytest.raises(ValueError, match=r"101 urn slots \(101 replicas x 1\)"):
+        mc._membership(ModelParams(3, 2), (1, 1), SINGLETON, 101)
+    # on keys each replica holds its balls' offsets, or one count per urn for occupancies
+    monkeypatch.setattr(mc, "TABLE_ENTRIES", 0)
     assert mc._membership(ModelParams(3, 2), (1, 1), SINGLETON, 50)[1] == 2  # 50 x 2 slots
     with pytest.raises(ValueError, match="102 urn slots"):
         mc._membership(ModelParams(3, 2), (1, 1), SINGLETON, 51)
@@ -542,3 +549,91 @@ def test_the_table_form_runs_up_to_table_entries(monkeypatch):
         walks.append(_walk_steps(P34, (1, 1, 1, 1), target, cfg))
     assert forms == ["_table_form", "_key_form"]
     _assert_walks_equal(walks)
+
+
+def _walk_every_way(monkeypatch, params, start, target, cfg):
+    """``_walk_in_each_form`` with every block in lockstep, then with every block in the tail."""
+    walks = []
+    for cells in (0, 2**62):
+        monkeypatch.setattr(mc, "TAIL_CELLS", cells)
+        walks += _walk_in_each_form(monkeypatch, params, start, target, cfg)
+    return walks
+
+
+def _assert_every_way_equal(walks):
+    _assert_walks_equal(walks)
+    for other in walks[1:]:
+        assert np.array_equal(walks[0][3], other[3])  # the generator stands at the same position
+        assert walks[0][4] == other[4]
+
+
+NEAR = SetDescriptor.singleton((2, 1, 1, 1))  # one move from all ones: hits come from the first step on
+
+
+@pytest.mark.parametrize("span,seed", [
+    (mc.TAIL_CHUNK - 1, 33), (mc.TAIL_CHUNK, 33), (mc.TAIL_CHUNK + 1, 33), (2 * mc.TAIL_CHUNK + 1, 126),
+], ids=["chunk-1", "chunk", "chunk+1", "2chunks+1"])
+def test_table_reads_hits_at_every_block_length(monkeypatch, span, seed):
+    # the first block of 40 replicas spans exactly `span` steps; the table reads its hits every
+    # TAIL_CHUNK steps and at the block's end, which here is a chunk's last step or its first
+    monkeypatch.setattr(mc, "BLOCK_MOVES", span * 40)
+    walks = _walk_every_way(monkeypatch, P34, (1, 1, 1, 1), NEAR, SimConfig(replicas=40, seed=seed))
+    _assert_every_way_equal(walks)
+    steps = walks[0][0]
+    assert (steps == 1).any() and (steps == span).any()  # on the block's first step and on its last
+    assert span < mc.TAIL_CHUNK or (steps == mc.TAIL_CHUNK).any()  # on the first chunk's last step
+
+
+def test_table_stops_at_the_last_hit_inside_a_chunk(monkeypatch):
+    # 5 replicas walk one block of 6553 steps; the last is absorbed inside its third chunk
+    walks = _walk_every_way(monkeypatch, P34, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2)),
+                            SimConfig(replicas=5, seed=1))
+    _assert_every_way_equal(walks)
+    steps, truncated, stop = walks[0][:3]
+    assert not truncated.any() and stop == steps.max() < mc.BLOCK_MOVES // 5
+    assert stop // mc.TAIL_CHUNK == 2 and stop % mc.TAIL_CHUNK
+
+
+def test_table_truncates_inside_a_chunk(monkeypatch):
+    # the budget pays for 100 steps of 40 replicas: one block of a full chunk and 36 steps of the next
+    monkeypatch.setattr(mc, "WALK_BUDGET", 100 * (40 + mc.STEP_CHARGE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        walks = _walk_every_way(monkeypatch, P34, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2)),
+                                SimConfig(replicas=40, seed=3))
+    _assert_every_way_equal(walks)
+    steps, truncated, stop = walks[0][:3]
+    assert stop == 100 and 0 < truncated.sum() < 40
+    assert steps[~truncated].max() > mc.TAIL_CHUNK  # a replica hit in the cut chunk
+
+
+@pytest.mark.parametrize("params,start,target", [
+    (P34, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2))),
+    (P34, (1, 2, 3, 1), SetDescriptor.pair((2, 2, 2, 2), (3, 1, 2, 3))),
+    (ModelParams(2, 5), (1,) * 5, SetDescriptor.count(3, 2)),
+    (ModelParams(4, 3), (1, 2, 3), SetDescriptor.diagonal()),
+    (ModelParams(5, 2), (1, 1), SetDescriptor.distinct()),
+], ids=["singleton", "pair", "count", "diagonal", "distinct"])
+def test_transition_table_rows(params, start, target):
+    # rows of R entries: the parked row, the states, then TAIL_CHUNK clock rows; every entry starts a row
+    n, m = params.urns, params.balls
+    moves, states = m * (n - 1), params.state_count
+    reference, *_, contains = mc._membership(params, start, target, 1)
+    table, digits, place = mc._transition_table(n, m, contains)
+    clock, rows = 1 + states, 1 + states + mc.TAIL_CHUNK
+    assert table.size == rows * moves
+    assert (table % moves == 0).all() and (table >= 0).all() and (table < table.size).all()
+    to = (table // moves).reshape(rows, moves)
+    assert (to[0] == 0).all()  # parked replicas stay parked
+    assert (to[clock:].T == np.minimum(np.arange(clock + 1, rows + 1), rows - 1)).all()  # the clock ticks
+    members = set(target.materialize(params))
+    for code in range(states):
+        offsets = digits[:, code]
+        assert offsets @ place == code
+        for move in range(moves):
+            ball, shift = divmod(move, n - 1)
+            after = offsets.copy()
+            after[ball] = (after[ball] + shift + 1) % n
+            state = tuple(int(u) for u in (after + np.array(reference) - 1) % n + 1)
+            # a move that lands in the target goes to clock row 0, any other to its state's row
+            assert to[1 + code, move] == (clock if state in members else 1 + after @ place)
