@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import re
 import sys
 import time
 from fractions import Fraction
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 
-from .exact import ROUND_TRIP_DIGITS, format_rational, format_significant
+from .exact import ROUND_TRIP_DIGITS, format_rational
 from .model import CapExceededError, HittingSummary, ModelParams, SetNotSymmetricError, parse_set
 
 USAGE_ERROR = 2
@@ -229,15 +229,61 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(args, report: dict, started: float) -> None:
     if args.timing:
         report["timing"] = {"seconds": round(time.perf_counter() - started, 6), **report.get("timing", {})}
-    if args.format == "csv":
-        text = _to_csv(report)
-    else:
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    text = _to_csv(report) if args.format == "csv" else _to_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _to_json(report: dict) -> str:
+    """``json.dumps(report, indent=2, allow_nan=False)`` and a newline, the same bytes, written by one recursion
+    that appends its pieces to one list: ``json`` takes that path through a generator per container."""
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append ``value`` as ``json`` writes it at ``indent``, the newline and spaces before its nesting level,
+    testing its type in ``json``'s order and raising ``json``'s errors; a dict key must be a string."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple, dict)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = indent + "  "
+        out.append("{" if is_dict else "[")
+        for i, item in enumerate(value.items() if is_dict else value):
+            out.append("," + inner if i else inner)
+            if is_dict:  # every report key is a string
+                key, item = item
+                out += (encode_basestring_ascii(key), ": ")
+            _write_json(item, inner, out)
+        out += (indent, "}" if is_dict else "]")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json`` writes it with ``allow_nan=False``."""
+    if value != value or value in (math.inf, -math.inf):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+    return float.__repr__(value)
 
 
 #: verdict detail keys that have a CSV column, and that column
@@ -302,7 +348,7 @@ def _request_echo(args) -> dict:
     return req
 
 
-def _summary_results(summary, digits: int) -> dict:
+def _summary_results(summary) -> dict:
     results = {
         "mean": _rat(summary.mean),
         "variance": _rat(summary.variance),
@@ -311,12 +357,7 @@ def _summary_results(summary, digits: int) -> dict:
             {"u": format_rational(u), "value": _rat(v)} for u, v in summary.u_samples
         ],
         "lambda_samples": [
-            {
-                "lambda": lam,
-                "decimal": format_significant((num, den), digits),
-                "float": num / den,  # correctly rounded, as float(Fraction(num, den)) is
-            }
-            for lam, (num, den) in summary.lambda_samples
+            {"lambda": lam, "decimal": decimal, "float": value} for lam, decimal, value in summary.lambda_samples
         ],
     }
     if summary.exit_distribution is not None:
@@ -338,10 +379,11 @@ def _verdict(name: str, ok: bool, **detail) -> dict:
 def _commute_verdict(name: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> dict:
     """The commute identity's verdict on two sides, each an unreduced ``(numerator, denominator)`` pair.
 
-    The sides are compared by cross-multiplication; agreeing sides are one value, reduced and rendered once.
+    Sides over one denominator, as ``network-check``'s are, are compared by their numerators, and others by
+    cross-multiplication; agreeing sides are one value, reduced and rendered once.
     """
     (a, b), (c, d) = lhs, rhs
-    if a * d == c * b:
+    if a == c if b == d else a * d == c * b:
         text = format_rational(Fraction(a, b))
         return _verdict(name, True, lhs=text, rhs=text)
     return _verdict(name, False, lhs=format_rational(Fraction(a, b)), rhs=format_rational(Fraction(c, d)))
@@ -404,7 +446,7 @@ def _simulate(args, mode=None, grid=()):
 
 def cmd_exact(args) -> dict:
     _, summary = _engine(args, args.u_grid, args.lambda_grid)
-    return {"results": _summary_results(summary, args.digits)}
+    return {"results": _summary_results(summary)}
 
 
 def cmd_oracle(args) -> dict:
@@ -412,7 +454,7 @@ def cmd_oracle(args) -> dict:
 
     chain = oracle.EnumeratedChain(args.params)
     summary = _oracle(args, chain, args.u_grid, args.lambda_grid, exit_law=True)
-    return {"results": _summary_results(summary, args.digits)}
+    return {"results": _summary_results(summary)}
 
 
 def cmd_simulate(args) -> dict:
@@ -448,7 +490,7 @@ def cmd_compare(args) -> dict:
     chain = oracle.EnumeratedChain(args.params)
     u_grid = args.u_grid or (Fraction(1, 2), Fraction(1), Fraction(2))
     lambda_grid = args.lambda_grid or (0.1, 0.5, 1.0, 2.0)
-    query, engine = _engine(args, u_grid, lambda_grid)
+    query, engine = _engine(args, u_grid, ())
     truth = _oracle(args, chain, u_grid, ())
 
     # (verdict name, engine value, oracle value): equal to the last digit or the check fails
@@ -469,8 +511,9 @@ def cmd_compare(args) -> dict:
         for name, lhs, rhs in triples
     ]
 
-    for lam, sums in engine.lambda_samples:
-        lhs, rhs = Fraction(*sums), hitting.laplace_lambda(query, lam, max(args.digits, ROUND_TRIP_DIGITS) + 6)
+    for lam in lambda_grid:
+        lhs = Fraction(*hitting.lambda_sums(query, lam, args.digits))
+        rhs = hitting.laplace_lambda(query, lam, max(args.digits, ROUND_TRIP_DIGITS) + 6)
         rel = abs(lhs - rhs) / rhs if rhs else Fraction(0)
         # the reference's u is six digits finer; the samples print --digits: hold them to those, and to 1e-15
         verdicts.append(

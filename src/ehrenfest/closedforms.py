@@ -16,8 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
-from operator import add
+from math import comb, lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .exact import over_one_denominator
@@ -188,24 +187,28 @@ class CommuteCheck(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _commute_sides(params: ModelParams) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+def _commute_sides(params: ModelParams) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Both sides of the commute identity in integers, summed once along the path.
 
-    Returns ``(lhs, lhs_den, rhs, rhs_den)``: each side is a tuple of prefix
-    sums of integer numerators over one denominator, starting at 0, so the
-    side between levels ``h < k`` is ``(side[k] - side[h]) / side_den``.  The
-    left side adds the prefix sums of both one-way level means
-    (:func:`_level_prefix_sums`); the right side sums the resistances
-    ``1/c(j, j+1)`` of the conductances, its numerators times the total vertex
-    weight's.  Neither reads the other's route, so each pair's two sides agree
-    only if the identity holds.  Cached per ``params``, like the level means.
+    Returns ``(lhs, rhs, den)``: each side is a tuple of prefix sums of integer
+    numerators over the one denominator ``den``, starting at 0, so the side
+    between levels ``h < k`` is ``(side[k] - side[h]) / den``.  The left side
+    adds the prefix sums of both one-way level means (:func:`_level_prefix_sums`);
+    the right side sums the resistances ``1/c(j, j+1)`` of the conductances, its
+    numerators times the total vertex weight's.  Each side is summed over its own
+    denominator and then scaled to ``den``, the lcm of the two, so neither reads the
+    other's route and each pair's two sides agree only if the identity holds.
+    Cached per ``params``, like the level means.
     """
     up, down, lhs_den = _level_prefix_sums(params)
     chain = CountChain(params)
     resistance, resistance_den = over_one_denominator([1 / chain.conductance_up(j) for j in range(params.balls)])
     weight = chain.total_weight()
-    rhs = tuple(weight.numerator * r for r in accumulate(resistance, initial=0))
-    return tuple(map(add, up, down)), lhs_den, rhs, weight.denominator * resistance_den
+    rhs_den = weight.denominator * resistance_den
+    den = lcm(lhs_den, rhs_den)
+    left, right = den // lhs_den, den // rhs_den * weight.numerator
+    rhs = tuple(right * r for r in accumulate(resistance, initial=0))
+    return tuple(left * (a + b) for a, b in zip(up, down)), rhs, den
 
 
 def network_commute_check(params: ModelParams, h: int, k: int) -> CommuteCheck:
@@ -219,24 +222,24 @@ def network_commute_check(params: ModelParams, h: int, k: int) -> CommuteCheck:
     """
     if not 0 <= h < k <= params.balls:
         raise ValueError("need levels 0 <= h < k <= balls")
-    lhs, lhs_den, rhs, rhs_den = _commute_sides(params)
-    return CommuteCheck(lhs=Fraction(lhs[k] - lhs[h], lhs_den), rhs=Fraction(rhs[k] - rhs[h], rhs_den))
+    lhs, rhs, den = _commute_sides(params)
+    return CommuteCheck(lhs=Fraction(lhs[k] - lhs[h], den), rhs=Fraction(rhs[k] - rhs[h], den))
 
 
 def network_commute_sweep(params: ModelParams) -> list[tuple[int, int, tuple[int, int], tuple[int, int]]]:
     """Both sides of :func:`network_commute_check` for every level pair ``h < k``, unreduced.
 
     Returns ``(h, k, lhs, rhs)`` for each pair in order, each side an integer
-    ``(numerator, denominator)`` pair with a positive denominator shared by
-    every pair: the prefix sums of :func:`_commute_sides` are taken once,
-    O(balls) rational operations per side, and each pair reads one integer
-    difference per side.  No gcd is taken; the sides agree when their cross
-    products do.
+    ``(numerator, denominator)`` pair with one positive denominator shared by
+    both sides and every pair: the prefix sums of :func:`_commute_sides` are
+    taken once, O(balls) rational operations per side, and each pair reads one
+    integer difference per side.  No gcd is taken; the sides agree when their
+    numerators do.
     """
     m = params.balls
-    lhs, lhs_den, rhs, rhs_den = _commute_sides(params)
+    lhs, rhs, den = _commute_sides(params)
     return [
-        (h, k, (lhs[k] - lhs[h], lhs_den), (rhs[k] - rhs[h], rhs_den))
+        (h, k, (lhs[k] - lhs[h], den), (rhs[k] - rhs[h], den))
         for h in range(m + 1)
         for k in range(h + 1, m + 1)
     ]

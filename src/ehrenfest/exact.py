@@ -8,12 +8,16 @@ machine-readable output, a rational lower bound of ``e**x - 1`` for the
 discrete-time transform argument, and a small truncated-power-series type
 (:class:`Jet`) with exact rational coefficients.
 
-The discrete transform's samples are kept unreduced, as the two kernel sums
-whose ratio they are, since a report prints only ``digits`` digits and a
-float of each: :func:`format_significant` reads those digits off the top
-bits of the two sums, rounding each end of the interval they leave once with
-``decimal``, and the float is their correctly rounded int division, so no gcd
-of their integers, up to about 7*10**5 bits each, is ever taken.
+A report prints only ``digits`` digits and a float of each discrete
+transform sample, so neither is read off a reduced value.
+:func:`format_enclosed` gives the digits every rational in an interval
+rounds to, rounding each end once with ``decimal``, or says the interval
+does not settle them; the engine's samples come from intervals it encloses
+them in (:func:`~ehrenfest.hitting.lambda_point`).  Where it cannot, the
+sample is two exact kernel sums, and :func:`format_significant` runs the same
+test on the interval their top bits leave, so no gcd of their integers, up
+to about 7*10**5 bits each, is ever taken; the float is their correctly
+rounded int division.
 
 Jets carry the first ``order + 1`` Taylor coefficients of a function and
 support ring arithmetic, division and composition, exactly and never
@@ -58,12 +62,13 @@ def format_significant(value: Rational | tuple[int, int], digits: int = 20) -> s
 
     Ziv's rounding test (*ACM TOMS* 17(3), 1991) reads it off the top
     ``ceil(digits * log2(10)) + _GUARD_BITS`` bits of ``num`` and ``den``,
-    which bound the quotient between two ratios of small integers.  Each is
-    rounded once by ``decimal``; rounding is monotone, so where both give one
-    string the quotient does too, unless that value lies between the ends (the
-    quotient may equal it, with fewer digits) or outside the context's exponent
-    range: there, and at zero, the exact division runs.  Neither path reduces
-    the pair, since ``Decimal``'s quotient depends on the value alone.
+    which bound the quotient between two ratios of small integers, and
+    decides it as :func:`format_enclosed` does: each end is rounded once by
+    ``decimal``; rounding is monotone, so where both give one string the
+    quotient does too, unless that value lies between the ends (the quotient
+    may equal it, with fewer digits) or outside the context's exponent range:
+    there, and at zero, the exact division runs.  Neither path reduces the
+    pair, since ``Decimal``'s quotient depends on the value alone.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -90,20 +95,37 @@ def _quotient_from_top_bits(num: int, den: int, ctx: Context) -> Decimal | None:
     bits of each, or None where those bits do not settle the rounding."""
     keep = math.ceil(ctx.prec * math.log2(10)) + _GUARD_BITS
     sn, sd = max(num.bit_length() - keep, 0), max(den.bit_length() - keep, 0)
-    a, b, shift = num >> sn, den >> sd, sn - sd
-    # num / den lies in [a/(b + 1), (a + 1)/b] * 2**shift; an end is exact where its shift dropped nothing.
+    a, b = num >> sn, den >> sd
+    # num / den lies in [a/(b + 1), (a + 1)/b] * 2**(sn - sd); an end is exact where its shift dropped nothing
+    return _round_enclosed((a, b + (sd > 0)), (a + (sn > 0), b), sn - sd, ctx)
+
+
+def format_enclosed(lo: tuple[int, int], hi: tuple[int, int], shift: int, digits: int = 20) -> str | None:
+    """The string :func:`format_significant` gives every rational in
+    ``[lo[0]/lo[1], hi[0]/hi[1]] * 2**shift``, four positive integers, or None
+    where the interval does not settle it: the ends round apart, the rounded
+    value lies between them (the quotient may equal it, with fewer digits), or
+    it lies outside the context's exponent range."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, ROUND_HALF_EVEN
+        d = _round_enclosed(lo, hi, shift, ctx)
+    return None if d is None else str(d)
+
+
+def _round_enclosed(lo: tuple[int, int], hi: tuple[int, int], shift: int, ctx: Context) -> Decimal | None:
+    """What ``ctx`` rounds every quotient in ``[lo, hi] * 2**shift`` to, as :func:`format_enclosed` decides it."""
     # 2**shift is built in decimal, since Decimal() of a long int is quadratic in its length; exact never
-    # rounds, as every product it makes has under 0.7 * (keep + |shift|) digits, below its precision
-    exact, wide = (Context(prec, ctx.rounding, MIN_EMIN, MAX_EMAX) for prec in (keep + abs(shift), ctx.prec))
+    # rounds, as no product it makes has more digits than the ends' bits, plus |shift| and ctx.prec
+    size = max(x.bit_length() for x in (*lo, *hi)) + abs(shift) + ctx.prec
+    exact, wide = (Context(prec, ctx.rounding, MIN_EMIN, MAX_EMAX) for prec in (size, ctx.prec))
     up, down = exact.power(2, max(shift, 0)), exact.power(2, max(-shift, 0))
-    ends = (a, b + (sd > 0)), (a + (sn > 0), b)
-    (t0, u0), (t1, u1) = ((exact.multiply(n, up), exact.multiply(d, down)) for n, d in ends)
-    lo, hi = wide.divide(t0, u0), wide.divide(t1, u1)
+    (t0, u0), (t1, u1) = ((exact.multiply(n, up), exact.multiply(d, down)) for n, d in (lo, hi))
+    low, high = wide.divide(t0, u0), wide.divide(t1, u1)
     # rounding is monotone, so the quotient rounds as both ends do, unless it may equal the rounded value,
     # written with fewer digits, or that value lies outside the context's exponent range
-    if not (ctx.Emin <= lo.adjusted() < ctx.Emax and str(lo) == str(hi)):
+    if not (ctx.Emin <= low.adjusted() < ctx.Emax and str(low) == str(high)):
         return None
-    return None if t0 <= exact.multiply(lo, u0) and exact.multiply(lo, u1) <= t1 else lo
+    return None if t0 <= exact.multiply(low, u0) and exact.multiply(low, u1) <= t1 else low
 
 
 def _exact_quotient(num: int, den: int) -> Decimal:

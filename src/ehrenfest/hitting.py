@@ -22,8 +22,11 @@ and keeps only the two rows: every output below reads them.  For the
 transform both rows are summed over one shared, unreduced denominator
 product, so the ratio is the quotient of the two integer numerators and is
 reduced exactly once.  The discrete-time transform is the same ratio
-evaluated at ``u = balls * (e**lambda - 1)``, kept unreduced in the summary,
-since its report prints only ``digits`` digits and a float of it.
+evaluated at ``u = balls * (e**lambda - 1)``, of which a report prints only
+``digits`` digits and a float: :func:`lambda_point` floors each row's terms
+at a few hundred to a few thousand fractional bits, which encloses the ratio
+closely enough to decide both, and runs the exact sums only where that
+interval does not settle them or would cost more.
 A start inside ``A`` has the reference histogram, so its two rows are equal:
 the ratio gives the transform 1 and every moment 0 with no branch of its own.
 
@@ -49,7 +52,7 @@ from functools import partial
 from typing import NamedTuple, Sequence
 
 from .closedforms import same_urn_stats_of_occupancy, two_point_stats
-from .exact import Rational
+from .exact import ROUND_TRIP_DIGITS, Rational, format_enclosed, lambda_to_u
 from . import model
 from .model import HittingSummary, ModelParams, SetDescriptor, SetNotSymmetricError, State, _Record, overlap
 from .resolvent import kernel_row, kernel_series, kernel_sums
@@ -67,11 +70,13 @@ class HittingQuery(_Record):
     swaps of the two urns for a pair, global urn relabelings for the diagonal
     and the distinct set, ball permutations plus relabelings fixing the
     reference urn for a count slice), so it is symmetric by construction.
-    ``payload`` is what ``target.validate`` returned, which the exit law reads;
-    it and ``rows`` are neither compared nor shown.
+    ``payload`` is what ``target.validate`` returned, which the exit law reads,
+    and ``reach`` the fewest steps from the start to the set, ``balls`` less its
+    largest overlap with a member, which :func:`lambda_point` reads; they and
+    ``rows`` are neither compared nor shown.
     """
 
-    __slots__ = ("params", "start", "target", "payload", "rows")
+    __slots__ = ("params", "start", "target", "payload", "rows", "reach")
     _fields = ("params", "start", "target")
 
     def __init__(self, params: ModelParams, start: State, target: SetDescriptor):
@@ -83,7 +88,9 @@ class HittingQuery(_Record):
         start = params.check_state(self.start)
         payload = target.validate(params)
         hists = _overlap_histograms(params, target, start, payload)
-        self._set(params, start, target, payload=payload, rows=tuple(kernel_row(params, hist) for hist in hists))
+        reach = params.balls - max(k for k, count in enumerate(hists[0]) if count)
+        self._set(params, start, target, payload=payload, rows=tuple(kernel_row(params, hist) for hist in hists),
+                  reach=reach)
 
 
 def _reference(params: ModelParams, target: SetDescriptor, payload) -> State:
@@ -182,6 +189,100 @@ def lambda_sums(query: HittingQuery, lam: float, digits: int = 20) -> tuple[int,
     """The two unreduced kernel sums whose ratio is :func:`laplace_lambda`, by
     :meth:`~ehrenfest.model.HittingSummary.lambda_sample`'s rule."""
     return HittingSummary.lambda_sample(partial(_sums, query), query.params.balls, lam, digits)
+
+
+def lambda_point(query: HittingQuery, lam: float, digits: int = 20) -> tuple[str, float]:
+    """:func:`laplace_lambda` as a report prints it: its ``digits`` significant
+    digits and its correctly rounded float, as
+    :meth:`~ehrenfest.model.HittingSummary.rendered` prints :func:`lambda_sums`.
+
+    Both are decided from :func:`_enclosure` where its two ends round alike.
+    The exact sums run where they do not, at ``lambda = 0``, and where the
+    start's row is the reference's: a start inside the set, where the value is
+    exactly 1, which the exact quotient prints as ``1`` and no interval around
+    it can settle.
+    """
+    if lam > 0 and query.rows[0] != query.rows[1]:
+        u = lambda_to_u(query.params.balls, lam, digits)
+        point = _enclosure(query, u, digits)
+        return point if point is not None else HittingSummary.rendered(_sums(query, u), digits)
+    return HittingSummary.rendered(lambda_sums(query, lam, digits), digits)
+
+
+#: bits each row's floored sum keeps past the digits printed: the enclosure is about
+#: ``2**-_GUARD_BITS`` of the value wide, so its ends round apart about that rarely
+_GUARD_BITS = 96
+
+
+def _enclosure(query: HittingQuery, u: Fraction, digits: int) -> tuple[str, float] | None:
+    """The decimal and the float of the transform at ``u = p/q``, read off floored
+    fixed-point sums of the two rows, or None where they do not settle both or
+    would cost more than the exact sums.
+
+    The transform is ``S_0 / S_1`` with ``S_i = sum_t a_it / d_t`` over the ``K``
+    columns where a row is nonzero, ``d_t = urns*t*q + (urns-1)*p``.  Floored at
+    ``P_i`` fractional bits, ``L_i = sum_t floor(a_it * 2**P_i / d_t)`` misses
+    ``S_i * 2**P_i`` by less than 1 a term, so that lies in ``[L_i, L_i + K)`` and
+    ``S_0 / S_1`` in ``[L_0 / (L_1 + K), (L_0 + K) / L_1] * 2**(P_1 - P_0)``.  Both
+    sums are positive.  Each ``P_i`` is found by Ziv's strategy (*ACM TOMS* 17(3),
+    1991): a row needs ``L_i`` of ``max(digits, 17) * log2(10) + _GUARD_BITS``
+    bits plus ``bits(K)``; the reference's row starts at that plus ``bits(q)``,
+    the bits the divisions take off, and a row grows by the bits ``L_i`` lacks,
+    or doubles where ``L_i <= 0``.  Each floor keeps its remainder, so raising
+    ``P_i`` by ``s`` divides ``s`` new bits a term: a row costs about one pass at
+    its last ``P_i``.
+
+    Only the start's row cancels: its sum is ``S_1`` times the transform
+    ``E[z**T]``, ``z = balls / (balls + u)``, where ``T`` is at least the query's
+    ``reach``, ``r``, and equals it with probability at least
+    ``r! / (balls * (urns-1))**r``.  So it lacks at most ``r * log2(1/z)`` plus
+    ``log2((balls * (urns-1))**r / r!)`` bits against ``S_1``, which sets where it
+    starts.  A pass at ``P`` bits costs about ``P / size`` times 2.3-3.8 exact sums
+    of ``size = sum_t bits(d_t)`` bits (measured at ``size`` from 2*10**4 to
+    7*10**5), so where the two rows would take more than ``size / 4`` bits, far
+    from the set at a large lambda, None: the exact :func:`kernel_sums` are
+    cheaper.  That is decided before any pass where even the largest ``S_1`` its
+    terms allow leaves the start's row past it.
+    """
+    params, (row0, row1) = query.params, query.rows
+    n, m, p, q, r = params.urns, params.balls, u.numerator, u.denominator, query.reach
+    kept = [t for t, pair in enumerate(zip(row0, row1)) if any(pair)]
+    dens = [n * t * q + (n - 1) * p for t in kept]
+    width = len(kept).bit_length()
+    budget = sum(d.bit_length() for d in dens) // 4
+    need = math.ceil(max(digits, ROUND_TRIP_DIGITS) * math.log2(10)) + _GUARD_BITS + width
+    lack = r * (math.log2(m * q + p) - math.log2(m * q) + math.log2(m * (n - 1))) - math.lgamma(r + 1) / math.log(2)
+    start = need + q.bit_length()
+
+    def start_row(scale: int) -> int:
+        """``P_0`` that leaves ``L_0`` at least ``need`` bits where ``S_1 >= 2**(scale - 1)``."""
+        return max(start, need - scale + math.ceil(lack) + width + 1)
+
+    def floored(row, bits: int, cap: int) -> tuple[int, int] | None:
+        """``(L, P)`` for one row from ``P = bits`` on, or None past ``cap`` bits."""
+        if bits > cap:
+            return None
+        parts = [divmod(row[t] << bits, d) for t, d in zip(kept, dens)]
+        total, rems = sum(f for f, _ in parts), [rem for _, rem in parts]
+        while (short := need - total.bit_length() if total > 0 else bits) > 0:
+            if bits + short > cap:
+                return None
+            bits += short
+            parts = [divmod(rem << short, d) for rem, d in zip(rems, dens)]
+            total, rems = (total << short) + sum(f for f, _ in parts), [rem for _, rem in parts]
+        return total, bits
+
+    # S_1 < 2**(bits(K) + its largest term's bits), so past the budget there is past it for the real S_1
+    top = max(abs(row1[t]).bit_length() - d.bit_length() + 1 for t, d in zip(kept, dens)) + width
+    ref = floored(row1, start, budget - start_row(top + 1))
+    low = ref and floored(row0, start_row(ref[0].bit_length() - ref[1]), budget - ref[1])
+    if not low:
+        return None
+    (l0, p0), (l1, p1) = low, ref
+    lo, hi, shift = (l0, l1 + len(kept)), (l0 + len(kept), l1), p1 - p0
+    floats = [(a << max(shift, 0)) / (b << max(-shift, 0)) for a, b in (lo, hi)]
+    text = format_enclosed(lo, hi, shift, digits) if floats[0] == floats[1] else None
+    return None if text is None else (text, floats[0])
 
 
 def mean(query: HittingQuery) -> Fraction:
@@ -296,4 +397,4 @@ def summarize(
     """Bundle the exact statistics, transform samples and exit law of one query
     by :meth:`~ehrenfest.model.HittingSummary.of_route`."""
     return HittingSummary.of_route(partial(raw_moments, query), partial(_sums, query), query.params.balls, order,
-                                   u_grid, lambda_grid, digits, exit_distribution(query))
+                                   u_grid, lambda_grid, digits, exit_distribution(query), partial(lambda_point, query))

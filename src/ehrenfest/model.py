@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations as _permutations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import lambda_to_u
+from .exact import format_significant, lambda_to_u
 
 State = tuple[int, ...]
 
@@ -174,32 +174,38 @@ def overlap(x: Sequence[int], y: Sequence[int]) -> int:
 class HittingSummary(NamedTuple):
     """Exact summary of one hitting-time query, as both exact routes report it.
 
-    Each lambda sample is kept unreduced, as ``(lambda, (num, den))`` with
-    the transform equal to ``num / den``: the report prints it to ``--digits``
-    digits (:func:`~ehrenfest.exact.format_significant`) and as the float
-    ``num / den``, neither of which needs the gcd that reducing it would take.
+    Each lambda sample is kept as the report prints it, ``(lambda, decimal,
+    float)``: the transform's ``--digits`` significant digits
+    (:func:`~ehrenfest.exact.format_significant`) and its correctly rounded
+    float.  Each route supplies its own: the oracle renders its exact value
+    (:meth:`rendered`), and the engine decides both from an enclosure of it
+    where that settles them (:func:`~ehrenfest.hitting.lambda_point`).
     """
 
     mean: Fraction
     variance: Fraction
     raw_moments: tuple[Fraction, ...]
     u_samples: tuple[tuple[Fraction, Fraction], ...] = ()
-    lambda_samples: tuple[tuple[float, tuple[int, int]], ...] = ()
+    lambda_samples: tuple[tuple[float, str, float], ...] = ()
     exit_distribution: dict[State, Fraction] | None = None
 
     @classmethod
     def of_route(cls, moments, transform, balls: int, order: int, u_grid: Sequence, lambda_grid: Sequence[float],
-                 digits: int, exit_distribution: dict[State, Fraction] | None) -> "HittingSummary":
+                 digits: int, exit_distribution: dict[State, Fraction] | None,
+                 lambda_point=None) -> "HittingSummary":
         """One exact route's summary on a chain of ``balls`` balls, from its ``moments(r)``, ``E[T**1..r]``, and
         its ``transform(u)``, the unreduced ``(num, den)`` of ``E[exp(-u * T)]`` at rational ``u > 0``: mean and
         variance off the first two of ``max(order, 2)`` moments, the first ``order`` reported, each ``u`` sample
-        reduced once and each lambda sample taken by :meth:`lambda_sample`."""
+        reduced once and each lambda sample taken by ``lambda_point(lam, digits)``, by default ``transform``'s
+        :meth:`lambda_sample` as :meth:`rendered` prints it."""
         if order < 1:
             raise ValueError("moment order must be >= 1")
+        point = lambda_point or (lambda lam, digits: cls.rendered(cls.lambda_sample(transform, balls, lam, digits),
+                                                                  digits))
         first, second, *_ = raw = moments(max(order, 2))
         return cls(first, second - first**2, tuple(raw[:order]),
                    tuple((u, Fraction(*transform(u))) for u in map(Fraction, u_grid)),
-                   tuple((float(lam), cls.lambda_sample(transform, balls, lam, digits)) for lam in lambda_grid),
+                   tuple((float(lam), *point(lam, digits)) for lam in lambda_grid),
                    exit_distribution)
 
     @staticmethod
@@ -209,6 +215,13 @@ class HittingSummary(NamedTuple):
         if lam < 0:
             raise ValueError("transform argument must be non-negative")
         return transform(lambda_to_u(balls, lam, digits)) if lam else (1, 1)
+
+    @staticmethod
+    def rendered(sums: tuple[int, int], digits: int) -> tuple[str, float]:
+        """An unreduced ``(num, den)`` as a report prints it: its ``digits`` significant digits and the float
+        ``num / den``, correctly rounded as ``float(Fraction(num, den))`` is, with no gcd taken for either."""
+        num, den = sums
+        return format_significant(sums, digits), num / den
 
 
 # ---------------------------------------------------------------------------

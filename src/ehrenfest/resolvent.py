@@ -323,11 +323,15 @@ def binomial_increment_mean(params: ModelParams, m: int) -> Fraction:
     return Fraction(total, M * comb(M - 1, m) * (n - 1) ** m)
 
 
-def overlap_increment_distribution(params: ModelParams, m: int) -> Sequence[tuple[int, Fraction]]:
-    """Binomial(m, 1/(urns-1)) overlap law, for enumerating the mean directly."""
+def overlap_increment_distribution(params: ModelParams, m: int) -> tuple[list[int], int]:
+    """Binomial(m, 1/(urns-1)) overlap law, for enumerating the mean directly: integer
+    numerators ``probs`` and one denominator ``den``, with ``P(overlap = j) = probs[j] / den``.
+
+    With ``p = 1/(urns-1)``, ``C(m,j) * p**j * (1-p)**(m-j)`` is
+    ``C(m,j) * (urns-2)**(m-j) / (urns-1)**m``, so ``den = (urns-1)**m``, unreduced.
+    """
     n = params.urns
-    # C(m,j) * p**j * (1-p)**(m-j) with p = 1/(urns-1) is C(m,j) * (urns-2)**(m-j) / (urns-1)**m
-    return [(j, Fraction(comb(m, j) * (n - 2) ** (m - j), (n - 1) ** m)) for j in range(m + 1)]
+    return [comb(m, j) * (n - 2) ** (m - j) for j in range(m + 1)], (n - 1) ** m
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +353,7 @@ def identity_suite_holds(params: ModelParams) -> bool:
     cross-multiplies integer numerators and denominators: the telescoped
     increments, each gap against its two kernels' difference, the first gap,
     the derivative gap and each mean, whose enumeration is summed in integers
-    over the shared denominators of the increments and of the overlap law.
+    over the increments' shared denominator and the overlap law's own.
     """
     n, m = params.urns, params.balls
     zero, full, gaps = kernel_increments(params)
@@ -365,7 +369,7 @@ def identity_suite_holds(params: ModelParams) -> bool:
 
     def mean_matches(j: int) -> bool:
         # sum_i P(overlap = i) * increment_i over the product of the two shared denominators
-        probs, prob_den = over_one_denominator([p for _, p in overlap_increment_distribution(params, j)])
+        probs, prob_den = overlap_increment_distribution(params, j)
         mean = binomial_increment_mean(params, j)
         return sum(p * inc for p, inc in zip(probs, increments)) * mean.denominator == mean.numerator * prob_den * den
 

@@ -213,10 +213,8 @@ def test_criterion_5_identities_suite():
                 F(1, i) * sum(F(n**j, j) for j in range(1, i + 1)) for i in range(1, m + 1)
             )
             for mm in range(m):
-                direct = sum(
-                    (p * table.increments[j] for j, p in overlap_increment_distribution(params, mm)),
-                    F(0),
-                )
+                probs, den = overlap_increment_distribution(params, mm)
+                direct = sum((F(num, den) * table.increments[j] for j, num in enumerate(probs)), F(0))
                 assert binomial_increment_mean(params, mm) == direct
 
     worst = 0.0

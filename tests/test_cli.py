@@ -13,11 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrenfest import cli, closedforms, exact, hitting, mc, model, oracle, resolvent
 from ehrenfest.closedforms import count_set_mean
 from ehrenfest.exact import format_rational
 from ehrenfest.model import ModelParams, parse_set
+import reference
 
 
 def run_cli(capsys, *argv):
@@ -134,11 +137,6 @@ _ROUTE_CASES = [
 ]
 
 
-def _rational_lambdas(summary):
-    """``summary`` with each lambda sample as one reduced rational."""
-    return summary._replace(lambda_samples=tuple((lam, Fraction(*v)) for lam, v in summary.lambda_samples))
-
-
 @pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
 @pytest.mark.parametrize("n, m, text, outside, member", _ROUTE_CASES, ids=[c[2].split(":")[0] for c in _ROUTE_CASES])
 def test_engine_and_oracle_summaries_are_equal(n, m, text, outside, member, inside, tmp_path):
@@ -160,8 +158,9 @@ def test_engine_and_oracle_summaries_are_equal(n, m, text, outside, member, insi
         truth = cli._oracle(args, chain, args.u_grid, lambdas, exit_law=True)
         if engine.exit_distribution is None:
             truth = truth._replace(exit_distribution=None)
-        # the engine keeps its lambda samples unreduced, the oracle reduced; both solve at the same u
-        assert _rational_lambdas(engine) == _rational_lambdas(truth)
+        # each route prints its own lambda samples, the engine from an enclosure and the oracle from its exact
+        # value: both are equal, and the engine's exact sums equal the oracle's solves at the same u
+        assert engine == truth
         start, target = args.start_state, args.target
         moments = oracle.solve_raw_moments(chain, target, start, max(order, 2))
         assert truth.raw_moments == tuple(moments[:order])
@@ -169,8 +168,45 @@ def test_engine_and_oracle_summaries_are_equal(n, m, text, outside, member, insi
         values = [oracle.solve_transform_u(chain, target, start, u)
                   for u in (*args.u_grid, *(exact.lambda_to_u(m, lam, 20) for lam in lambdas[1:]))]
         assert truth.u_samples == tuple(zip(args.u_grid, values[:2]))
-        assert _rational_lambdas(truth).lambda_samples == ((0.0, 1), *zip(lambdas[1:], values[2:]))
+        assert truth.lambda_samples == ((0.0, "1", 1.0), *((lam, reference.format_significant(v, 20), float(v))
+                                                           for lam, v in zip(lambdas[1:], values[2:])))
+        query = hitting.HittingQuery(args.params, start, target)
+        assert [Fraction(*hitting.lambda_sums(query, lam, 20)) for lam in lambdas[1:]] == values[2:]
         assert (truth.mean == 0) == inside
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**200), 2**200),
+                          st.floats(allow_nan=False, allow_infinity=False), st.text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4)), max_leaves=30))
+def test_the_report_writer_writes_what_json_writes(report):
+    assert cli._to_json(report) == json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (Path(__file__).parent / "golden").glob("*.out")))
+def test_the_report_writer_rewrites_every_golden_report(name):
+    text = (Path(__file__).parent / "golden" / f"{name}.out").read_text(encoding="utf-8")
+    assert cli._to_json(json.loads(text)) == text
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["value", "list"])
+def test_the_report_writer_refuses_what_json_refuses(value, where):
+    report = {"value": {"a": value}, "list": [[1, value]]}[where]
+    with pytest.raises(ValueError) as want:
+        json.dumps(report, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._to_json(report)
+    assert str(got.value) == str(want.value) == f"Out of range float values are not JSON compliant: {value!r}"
+    with pytest.raises(TypeError) as want:
+        json.dumps({"a": [object()]}, indent=2, allow_nan=False)
+    with pytest.raises(TypeError) as got:
+        cli._to_json({"a": [object()]})
+    assert str(got.value) == str(want.value) == "Object of type object is not JSON serializable"
 
 
 def test_oracle_accepts_asymmetric_set(tmp_path, capsys):
@@ -407,7 +443,7 @@ def test_a_numpy_integer_payload_prints_the_same_report():
         kind = "singleton" if len(states) == 1 else "pair"
         wide = tuple(tuple(np.int64(c) for c in s) for s in states)
         reports = [
-            json.dumps(cli._summary_results(hitting.summarize(hitting.HittingQuery(params, start, target), 3), 20))
+            json.dumps(cli._summary_results(hitting.summarize(hitting.HittingQuery(params, start, target), 3)))
             for target in (model.SetDescriptor(kind, states=states), model.SetDescriptor(kind, states=wide))
         ]
         assert reports[0] == reports[1] and "exit_distribution" in reports[0]

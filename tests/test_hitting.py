@@ -275,13 +275,114 @@ def test_lambda_samples_at_the_edges():
     # and its 1000 digits are written in exponent form
     q = _query(3, 4, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2)))
     s = summarize(q, lambda_grid=(0.0, 699.99), digits=1000)
-    (zero, one), (lam, (num, den)) = s.lambda_samples
-    assert (zero, one) == (0.0, (1, 1)) and format_significant(one, 1000) == "1"
+    (zero, one, unit), (lam, text, approx) = s.lambda_samples
+    assert (zero, one, unit) == (0.0, "1", 1.0)
+    num, den = hitting.lambda_sums(q, 699.99, 1000)
     value = F(num, den)
-    assert lam == 699.99 and num / den == float(value) == 0.0
-    text = format_significant((num, den), 1000)
-    assert text == reference.format_significant(value, 1000)
+    assert lam == 699.99 and approx == num / den == float(value) == 0.0
+    assert text == format_significant((num, den), 1000) == reference.format_significant(value, 1000)
     assert "E-" in text and len(text.partition("E")[0]) == 1001  # 1000 digits and the point
+
+
+_POINT_LAMBDAS = (0.0, 0.001, 0.5, 3.0, 20.0, 699.99, 700.0)
+_POINT_DIGITS = (1, 17, 20, 50, 1000)
+
+
+def _every_kind(n, m):
+    """(kind, descriptor, a start outside the set or None where every state is in it, a member) for each kind of
+    set at ``n`` urns and ``m`` balls, the distinct set where ``n >= m``."""
+    far, y = (1,) * m, (2,) * m
+    z = y[:-1] + (1,) if m > 1 else (3,) if n > 2 else None
+    sets = [("singleton", SetDescriptor.singleton(y), far, y),
+            ("diagonal", SetDescriptor.diagonal(), far[:-1] + (2,) if m > 1 else None, far),
+            ("count", SetDescriptor.count(m // 2, 1), far, (1,) * (m // 2) + (2,) * (m - m // 2))]
+    if z is not None:
+        sets += [("pair", SetDescriptor.pair(y, z), far, z), ("explicit", SetDescriptor.explicit([y, z]), far, y)]
+    if n >= m:
+        sets.append(("distinct", SetDescriptor.distinct(), far if m > 1 else None, tuple(range(1, m + 1))))
+    return sets
+
+
+def _memoized_sums(monkeypatch):
+    """Memoize the exact kernel sums, which a lambda point that falls back and its check both take."""
+    memo, real = {}, hitting._sums
+
+    def sums(q, u):
+        if (q, u) not in memo:
+            memo[q, u] = real(q, u)
+        return memo[q, u]
+
+    monkeypatch.setattr(hitting, "_sums", sums)
+
+
+def _swept_points(m, inside):
+    """The ``(lambda, digits)`` points the sweep checks at ``m`` balls.  Those whose exact sums run to about
+    10**5 bits or more are thinned: at M=40 the 1000-digit points only below lambda = 699.99 and from outside
+    the set, at M=200 no 1000-digit point and lambda >= 699.99 only at 20 digits from outside.  The CI steps
+    and the thousand-digit tests above print the rest of that corner."""
+    for digits in _POINT_DIGITS:
+        for lam in _POINT_LAMBDAS:
+            heavy = digits == 1000 or lam > 20 and m == 200
+            if not heavy or m < 40 or m == 40 and lam <= 20 and not inside or m == 200 and digits == 20 and not inside:
+                yield lam, digits
+
+
+@pytest.mark.parametrize("m", [1, 5, 40, 200])
+@pytest.mark.parametrize("n", [2, 3, 10, 10**5])
+def test_lambda_points_print_the_exact_sums(n, m, monkeypatch):
+    # every kind, from a start outside the set and from a member: each point's decimal and float equal the
+    # exact path's format_significant and int division of lambda_sums, and the reference's division where its
+    # sums are small enough to divide in a test
+    _memoized_sums(monkeypatch)
+    for kind, target, outside, member in _every_kind(n, m):
+        for start in filter(None, (outside, member)):
+            q = _query(n, m, start, target)
+            for lam, digits in _swept_points(m, start == member):
+                num, den = hitting.lambda_sums(q, lam, digits)
+                point = hitting.lambda_point(q, lam, digits)
+                assert point == (format_significant((num, den), digits), num / den), (kind, start, lam, digits)
+                if max(num.bit_length(), den.bit_length()) < 20_000:
+                    assert point[0] == reference.format_significant(F(num, den), digits)
+
+
+def test_lambda_points_print_the_same_when_forced_to_the_exact_sums(monkeypatch):
+    # the enclosure is a seam: with it refusing every point, each one is printed from the exact sums instead
+    queries = [_sweep_query(m, kind) for m in (40, 100) for kind in ("singleton", "pair", "diagonal")]
+    grid = (0.0, 0.001, 0.5, 3.0, 20.0)
+    want = [summarize(q, lambda_grid=grid, digits=digits).lambda_samples for q in queries for digits in (1, 20, 60)]
+    refused, exact_sums = [], []
+    real_sums = hitting._sums
+    monkeypatch.setattr(hitting, "_enclosure", lambda q, u, digits: refused.append(u))
+    monkeypatch.setattr(hitting, "_sums", lambda q, u: exact_sums.append(u) or real_sums(q, u))
+    assert [summarize(q, lambda_grid=grid, digits=digits).lambda_samples
+            for q in queries for digits in (1, 20, 60)] == want
+    assert len(refused) == len(exact_sums) == len(want) * 4  # every point but lambda = 0
+
+
+def test_a_start_inside_the_set_falls_back_to_the_exact_sums(monkeypatch):
+    # the start's row is the reference's, so the value is exactly 1: no enclosure is tried, the exact sums
+    # run, and the point prints as their quotient does
+    tried, exact_sums = [], []
+    real_sums = hitting._sums
+    monkeypatch.setattr(hitting, "_enclosure", lambda *args: tried.append(args))
+    monkeypatch.setattr(hitting, "_sums", lambda q, u: exact_sums.append(u) or real_sums(q, u))
+    for target, member in [(SetDescriptor.singleton((2,) * 40), (2,) * 40),
+                           (SetDescriptor.count(20), (2,) * 20 + (1,) * 20), (SetDescriptor.diagonal(), (3,) * 40)]:
+        q = _query(3, 40, member, target)
+        assert q.rows[0] == q.rows[1] and q.reach == 0
+        for digits in (1, 20, 1000):
+            assert hitting.lambda_point(q, 0.5, digits) == ("1", 1.0)
+    assert tried == [] and len(exact_sums) == 9
+
+
+def test_the_enclosure_decides_points_off_the_set():
+    # a far start at N=3 M=100, as the benchmark's deep singleton asks, is decided without the exact sums
+    q = _sweep_query(100, "singleton")
+    for lam in (0.01, 0.5, 3.0):
+        for digits in (1, 20, 200):
+            u = lambda_to_u(100, lam, digits)
+            num, den = hitting._sums(q, u)
+            assert hitting._enclosure(q, u, digits) == (format_significant((num, den), digits), num / den)
 
 
 # --- Green potential --------------------------------------------------------
@@ -677,8 +778,9 @@ def test_summarize_bundles_fields():
     assert s.mean == 10 and s.variance == 74
     assert len(s.raw_moments) == 3
     assert [u for u, _ in s.u_samples] == [F(1, 2), F(1)]
-    assert s.lambda_samples[0][1] == (1, 1)
-    assert F(*s.lambda_samples[1][1]) == laplace_lambda(q, 0.5)
+    assert s.lambda_samples[0] == (0.0, "1", 1.0)
+    value = laplace_lambda(q, 0.5)
+    assert s.lambda_samples[1] == (0.5, reference.format_significant(value, 20), float(value))
     # the summary is a value: a second run gives an equal one
     assert summarize(q, order=3, u_grid=(F(1, 2), F(1)), lambda_grid=(0.0, 0.5)) == s
     with pytest.raises(ValueError, match="moment order must be >= 1"):

@@ -334,10 +334,8 @@ def test_increment_mean_matches_enumeration(n, m):
     p = ModelParams(n, m)
     table = kernel_increments(p)
     for mm in range(m):
-        direct = sum(
-            (prob * table.increments[j] for j, prob in overlap_increment_distribution(p, mm)),
-            F(0),
-        )
+        probs, den = overlap_increment_distribution(p, mm)
+        direct = sum((F(num, den) * table.increments[j] for j, num in enumerate(probs)), F(0))
         assert binomial_increment_mean(p, mm) == direct
 
 
@@ -357,7 +355,9 @@ def test_closed_forms_equal_the_fraction_references(n):
         for j in range(m):
             assert binomial_increment_mean(p, j) == reference.binomial_increment_mean(p, j)
         for j in range(m + 1):
-            assert overlap_increment_distribution(p, j) == reference.overlap_increment_distribution(p, j)
+            probs, den = overlap_increment_distribution(p, j)
+            assert den == (n - 1) ** j
+            assert list(enumerate(F(num, den) for num in probs)) == reference.overlap_increment_distribution(p, j)
         for a in (0, n - 1, -1, F(2, 3), F(-5, 7)):
             assert series_identity_checks(p, a) is reference.series_identity_checks(p, a) is True
 
