@@ -23,19 +23,26 @@ symbolic set is listed.  A block is walked in one of three ways, chosen by
 its live replicas times balls, the cells of one step, and by the state
 space:
 
-* **Table lockstep**, past ``TAIL_CELLS`` cells, when the ``urns**balls``
-  states times the ``R = balls*(urns-1)`` moves are at most
-  ``TABLE_ENTRIES``: one Python iteration per step.  Each replica carries
-  its row's code, the row's index times ``R``, an ``intp``, and a step is
-  ``code += draw`` and one gather of the table at ``code``, two numpy calls.
-  Landing in the target is a row of the table, not a test: the table's rows
-  are one parked row, the states' rows and ``TAIL_CHUNK`` clock rows, a move
-  that lands goes to clock row 0, and each step moves a clock row on by one.
-  Every ``TAIL_CHUNK`` steps and at the block's end the hits are read off
-  the clock rows, their steps from the rows reached, and the replicas read
-  are parked.  The table is built once from the offsets of every state, the
-  draws' decoding into a ball and a shift, and the kind's test on offsets
-  below.
+* **Table lockstep**, past ``TAIL_CELLS`` cells, when the table's states
+  times the ``R = balls*(urns-1)`` moves are at most ``TABLE_ENTRIES``: one
+  Python iteration per step.  Each replica carries its row's code, the
+  row's index times ``R``, an int32, and a step is ``code += draw`` and one
+  gather of the int32 table at ``code``, two numpy calls.  Landing in the
+  target is a row of the table, not a test: the table's rows are one parked
+  row, the states' rows and ``TAIL_CHUNK`` clock rows, a move that lands
+  goes to clock row 0, and each step moves a clock row on by one.  Every
+  ``TAIL_CHUNK`` steps and at the block's end the hits are read off the
+  clock rows, their steps from the rows reached, and the replicas read are
+  parked.  The table is built once, one move at a time, from the offsets of
+  every state, the draws' decoding into a ball and a shift, and the kind's
+  test on offsets below.  Its states are the ``urns**balls`` offset vectors,
+  or, for the kinds in ``ROTATION_INVARIANT`` (``diagonal`` and
+  ``distinct``, whose sets are unchanged when every ball's urn ``u`` becomes
+  ``u+1`` mod ``urns``), the ``urns**(balls-1)`` states up to that
+  rotation: ball 0 is pinned at offset 0, the others keep their offsets
+  from it, and a move of ball 0 by ``s`` moves every other ball by ``-s``.
+  The rotation commutes with every move and fixes the set, so a walk on
+  that quotient hits, truncates and stops where the full walk does.
 * **Key lockstep**, past ``TAIL_CELLS`` cells on a larger state space: one
   Python iteration per step.  The offsets sit in the smallest unsigned type
   with room for ``2*(urns-1)``, and each replica carries one scalar
@@ -48,7 +55,9 @@ space:
   from the whole state in O(balls) work per replica and step, the first
   hit read by ``argmax``, and the chunks stop once every replica has hit.
   The live count never grows, so a walk that enters the tail stays there;
-  it reads its offsets off the lockstep replicas' codes or slots.
+  it reads its offsets off the lockstep replicas' codes or slots, or, when
+  its first block is already in the tail, off the start, and then no
+  lockstep form is built.
 
 The three ways take the same draws, in the same blocks, charged alike, so
 every hit step, truncation and stop step is the same on each.  The tail and
@@ -118,14 +127,18 @@ STEP_CHARGE = 550
 TAIL_CELLS = 2048
 TAIL_CHUNK = 64
 
-#: A walk whose state space has at most ``TABLE_ENTRIES`` state-move pairs, ``urns**balls * balls*(urns-1)``,
-#: steps in lockstep on a transition table; a larger one on membership keys.  On 2 vCPUs, 20000 replicas and
-#: draws included, up to 2**16 entries a step costs 7-12 ns per replica on a singleton's table against 9-15 ns
-#: on its keys, and 7-23 ns on the diagonal's table against 16-43 ns.  Singletons, the cheapest keys, set the
-#: bound: the table is 13-21% ahead at 5*10**4 to 7.4*10**4 entries (N=2 M=12, N=5 M=5, N=32 M=2, N=4 M=6),
-#: 6-12% ahead at about 10**5 (N=2 M=13, N=3 M=8), even at 1.9*10**5 (N=6 M=5) and 25% behind at 3.4*10**5
-#: (N=4 M=7), where its 2.8 MB of ``intp`` falls out of cache.  The bound stays below that crossover.
-TABLE_ENTRIES = 1 << 16
+#: A walk whose transition table has at most ``TABLE_ENTRIES`` state-move pairs, its states times ``balls*(urns-1)``,
+#: steps in lockstep on that table; a larger one on membership keys.  The table's states are ``urns**balls``, or
+#: ``urns**(balls-1)`` for a kind in ``ROTATION_INVARIANT``.  On 2 vCPUs, 20000 replicas of a singleton walk, the
+#: cheapest keys, table build and draws included, the int32 table takes 0.74-0.75 of the keys' time at about 10**5
+#: entries (N=2 M=13, N=3 M=8), 0.86-0.90 at 1.9*10**5 to 2.3*10**5 (N=6 M=5, N=9 M=4, N=2 M=14), 0.90-0.98 at
+#: 3.4*10**5 to 4.9*10**5 (N=4 M=7, N=5 M=6, N=2 M=15) and 1.20-1.36 at 10**6 to 1.6*10**6 (N=2 M=16, N=4 M=8),
+#: where its 4-6 MB fall out of cache.  The bound stays below that crossover, at about half the even point.
+TABLE_ENTRIES = 1 << 18
+
+#: Kinds whose sets are unchanged when every ball's urn ``u`` becomes ``u+1`` mod ``urns``: their table walks
+#: step on the states taken up to that rotation.
+ROTATION_INVARIANT = frozenset({"diagonal", "distinct"})
 
 #: Most urn slots a walk allocates: replicas times balls, or times max(balls, urns) for occupancies, on keys;
 #: one per replica, its code, on a transition table.
@@ -200,7 +213,7 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
     n, m = params.urns, params.balls
     states = target.validate(params)
     stride = max(m, n) if target.kind in ("diagonal", "distinct") else m
-    slots = 1 if _on_table(params) else stride  # a table walk holds one code per replica
+    slots = 1 if _on_table(params, target) else stride  # a table walk holds one code per replica
     if replicas * slots > MAX_SLOTS:
         raise ValueError(f"the walk needs {replicas * slots} urn slots ({replicas} replicas x {slots}) > {MAX_SLOTS}")
     if target.kind in ("singleton", "count"):  # the states agreeing with a center in exactly level coordinates
@@ -291,17 +304,27 @@ def _membership(params: ModelParams, start: State, target: SetDescriptor, replic
     return (1,) * m, m, (np.array(start) - 1) @ weights, lambda replicas: update, is_hit, contains
 
 
-def _on_table(params: ModelParams) -> bool:
-    """Whether a walk on ``params`` steps on a transition table: at most ``TABLE_ENTRIES`` state-move pairs."""
-    return params.state_count * params.balls * (params.urns - 1) <= TABLE_ENTRIES
+def _pinned(target: SetDescriptor) -> int:
+    """Balls the walk's transition table pins: 1 up to the rotation of every urn, for a kind in
+    ``ROTATION_INVARIANT``, else 0."""
+    return int(target.kind in ROTATION_INVARIANT)
 
 
-def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
+def _on_table(params: ModelParams, target: SetDescriptor) -> bool:
+    """Whether a walk on ``params`` into ``target`` steps on a transition table: at most ``TABLE_ENTRIES``
+    state-move pairs in the table it builds, ``urns**(balls - pinned) * balls*(urns-1)``."""
+    n, m = params.urns, params.balls
+    return n ** (m - _pinned(target)) * m * (n - 1) <= TABLE_ENTRIES
+
+
+def _walk(params: ModelParams, start: State, target: SetDescriptor, cfg: SimConfig):
     """Walk every replica to absorption or the end of the budget, in lockstep.
 
     One block loop serves both lockstep forms, on a transition table or on
     membership keys, and the tail; a lockstep form is only its block walk,
     its compaction and its hand-off to the tail (see the module docstring).
+    A walk whose first block is in the tail, a start inside the target
+    among them, builds neither form.
     The table and the tail return each block's hits, the live replicas that
     hit as indices and their steps within the block counted from 1, and one
     bookkeeping records them, sets the stop step and compacts the live
@@ -312,19 +335,20 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
     step the walk stopped at and the walk's one generator, positioned after it.
     """
     n, m = params.urns, params.balls
-    reference, stride, key0, updates, is_hit, contains = member
+    reference, stride, key0, updates, is_hit, contains = _membership(params, start, target, cfg.replicas)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     moves = m * (n - 1)
-    offsets = (np.array(start) - np.array(reference)) % n
+    offsets = ((np.array(start) - np.array(reference)) % n).astype(np.min_scalar_type(2 * n - 2))
     steps = np.zeros(cfg.replicas, dtype=np.int64)
     # the live replicas; replicas starting inside the target keep 0 steps
     live = np.arange(cfg.replicas) if not is_hit(key0) else np.arange(0)
-    on_table = _on_table(params)
+    # the live replicas' offsets, one row per ball, once the walk is in its tail, here from its first block on
+    lanes = np.repeat(offsets[:, None], live.size, axis=1) if live.size * m <= TAIL_CELLS else None
+    on_table = lanes is None and _on_table(params, target)
     if on_table:
-        lockstep, keep, lanes_of = _table_form(n, m, offsets, live.size, contains)
-    else:
+        lockstep, keep, lanes_of = _table_form(n, m, offsets, live.size, contains, _pinned(target))
+    elif lanes is None:
         lockstep, keep, lanes_of = _key_form(n, m, offsets, live.size, stride, key0, updates, is_hit)
-    lanes = None  # the live replicas' offsets, one row per ball, once the walk is in its tail
 
     draw_type = np.min_scalar_type(moves - 1)
     t = spent = 0  # every live replica has taken exactly t steps, and the walk has spent this much budget
@@ -335,6 +359,7 @@ def _walk(params: ModelParams, start: State, cfg: SimConfig, member):
         if live.size * m <= TAIL_CELLS:  # the live count never grows: once in the tail, the walk stays there
             if lanes is None:
                 lanes = lanes_of()
+                del lockstep, keep, lanes_of  # the walk stays in the tail: its table or slots are freed
             lanes, hit, at = _tail_block(lanes, *_decode(block, n), n, contains)
         elif on_table:
             hit, at = lockstep(block)
@@ -371,49 +396,72 @@ def _decode(draws, n):
     return balls, shifts
 
 
-def _transition_table(n, m, contains):
-    """The transition table of a walk on ``n`` urns and ``m`` balls: ``(table,
-    every state's offsets, place values)``.
+def _transition_table(n, m, contains, pinned):
+    """The transition table of a walk on ``n`` urns and ``m`` balls, taken up
+    to the rotation of every urn if ``pinned`` is 1: ``(table, every state's
+    offsets, place values)``.
 
-    The table has ``R = m*(n-1)`` entries per row, and each entry is the code
-    of a row, the row's index times ``R``: a replica at code ``c`` moved by
-    draw ``r`` goes to ``table[c + r]``.  Row 0 is the parked row, which every
-    move maps back to itself.  Rows 1 to ``n**m`` are the states, the state
-    with offsets ``d`` at row ``1 + d @ place``.  Then come ``TAIL_CHUNK``
-    clock rows: a move that lands in the target goes to clock row 0, every
-    move from clock row ``j`` to clock row ``j + 1``, and the last clock row
-    maps to itself.  So a replica read in clock row ``j`` after step ``c``,
-    at most ``TAIL_CHUNK`` steps after it landed, landed at step ``c - j``.
+    The table has ``R = m*(n-1)`` int32 entries per row, and each entry is
+    the code of a row, the row's index times ``R``: a replica at code ``c``
+    moved by draw ``r`` goes to ``table[c + r]``.  Row 0 is the parked row,
+    which every move maps back to itself.  Rows 1 to ``n**(m-pinned)`` are
+    the states, the state with offsets ``d`` at row ``1 + d @ place``.  Up to
+    the rotation, ball 0 is pinned at offset 0 with place value 0, and a move
+    of ball 0 by ``s`` moves every other ball by ``-s`` instead.  Then come
+    ``TAIL_CHUNK`` clock rows: a move that lands in the target goes to clock
+    row 0, every move from clock row ``j`` to clock row ``j + 1``, and the
+    last clock row maps to itself.  So a replica read in clock row ``j``
+    after step ``c``, at most ``TAIL_CHUNK`` steps after it landed, landed at
+    step ``c - j``.  The rows are written one move at a time, each move's
+    column from one pass over the states.
     """
-    moves = m * (n - 1)
-    digits = np.indices((n,) * m, dtype=np.min_scalar_type(2 * n - 2)).reshape(m, -1)  # every state's offsets
-    place = n ** np.arange(m - 1, -1, -1)
-    balls, shifts = _decode(np.arange(moves), n)
-    old = digits[balls]  # (move, state): the moved ball's offset
-    succ = np.arange(digits.shape[1]) + ((old + shifts[:, None]) % n - old) * place[balls, None]
-    clock = 1 + digits.shape[1]  # the first clock row
-    rows = np.empty((clock + TAIL_CHUNK, moves), dtype=np.intp)
+    moves, free = m * (n - 1), m - pinned
+    digit_type = np.min_scalar_type(2 * n - 2)
+    digits = np.zeros((m, n**free), dtype=digit_type)  # every state's offsets
+    digits[pinned:] = np.indices((n,) * free, dtype=digit_type).reshape(free, -1)
+    place = np.zeros(m, dtype=np.intp)
+    place[pinned:] = n ** np.arange(free - 1, -1, -1)
+    landed = np.concatenate(([False], contains(digits[:, None, :])[0]))  # by row
+    clock = landed.size  # the first clock row
+    first = np.arange(1, clock)  # the states' rows
+    rows = np.empty((clock + TAIL_CHUNK, moves), dtype=np.int32)
     rows[0] = 0
-    rows[1:clock] = np.where(contains(digits[:, None, :])[0][succ], clock, succ + 1).T
-    rows[clock:] = np.minimum(np.arange(clock + 1, clock + TAIL_CHUNK + 1), clock + TAIL_CHUNK - 1)[:, None]
-    rows *= moves
+    for move, (ball, shift) in enumerate(zip(*(part.tolist() for part in _decode(np.arange(moves), n)))):
+        # the row each state moves to, in one intp array of one entry per state; old + shift and
+        # old + n - shift fit digit_type
+        if ball < pinned:  # every other ball moves by -shift
+            to = np.ones(first.size, dtype=np.intp)
+            for other in range(pinned, m):
+                to += (digits[other] + (n - shift)) % n * place[other]
+        else:
+            to = ((digits[ball] + shift) % n).astype(np.intp)
+            to -= digits[ball]
+            to *= place[ball]
+            to += first
+        to[landed[to]] = clock
+        to *= moves
+        rows[1:clock, move] = to
+    rows[clock:] = np.minimum(np.arange(clock + 1, clock + TAIL_CHUNK + 1), clock + TAIL_CHUNK - 1)[:, None] * moves
     return rows.ravel(), digits, place
 
 
-def _table_form(n, m, offsets, replicas, contains):
+def _table_form(n, m, offsets, replicas, contains, pinned):
     """The lockstep form on a transition table, for a small state space:
     ``(block walk, compaction, lanes)``.
 
     Each replica carries its row's code in the table of
-    :func:`_transition_table`, and a step is ``code += draw`` and one gather
-    of the table at ``code``, into a second buffer.  The hits are read every
-    ``TAIL_CHUNK`` steps and at the block's end off the clock rows, and the
-    replicas read are parked; the block walk stops once every replica is.
+    :func:`_transition_table`, an int32, and a step is ``code += draw`` and
+    one gather of the table at ``code``, into a second buffer.  The hits are
+    read every ``TAIL_CHUNK`` steps and at the block's end off the clock
+    rows, and the replicas read are parked; the block walk stops once every
+    replica is.
     """
     moves = m * (n - 1)
-    table, digits, place = _transition_table(n, m, contains)
+    table, digits, place = _transition_table(n, m, contains, pinned)
     clock = (1 + digits.shape[1]) * moves  # the first clock row's code
-    code = np.full(replicas, (1 + offsets @ place) * moves, dtype=np.intp)
+    if pinned:  # up to the rotation: every ball's offset from ball 0
+        offsets = (offsets.astype(np.intp) - offsets[0]) % n
+    code = np.full(replicas, (1 + offsets @ place) * moves, dtype=np.int32)
     spare = np.empty_like(code)
 
     def lockstep(block):
@@ -421,7 +469,7 @@ def _table_form(n, m, offsets, replicas, contains):
         found = []
         parked = 0
         for first in range(0, block.shape[0], TAIL_CHUNK):
-            chunk = block[first:first + TAIL_CHUNK].astype(np.intp)
+            chunk = block[first:first + TAIL_CHUNK].astype(np.int32)
             for move in chunk:
                 code += move
                 np.take(table, code, out=spare, mode="clip")
@@ -549,7 +597,7 @@ def _tail_block(lanes, balls_ahead, shifts_ahead, n, contains):
 def _sample(params, start, target, cfg: SimConfig, modes: Sequence[str]) -> dict[str, SimSummary]:
     """One walk under ``cfg``, summarised in each of ``modes`` in turn."""
     start = params.check_state(start)
-    steps, truncated, stop, rng = _walk(params, start, cfg, _membership(params, start, target, cfg.replicas))
+    steps, truncated, stop, rng = _walk(params, start, target, cfg)
     n_trunc = int(truncated.sum())
     if n_trunc:
         warnings.warn(

@@ -68,7 +68,7 @@ def test_readme_states_every_bound():
     for _, flag, least, greatest in cli._INT_BOUNDS:
         assert any(f"`{flag}` in `{least}..{form}`" in text for form in _renderings(greatest)), flag
     for module, name in ((oracle, "MAX_MOVES"), (oracle, "MAX_BLOCKS"),
-                         (mc, "WALK_BUDGET"), (mc, "STEP_CHARGE"), (mc, "MAX_SLOTS"),
+                         (mc, "WALK_BUDGET"), (mc, "STEP_CHARGE"), (mc, "MAX_SLOTS"), (mc, "TABLE_ENTRIES"),
                          (model, "MAX_PAIR_COORDS"), (model, "MAX_GRID_CELLS")):
         value = getattr(module, name)
         assert any(f"`{module.__name__.rsplit('.')[-1]}.{name}` = `{form}`" in text for form in _renderings(value)), name

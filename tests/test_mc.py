@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -196,6 +197,16 @@ def test_walk_slots_are_bounded(monkeypatch):
         mc._membership(ModelParams(3, 2), (1, 1), SINGLETON, 51)
     with pytest.raises(ValueError, match="120 urn slots"):
         mc._membership(ModelParams(3, 2), (1, 2), SetDescriptor.diagonal(), 40)  # occupancies: 40 x 3 urns
+    # the diagonal at N=2 M=15 steps on its table up to the rotation, 2^14 states of 15 moves, one slot per
+    # replica; its full table, 491520 entries, is past TABLE_ENTRIES, so without the rotation it walks on keys
+    monkeypatch.undo()
+    monkeypatch.setattr(mc, "MAX_SLOTS", 100)
+    params, start = ModelParams(2, 15), (1,) * 14 + (2,)
+    assert _entries(params, SetDescriptor.diagonal()) <= mc.TABLE_ENTRIES < _entries(params)
+    assert mc._membership(params, start, SetDescriptor.diagonal(), 100)[1] == 15
+    monkeypatch.setattr(mc, "ROTATION_INVARIANT", frozenset())
+    with pytest.raises(ValueError, match=r"1500 urn slots \(100 replicas x 15\)"):
+        mc._membership(params, start, SetDescriptor.diagonal(), 100)
 
 
 def test_meta_seeds_mostly_within_band():
@@ -239,7 +250,7 @@ def _killed_chain_cdf(params, start, targets, horizon):
 
 def _walk_steps(params, start, target, cfg):
     """Steps to absorption, the truncated mask and the step the walk stopped at."""
-    steps, truncated, stop, _ = mc._walk(params, start, cfg, mc._membership(params, start, target, cfg.replicas))
+    steps, truncated, stop, _ = mc._walk(params, start, target, cfg)
     return steps, truncated, stop
 
 
@@ -329,9 +340,11 @@ def test_both_clocks_from_one_walk(monkeypatch):
     assert both["ctmc"].replica_steps == both["discrete"].replica_steps == int(steps.sum())
 
 
-def _entries(params):
-    """State-move pairs of a transition table on ``params``."""
-    return params.state_count * params.balls * (params.urns - 1)
+def _entries(params, target=None):
+    """State-move pairs of the transition table a walk on ``params`` into ``target`` builds: one ball is
+    pinned, up to the rotation of every urn, for the diagonal and ``distinct``."""
+    pinned = target is not None and target.kind in ("diagonal", "distinct")
+    return params.urns ** (params.balls - pinned) * params.balls * (params.urns - 1)
 
 
 def _forms(params):
@@ -461,7 +474,7 @@ def _walk_in_each_form(monkeypatch, params, start, target, cfg):
     out = []
     for bound in (0, 2**62):
         monkeypatch.setattr(mc, "TABLE_ENTRIES", bound)
-        steps, truncated, stop, rng = mc._walk(params, start, cfg, mc._membership(params, start, target, cfg.replicas))
+        steps, truncated, stop, rng = mc._walk(params, start, target, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             summary = sample_hitting(params, start, target, cfg)
@@ -514,7 +527,8 @@ def test_table_form_truncates_as_the_key_form(monkeypatch, params, start, target
 
 @pytest.mark.parametrize("cells", [5 * 1000, 2**62], ids=["after-lockstep", "from-the-start"])
 def test_table_form_hands_its_codes_to_the_tail(monkeypatch, cells):
-    # the tail reads each live replica's offsets off its code; at 2**62 cells it does so before any step
+    # the tail reads each live replica's offsets off its code; at 2**62 cells the walk is in the tail from
+    # its first block and reads them off the start
     widths = _spy_tail(monkeypatch)
     monkeypatch.setattr(mc, "TAIL_CELLS", cells)
     params, start, target = ModelParams(3, 5), (1,) * 5, SetDescriptor.singleton((2, 3, 2, 3, 2))
@@ -536,19 +550,22 @@ def test_table_codes_past_a_dtype_boundary(monkeypatch, params, target, past):
 
 
 def test_the_table_form_runs_up_to_table_entries(monkeypatch):
-    # P34 has 81 states of 8 moves: a bound of 648 entries takes the table, 647 the keys
+    # a bound of the built table's entries takes the table, one less the keys: P34 has 81 states of 8
+    # moves, and 27 up to the rotation for the diagonal; 1000 replicas of 4 balls start in lockstep
     forms = []
     for name in ("_table_form", "_key_form"):
         real = getattr(mc, name)
         monkeypatch.setattr(mc, name, lambda *a, real=real, name=name: forms.append(name) or real(*a))
-    target, cfg = SetDescriptor.singleton((2, 2, 2, 2)), SimConfig(replicas=100, seed=1)
-    assert _entries(P34) == 648 <= mc.TABLE_ENTRIES
-    walks = []
-    for bound in (648, 647):
-        monkeypatch.setattr(mc, "TABLE_ENTRIES", bound)
-        walks.append(_walk_steps(P34, (1, 1, 1, 1), target, cfg))
-    assert forms == ["_table_form", "_key_form"]
-    _assert_walks_equal(walks)
+    cfg = SimConfig(replicas=1000, seed=1)
+    for target, entries in ((SetDescriptor.singleton((2, 2, 2, 2)), 648), (SetDescriptor.diagonal(), 216)):
+        assert _entries(P34, target) == entries <= mc.TABLE_ENTRIES
+        forms.clear()
+        walks = []
+        for bound in (entries, entries - 1):
+            monkeypatch.setattr(mc, "TABLE_ENTRIES", bound)
+            walks.append(_walk_steps(P34, (1, 2, 3, 1), target, cfg))
+        assert forms == ["_table_form", "_key_form"]
+        _assert_walks_equal(walks)
 
 
 def _walk_every_way(monkeypatch, params, start, target, cfg):
@@ -619,9 +636,9 @@ def test_transition_table_rows(params, start, target):
     n, m = params.urns, params.balls
     moves, states = m * (n - 1), params.state_count
     reference, *_, contains = mc._membership(params, start, target, 1)
-    table, digits, place = mc._transition_table(n, m, contains)
+    table, digits, place = mc._transition_table(n, m, contains, 0)
     clock, rows = 1 + states, 1 + states + mc.TAIL_CHUNK
-    assert table.size == rows * moves
+    assert table.size == rows * moves and table.dtype == np.int32
     assert (table % moves == 0).all() and (table >= 0).all() and (table < table.size).all()
     to = (table // moves).reshape(rows, moves)
     assert (to[0] == 0).all()  # parked replicas stay parked
@@ -637,3 +654,138 @@ def test_transition_table_rows(params, start, target):
             state = tuple(int(u) for u in (after + np.array(reference) - 1) % n + 1)
             # a move that lands in the target goes to clock row 0, any other to its state's row
             assert to[1 + code, move] == (clock if state in members else 1 + after @ place)
+
+
+ROTATION_CASES = [  # most start with the first ball outside urn 1, so the start's code is rotated
+    (ModelParams(2, 6), (2, 1, 2, 1, 2, 1), SetDescriptor.diagonal()),
+    (P34, (1, 2, 3, 1), SetDescriptor.diagonal()),
+    (ModelParams(4, 4), (3, 1, 2, 4), SetDescriptor.diagonal()),
+    (ModelParams(4, 4), (2, 2, 1, 1), SetDescriptor.distinct()),
+    (ModelParams(5, 3), (4, 2, 4), SetDescriptor.diagonal()),
+    (ModelParams(5, 3), (3, 3, 3), SetDescriptor.distinct()),
+    (ModelParams(6, 6), (1, 1, 1, 2, 2, 3), SetDescriptor.distinct()),
+]
+ROTATION_IDS = ["diagonal-2x6", "diagonal-3x4", "diagonal-4x4", "distinct-4x4", "diagonal-5x3", "distinct-5x3",
+                "distinct-6x6"]
+
+
+def _walk_on_each_table(monkeypatch, params, start, target, cfg):
+    """The walk on the table up to the rotation, on the full table and on membership keys: per form, its
+    hit steps, truncated mask and stop step and both clocks of ``sample_clocks``; and the rows of every
+    table built, in build order."""
+    quotient, built, real = mc.ROTATION_INVARIANT, [], mc._transition_table
+
+    def spy(*args):
+        table = real(*args)
+        built.append(table[0].size // (params.balls * (params.urns - 1)))
+        return table
+
+    monkeypatch.setattr(mc, "_transition_table", spy)
+    walks = []
+    for kinds, bound in ((quotient, 2**62), (frozenset(), 2**62), (quotient, 0)):
+        monkeypatch.setattr(mc, "ROTATION_INVARIANT", kinds)
+        monkeypatch.setattr(mc, "TABLE_ENTRIES", bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            walks.append((*_walk_steps(params, start, target, cfg), sample_clocks(params, start, target, cfg)))
+    return walks, built
+
+
+def _assert_tables_walk_alike(walks, built, params):
+    _assert_walks_equal(walks)
+    for other in walks[1:]:
+        assert other[3] == walks[0][3]  # both clocks' summaries
+    n, m = params.urns, params.balls
+    # each walk is built twice, once by _walk and once by sample_clocks; the keys build no table
+    assert built == [1 + n ** (m - 1) + mc.TAIL_CHUNK] * 2 + [1 + n**m + mc.TAIL_CHUNK] * 2
+
+
+@pytest.mark.parametrize("cells", [0, 1024, 4096], ids=["lockstep", "tail-at-1024", "tail-at-4096"])
+@pytest.mark.parametrize("params,start,target", ROTATION_CASES, ids=ROTATION_IDS)
+def test_the_quotient_walks_as_the_full_table_and_the_keys(monkeypatch, params, start, target, cells):
+    # 3000 replicas start in lockstep; at 1024 and 4096 cells they hand off to the tail at two live counts
+    monkeypatch.setattr(mc, "TAIL_CELLS", cells)
+    walks, built = _walk_on_each_table(monkeypatch, params, start, target, SimConfig(replicas=3000, seed=29))
+    _assert_tables_walk_alike(walks, built, params)
+    steps, truncated = walks[0][:2]
+    assert steps.min() > 0 and not truncated.any()
+
+
+@pytest.mark.parametrize("params,start,target,budget", [
+    (ModelParams(4, 4), (1, 2, 3, 4), SetDescriptor.diagonal(), 60 * (3000 + mc.STEP_CHARGE)),
+    (ModelParams(6, 6), (1, 1, 2, 2, 3, 3), SetDescriptor.diagonal(), 400 * (3000 + mc.STEP_CHARGE)),
+    (ModelParams(6, 6), (1, 1, 1, 2, 2, 3), SetDescriptor.distinct(), 20 * (3000 + mc.STEP_CHARGE)),
+], ids=["diagonal-4x4", "diagonal-6x6", "distinct-6x6"])
+def test_the_quotient_truncates_as_the_full_table_and_the_keys(monkeypatch, params, start, target, budget):
+    # the budget runs out in lockstep, inside multi-step blocks
+    monkeypatch.setattr(mc, "WALK_BUDGET", budget)
+    walks, built = _walk_on_each_table(monkeypatch, params, start, target, SimConfig(replicas=3000, seed=29))
+    _assert_tables_walk_alike(walks, built, params)
+    truncated = walks[0][1]
+    assert 0 < truncated.sum() < 3000 and truncated.sum() * params.balls > mc.TAIL_CELLS
+
+
+@pytest.mark.parametrize("params,start,target,replicas", [
+    (ModelParams(6, 6), (1, 2, 3, 4, 5, 6), SetDescriptor.distinct(), 20_000),  # starts inside the set
+    (ModelParams(6, 6), (3, 3, 3, 3, 3, 3), SetDescriptor.diagonal(), 20_000),
+    (ModelParams(6, 6), (1, 1, 1, 1, 1, 1), SetDescriptor.distinct(), 50),  # 300 cells: in the tail throughout
+    (P34, (1, 1, 1, 1), SetDescriptor.singleton((2, 2, 2, 2)), 512),  # 2048 cells
+], ids=["distinct-inside", "diagonal-inside", "distinct-tail", "singleton-tail"])
+def test_a_walk_in_its_tail_from_the_start_builds_no_form(monkeypatch, params, start, target, replicas):
+    # the same walk with every block in lockstep, on a table
+    cfg = SimConfig(replicas=replicas, seed=7)
+    monkeypatch.setattr(mc, "TAIL_CELLS", 0)
+    lockstep = _walk_steps(params, start, target, cfg)
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("a lockstep form was built")
+
+    for name in ("_transition_table", "_table_form", "_key_form"):
+        monkeypatch.setattr(mc, name, refuse)
+    _assert_walks_equal([lockstep, _walk_steps(params, start, target, cfg)])
+    summary = sample_hitting(params, start, target, cfg)
+    assert summary.truncated == 0 and (summary.sample_mean == 0) == (replicas == 20_000)
+
+
+@pytest.mark.parametrize("params,target", [
+    (ModelParams(2, 6), SetDescriptor.diagonal()),
+    (P34, SetDescriptor.diagonal()),
+    (ModelParams(4, 4), SetDescriptor.distinct()),
+    (ModelParams(5, 3), SetDescriptor.diagonal()),
+    (ModelParams(5, 3), SetDescriptor.distinct()),
+], ids=["diagonal-2x6", "diagonal-3x4", "distinct-4x4", "diagonal-5x3", "distinct-5x3"])
+def test_quotient_rows_are_the_full_rows_rotated(params, target):
+    # each quotient row is the full table's row of the same offsets, ball 0 at offset 0, with every
+    # successor rotated back to ball 0 at offset 0; a move that lands goes to clock row 0 in both
+    n, m = params.urns, params.balls
+    moves = m * (n - 1)
+    *_, contains = mc._membership(params, (1,) * m, target, 1)
+    quotient, q_digits, q_place = mc._transition_table(n, m, contains, 1)
+    full, f_digits, f_place = mc._transition_table(n, m, contains, 0)
+    assert quotient.dtype == full.dtype == np.int32
+    q_clock, f_clock = 1 + n ** (m - 1), 1 + n**m
+    assert quotient.size == (q_clock + mc.TAIL_CHUNK) * moves
+    q_to, f_to = (quotient // moves).reshape(-1, moves), (full // moves).reshape(-1, moves)
+    assert (q_to[0] == 0).all() and (q_to[q_clock:] - q_clock == f_to[f_clock:] - f_clock).all()
+    assert (q_digits[0] == 0).all() and q_place[0] == 0
+    for row in range(1, q_clock):
+        offsets = q_digits[:, row - 1]
+        assert 1 + offsets @ q_place == row
+        f_row = 1 + offsets @ f_place
+        for move in range(moves):
+            if f_to[f_row, move] == f_clock:
+                assert q_to[row, move] == q_clock
+            else:
+                after = f_digits[:, f_to[f_row, move] - 1].astype(int)
+                assert np.array_equal(q_digits[:, q_to[row, move] - 1], (after - after[0]) % n)
+
+
+def test_the_table_form_steps_int32_codes(monkeypatch):
+    forms, real = [], mc._table_form
+    monkeypatch.setattr(mc, "_table_form", lambda *a: forms.append(real(*a)) or forms[-1])
+    _walk_steps(ModelParams(6, 6), (1, 1, 1, 2, 2, 3), SetDescriptor.distinct(), SimConfig(replicas=3000, seed=1))
+    (lockstep, *_), = forms
+    walked = inspect.getclosurevars(lockstep).nonlocals
+    assert walked["table"].dtype == walked["code"].dtype == walked["spare"].dtype == np.int32
+    assert walked["table"].size == (1 + 6**5 + mc.TAIL_CHUNK) * 30  # the quotient's rows
