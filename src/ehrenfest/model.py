@@ -47,6 +47,7 @@ import math
 import operator
 import re
 from contextlib import suppress
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations, permutations as _permutations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -235,7 +236,9 @@ class CapExceededError(RuntimeError):
 
     def __init__(self, bound: str, size: int, limit: int, unit: str = "transient blocks"):
         self.bound, self.size, self.limit = bound, size, limit
-        super().__init__(f"the oracle needs {size} {unit}, more than {bound} = {limit}")
+        # past 18 digits the size is written short, with its bit length: a 1008-digit count would fill the message
+        shown = size if size < 10**18 else f"{Decimal(size):.1e} ({size.bit_length()} bits)".replace("e+", "e")
+        super().__init__(f"the oracle needs {shown} {unit}, more than {bound} = {limit}")
 
 
 class SetNotSymmetricError(ValueError):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from ehrenfest import cli, closedforms, exact, hitting, mc, model, oracle, resolvent
 from ehrenfest.closedforms import count_set_mean
 from ehrenfest.exact import format_rational
-from ehrenfest.model import ModelParams, parse_set
+from ehrenfest.model import CapExceededError, ModelParams, parse_set
 import reference
 
 
@@ -240,6 +240,22 @@ def test_cap_checked_before_enumeration(capsys, command):
     assert time.perf_counter() - started < 1
 
 
+def test_a_refusal_past_18_digits_writes_its_count_short(capsys):
+    # 100000**200 states of 200*99999 moves each: a 1008-digit count, written as 2.0e1007 and its bit length
+    start = ",".join(["2"] * 151 + ["1"] * 49)
+    code, out, err = run_cli(capsys, "compare", "--N", "100000", "--M", "200", "--start", start, "--set", "count:150")
+    assert code == 4 and out == ""
+    assert err == "error: the oracle needs 2.0e1007 (3347 bits) state-move pairs, more than MAX_MOVES = 8388608\n"
+    assert len(err.encode()) < 200 and (100000**200 * 200 * 99999).bit_length() == 3347
+
+
+@pytest.mark.parametrize("size,shown", [
+    (10**18 - 1, "999999999999999999"), (10**18, "1.0e18 (60 bits)"), (2**64, "1.8e19 (65 bits)"),
+])
+def test_a_refused_size_keeps_18_digits(size, shown):
+    assert str(CapExceededError("MAX_MOVES", size, 8)) == f"the oracle needs {shown} transient blocks, more than MAX_MOVES = 8"
+
+
 @pytest.mark.parametrize("bound,size", [("MAX_MOVES", 36), ("MAX_BLOCKS", 4)], ids=["MAX_MOVES", "MAX_BLOCKS"])
 def test_oracle_bound_names_itself(capsys, monkeypatch, bound, size):
     # N=3 M=2 has 9 states of 4 moves each; from (1,2) the diagonal's moments need 1 transient block,
@@ -353,6 +369,34 @@ def test_simulate_non_sphere_kinds_are_pinned(capsys, monkeypatch, tmp_path, arg
     assert code == 0
     results = report["results"]
     assert (results["sample_mean"], results["sample_variance"], results["stderr"]) == pinned
+
+
+@pytest.mark.parametrize(
+    "argv,pinned,transforms",
+    [
+        # M(N-1) = 257 moves: uint16 draws on a table of 258 x 257 entries
+        (["--N", "258", "--M", "1", "--start", "1", "--set", "singleton:2", "--u", "1/1000,1/100"],
+         (257.92118799660454, 66835.85648735671, 1.8280571173701974),
+         [(0.001, 0.7949985587621965, 0.0011777844607794494), (0.01, 0.2799396542738061, 0.0020615485879444213)]),
+        # 600 x 599 = 359400 state-move pairs, past mc.TABLE_ENTRIES: uint16 draws on keys
+        (["--N", "600", "--M", "1", "--start", "1", "--set", "singleton:2", "--u", "1/1000,1/100"],
+         (591.6832549677055, 346279.4535678368, 4.161006209847786),
+         [(0.001, 0.628018210194653, 0.0017822009368930788), (0.01, 0.14539657504634093, 0.0016990931677199454)]),
+        # M(N-1) = 131074 moves: uint32 draws on keys
+        (["--N", "65538", "--M", "2", "--start", "2,2", "--set", "count:0:2", "--u", "1/2,2"],
+         (1.5043262036264997, 1.252715885193657, 0.00791427787354493),
+         [(0.5, 0.5323348361662906, 0.0015627352910181813), (2.0, 0.16564832206488994, 0.0013859289349723196)]),
+    ],
+    ids=["uint16-table", "uint16-keys", "uint32-keys"],
+)
+def test_simulate_every_draw_width_is_pinned(capsys, argv, pinned, transforms):
+    # fixed-seed ctmc outputs of walks whose draws are wider than uint8: the steps pin the walk's draws, the
+    # times and transforms the gamma draws of the generator positioned after it
+    code, report, _ = run_json(capsys, "simulate", *argv, "--mode", "ctmc", "--replicas", "20000", "--seed", "7")
+    assert code == 0
+    results = report["results"]
+    assert (results["sample_mean"], results["sample_variance"], results["stderr"]) == pinned
+    assert [(t["argument"], t["estimate"], t["stderr"]) for t in results["transforms"]] == transforms
 
 
 def test_simulate_ctmc_mean_scales(capsys):

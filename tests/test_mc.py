@@ -474,11 +474,11 @@ def _walk_in_each_form(monkeypatch, params, start, target, cfg):
     out = []
     for bound in (0, 2**62):
         monkeypatch.setattr(mc, "TABLE_ENTRIES", bound)
-        steps, truncated, stop, rng = mc._walk(params, start, target, cfg)
+        steps, truncated, stop, draws = mc._walk(params, start, target, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             summary = sample_hitting(params, start, target, cfg)
-        out.append((steps, truncated, stop, rng.bit_generator.random_raw(4), summary))
+        out.append((steps, truncated, stop, draws.generator().bit_generator.random_raw(4), summary))
     return out
 
 
@@ -789,3 +789,61 @@ def test_the_table_form_steps_int32_codes(monkeypatch):
     walked = inspect.getclosurevars(lockstep).nonlocals
     assert walked["table"].dtype == walked["code"].dtype == walked["spare"].dtype == np.int32
     assert walked["table"].size == (1 + 6**5 + mc.TAIL_CHUNK) * 30  # the quotient's rows
+
+
+BOUNDS = [1, 2, 3, 10, 30, 129, 255, 256, 257, 65535, 65536, 65537, 2**24 + 1, 2**31 + 3, 2**32 - 1, 2**32]
+# call shapes as a walk makes them: one draw per live replica and step, at most BLOCK_MOVES per block while the
+# live count shrinks, then a few odd shapes
+WALK_SHAPES = [(max(1, 2**15 // live), live) for live in (20000, 9000, 4000, 1500, 300, 40, 3, 1)]
+SHAPES = [(1, 1), (3, 20000), (2, 7), (1, 20000), (5, 1)]
+
+
+def _assert_same_state(got, want):
+    """Bit-generator states equal entry by entry, arrays included."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_same_state(got[key], want[key])
+    else:
+        assert np.array_equal(got, want) and type(got) is type(want)
+
+
+def _assert_replays_integers(seed, bound, shapes, dtype=None):
+    """The replay's calls give ``Generator.integers``' values and leave its generator where numpy's stands."""
+    numpy_rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = mc._Draws(seed, bound)
+    assert draws.type == np.min_scalar_type(bound - 1)
+    for shape in shapes:
+        want = numpy_rng.integers(0, bound, size=shape, dtype=draws.type)
+        got = draws(shape, dtype or draws.type)
+        assert got.shape == want.shape and got.dtype == (dtype or draws.type)
+        assert np.array_equal(got, want)
+    rng = draws.generator()
+    _assert_same_state(rng.bit_generator.state, numpy_rng.bit_generator.state)
+    assert np.array_equal(rng.standard_gamma(np.arange(1, 6)), numpy_rng.standard_gamma(np.arange(1, 6)))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_the_draw_replay_is_numpys_integers(seed, bound):
+    # Lemire's multiply-and-reject on the installed numpy: a numpy that changes its bounded draws fails here
+    _assert_replays_integers(seed, bound, WALK_SHAPES)
+    _assert_replays_integers(seed, bound, SHAPES)
+    if bound <= 2**16:  # a table walk's moves, written as int32
+        _assert_replays_integers(seed, bound, WALK_SHAPES, np.int32)
+
+
+@pytest.mark.parametrize("bound", [10, 129, 257, 2**31 + 3])
+def test_the_draw_replay_across_pieces_and_retries(monkeypatch, bound):
+    # calls found 100 draws a piece, then too few units taken at first, so that a call crosses pieces inside
+    # one word, draws raw words for each piece, and takes more units again
+    monkeypatch.setattr(mc, "DRAW_PIECE", 100)
+    _assert_replays_integers(5, bound, WALK_SHAPES[-4:] + SHAPES[2:])
+    monkeypatch.setattr(mc.math, "isqrt", lambda rejects: -(rejects // 4) - 16)
+    _assert_replays_integers(5, bound, WALK_SHAPES[-4:] + SHAPES[2:])
+
+
+def test_a_walk_draws_below_2_to_the_32():
+    mc._Draws(1, 2**32)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        mc._Draws(1, 2**32 + 1)
