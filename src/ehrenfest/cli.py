@@ -22,7 +22,9 @@ One import rule serves the three routes: each one's modules are imported
 inside the functions that run it.  So ``oracle`` and ``simulate`` load no
 engine module, and ``exact`` on a symbolic set, ``network-check`` and
 ``identities`` neither the oracle nor the Monte Carlo, nor numpy with them.
-``csv`` is imported by the CSV writer alone.
+``csv`` is imported by the CSV writer alone, and ``json`` and its decoder
+by the reader of an ``explicit:@file`` set alone: the report writer takes
+``json``'s C string encoder from ``_json``.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ import math
 import re
 import sys
 import time
+from _json import encode_basestring_ascii  # the C function json.encoder binds, with no json module loaded
 from fractions import Fraction
 from functools import cache, partial
-from json.encoder import encode_basestring_ascii
 
-from .exact import ROUND_TRIP_DIGITS, format_rational
+from .exact import ROUND_TRIP_DIGITS, format_rational, format_ratio
 from .model import CapExceededError, HittingSummary, ModelParams, SetNotSymmetricError, parse_set
 
 USAGE_ERROR = 2
@@ -88,7 +90,7 @@ def _parse_u_grid(text: str) -> tuple[Fraction, ...]:
 
 #: (argument, flag, least, greatest value) of the integer flags checked before any command runs
 _INT_BOUNDS = (
-    # at N=10**5, M=200: exact in under 1 s, network-check 4.1-4.9 s; writing the diagonal's exit law, each distinct
+    # at N=10**5, M=200: exact in under 1 s, network-check 2.8-4.1 s; writing the diagonal's exit law, each distinct
     # probability rendered once, takes 5.5-7.2 s from all ones and 7.7-10.0 s from a random start as a whole
     # process, too close to 10 s until its report is bounded (ROADMAP item 6)
     ("urns", "--N", 2, 10**5),
@@ -108,8 +110,9 @@ _COMPARE_MIN_REPLICAS = 100
 #: (argument, flag) of the text flags that hold integers
 _TEXT_FLAGS = (("start", "--start"), ("set_text", "--set"), ("u_grid", "--u"))
 
-#: a --u value in decimal or exponent notation: its integer digits, fraction digits and exponent
-_DECIMAL_RE = re.compile(r"\s*[-+]?(?=\.?\d)(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?\s*", re.IGNORECASE)
+#: a --u value in decimal or exponent notation: its integer digits, fraction digits and exponent; compiled on
+#: first use, through re's cache
+_DECIMAL = r"(?i)\s*[-+]?(?=\.?\d)(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?\s*"
 
 
 def _decimal_digits(text: str) -> int:
@@ -117,7 +120,7 @@ def _decimal_digits(text: str) -> int:
     builds for a ``--u`` value written as a decimal ``d * 10**p``: the significant
     digits of ``d`` and ``p`` zeros, or a denominator ``10**-p``.  Counted from
     the text alone; 0 for a value in any other form."""
-    match = _DECIMAL_RE.fullmatch(text)
+    match = re.fullmatch(_DECIMAL, text)
     if not match:
         return 0
     whole, fraction, exponent = match.groups("")
@@ -248,7 +251,11 @@ def _to_json(report: dict) -> str:
 
 def _write_json(value, indent: str, out: list[str]) -> None:
     """Append ``value`` as ``json`` writes it at ``indent``, the newline and spaces before its nesting level,
-    testing its type in ``json``'s order and raising ``json``'s errors; a dict key must be a string."""
+    testing its type in ``json``'s order and raising ``json``'s errors; a dict key must be a string.
+
+    Inside a container, an item whose type is exactly one of ``_LEAVES`` is written by its writer there,
+    with no call of this function; only containers and other types, subclasses among them, recurse.
+    """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -267,13 +274,19 @@ def _write_json(value, indent: str, out: list[str]) -> None:
             out.append("{}" if is_dict else "[]")
             return
         inner = indent + "  "
-        out.append("{" if is_dict else "[")
-        for i, item in enumerate(value.items() if is_dict else value):
-            out.append("," + inner if i else inner)
+        lead, sep, leaves = ("{" if is_dict else "[") + inner, "," + inner, _LEAVES
+        for item in value.items() if is_dict else value:
             if is_dict:  # every report key is a string
                 key, item = item
-                out += (encode_basestring_ascii(key), ": ")
-            _write_json(item, inner, out)
+                out += (lead, encode_basestring_ascii(key), ": ")
+            else:
+                out.append(lead)
+            lead = sep
+            write = leaves.get(type(item))
+            if write is None:
+                _write_json(item, inner, out)
+            else:
+                out.append(write(item))
         out += (indent, "}" if is_dict else "]")
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
@@ -281,9 +294,14 @@ def _write_json(value, indent: str, out: list[str]) -> None:
 
 def _json_float(value: float) -> str:
     """A float as ``json`` writes it with ``allow_nan=False``."""
-    if value != value or value in (math.inf, -math.inf):
+    if not math.isfinite(value):
         raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
     return float.__repr__(value)
+
+
+#: the writer of each leaf type, taken by exact type: a subclass goes through ``_write_json``'s type tests
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+           bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__}
 
 
 #: verdict detail keys that have a CSV column, and that column
@@ -377,14 +395,16 @@ def _verdict(name: str, ok: bool, **detail) -> dict:
 
 
 def _commute_verdict(name: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> dict:
-    """The commute identity's verdict on two sides, each an unreduced ``(numerator, denominator)`` pair.
+    """The commute identity's verdict on two sides, each an unreduced ``(numerator, denominator)`` pair with a
+    positive denominator.
 
     Sides over one denominator, as ``network-check``'s are, are compared by their numerators, and others by
-    cross-multiplication; agreeing sides are one value, reduced and rendered once.
+    cross-multiplication; agreeing sides are one value, reduced by one gcd and rendered once.
     """
     (a, b), (c, d) = lhs, rhs
     if a == c if b == d else a * d == c * b:
-        text = format_rational(Fraction(a, b))
+        g = math.gcd(a, b)
+        text = format_ratio(a // g, b // g)
         return _verdict(name, True, lhs=text, rhs=text)
     return _verdict(name, False, lhs=format_rational(Fraction(a, b)), rhs=format_rational(Fraction(c, d)))
 

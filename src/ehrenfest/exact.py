@@ -38,15 +38,28 @@ Rational = Union[int, Fraction]
 
 
 def format_rational(value: Rational) -> str:
-    """Serialize a rational as ``num/den`` (``/1`` omitted for integers).
+    """Serialize a rational as ``num/den`` (``/1`` omitted for integers),
+    read off the ``numerator`` and ``denominator`` an int carries too."""
+    return format_ratio(value.numerator, value.denominator)
 
-    Renders through :class:`~decimal.Decimal`, exact for integers, which is
-    not bound by ``sys.get_int_max_str_digits()``: that guard protects
-    parsers of untrusted text, and a result may well run past it.
+
+def format_ratio(num: int, den: int) -> str:
+    """Serialize a reduced pair with ``den > 0`` as :func:`format_rational` does.
+
+    Each integer is rendered by ``str``, or where ``str`` refuses it, past
+    ``sys.get_int_max_str_digits()``, through :class:`~decimal.Decimal`,
+    exact for integers and not bound by that limit: it guards parsers of
+    untrusted text, and a result may well run past it.
     """
-    q = Fraction(value)
-    num = str(Decimal(q.numerator))
-    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+    text = _int_text(num)
+    return text if den == 1 else f"{text}/{_int_text(den)}"
+
+
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -7,8 +7,8 @@ stream, in the smallest unsigned type ``dtype`` that holds ``R - 1``, but
 :class:`_Draws` replays them from raw Philox words (Lemire's
 multiply-and-reject on 8-, 16- or 32-bit units), in a few numpy passes
 per block, and writes the int32 moves a table steps on directly.  After the
-walk a fresh generator is moved to the words the replay consumed, where
-numpy's own would stand, and the continuous-time clock draws from it.
+walk the replay's own bit generator is moved back to the words it consumed,
+where numpy's would stand, and the continuous-time clock draws from it.
 
 All replicas walk the embedded jump chain in lockstep with numpy.  The moves
 come in blocks drawn ahead: at a block start the stream draws one integer
@@ -340,7 +340,7 @@ class _Draws:
     the low ``bits`` of ``m`` are below ``2**bits % bound`` and otherwise yields ``m >> bits``.  A call
     starts on a fresh word, and a bound of 1 consumes nothing.  The replay draws the raw words a call
     needs, finds its values in a few passes over its units, the rejects dropped by one boolean mask, and
-    counts the units consumed; :meth:`generator` positions a fresh generator after them.
+    counts the units consumed; :meth:`generator` moves the replay's own Philox after them.
     ``tests/test_mc.py`` pins the replay to ``Generator.integers``.  On 2 vCPUs the 5.7 million draws of
     a 20000-replica singleton walk at N=3, M=5 take 0.71-0.74 of the time ``Generator.integers`` takes,
     before its cast to int32, and the mask drops the rejects in about half the time of ``flatnonzero``
@@ -413,15 +413,19 @@ class _Draws:
         return self.units[start:start + n]
 
     def generator(self) -> np.random.Generator:
-        """A generator where ``Generator(Philox(key=seed))`` stands after the calls replayed: advanced by
-        whole Philox blocks of four 64-bit outputs, then drawn up to the last output used, then holding
-        its high half when the calls used only the low one."""
+        """A generator on the replay's own Philox, moved to where ``Generator(Philox(key=seed))`` stands
+        after the calls replayed: set back to the key's start by one state write, a fraction of the cost
+        of a fresh keyed Philox, advanced by whole Philox blocks of four 64-bit outputs, then drawn
+        up to the last output used, then holding its high half when the calls used only the low one.  The
+        replay draws nothing after it."""
         words = self.at // self.per_word
         outputs = -(-words // 2)
-        source = np.random.Philox(key=self.seed)
+        blocks = max(outputs - 1, 0) // 4
+        source, state = self.source, self.source.state
+        state["state"]["counter"][:] = 0
+        source.state = state
+        source.advance(blocks)  # which empties the buffer and the held half
         if outputs:
-            blocks = (outputs - 1) // 4
-            source.advance(blocks)
             last = int(source.random_raw(outputs - 4 * blocks)[-1])
             state = source.state
             state["has_uint32"], state["uinteger"] = words % 2, last >> 32

@@ -42,7 +42,6 @@ its own moments and transform, and neither route imports the other.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import re
@@ -401,7 +400,8 @@ def _member_table(params: ModelParams, states: Sequence[State], typed: bool):
     return table[sorted(range(len(states)), key=states.__getitem__)]
 
 
-_PAIR_RE = re.compile(r"^\(([^()]*)\);\(([^()]*)\)$")
+#: a pair descriptor's two states, compiled on first use, through re's cache
+_PAIR = r"\(([^()]*)\);\(([^()]*)\)"
 
 #: Members that :meth:`SetDescriptor.materialize` lists at most, about 1 GB of tuples at M = 20.
 MAX_LISTED = 2**22
@@ -531,7 +531,7 @@ def parse_set(text: str) -> SetDescriptor:
     if head == "singleton":
         return SetDescriptor.singleton(_ints(rest.split(","), text))
     if head == "pair":
-        match = _PAIR_RE.match(rest)
+        match = re.fullmatch(_PAIR, rest)
         if not match:
             raise ValueError(f"pair descriptor must look like pair:(...);(...), got {text!r}")
         return SetDescriptor.pair(_ints(match.group(1).split(","), text), _ints(match.group(2).split(","), text))
@@ -543,6 +543,8 @@ def parse_set(text: str) -> SetDescriptor:
     if head == "explicit":
         if not rest.startswith("@"):
             raise ValueError("explicit descriptor expects @path.json")
+        import json  # with its decoder, which only this branch needs
+
         path = rest[1:]
         with open(path, "r", encoding="utf-8") as fh:
             try:

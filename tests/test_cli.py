@@ -1,4 +1,5 @@
 import csv
+import enum
 import io
 import json
 import math
@@ -175,16 +176,54 @@ def test_engine_and_oracle_summaries_are_equal(n, m, text, outside, member, insi
         assert (truth.mean == 0) == inside
 
 
-_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**200), 2**200),
-                          st.floats(allow_nan=False, allow_infinity=False), st.text())
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# exact types, which the writer takes by type, and subclasses, which go through json's type tests
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**200), 2**200), _FINITE, st.text(),
+                          st.sampled_from(_Level), _FINITE.map(_Float), st.text().map(_Str),
+                          st.sampled_from([[], (), {}, [[]], [(), {}], {"": {"": []}}]))
+# what json refuses: a float out of its range, of the exact type or a subclass, and an object it cannot write
+_JSON_FAULTS = st.sampled_from([math.nan, math.inf, -math.inf, _Float("nan"), _Float("-inf"), object(),
+                                Fraction(1, 3)])
+
+
+def _json_reports(scalars):
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4)), max_leaves=30)
+
+
+def _written(write, report):
+    """What ``write`` gives on ``report``, or the type and message of the error it raises."""
+    try:
+        return write(report)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
-    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
-    st.dictionaries(st.text(), inner, max_size=4)), max_leaves=30))
+@given(_json_reports(_JSON_SCALARS))
 def test_the_report_writer_writes_what_json_writes(report):
     assert cli._to_json(report) == json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_reports(_JSON_SCALARS | _JSON_FAULTS))
+def test_the_report_writer_raises_what_json_raises(report):
+    assert _written(cli._to_json, report) == _written(lambda r: json.dumps(r, indent=2, allow_nan=False) + "\n",
+                                                      report)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in (Path(__file__).parent / "golden").glob("*.out")))
@@ -207,6 +246,18 @@ def test_the_report_writer_refuses_what_json_refuses(value, where):
     with pytest.raises(TypeError) as got:
         cli._to_json({"a": [object()]})
     assert str(got.value) == str(want.value) == "Object of type object is not JSON serializable"
+
+
+@pytest.mark.parametrize("lhs,rhs", [
+    ((6, 4), (6, 4)), ((-6, 4), (-6, 4)), ((0, 9), (0, 9)), ((7, 1), (7, 1)), ((3, 6), (1, 2)), ((5, 4), (6, 4)),
+    ((1, 3), (1, 2)), ((10**5000, 3 * 10**4999), (10**5000, 3 * 10**4999)),  # reduced to 10/3
+    ((7 * 10**5000 + 1, 3), (7 * 10**5000 + 1, 3)), ((7 * 10**5000 + 1, 3), (7 * 10**5000, 3)),  # past the limit
+])
+def test_a_commute_verdict_renders_each_side_as_format_rational_does(lhs, rhs):
+    left, right = Fraction(*lhs), Fraction(*rhs)
+    want = {"name": "v", "pass": left == right,
+            "detail": {"lhs": format_rational(left), "rhs": format_rational(right)}}
+    assert cli._commute_verdict("v", lhs, rhs) == want
 
 
 def test_oracle_accepts_asymmetric_set(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -37,6 +38,28 @@ def test_serialization_roundtrip(q):
     assert F(text) == q
     if q.denominator == 1:
         assert "/" not in text
+
+
+def _decimal_rendering(value):
+    """``num/den`` with each integer rendered by ``Decimal``, which no digit limit bounds."""
+    q = F(value)
+    num = str(decimal.Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{decimal.Decimal(q.denominator)}"
+
+
+@pytest.mark.parametrize("limit", [4300, 640, 0])  # the default digit limit, its least value, and none
+def test_format_rational_renders_what_decimal_renders_on_both_sides_of_the_digit_limit(limit):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        values = [0, True, False, -1, F(-3, 4)]
+        for digits in (639, 640, 641, 4299, 4300, 4301, 25140):
+            n = 7 * 10 ** (digits - 1) + 3  # ``digits`` digits, prime to 2 and 5
+            values += [n, -n, F(n, 2**1000), F(-(2**1000), n), F(1, n), F(n, n + 2)]
+        for value in values:
+            assert format_rational(value) == _decimal_rendering(value)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_format_significant():

@@ -5,8 +5,10 @@ the command line and answering ``exact`` on a symbolic set, ``network-check``
 or ``identities`` must load neither numpy nor scipy, nor the oracle or the
 Monte Carlo.  Start-up also leaves out the standard modules it does not
 use: ``dataclasses`` and ``inspect``, which took about half of a fresh
-process's import time, and ``csv``, which only a ``--format csv`` report
-loads.  No module of the package imports scipy or ``dataclasses`` at all.
+process's import time, ``csv``, which only a ``--format csv`` report
+loads, and ``json``'s package, decoder and scanner, which only an
+``explicit:@file`` set loads: the report writer takes ``json``'s C string
+encoder from ``_json``.  No module of the package imports scipy or ``dataclasses`` at all.
 The three routes must also stay independent: the oracle and the Monte Carlo
 build on ``model`` and ``exact`` alone, and the engine never reads either of
 them, so an agreement between routes still means something.  That holds at
@@ -87,6 +89,42 @@ def test_engine_requests_load_no_numpy_oracle_or_mc(tmp_path):
     assert table_codes == [0] and table_loaded == ["csv"]
     assert other_codes == [0] * len(others)
     assert [m for m in other_loaded if m in HEAVY] == ["ehrenfest.mc", "ehrenfest.oracle", "numpy"]
+
+
+# STARTUP's check for the json package, which STARTUP's own import of json would hide: the batches of argv come
+# as a Python literal, read by ast.literal_eval
+JSON_FREE = """
+import ast, sys
+sys.path.insert(0, sys.argv[1])
+import ehrenfest.cli as cli
+cli.build_parser()
+for batch in ast.literal_eval(sys.argv[2]):
+    codes = [cli.main(argv + ["--out", sys.argv[3]]) for argv in batch]
+    print(repr([codes, sorted(m for m in sys.modules if m.partition(".")[0] == "json")]))
+"""
+
+
+def test_start_up_and_engine_requests_load_no_json_module(tmp_path):
+    *symbolic, explicit = _kinds(tmp_path)
+    engine = [*(_exact(*kind) for kind in symbolic), ["network-check", "--N", "4", "--M", "20"], ["identities"]]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", JSON_FREE, str(ROOT / "src"), repr([[], engine, [_exact(*explicit)]]),
+         str(tmp_path / "report.json")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (_, started), (engine_codes, engine_loaded), (file_codes, file_loaded) = map(ast.literal_eval,
+                                                                                   proc.stdout.splitlines())
+    assert started == [] and engine_codes == [0] * len(engine) and engine_loaded == []
+    assert file_codes == [0] and "json.decoder" in file_loaded  # the check sees json once it is loaded
+
+
+def test_the_report_writer_encodes_strings_as_json_does():
+    import json.encoder
+
+    from ehrenfest import cli
+
+    assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
 
 # the oracle's three solves and a walk on each (start, --set) of argv[2], in an interpreter that imports the two
