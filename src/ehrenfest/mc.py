@@ -66,12 +66,12 @@ space:
   its first block is already in the tail, off the start, and then no
   lockstep form is built.
 
-The three ways take the same draws, in the same blocks, charged alike, so
-every hit step, truncation and stop step is the same on each.  The tail and
-the table hand back each block's hits, the replicas and their steps within
-the block, to one bookkeeping; the keys, tested every step, record theirs as
-they come.  By kind, the keys, the tail's test and, on every state at once,
-the table's:
+The three ways take the same draws, in the same blocks, charged alike, and
+hand back each block's hits alike, the replicas and their steps within the
+block, to one bookkeeping, so every hit step, truncation and stop step is
+the same on each: the table reads its hits off the clock rows, the keys on
+every step and the tail chunk by chunk.  By kind, the keys, the tail's test
+and, on every state at once, the table's:
 
 * Singletons and count slices are Hamming spheres, the states agreeing
   with a center in exactly ``h`` coordinates: ``h = balls`` around ``y``
@@ -126,12 +126,12 @@ BLOCK_MOVES = 1 << 15
 WALK_BUDGET = 15 * 10**7
 STEP_CHARGE = 550
 
-#: A block of at most ``TAIL_CELLS`` cells, live replicas times balls, is walked
-#: in the tail, ``TAIL_CHUNK`` steps at a time; a larger one in lockstep.  On 2
-#: vCPUs a key lockstep step costs about 10 us plus 4-5 ns per replica, a tail step
-#: about 1 us plus 1-5 ns per cell.  At 2048 cells the tail is the faster way on
-#: every kind; at M=200 its slowest test, the sorted ``distinct``, stops paying
-#: at about 2500 cells.
+#: A block of at most ``TAIL_CELLS`` cells, live replicas times balls, is walked in the tail, ``TAIL_CHUNK`` steps at a
+#: time; a larger one in lockstep, on keys or on a table.  On 2 vCPUs, best of 3 in 3 rounds, walks from all ones
+#: to all twos of 20000 replicas at N=3 M=7 and 2000 at N=2 M=14 took 0.57-0.77 s and 1.2-1.6 s on keys with the tail,
+#: 0.77-0.79 s and 2.3-3.4 s without; on a table 0.32-0.33 s and 0.55-0.68 s with it, 0.33-0.37 s and 0.70-0.76 s
+#: without.  So the tail pays on keys and does no harm on a table at these sizes; at M=200 its slowest test, the sorted
+#: ``distinct``, stops paying at about 2500 cells.
 TAIL_CELLS = 2048
 TAIL_CHUNK = 64
 
@@ -447,16 +447,14 @@ def _true_from_end(kept, surplus):
 def _walk(params: ModelParams, start: State, target: SetDescriptor, cfg: SimConfig):
     """Walk every replica to absorption or the end of the budget, in lockstep.
 
-    One block loop serves both lockstep forms, on a transition table or on
-    membership keys, and the tail; a lockstep form is only its block walk,
-    its compaction and its hand-off to the tail (see the module docstring).
-    A walk whose first block is in the tail, a start inside the target
-    among them, builds neither form.
-    The table and the tail return each block's hits, the live replicas that
-    hit as indices and their steps within the block counted from 1, and one
+    Every block is walked by one form, on a transition table, on membership
+    keys or in the tail (see the module docstring): ``(block walk,
+    compaction, lanes)``.  The block walk returns the live replicas that hit,
+    as indices, and their steps within the block counted from 1; one
     bookkeeping records them, sets the stop step and compacts the live
-    replicas.  The key form tests every step and records its hits as they
-    come, which spares its blocks a pass over the live replicas.
+    replicas and the form.  The tail's form starts on the start's offsets,
+    and no lockstep form is built, when the first block is in the tail, a
+    start inside the target among them; else on the lockstep form's lanes.
 
     Returns the steps to absorption (0 if truncated), the truncated mask, the
     step the walk stopped at and the walk's :class:`_Draws`, whose
@@ -470,43 +468,30 @@ def _walk(params: ModelParams, start: State, target: SetDescriptor, cfg: SimConf
     steps = np.zeros(cfg.replicas, dtype=np.int64)
     # the live replicas; replicas starting inside the target keep 0 steps
     live = np.arange(cfg.replicas) if not is_hit(key0) else np.arange(0)
-    # the live replicas' offsets, one row per ball, once the walk is in its tail, here from its first block on
-    lanes = np.repeat(offsets[:, None], live.size, axis=1) if live.size * m <= TAIL_CELLS else None
-    on_table = lanes is None and _on_table(params, target)
-    if on_table:
-        lockstep, keep, lanes_of = _table_form(n, m, offsets, live.size, contains, _pinned(target))
-    elif lanes is None:
-        lockstep, keep, lanes_of = _key_form(n, m, offsets, live.size, stride, key0, updates, is_hit)
+    in_tail = live.size * m <= TAIL_CELLS  # the live count never grows: once in the tail, the walk stays there
+    on_table = not in_tail and _on_table(params, target)
+    if in_tail:
+        walk, keep, lanes = _tail_form(np.repeat(offsets[:, None], live.size, axis=1), n, contains)
+    elif on_table:
+        walk, keep, lanes = _table_form(n, m, offsets, live.size, contains, _pinned(target))
+    else:
+        walk, keep, lanes = _key_form(n, m, offsets, live.size, stride, key0, updates, is_hit)
 
     t = spent = 0  # every live replica has taken exactly t steps, and the walk has spent this much budget
     while live.size and (affordable := (WALK_BUDGET - spent) // (live.size + STEP_CHARGE)):
         span = min(max(1, BLOCK_MOVES // live.size), affordable)
         spent += span * (live.size + STEP_CHARGE)
-        in_tail = live.size * m <= TAIL_CELLS  # the live count never grows: once in the tail, the walk stays there
-        block = draws((span, live.size), np.int32 if on_table and not in_tail else draws.type)
-        if in_tail:
-            if lanes is None:
-                lanes = lanes_of()
-                del lockstep, keep, lanes_of  # the walk stays in the tail: its table or slots are freed
-            lanes, hit, at = _tail_block(lanes, *_decode(block, n), n, contains)
-        elif on_table:
-            hit, at = lockstep(block)
-        else:  # the key form records its hits step by step: gathering them per block costs its walks 5-7%
-            t, alive = lockstep(block, steps, live, t)
-            if alive is not None:
-                live = live[alive]
-                keep(alive)
-            continue
+        if not in_tail and live.size * m <= TAIL_CELLS:  # the lockstep form, its table or slots, is freed
+            in_tail, on_table = True, False
+            walk, keep, lanes = _tail_form(lanes(), n, contains)
+        hit, at = walk(draws((span, live.size), np.int32 if on_table else draws.type))
         if hit.size:
             at += t
             steps[live[hit]] = at
             alive = np.ones(live.size, dtype=bool)
             alive[hit] = False
             live = live[alive]
-            if lanes is None:
-                keep(alive)
-            else:
-                lanes = lanes[:, alive]
+            keep(alive)
         t = t + span if live.size else int(at.max())  # a walk stops at its last hit
 
     truncated = np.zeros(cfg.replicas, dtype=bool)
@@ -612,10 +597,7 @@ def _table_form(n, m, offsets, replicas, contains, pinned):
                 if parked == code.size:
                     break
                 code[hit] = 0
-        if not found:
-            return np.arange(0), np.arange(0)
-        hit, at = zip(*found)
-        return (hit[0], at[0]) if len(found) == 1 else (np.concatenate(hit), np.concatenate(at))
+        return _gathered(found)
 
     def keep(alive):
         nonlocal code, spare
@@ -632,10 +614,9 @@ def _key_form(n, m, offsets, replicas, stride, key0, updates, is_hit):
     Each replica carries its balls' offsets, ``stride`` slots from its first,
     and one membership key, changed by each move from the ball and its old
     and new offsets.  The block walk tests the keys after every step and
-    records each hit in ``steps`` as it comes; a replica that hits keeps
-    moving, masked out of the test, until the block ends, and the block walk
-    stops once every replica has hit.  It returns the step it stopped at and
-    the mask of the replicas still walking, or None if none hit.
+    collects each step's hits, the replicas and the step; a replica that
+    hits keeps moving, masked out of the test, until the block ends, and the
+    block walk stops once every replica has hit.
     """
     # offsets leave room for old + shift, up to 2*(urns-1), before the wrap
     row = np.zeros(stride, dtype=np.min_scalar_type(2 * n - 2))
@@ -645,11 +626,11 @@ def _key_form(n, m, offsets, replicas, stride, key0, updates, is_hit):
     keys = np.full(replicas, key0)
     update = updates(replicas)
 
-    def lockstep(block, steps, live, t):
-        alive = np.ones(live.size, dtype=bool)
+    def lockstep(block):
+        alive = np.ones(keys.size, dtype=bool)
+        found = []
         dead = 0
-        for balls, shifts in zip(*_decode(block, n)):
-            t += 1
+        for step, (balls, shifts) in enumerate(zip(*_decode(block, n)), 1):
             slots = base + balls
             old = positions[slots]
             new = old + shifts
@@ -660,12 +641,13 @@ def _key_form(n, m, offsets, replicas, stride, key0, updates, is_hit):
             if dead:
                 hit &= alive
             if hit.any():
-                steps[live[hit]] = t
-                alive ^= hit
-                dead += np.count_nonzero(hit)
-                if dead == live.size:
+                hit = np.flatnonzero(hit)
+                found.append((hit, np.full(hit.size, step)))
+                alive[hit] = False
+                dead += hit.size
+                if dead == keys.size:
                     break
-        return t, alive if dead else None
+        return _gathered(found)
 
     def keep(alive):
         nonlocal base, keys
@@ -674,52 +656,70 @@ def _key_form(n, m, offsets, replicas, stride, key0, updates, is_hit):
     return lockstep, keep, lambda: positions[base + np.arange(m)[:, None]]
 
 
-def _tail_block(lanes, balls_ahead, shifts_ahead, n, contains):
-    """Walk one block of the sparse tail ``TAIL_CHUNK`` steps at a time.
+def _gathered(found):
+    """A block's hits, ``(replicas, steps)``, from its pieces of both in the order found."""
+    if not found:
+        return np.arange(0), np.arange(0)
+    hit, at = zip(*found)
+    return (hit[0], at[0]) if len(found) == 1 else (np.concatenate(hit), np.concatenate(at))
 
-    ``lanes`` holds the live replicas' offsets, one row per ball.  Returns
-    the offsets at the block's end, the replicas that hit, and each one's
-    first hit as a step of the block counted from 1.  Chunks stop once every
-    replica has hit.
+
+def _tail_form(lanes, n, contains):
+    """The sparse tail's form over ``lanes``, the live replicas' offsets, one
+    row per ball: ``(block walk, compaction, lanes)``.
+
+    The block walk takes ``TAIL_CHUNK`` steps at a time and returns the
+    replicas that hit and each one's first hit as a step of the block counted
+    from 1; its chunks stop once every replica has hit.
     """
-    span, live = balls_ahead.shape
     m = lanes.shape[0]
-    # A chunk is a grid of cells (step, ball, replica), one step after another in memory so that its
-    # running sums along the steps take one row add per step.  Within a step the longer of the ball and
-    # replica axes is contiguous, since membership reduces over the balls of each step and replica.
-    if live >= m:
-        ball_stride, replica_stride, step_shape, to_balls_first = live, 1, (m, live), (1, 0, 2)
-    else:
-        ball_stride, replica_stride, step_shape, to_balls_first = 1, m, (live, m), (2, 0, 1)
-    corner = np.arange(0, TAIL_CHUNK * m * live, m * live)[:, None] + np.arange(live) * replica_stride
     # a chunk's running sums reach its start offset plus TAIL_CHUNK shifts, each at most n - 1
     grid_type = np.min_scalar_type((TAIL_CHUNK + 1) * (n - 1))
-    hit_at = np.zeros(live, dtype=np.int64)
-    alive = np.ones(live, dtype=bool)
-    replica = np.arange(live)
-    for first in range(0, span, TAIL_CHUNK):
-        size = min(TAIL_CHUNK, span - first)
-        rows = np.zeros((size, m * live), dtype=grid_type)
-        cell = balls_ahead[first:first + size].astype(np.intp)
-        cell *= ball_stride
-        cell += corner[:size]
-        rows.reshape(-1)[cell] = shifts_ahead[first:first + size]
-        grid = rows.reshape(size, *step_shape).transpose(to_balls_first)  # the same cells as (ball, step, replica)
-        grid[:, 0] += lanes
-        for step in range(1, size):
-            rows[step] += rows[step - 1]
-        rows -= rows // n * n
-        hit = contains(grid)
-        hit &= alive
-        when = hit.argmax(axis=0)
-        now = hit[when, replica]
-        hit_at[now] = first + 1 + when[now]
-        alive &= ~now
-        lanes = grid[:, -1]
-        if not alive.any():
-            break
-    hit = np.flatnonzero(hit_at)
-    return lanes, hit, hit_at[hit]
+
+    def walk(block):
+        nonlocal lanes
+        span, live = block.shape
+        balls_ahead, shifts_ahead = _decode(block, n)
+        # A chunk is a grid of cells (step, ball, replica), one step after another in memory so that its
+        # running sums along the steps take one row add per step.  Within a step the longer of the ball and
+        # replica axes is contiguous, since membership reduces over the balls of each step and replica.
+        if live >= m:
+            ball_stride, replica_stride, step_shape, to_balls_first = live, 1, (m, live), (1, 0, 2)
+        else:
+            ball_stride, replica_stride, step_shape, to_balls_first = 1, m, (live, m), (2, 0, 1)
+        corner = np.arange(0, TAIL_CHUNK * m * live, m * live)[:, None] + np.arange(live) * replica_stride
+        hit_at = np.zeros(live, dtype=np.int64)
+        alive = np.ones(live, dtype=bool)
+        replica = np.arange(live)
+        for first in range(0, span, TAIL_CHUNK):
+            size = min(TAIL_CHUNK, span - first)
+            rows = np.zeros((size, m * live), dtype=grid_type)
+            cell = balls_ahead[first:first + size].astype(np.intp)
+            cell *= ball_stride
+            cell += corner[:size]
+            rows.reshape(-1)[cell] = shifts_ahead[first:first + size]
+            grid = rows.reshape(size, *step_shape).transpose(to_balls_first)  # the cells as (ball, step, replica)
+            grid[:, 0] += lanes
+            for step in range(1, size):
+                rows[step] += rows[step - 1]
+            rows -= rows // n * n
+            hit = contains(grid)
+            hit &= alive
+            when = hit.argmax(axis=0)
+            now = hit[when, replica]
+            hit_at[now] = first + 1 + when[now]
+            alive &= ~now
+            lanes = grid[:, -1]
+            if not alive.any():
+                break
+        hit = np.flatnonzero(hit_at)
+        return hit, hit_at[hit]
+
+    def keep(alive):
+        nonlocal lanes
+        lanes = lanes[:, alive]
+
+    return walk, keep, lambda: lanes
 
 
 def _sample(params, start, target, cfg: SimConfig, modes: Sequence[str]) -> dict[str, SimSummary]:

@@ -424,13 +424,13 @@ def test_tail_truncates_as_the_lockstep_loop(monkeypatch, stop):
 def _spy_tail(monkeypatch):
     """The live replicas of every block walked in the tail, in walk order."""
     widths = []
-    real = mc._tail_block
+    real = mc._tail_form
 
-    def spy(lanes, balls_ahead, *rest):
-        widths.append(balls_ahead.shape[1])
-        return real(lanes, balls_ahead, *rest)
+    def spy(*args):
+        walk, keep, lanes = real(*args)
+        return lambda block: widths.append(block.shape[1]) or walk(block), keep, lanes
 
-    monkeypatch.setattr(mc, "_tail_block", spy)
+    monkeypatch.setattr(mc, "_tail_form", spy)
     return widths
 
 
@@ -622,6 +622,23 @@ def test_table_truncates_inside_a_chunk(monkeypatch):
     steps, truncated, stop = walks[0][:3]
     assert stop == 100 and 0 < truncated.sum() < 40
     assert steps[~truncated].max() > mc.TAIL_CHUNK  # a replica hit in the cut chunk
+
+
+@pytest.mark.parametrize("replicas", [300, 20_000], ids=["one-block", "one-step-blocks"])
+def test_every_form_stops_when_every_replica_hits_at_step_1(monkeypatch, replicas):
+    # every move from all ones leaves 4 balls in urn 1, so every replica hits at step 1: 300 replicas
+    # inside one block of 109 steps, 20000 in a block of one step.  On keys, on a table and in the tail
+    # the walk ends inside its first block and stops at its last hit
+    built = []
+    for name in ("_table_form", "_key_form", "_tail_form"):
+        real = getattr(mc, name)
+        monkeypatch.setattr(mc, name, lambda *a, real=real, name=name: built.append(name) or real(*a))
+    cfg = SimConfig(replicas=replicas, seed=12)
+    walks = _walk_every_way(monkeypatch, ModelParams(4, 5), (1,) * 5, SetDescriptor.count(4, 1), cfg)
+    assert built == ["_key_form"] * 2 + ["_table_form"] * 2 + ["_tail_form"] * 4  # _walk, then sample_hitting
+    _assert_every_way_equal(walks)
+    for steps, truncated, stop, *_ in walks:
+        assert (steps == 1).all() and not truncated.any() and stop == 1
 
 
 @pytest.mark.parametrize("params,start,target", [
